@@ -43,8 +43,9 @@ tsan:
 	dune exec test/test_dial.exe
 	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/tsan-bench.json
 
-# adaptive-dispatch smoke: the policy/differential/parallel suite plus
-# a quick bench pass over all four backends (adaptive column included)
+# dispatch-layer smoke: the policy/differential/parallel suite of both
+# dispatch backends (combining and adaptive) plus a quick bench pass
+# over all four backends
 adaptive:
 	dune exec test/test_adaptive.exe
 	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/adaptive-bench.json

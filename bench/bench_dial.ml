@@ -33,14 +33,13 @@ type config = {
 
 let config ?(quick = false) ?(n = 64) ?(max_domains = 4) ?seconds ?trials
     ?(read_shares = [ 0; 50; 90; 99 ]) () =
+  let seconds =
+    match seconds with Some s -> s | None -> if quick then 0.05 else 0.2
+  in
+  let trials = match trials with Some t -> t | None -> if quick then 1 else 3 in
+  Bench_native.check_sweep ~max_domains ~seconds ~trials ~read_shares;
   let rec powers d = if d > max_domains then [] else d :: powers (2 * d) in
-  { n;
-    domain_counts = (match powers 1 with [] -> [ 1 ] | ds -> ds);
-    read_shares;
-    seconds =
-      (match seconds with Some s -> s | None -> if quick then 0.05 else 0.2);
-    trials = (match trials with Some t -> t | None -> if quick then 1 else 3);
-    quick }
+  { n; domain_counts = powers 1; read_shares; seconds; trials; quick }
 
 (* {1 Steps section} *)
 
@@ -121,7 +120,11 @@ let read_pattern ~read_pct =
       ((i + 1) * reads / pattern_slots) - (i * reads / pattern_slots) = 1)
 
 let cell ~cfg ~dial ~domains ~read_pct =
-  let c = Harness.Instances.counter_native_dial ~n:cfg.n dial in
+  let c, _ =
+    Option.get
+      (Harness.Instances.counter_backend Harness.Instances.Unboxed ~n:cfg.n
+         ~domains (Harness.Instances.Dial dial))
+  in
   let read = c.Counters.Counter.read and increment = c.Counters.Counter.increment in
   let pat = read_pattern ~read_pct in
   let op d i =

@@ -25,6 +25,8 @@ val config :
   ?read_shares:int list ->
   unit ->
   config
+(** Raises [Invalid_argument] on bad sweep inputs, exactly as
+    {!Bench_native.config} ({!Bench_native.check_sweep}). *)
 
 (** {1 Exact solo steps (Memsim)} *)
 

@@ -21,12 +21,12 @@
    - a latency pass clocking the same fused closures per batched call
      into per-domain log-bucketed histograms (all backends, so the
      percentiles compare like the throughput medians do);
-   - on the unboxed and combining backends, a metrics pass running the
-     workload through the instrumented instances of {!Harness.Instances}
-     to collect contention counts (CAS attempts/failures, refresh rounds,
-     helps, and for combining: batches, combined ops, eliminations,
-     combiner-lock acquisitions).  All passes are separate so the
-     observability layer can never bias the throughput rows.
+   - on every backend but boxed, a metrics pass running the workload
+     through the instrumented instances of {!Harness.Instances} to
+     collect contention counts (CAS attempts/failures, refresh rounds,
+     helps, and for combining/adaptive: batches, combined ops,
+     eliminations, combiner-lock acquisitions).  All passes are separate
+     so the observability layer can never bias the throughput rows.
 
    Results are emitted both as a table (stdout) and as machine-readable
    JSON (BENCH_NATIVE.json, schema "bench-native/v4") so future changes
@@ -41,15 +41,32 @@ type config = {
   quick : bool;
 }
 
+(* Bad sweep inputs fail loudly: a zero-second or zero-trial cell would
+   otherwise emit a nan row, an out-of-range share misquantizes in
+   [read_pattern], and [max_domains] < 1 silently ran d=1. *)
+let check_sweep ~max_domains ~seconds ~trials ~read_shares =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  if max_domains < 1 then bad "max-domains must be >= 1 (got %d)" max_domains;
+  if not (Float.is_finite seconds && seconds > 0.) then
+    bad "seconds per trial must be finite and > 0 (got %g)" seconds;
+  if trials < 1 then bad "trials must be >= 1 (got %d)" trials;
+  List.iter
+    (fun s -> if s < 0 || s > 100 then bad "read share %d%% is outside 0..100" s)
+    read_shares
+
 let config ?(quick = false) ?(max_domains = 4) ?seconds ?trials
     ?(read_shares = [ 0; 50; 90; 99 ]) () =
+  let seconds =
+    match seconds with Some s -> s | None -> if quick then 0.05 else 0.3
+  in
+  let trials = match trials with Some t -> t | None -> if quick then 1 else 3 in
+  check_sweep ~max_domains ~seconds ~trials ~read_shares;
   let rec powers d = if d > max_domains then [] else d :: powers (2 * d) in
-  let domain_counts = match powers 1 with [] -> [ 1 ] | ds -> ds in
-  { domain_counts;
+  { domain_counts = powers 1;
     read_shares;
-    seconds = (match seconds with Some s -> s | None -> if quick then 0.05 else 0.3);
+    seconds;
     warmup_seconds = (if quick then 0.02 else 0.15);
-    trials = (match trials with Some t -> t | None -> if quick then 1 else 3);
+    trials;
     quick }
 
 type row = {
@@ -84,23 +101,24 @@ type row = {
    - the read/write mix is a precomputed 128-slot Bresenham pattern,
      decided per op by one array load and a mask (an integer division
      would cost as much as the unboxed operation being measured);
-   - the implementation is called *directly* — the unboxed and combining
-     modules are concrete, so those compile to static calls, while the
-     boxed side's indirect functor call is part of the representation
-     cost being measured.  Any generic wrapper (instance record,
-     first-class module) would add an indirect call to both sides and
-     dilute the ratio;
+   - the implementation is called *directly* — the unboxed structures and
+     the {!Harness.Adaptive} instances are concrete modules, so reads and
+     plain-path updates compile to static calls, while the boxed side's
+     indirect functor call is part of the representation cost being
+     measured.  Any generic wrapper (instance record, first-class module)
+     would add an indirect call to both sides and dilute the ratio;
    - each closure performs [batch] operations per invocation, so the
      harness's stop-flag read and bookkeeping amortize to noise
      ({!Harness.Throughput.run_batched}).
 
-   The modules measured are exactly the ones the registry
-   ({!Harness.Instances.maxreg_native} / [_native_fast] /
-   [_native_combining]) hands out; only the call path is flattened here.
-   The metered pass, by contrast, goes through the registry's
-   [_native_metered] / [_native_combining_metered] instances — indirect
-   calls, which is fine: its numbers are distributions and counts, not
-   the throughput of record. *)
+   The structures measured are exactly the ones the registry
+   ({!Harness.Instances.maxreg_backend} / [counter_backend]) hands out;
+   only the call path is flattened here.  The combining column is the
+   adaptive cell pinned to the combining path — the registry's
+   combining backend is that same pinning.  The metered pass, by
+   contrast, goes through the registry's instances — indirect calls,
+   which is fine: its numbers are distributions and counts, not the
+   throughput of record. *)
 
 let pattern_slots = 128
 let mask = pattern_slots - 1
@@ -133,7 +151,8 @@ let half_reads pattern =
 
 (* The adaptive closures pay neither [tick_many] (two seq_cst stores)
    nor the [combining_now] cross-module call per batch — both still
-   show at sub-3ns/op.  Consecutive batches strictly alternate pattern
+   show at sub-3ns/op — only one call of the cell's epilogue closure,
+   which counts the batch.  Consecutive batches strictly alternate pattern
    halves (the drivers advance [i0] by [batch] from 0), so a
    [flush_batches] window's read/update split is a per-cell constant;
    each domain only counts batches in a plain accumulator slot and,
@@ -141,12 +160,40 @@ let half_reads pattern =
    [tick_many] and refreshes its cached mode.  Slots are one 64-byte
    line per domain (single-writer, so plain stores are race-free):
    [d * acc_stride] = batches since flush, [+1] = cached mode (1 =
-   combining), [+2] = stale tally (algorithm-a).  The cached mode can
+   combining), [+2] = stale tally (max registers).  The cached mode can
    lag a flip by up to [flush_batches * batch] ops — one epoch's worth,
    the dispatcher's own granularity — and either update path is
-   linearizable in either mode (both mutate the same structure). *)
+   linearizable in either mode (both mutate the same structure).  A
+   cell pinned to combining starts every cached mode at 1 and never
+   flushes. *)
 let acc_stride = 8
 let flush_batches = 16
+
+(* An adaptive cell's slots and its per-batch epilogue, built once per
+   cell: count the batch and, once per window, settle the accounting. *)
+let dispatch_slots ~pattern ~domains ~pinned ~tick_many ~combining_now =
+  let acc = Array.make (domains * acc_stride) 0 in
+  if pinned then
+    for d = 0 to domains - 1 do
+      acc.((d * acc_stride) + 1) <- 1
+    done;
+  let r0, r1 = half_reads pattern in
+  let reads = flush_batches / 2 * (r0 + r1) in
+  let updates = (flush_batches * batch) - reads in
+  ( acc,
+    fun d ->
+      if not pinned then begin
+        let a = d * acc_stride in
+        let b = Array.unsafe_get acc a + 1 in
+        if b = flush_batches then begin
+          tick_many ~pid:d ~reads ~updates
+            ~stale:(Array.unsafe_get acc (a + 2));
+          Array.unsafe_set acc a 0;
+          Array.unsafe_set acc (a + 2) 0;
+          Array.unsafe_set acc (a + 1) (if combining_now () then 1 else 0)
+        end
+        else Array.unsafe_set acc a b
+      end )
 
 type kind =
   | Maxreg of Harness.Instances.maxreg_impl
@@ -163,7 +210,6 @@ type target = {
   structure : string;
   impl_name : string;
   kind : kind;
-  has_combining : bool;  (* adaptive exists exactly where combining does *)
   mk :
     backend:backend ->
     n:int ->
@@ -182,10 +228,6 @@ module BU = Maxreg.B1_maxreg.Unboxed
 module CU = Maxreg.Cas_maxreg.Unboxed
 module FU = Counters.Farray_counter.Unboxed
 module NU = Counters.Naive_counter.Unboxed
-module AC = Harness.Combining.Alg_a
-module CC = Harness.Combining.Cas
-module FC = Harness.Combining.Farray_c
-module NC = Harness.Combining.Naive_c
 module AD = Harness.Adaptive.Alg_a
 module CD = Harness.Adaptive.Cas
 module FD = Harness.Adaptive.Farray_c
@@ -195,24 +237,24 @@ module ND = Harness.Adaptive.Naive_c
    [i * domains + d]: every write really updates (monotone streams), and
    the CAS-based propagation paths stay ABA-free.  Note the combining
    backend sees the same stream, so its eliminations count races lost to
-   other domains, not stale replays. *)
+   other domains, not stale replays.
+
+   Each target with a dispatch layer has three loops: boxed, unboxed,
+   and the adaptive cell, which the combining column reuses pinned to
+   the combining path.  The unboxed loop also serves the d=1
+   combining/adaptive cells (create-time solo dispatch: one
+   participating domain can never contend, so those backends at
+   domains = 1 *are* the plain unboxed structure).  Sharing the builder
+   means those rows run the SAME compiled loop and differ only in data
+   — a separate textual copy of an identical loop can land on different
+   code alignment and skew sub-3ns cells by ~10%. *)
 
 let alg_a_target =
   { structure = "max-register";
     impl_name = Harness.Instances.maxreg_name Harness.Instances.Algorithm_a;
     kind = Maxreg Harness.Instances.Algorithm_a;
-    has_combining = true;
     mk =
       (fun ~backend ~n ~domains ~pattern ->
-        (* One closure builder shared by the unboxed backend and the
-           d=1 combining/adaptive cells (create-time solo dispatch, see
-           Harness.Combining and Harness.Adaptive: one participating
-           domain can never contend, so those backends at domains = 1
-           *are* the plain unboxed structure).  Sharing the builder
-           means those rows run the SAME compiled loop and differ only
-           in data — a separate textual copy of an identical loop can
-           land on different code alignment and skew sub-3ns cells by
-           ~10%. *)
         let unboxed_cell () =
           let reg = AU.create ~n () in
           ( (fun d i0 ->
@@ -224,42 +266,19 @@ let alg_a_target =
               done),
             None )
         in
-        match backend with
-        | `Boxed ->
-          let reg = AB.create ~n () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (AB.read_max reg : int)
-                else AB.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining ->
-          let reg = AC.create ~n ~domains () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (AC.read_max reg : int)
-                else AC.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch: cached mode per batch, raw path
-             in the inner loop, accounting settled per flush window
-             (see [flush_batches] above).  The plain loop tallies stale
-             writes (value already <= max: one root load) — the signal
-             that flips this structure to combining where elimination
-             wins. *)
+        (* batch-granular dispatch: cached mode per batch, raw path in
+           the inner loop, accounting settled per flush window.  The
+           plain loop tallies stale writes (value already <= max: one
+           root load) — the signal that flips this structure to
+           combining where elimination wins. *)
+        let adaptive_cell ~pinned =
           let reg = AD.create ~n ~domains () in
           let raw = AD.unboxed reg in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
+          let acc, flush =
+            dispatch_slots ~pattern ~domains ~pinned
+              ~tick_many:(AD.tick_many reg)
+              ~combining_now:(fun () -> AD.combining_now reg)
+          in
           ( (fun d i0 ->
               let a = d * acc_stride in
               if Array.unsafe_get acc (a + 1) = 1 then
@@ -284,23 +303,29 @@ let alg_a_target =
                 Array.unsafe_set acc (a + 2)
                   (Array.unsafe_get acc (a + 2) + !stale)
               end;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                AD.tick_many reg ~pid:d ~reads:f_reads ~updates:f_updates
-                  ~stale:(Array.unsafe_get acc (a + 2));
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 2) 0;
-                Array.unsafe_set acc (a + 1)
-                  (if AD.combining_now reg then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> AD.report reg) )) }
+              flush d),
+            if pinned then None else Some (fun () -> AD.report reg) )
+        in
+        match backend with
+        | `Boxed ->
+          let reg = AB.create ~n () in
+          ( (fun d i0 ->
+              for k = 0 to batch - 1 do
+                let i = i0 + k in
+                if Array.unsafe_get pattern (i land mask) then
+                  ignore (AB.read_max reg : int)
+                else AB.write_max reg ~pid:d ((i * domains) + d)
+              done),
+            None )
+        | `Unboxed -> unboxed_cell ()
+        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
+        | `Combining -> adaptive_cell ~pinned:true
+        | `Adaptive -> adaptive_cell ~pinned:false) }
 
 let b1_target =
   { structure = "max-register";
     impl_name = Harness.Instances.maxreg_name Harness.Instances.B1_maxreg;
     kind = Maxreg Harness.Instances.B1_maxreg;
-    has_combining = false;  (* idempotent switch writes don't batch *)
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         match backend with
@@ -332,11 +357,9 @@ let cas_target =
   { structure = "max-register";
     impl_name = Harness.Instances.maxreg_name Harness.Instances.Cas_maxreg;
     kind = Maxreg Harness.Instances.Cas_maxreg;
-    has_combining = true;
     mk =
       (fun ~backend ~n ~domains ~pattern ->
         ignore n;
-        (* shared for the same code-placement reason as algorithm-a *)
         let unboxed_cell () =
           let reg = CU.create () in
           ( (fun d i0 ->
@@ -347,6 +370,35 @@ let cas_target =
                 else CU.write_max reg ~pid:d ((i * domains) + d)
               done),
             None )
+        in
+        (* as algorithm-a, with no stale tally (default_cas disables
+           that trigger — a stale plain cas write is already one cheap
+           load) *)
+        let adaptive_cell ~pinned =
+          let reg = CD.create ~domains () in
+          let raw = CD.unboxed reg in
+          let acc, flush =
+            dispatch_slots ~pattern ~domains ~pinned
+              ~tick_many:(CD.tick_many reg)
+              ~combining_now:(fun () -> CD.combining_now reg)
+          in
+          ( (fun d i0 ->
+              if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
+                for k = 0 to batch - 1 do
+                  let i = i0 + k in
+                  if Array.unsafe_get pattern (i land mask) then
+                    ignore (CU.read_max raw : int)
+                  else CD.write_combining reg ~pid:d ((i * domains) + d)
+                done
+              else
+                for k = 0 to batch - 1 do
+                  let i = i0 + k in
+                  if Array.unsafe_get pattern (i land mask) then
+                    ignore (CU.read_max raw : int)
+                  else CU.write_max raw ~pid:d ((i * domains) + d)
+                done;
+              flush d),
+            if pinned then None else Some (fun () -> CD.report reg) )
         in
         match backend with
         | `Boxed ->
@@ -361,62 +413,19 @@ let cas_target =
             None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining ->
-          let reg = CC.create ~domains () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (CC.read_max reg : int)
-                else CC.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch, as for algorithm-a; no stale
-             tally (default_cas disables that trigger — a stale plain
-             cas write is already one cheap load) *)
-          let reg = CD.create ~domains () in
-          let raw = CD.unboxed reg in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (CU.read_max raw : int)
-                  else CD.write_combining reg ~pid:d ((i * domains) + d)
-                done
-              else
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (CU.read_max raw : int)
-                  else CU.write_max raw ~pid:d ((i * domains) + d)
-                done;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                CD.tick_many reg ~pid:d ~reads:f_reads ~updates:f_updates
-                  ~stale:0;
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 1)
-                  (if CD.combining_now reg then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> CD.report reg) )) }
+        | `Combining -> adaptive_cell ~pinned:true
+        | `Adaptive -> adaptive_cell ~pinned:false) }
+
+(* Counter increments are never stale: the counter cells' stale slot
+   stays 0. *)
 
 let farray_target =
   { structure = "counter";
     impl_name =
       Harness.Instances.counter_name Harness.Instances.Farray_counter;
     kind = Counter Harness.Instances.Farray_counter;
-    has_combining = true;
     mk =
       (fun ~backend ~n ~domains ~pattern ->
-        (* shared for the same code-placement reason as algorithm-a *)
         let unboxed_cell () =
           let c = FU.create ~n () in
           ( (fun d i0 ->
@@ -426,6 +435,30 @@ let farray_target =
                 else FU.increment c ~pid:d
               done),
             None )
+        in
+        let adaptive_cell ~pinned =
+          let c = FD.create ~n ~domains () in
+          let raw = FD.unboxed c in
+          let acc, flush =
+            dispatch_slots ~pattern ~domains ~pinned
+              ~tick_many:(FD.tick_many c)
+              ~combining_now:(fun () -> FD.combining_now c)
+          in
+          ( (fun d i0 ->
+              if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
+                for k = 0 to batch - 1 do
+                  if Array.unsafe_get pattern ((i0 + k) land mask) then
+                    ignore (FU.read raw : int)
+                  else FD.update_combining c ~pid:d 1
+                done
+              else
+                for k = 0 to batch - 1 do
+                  if Array.unsafe_get pattern ((i0 + k) land mask) then
+                    ignore (FU.read raw : int)
+                  else FU.increment raw ~pid:d
+                done;
+              flush d),
+            if pinned then None else Some (fun () -> FD.report c) )
         in
         match backend with
         | `Boxed ->
@@ -439,56 +472,15 @@ let farray_target =
             None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining ->
-          let c = FC.create ~n ~domains () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (FC.read c : int)
-                else FC.increment c ~pid:d
-              done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch, as for algorithm-a; counter
-             increments are never stale *)
-          let c = FD.create ~n ~domains () in
-          let raw = FD.unboxed c in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (FU.read raw : int)
-                  else FD.increment_combining c ~pid:d
-                done
-              else
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (FU.read raw : int)
-                  else FU.increment raw ~pid:d
-                done;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                FD.tick_many c ~pid:d ~reads:f_reads ~updates:f_updates;
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 1)
-                  (if FD.combining_now c then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> FD.report c) )) }
+        | `Combining -> adaptive_cell ~pinned:true
+        | `Adaptive -> adaptive_cell ~pinned:false) }
 
 let naive_target =
   { structure = "counter";
     impl_name = Harness.Instances.counter_name Harness.Instances.Naive_counter;
     kind = Counter Harness.Instances.Naive_counter;
-    has_combining = true;  (* the measured control: protocol cost, no win *)
     mk =
       (fun ~backend ~n ~domains ~pattern ->
-        (* shared for the same code-placement reason as algorithm-a *)
         let unboxed_cell () =
           let c = NU.create ~n () in
           ( (fun d i0 ->
@@ -498,6 +490,31 @@ let naive_target =
                 else NU.increment c ~pid:d
               done),
             None )
+        in
+        (* the measured control: protocol cost, no win *)
+        let adaptive_cell ~pinned =
+          let c = ND.create ~n ~domains () in
+          let raw = ND.unboxed c in
+          let acc, flush =
+            dispatch_slots ~pattern ~domains ~pinned
+              ~tick_many:(ND.tick_many c)
+              ~combining_now:(fun () -> ND.combining_now c)
+          in
+          ( (fun d i0 ->
+              if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
+                for k = 0 to batch - 1 do
+                  if Array.unsafe_get pattern ((i0 + k) land mask) then
+                    ignore (NU.read raw : int)
+                  else ND.update_combining c ~pid:d 1
+                done
+              else
+                for k = 0 to batch - 1 do
+                  if Array.unsafe_get pattern ((i0 + k) land mask) then
+                    ignore (NU.read raw : int)
+                  else NU.increment raw ~pid:d
+                done;
+              flush d),
+            if pinned then None else Some (fun () -> ND.report c) )
         in
         match backend with
         | `Boxed ->
@@ -511,167 +528,78 @@ let naive_target =
             None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining ->
-          let c = NC.create ~n ~domains () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (NC.read c : int)
-                else NC.increment c ~pid:d
-              done),
-            None )
-        | `Adaptive ->
-          (* batch-granular dispatch, as for algorithm-a *)
-          let c = ND.create ~n ~domains () in
-          let raw = ND.unboxed c in
-          let r0, r1 = half_reads pattern in
-          let f_reads = flush_batches / 2 * (r0 + r1) in
-          let f_updates = (flush_batches * batch) - f_reads in
-          let acc = Array.make (domains * acc_stride) 0 in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (NU.read raw : int)
-                  else ND.increment_combining c ~pid:d
-                done
-              else
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (NU.read raw : int)
-                  else NU.increment raw ~pid:d
-                done;
-              let b = Array.unsafe_get acc a + 1 in
-              if b = flush_batches then begin
-                ND.tick_many c ~pid:d ~reads:f_reads ~updates:f_updates;
-                Array.unsafe_set acc a 0;
-                Array.unsafe_set acc (a + 1)
-                  (if ND.combining_now c then 1 else 0)
-              end
-              else Array.unsafe_set acc a b),
-            Some (fun () -> ND.report c) )) }
+        | `Combining -> adaptive_cell ~pinned:true
+        | `Adaptive -> adaptive_cell ~pinned:false) }
 
 let targets =
   [ alg_a_target; b1_target; cas_target; farray_target; naive_target ]
 
-let backends_of (t : target) : backend list =
-  if t.has_combining then [ `Boxed; `Unboxed; `Combining; `Adaptive ]
-  else [ `Boxed; `Unboxed ]
+(* The registry backend behind each column ([None]: boxed). *)
+let registry : backend -> Harness.Instances.backend option = function
+  | `Boxed -> None
+  | `Unboxed -> Some Harness.Instances.Unboxed
+  | `Combining -> Some Harness.Instances.Combining
+  | `Adaptive -> Some (Harness.Instances.Adaptive None)
 
 (* The metered closure: the same workload through the instrumented
-   registry instances, recording [Op_read] per read here (the instance
+   registry instance, recording [Op_read] per read here (the instance
    wrappers record [Op_update]; reads carry no pid so the domain-correct
-   shard is only known at this call site). *)
-let metered_op ~metrics ~kind ~n ~domains ~pattern =
-  let bound = 1 lsl 20 in
+   shard is only known at this call site — on the adaptive backend the
+   count also feeds the dispatcher's read-share signal).  Returns the
+   dispatch handle, if any, for the combine-stats flush.  [None] where
+   the registry has no such instance, which is also how each target's
+   backend list is derived. *)
+let metered_op ~metrics ~kind ~backend ~n ~domains ~pattern =
   match kind with
   | Maxreg impl ->
-    let inst =
-      Option.get (Harness.Instances.maxreg_native_metered ~metrics ~n ~bound impl)
-    in
-    fun d i0 ->
-      for k = 0 to batch - 1 do
-        let i = i0 + k in
-        if Array.unsafe_get pattern (i land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Maxreg.Max_register.read_max () : int)
-        end
-        else inst.Maxreg.Max_register.write_max ~pid:d ((i * domains) + d)
-      done
+    Option.map
+      (fun ((inst : Maxreg.Max_register.instance), dispatch) ->
+        ( (fun d i0 ->
+            for k = 0 to batch - 1 do
+              let i = i0 + k in
+              if Array.unsafe_get pattern (i land mask) then begin
+                Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
+                ignore (inst.read_max () : int)
+              end
+              else inst.write_max ~pid:d ((i * domains) + d)
+            done),
+          dispatch ))
+      (Harness.Instances.maxreg_backend ~metrics backend ~n ~domains
+         (Harness.Instances.Impl impl))
   | Counter impl ->
-    let inst =
-      Option.get (Harness.Instances.counter_native_metered ~metrics ~n ~bound impl)
-    in
-    fun d i0 ->
-      for k = 0 to batch - 1 do
-        if Array.unsafe_get pattern ((i0 + k) land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Counters.Counter.read () : int)
-        end
-        else inst.Counters.Counter.increment ~pid:d
-      done
+    Option.map
+      (fun ((inst : Counters.Counter.instance), dispatch) ->
+        ( (fun d i0 ->
+            for k = 0 to batch - 1 do
+              if Array.unsafe_get pattern ((i0 + k) land mask) then begin
+                Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
+                ignore (inst.read () : int)
+              end
+              else inst.increment ~pid:d
+            done),
+          dispatch ))
+      (Harness.Instances.counter_backend ~metrics backend ~n ~domains
+         (Harness.Instances.Impl impl))
 
-(* Same, over the combining registry: returns the arena alongside so the
-   caller can flush {!Smem.Combine.stats} into [metrics] after the run
-   ({!Obs.Metrics.record_combine_stats}). *)
-let metered_combining_op ~metrics ~kind ~n ~domains ~pattern =
-  let bound = 1 lsl 20 in
-  match kind with
-  | Maxreg impl ->
-    let inst, arena =
-      Option.get
-        (Harness.Instances.maxreg_native_combining_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        let i = i0 + k in
-        if Array.unsafe_get pattern (i land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Maxreg.Max_register.read_max () : int)
-        end
-        else inst.Maxreg.Max_register.write_max ~pid:d ((i * domains) + d)
-      done
-    in
-    (op, arena)
-  | Counter impl ->
-    let inst, arena =
-      Option.get
-        (Harness.Instances.counter_native_combining_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        if Array.unsafe_get pattern ((i0 + k) land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Counters.Counter.read () : int)
-        end
-        else inst.Counters.Counter.increment ~pid:d
-      done
-    in
-    (op, arena)
-
-(* Same, over the adaptive registry: [Op_read] recorded here feeds both
-   the emitted metrics and the dispatcher's read-share signal (the
-   metered adaptive instance shares this handle).  Returns the arena for
-   the combine-stats flush. *)
-let metered_adaptive_op ~metrics ~kind ~n ~domains ~pattern =
-  let bound = 1 lsl 20 in
-  match kind with
-  | Maxreg impl ->
-    let inst, arena, _report =
-      Option.get
-        (Harness.Instances.maxreg_native_adaptive_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        let i = i0 + k in
-        if Array.unsafe_get pattern (i land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Maxreg.Max_register.read_max () : int)
-        end
-        else inst.Maxreg.Max_register.write_max ~pid:d ((i * domains) + d)
-      done
-    in
-    (op, arena)
-  | Counter impl ->
-    let inst, arena, _report =
-      Option.get
-        (Harness.Instances.counter_native_adaptive_metered ~metrics ~n ~domains
-           ~bound impl)
-    in
-    let op d i0 =
-      for k = 0 to batch - 1 do
-        if Array.unsafe_get pattern ((i0 + k) land mask) then begin
-          Obs.Metrics.incr metrics ~domain:d Obs.Metrics.Op_read;
-          ignore (inst.Counters.Counter.read () : int)
-        end
-        else inst.Counters.Counter.increment ~pid:d
-      done
-    in
-    (op, arena)
+(* Each target with its columns: boxed, plus every registry backend that
+   builds it.  Probed once, at program start, not between the sweep's
+   cell allocations: the probe instances would shift where later cells
+   land, and the unpadded boxed cells' throughput at d=2 depends on
+   their placement (two domains' cells sharing a cache line). *)
+let columns =
+  List.map
+    (fun (t : target) ->
+      ( t,
+        List.filter
+          (fun b ->
+            match registry b with
+            | None -> true
+            | Some backend ->
+              Option.is_some
+                (metered_op ~metrics:Obs.Metrics.disabled ~kind:t.kind
+                   ~backend ~n:1 ~domains:1 ~pattern:[||]))
+          [ `Boxed; `Unboxed; `Combining; `Adaptive ] ))
+    targets
 
 (* Trials can in principle produce NaN (a degenerate measurement window);
    drop non-finite samples before sorting — NaN has no consistent order
@@ -735,7 +663,7 @@ type cell = {
 let make_cells cfg =
   let n = structure_n cfg in
   List.concat_map
-    (fun target ->
+    (fun (target, backends) ->
       List.concat_map
         (fun backend ->
           List.concat_map
@@ -754,8 +682,8 @@ let make_cells cfg =
                     c_trials = [] })
                 cfg.read_shares)
             cfg.domain_counts)
-        (backends_of target))
-    targets
+        backends)
+    columns
 
 (* Latency + metrics epilogue for one cell, after all trial rounds. *)
 let finish_cell ~cfg ~recommended (c : cell) =
@@ -765,50 +693,30 @@ let finish_cell ~cfg ~recommended (c : cell) =
     (Harness.Throughput.run_batched_latency ~domains:c.c_domains
        ~seconds:cfg.seconds ~batch ~hist:hists ~op:c.c_op ()
       : float);
-  (* Metrics pass (unboxed and combining): the same workload through the
-     instrumented registry instances.  Separate from the latency pass so
-     the record sites and the instances' indirect calls never sit inside
-     the clocked window. *)
+  (* Metrics pass (every registry backend): the same workload through
+     the instrumented registry instances.  Separate from the latency
+     pass so the record sites and the instances' indirect calls never
+     sit inside the clocked window. *)
   let metrics =
-    match c.c_backend with
-    | `Boxed -> None
-    | `Unboxed ->
-      let metrics = Obs.Metrics.create ~domains:c.c_domains () in
-      let op_m =
-        metered_op ~metrics ~kind:c.c_target.kind ~n ~domains:c.c_domains
-          ~pattern:c.c_pattern
-      in
-      ignore
-        (Harness.Throughput.run_batched ~domains:c.c_domains
-           ~seconds:cfg.seconds ~batch ~op:op_m ()
-          : float);
-      Some (Obs.Metrics.totals metrics)
-    | `Combining ->
-      let metrics = Obs.Metrics.create ~domains:c.c_domains () in
-      let op_m, arena =
-        metered_combining_op ~metrics ~kind:c.c_target.kind ~n
-          ~domains:c.c_domains ~pattern:c.c_pattern
-      in
-      ignore
-        (Harness.Throughput.run_batched ~domains:c.c_domains
-           ~seconds:cfg.seconds ~batch ~op:op_m ()
-          : float);
-      Obs.Metrics.record_combine_stats metrics ~domain:0
-        (Smem.Combine.stats arena);
-      Some (Obs.Metrics.totals metrics)
-    | `Adaptive ->
-      let metrics = Obs.Metrics.create ~domains:c.c_domains () in
-      let op_m, arena =
-        metered_adaptive_op ~metrics ~kind:c.c_target.kind ~n
-          ~domains:c.c_domains ~pattern:c.c_pattern
-      in
-      ignore
-        (Harness.Throughput.run_batched ~domains:c.c_domains
-           ~seconds:cfg.seconds ~batch ~op:op_m ()
-          : float);
-      Obs.Metrics.record_combine_stats metrics ~domain:0
-        (Smem.Combine.stats arena);
-      Some (Obs.Metrics.totals metrics)
+    Option.map
+      (fun backend ->
+        let metrics = Obs.Metrics.create ~domains:c.c_domains () in
+        let op_m, dispatch =
+          Option.get
+            (metered_op ~metrics ~kind:c.c_target.kind ~backend ~n
+               ~domains:c.c_domains ~pattern:c.c_pattern)
+        in
+        ignore
+          (Harness.Throughput.run_batched ~domains:c.c_domains
+             ~seconds:cfg.seconds ~batch ~op:op_m ()
+            : float);
+        Option.iter
+          (fun (d : Harness.Instances.dispatch) ->
+            Obs.Metrics.record_combine_stats metrics ~domain:0
+              (Smem.Combine.stats d.arena))
+          dispatch;
+        Obs.Metrics.totals metrics)
+      (registry c.c_backend)
   in
   let h =
     Array.fold_left

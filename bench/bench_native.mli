@@ -1,10 +1,11 @@
 (** The domain-scaling benchmark behind [bin/bench.exe]: max registers
     and counters over four backends — boxed (Simval Atomic), unboxed
-    (padded int Atomic), flat-combining ({!Harness.Combining} over a
-    {!Smem.Combine} arena), and contention-adaptive
-    ({!Harness.Adaptive}, which flips between the plain and combining
-    update paths at epoch boundaries) — swept over domain counts and
-    read shares.
+    (padded int Atomic), contention-adaptive ({!Harness.Adaptive},
+    which flips between the plain and the {!Smem.Combine} flat-combining
+    update path at epoch boundaries), and flat-combining (the adaptive
+    instance pinned to its combining path) — swept over domain counts
+    and read shares.  The combining and adaptive columns exist exactly
+    where {!Harness.Instances} builds those backends.
     All cells are built up front and their throughput trials run in
     interleaved rounds so host drift lands evenly; rows are medians with
     a relative-stddev noise figure.  Latency percentiles and contention
@@ -25,7 +26,14 @@ val config :
     [max_domains] (default 4) bounds the 1,2,4,.. domain sweep;
     [seconds]/[trials] override the per-trial duration and trial count;
     [read_shares] (default [[0; 50; 90; 99]]) is the read-percentage
-    grid. *)
+    grid.  Raises [Invalid_argument] (via {!check_sweep}) on bad
+    inputs. *)
+
+val check_sweep :
+  max_domains:int -> seconds:float -> trials:int -> read_shares:int list -> unit
+(** Raises [Invalid_argument] unless [max_domains >= 1], [seconds] is
+    finite and positive, [trials >= 1] and every read share is in
+    0..100.  Shared with {!Bench_dial.config}. *)
 
 type row
 

@@ -19,11 +19,7 @@ open Cmdliner
    certified step ceilings printed next to the measured solo steps come
    from the same budget functions the C1 certifier enforces, so the
    table is "measured frontier vs certified envelope" line by line. *)
-let run_dial quick out max_domains seconds trials read_shares =
-  let cfg =
-    Benchkit.Bench_dial.config ~quick ~max_domains ?seconds ?trials
-      ~read_shares ()
-  in
+let run_dial cfg out =
   let steps = Benchkit.Bench_dial.steps_rows ~n:cfg.Benchkit.Bench_dial.n in
   let envelope dial =
     let n = cfg.Benchkit.Bench_dial.n in
@@ -49,11 +45,7 @@ let run_dial quick out max_domains seconds trials read_shares =
   Benchkit.Json_out.to_file out doc;
   Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows)
 
-let run_backends quick out baseline max_domains seconds trials read_shares =
-  let cfg =
-    Benchkit.Bench_native.config ~quick ~max_domains ?seconds ?trials
-      ~read_shares ()
-  in
+let run_backends cfg out baseline =
   let rows =
     Benchkit.Bench_native.sweep
       ~progress:(fun what -> Printf.eprintf "bench: %s\n%!" what)
@@ -79,9 +71,23 @@ let run_backends quick out baseline max_domains seconds trials read_shares =
      | exception Benchkit.Json_out.Parse_error msg ->
        Printf.eprintf "bench: baseline %s does not parse: %s\n" file msg)
 
+(* Bad sweep inputs (non-positive or non-finite seconds, zero trials,
+   shares outside 0..100, max-domains < 1) are refused before anything
+   runs: the error is printed and the exit status is non-zero. *)
 let run dial quick out baseline max_domains seconds trials read_shares =
-  if dial then run_dial quick out max_domains seconds trials read_shares
-  else run_backends quick out baseline max_domains seconds trials read_shares
+  match
+    if dial then
+      `Dial
+        (Benchkit.Bench_dial.config ~quick ~max_domains ?seconds ?trials
+           ~read_shares ())
+    else
+      `Backends
+        (Benchkit.Bench_native.config ~quick ~max_domains ?seconds ?trials
+           ~read_shares ())
+  with
+  | exception Invalid_argument msg -> `Error (false, msg)
+  | `Dial cfg -> `Ok (run_dial cfg out)
+  | `Backends cfg -> `Ok (run_backends cfg out baseline)
 
 let dial =
   Arg.(value & flag
@@ -134,7 +140,9 @@ let cmd =
        ~doc:
          "Domain-scaling throughput of the boxed, unboxed, flat-combining \
           and contention-adaptive native backends (PODC'14 reproduction).")
-    Term.(const run $ dial $ quick $ out $ baseline $ max_domains $ seconds
-          $ trials $ read_shares)
+    Term.(
+      ret
+        (const run $ dial $ quick $ out $ baseline $ max_domains $ seconds
+       $ trials $ read_shares))
 
 let () = exit (Cmd.eval cmd)

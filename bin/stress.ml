@@ -320,141 +320,142 @@ let chaos ~seed ~ops =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let metrics = Obs.Metrics.create ~domains () in
+  let lin_maxreg h =
+    Linearize.Checker.check (module Linearize.Spec.Max_register) ~n:3 h
+  in
+  let lin_counter h =
+    Linearize.Checker.check (module Linearize.Spec.Counter) ~n:3 h
+  in
   (* aggressive rates for the short bursts, so every burst sees faults *)
   let burst_cfg s =
     Harness.Chaos.config ~yield_ppm:200_000 ~storm:32 ~gc_ppm:50_000
       ~gc_bytes:2048 ~metrics ~seed:s ()
   in
+  (* the fast-path dispatch backends, injection at op boundaries: storms
+     can park a domain right after it published to its arena slot,
+     released the combiner lock or crossed an epoch boundary.  Adaptive
+     runs twice: default policies (dispatch live, flips rare at burst
+     scale), then the thrashing policy, so the mode flips INSIDE the
+     burst and storms land astride the epoch lock. *)
+  let dispatch_bursts =
+    let open Harness.Instances in
+    [ ("combining", Combining, [ Algorithm_a; Cas_maxreg ], [ Farray_counter ]);
+      ("adaptive", Adaptive None, [ Algorithm_a; Cas_maxreg ],
+       [ Farray_counter ]);
+      ("adaptive thrashing", Adaptive (Some thrash_policy), [ Algorithm_a ],
+       []) ]
+  in
   let burst_seeds = List.init 8 (fun i -> seed + i) in
+  let bursts = ref 0 in
+  let checked ok fmt =
+    incr bursts;
+    Printf.ksprintf (fun msg -> if not ok then fail "%s" msg) fmt
+  in
   List.iter
     (fun s ->
       let c = burst_cfg s in
       let reg =
         Harness.Chaos.maxreg c ~n:3 ~bound:64 Harness.Instances.Algorithm_a
       in
-      let h = Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg in
-      if not (Linearize.Checker.check (module Linearize.Spec.Max_register) ~n:3 h)
-      then fail "maxreg burst (seed %d) not linearizable" s;
+      checked
+        (lin_maxreg
+           (Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg))
+        "maxreg burst (seed %d) not linearizable" s;
       let cnt =
         Harness.Chaos.counter c ~n:3 ~bound:64 Harness.Instances.Farray_counter
       in
-      let h = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 cnt in
-      if not (Linearize.Checker.check (module Linearize.Spec.Counter) ~n:3 h)
-      then fail "counter burst (seed %d) not linearizable" s;
+      checked
+        (lin_counter
+           (Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 cnt))
+        "counter burst (seed %d) not linearizable" s;
       let sn =
         Harness.Chaos.snapshot c ~n:3 Harness.Instances.Farray_snapshot
       in
       let h = Harness.Chaos.burst_snapshot c ~domains:3 ~ops_per_domain:6 sn in
-      if not (Linearize.Checker.check (module Linearize.Spec.Snapshot) ~n:3 h)
-      then fail "snapshot burst (seed %d) not linearizable" s;
-      (* the flat-combining backends, injection at op boundaries: storms
-         can park a domain right after it published to its arena slot or
-         released the combiner lock *)
+      checked
+        (Linearize.Checker.check (module Linearize.Spec.Snapshot) ~n:3 h)
+        "snapshot burst (seed %d) not linearizable" s;
       List.iter
-        (fun impl ->
-          let reg, _arena =
-            Option.get (Harness.Chaos.maxreg_combining c ~n:3 ~domains:3 impl)
-          in
-          let h =
-            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg
-          in
-          if
-            not
-              (Linearize.Checker.check
-                 (module Linearize.Spec.Max_register)
-                 ~n:3 h)
-          then
-            fail "combining %s burst (seed %d) not linearizable"
-              (Harness.Instances.maxreg_name impl)
-              s)
-        [ Harness.Instances.Algorithm_a; Harness.Instances.Cas_maxreg ];
-      let ccnt, _arena =
-        Option.get
-          (Harness.Chaos.counter_combining c ~n:3 ~domains:3
-             Harness.Instances.Farray_counter)
-      in
-      let h = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 ccnt in
-      if not (Linearize.Checker.check (module Linearize.Spec.Counter) ~n:3 h)
-      then fail "combining counter burst (seed %d) not linearizable" s;
-      (* the adaptive backends, same op-boundary seam: default policies
-         first (dispatch live, flips rare at burst scale)... *)
-      List.iter
-        (fun impl ->
-          let reg, _arena, _report =
-            Option.get (Harness.Chaos.maxreg_adaptive c ~n:3 ~domains:3 impl)
-          in
-          let h =
-            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg
-          in
-          if
-            not
-              (Linearize.Checker.check
-                 (module Linearize.Spec.Max_register)
-                 ~n:3 h)
-          then
-            fail "adaptive %s burst (seed %d) not linearizable"
-              (Harness.Instances.maxreg_name impl)
-              s)
-        [ Harness.Instances.Algorithm_a; Harness.Instances.Cas_maxreg ];
-      let acnt, _arena, _report =
-        Option.get
-          (Harness.Chaos.counter_adaptive c ~n:3 ~domains:3
-             Harness.Instances.Farray_counter)
-      in
-      let h = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 acnt in
-      if not (Linearize.Checker.check (module Linearize.Spec.Counter) ~n:3 h)
-      then fail "adaptive counter burst (seed %d) not linearizable" s;
-      (* ...then a thrashing policy (epoch every 2 updates, hysteresis 1,
-         unreachable benefit bar) so the mode flips INSIDE the burst and
-         storms land astride the epoch lock *)
-      let treg, _handle =
-        Harness.Instances.alg_a_native_adaptive ~policy:thrash_policy ~n:3
-          ~domains:3 ()
-      in
-      let treg = Harness.Chaos.instrument_maxreg c treg in
-      let h = Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 treg in
-      if not (Linearize.Checker.check (module Linearize.Spec.Max_register) ~n:3 h)
-      then fail "adaptive thrashing burst (seed %d) not linearizable" s)
+        (fun (label, backend, maxregs, counters) ->
+          List.iter
+            (fun impl ->
+              let reg, _ =
+                Option.get
+                  (Harness.Instances.maxreg_backend backend ~n:3 ~domains:3
+                     (Harness.Instances.Impl impl))
+              in
+              let reg = Harness.Chaos.instrument_maxreg c reg in
+              checked
+                (lin_maxreg
+                   (Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8
+                      reg))
+                "%s %s burst (seed %d) not linearizable" label
+                (Harness.Instances.maxreg_name impl)
+                s)
+            maxregs;
+          List.iter
+            (fun impl ->
+              let cnt, _ =
+                Option.get
+                  (Harness.Instances.counter_backend backend ~n:3 ~domains:3
+                     (Harness.Instances.Impl impl))
+              in
+              let cnt = Harness.Chaos.instrument_counter c cnt in
+              checked
+                (lin_counter
+                   (Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8
+                      cnt))
+                "%s %s counter burst (seed %d) not linearizable" label
+                (Harness.Instances.counter_name impl)
+                s)
+            counters)
+        dispatch_bursts)
     burst_seeds;
-  (* invariant runs at scale, production injection rates *)
+  (* invariant runs at scale, production injection rates: exact totals
+     and monotone maxima on the boxed structures, through the arena
+     protocol, and through hundreds of mixed-mode windows under a
+     flip-forcing adaptive policy *)
   let c = Harness.Chaos.config ~metrics ~seed () in
   let per_domain = max 1 (ops / domains) in
-  let cnt =
-    Harness.Chaos.counter c ~n:domains ~bound:(1 lsl 30)
-      Harness.Instances.Farray_counter
-  in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for _ = 1 to per_domain do
-          cnt.increment ~pid
-        done)
-  in
-  if cnt.read () <> domains * per_domain then
-    fail "counter total %d, expected %d" (cnt.read ()) (domains * per_domain);
-  let reg =
-    Harness.Chaos.maxreg c ~n:domains ~bound:(1 lsl 30)
-      Harness.Instances.Algorithm_a
-  in
-  let reads_monotone = ref true in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        if pid = 0 then begin
-          let last = ref 0 in
-          for _ = 1 to per_domain do
-            let v = reg.read_max () in
-            if v < !last then reads_monotone := false;
-            last := v
-          done
-        end
-        else
-          for v = 1 to per_domain do
-            reg.write_max ~pid ((v * domains) + pid)
-          done)
-  in
-  if not !reads_monotone then fail "max-register reads went backwards";
   let expect = (per_domain * domains) + (domains - 1) in
-  if reg.read_max () <> expect then
-    fail "final maximum %d, expected %d" (reg.read_max ()) expect;
+  let scale_counter label (cnt : Counters.Counter.instance) =
+    let (_ : unit array) =
+      Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
+          for _ = 1 to per_domain do
+            cnt.increment ~pid
+          done)
+    in
+    if cnt.read () <> domains * per_domain then
+      fail "%scounter total %d, expected %d" label (cnt.read ())
+        (domains * per_domain)
+  in
+  let scale_maxreg label (reg : Maxreg.Max_register.instance) =
+    let reads_monotone = ref true in
+    let (_ : unit array) =
+      Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
+          if pid = 0 then begin
+            let last = ref 0 in
+            for _ = 1 to per_domain do
+              let v = reg.read_max () in
+              if v < !last then reads_monotone := false;
+              last := v
+            done
+          end
+          else
+            for v = 1 to per_domain do
+              reg.write_max ~pid ((v * domains) + pid)
+            done)
+    in
+    if not !reads_monotone then fail "%smax-register reads went backwards" label;
+    if reg.read_max () <> expect then
+      fail "%sfinal maximum %d, expected %d" label (reg.read_max ()) expect
+  in
+  scale_counter ""
+    (Harness.Chaos.counter c ~n:domains ~bound:(1 lsl 30)
+       Harness.Instances.Farray_counter);
+  scale_maxreg ""
+    (Harness.Chaos.maxreg c ~n:domains ~bound:(1 lsl 30)
+       Harness.Instances.Algorithm_a);
   let sn =
     Harness.Chaos.snapshot c ~n:domains Harness.Instances.Farray_snapshot
   in
@@ -480,87 +481,36 @@ let chaos ~seed ~ops =
           done)
   in
   if not !scans_monotone then fail "snapshot scans went backwards";
-  (* combining invariant runs at scale: exact totals and monotone maxima
-     must survive chaos through the arena protocol too *)
-  let ccnt, cnt_arena =
-    Option.get
-      (Harness.Chaos.counter_combining c ~n:domains ~domains
-         Harness.Instances.Farray_counter)
-  in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for _ = 1 to per_domain do
-          ccnt.increment ~pid
-        done)
-  in
-  if ccnt.read () <> domains * per_domain then
-    fail "combining counter total %d, expected %d" (ccnt.read ())
-      (domains * per_domain);
-  let creg, reg_arena =
-    Option.get
-      (Harness.Chaos.maxreg_combining c ~n:domains ~domains
-         Harness.Instances.Algorithm_a)
-  in
-  let creads_monotone = ref true in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        if pid = 0 then begin
-          let last = ref 0 in
-          for _ = 1 to per_domain do
-            let v = creg.read_max () in
-            if v < !last then creads_monotone := false;
-            last := v
-          done
-        end
-        else
-          for v = 1 to per_domain do
-            creg.write_max ~pid ((v * domains) + pid)
-          done)
-  in
-  if not !creads_monotone then fail "combining max-register reads went backwards";
-  let expect = (per_domain * domains) + (domains - 1) in
-  if creg.read_max () <> expect then
-    fail "combining final maximum %d, expected %d" (creg.read_max ()) expect;
-  (* adaptive invariant runs at scale with a flip-forcing policy: exact
-     totals and maxima must survive hundreds of mixed-mode windows *)
   let flip_policy =
     { thrash_policy with Harness.Adaptive.Policy.epoch_ops = 64 }
   in
-  let acnt, achandle =
-    Harness.Instances.farray_c_native_adaptive ~policy:flip_policy ~n:domains
-      ~domains ()
+  let dispatch_scale label backend =
+    let cnt, cd =
+      Option.get
+        (Harness.Instances.counter_backend backend ~n:domains ~domains
+           (Harness.Instances.Impl Harness.Instances.Farray_counter))
+    in
+    scale_counter label (Harness.Chaos.instrument_counter c cnt);
+    let reg, rd =
+      Option.get
+        (Harness.Instances.maxreg_backend backend ~n:domains ~domains
+           (Harness.Instances.Impl Harness.Instances.Algorithm_a))
+    in
+    scale_maxreg label (Harness.Chaos.instrument_maxreg c reg);
+    (Option.get cd, Option.get rd)
   in
-  let acnt = Harness.Chaos.instrument_counter c acnt in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for _ = 1 to per_domain do
-          acnt.increment ~pid
-        done)
+  let ccnt, creg = dispatch_scale "combining " Harness.Instances.Combining in
+  let acnt, areg =
+    dispatch_scale "adaptive " (Harness.Instances.Adaptive (Some flip_policy))
   in
-  if acnt.read () <> domains * per_domain then
-    fail "adaptive counter total %d, expected %d" (acnt.read ())
-      (domains * per_domain);
-  let areg, ahandle =
-    Harness.Instances.alg_a_native_adaptive ~policy:flip_policy ~n:domains
-      ~domains ()
-  in
-  let areg = Harness.Chaos.instrument_maxreg c areg in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for v = 1 to per_domain do
-          areg.write_max ~pid ((v * domains) + pid)
-        done)
-  in
-  if areg.read_max () <> expect then
-    fail "adaptive final maximum %d, expected %d" (areg.read_max ()) expect;
-  let areport = Harness.Adaptive.Alg_a.report ahandle in
-  let acreport = Harness.Adaptive.Farray_c.report achandle in
+  let areport = areg.report () and acreport = acnt.report () in
   if areport.Harness.Adaptive.epoch_flips = 0 then
     fail "adaptive maxreg never flipped under the flip-forcing policy";
-  Obs.Metrics.record_combine_stats metrics ~domain:0
-    (Smem.Combine.stats cnt_arena);
-  Obs.Metrics.record_combine_stats metrics ~domain:0
-    (Smem.Combine.stats reg_arena);
+  List.iter
+    (fun (d : Harness.Instances.dispatch) ->
+      Obs.Metrics.record_combine_stats metrics ~domain:0
+        (Smem.Combine.stats d.arena))
+    [ ccnt; creg ];
   let t = Obs.Metrics.totals metrics in
   Printf.printf
     "chaos seed %d: %d bursts checked, %d ops/structure over %d domains\n\
@@ -569,9 +519,7 @@ let chaos ~seed ~ops =
      %d lock acquisitions\n\
      adaptive (scale runs): maxreg %d flips over %d epochs (%.1f%% combining), \
      counter %d flips over %d epochs (%.1f%% combining)\n"
-    seed
-    (10 * List.length burst_seeds)
-    (domains * per_domain) domains t.Obs.Metrics.fault_yields
+    seed !bursts (domains * per_domain) domains t.Obs.Metrics.fault_yields
     t.Obs.Metrics.fault_gcs t.Obs.Metrics.fault_stalls
     t.Obs.Metrics.combined_ops t.Obs.Metrics.batches t.Obs.Metrics.batch_max
     t.Obs.Metrics.eliminations t.Obs.Metrics.combiner_locks

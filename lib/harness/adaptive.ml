@@ -1,12 +1,15 @@
 (* Contention-adaptive backend dispatch: one structure, two update
-   paths.  Each module here owns a SINGLE underlying unboxed structure
+   paths.  Each instance here owns a SINGLE underlying unboxed structure
    plus a {!Smem.Combine} arena over it, and routes every update through
    whichever side of the paper's tradeoff the recent workload favors:
 
    - the *plain* path is the structure's own lock-free operation (the
      [_metered] entry point, so CAS attempt/failure signals accrue);
-   - the *combining* path is exactly {!Combining}'s policy for that
-     structure (elimination checks, [write_once] routing, arena submit).
+   - the *combining* path is the structure's fast-path attempt
+     (elimination against the monotone root, cas-loop's [write_once])
+     and otherwise an arena submit.  It is also the whole of the static
+     flat-combining backend: {!Instances} builds that backend as an
+     instance here whose updates always take this path.
 
    Both paths mutate the same structure, so a flip never copies state
    and mixed-mode windows are linearizable: an arena apply IS the plain
@@ -385,8 +388,6 @@ module Ctl = struct
       if n' lsr t.epoch_shift <> n lsr t.epoch_shift then advance t
     end
 
-  let mode t = t.h.Policy.mode
-
   (* Exact at quiescence (writers joined); concurrent calls may observe
      a slightly stale picture, never a torn one worse than that. *)
   let report t =
@@ -404,265 +405,227 @@ module Ctl = struct
          else 100. *. float_of_int combining_ops /. float_of_int total) }
 end
 
-(* {1 Algorithm A max register} *)
+(* {1 The shared update kernel}
 
-module Alg_a = struct
+   Every structure runs the same dispatch around its own unboxed ops:
+   validate, take the solo shortcut, check the mode, then either the
+   plain path (tallying stale writes when the policy watches them) or
+   the combining path (the structure's fast-path attempt, then
+   elimination or an arena submit), and tick.  A structure supplies
+   only the ops below.  The kernel is a functor, so without flambda its
+   calls into them are indirect: one to two extra calls on the update
+   path, none on the read path — each instance defines its read
+   directly over the record field. *)
+
+module type STRUCTURE = sig
+  type t
+
+  val default_policy : Policy.params
+  val combine : int -> int -> int
+  val update : t -> pid:int -> int -> unit
+  val update_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
+
+  val subsumed : t -> int -> bool
+  (* the update is already absorbed by the current state: a stale write *)
+
+  val try_update : t -> int -> int
+  (* the combining path's attempt: 0 eliminated (linearized at the read
+     that found it subsumed), 1 applied, 2 route to the arena *)
+end
+
+module Kernel (S : STRUCTURE) = struct
+  type structure = S.t
+
   type t = {
-    reg : AU.t;
+    s : S.t;
     arena : Smem.Combine.t;
-    apply : int -> int -> unit;
+    apply : int -> int -> unit;  (* built once: a literal [fun] at the
+                                    submit site would allocate per op *)
     ctl : Ctl.t;
     metrics : Obs.Metrics.t;
     solo : bool;
     track_stale : bool;  (* policy.stale_min is a reachable bar *)
   }
 
-  let make ?(policy = Policy.default_maxreg) ?spin ~metrics ~solo ~n ~domains
-      () =
-    let reg = AU.create ~n () in
-    let arena = Smem.Combine.create ?spin ~domains ~combine:imax () in
-    { reg;
+  (* Without a live handle (absent or {!Obs.Metrics.disabled}) the
+     instance dispatches on the stale-rate and arena signals alone, the
+     plain path is the raw structure op plus one immediate-bool branch,
+     and [domains = 1] short-circuits every update to a direct call.  A
+     live handle adds CAS-rate dispatch and keeps full dispatch at
+     [domains = 1]: the metrics pass measures counters, not time. *)
+  let make ?(policy = S.default_policy) ?spin ?(metrics = Obs.Metrics.disabled)
+      ~domains s =
+    let arena = Smem.Combine.create ?spin ~domains ~combine:S.combine () in
+    { s;
       arena;
-      apply = (fun d v -> AU.write_max_metered reg ~metrics ~pid:d v);
+      apply = (fun d v -> S.update_metered s ~metrics ~pid:d v);
       ctl = Ctl.create ~params:policy ~domains ~metrics ~arena;
       metrics;
-      solo;
+      solo = domains = 1 && not (Obs.Metrics.enabled metrics);
       track_stale = policy.Policy.stale_min <= 1.0 }
 
-  (* Unmetered instances dispatch on the stale-rate and arena signals
-     alone, with the shared disabled metrics handle: the plain path is
-     then the RAW structure op plus one immediate-bool branch, not a
-     live-metered one — the throughput-of-record deployment.  CAS-rate
-     dispatch needs [create_metered]. *)
-  let create ?policy ?spin ~n ~domains () =
-    make ?policy ?spin ~metrics:Obs.Metrics.disabled ~solo:(domains = 1) ~n
-      ~domains ()
-
-  (* metered instances keep full dispatch at domains = 1, like the
-     combining backends: the metrics pass measures counters, not time *)
-  let create_metered ?policy ?spin ~metrics ~n ~domains () =
-    make ?policy ?spin ~metrics ~solo:false ~n ~domains ()
-
   let arena t = t.arena
-  let ctl t = t.ctl
   let report t = Ctl.report t.ctl
-
-  (* The underlying structure, for batch drivers that run the raw op in
-     their plain-mode inner loop (reads may always go direct).  Safe to
-     operate even astride a flip — both update paths mutate this same
-     structure — it only bypasses the dispatcher's accounting, which
-     the driver settles itself via [tick_many]. *)
-  let unboxed t = t.reg
-
-  let[@inline] read_max t = AU.read_max t.reg
+  let unboxed t = t.s
   let[@inline] combining_now t = (not t.solo) && Ctl.combining t.ctl
 
-  (* The two update paths, exposed raw (no tick, no mode check) for
-     batch-granular drivers that hoist dispatch out of their inner loop
-     and settle accounts once per batch via [tick_many]. *)
+  let[@inline] check v =
+    if v < 0 then invalid_arg "Adaptive: negative update value"
 
-  let[@inline] write_plain t ~pid value =
-    AU.write_max_metered t.reg ~metrics:t.metrics ~pid value
+  let[@inline] update_plain t ~pid v =
+    S.update_metered t.s ~metrics:t.metrics ~pid v
 
-  let[@inline] write_combining t ~pid value =
-    (* Combining.Alg_a's policy: the root is monotone, so a stale
-       write eliminates against it; otherwise batch via the arena. *)
-    if value <= AU.read_max t.reg then
-      Smem.Combine.record_elimination t.arena ~domain:pid
-    else Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply value
-
-  let tick_many t ~pid ~reads ~updates ~stale =
-    if not t.solo then Ctl.tick_many t.ctl ~pid ~reads ~updates ~stale
-
-  let[@inline] write_max t ~pid value =
-    if value < 0 then invalid_arg "Adaptive.Alg_a.write_max: negative value";
-    if t.solo then AU.write_max t.reg ~pid value
-    else begin
-      if Ctl.combining t.ctl then write_combining t ~pid value
-      else begin
-        if t.track_stale && value <= AU.read_max t.reg then
-          Ctl.note_stale t.ctl ~pid;
-        AU.write_max_metered t.reg ~metrics:t.metrics ~pid value
-      end;
-      Ctl.tick t.ctl ~pid
-    end
-end
-
-(* {1 CAS-loop max register} *)
-
-module Cas = struct
-  type t = {
-    reg : CU.t;
-    arena : Smem.Combine.t;
-    apply : int -> int -> unit;
-    ctl : Ctl.t;
-    metrics : Obs.Metrics.t;
-    solo : bool;
-    track_stale : bool;  (* off under {!Policy.default_cas}: a stale
-                            plain cas write is already one cheap load *)
-  }
-
-  let make ?(policy = Policy.default_cas) ?spin ~metrics ~solo ~domains () =
-    let reg = CU.create () in
-    let arena = Smem.Combine.create ?spin ~domains ~combine:imax () in
-    { reg;
-      arena;
-      apply = (fun d v -> CU.write_max_metered reg ~metrics ~pid:d v);
-      ctl = Ctl.create ~params:policy ~domains ~metrics ~arena;
-      metrics;
-      solo;
-      track_stale = policy.Policy.stale_min <= 1.0 }
-
-  let create ?policy ?spin ~domains () =
-    make ?policy ?spin ~metrics:Obs.Metrics.disabled ~solo:(domains = 1)
-      ~domains ()
-
-  let create_metered ?policy ?spin ~metrics ~domains () =
-    make ?policy ?spin ~metrics ~solo:false ~domains ()
-
-  let arena t = t.arena
-  let ctl t = t.ctl
-  let report t = Ctl.report t.ctl
-  let unboxed t = t.reg  (* as Alg_a.unboxed *)
-  let[@inline] read_max t = CU.read_max t.reg
-  let[@inline] combining_now t = (not t.solo) && Ctl.combining t.ctl
-
-  let[@inline] write_plain t ~pid value =
-    CU.write_max_metered t.reg ~metrics:t.metrics ~pid value
-
-  let[@inline] write_combining t ~pid value =
-    (* Combining.Cas's policy: one uncontended read + CAS attempt;
-       only a lost race pays the arena. *)
-    let r = CU.write_once t.reg value in
+  let[@inline] combining_path t ~pid v =
+    let r = S.try_update t.s v in
     if r = 0 then Smem.Combine.record_elimination t.arena ~domain:pid
     else if r = 2 then
-      Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply value
+      Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply v
+
+  let update_combining t ~pid v =
+    check v;
+    if t.solo then S.update t.s ~pid v else combining_path t ~pid v
 
   let tick_many t ~pid ~reads ~updates ~stale =
     if not t.solo then Ctl.tick_many t.ctl ~pid ~reads ~updates ~stale
 
-  let[@inline] write_max t ~pid value =
-    if value < 0 then invalid_arg "Adaptive.Cas.write_max: negative value";
-    if t.solo then CU.write_max t.reg ~pid value
+  let update t ~pid v =
+    check v;
+    if t.solo then S.update t.s ~pid v
     else begin
-      if Ctl.combining t.ctl then write_combining t ~pid value
+      if Ctl.combining t.ctl then combining_path t ~pid v
       else begin
-        if t.track_stale && value <= CU.read_max t.reg then
-          Ctl.note_stale t.ctl ~pid;
-        CU.write_max_metered t.reg ~metrics:t.metrics ~pid value
+        if t.track_stale && S.subsumed t.s v then Ctl.note_stale t.ctl ~pid;
+        S.update_metered t.s ~metrics:t.metrics ~pid v
       end;
       Ctl.tick t.ctl ~pid
     end
 end
 
-(* {1 F-array counter} *)
+(* What every instance offers: the kernel plus a direct [read]. *)
+module type S = sig
+  type t
+  type structure
 
-module Farray_c = struct
-  type t = {
-    c : FU.t;
-    arena : Smem.Combine.t;
-    apply : int -> int -> unit;
-    ctl : Ctl.t;
-    metrics : Obs.Metrics.t;
-    solo : bool;
-  }
+  val make :
+    ?policy:Policy.params ->
+    ?spin:int ->
+    ?metrics:Obs.Metrics.t ->
+    domains:int ->
+    structure ->
+    t
 
-  let make ?(policy = Policy.default_counter) ?spin ~metrics ~solo ~n ~domains
-      () =
-    let c = FU.create ~n () in
-    let arena = Smem.Combine.create ?spin ~domains ~combine:( + ) () in
-    { c;
-      arena;
-      apply = (fun d k -> FU.add_metered c ~metrics ~pid:d k);
-      ctl = Ctl.create ~params:policy ~domains ~metrics ~arena;
-      metrics;
-      solo }
+  val read : t -> int
+  val update : t -> pid:int -> int -> unit
+  val unboxed : t -> structure
+  val combining_now : t -> bool
+  val update_plain : t -> pid:int -> int -> unit
+  val update_combining : t -> pid:int -> int -> unit
 
-  let create ?policy ?spin ~n ~domains () =
-    make ?policy ?spin ~metrics:Obs.Metrics.disabled ~solo:(domains = 1) ~n
-      ~domains ()
+  val tick_many :
+    t -> pid:int -> reads:int -> updates:int -> stale:int -> unit
 
-  let create_metered ?policy ?spin ~metrics ~n ~domains () =
-    make ?policy ?spin ~metrics ~solo:false ~n ~domains ()
-
-  let arena t = t.arena
-  let ctl t = t.ctl
-  let report t = Ctl.report t.ctl
-  let unboxed t = t.c  (* as Alg_a.unboxed *)
-  let[@inline] read t = FU.read t.c
-  let[@inline] combining_now t = (not t.solo) && Ctl.combining t.ctl
-
-  let[@inline] increment_plain t ~pid =
-    FU.increment_metered t.c ~metrics:t.metrics ~pid
-
-  let[@inline] increment_combining t ~pid =
-    Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply 1
-
-  let tick_many t ~pid ~reads ~updates =
-    if not t.solo then Ctl.tick_many t.ctl ~pid ~reads ~updates ~stale:0
-
-  let[@inline] increment t ~pid =
-    if t.solo then FU.increment t.c ~pid
-    else begin
-      if Ctl.combining t.ctl then increment_combining t ~pid
-      else FU.increment_metered t.c ~metrics:t.metrics ~pid;
-      Ctl.tick t.ctl ~pid
-    end
+  val arena : t -> Smem.Combine.t
+  val report : t -> report
 end
 
-(* {1 Naive counter — the control} *)
+(* {1 The structures} *)
 
-module Naive_c = struct
-  type t = {
-    c : NU.t;
-    arena : Smem.Combine.t;
-    apply : int -> int -> unit;
-    ctl : Ctl.t;
-    solo : bool;
-  }
+module Alg_a = struct
+  include Kernel (struct
+    type t = AU.t
 
-  (* The naive counter records no CAS metrics (it has no CAS), so under
-     the default control policy the dispatcher can never justify
-     leaving the plain path — exactly right, since a naive increment is
-     one write to an owned line.  Tests hand it permissive policies to
-     exercise flip machinery deterministically. *)
-  let make ?(policy = Policy.default_control) ?spin ~metrics ~solo ~n ~domains
-      () =
-    let c = NU.create ~n () in
-    let arena = Smem.Combine.create ?spin ~domains ~combine:( + ) () in
-    { c;
-      arena;
-      apply = (fun d k -> NU.add c ~pid:d k);
-      ctl = Ctl.create ~params:policy ~domains ~metrics ~arena;
-      solo }
+    let default_policy = Policy.default_maxreg
+    let combine = imax
+    let update = AU.write_max
+    let update_metered = AU.write_max_metered
+    let subsumed reg v = v <= AU.read_max reg
+
+    (* the root is monotone: a write at or below it is already subsumed
+       and eliminates; never CAS the root outside propagate *)
+    let try_update reg v = if subsumed reg v then 0 else 2
+  end)
 
   let create ?policy ?spin ~n ~domains () =
-    make ?policy ?spin ~metrics:Obs.Metrics.disabled ~solo:(domains = 1) ~n
-      ~domains ()
+    make ?policy ?spin ~domains (AU.create ~n ())
 
   let create_metered ?policy ?spin ~metrics ~n ~domains () =
-    make ?policy ?spin ~metrics ~solo:false ~n ~domains ()
+    make ?policy ?spin ~metrics ~domains (AU.create ~n ())
 
-  let arena t = t.arena
-  let ctl t = t.ctl
-  let report t = Ctl.report t.ctl
-  let unboxed t = t.c  (* as Alg_a.unboxed *)
-  let[@inline] read t = NU.read t.c
-  let[@inline] combining_now t = (not t.solo) && Ctl.combining t.ctl
+  let[@inline] read_max t = AU.read_max t.s
+  let read = read_max
+  let write_max = update
+  let write_plain = update_plain
+  let write_combining = update_combining
+end
 
-  let[@inline] increment_plain t ~pid = NU.increment t.c ~pid
+module Cas = struct
+  include Kernel (struct
+    type t = CU.t
 
-  let[@inline] increment_combining t ~pid =
-    Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply 1
+    let default_policy = Policy.default_cas
+    let combine = imax
+    let update = CU.write_max
+    let update_metered = CU.write_max_metered
+    let subsumed reg v = v <= CU.read_max reg
 
-  let tick_many t ~pid ~reads ~updates =
-    if not t.solo then Ctl.tick_many t.ctl ~pid ~reads ~updates ~stale:0
+    (* one uncontended read + CAS; only a lost race pays the arena,
+       whose combiner replays the full retry loop once per batch *)
+    let try_update = CU.write_once
+  end)
 
-  let[@inline] increment t ~pid =
-    if t.solo then NU.increment t.c ~pid
-    else begin
-      if Ctl.combining t.ctl then increment_combining t ~pid
-      else NU.increment t.c ~pid;
-      Ctl.tick t.ctl ~pid
-    end
+  let create ?policy ?spin ~domains () =
+    make ?policy ?spin ~domains (CU.create ())
+
+  let[@inline] read_max t = CU.read_max t.s
+  let read = read_max
+  let write_max = update
+  let write_plain = update_plain
+  let write_combining = update_combining
+end
+
+(* Counters: an increment is an update by 1, never subsumed; the arena
+   folds k pending increments into one [add k] at the combiner's own
+   leaf or cell — one propagation per batch. *)
+
+module Farray_c = struct
+  include Kernel (struct
+    type t = FU.t
+
+    let default_policy = Policy.default_counter
+    let combine = ( + )
+    let update = FU.add
+    let update_metered = FU.add_metered
+    let subsumed _ _ = false
+    let try_update _ _ = 2
+  end)
+
+  let create ?policy ?spin ~n ~domains () =
+    make ?policy ?spin ~domains (FU.create ~n ())
+
+  let[@inline] read t = FU.read t.s
+  let increment t ~pid = update t ~pid 1
+end
+
+(* The naive counter is the protocol-cost control: it has no CAS, so
+   under {!Policy.default_control} it never leaves the plain path (an
+   increment is one write to an owned line); tests hand it permissive
+   policies to exercise the flip machinery. *)
+
+module Naive_c = struct
+  include Kernel (struct
+    type t = NU.t
+
+    let default_policy = Policy.default_control
+    let combine = ( + )
+    let update = NU.add
+    let update_metered c ~metrics:_ ~pid k = NU.add c ~pid k
+    let subsumed _ _ = false
+    let try_update _ _ = 2
+  end)
+
+  let create ?policy ?spin ~n ~domains () =
+    make ?policy ?spin ~domains (NU.create ~n ())
+
+  let[@inline] read t = NU.read t.s
+  let increment t ~pid = update t ~pid 1
 end

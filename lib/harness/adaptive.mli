@@ -1,10 +1,13 @@
-(** Contention-adaptive backend dispatch: each structure owns ONE
-    underlying unboxed instance plus a {!Smem.Combine} arena over it,
+(** Contention-adaptive backend dispatch: each instance owns ONE
+    underlying unboxed structure plus a {!Smem.Combine} arena over it,
     and routes every update through whichever side of the paper's
     read/update tradeoff the recent workload favors — the plain
-    lock-free path, or the flat-combining path with {!Combining}'s
-    structure-specific policy (elimination, [write_once] routing,
-    batched arena submits).
+    lock-free path, or the flat-combining path (the structure's
+    fast-path attempt: elimination against the monotone root or
+    cas-loop's [write_once], then a batched arena submit).  The static
+    flat-combining backend is an instance here whose updates always
+    take the combining path ({!S.update_combining}); there is no
+    separate combining module.
 
     Reads are always direct: the mode selects an update path only, so
     read-heavy mixes pay nothing for the adaptivity.  Flips never copy
@@ -26,26 +29,24 @@
     contention/benefit signals — which concern only the update path the
     mode actually selects — carry the decision.
 
-    The unmetered [create]s carry the shared {!Obs.Metrics.disabled}
+    The unmetered constructors carry the shared {!Obs.Metrics.disabled}
     handle, so the settled plain path is the raw structure op plus one
     immediate-bool branch — they dispatch on the stale-rate and arena
     signals, which is all this host can surface anyway (CAS failure
-    needs true hardware parallelism).  [create_metered] shares the
-    caller's live handle (it must be private to the instance for the
-    deltas to be meaningful), adds CAS-rate dispatch, and keeps full
-    dispatch at [domains = 1], while plain [create] short-circuits
-    [domains = 1] to direct plain calls, matching the combining
-    backends' solo policy.
+    needs true hardware parallelism), and short-circuit [domains = 1]
+    to direct plain calls.  A live handle adds CAS-rate dispatch and
+    keeps full dispatch at [domains = 1] (see {!S.make}).
 
     Batch-granular drivers (the bench's timed loops) run the raw
-    [write_plain]/[write_combining] (or [increment_*]) path in their
-    inner loop and settle accounting in bulk with [tick_many] — at
+    [update_plain]/[update_combining] path (or the structure's own op)
+    in their inner loop and settle accounting in bulk with [tick_many] — at
     whatever granularity they like: the bench flushes one [tick_many]
     per 16-batch window and re-reads [combining_now] into a cached
     per-domain mode slot only at the flush (a cached mode lags a flip
     by at most ~one epoch, and either path is linearizable in either
-    mode).  Per-op [write_max]/[increment] stay for oblivious callers.
-    Raw atomics stay inside {!Ctl} (lint R1). *)
+    mode).  Per-op [update] stays for oblivious callers.
+    Raw atomics stay inside the implementation's controller module
+    [Ctl] (lint R1). *)
 
 (** The pure decision kernel: thresholds, verdicts, hysteresis. *)
 module Policy : sig
@@ -132,46 +133,42 @@ type report = {
           ops-weighted, including the residual partial epoch *)
 }
 
-(** The dispatcher: mode cell, epoch lock, per-domain tick cells.
-    Exposed so tests can drive epochs deterministically; constructed
-    only by the structure modules below. *)
-module Ctl : sig
+(** What every adaptive instance offers, whatever its structure.  All
+    of it is the one shared update kernel; an instance adds only its
+    constructors and a direct read. *)
+module type S = sig
   type t
 
-  val combining : t -> bool
-  (** The current mode cell — the one read dispatch takes per update. *)
+  type structure
+  (** The underlying unboxed structure. *)
 
-  val mode : t -> Policy.mode
-  val report : t -> report
-  (** Exact at quiescence (writing domains joined); a concurrent call
-      may observe a slightly stale picture. *)
-end
-
-(** Adaptive Algorithm A max register. *)
-module Alg_a : sig
-  type t
-
-  val create :
+  val make :
     ?policy:Policy.params ->
     ?spin:int ->
-    n:int ->
+    ?metrics:Obs.Metrics.t ->
     domains:int ->
-    unit ->
+    structure ->
     t
+  (** Wrap a fresh structure.  [domains] sizes the arena and the tick
+      cells: every [pid] must be in [0 .. domains-1].  Without a live
+      [metrics] handle (absent or {!Obs.Metrics.disabled}) the plain
+      path is the raw structure op plus one immediate-bool branch,
+      dispatch runs on the stale-rate and arena signals, and
+      [domains = 1] short-circuits every update to a direct call of the
+      plain op.  A live handle must be private to the instance (its
+      deltas are the CAS-rate signal); it adds CAS-rate dispatch and
+      keeps full dispatch at [domains = 1]. *)
 
-  val create_metered :
-    ?policy:Policy.params ->
-    ?spin:int ->
-    metrics:Obs.Metrics.t ->
-    n:int ->
-    domains:int ->
-    unit ->
-    t
+  val read : t -> int
+  (** A direct call of the structure's read, in either mode. *)
 
-  val read_max : t -> int
-  val write_max : t -> pid:int -> int -> unit
+  val update : t -> pid:int -> int -> unit
+  (** The per-op entry: validate, solo shortcut, mode check, the plain
+      path (with the stale-write tally when the policy watches it) or
+      the combining path, then the epoch tick.  Raises
+      [Invalid_argument] on a negative value. *)
 
-  val unboxed : t -> Maxreg.Algorithm_a.Unboxed.t
+  val unboxed : t -> structure
   (** The underlying structure.  Batch drivers run the raw op on it in
       their plain-mode inner loop (and read it directly in either
       mode): both update paths mutate this same structure, so direct
@@ -182,126 +179,87 @@ module Alg_a : sig
   val combining_now : t -> bool
   (** Current mode (always false solo); batch drivers hoist this. *)
 
-  val write_plain : t -> pid:int -> int -> unit
+  val update_plain : t -> pid:int -> int -> unit
   (** The raw plain path: no mode check, no tick, no stale tally.
       Batch drivers pair it with {!tick_many}. *)
 
-  val write_combining : t -> pid:int -> int -> unit
-  (** The raw combining path (elimination check + arena submit). *)
+  val update_combining : t -> pid:int -> int -> unit
+  (** The raw combining path (fast-path attempt, elimination or arena
+      submit), with no mode check and no tick; solo instances take the
+      direct plain op.  Validates like {!update}: a negative value
+      raises before any elimination is counted.  The static
+      flat-combining backend is exactly this path. *)
 
   val tick_many :
     t -> pid:int -> reads:int -> updates:int -> stale:int -> unit
   (** Fold one batch's counts into this domain's cells, advancing the
       epoch if the bulk update crossed an [epoch_ops] boundary.  [stale]
-      is the batch's count of plain writes with value <= the max read
-      at dispatch time.  No-op solo. *)
+      is the batch's count of plain updates already subsumed at
+      dispatch time (always 0 for counters).  No-op solo. *)
 
   val arena : t -> Smem.Combine.t
-  val ctl : t -> Ctl.t
+
   val report : t -> report
+  (** Exact at quiescence (writing domains joined); a concurrent call
+      may observe a slightly stale picture. *)
 end
 
-(** Adaptive CAS-loop max register. *)
-module Cas : sig
-  type t
+(** Adaptive Algorithm A max register ({!Policy.default_maxreg}). *)
+module Alg_a : sig
+  include S with type structure = Maxreg.Algorithm_a.Unboxed.t
 
   val create :
-    ?policy:Policy.params -> ?spin:int -> domains:int -> unit -> t
+    ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
+  (** [make] over a fresh register. *)
 
   val create_metered :
     ?policy:Policy.params ->
     ?spin:int ->
     metrics:Obs.Metrics.t ->
+    n:int ->
     domains:int ->
     unit ->
     t
+  (** [make ~metrics] over a fresh register. *)
 
   val read_max : t -> int
   val write_max : t -> pid:int -> int -> unit
-
-  val unboxed : t -> Maxreg.Cas_maxreg.Unboxed.t
-  (** As {!Alg_a.unboxed}. *)
-
-  val combining_now : t -> bool
   val write_plain : t -> pid:int -> int -> unit
   val write_combining : t -> pid:int -> int -> unit
-
-  val tick_many :
-    t -> pid:int -> reads:int -> updates:int -> stale:int -> unit
-
-  val arena : t -> Smem.Combine.t
-  val ctl : t -> Ctl.t
-  val report : t -> report
+  (** [read], [update], [update_plain] and [update_combining]. *)
 end
 
-(** Adaptive f-array counter. *)
+(** Adaptive CAS-loop max register ({!Policy.default_cas}). *)
+module Cas : sig
+  include S with type structure = Maxreg.Cas_maxreg.Unboxed.t
+
+  val create : ?policy:Policy.params -> ?spin:int -> domains:int -> unit -> t
+  (** [make] over a fresh register; metered instances come from [make]. *)
+
+  val read_max : t -> int
+  val write_max : t -> pid:int -> int -> unit
+  val write_plain : t -> pid:int -> int -> unit
+  val write_combining : t -> pid:int -> int -> unit
+end
+
+(** Adaptive f-array counter ({!Policy.default_counter}). *)
 module Farray_c : sig
-  type t
+  include S with type structure = Counters.Farray_counter.Unboxed.t
 
   val create :
-    ?policy:Policy.params ->
-    ?spin:int ->
-    n:int ->
-    domains:int ->
-    unit ->
-    t
+    ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
 
-  val create_metered :
-    ?policy:Policy.params ->
-    ?spin:int ->
-    metrics:Obs.Metrics.t ->
-    n:int ->
-    domains:int ->
-    unit ->
-    t
-
-  val read : t -> int
   val increment : t -> pid:int -> unit
-
-  val unboxed : t -> Counters.Farray_counter.Unboxed.t
-  (** As {!Alg_a.unboxed}. *)
-
-  val combining_now : t -> bool
-  val increment_plain : t -> pid:int -> unit
-  val increment_combining : t -> pid:int -> unit
-  val tick_many : t -> pid:int -> reads:int -> updates:int -> unit
-  val arena : t -> Smem.Combine.t
-  val ctl : t -> Ctl.t
-  val report : t -> report
+  (** [update] by 1. *)
 end
 
-(** Adaptive naive counter — the protocol-cost control. *)
+(** Adaptive naive counter — the protocol-cost control
+    ({!Policy.default_control}: never leaves the plain path). *)
 module Naive_c : sig
-  type t
+  include S with type structure = Counters.Naive_counter.Unboxed.t
 
   val create :
-    ?policy:Policy.params ->
-    ?spin:int ->
-    n:int ->
-    domains:int ->
-    unit ->
-    t
+    ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
 
-  val create_metered :
-    ?policy:Policy.params ->
-    ?spin:int ->
-    metrics:Obs.Metrics.t ->
-    n:int ->
-    domains:int ->
-    unit ->
-    t
-
-  val read : t -> int
   val increment : t -> pid:int -> unit
-
-  val unboxed : t -> Counters.Naive_counter.Unboxed.t
-  (** As {!Alg_a.unboxed}. *)
-
-  val combining_now : t -> bool
-  val increment_plain : t -> pid:int -> unit
-  val increment_combining : t -> pid:int -> unit
-  val tick_many : t -> pid:int -> reads:int -> updates:int -> unit
-  val arena : t -> Smem.Combine.t
-  val ctl : t -> Ctl.t
-  val report : t -> report
 end

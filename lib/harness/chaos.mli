@@ -15,8 +15,9 @@
     ([Fault_yield]/[Fault_gc]/[Fault_stall]), making chaos visible in
     bench-native/v3 output.
 
-    The unboxed [_native_fast] instances inline their Atomic primitives
-    precisely to admit no wrapper, so chaos instruments the boxed
+    The unboxed instances of {!Instances.maxreg_backend} inline their
+    Atomic primitives precisely to admit no wrapper, so chaos instruments
+    the boxed
     {!Instances.native} backend; the step counts are identical, which is
     what the linearizability and progress claims quantify over. *)
 
@@ -93,47 +94,23 @@ val counter :
 val snapshot :
   config -> n:int -> Instances.snapshot_impl -> Snapshots.Snapshot.instance
 
-(** {1 Op-boundary injection (combining backends)}
+(** {1 Op-boundary injection (native fast-path backends)}
 
-    The combining backends inline their Atomic primitives (arena slots,
-    combiner lock, unboxed trees), so the MEMORY wrapper cannot reach
-    them; instead the injection dice are rolled at every operation
-    boundary (before and after each high-level op).  Coarser than
-    per-memory-op injection, but it is the placement that stresses the
-    combining protocol: a storm can park a domain right after it
-    published to a slot, or right after it released the combiner lock. *)
+    The unboxed, combining and adaptive backends inline their Atomic
+    primitives (arena slots, combiner lock, unboxed trees), so the
+    MEMORY wrapper cannot reach them; instead the injection dice are
+    rolled at every operation boundary (before and after each
+    high-level op).  Coarser than per-memory-op injection, but it is the
+    placement that stresses the combining protocol: a storm can park a
+    domain right after it published to a slot, right after it released
+    the combiner lock, or astride an adaptive epoch boundary.  Wrap any
+    instance {!Instances.maxreg_backend} / [counter_backend] returns. *)
 
 val instrument_maxreg :
   config -> Maxreg.Max_register.instance -> Maxreg.Max_register.instance
 
 val instrument_counter :
   config -> Counters.Counter.instance -> Counters.Counter.instance
-
-val maxreg_combining :
-  config -> n:int -> domains:int -> Instances.maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t) option
-(** {!Instances.maxreg_native_combining} with op-boundary injection;
-    [None] exactly when the implementation has no combining layer. *)
-
-val counter_combining :
-  config -> n:int -> domains:int -> Instances.counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t) option
-
-val maxreg_adaptive :
-  config -> n:int -> domains:int -> Instances.maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t *
-   (unit -> Adaptive.report))
-  option
-(** {!Instances.maxreg_native_adaptive} with op-boundary injection —
-    the dice also land astride epoch boundaries, stressing mode flips
-    and the epoch lock; [None] exactly when the implementation has no
-    combining layer. *)
-
-val counter_adaptive :
-  config -> n:int -> domains:int -> Instances.counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t *
-   (unit -> Adaptive.report))
-  option
 
 (** {1 Linearizability bursts}
 

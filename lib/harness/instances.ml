@@ -143,380 +143,6 @@ let snapshot_int_over (module M : Smem.Memory_intf.MEMORY_INT) ~n impl :
     Some (Snapshots.Snapshot.instantiate (module S) (S.create ~n))
   | Double_collect | Afek -> None
 
-(* {1 Native fast-path constructors}
-
-   The direct unboxed implementations (padded cells, inline Atomic
-   primitives): identical algorithms and step counts to the boxed
-   [_native] constructors, zero allocation on the int-valued hot paths,
-   one cache line per base object.  [bound] is accepted for call-site
-   uniformity with the boxed constructors; the specialized implementations
-   are all unbounded. *)
-
-let native_unboxed : (module Smem.Memory_intf.MEMORY_INT) =
-  (module Smem.Unboxed_memory.Padded)
-
-let maxreg_native_fast ~n ~bound impl : Maxreg.Max_register.instance option =
-  ignore bound;
-  match impl with
-  | Algorithm_a ->
-    let module A = Maxreg.Algorithm_a.Unboxed in
-    Some (Maxreg.Max_register.instantiate (module A) (A.create ~n ()))
-  | Algorithm_a_literal ->
-    let module A = Maxreg.Algorithm_a.Unboxed in
-    Some
-      (Maxreg.Max_register.instantiate
-         (module A)
-         (A.create ~literal_early_return:true ~n ()))
-  | B1_maxreg ->
-    let module A = Maxreg.B1_maxreg.Unboxed in
-    Some (Maxreg.Max_register.instantiate (module A) (A.create ()))
-  | Cas_maxreg ->
-    let module A = Maxreg.Cas_maxreg.Unboxed in
-    Some (Maxreg.Max_register.instantiate (module A) (A.create ()))
-  | Aac_maxreg -> None
-
-let counter_native_fast ~n ~bound impl : Counters.Counter.instance option =
-  ignore bound;
-  match impl with
-  | Farray_counter ->
-    let module C = Counters.Farray_counter.Unboxed in
-    Some (Counters.Counter.instantiate (module C) (C.create ~n ()))
-  | Naive_counter ->
-    let module C = Counters.Naive_counter.Unboxed in
-    Some (Counters.Counter.instantiate (module C) (C.create ~n ()))
-  | Snapshot_counter Farray_snapshot ->
-    let module S =
-      Snapshots.Hybrid_snapshot.Make (Smem.Atomic_memory)
-        (Smem.Unboxed_memory.Padded)
-    in
-    let module C = Snapshots.Counter_of_snapshot.Make (S) in
-    let c = C.create ~n (S.create ~n) in
-    Some
-      { Counters.Counter.increment = (fun ~pid -> C.increment c ~pid);
-        read = (fun () -> C.read c) }
-  | Aac_counter | Snapshot_counter (Double_collect | Afek) -> None
-
-let snapshot_native_fast ~n impl = snapshot_int_over native_unboxed ~n impl
-
-(* {1 Metered (instrumented) native constructors}
-
-   The same unboxed fast-path implementations, with contention
-   observability wired in: every instance records [Op_update] per
-   high-level update (sharded by the calling pid), and the
-   implementations with interesting write contention (CAS retry loops,
-   double-refresh propagation, helping) additionally record CAS
-   attempts/failures, refresh rounds and helping events through their
-   [_metered] entry points.  [Op_read] is NOT recorded here: the [read]
-   closures carry no pid, and folding all readers onto one shard would
-   both lose counts and create exactly the cross-domain cache-line
-   traffic the shards exist to avoid — record it at the call site, where
-   the domain is known (bin/bench.exe does).  Passing
-   [Obs.Metrics.disabled] reduces every record site to an immediate-bool
-   branch; the overhead guard in test_obs.ml pins that the disabled path
-   allocates nothing and tracks the uninstrumented constructors. *)
-
-let meter_maxreg ~metrics (i : Maxreg.Max_register.instance) :
-    Maxreg.Max_register.instance =
-  { i with
-    write_max =
-      (fun ~pid v ->
-        Obs.Metrics.incr metrics ~domain:pid Obs.Metrics.Op_update;
-        i.write_max ~pid v) }
-
-let meter_counter ~metrics (i : Counters.Counter.instance) :
-    Counters.Counter.instance =
-  { i with
-    increment =
-      (fun ~pid ->
-        Obs.Metrics.incr metrics ~domain:pid Obs.Metrics.Op_update;
-        i.increment ~pid) }
-
-let maxreg_native_metered ~metrics ~n ~bound impl :
-    Maxreg.Max_register.instance option =
-  (* a disabled handle means "no instrumentation": hand out the
-     uninstrumented instance itself — zero overhead by construction *)
-  if not (Obs.Metrics.enabled metrics) then maxreg_native_fast ~n ~bound impl
-  else
-  match impl with
-  | Algorithm_a | Algorithm_a_literal ->
-    let module A = Maxreg.Algorithm_a.Unboxed in
-    let reg =
-      A.create ~literal_early_return:(impl = Algorithm_a_literal) ~n ()
-    in
-    Some
-      (meter_maxreg ~metrics
-         { read_max = (fun () -> A.read_max reg);
-           write_max = (fun ~pid v -> A.write_max_metered reg ~metrics ~pid v) })
-  | Cas_maxreg ->
-    let module A = Maxreg.Cas_maxreg.Unboxed in
-    let reg = A.create () in
-    Some
-      (meter_maxreg ~metrics
-         { read_max = (fun () -> A.read_max reg);
-           write_max = (fun ~pid v -> A.write_max_metered reg ~metrics ~pid v) })
-  | B1_maxreg ->
-    (* switch writes are idempotent 0->1 stores, no CAS to meter: op
-       counts only *)
-    Option.map (meter_maxreg ~metrics) (maxreg_native_fast ~n ~bound impl)
-  | Aac_maxreg -> None
-
-let counter_native_metered ~metrics ~n ~bound impl :
-    Counters.Counter.instance option =
-  if not (Obs.Metrics.enabled metrics) then counter_native_fast ~n ~bound impl
-  else
-  match impl with
-  | Farray_counter ->
-    let module C = Counters.Farray_counter.Unboxed in
-    let c = C.create ~n () in
-    Some
-      (meter_counter ~metrics
-         { increment = (fun ~pid -> C.increment_metered c ~metrics ~pid);
-           read = (fun () -> C.read c) })
-  | Naive_counter | Snapshot_counter _ | Aac_counter ->
-    (* naive has no CAS (single-writer registers); the snapshot/AAC
-       constructions have no unboxed fast path or no int specialization —
-       meter whatever fast path exists with op counts *)
-    Option.map (meter_counter ~metrics) (counter_native_fast ~n ~bound impl)
-
-(* {1 Flat-combining native constructors}
-
-   The unboxed fast-path implementations behind a {!Smem.Combine} arena
-   (see {!Combining}): contended updates are batched — one tree
-   traversal per combined batch — and stale WriteMax calls are
-   eliminated against the root.  Returns the arena alongside the
-   instance so measurement drivers can read {!Smem.Combine.stats}
-   (flushed into Obs metrics via [record_combine_stats]).  [domains] is
-   the arena's slot count: every [pid] passed to an operation must be in
-   [0 .. domains-1].  [None] exactly for the implementations with no
-   combining layer: the AAC constructions (no unboxed specialization),
-   B1 (idempotent switch writes — no per-op propagation to batch), and
-   the literal-line-16 ablation (kept pure as the paper-faithful bug
-   exhibit). *)
-
-let maxreg_native_combining ~n ~domains ~bound impl :
-    (Maxreg.Max_register.instance * Smem.Combine.t) option =
-  ignore bound;
-  match impl with
-  | Algorithm_a ->
-    let t = Combining.Alg_a.create ~n ~domains () in
-    Some
-      ( { Maxreg.Max_register.read_max = (fun () -> Combining.Alg_a.read_max t);
-          write_max = (fun ~pid v -> Combining.Alg_a.write_max t ~pid v) },
-        Combining.Alg_a.arena t )
-  | Cas_maxreg ->
-    let t = Combining.Cas.create ~domains () in
-    Some
-      ( { Maxreg.Max_register.read_max = (fun () -> Combining.Cas.read_max t);
-          write_max = (fun ~pid v -> Combining.Cas.write_max t ~pid v) },
-        Combining.Cas.arena t )
-  | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
-
-let counter_native_combining ~n ~domains ~bound impl :
-    (Counters.Counter.instance * Smem.Combine.t) option =
-  ignore bound;
-  match impl with
-  | Farray_counter ->
-    let t = Combining.Farray_c.create ~n ~domains () in
-    Some
-      ( { Counters.Counter.increment =
-            (fun ~pid -> Combining.Farray_c.increment t ~pid);
-          read = (fun () -> Combining.Farray_c.read t) },
-        Combining.Farray_c.arena t )
-  | Naive_counter ->
-    let t = Combining.Naive_c.create ~n ~domains () in
-    Some
-      ( { Counters.Counter.increment =
-            (fun ~pid -> Combining.Naive_c.increment t ~pid);
-          read = (fun () -> Combining.Naive_c.read t) },
-        Combining.Naive_c.arena t )
-  | Aac_counter | Snapshot_counter _ -> None
-
-(* Metered combining: [Op_update] per update via the usual wrapper, CAS
-   and refresh counts recorded by the [_metered] apply under the
-   combiner's shard.  A disabled handle returns the uninstrumented
-   combining instance, mirroring the [_native_metered] constructors. *)
-
-let maxreg_native_combining_metered ~metrics ~n ~domains ~bound impl :
-    (Maxreg.Max_register.instance * Smem.Combine.t) option =
-  if not (Obs.Metrics.enabled metrics) then
-    maxreg_native_combining ~n ~domains ~bound impl
-  else
-    match impl with
-    | Algorithm_a ->
-      let t = Combining.Alg_a.create_metered ~metrics ~n ~domains () in
-      Some
-        ( meter_maxreg ~metrics
-            { read_max = (fun () -> Combining.Alg_a.read_max t);
-              write_max = (fun ~pid v -> Combining.Alg_a.write_max t ~pid v) },
-          Combining.Alg_a.arena t )
-    | Cas_maxreg ->
-      let t = Combining.Cas.create_metered ~metrics ~domains () in
-      Some
-        ( meter_maxreg ~metrics
-            { read_max = (fun () -> Combining.Cas.read_max t);
-              write_max = (fun ~pid v -> Combining.Cas.write_max t ~pid v) },
-          Combining.Cas.arena t )
-    | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
-
-let counter_native_combining_metered ~metrics ~n ~domains ~bound impl :
-    (Counters.Counter.instance * Smem.Combine.t) option =
-  if not (Obs.Metrics.enabled metrics) then
-    counter_native_combining ~n ~domains ~bound impl
-  else
-    match impl with
-    | Farray_counter ->
-      let t = Combining.Farray_c.create_metered ~metrics ~n ~domains () in
-      Some
-        ( meter_counter ~metrics
-            { increment = (fun ~pid -> Combining.Farray_c.increment t ~pid);
-              read = (fun () -> Combining.Farray_c.read t) },
-          Combining.Farray_c.arena t )
-    | Naive_counter ->
-      (* the control has no CAS to meter: op counts only *)
-      Option.map
-        (fun (inst, arena) -> (meter_counter ~metrics inst, arena))
-        (counter_native_combining ~n ~domains ~bound impl)
-    | Aac_counter | Snapshot_counter _ -> None
-
-(* {1 Contention-adaptive native constructors}
-
-   One underlying unboxed structure behind {!Adaptive}'s epoch-driven
-   dispatcher: updates run the plain lock-free path until the sampled
-   signals (CAS failure rate, elimination/batching benefit, read share)
-   say the flat-combining side of the tradeoff wins, and flip back when
-   it stops earning its keep — with hysteresis, so the dispatcher can't
-   thrash at a crossover.  Reads are always direct.  The per-structure
-   constructors return the adaptive handle (arena, control, report);
-   the impl-keyed ones mirror the combining constructors for the bench,
-   returning the arena plus a report thunk.  [None] exactly where the
-   combining constructors return [None]. *)
-
-let alg_a_native_adaptive ?policy ~n ~domains () =
-  let t = Adaptive.Alg_a.create ?policy ~n ~domains () in
-  ( { Maxreg.Max_register.read_max = (fun () -> Adaptive.Alg_a.read_max t);
-      write_max = (fun ~pid v -> Adaptive.Alg_a.write_max t ~pid v) },
-    t )
-
-let alg_a_native_adaptive_metered ?policy ~metrics ~n ~domains () =
-  let t = Adaptive.Alg_a.create_metered ?policy ~metrics ~n ~domains () in
-  ( meter_maxreg ~metrics
-      { read_max = (fun () -> Adaptive.Alg_a.read_max t);
-        write_max = (fun ~pid v -> Adaptive.Alg_a.write_max t ~pid v) },
-    t )
-
-let cas_native_adaptive ?policy ~domains () =
-  let t = Adaptive.Cas.create ?policy ~domains () in
-  ( { Maxreg.Max_register.read_max = (fun () -> Adaptive.Cas.read_max t);
-      write_max = (fun ~pid v -> Adaptive.Cas.write_max t ~pid v) },
-    t )
-
-let cas_native_adaptive_metered ?policy ~metrics ~domains () =
-  let t = Adaptive.Cas.create_metered ?policy ~metrics ~domains () in
-  ( meter_maxreg ~metrics
-      { read_max = (fun () -> Adaptive.Cas.read_max t);
-        write_max = (fun ~pid v -> Adaptive.Cas.write_max t ~pid v) },
-    t )
-
-let farray_c_native_adaptive ?policy ~n ~domains () =
-  let t = Adaptive.Farray_c.create ?policy ~n ~domains () in
-  ( { Counters.Counter.increment =
-        (fun ~pid -> Adaptive.Farray_c.increment t ~pid);
-      read = (fun () -> Adaptive.Farray_c.read t) },
-    t )
-
-let farray_c_native_adaptive_metered ?policy ~metrics ~n ~domains () =
-  let t = Adaptive.Farray_c.create_metered ?policy ~metrics ~n ~domains () in
-  ( meter_counter ~metrics
-      { increment = (fun ~pid -> Adaptive.Farray_c.increment t ~pid);
-        read = (fun () -> Adaptive.Farray_c.read t) },
-    t )
-
-let naive_c_native_adaptive ?policy ~n ~domains () =
-  let t = Adaptive.Naive_c.create ?policy ~n ~domains () in
-  ( { Counters.Counter.increment =
-        (fun ~pid -> Adaptive.Naive_c.increment t ~pid);
-      read = (fun () -> Adaptive.Naive_c.read t) },
-    t )
-
-let naive_c_native_adaptive_metered ?policy ~metrics ~n ~domains () =
-  let t = Adaptive.Naive_c.create_metered ?policy ~metrics ~n ~domains () in
-  ( meter_counter ~metrics
-      { increment = (fun ~pid -> Adaptive.Naive_c.increment t ~pid);
-        read = (fun () -> Adaptive.Naive_c.read t) },
-    t )
-
-let maxreg_native_adaptive ~n ~domains ~bound impl :
-    (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  ignore bound;
-  match impl with
-  | Algorithm_a ->
-    let inst, t = alg_a_native_adaptive ~n ~domains () in
-    Some
-      (inst, Adaptive.Alg_a.arena t, fun () -> Adaptive.Alg_a.report t)
-  | Cas_maxreg ->
-    let inst, t = cas_native_adaptive ~domains () in
-    Some (inst, Adaptive.Cas.arena t, fun () -> Adaptive.Cas.report t)
-  | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
-
-let counter_native_adaptive ~n ~domains ~bound impl :
-    (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  ignore bound;
-  match impl with
-  | Farray_counter ->
-    let inst, t = farray_c_native_adaptive ~n ~domains () in
-    Some
-      (inst, Adaptive.Farray_c.arena t, fun () -> Adaptive.Farray_c.report t)
-  | Naive_counter ->
-    let inst, t = naive_c_native_adaptive ~n ~domains () in
-    Some
-      (inst, Adaptive.Naive_c.arena t, fun () -> Adaptive.Naive_c.report t)
-  | Aac_counter | Snapshot_counter _ -> None
-
-(* A disabled handle falls back to the unmetered adaptive constructor —
-   which builds its own private enabled handle for signal collection
-   (the dispatcher cannot steer blind). *)
-
-let maxreg_native_adaptive_metered ~metrics ~n ~domains ~bound impl :
-    (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  if not (Obs.Metrics.enabled metrics) then
-    maxreg_native_adaptive ~n ~domains ~bound impl
-  else
-    match impl with
-    | Algorithm_a ->
-      let inst, t = alg_a_native_adaptive_metered ~metrics ~n ~domains () in
-      Some
-        (inst, Adaptive.Alg_a.arena t, fun () -> Adaptive.Alg_a.report t)
-    | Cas_maxreg ->
-      let inst, t = cas_native_adaptive_metered ~metrics ~domains () in
-      Some (inst, Adaptive.Cas.arena t, fun () -> Adaptive.Cas.report t)
-    | Algorithm_a_literal | B1_maxreg | Aac_maxreg -> None
-
-let counter_native_adaptive_metered ~metrics ~n ~domains ~bound impl :
-    (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-    option =
-  if not (Obs.Metrics.enabled metrics) then
-    counter_native_adaptive ~n ~domains ~bound impl
-  else
-    match impl with
-    | Farray_counter ->
-      let inst, t =
-        farray_c_native_adaptive_metered ~metrics ~n ~domains ()
-      in
-      Some
-        ( inst,
-          Adaptive.Farray_c.arena t,
-          fun () -> Adaptive.Farray_c.report t )
-    | Naive_counter ->
-      let inst, t = naive_c_native_adaptive_metered ~metrics ~n ~domains () in
-      Some
-        ( inst,
-          Adaptive.Naive_c.arena t,
-          fun () -> Adaptive.Naive_c.report t )
-    | Aac_counter | Snapshot_counter _ -> None
-
 (* {1 Tradeoff-dial constructors}
 
    The Dial_counter / Dial_maxreg family (DESIGN.md §15) is keyed by a
@@ -525,10 +151,8 @@ let counter_native_adaptive_metered ~metrics ~n ~domains ~bound impl :
    it through the impl enums would force every all_counters consumer
    (liveness matrices, DPOR sweeps, repro experiments) through four more
    rows.  The boxed [_over]/[_sim] constructors run the family under
-   Memsim, DPOR and the fault layer; the [_native_dial] ones are the
-   zero-alloc unboxed twins, with [_metered] variants mirroring the
-   other native constructors (a disabled handle returns the
-   uninstrumented instance). *)
+   Memsim, DPOR and the fault layer; the zero-alloc unboxed twins are
+   the [Dial] spec of the native constructors below. *)
 
 let counter_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
     Counters.Counter.instance =
@@ -546,30 +170,188 @@ let maxreg_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
 let maxreg_dial_sim session ~n dial =
   maxreg_dial_over (Smem.Sim_memory.bind session) ~n dial
 
-let counter_native_dial ~n dial : Counters.Counter.instance =
-  let module C = Counters.Dial_counter.Unboxed in
-  Counters.Counter.instantiate (module C) (C.create ~n ~dial ())
+(* {1 Native constructors: one per structure family}
 
-let maxreg_native_dial ~n dial : Maxreg.Max_register.instance =
-  let module A = Maxreg.Dial_maxreg.Unboxed in
-  Maxreg.Max_register.instantiate (module A) (A.create ~n ~dial ())
+   Every native fast-path instance comes from [maxreg_backend] /
+   [counter_backend], keyed by a backend and a spec (an impl enum case
+   or a dial point); the interface documents the metering contract.
+   The unboxed backend is the direct padded-cell implementation.  The
+   combining and adaptive backends are one {!Adaptive} instance over
+   the same unboxed structure: adaptive dispatches per epoch, combining
+   pins every update to the instance's combining path, so there is one
+   combining implementation, not two.  [None] exactly where no such
+   instance exists: AAC everywhere (no unboxed specialization), and on
+   the dispatch backends also B1 (idempotent switch writes — no per-op
+   propagation to batch), the literal-line-16 ablation (kept pure as
+   the paper-faithful bug exhibit), the snapshot counters and the dial
+   points. *)
 
-let counter_native_dial_metered ~metrics ~n dial :
-    Counters.Counter.instance =
-  if not (Obs.Metrics.enabled metrics) then counter_native_dial ~n dial
-  else
-    let module C = Counters.Dial_counter.Unboxed in
-    let c = C.create ~n ~dial () in
-    meter_counter ~metrics
-      { increment = (fun ~pid -> C.increment_metered c ~metrics ~pid);
-        read = (fun () -> C.read c) }
+let native_unboxed : (module Smem.Memory_intf.MEMORY_INT) =
+  (module Smem.Unboxed_memory.Padded)
 
-let maxreg_native_dial_metered ~metrics ~n dial :
+let snapshot_native_fast ~n impl = snapshot_int_over native_unboxed ~n impl
+
+type 'impl spec = Impl of 'impl | Dial of Treeprim.Dial.t
+type maxreg_spec = maxreg_impl spec
+type counter_spec = counter_impl spec
+
+type backend =
+  | Unboxed
+  | Combining
+  | Adaptive of Adaptive.Policy.params option
+
+type dispatch = {
+  arena : Smem.Combine.t;
+  report : unit -> Adaptive.report;
+}
+
+let meter_maxreg ~metrics (i : Maxreg.Max_register.instance) :
     Maxreg.Max_register.instance =
-  if not (Obs.Metrics.enabled metrics) then maxreg_native_dial ~n dial
+  if not (Obs.Metrics.enabled metrics) then i
   else
+    { i with
+      write_max =
+        (fun ~pid v ->
+          Obs.Metrics.incr metrics ~domain:pid Obs.Metrics.Op_update;
+          i.write_max ~pid v) }
+
+let meter_counter ~metrics (i : Counters.Counter.instance) :
+    Counters.Counter.instance =
+  if not (Obs.Metrics.enabled metrics) then i
+  else
+    { i with
+      increment =
+        (fun ~pid ->
+          Obs.Metrics.incr metrics ~domain:pid Obs.Metrics.Op_update;
+          i.increment ~pid) }
+
+(* The plain unboxed structures, as a read and an update closure; the
+   update is the [_metered] entry only under a live handle, so an
+   unmetered instance calls exactly the raw op. *)
+
+let unboxed_maxreg ~metrics ~n spec =
+  let metered = Obs.Metrics.enabled metrics in
+  match spec with
+  | Impl ((Algorithm_a | Algorithm_a_literal) as impl) ->
+    let module A = Maxreg.Algorithm_a.Unboxed in
+    let reg =
+      A.create ~literal_early_return:(impl = Algorithm_a_literal) ~n ()
+    in
+    Some
+      ( (fun () -> A.read_max reg),
+        if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
+        else fun ~pid v -> A.write_max reg ~pid v )
+  | Impl Cas_maxreg ->
+    let module A = Maxreg.Cas_maxreg.Unboxed in
+    let reg = A.create () in
+    Some
+      ( (fun () -> A.read_max reg),
+        if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
+        else fun ~pid v -> A.write_max reg ~pid v )
+  | Impl B1_maxreg ->
+    (* switch writes are idempotent 0->1 stores, no CAS to meter *)
+    let module A = Maxreg.B1_maxreg.Unboxed in
+    let reg = A.create () in
+    Some ((fun () -> A.read_max reg), fun ~pid v -> A.write_max reg ~pid v)
+  | Dial dial ->
     let module A = Maxreg.Dial_maxreg.Unboxed in
     let reg = A.create ~n ~dial () in
-    meter_maxreg ~metrics
-      { read_max = (fun () -> A.read_max reg);
-        write_max = (fun ~pid v -> A.write_max_metered reg ~metrics ~pid v) }
+    Some
+      ( (fun () -> A.read_max reg),
+        if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
+        else fun ~pid v -> A.write_max reg ~pid v )
+  | Impl Aac_maxreg -> None
+
+let unboxed_counter ~metrics ~n spec =
+  let metered = Obs.Metrics.enabled metrics in
+  match spec with
+  | Impl Farray_counter ->
+    let module C = Counters.Farray_counter.Unboxed in
+    let c = C.create ~n () in
+    Some
+      ( (fun () -> C.read c),
+        if metered then fun ~pid -> C.increment_metered c ~metrics ~pid
+        else fun ~pid -> C.increment c ~pid )
+  | Impl Naive_counter ->
+    (* single-writer cells, no CAS to meter *)
+    let module C = Counters.Naive_counter.Unboxed in
+    let c = C.create ~n () in
+    Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
+  | Impl (Snapshot_counter Farray_snapshot) ->
+    let module S =
+      Snapshots.Hybrid_snapshot.Make (Smem.Atomic_memory)
+        (Smem.Unboxed_memory.Padded)
+    in
+    let module C = Snapshots.Counter_of_snapshot.Make (S) in
+    let c = C.create ~n (S.create ~n) in
+    Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
+  | Dial dial ->
+    let module C = Counters.Dial_counter.Unboxed in
+    let c = C.create ~n ~dial () in
+    Some
+      ( (fun () -> C.read c),
+        if metered then fun ~pid -> C.increment_metered c ~metrics ~pid
+        else fun ~pid -> C.increment c ~pid )
+  | Impl (Aac_counter | Snapshot_counter (Double_collect | Afek)) -> None
+
+(* The dispatch backends: one adaptive instance over a fresh structure. *)
+let dispatched (type s) (module A : Adaptive.S with type structure = s)
+    ~metrics ~domains backend (s : s) =
+  let policy =
+    match backend with Adaptive p -> p | Unboxed | Combining -> None
+  in
+  let t = A.make ?policy ~metrics ~domains s in
+  ( (fun () -> A.read t),
+    (match backend with
+     | Combining -> A.update_combining t
+     | Unboxed | Adaptive _ -> A.update t),
+    Some { arena = A.arena t; report = (fun () -> A.report t) } )
+
+let maxreg_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains spec
+    =
+  let parts =
+    match (backend, spec) with
+    | Unboxed, _ ->
+      Option.map (fun (r, w) -> (r, w, None)) (unboxed_maxreg ~metrics ~n spec)
+    | (Combining | Adaptive _), Impl Algorithm_a ->
+      Some
+        (dispatched (module Adaptive.Alg_a) ~metrics ~domains backend
+           (Maxreg.Algorithm_a.Unboxed.create ~n ()))
+    | (Combining | Adaptive _), Impl Cas_maxreg ->
+      Some
+        (dispatched (module Adaptive.Cas) ~metrics ~domains backend
+           (Maxreg.Cas_maxreg.Unboxed.create ()))
+    | ( (Combining | Adaptive _),
+        (Impl (Algorithm_a_literal | Aac_maxreg | B1_maxreg) | Dial _) ) ->
+      None
+  in
+  Option.map
+    (fun (read_max, write_max, dispatch) ->
+      (meter_maxreg ~metrics { Maxreg.Max_register.read_max; write_max },
+       dispatch))
+    parts
+
+let counter_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains
+    spec =
+  let on (type s) (module A : Adaptive.S with type structure = s) (s : s) =
+    let read, update, dispatch =
+      dispatched (module A) ~metrics ~domains backend s
+    in
+    Some (read, (fun ~pid -> update ~pid 1), dispatch)
+  in
+  let parts =
+    match (backend, spec) with
+    | Unboxed, _ ->
+      Option.map (fun (r, i) -> (r, i, None)) (unboxed_counter ~metrics ~n spec)
+    | (Combining | Adaptive _), Impl Farray_counter ->
+      on (module Adaptive.Farray_c) (Counters.Farray_counter.Unboxed.create ~n ())
+    | (Combining | Adaptive _), Impl Naive_counter ->
+      on (module Adaptive.Naive_c) (Counters.Naive_counter.Unboxed.create ~n ())
+    | (Combining | Adaptive _), (Impl (Aac_counter | Snapshot_counter _) | Dial _)
+      ->
+      None
+  in
+  Option.map
+    (fun (read, increment, dispatch) ->
+      (meter_counter ~metrics { Counters.Counter.increment; read }, dispatch))
+    parts

@@ -77,183 +77,16 @@ val snapshot_native : n:int -> snapshot_impl -> Snapshots.Snapshot.instance
     and Afek are vector-valued throughout).  The maxreg and counter
     specializations are deliberately not functorized — see
     {!Maxreg.Algorithm_a.Unboxed} etc. — so they have no [_int_over]
-    constructor; use the [_native_fast] ones below. *)
+    constructor; use {!maxreg_backend} / {!counter_backend}. *)
 
 val snapshot_int_over :
   (module Smem.Memory_intf.MEMORY_INT) ->
   n:int -> snapshot_impl -> Snapshots.Snapshot.instance option
 
-(** {1 Native fast-path constructors}
-
-    The direct unboxed implementations (padded cells, inline Atomic
-    primitives): identical algorithms and step counts to the boxed
-    [_native] constructors, but the int-valued hot paths allocate nothing
-    and every base object owns its cache line.  [None] when the
-    implementation has no specialization (the AAC constructions are
-    value-recursive over Simval and stay boxed).  [bound] is accepted for
-    call-site uniformity; the specialized implementations are all
-    unbounded. *)
-
 val native_unboxed : (module Smem.Memory_intf.MEMORY_INT)
-
-val maxreg_native_fast :
-  n:int -> bound:int -> maxreg_impl -> Maxreg.Max_register.instance option
-
-val counter_native_fast :
-  n:int -> bound:int -> counter_impl -> Counters.Counter.instance option
 
 val snapshot_native_fast :
   n:int -> snapshot_impl -> Snapshots.Snapshot.instance option
-
-(** {1 Metered (instrumented) native constructors}
-
-    The unboxed fast-path implementations with contention observability:
-    [Op_update] per high-level update for every instance, plus CAS
-    attempts/failures, propagate refresh rounds and helping events for
-    the implementations that have them (algorithm-a, cas-loop, farray).
-    Record sites shard by calling pid; [Op_read] is deliberately not
-    recorded (the [read] closures carry no pid — record it at the call
-    site, where the domain is known).  With a disabled handle
-    ({!Obs.Metrics.disabled}) these constructors return the
-    uninstrumented [_native_fast] instance itself — the no-op mode has
-    zero overhead by construction, and even the [_metered] entry points
-    called directly degrade to one inlined field test (see the
-    zero-allocation guard in test_obs.ml).  [None] exactly when
-    [_native_fast] has no specialization. *)
-
-val maxreg_native_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> bound:int -> maxreg_impl -> Maxreg.Max_register.instance option
-
-val counter_native_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> bound:int -> counter_impl -> Counters.Counter.instance option
-
-(** {1 Flat-combining native constructors}
-
-    The unboxed fast-path implementations behind a {!Smem.Combine}
-    flat-combining arena (see {!Combining} and DESIGN.md §12): the
-    uncontended fast path stays the plain backend's cost, contended
-    updates batch into one tree traversal per combined batch, and stale
-    WriteMax calls eliminate against the monotone root.  The arena is
-    returned alongside the instance so drivers can read
-    {!Smem.Combine.stats}.  [domains] sizes the arena: every [pid]
-    passed to an operation must be in [0 .. domains-1] (with
-    [domains = 1] the arena is bypassed).  [None] for implementations
-    with no combining layer (AAC, B1, the literal-line-16 ablation).
-
-    The [_metered] variants add [Op_update] per update and route the
-    combiner's apply through the [_metered] structure entry points (CAS
-    and refresh counts under the combiner's shard); with a disabled
-    handle they return the uninstrumented combining instance.  Combining
-    stats always live in the arena — flush them with
-    {!Obs.Metrics.record_combine_stats} once per run. *)
-
-val maxreg_native_combining :
-  n:int -> domains:int -> bound:int -> maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t) option
-
-val counter_native_combining :
-  n:int -> domains:int -> bound:int -> counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t) option
-
-val maxreg_native_combining_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> bound:int -> maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t) option
-
-val counter_native_combining_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> bound:int -> counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t) option
-
-(** {1 Contention-adaptive native constructors}
-
-    One underlying unboxed structure behind {!Adaptive}'s epoch-driven
-    dispatcher (DESIGN.md §13): updates run the plain lock-free path
-    until the sampled per-epoch signals (CAS failure rate,
-    elimination/batching benefit, observed read share) favor the
-    flat-combining side of the paper's tradeoff, and flip back when the
-    arena stops earning its keep — with hysteresis, so the dispatcher
-    cannot thrash at a crossover.  Reads are always direct.
-
-    The per-structure constructors return the instance together with
-    the {!Adaptive} handle (arena, control and {!Adaptive.report}
-    access); the impl-keyed constructors mirror the combining ones for
-    the bench, returning the arena plus a report thunk, and are [None]
-    exactly where the combining constructors are.  The [_metered]
-    variants share the caller's metrics handle for both signal
-    collection and observability (it must be private to the instance),
-    add [Op_update] per update, and keep full dispatch at
-    [domains = 1]; a disabled handle falls back to the unmetered
-    constructor, which builds a private enabled handle — the dispatcher
-    cannot steer blind. *)
-
-val alg_a_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  n:int -> domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Alg_a.t
-
-val alg_a_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Alg_a.t
-
-val cas_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Cas.t
-
-val cas_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  domains:int -> unit ->
-  Maxreg.Max_register.instance * Adaptive.Cas.t
-
-val farray_c_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Farray_c.t
-
-val farray_c_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Farray_c.t
-
-val naive_c_native_adaptive :
-  ?policy:Adaptive.Policy.params ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Naive_c.t
-
-val naive_c_native_adaptive_metered :
-  ?policy:Adaptive.Policy.params ->
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> unit ->
-  Counters.Counter.instance * Adaptive.Naive_c.t
-
-val maxreg_native_adaptive :
-  n:int -> domains:int -> bound:int -> maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
-
-val counter_native_adaptive :
-  n:int -> domains:int -> bound:int -> counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
-
-val maxreg_native_adaptive_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> bound:int -> maxreg_impl ->
-  (Maxreg.Max_register.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
-
-val counter_native_adaptive_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> domains:int -> bound:int -> counter_impl ->
-  (Counters.Counter.instance * Smem.Combine.t * (unit -> Adaptive.report))
-  option
 
 (** {1 Tradeoff-dial constructors}
 
@@ -261,9 +94,8 @@ val counter_native_adaptive_metered :
     by a {!Treeprim.Dial.t} dial point rather than an impl enum case (a
     dial is a parameter of one construction, not a new algorithm).  The
     boxed [_over]/[_sim] constructors run every dial point under Memsim,
-    DPOR and the fault layer; [_native_dial] builds the zero-alloc
-    unboxed twin, and [_metered] mirrors the other native constructors
-    (a disabled handle returns the uninstrumented instance). *)
+    DPOR and the fault layer; the zero-alloc unboxed twin is the [Dial]
+    spec of {!maxreg_backend} / {!counter_backend}. *)
 
 val counter_dial_over :
   (module Smem.Memory_intf.MEMORY) ->
@@ -279,16 +111,80 @@ val maxreg_dial_over :
 val maxreg_dial_sim :
   Memsim.Session.t -> n:int -> Treeprim.Dial.t -> Maxreg.Max_register.instance
 
-val counter_native_dial :
-  n:int -> Treeprim.Dial.t -> Counters.Counter.instance
+(** {1 Native constructors: one per structure family}
 
-val maxreg_native_dial :
-  n:int -> Treeprim.Dial.t -> Maxreg.Max_register.instance
+    Every native fast-path max register and counter, keyed by a
+    {!backend} and a {!spec}:
 
-val counter_native_dial_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> Treeprim.Dial.t -> Counters.Counter.instance
+    - [Unboxed]: the direct implementation (padded cells, inline Atomic
+      primitives) — identical algorithms and step counts to the boxed
+      [_native] constructors, allocation-free int-valued hot paths;
+    - [Adaptive policy]: one {!Adaptive} instance over the same unboxed
+      structure, flipping each update between the plain and the
+      flat-combining path on per-epoch signals, with hysteresis
+      (DESIGN.md §13); [policy] defaults to the structure's own;
+    - [Combining]: the same adaptive instance with every update pinned
+      to its combining path — the structure's fast-path attempt,
+      elimination of stale max-register writes against the monotone
+      root, batched arena submits (DESIGN.md §12).
 
-val maxreg_native_dial_metered :
-  metrics:Obs.Metrics.t ->
-  n:int -> Treeprim.Dial.t -> Maxreg.Max_register.instance
+    Returns the closed instance and, for the two dispatch backends, its
+    {!dispatch} handle.  [None] exactly where no such instance exists:
+    the AAC constructions on every backend (no unboxed specialization);
+    and on [Combining] and [Adaptive] also B1, the literal-line-16
+    ablation, the snapshot counters and the dial points.  [domains] is
+    the number of participating domains: every [pid] passed to an
+    operation must be in [0 .. domains-1].
+
+    With a live [metrics] handle every instance records [Op_update] per
+    update, plus CAS attempts/failures, propagate refresh rounds and
+    helping events where the implementation has them (on the dispatch
+    backends under the combiner's shard); the dispatch backends also
+    use the handle for CAS-rate dispatch, so it must be private to the
+    instance, and they keep full dispatch at [domains = 1].  [Op_read]
+    is never recorded here: the [read] closures carry no pid — record
+    it at the call site.  Without a live handle (absent or
+    {!Obs.Metrics.disabled}) the unboxed backend calls the raw ops and
+    the dispatch backends run on that shared disabled handle — not a
+    private enabled one: stale-rate and arena signals only (each record
+    site one immediate-bool branch), and a direct plain call per update
+    at [domains = 1] (the zero-allocation guard in test_obs.ml pins the
+    disabled path).  Combining statistics live in the arena: flush them
+    with {!Obs.Metrics.record_combine_stats}. *)
+
+type 'impl spec =
+  | Impl of 'impl
+  | Dial of Treeprim.Dial.t
+      (** the {!Counters.Dial_counter} / {!Maxreg.Dial_maxreg} unboxed
+          twin at this dial point *)
+
+type maxreg_spec = maxreg_impl spec
+type counter_spec = counter_impl spec
+
+type backend =
+  | Unboxed
+  | Combining
+  | Adaptive of Adaptive.Policy.params option
+
+type dispatch = {
+  arena : Smem.Combine.t;
+  report : unit -> Adaptive.report;
+      (** the dispatcher's report; the [Combining] backend never
+          consults the dispatcher, so its report stays at zero epochs *)
+}
+
+val maxreg_backend :
+  ?metrics:Obs.Metrics.t ->
+  backend ->
+  n:int ->
+  domains:int ->
+  maxreg_spec ->
+  (Maxreg.Max_register.instance * dispatch option) option
+
+val counter_backend :
+  ?metrics:Obs.Metrics.t ->
+  backend ->
+  n:int ->
+  domains:int ->
+  counter_spec ->
+  (Counters.Counter.instance * dispatch option) option

@@ -106,6 +106,11 @@ let default =
         { qual = [ "Farray_counter"; "Unboxed"; "increment_metered" ];
           mode = Body };
         { qual = [ "Farray_counter"; "Unboxed"; "read" ]; mode = Body };
+        (* the counters' batched add: the combining apply, and the
+           adaptive instances' solo and plain update *)
+        { qual = [ "Farray_counter"; "Unboxed"; "add" ]; mode = Body };
+        { qual = [ "Farray_counter"; "Unboxed"; "add_metered" ]; mode = Body };
+        { qual = [ "Naive_counter"; "Unboxed"; "add" ]; mode = Body };
         { qual = [ "Dial_counter"; "Unboxed"; "increment" ]; mode = Body };
         { qual = [ "Dial_counter"; "Unboxed"; "increment_metered" ];
           mode = Body };
@@ -138,39 +143,33 @@ let default =
         { qual = [ "Combine"; "wait_or_combine" ]; mode = Body };
         { qual = [ "Combine"; "submit" ]; mode = Body };
         (* the adaptive dispatcher's per-update path: the mode check,
-           the tick, and the four structure fast paths — the epoch
-           advance itself is the deliberately untargeted rare path
-           (it folds stats records and may allocate) *)
+           the tick, the shared update kernel every structure
+           instantiates (which is also the whole of the static
+           combining backend), and each instance's read and update
+           ops — the epoch advance itself is the deliberately
+           untargeted rare path (it folds stats records and may
+           allocate) *)
         { qual = [ "Adaptive"; "Ctl"; "combining" ]; mode = Body };
         { qual = [ "Adaptive"; "Ctl"; "tick" ]; mode = Body };
         { qual = [ "Adaptive"; "Ctl"; "note_stale" ]; mode = Body };
         { qual = [ "Adaptive"; "Ctl"; "tick_many" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "combining_now" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "check" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "update_plain" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "combining_path" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "update_combining" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "tick_many" ]; mode = Body };
+        { qual = [ "Adaptive"; "Kernel"; "update" ]; mode = Body };
         { qual = [ "Adaptive"; "Alg_a"; "read_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "write_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "write_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "write_combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "tick_many" ]; mode = Body };
+        { qual = [ "Adaptive"; "Alg_a"; "subsumed" ]; mode = Body };
+        { qual = [ "Adaptive"; "Alg_a"; "try_update" ]; mode = Body };
         { qual = [ "Adaptive"; "Cas"; "read_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "write_max" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "write_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "write_combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Cas"; "tick_many" ]; mode = Body };
+        { qual = [ "Adaptive"; "Cas"; "subsumed" ]; mode = Body };
         { qual = [ "Adaptive"; "Farray_c"; "read" ]; mode = Body };
         { qual = [ "Adaptive"; "Farray_c"; "increment" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "increment_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "increment_combining" ];
-          mode = Body };
-        { qual = [ "Adaptive"; "Farray_c"; "tick_many" ]; mode = Body };
         { qual = [ "Adaptive"; "Naive_c"; "read" ]; mode = Body };
         { qual = [ "Adaptive"; "Naive_c"; "increment" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "combining_now" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "increment_plain" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "increment_combining" ];
-          mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "tick_many" ]; mode = Body } ];
+        { qual = [ "Adaptive"; "Naive_c"; "update_metered" ]; mode = Body } ];
     (* R4: every library module pins its public surface.  Allowlist:
        signature-only modules (nothing to hide) and executable entry
        modules living next to library code. *)

@@ -53,8 +53,9 @@ module Unboxed = struct
     if value < 0 then invalid_arg "Cas_maxreg.write_max: negative value";
     cas_loop t value
 
-  (* A single attempt of the retry loop, for the flat-combining fast
-     path (Harness.Combining): the uncontended case must stay exactly
+  (* A single attempt of the retry loop, for the combining path of
+     Harness.Adaptive.Cas (which the static flat-combining backend pins
+     every update to): the uncontended case must stay exactly
      one read + one CAS, with the failure routed to the arena instead of
      a local retry.  Encoded as an int so the caller's dispatch stays
      allocation-free: 0 = value at or below the current maximum (the

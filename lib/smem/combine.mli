@@ -78,8 +78,10 @@ val submit : t -> domain:int -> apply:(int -> int -> unit) -> int -> unit
 val record_elimination : t -> domain:int -> unit
 (** Count one locally-eliminated op (e.g. a WriteMax at or below the
     current root value, completed with zero shared writes).  The
-    elimination itself is the caller's structure-specific check; the
-    arena only keeps the tally. *)
+    elimination itself is the caller's structure-specific check (the
+    combining path of [Harness.Adaptive]'s shared update kernel, which
+    also serves the static combining backend); the arena only keeps the
+    tally. *)
 
 (** {1 Merge-on-read stats} *)
 

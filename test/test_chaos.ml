@@ -67,97 +67,65 @@ let test_burst_snapshot () =
         (lin_snapshot ~n:3 ops))
     seeds
 
-(* Combining backends under the same aggressive chaos: injection happens
-   at op boundaries (the arena's Atomics are inlined), so storms park
-   domains right after publishing to a slot or releasing the combiner
-   lock — the histories must still linearize. *)
-let test_burst_combining () =
+(* The dispatch backends under the same aggressive chaos: injection
+   happens at op boundaries (the arena's Atomics are inlined), so storms
+   park domains right after publishing to a slot, releasing the combiner
+   lock or crossing an epoch boundary — the histories must still
+   linearize. *)
+let burst_backend backend label =
   List.iter
     (fun seed ->
       let c = cfg seed in
       List.iter
         (fun impl ->
-          let reg, _arena =
-            Option.get (Harness.Chaos.maxreg_combining c ~n:3 ~domains:3 impl)
+          let reg, _ =
+            Option.get
+              (Harness.Instances.maxreg_backend backend ~n:3 ~domains:3
+                 (Harness.Instances.Impl impl))
           in
           let ops =
-            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg
+            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8
+              (Harness.Chaos.instrument_maxreg c reg)
           in
           Alcotest.(check bool)
-            (Printf.sprintf "combining %s burst linearizes (seed %d)"
+            (Printf.sprintf "%s %s burst linearizes (seed %d)" label
                (Harness.Instances.maxreg_name impl)
                seed)
             true
             (lin_maxreg ~n:3 ops))
         [ Harness.Instances.Algorithm_a; Harness.Instances.Cas_maxreg ];
-      let cnt, _arena =
+      let cnt, _ =
         Option.get
-          (Harness.Chaos.counter_combining c ~n:3 ~domains:3
-             Harness.Instances.Farray_counter)
+          (Harness.Instances.counter_backend backend ~n:3 ~domains:3
+             (Harness.Instances.Impl Harness.Instances.Farray_counter))
       in
-      let ops = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 cnt in
+      let ops =
+        Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8
+          (Harness.Chaos.instrument_counter c cnt)
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "combining f-array counter burst linearizes (seed %d)"
+        (Printf.sprintf "%s f-array counter burst linearizes (seed %d)" label
            seed)
         true
         (lin_counter ~n:3 ops))
     seeds
 
-(* And a soak: exact totals and maxima through the arena protocol under
-   sustained chaos, too many ops for full history checking. *)
-let test_combining_invariants_under_chaos () =
-  let c = cfg 97 in
-  let domains = 4 in
-  let per_domain = 5_000 in
-  let cnt, _ =
-    Option.get
-      (Harness.Chaos.counter_combining c ~n:domains ~domains
-         Harness.Instances.Farray_counter)
-  in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for _ = 1 to per_domain do
-          cnt.increment ~pid
-        done)
-  in
-  Alcotest.(check int) "combining counter exact under chaos"
-    (domains * per_domain) (cnt.read ());
-  let reg, arena =
-    Option.get
-      (Harness.Chaos.maxreg_combining c ~n:domains ~domains
-         Harness.Instances.Algorithm_a)
-  in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
-        for v = 1 to per_domain do
-          reg.write_max ~pid ((v * domains) + pid)
-        done)
-  in
-  Alcotest.(check int) "combining maximum exact under chaos"
-    ((per_domain * domains) + (domains - 1))
-    (reg.read_max ());
-  (* every update is accounted for somewhere: lock-held drains,
-     combined batches, or eliminations *)
-  let s = Smem.Combine.stats arena in
-  Alcotest.(check bool) "arena saw activity" true
-    (s.Smem.Combine.lock_acquisitions + s.Smem.Combine.eliminations > 0)
+let test_burst_combining () =
+  burst_backend Harness.Instances.Combining "combining"
 
-(* The adaptive soak: exact totals and maxima through many forced mode
-   flips under sustained chaos.  The flip-prone policy (epoch every 64
-   updates, combining bar 0, benefit bar 10) keeps the dispatcher
+(* And soaks: exact totals and maxima through the arena protocol under
+   sustained chaos, too many ops for full history checking.  The
+   adaptive soak runs a flip-prone policy (epoch every 64 updates,
+   combining bar 0, benefit bar 10) that keeps the dispatcher
    oscillating, so plain CAS updates race arena applies across hundreds
-   of mixed-mode windows — the invariants must hold anyway, and the
-   report must stay sane. *)
-let test_adaptive_invariants_under_chaos () =
-  let c = cfg 131 in
+   of mixed-mode windows — the invariants must hold anyway. *)
+let soak_backend c backend label =
   let domains = 4 in
   let per_domain = 5_000 in
-  let flip_policy =
-    { thrash_policy with Harness.Adaptive.Policy.epoch_ops = 64 }
-  in
-  let cnt, chandle =
-    Harness.Instances.farray_c_native_adaptive ~policy:flip_policy ~n:domains
-      ~domains ()
+  let cnt, cd =
+    Option.get
+      (Harness.Instances.counter_backend backend ~n:domains ~domains
+         (Harness.Instances.Impl Harness.Instances.Farray_counter))
   in
   let cnt = Harness.Chaos.instrument_counter c cnt in
   let (_ : unit array) =
@@ -166,18 +134,13 @@ let test_adaptive_invariants_under_chaos () =
           cnt.increment ~pid
         done)
   in
-  Alcotest.(check int) "adaptive counter exact under chaos"
+  Alcotest.(check int)
+    (label ^ " counter exact under chaos")
     (domains * per_domain) (cnt.read ());
-  let cr = Harness.Adaptive.Farray_c.report chandle in
-  Alcotest.(check bool) "counter flips bounded and present" true
-    (cr.Harness.Adaptive.epoch_flips > 0
-    && cr.Harness.Adaptive.epoch_flips <= cr.Harness.Adaptive.epochs);
-  Alcotest.(check bool) "combining share within [0, 100]" true
-    (cr.Harness.Adaptive.combining_ops_pct >= 0.
-    && cr.Harness.Adaptive.combining_ops_pct <= 100.);
-  let reg, handle =
-    Harness.Instances.alg_a_native_adaptive ~policy:flip_policy ~n:domains
-      ~domains ()
+  let reg, rd =
+    Option.get
+      (Harness.Instances.maxreg_backend backend ~n:domains ~domains
+         (Harness.Instances.Impl Harness.Instances.Algorithm_a))
   in
   let reg = Harness.Chaos.instrument_maxreg c reg in
   let (_ : unit array) =
@@ -186,10 +149,37 @@ let test_adaptive_invariants_under_chaos () =
           reg.write_max ~pid ((v * domains) + pid)
         done)
   in
-  Alcotest.(check int) "adaptive maximum exact under chaos"
+  Alcotest.(check int)
+    (label ^ " maximum exact under chaos")
     ((per_domain * domains) + (domains - 1))
     (reg.read_max ());
-  let r = Harness.Adaptive.Alg_a.report handle in
+  (Option.get cd, Option.get rd)
+
+let test_combining_invariants_under_chaos () =
+  let _, rd = soak_backend (cfg 97) Harness.Instances.Combining "combining" in
+  (* every update is accounted for somewhere: lock-held drains,
+     combined batches, or eliminations *)
+  let s = Smem.Combine.stats rd.Harness.Instances.arena in
+  Alcotest.(check bool) "arena saw activity" true
+    (s.Smem.Combine.lock_acquisitions + s.Smem.Combine.eliminations > 0)
+
+let test_adaptive_invariants_under_chaos () =
+  let flip_policy =
+    { thrash_policy with Harness.Adaptive.Policy.epoch_ops = 64 }
+  in
+  let cd, rd =
+    soak_backend (cfg 131)
+      (Harness.Instances.Adaptive (Some flip_policy))
+      "adaptive"
+  in
+  let cr = cd.Harness.Instances.report () in
+  Alcotest.(check bool) "counter flips bounded and present" true
+    (cr.Harness.Adaptive.epoch_flips > 0
+    && cr.Harness.Adaptive.epoch_flips <= cr.Harness.Adaptive.epochs);
+  Alcotest.(check bool) "combining share within [0, 100]" true
+    (cr.Harness.Adaptive.combining_ops_pct >= 0.
+    && cr.Harness.Adaptive.combining_ops_pct <= 100.);
+  let r = rd.Harness.Instances.report () in
   Alcotest.(check bool) "maxreg flips present" true
     (r.Harness.Adaptive.epoch_flips > 0);
   (* with the benefit bar unreachable, combining windows are transient:
@@ -205,71 +195,47 @@ let test_adaptive_invariants_under_chaos () =
    mode flips back and forth INSIDE the burst while storms land astride
    the epoch lock.  Histories must linearize either way. *)
 let test_burst_adaptive () =
-  List.iter
-    (fun seed ->
-      let c = cfg seed in
-      List.iter
-        (fun impl ->
-          let reg, _arena, _report =
-            Option.get (Harness.Chaos.maxreg_adaptive c ~n:3 ~domains:3 impl)
-          in
-          let ops =
-            Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "adaptive %s burst linearizes (seed %d)"
-               (Harness.Instances.maxreg_name impl)
-               seed)
-            true
-            (lin_maxreg ~n:3 ops))
-        [ Harness.Instances.Algorithm_a; Harness.Instances.Cas_maxreg ];
-      let cnt, _arena, _report =
-        Option.get
-          (Harness.Chaos.counter_adaptive c ~n:3 ~domains:3
-             Harness.Instances.Farray_counter)
-      in
-      let ops = Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 cnt in
-      Alcotest.(check bool)
-        (Printf.sprintf "adaptive f-array counter burst linearizes (seed %d)"
-           seed)
-        true
-        (lin_counter ~n:3 ops))
-    seeds
+  burst_backend (Harness.Instances.Adaptive None) "adaptive"
 
 let test_burst_adaptive_thrashing () =
+  let thrash = Harness.Instances.Adaptive (Some thrash_policy) in
   List.iter
     (fun seed ->
       let c = cfg seed in
-      let inst, handle =
-        Harness.Instances.alg_a_native_adaptive ~policy:thrash_policy ~n:3
-          ~domains:3 ()
+      let reg, d =
+        Option.get
+          (Harness.Instances.maxreg_backend thrash ~n:3 ~domains:3
+             (Harness.Instances.Impl Harness.Instances.Algorithm_a))
       in
-      let reg = Harness.Chaos.instrument_maxreg c inst in
-      let ops = Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg in
+      let ops =
+        Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8
+          (Harness.Chaos.instrument_maxreg c reg)
+      in
       Alcotest.(check bool)
         (Printf.sprintf
            "adaptive algorithm A burst linearizes across flips (seed %d)" seed)
         true
         (lin_maxreg ~n:3 ops);
-      let r = Harness.Adaptive.Alg_a.report handle in
+      let r = (Option.get d).Harness.Instances.report () in
       Alcotest.(check bool)
         (Printf.sprintf "thrash policy actually flipped (seed %d)" seed)
         true
         (r.Harness.Adaptive.epoch_flips > 0);
-      let cinst, chandle =
-        Harness.Instances.farray_c_native_adaptive ~policy:thrash_policy ~n:3
-          ~domains:3 ()
+      let cnt, cd =
+        Option.get
+          (Harness.Instances.counter_backend thrash ~n:3 ~domains:3
+             (Harness.Instances.Impl Harness.Instances.Farray_counter))
       in
-      let cnt = Harness.Chaos.instrument_counter c cinst in
       let ops =
-        Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8 cnt
+        Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8
+          (Harness.Chaos.instrument_counter c cnt)
       in
       Alcotest.(check bool)
         (Printf.sprintf
            "adaptive f-array burst linearizes across flips (seed %d)" seed)
         true
         (lin_counter ~n:3 ops);
-      let cr = Harness.Adaptive.Farray_c.report chandle in
+      let cr = (Option.get cd).Harness.Instances.report () in
       Alcotest.(check bool)
         (Printf.sprintf "counter thrash policy flipped (seed %d)" seed)
         true

@@ -1,20 +1,12 @@
-(* Tests of the flat-combining layer: Smem.Combine arena semantics,
-   differential equivalence of the combining backends against the plain
-   unboxed natives on random operation sequences, zero-allocation
-   assertions on the uncontended fast paths, and multi-domain exactness.
-   Linearizability of combining histories under chaos lives in
-   test_chaos.ml; this file is about sequential semantics and the
-   fast-path cost model. *)
+(* Tests of the flat-combining arena itself (Smem.Combine): validation,
+   the single-domain bypass, stats, elimination tally, and the parking
+   backoff.  The combining backend built on it — the adaptive instances
+   pinned to their combining path — is one more backend input to the
+   differential, allocation and parallel suites of test_adaptive.ml;
+   linearizability of combining histories under chaos lives in
+   test_chaos.ml. *)
 
 module C = Smem.Combine
-module AC = Harness.Combining.Alg_a
-module CC = Harness.Combining.Cas
-module FC = Harness.Combining.Farray_c
-module NC = Harness.Combining.Naive_c
-module AU = Maxreg.Algorithm_a.Unboxed
-module CU = Maxreg.Cas_maxreg.Unboxed
-module FU = Counters.Farray_counter.Unboxed
-module NU = Counters.Naive_counter.Unboxed
 
 (* {1 Arena semantics} *)
 
@@ -76,222 +68,6 @@ let test_elimination_and_reset () =
   Alcotest.(check bool) "reset zeroes everything" true
     (C.stats t = C.zero_stats)
 
-(* {1 Differential: combining vs plain unboxed}
-
-   The combining backends claim "same structure, different submission
-   protocol"; on sequential random mixes of reads and updates they must
-   be observationally identical to the plain unboxed natives.  The
-   arena is sized for 3 domains and driven from one thread with rotating
-   pids, so the solo-combiner drain path (lock, publish-free apply) is
-   exercised for every pid, not just the bypass. *)
-
-(* op = (pid, value): value >= 0 is an update, -1 a read *)
-let ops_gen ~n =
-  QCheck.make
-    ~print:QCheck.Print.(list (pair int int))
-    (QCheck.Gen.list_size (QCheck.Gen.int_range 1 120)
-       (QCheck.Gen.pair (QCheck.Gen.int_range 0 (n - 1))
-          (QCheck.Gen.int_range (-1) 40)))
-
-let differential_maxreg_alg_a =
-  QCheck.Test.make ~count:200 ~name:"algorithm-a: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = AU.create ~n:3 () in
-      let comb = AC.create ~n:3 ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then AU.read_max plain = AC.read_max comb
-          else begin
-            AU.write_max plain ~pid v;
-            AC.write_max comb ~pid v;
-            AU.read_max plain = AC.read_max comb
-          end)
-        ops)
-
-let differential_maxreg_cas =
-  QCheck.Test.make ~count:200 ~name:"cas-loop: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = CU.create () in
-      let comb = CC.create ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then CU.read_max plain = CC.read_max comb
-          else begin
-            CU.write_max plain ~pid v;
-            CC.write_max comb ~pid v;
-            CU.read_max plain = CC.read_max comb
-          end)
-        ops)
-
-let differential_counter_farray =
-  QCheck.Test.make ~count:200 ~name:"farray: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = FU.create ~n:3 () in
-      let comb = FC.create ~n:3 ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then FU.read plain = FC.read comb
-          else begin
-            FU.increment plain ~pid;
-            FC.increment comb ~pid;
-            FU.read plain = FC.read comb
-          end)
-        ops)
-
-let differential_counter_naive =
-  QCheck.Test.make ~count:200 ~name:"naive: combining = plain"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let plain = NU.create ~n:3 () in
-      let comb = NC.create ~n:3 ~domains:3 () in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then NU.read plain = NC.read comb
-          else begin
-            NU.increment plain ~pid;
-            NC.increment comb ~pid;
-            NU.read plain = NC.read comb
-          end)
-        ops)
-
-(* {1 Zero allocation on the fast paths}
-
-   The uncontended paths must allocate nothing per op: the domains = 1
-   arena bypass, the solo-combiner drain (lock held, no waiters), and
-   algorithm A's elimination shortcut.  Same minor-heap-delta idiom as
-   test_unboxed.ml. *)
-
-let minor_delta f =
-  let before = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. before
-
-let ops = 10_000
-let slack = 256.0
-
-let check_alloc_free name f =
-  ignore (minor_delta f : float) (* warm up: force any one-time allocation *);
-  let delta = minor_delta f in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: %d ops allocate <= %.0f words (got %.0f)" name ops
-       slack delta)
-    true (delta <= slack)
-
-let test_alloc_free_bypass () =
-  let reg = CC.create ~domains:1 () in
-  let v0 = ref 0 in
-  check_alloc_free "cas combining write_max (bypass)" (fun () ->
-      let base = !v0 in
-      for i = 1 to ops do
-        CC.write_max reg ~pid:0 (base + i)
-      done;
-      v0 := base + ops);
-  check_alloc_free "cas combining read_max" (fun () ->
-      for _ = 1 to ops do
-        ignore (CC.read_max reg : int)
-      done);
-  let cnt = FC.create ~n:1 ~domains:1 () in
-  check_alloc_free "farray combining increment (bypass)" (fun () ->
-      for _ = 1 to ops do
-        FC.increment cnt ~pid:0
-      done);
-  check_alloc_free "farray combining read" (fun () ->
-      for _ = 1 to ops do
-        ignore (FC.read cnt : int)
-      done)
-
-let test_alloc_free_solo_combiner () =
-  (* domains = 2, driven single-threaded: every submit takes the lock and
-     drains alone — the whole arena protocol minus waiting *)
-  let cnt = FC.create ~n:2 ~domains:2 () in
-  check_alloc_free "farray combining increment (solo drain)" (fun () ->
-      for i = 1 to ops do
-        FC.increment cnt ~pid:(i land 1)
-      done);
-  let reg = AC.create ~n:2 ~domains:2 () in
-  let a0 = ref 0 in
-  check_alloc_free "algorithm-a combining write_max (solo drain)" (fun () ->
-      let base = !a0 in
-      for i = 1 to ops do
-        AC.write_max reg ~pid:(i land 1) (base + i)
-      done;
-      a0 := base + ops)
-
-let test_alloc_free_elimination () =
-  let reg = AC.create ~n:2 ~domains:2 () in
-  AC.write_max reg ~pid:0 1_000_000;
-  check_alloc_free "algorithm-a combining elimination" (fun () ->
-      for i = 1 to ops do
-        AC.write_max reg ~pid:(i land 1) i
-      done);
-  Alcotest.(check bool) "eliminations actually counted" true
-    ((C.stats (AC.arena reg)).C.eliminations >= ops)
-
-(* {1 Multi-domain exactness}
-
-   Real parallelism through the arena: counter totals must be exact and
-   max registers must end at the true maximum, with the combiner stats
-   accounting for every update (combined + solo drains + eliminations). *)
-
-let domains_used = 4
-let per_domain = 20_000
-
-let test_parallel_counter_exact () =
-  let cnt = FC.create ~n:domains_used ~domains:domains_used () in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        for _ = 1 to per_domain do
-          FC.increment cnt ~pid
-        done)
-  in
-  Alcotest.(check int) "farray combining total exact"
-    (domains_used * per_domain) (FC.read cnt);
-  let ncnt = NC.create ~n:domains_used ~domains:domains_used () in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        for _ = 1 to per_domain do
-          NC.increment ncnt ~pid
-        done)
-  in
-  Alcotest.(check int) "naive combining total exact"
-    (domains_used * per_domain) (NC.read ncnt)
-
-let test_parallel_maxreg_exact () =
-  let reg = AC.create ~n:domains_used ~domains:domains_used () in
-  let monotone = Atomic.make true in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        if pid = 0 then begin
-          let last = ref 0 in
-          for _ = 1 to per_domain do
-            let v = AC.read_max reg in
-            if v < !last then Atomic.set monotone false;
-            last := v
-          done
-        end
-        else
-          for v = 1 to per_domain do
-            AC.write_max reg ~pid ((v * domains_used) + pid)
-          done)
-  in
-  Alcotest.(check bool) "combining reads monotone" true (Atomic.get monotone);
-  Alcotest.(check int) "combining final maximum"
-    ((per_domain * domains_used) + (domains_used - 1))
-    (AC.read_max reg);
-  let creg = CC.create ~domains:domains_used () in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        for v = 1 to per_domain do
-          CC.write_max creg ~pid ((v * domains_used) + pid)
-        done)
-  in
-  Alcotest.(check int) "cas combining final maximum"
-    ((per_domain * domains_used) + (domains_used - 1))
-    (CC.read_max creg)
-
 (* {1 Parking backoff (scripted clock)}
 
    The park loop must sleep yield_s, 2*yield_s, 4*yield_s, ... capped at
@@ -349,8 +125,6 @@ let test_backoff_doubles_and_caps () =
     recorded;
   Alcotest.(check int) "both ops applied" 3 (Atomic.get total)
 
-let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
-
 let () =
   Alcotest.run "combining"
     [ ( "arena",
@@ -364,22 +138,4 @@ let () =
           Alcotest.test_case "yield_s validated" `Quick
             test_create_validates_yield;
           Alcotest.test_case "parking backoff doubles then caps" `Quick
-            test_backoff_doubles_and_caps ] );
-      ( "differential",
-        qsuite
-          [ differential_maxreg_alg_a;
-            differential_maxreg_cas;
-            differential_counter_farray;
-            differential_counter_naive ] );
-      ( "allocation",
-        [ Alcotest.test_case "arena bypass allocates nothing" `Quick
-            test_alloc_free_bypass;
-          Alcotest.test_case "solo combiner allocates nothing" `Quick
-            test_alloc_free_solo_combiner;
-          Alcotest.test_case "elimination allocates nothing" `Quick
-            test_alloc_free_elimination ] );
-      ( "parallel",
-        [ Alcotest.test_case "counters exact under 4 domains" `Quick
-            test_parallel_counter_exact;
-          Alcotest.test_case "max registers exact under 4 domains" `Quick
-            test_parallel_maxreg_exact ] ) ]
+            test_backoff_doubles_and_caps ] ) ]

@@ -99,7 +99,11 @@ let differential_boxed_vs_unboxed dial =
           (module Smem.Atomic_memory)
           ~n:n_procs dial
       in
-      let unboxed = Harness.Instances.counter_native_dial ~n:n_procs dial in
+      let unboxed, _ =
+        Option.get
+          (Harness.Instances.counter_backend Harness.Instances.Unboxed
+             ~n:n_procs ~domains:n_procs (Harness.Instances.Dial dial))
+      in
       List.for_all
         (fun (pid, v) ->
           if v < 0 then
@@ -120,7 +124,11 @@ let differential_maxreg dial =
     (fun ops ->
       let session = Session.create () in
       let r = Harness.Instances.maxreg_dial_sim session ~n:n_procs dial in
-      let unboxed = Harness.Instances.maxreg_native_dial ~n:n_procs dial in
+      let unboxed, _ =
+        Option.get
+          (Harness.Instances.maxreg_backend Harness.Instances.Unboxed
+             ~n:n_procs ~domains:n_procs (Harness.Instances.Dial dial))
+      in
       let model = ref 0 in
       List.for_all
         (fun (pid, v) ->

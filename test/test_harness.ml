@@ -324,6 +324,44 @@ let test_baseline_symmetric_rows_quiet () =
   Alcotest.(check int) "no current-only" 0 (List.length d.B.current_only);
   Alcotest.(check int) "no bad baseline" 0 (List.length d.B.bad_baseline)
 
+(* {1 Bench sweep configs refuse bad inputs}
+
+   regression: [--seconds 0] and [--trials 0] used to write every row
+   with a nan mops and exit 0, [--read-shares 150,-10] was measured as
+   50% and 0% (read_pattern misquantizes out-of-range shares), and
+   [--max-domains 0] silently ran d=1. *)
+
+let refused what f =
+  Alcotest.(check bool) (what ^ " refused") true
+    (match f () with _ -> false | exception Invalid_argument _ -> true)
+
+let test_bench_config_rejects () =
+  let both what ?max_domains ?seconds ?trials ?read_shares () =
+    refused ("native: " ^ what) (fun () ->
+        Benchkit.Bench_native.config ?max_domains ?seconds ?trials
+          ?read_shares ());
+    refused ("dial: " ^ what) (fun () ->
+        Benchkit.Bench_dial.config ?max_domains ?seconds ?trials ?read_shares
+          ())
+  in
+  both "seconds 0" ~seconds:0. ();
+  both "negative seconds" ~seconds:(-1.) ();
+  both "nan seconds" ~seconds:nan ();
+  both "infinite seconds" ~seconds:infinity ();
+  both "trials 0" ~trials:0 ();
+  both "share 150" ~read_shares:[ 0; 150 ] ();
+  both "share -10" ~read_shares:[ -10 ] ();
+  both "max-domains 0" ~max_domains:0 ();
+  (* the boundaries themselves are accepted *)
+  ignore
+    (Benchkit.Bench_native.config ~max_domains:1 ~seconds:1e-3 ~trials:1
+       ~read_shares:[ 0; 100 ] ()
+      : Benchkit.Bench_native.config);
+  ignore
+    (Benchkit.Bench_dial.config ~max_domains:1 ~seconds:1e-3 ~trials:1
+       ~read_shares:[ 0; 100 ] ()
+      : Benchkit.Bench_dial.config)
+
 let () =
   Alcotest.run "harness"
     [ ( "counting memory",
@@ -359,4 +397,7 @@ let () =
           Alcotest.test_case "unusable baseline mops warns" `Quick
             test_baseline_bad_mops_warn;
           Alcotest.test_case "symmetric rows stay quiet" `Quick
-            test_baseline_symmetric_rows_quiet ] ) ]
+            test_baseline_symmetric_rows_quiet ] );
+      ( "bench config",
+        [ Alcotest.test_case "bad sweep inputs refused" `Quick
+            test_bench_config_rejects ] ) ]

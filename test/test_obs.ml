@@ -274,10 +274,11 @@ let test_disabled_record_allocates_nothing () =
 let test_disabled_metered_instance_allocates_nothing () =
   (* the full instrumented call path of the benchmark's metered pass,
      with recording disabled: still allocation-free *)
-  let inst =
+  let inst, _ =
     Option.get
-      (Harness.Instances.counter_native_metered ~metrics:M.disabled ~n:4
-         ~bound:64 Harness.Instances.Farray_counter)
+      (Harness.Instances.counter_backend ~metrics:M.disabled
+         Harness.Instances.Unboxed ~n:4 ~domains:4
+         (Harness.Instances.Impl Harness.Instances.Farray_counter))
   in
   let run () =
     for _ = 1 to 10_000 do
@@ -288,10 +289,11 @@ let test_disabled_metered_instance_allocates_nothing () =
   run ();  (* warm up *)
   Alcotest.(check (float 0.)) "metered farray, disabled: zero minor words" 0.
     (minor_words_during run);
-  let reg =
+  let reg, _ =
     Option.get
-      (Harness.Instances.maxreg_native_metered ~metrics:M.disabled ~n:4
-         ~bound:64 Harness.Instances.Algorithm_a)
+      (Harness.Instances.maxreg_backend ~metrics:M.disabled
+         Harness.Instances.Unboxed ~n:4 ~domains:4
+         (Harness.Instances.Impl Harness.Instances.Algorithm_a))
   in
   let run () =
     for i = 1 to 10_000 do

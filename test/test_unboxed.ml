@@ -48,11 +48,17 @@ let bound = 1 lsl 20
 
 let maxreg_pair impl ~n =
   ( Harness.Instances.maxreg_native ~n ~bound impl,
-    Option.get (Harness.Instances.maxreg_native_fast ~n ~bound impl) )
+    fst
+      (Option.get
+         (Harness.Instances.maxreg_backend Harness.Instances.Unboxed ~n
+            ~domains:n (Harness.Instances.Impl impl))) )
 
 let counter_pair impl ~n =
   ( Harness.Instances.counter_native ~n ~bound impl,
-    Option.get (Harness.Instances.counter_native_fast ~n ~bound impl) )
+    fst
+      (Option.get
+         (Harness.Instances.counter_backend Harness.Instances.Unboxed ~n
+            ~domains:n (Harness.Instances.Impl impl))) )
 
 (* op = (pid, value): value >= 0 is a write, -1 a read *)
 let ops_gen ~n =
