@@ -1,5 +1,5 @@
 (* The tradeoff-dial sweep behind bin/bench.exe --dial: the
-   {!Counters.Dial_counter} family measured at every dial point, in two
+   [Dial_counter] family measured at every dial point, in two
    independent sections.
 
    Steps section (exact, deterministic): each dial's counter is built
@@ -12,8 +12,8 @@
    envelope columns are injected by the caller — the lint library knows
    the budgets, this module only measures).
 
-   Throughput section (noisy, honest): the zero-alloc unboxed twin of
-   each dial point swept over domain counts and read shares through the
+   Throughput section (noisy, honest): the zero-alloc unboxed compile
+   of each dial point swept over domain counts and read shares through the
    same batched-closure harness as {!Bench_native}.  All dial points go
    through the same indirect instance-record call path, so the ratios
    between dials are fair even though the absolute numbers sit below

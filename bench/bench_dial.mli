@@ -3,7 +3,7 @@
 
     Two independent sections: exact solo step counts per dial point over
     Memsim (read Θ(f) vs increment O(log(N/f))), and a noisy-but-honest
-    throughput sweep of the unboxed twins over domains × read share —
+    throughput sweep of the unboxed compile over domains × read share —
     the crossover between dial points slides monotonically with the read
     share, which is the paper's tradeoff made operational. *)
 
@@ -46,7 +46,7 @@ val steps_table :
     as extra columns — injected by the caller so benchkit itself does
     not depend on the lint library. *)
 
-(** {1 Throughput sweep (unboxed twins)} *)
+(** {1 Throughput sweep (unboxed compile)} *)
 
 type row = {
   t_dial : Treeprim.Dial.t;

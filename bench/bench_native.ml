@@ -201,33 +201,30 @@ type kind =
 
 type backend = [ `Boxed | `Unboxed | `Combining | `Adaptive ]
 
-(* [mk] returns the fused closure plus, for a live adaptive instance,
-   the report thunk ({!Harness.Adaptive.report}: current mode, epoch
-   count, flips, combining-ops share) — [None] everywhere else,
-   including the adaptive backend's create-time solo dispatch at
-   [domains = 1], where the dispatcher is compiled away entirely. *)
+(* [mk] returns the fused closure of an unboxed-compile column plus, for
+   a live adaptive instance, the report thunk
+   ({!Harness.Adaptive.report}: current mode, epoch count, flips,
+   combining-ops share) — [None] everywhere else, including the adaptive
+   backend's create-time solo dispatch at [domains = 1], where the
+   dispatcher is compiled away entirely.  The boxed column is
+   {!boxed_cell}, shared by every target. *)
 type target = {
   structure : string;
   impl_name : string;
   kind : kind;
   mk :
-    backend:backend ->
+    backend:[ `Unboxed | `Combining | `Adaptive ] ->
     n:int ->
     domains:int ->
     pattern:bool array ->
     (int -> int -> unit) * (unit -> Harness.Adaptive.report) option;
 }
 
-module AB = Maxreg.Algorithm_a.Make (Smem.Atomic_memory)
-module BB = Maxreg.B1_maxreg.Make (Smem.Atomic_memory)
-module CB = Maxreg.Cas_maxreg.Make (Smem.Atomic_memory)
-module FB = Counters.Farray_counter.Make (Smem.Atomic_memory)
-module NB = Counters.Naive_counter.Make (Smem.Atomic_memory)
-module AU = Maxreg.Algorithm_a.Unboxed
-module BU = Maxreg.B1_maxreg.Unboxed
-module CU = Maxreg.Cas_maxreg.Unboxed
-module FU = Counters.Farray_counter.Unboxed
-module NU = Counters.Naive_counter.Unboxed
+module AU = Unboxed.Algorithm_a
+module BU = Unboxed.B1_maxreg
+module CU = Unboxed.Cas_maxreg
+module FU = Unboxed.Farray_counter
+module NU = Unboxed.Naive_counter
 module AD = Harness.Adaptive.Alg_a
 module CD = Harness.Adaptive.Cas
 module FD = Harness.Adaptive.Farray_c
@@ -239,9 +236,9 @@ module ND = Harness.Adaptive.Naive_c
    backend sees the same stream, so its eliminations count races lost to
    other domains, not stale replays.
 
-   Each target with a dispatch layer has three loops: boxed, unboxed,
-   and the adaptive cell, which the combining column reuses pinned to
-   the combining path.  The unboxed loop also serves the d=1
+   Each target with a dispatch layer has two loops: unboxed, and the
+   adaptive cell, which the combining column reuses pinned to the
+   combining path.  The unboxed loop also serves the d=1
    combining/adaptive cells (create-time solo dispatch: one
    participating domain can never contend, so those backends at
    domains = 1 *are* the plain unboxed structure).  Sharing the builder
@@ -307,16 +304,6 @@ let alg_a_target =
             if pinned then None else Some (fun () -> AD.report reg) )
         in
         match backend with
-        | `Boxed ->
-          let reg = AB.create ~n () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (AB.read_max reg : int)
-                else AB.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
         | `Combining -> adaptive_cell ~pinned:true
@@ -327,19 +314,8 @@ let b1_target =
     impl_name = Harness.Instances.maxreg_name Harness.Instances.B1_maxreg;
     kind = Maxreg Harness.Instances.B1_maxreg;
     mk =
-      (fun ~backend ~n ~domains ~pattern ->
+      (fun ~backend ~n:_ ~domains ~pattern ->
         match backend with
-        | `Boxed ->
-          ignore n;
-          let reg = BB.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (BB.read_max reg : int)
-                else BB.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
         | `Unboxed ->
           let reg = BU.create () in
           ( (fun d i0 ->
@@ -401,16 +377,6 @@ let cas_target =
             if pinned then None else Some (fun () -> CD.report reg) )
         in
         match backend with
-        | `Boxed ->
-          let reg = CB.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (CB.read_max reg : int)
-                else CB.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
         | `Combining -> adaptive_cell ~pinned:true
@@ -461,15 +427,6 @@ let farray_target =
             if pinned then None else Some (fun () -> FD.report c) )
         in
         match backend with
-        | `Boxed ->
-          let c = FB.create ~n in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (FB.read c : int)
-                else FB.increment c ~pid:d
-              done),
-            None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
         | `Combining -> adaptive_cell ~pinned:true
@@ -517,15 +474,6 @@ let naive_target =
             if pinned then None else Some (fun () -> ND.report c) )
         in
         match backend with
-        | `Boxed ->
-          let c = NB.create ~n in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (NB.read c : int)
-                else NB.increment c ~pid:d
-              done),
-            None )
         | `Unboxed -> unboxed_cell ()
         | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
         | `Combining -> adaptive_cell ~pinned:true
@@ -533,6 +481,27 @@ let naive_target =
 
 let targets =
   [ alg_a_target; b1_target; cas_target; farray_target; naive_target ]
+
+(* The boxed column: the boxed compile of the same structure over native
+   atomics, as the registry's closed instance.  The instance-record call
+   per op is noise next to the boxed path's own dispatch (a first-class
+   memory module per step); no target is AAC, so no bound applies. *)
+let boxed_cell kind ~n ~domains ~pattern =
+  let read, update =
+    match kind with
+    | Maxreg impl ->
+      let reg = Harness.Instances.maxreg_native ~n ~bound:0 impl in
+      (reg.read_max, fun d i -> reg.write_max ~pid:d ((i * domains) + d))
+    | Counter impl ->
+      let c = Harness.Instances.counter_native ~n ~bound:0 impl in
+      (c.read, fun d _ -> c.increment ~pid:d)
+  in
+  fun d i0 ->
+    for k = 0 to batch - 1 do
+      let i = i0 + k in
+      if Array.unsafe_get pattern (i land mask) then ignore (read () : int)
+      else update d i
+    done
 
 (* The registry backend behind each column ([None]: boxed). *)
 let registry : backend -> Harness.Instances.backend option = function
@@ -671,7 +640,13 @@ let make_cells cfg =
               List.map
                 (fun read_pct ->
                   let pattern = read_pattern ~read_pct in
-                  let op, report = target.mk ~backend ~n ~domains ~pattern in
+                  let op, report =
+                    match backend with
+                    | `Boxed ->
+                      (boxed_cell target.kind ~n ~domains ~pattern, None)
+                    | (`Unboxed | `Combining | `Adaptive) as backend ->
+                      target.mk ~backend ~n ~domains ~pattern
+                  in
                   { c_target = target;
                     c_backend = backend;
                     c_domains = domains;

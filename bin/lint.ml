@@ -8,7 +8,7 @@
 
    Walks the dune-produced .cmt files and enforces:
      R1  atomics containment   (raw Atomic/Obj/Domain only in the
-                                memory layer and allowlisted Unboxed
+                                memory layer and allowlisted
                                 submodules)
      R2  progress witness      (unbounded loops / CAS retries in the
                                 algorithm libs must re-read shared

@@ -1,75 +1,1 @@
-(* Jayanti's counter from an f-array with f = sum [14]: CounterRead is a
-   single read of the root (O(1)), CounterIncrement bumps the caller's leaf
-   and propagates (O(log N)).  Theorem 1 of the paper shows this read/update
-   point is optimal for read/write/CAS implementations. *)
-
-open Memsim
-
-module Make (M : Smem.Memory_intf.MEMORY) = struct
-  module F = Farray.Make (M)
-
-  type t = F.t
-
-  let sum a b = Simval.Int (Simval.int_or ~default:0 a + Simval.int_or ~default:0 b)
-
-  let create ~n = F.create ~n ~combine:sum ()
-
-  let read t = Simval.int_or ~default:0 (F.read t)
-
-  let increment t ~pid =
-    let c = Simval.int_or ~default:0 (F.read_leaf t pid) in
-    F.update t ~leaf:pid (Simval.Int (c + 1))
-end
-
-(* The same counter over the unboxed f-array ({!Farray.Unboxed}): the
-   [bot] sentinel contributes 0 to the sum, and read/increment allocate
-   nothing.  [padded] (default true) puts each tree node on its own cache
-   line — with one leaf per process this is the structure most exposed to
-   false sharing between incrementing domains. *)
-module Unboxed = struct
-  module F = Farray.Unboxed
-
-  type t = F.t
-
-  let bot = F.bot
-
-  let sum a b = (if a = bot then 0 else a) + if b = bot then 0 else b
-
-  let create ?(padded = true) ~n () = F.create ~padded ~n ~combine:sum ()
-
-  let read t =
-    let v = F.read t in
-    if v = bot then 0 else v
-
-  let increment t ~pid =
-    let c = F.read_leaf t pid in
-    let c = if c = bot then 0 else c in
-    F.update t ~leaf:pid (c + 1)
-
-  (* Batched increment, for the flat-combining layer: add [k] to the
-     caller's own leaf with ONE update (one propagation for the whole
-     batch).  The counter's value is the sum over all leaves, so which
-     leaf absorbs a combined batch is immaterial — the combiner uses its
-     own, preserving the per-leaf single-writer discipline. *)
-  let add t ~pid k =
-    if k < 0 then invalid_arg "Farray_counter.add: negative k";
-    let c = F.read_leaf t pid in
-    let c = if c = bot then 0 else c in
-    F.update t ~leaf:pid (c + k)
-
-  (* [increment] through the metered f-array update: propagation refresh
-     rounds and CAS outcomes recorded under shard [pid]. *)
-  let increment_metered t ~metrics ~pid =
-    let c = F.read_leaf t pid in
-    let c = if c = bot then 0 else c in
-    F.update_metered t ~metrics ~domain:pid ~leaf:pid (c + 1)
-
-  let add_metered t ~metrics ~pid k =
-    if not metrics.Obs.Metrics.enabled then add t ~pid k
-    else begin
-      if k < 0 then invalid_arg "Farray_counter.add: negative k";
-      let c = F.read_leaf t pid in
-      let c = if c = bot then 0 else c in
-      F.update_metered t ~metrics ~domain:pid ~leaf:pid (c + k)
-    end
-end
+module Unboxed = Unboxed.Farray_counter

@@ -1,38 +1,6 @@
-(** Jayanti's counter from an f-array with f = sum: CounterRead O(1),
-    CounterIncrement O(log N), from read/write/CAS.  Theorem 1 of the
-    paper shows this read/update point is optimal. *)
+(** The f-array counter is one source, lib/structures/farray_counter.ml,
+    compiled as {!Unboxed.Farray_counter} and {!Boxed.Farray_counter}.
+    This alias keeps the unboxed compile at the path bench/suite binds
+    to. *)
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
-  type t
-
-  val create : n:int -> t
-  val increment : t -> pid:int -> unit
-
-  val read : t -> int
-  (** One shared-memory event. *)
-end
-
-(** The same counter over the unboxed f-array ({!Farray.Unboxed}):
-    identical step counts, zero allocation per read/increment.  [padded]
-    (default true) puts each tree node on its own cache line. *)
-module Unboxed : sig
-  type t
-
-  val create : ?padded:bool -> n:int -> unit -> t
-  val increment : t -> pid:int -> unit
-
-  val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
-  (** [increment] with propagation refresh rounds and CAS outcomes
-      recorded under shard [pid]; free with {!Obs.Metrics.disabled}. *)
-
-  val add : t -> pid:int -> int -> unit
-  (** [add t ~pid k] adds [k] to the caller's own leaf with one update
-      (one propagation for the whole batch) — the combining layer's
-      apply: the counter value is the sum over leaves, so the combiner
-      absorbs a batch at its own leaf without breaking the single-writer
-      discipline. *)
-
-  val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-
-  val read : t -> int
-end
+module Unboxed = Unboxed.Farray_counter

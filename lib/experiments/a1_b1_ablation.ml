@@ -16,11 +16,12 @@ type row = {
 
 let measure ~tl_shape ~n v =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module A = Maxreg.Algorithm_a.Make (M) in
-  let reg = A.create ~tl_shape ~n () in
+  let reg =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
+        Boxed.Algorithm_a.create ~tl_shape ~n ())
+  in
   Session.reset_steps session;
-  A.write_max reg ~pid:0 v;
+  Boxed.Algorithm_a.write_max reg ~pid:0 v;
   Session.direct_steps session
 
 let sweep ?(ns = [ 64; 1024; 16384 ]) () =

@@ -21,12 +21,14 @@ type row = {
 
 let count_lost ~refreshes =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module F = Farray.Make (M) in
+  let module F = Boxed.Farray in
   let sum a b =
     Simval.Int (Simval.int_or ~default:0 a + Simval.int_or ~default:0 b)
   in
-  let t = F.create ~refreshes ~n:2 ~combine:sum () in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
+        F.create ~refreshes ~n:2 ~combine:sum ())
+  in
   let make_body pid () =
     let c = Simval.int_or ~default:0 (F.read_leaf t pid) in
     F.update t ~leaf:pid (Simval.Int (c + 1))

@@ -8,9 +8,10 @@ open Memsim
 
 let run ?(n = 1024) () =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module A = Maxreg.Algorithm_a.Make (M) in
-  let t = A.create ~n () in
+  let module A = Boxed.Algorithm_a in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (A.create ~n)
+  in
   let ceil_log2 x =
     let rec go d v = if v >= x then d else go (d + 1) (2 * v) in
     go 0 1

@@ -50,10 +50,10 @@
    by the epoch lock's CAS; {!Ctl.report} reads it and is exact at
    quiescence, like {!Smem.Combine.stats} eliminations. *)
 
-module AU = Maxreg.Algorithm_a.Unboxed
-module CU = Maxreg.Cas_maxreg.Unboxed
-module FU = Counters.Farray_counter.Unboxed
-module NU = Counters.Naive_counter.Unboxed
+module AU = Unboxed.Algorithm_a
+module CU = Unboxed.Cas_maxreg
+module FU = Unboxed.Farray_counter
+module NU = Unboxed.Naive_counter
 
 let imax a b = if a >= b then a else b
 

@@ -206,7 +206,7 @@ end
 
 (** Adaptive Algorithm A max register ({!Policy.default_maxreg}). *)
 module Alg_a : sig
-  include S with type structure = Maxreg.Algorithm_a.Unboxed.t
+  include S with type structure = Unboxed.Algorithm_a.t
 
   val create :
     ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
@@ -231,7 +231,7 @@ end
 
 (** Adaptive CAS-loop max register ({!Policy.default_cas}). *)
 module Cas : sig
-  include S with type structure = Maxreg.Cas_maxreg.Unboxed.t
+  include S with type structure = Unboxed.Cas_maxreg.t
 
   val create : ?policy:Policy.params -> ?spin:int -> domains:int -> unit -> t
   (** [make] over a fresh register; metered instances come from [make]. *)
@@ -244,7 +244,7 @@ end
 
 (** Adaptive f-array counter ({!Policy.default_counter}). *)
 module Farray_c : sig
-  include S with type structure = Counters.Farray_counter.Unboxed.t
+  include S with type structure = Unboxed.Farray_counter.t
 
   val create :
     ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
@@ -256,7 +256,7 @@ end
 (** Adaptive naive counter — the protocol-cost control
     ({!Policy.default_control}: never leaves the plain path). *)
 module Naive_c : sig
-  include S with type structure = Counters.Naive_counter.Unboxed.t
+  include S with type structure = Unboxed.Naive_counter.t
 
   val create :
     ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t

@@ -36,45 +36,47 @@ let all_counters =
     Snapshot_counter Farray_snapshot ]
 let all_snapshots = [ Double_collect; Afek; Farray_snapshot ]
 
-(* {1 Construction over an arbitrary MEMORY} *)
+(* {1 Construction over an arbitrary MEMORY}
 
-let maxreg_over (module M : Smem.Memory_intf.MEMORY) ~n ~bound impl :
+   The structures of lib/structures run here as their boxed compile, the
+   same source the unboxed backend runs natively, built inside
+   [Boxed.Raw.with_memory] so their cells live in [m].  AAC and the
+   snapshots are functors over MEMORY. *)
+
+(* A closed instance of a boxed-compile structure built in [m]. *)
+let boxed_maxreg (type r) m (module R : Maxreg.Max_register.S with type t = r)
+    create =
+  Maxreg.Max_register.instantiate (module R) (Boxed.Raw.with_memory m create)
+
+let boxed_counter (type c) m (module C : Counters.Counter.S with type t = c)
+    create =
+  Counters.Counter.instantiate (module C) (Boxed.Raw.with_memory m create)
+
+let maxreg_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
     Maxreg.Max_register.instance =
   match impl with
-  | Algorithm_a ->
-    let module A = Maxreg.Algorithm_a.Make (M) in
-    Maxreg.Max_register.instantiate (module A) (A.create ~n ())
-  | Algorithm_a_literal ->
-    let module A = Maxreg.Algorithm_a.Make (M) in
-    Maxreg.Max_register.instantiate
-      (module A)
-      (A.create ~literal_early_return:true ~n ())
+  | Algorithm_a | Algorithm_a_literal ->
+    let literal_early_return = impl = Algorithm_a_literal in
+    boxed_maxreg m
+      (module Boxed.Algorithm_a)
+      (Boxed.Algorithm_a.create ~literal_early_return ~n)
   | Aac_maxreg ->
-    let module A = Maxreg.Aac_maxreg.Make (M) in
+    let module A = Maxreg.Aac_maxreg.Make ((val m)) in
     Maxreg.Max_register.instantiate (module A) (A.create ~bound)
-  | B1_maxreg ->
-    let module A = Maxreg.B1_maxreg.Make (M) in
-    let reg = A.create () in
-    { read_max = (fun () -> A.read_max reg);
-      write_max = (fun ~pid v -> A.write_max reg ~pid v) }
-  | Cas_maxreg ->
-    let module A = Maxreg.Cas_maxreg.Make (M) in
-    Maxreg.Max_register.instantiate (module A) (A.create ())
+  | B1_maxreg -> boxed_maxreg m (module Boxed.B1_maxreg) Boxed.B1_maxreg.create
+  | Cas_maxreg -> boxed_maxreg m (module Boxed.Cas_maxreg) Boxed.Cas_maxreg.create
 
-let rec counter_over (module M : Smem.Memory_intf.MEMORY) ~n ~bound impl :
+let rec counter_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
     Counters.Counter.instance =
   match impl with
   | Aac_counter ->
-    let module C = Counters.Aac_counter.Make (M) in
+    let module C = Counters.Aac_counter.Make ((val m)) in
     Counters.Counter.instantiate (module C) (C.create ~n ~bound)
   | Farray_counter ->
-    let module C = Counters.Farray_counter.Make (M) in
-    Counters.Counter.instantiate (module C) (C.create ~n)
+    boxed_counter m (module Boxed.Farray_counter) (Boxed.Farray_counter.create ~n)
   | Naive_counter ->
-    let module C = Counters.Naive_counter.Make (M) in
-    Counters.Counter.instantiate (module C) (C.create ~n)
-  | Snapshot_counter s ->
-    counter_of_snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n s
+    boxed_counter m (module Boxed.Naive_counter) (Boxed.Naive_counter.create ~n)
+  | Snapshot_counter s -> counter_of_snapshot_over m ~n s
 
 and snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n impl :
     Snapshots.Snapshot.instance =
@@ -131,9 +133,10 @@ let snapshot_native ~n impl = snapshot_over native ~n impl
    The hybrid snapshot keeps its boxed vector inner nodes but is
    functorized over the leaf-register memory, so it still composes with
    any MEMORY_INT (including the counting instrumentation).  The maxreg
-   and counter specializations are NOT functorized — they are the direct
-   [Unboxed] modules below — because without flambda the functor
-   indirection costs more than the memory operations themselves. *)
+   and counter structures are not functors: their one source is
+   compiled once per memory backend (lib/smem/unboxed, lib/smem/boxed),
+   because without flambda a functor's indirect calls cost more than the
+   memory operations themselves. *)
 
 let snapshot_int_over (module M : Smem.Memory_intf.MEMORY_INT) ~n impl :
     Snapshots.Snapshot.instance option =
@@ -150,22 +153,18 @@ let snapshot_int_over (module M : Smem.Memory_intf.MEMORY_INT) ~n impl :
    a parameter of one construction, not a new algorithm, and threading
    it through the impl enums would force every all_counters consumer
    (liveness matrices, DPOR sweeps, repro experiments) through four more
-   rows.  The boxed [_over]/[_sim] constructors run the family under
-   Memsim, DPOR and the fault layer; the zero-alloc unboxed twins are
-   the [Dial] spec of the native constructors below. *)
+   rows.  The [_over]/[_sim] constructors run the family's boxed compile
+   under Memsim, DPOR and the fault layer; its unboxed compile is the
+   [Dial] spec of the native constructors below. *)
 
-let counter_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
-    Counters.Counter.instance =
-  let module C = Counters.Dial_counter.Make (M) in
-  Counters.Counter.instantiate (module C) (C.create ~n ~dial)
+let counter_dial_over m ~n dial =
+  boxed_counter m (module Boxed.Dial_counter) (Boxed.Dial_counter.create ~n ~dial)
 
 let counter_dial_sim session ~n dial =
   counter_dial_over (Smem.Sim_memory.bind session) ~n dial
 
-let maxreg_dial_over (module M : Smem.Memory_intf.MEMORY) ~n dial :
-    Maxreg.Max_register.instance =
-  let module A = Maxreg.Dial_maxreg.Make (M) in
-  Maxreg.Max_register.instantiate (module A) (A.create ~n ~dial)
+let maxreg_dial_over m ~n dial =
+  boxed_maxreg m (module Boxed.Dial_maxreg) (Boxed.Dial_maxreg.create ~n ~dial)
 
 let maxreg_dial_sim session ~n dial =
   maxreg_dial_over (Smem.Sim_memory.bind session) ~n dial
@@ -175,7 +174,7 @@ let maxreg_dial_sim session ~n dial =
    Every native fast-path instance comes from [maxreg_backend] /
    [counter_backend], keyed by a backend and a spec (an impl enum case
    or a dial point); the interface documents the metering contract.
-   The unboxed backend is the direct padded-cell implementation.  The
+   The unboxed backend is the unboxed compile itself.  The
    combining and adaptive backends are one {!Adaptive} instance over
    the same unboxed structure: adaptive dispatches per epoch, combining
    pins every update to the instance's combining path, so there is one
@@ -233,7 +232,7 @@ let unboxed_maxreg ~metrics ~n spec =
   let metered = Obs.Metrics.enabled metrics in
   match spec with
   | Impl ((Algorithm_a | Algorithm_a_literal) as impl) ->
-    let module A = Maxreg.Algorithm_a.Unboxed in
+    let module A = Unboxed.Algorithm_a in
     let reg =
       A.create ~literal_early_return:(impl = Algorithm_a_literal) ~n ()
     in
@@ -242,7 +241,7 @@ let unboxed_maxreg ~metrics ~n spec =
         if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
         else fun ~pid v -> A.write_max reg ~pid v )
   | Impl Cas_maxreg ->
-    let module A = Maxreg.Cas_maxreg.Unboxed in
+    let module A = Unboxed.Cas_maxreg in
     let reg = A.create () in
     Some
       ( (fun () -> A.read_max reg),
@@ -250,11 +249,11 @@ let unboxed_maxreg ~metrics ~n spec =
         else fun ~pid v -> A.write_max reg ~pid v )
   | Impl B1_maxreg ->
     (* switch writes are idempotent 0->1 stores, no CAS to meter *)
-    let module A = Maxreg.B1_maxreg.Unboxed in
+    let module A = Unboxed.B1_maxreg in
     let reg = A.create () in
     Some ((fun () -> A.read_max reg), fun ~pid v -> A.write_max reg ~pid v)
   | Dial dial ->
-    let module A = Maxreg.Dial_maxreg.Unboxed in
+    let module A = Unboxed.Dial_maxreg in
     let reg = A.create ~n ~dial () in
     Some
       ( (fun () -> A.read_max reg),
@@ -266,7 +265,7 @@ let unboxed_counter ~metrics ~n spec =
   let metered = Obs.Metrics.enabled metrics in
   match spec with
   | Impl Farray_counter ->
-    let module C = Counters.Farray_counter.Unboxed in
+    let module C = Unboxed.Farray_counter in
     let c = C.create ~n () in
     Some
       ( (fun () -> C.read c),
@@ -274,7 +273,7 @@ let unboxed_counter ~metrics ~n spec =
         else fun ~pid -> C.increment c ~pid )
   | Impl Naive_counter ->
     (* single-writer cells, no CAS to meter *)
-    let module C = Counters.Naive_counter.Unboxed in
+    let module C = Unboxed.Naive_counter in
     let c = C.create ~n () in
     Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
   | Impl (Snapshot_counter Farray_snapshot) ->
@@ -286,7 +285,7 @@ let unboxed_counter ~metrics ~n spec =
     let c = C.create ~n (S.create ~n) in
     Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
   | Dial dial ->
-    let module C = Counters.Dial_counter.Unboxed in
+    let module C = Unboxed.Dial_counter in
     let c = C.create ~n ~dial () in
     Some
       ( (fun () -> C.read c),
@@ -316,11 +315,11 @@ let maxreg_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains spec
     | (Combining | Adaptive _), Impl Algorithm_a ->
       Some
         (dispatched (module Adaptive.Alg_a) ~metrics ~domains backend
-           (Maxreg.Algorithm_a.Unboxed.create ~n ()))
+           (Unboxed.Algorithm_a.create ~n ()))
     | (Combining | Adaptive _), Impl Cas_maxreg ->
       Some
         (dispatched (module Adaptive.Cas) ~metrics ~domains backend
-           (Maxreg.Cas_maxreg.Unboxed.create ()))
+           (Unboxed.Cas_maxreg.create ()))
     | ( (Combining | Adaptive _),
         (Impl (Algorithm_a_literal | Aac_maxreg | B1_maxreg) | Dial _) ) ->
       None
@@ -344,9 +343,9 @@ let counter_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains
     | Unboxed, _ ->
       Option.map (fun (r, i) -> (r, i, None)) (unboxed_counter ~metrics ~n spec)
     | (Combining | Adaptive _), Impl Farray_counter ->
-      on (module Adaptive.Farray_c) (Counters.Farray_counter.Unboxed.create ~n ())
+      on (module Adaptive.Farray_c) (Unboxed.Farray_counter.create ~n ())
     | (Combining | Adaptive _), Impl Naive_counter ->
-      on (module Adaptive.Naive_c) (Counters.Naive_counter.Unboxed.create ~n ())
+      on (module Adaptive.Naive_c) (Unboxed.Naive_counter.create ~n ())
     | (Combining | Adaptive _), (Impl (Aac_counter | Snapshot_counter _) | Dial _)
       ->
       None

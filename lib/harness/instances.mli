@@ -75,9 +75,9 @@ val snapshot_native : n:int -> snapshot_impl -> Snapshots.Snapshot.instance
     over its leaf-register memory, so it composes with any MEMORY_INT.
     [None] when the snapshot has no int-leaf specialization (double-collect
     and Afek are vector-valued throughout).  The maxreg and counter
-    specializations are deliberately not functorized — see
-    {!Maxreg.Algorithm_a.Unboxed} etc. — so they have no [_int_over]
-    constructor; use {!maxreg_backend} / {!counter_backend}. *)
+    structures are not functors but one source compiled per backend
+    ({!Unboxed.Algorithm_a}, {!Boxed.Algorithm_a}, ...), so they have no
+    [_int_over] constructor; use {!maxreg_backend} / {!counter_backend}. *)
 
 val snapshot_int_over :
   (module Smem.Memory_intf.MEMORY_INT) ->
@@ -90,12 +90,12 @@ val snapshot_native_fast :
 
 (** {1 Tradeoff-dial constructors}
 
-    The {!Counters.Dial_counter} / {!Maxreg.Dial_maxreg} family, keyed
-    by a {!Treeprim.Dial.t} dial point rather than an impl enum case (a
-    dial is a parameter of one construction, not a new algorithm).  The
-    boxed [_over]/[_sim] constructors run every dial point under Memsim,
-    DPOR and the fault layer; the zero-alloc unboxed twin is the [Dial]
-    spec of {!maxreg_backend} / {!counter_backend}. *)
+    The [Dial_counter] / [Dial_maxreg] family, keyed by a
+    {!Treeprim.Dial.t} dial point rather than an impl enum case (a dial
+    is a parameter of one construction, not a new algorithm).  The
+    [_over]/[_sim] constructors run every dial point's boxed compile
+    under Memsim, DPOR and the fault layer; its unboxed compile is the
+    [Dial] spec of {!maxreg_backend} / {!counter_backend}. *)
 
 val counter_dial_over :
   (module Smem.Memory_intf.MEMORY) ->
@@ -116,9 +116,9 @@ val maxreg_dial_sim :
     Every native fast-path max register and counter, keyed by a
     {!backend} and a {!spec}:
 
-    - [Unboxed]: the direct implementation (padded cells, inline Atomic
-      primitives) — identical algorithms and step counts to the boxed
-      [_native] constructors, allocation-free int-valued hot paths;
+    - [Unboxed]: the unboxed compile (padded cells, inline Atomic
+      primitives) — the same source as the boxed [_native]
+      constructors, with allocation-free int-valued hot paths;
     - [Adaptive policy]: one {!Adaptive} instance over the same unboxed
       structure, flipping each update between the plain and the
       flat-combining path on per-epoch signals, with hysteresis
@@ -155,8 +155,8 @@ val maxreg_dial_sim :
 type 'impl spec =
   | Impl of 'impl
   | Dial of Treeprim.Dial.t
-      (** the {!Counters.Dial_counter} / {!Maxreg.Dial_maxreg} unboxed
-          twin at this dial point *)
+      (** the {!Unboxed.Dial_counter} / {!Unboxed.Dial_maxreg} at this
+          dial point *)
 
 type maxreg_spec = maxreg_impl spec
 type counter_spec = counter_impl spec

@@ -20,11 +20,13 @@
      double-refresh).  Any other non-literal loop limit is classified as
      O(n) trips.
 
-   - [memory_params]: functor-parameter names instantiated with MEMORY /
-     MEMORY_GEN / MEMORY_INT; [<param>.read/write/cas] (and get/set/
-     compare_and_set) through one of these names is one shared access.
-     Calls through any OTHER functor parameter are Unbounded (the cost
-     belongs to the instantiation, e.g. Counter_of_snapshot over S).
+   - [memory_params]: the memory modules — functor-parameter names
+     instantiated with MEMORY / MEMORY_GEN / MEMORY_INT, and [Raw], the
+     cell module lib/structures is compiled against (once per backend);
+     [<name>.read/write/cas] (and get/set/compare_and_set) through one of
+     these names is one shared access.  Calls through any OTHER functor
+     parameter are Unbounded (the cost belongs to the instantiation,
+     e.g. Counter_of_snapshot over S).
 
    - [instrumentation_roots]: call targets excluded from the model's
      accounting (single-writer observability shards; the paper's
@@ -50,137 +52,104 @@ let row op budget reason = { op; budget; reason }
 let default =
   { rows =
       [ (* max registers (E1 / Theorem 6) *)
-        row [ "Algorithm_a"; "Make"; "read_max" ] (Const 2)
+        row [ "Algorithm_a"; "read_max" ] (Const 2)
           "Algorithm A ReadMax: a single read of the root (paper sec. 5)";
-        row [ "Algorithm_a"; "Make"; "write_max" ] Log
+        row [ "Algorithm_a"; "write_max" ] Log
           "Algorithm A WriteMax: leaf write + double-refresh propagation, \
            O(min(log N, log v))";
-        row [ "Algorithm_a"; "Unboxed"; "read_max" ] (Const 2)
-          "Algorithm A ReadMax (unboxed): one atomic load of the root";
-        row [ "Algorithm_a"; "Unboxed"; "write_max" ] Log
-          "Algorithm A WriteMax (unboxed): O(min(log N, log v))";
-        row [ "Algorithm_a"; "Unboxed"; "write_max_metered" ] Log
+        row [ "Algorithm_a"; "write_max_metered" ] Log
           "metered WriteMax: same walk, instrumentation excluded from the \
            model's accounting";
         row [ "Aac_maxreg"; "Make"; "read_max" ] Log
           "AAC bounded max register: switch descent, O(log M)";
         row [ "Aac_maxreg"; "Make"; "write_max" ] Log
           "AAC bounded max register: switch descent, O(log M)";
-        row [ "B1_maxreg"; "Make"; "read_max" ] Log
-          "AAC-over-B1 unbounded register: O(log vmax) switch probes";
-        row [ "B1_maxreg"; "Make"; "write_max" ] Log
-          "AAC-over-B1 unbounded register: O(log v) switch probes";
-        row [ "B1_maxreg"; "Unboxed"; "read_max" ] Log
-          "unboxed B1 register: O(log vmax), incl. lazy-cell probes";
-        row [ "B1_maxreg"; "Unboxed"; "write_max" ] Log
-          "unboxed B1 register: O(log v), incl. lazy-cell probes";
-        row [ "Cas_maxreg"; "Make"; "read_max" ] (Const 2)
+        row [ "B1_maxreg"; "read_max" ] Log
+          "AAC-over-B1 unbounded register: O(log vmax) switch probes, \
+           incl. lazy-cell probes";
+        row [ "B1_maxreg"; "write_max" ] Log
+          "AAC-over-B1 unbounded register: O(log v) switch probes, incl. \
+           lazy-cell probes";
+        row [ "Cas_maxreg"; "read_max" ] (Const 1)
           "CAS-loop register ReadMax: one read";
-        row [ "Cas_maxreg"; "Make"; "write_max" ]
+        row [ "Cas_maxreg"; "write_max" ]
           (Unbounded "lock-free CAS retry loop")
           "deliberately not wait-free: retries bounded only by concurrent \
            successful writers (the Theorem 3 adversary drives this to \
            Theta(K)) — the baseline Algorithm A exists to beat";
-        row [ "Cas_maxreg"; "Unboxed"; "read_max" ] (Const 1)
-          "CAS-loop register ReadMax (unboxed): one atomic load";
-        row [ "Cas_maxreg"; "Unboxed"; "write_max" ]
-          (Unbounded "lock-free CAS retry loop")
-          "deliberately not wait-free (see boxed write_max)";
-        row [ "Cas_maxreg"; "Unboxed"; "write_max_metered" ]
+        row [ "Cas_maxreg"; "write_max_metered" ]
           (Unbounded "lock-free CAS retry loop")
           "metered variant of the not-wait-free retry loop";
-        row [ "Cas_maxreg"; "Unboxed"; "write_once" ] (Const 2)
-          "single CAS attempt for the combining fast path: one load, one \
+        row [ "Cas_maxreg"; "write_once" ] (Const 2)
+          "single CAS attempt for the combining fast path: one read, one \
            CAS";
         (* counters (E2 / Theorem 1 & Corollary 2) *)
-        row [ "Naive_counter"; "Make"; "increment" ] (Const 2)
+        row [ "Naive_counter"; "increment" ] (Const 2)
           "single-writer cell bump: read own cell + write";
-        row [ "Naive_counter"; "Make"; "read" ] Linear
-          "collect of all N cells";
-        row [ "Naive_counter"; "Unboxed"; "increment" ] (Const 2)
-          "single-writer cell bump (unboxed)";
-        row [ "Naive_counter"; "Unboxed"; "add" ] (Const 2)
+        row [ "Naive_counter"; "add" ] (Const 2)
           "batched bump: still one read + one write of the own cell";
-        row [ "Naive_counter"; "Unboxed"; "read" ] Linear
-          "collect of all N cells (unboxed)";
+        row [ "Naive_counter"; "read" ] Linear "collect of all N cells";
         row [ "Aac_counter"; "Make"; "increment" ] Polylog
           "AAC counter increment: O(log N) ancestors, each a O(log B) \
            WriteMax — O(log N * log B)";
         row [ "Aac_counter"; "Make"; "read" ] Log
           "AAC counter read: one ReadMax of the root, O(log B)";
-        row [ "Farray_counter"; "Make"; "increment" ] Log
+        row [ "Farray_counter"; "increment" ] Log
           "f-array counter increment: leaf bump + propagation, O(log N)";
-        row [ "Farray_counter"; "Make"; "read" ] (Const 2)
-          "f-array counter read: one read of the root";
-        row [ "Farray_counter"; "Unboxed"; "increment" ] Log
-          "f-array counter increment (unboxed), O(log N)";
-        row [ "Farray_counter"; "Unboxed"; "add" ] Log
+        row [ "Farray_counter"; "add" ] Log
           "batched increment: one leaf update + one propagation";
-        row [ "Farray_counter"; "Unboxed"; "increment_metered" ] Log
+        row [ "Farray_counter"; "increment_metered" ] Log
           "metered increment: instrumentation excluded from the model";
-        row [ "Farray_counter"; "Unboxed"; "read" ] (Const 2)
-          "f-array counter read (unboxed): one atomic load";
+        row [ "Farray_counter"; "add_metered" ] Log
+          "metered batched increment: instrumentation excluded from the \
+           model";
+        row [ "Farray_counter"; "read" ] (Const 2)
+          "f-array counter read: one read of the root";
         (* the tradeoff-dial family (Theorem 1's frontier).  The static
            rows certify the worst case over the dial — read = Theta(f)
            <= N block-root reads, increment = O(log(N/f)) <= O(log N) —
            and the per-dial refinement (Const/Log/Sqrt/Linear as f
            moves) is [dial_read_budget]/[dial_update_budget] below,
            enforced dynamically by the test_cost differential. *)
-        row [ "Dial_counter"; "Make"; "read" ] Linear
+        row [ "Dial_counter"; "read" ] Linear
           "dial counter read: collect of the f <= N block roots";
-        row [ "Dial_counter"; "Make"; "increment" ] Log
+        row [ "Dial_counter"; "increment" ] Log
           "dial counter increment: in-block propagation, O(log(N/f)) \
            <= O(log N)";
-        row [ "Dial_counter"; "Unboxed"; "read" ] Linear
-          "dial counter read (unboxed): f <= N block-root loads";
-        row [ "Dial_counter"; "Unboxed"; "increment" ] Log
-          "dial counter increment (unboxed): O(log(N/f))";
-        row [ "Dial_counter"; "Unboxed"; "add" ] Log
+        row [ "Dial_counter"; "add" ] Log
           "batched dial increment: one leaf update + one in-block \
            propagation";
-        row [ "Dial_counter"; "Unboxed"; "increment_metered" ] Log
+        row [ "Dial_counter"; "increment_metered" ] Log
           "metered dial increment: instrumentation excluded from the \
            model";
-        row [ "Dial_maxreg"; "Make"; "read_max" ] Linear
+        row [ "Dial_counter"; "add_metered" ] Log
+          "metered batched dial increment: instrumentation excluded from \
+           the model";
+        row [ "Dial_maxreg"; "read_max" ] Linear
           "dial max register ReadMax: collect of the f <= N block roots";
-        row [ "Dial_maxreg"; "Make"; "write_max" ] Log
+        row [ "Dial_maxreg"; "write_max" ] Log
           "dial max register WriteMax: in-block propagation, \
            O(log(N/f)) <= O(log N)";
-        row [ "Dial_maxreg"; "Unboxed"; "read_max" ] Linear
-          "dial max register ReadMax (unboxed): f <= N block-root loads";
-        row [ "Dial_maxreg"; "Unboxed"; "write_max" ] Log
-          "dial max register WriteMax (unboxed): O(log(N/f))";
-        row [ "Dial_maxreg"; "Unboxed"; "write_max_metered" ] Log
+        row [ "Dial_maxreg"; "write_max_metered" ] Log
           "metered dial WriteMax: instrumentation excluded from the \
            model";
         (* f-array (Theorem 1's optimal point) *)
-        row [ "Farray"; "Make"; "read" ] (Const 1)
+        row [ "Farray"; "read" ] (Const 1)
           "f-array read: a single read of the root";
-        row [ "Farray"; "Make"; "read_leaf" ] (Const 1)
-          "single-writer leaf read";
-        row [ "Farray"; "Make"; "update" ] Log
+        row [ "Farray"; "read_leaf" ] (Const 1) "single-writer leaf read";
+        row [ "Farray"; "update" ] Log
           "f-array update: leaf write + double-refresh propagation, \
            O(log N)";
-        row [ "Farray"; "Unboxed"; "read" ] (Const 1)
-          "f-array read (unboxed): one atomic load";
-        row [ "Farray"; "Unboxed"; "read_leaf" ] (Const 1)
-          "single-writer leaf load (unboxed)";
-        row [ "Farray"; "Unboxed"; "update" ] Log
-          "f-array update (unboxed), O(log N)";
-        row [ "Farray"; "Unboxed"; "update_metered" ] Log
+        row [ "Farray"; "update_metered" ] Log
           "metered update: instrumentation excluded from the model";
         (* tree propagation primitive *)
-        row [ "Propagate"; "Make"; "refresh" ] (Const 4)
+        row [ "Propagate"; "refresh" ] (Const 4)
           "one refresh: read node + read both children + CAS = 4 events";
-        row [ "Propagate"; "Make"; "propagate" ] Log
+        row [ "Propagate"; "propagate" ] Log
           "leaf-to-root walk, 2 refreshes per ancestor: O(depth)";
-        row [ "Propagate"; "Unboxed"; "refresh" ] (Const 4)
-          "one refresh (unboxed): 3 loads + 1 CAS";
-        row [ "Propagate"; "Unboxed"; "propagate" ] Log
-          "leaf-to-root walk (unboxed): O(depth)";
-        row [ "Propagate"; "Unboxed"; "refresh_metered" ] (Const 4)
+        row [ "Propagate"; "refresh_metered" ] (Const 4)
           "metered refresh: instrumentation excluded from the model";
-        row [ "Propagate"; "Unboxed"; "propagate_metered" ] Log
+        row [ "Propagate"; "propagate_metered" ] Log
           "metered walk: instrumentation excluded from the model";
         (* snapshots (E3) *)
         row [ "Double_collect"; "Make"; "update" ] (Const 2)
@@ -209,23 +178,20 @@ let default =
           "hybrid snapshot scan: a single read of the root" ];
     recursion =
       [ (* leaf-to-root walks: depth of a complete/B1 tree *)
-        ([ "Propagate"; "Make"; "up" ], Summary.Log);
-        ([ "Propagate"; "Unboxed"; "propagate" ], Summary.Log);
-        ([ "Propagate"; "Unboxed"; "propagate_metered_live" ], Summary.Log);
+        ([ "Propagate"; "propagate" ], Summary.Log);
+        ([ "Propagate"; "propagate_metered_live" ], Summary.Log);
         ([ "Aac_counter"; "Make"; "up" ], Summary.Log);
         ([ "Hybrid_snapshot"; "Make"; "propagate" ], Summary.Log);
         (* switch-tree descents: depth of the AAC / B1 partition tree *)
         ([ "Aac_maxreg"; "Make"; "read_max" ], Summary.Log);
         ([ "Aac_maxreg"; "Make"; "write" ], Summary.Log);
-        ([ "B1_maxreg"; "Make"; "read" ], Summary.Log);
-        ([ "B1_maxreg"; "Make"; "write" ], Summary.Log);
-        ([ "B1_maxreg"; "Unboxed"; "read" ], Summary.Log);
-        ([ "B1_maxreg"; "Unboxed"; "write" ], Summary.Log);
+        ([ "B1_maxreg"; "read" ], Summary.Log);
+        ([ "B1_maxreg"; "write" ], Summary.Log);
         (* the Afek scan: a process observed moving twice yields a borrowed
            embedded scan, so at most N+1 collects *)
         ([ "Afek_snapshot"; "Make"; "loop" ], Summary.Linear) ];
     const_bounds = [ ("refreshes", 2) ];
-    memory_params = [ "M"; "B"; "U" ];
+    memory_params = [ "M"; "B"; "U"; "Raw" ];
     instrumentation_roots = [ "Obs"; "Metrics" ] }
 
 let find t op = List.find_opt (fun r -> r.op = op) t.rows

@@ -4,7 +4,7 @@
 
 type row = {
   op : string list;        (** qualified display path, e.g.
-                               [["Farray"; "Make"; "update"]] *)
+                               [["Farray"; "update"]] *)
   budget : Summary.bound;  (** declared bound on total shared accesses *)
   reason : string;         (** source of the bound, or why [Unbounded]
                                is acceptable (the allowlist entry) *)
@@ -19,7 +19,8 @@ type t = {
   (** identifiers usable as [for]-loop limits with a known constant
       magnitude (e.g. [refreshes] = 2) *)
   memory_params : string list;
-  (** functor-parameter names instantiated with MEMORY/MEMORY_INT *)
+  (** memory modules: functor-parameter names instantiated with
+      MEMORY/MEMORY_INT, and [Raw] (the cells of lib/structures) *)
   instrumentation_roots : string list;
   (** call roots excluded from the model's accounting *)
 }

@@ -18,13 +18,26 @@ let display_name modname =
   | Some i when i + 2 < n -> String.sub modname (i + 2) (n - i - 2)
   | _ -> modname
 
+(* dune's [copy_files#] compiles a copy that opens with a line directive
+   naming the original, and the typed tree's locations follow it: the
+   first item's file is the source a human edits, whichever library the
+   copy was compiled into. *)
+let written_in ~compiled (structure : Typedtree.structure) =
+  match structure.str_items with
+  | item :: _ when item.str_loc.Location.loc_start.Lexing.pos_fname <> "" ->
+    item.str_loc.Location.loc_start.Lexing.pos_fname
+  | _ -> compiled
+
 let load path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
   | cmt ->
     (match cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile with
-     | Cmt_format.Implementation structure, Some source ->
-       Some { source; modname = display_name cmt.Cmt_format.cmt_modname; structure }
+     | Cmt_format.Implementation structure, Some compiled ->
+       Some
+         { source = written_in ~compiled structure;
+           modname = display_name cmt.Cmt_format.cmt_modname;
+           structure }
      | _ -> None)
 
 let scan ~build_dir =
@@ -43,10 +56,13 @@ let scan ~build_dir =
             match load path with
             | None -> ()
             | Some u ->
-              (* dune can produce several cmts per source (e.g. an alias
-                 module compiled for multiple stanzas); keep the first. *)
-              if not (Hashtbl.mem seen u.source) then begin
-                Hashtbl.add seen u.source ();
+              (* dune can produce several cmts per compile (e.g. an alias
+                 module compiled for multiple stanzas); keep the first.
+                 Two compiles of one source differ in their wrapped
+                 module name and are both kept. *)
+              let key = (u.source, Filename.basename path) in
+              if not (Hashtbl.mem seen key) then begin
+                Hashtbl.add seen key ();
                 units := u :: !units
               end)
         entries

@@ -5,8 +5,9 @@
 
 type t = {
   source : string;
-      (** repo-relative source path as recorded by dune
-          (e.g. "lib/maxreg/algorithm_a.ml") *)
+      (** repo-relative path of the source the code was written in
+          (e.g. "lib/structures/algorithm_a.ml"), following the line
+          directive of a dune [copy_files#] copy *)
   modname : string;
       (** display module name: "Maxreg__Cas_maxreg" -> "Cas_maxreg" *)
   structure : Typedtree.structure;
@@ -20,5 +21,8 @@ val load : string -> t option
     files (version skew) — the driver skips those silently. *)
 
 val scan : build_dir:string -> t list
-(** All implementation units under [build_dir] (recursive), deduplicated
-    by source path, sorted by source path. *)
+(** All implementation units under [build_dir] (recursive), sorted by
+    source path.  A source compiled into several libraries (the
+    structures of lib/structures, one compile per memory backend) gives
+    one unit per compile; several cmts of one compile (an alias module
+    built for multiple stanzas) give one. *)

@@ -36,29 +36,18 @@ let default =
     r1_banned = [ "Atomic"; "Obj"; "Domain"; "Mutex"; "Condition"; "Semaphore" ];
     r1_allow =
       [ (* the memory layer itself: boxed/unboxed/counting/sim backends,
-           the Obj-built Padded blocks, Lazy_cell, and the
-           flat-combining arena (Combine: publication slots, combiner
-           lock, single-writer stat cells) *)
+           the Obj-built Padded blocks, Lazy_cell, the flat-combining
+           arena (Combine: publication slots, combiner lock,
+           single-writer stat cells), and the two Raw cell modules
+           lib/structures is compiled against (lib/smem/unboxed: the
+           Atomic primitives as externals; lib/smem/boxed: the
+           per-domain memory binding) *)
         Dir "lib/smem";
         (* single-writer metric shards and their padded cells *)
         Dir "lib/obs";
         (* domain spawning, stop flags and publish slots of the
            measurement harness *)
         Dir "lib/harness/throughput.ml";
-        (* the unboxed natives: directly-applied Atomic primitives are
-           the whole point of these submodules (a functor indirection
-           would cost more than the operations) — allowlisted at
-           submodule granularity, so raw atomics in the boxed functor
-           halves of the same files still get flagged *)
-        Module_path [ "Algorithm_a"; "Unboxed" ];
-        Module_path [ "B1_maxreg"; "Unboxed" ];
-        Module_path [ "Cas_maxreg"; "Unboxed" ];
-        Module_path [ "Farray"; "Unboxed" ];
-        Module_path [ "Naive_counter"; "Unboxed" ];
-        Module_path [ "Farray_counter"; "Unboxed" ];
-        Module_path [ "Dial_counter"; "Unboxed" ];
-        Module_path [ "Dial_maxreg"; "Unboxed" ];
-        Module_path [ "Propagate"; "Unboxed" ];
         (* chaos injection primitives: cpu_relax storms, DLS-keyed
            deterministic dice, domain spawning and the shared stamp
            clock — submodule-granular so raw atomics anywhere else in
@@ -72,7 +61,8 @@ let default =
     (* R2: the libraries holding the paper's algorithms.  An unbounded
        loop there that never re-reads shared memory can spin forever on
        stale state — the syntactic complement of E9's liveness audit. *)
-    r2_dirs = [ "lib/maxreg"; "lib/counters"; "lib/treeprim"; "lib/farray" ];
+    r2_dirs =
+      [ "lib/structures"; "lib/maxreg"; "lib/counters"; "lib/treeprim" ];
     r2_reads =
       [ "read"; "get"; "read_max"; "read_leaf"; "child_value"; "scan";
         "collect"; "fetch_and_add" ];
@@ -85,47 +75,43 @@ let default =
     r3_targets =
       [ { qual = [ "Metrics"; "add" ]; mode = Body };
         { qual = [ "Metrics"; "incr" ]; mode = Body };
-        { qual = [ "Algorithm_a"; "Unboxed"; "read_max" ]; mode = Body };
-        { qual = [ "Algorithm_a"; "Unboxed"; "write_max" ]; mode = Body };
-        { qual = [ "Algorithm_a"; "Unboxed"; "write_max_metered" ]; mode = Body };
-        { qual = [ "Cas_maxreg"; "Unboxed"; "read_max" ]; mode = Body };
-        { qual = [ "Cas_maxreg"; "Unboxed"; "cas_loop" ]; mode = Body };
-        { qual = [ "Cas_maxreg"; "Unboxed"; "cas_loop_metered" ]; mode = Body };
-        { qual = [ "Cas_maxreg"; "Unboxed"; "write_max" ]; mode = Body };
-        { qual = [ "Cas_maxreg"; "Unboxed"; "write_max_metered" ]; mode = Body };
-        { qual = [ "B1_maxreg"; "Unboxed"; "switch_set" ]; mode = Body };
-        { qual = [ "B1_maxreg"; "Unboxed"; "write" ]; mode = Body };
-        { qual = [ "B1_maxreg"; "Unboxed"; "read" ]; mode = Body };
-        { qual = [ "Farray"; "Unboxed"; "read" ]; mode = Body };
-        { qual = [ "Farray"; "Unboxed"; "read_leaf" ]; mode = Body };
-        { qual = [ "Farray"; "Unboxed"; "update" ]; mode = Body };
-        { qual = [ "Farray"; "Unboxed"; "update_metered" ]; mode = Body };
-        { qual = [ "Naive_counter"; "Unboxed"; "increment" ]; mode = Body };
-        { qual = [ "Naive_counter"; "Unboxed"; "read" ]; mode = Body };
-        { qual = [ "Farray_counter"; "Unboxed"; "increment" ]; mode = Body };
-        { qual = [ "Farray_counter"; "Unboxed"; "increment_metered" ];
-          mode = Body };
-        { qual = [ "Farray_counter"; "Unboxed"; "read" ]; mode = Body };
+        { qual = [ "Algorithm_a"; "read_max" ]; mode = Body };
+        { qual = [ "Algorithm_a"; "write_max" ]; mode = Body };
+        { qual = [ "Algorithm_a"; "write_max_metered" ]; mode = Body };
+        { qual = [ "Cas_maxreg"; "read_max" ]; mode = Body };
+        { qual = [ "Cas_maxreg"; "cas_loop" ]; mode = Body };
+        { qual = [ "Cas_maxreg"; "cas_loop_metered" ]; mode = Body };
+        { qual = [ "Cas_maxreg"; "write_max" ]; mode = Body };
+        { qual = [ "Cas_maxreg"; "write_max_metered" ]; mode = Body };
+        { qual = [ "B1_maxreg"; "switch_set" ]; mode = Body };
+        { qual = [ "B1_maxreg"; "write" ]; mode = Body };
+        { qual = [ "B1_maxreg"; "read" ]; mode = Body };
+        { qual = [ "Farray"; "read" ]; mode = Body };
+        { qual = [ "Farray"; "read_leaf" ]; mode = Body };
+        { qual = [ "Farray"; "update" ]; mode = Body };
+        { qual = [ "Farray"; "update_metered" ]; mode = Body };
+        { qual = [ "Naive_counter"; "increment" ]; mode = Body };
+        { qual = [ "Naive_counter"; "read" ]; mode = Body };
+        { qual = [ "Farray_counter"; "increment" ]; mode = Body };
+        { qual = [ "Farray_counter"; "increment_metered" ]; mode = Body };
+        { qual = [ "Farray_counter"; "read" ]; mode = Body };
         (* the counters' batched add: the combining apply, and the
            adaptive instances' solo and plain update *)
-        { qual = [ "Farray_counter"; "Unboxed"; "add" ]; mode = Body };
-        { qual = [ "Farray_counter"; "Unboxed"; "add_metered" ]; mode = Body };
-        { qual = [ "Naive_counter"; "Unboxed"; "add" ]; mode = Body };
-        { qual = [ "Dial_counter"; "Unboxed"; "increment" ]; mode = Body };
-        { qual = [ "Dial_counter"; "Unboxed"; "increment_metered" ];
-          mode = Body };
-        { qual = [ "Dial_counter"; "Unboxed"; "read" ]; mode = Body };
-        { qual = [ "Dial_maxreg"; "Unboxed"; "read_max" ]; mode = Body };
-        { qual = [ "Dial_maxreg"; "Unboxed"; "write_max" ]; mode = Body };
-        { qual = [ "Dial_maxreg"; "Unboxed"; "write_max_metered" ];
-          mode = Body };
-        { qual = [ "Propagate"; "Unboxed"; "child_value" ]; mode = Body };
-        { qual = [ "Propagate"; "Unboxed"; "refresh" ]; mode = Body };
-        { qual = [ "Propagate"; "Unboxed"; "propagate" ]; mode = Body };
-        { qual = [ "Propagate"; "Unboxed"; "refresh_metered" ]; mode = Body };
-        { qual = [ "Propagate"; "Unboxed"; "propagate_metered_live" ];
-          mode = Body };
-        { qual = [ "Propagate"; "Unboxed"; "propagate_metered" ]; mode = Body };
+        { qual = [ "Farray_counter"; "add" ]; mode = Body };
+        { qual = [ "Farray_counter"; "add_metered" ]; mode = Body };
+        { qual = [ "Naive_counter"; "add" ]; mode = Body };
+        { qual = [ "Dial_counter"; "increment" ]; mode = Body };
+        { qual = [ "Dial_counter"; "increment_metered" ]; mode = Body };
+        { qual = [ "Dial_counter"; "read" ]; mode = Body };
+        { qual = [ "Dial_maxreg"; "read_max" ]; mode = Body };
+        { qual = [ "Dial_maxreg"; "write_max" ]; mode = Body };
+        { qual = [ "Dial_maxreg"; "write_max_metered" ]; mode = Body };
+        { qual = [ "Propagate"; "child_value" ]; mode = Body };
+        { qual = [ "Propagate"; "refresh" ]; mode = Body };
+        { qual = [ "Propagate"; "propagate" ]; mode = Body };
+        { qual = [ "Propagate"; "refresh_metered" ]; mode = Body };
+        { qual = [ "Propagate"; "propagate_metered_live" ]; mode = Body };
+        { qual = [ "Propagate"; "propagate_metered" ]; mode = Body };
         { qual = [ "Throughput"; "run_alone" ]; mode = Loops };
         { qual = [ "Throughput"; "run_batched" ]; mode = Loops };
         (* the flat-combining arena hot paths: submit (fast path and

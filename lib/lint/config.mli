@@ -9,8 +9,8 @@ type allow =
           ("lib/harness/throughput.ml"), repo-relative. *)
   | Module_path of string list
       (** Module-path prefix at submodule granularity:
-          [["Cas_maxreg"; "Unboxed"]] allows the [Unboxed] submodule of
-          compilation unit [Cas_maxreg] but not the rest of the file. *)
+          [["Chaos"; "Inject"]] allows the [Inject] submodule of
+          compilation unit [Chaos] but not the rest of the file. *)
 
 type r3_mode =
   | Body   (** the whole function body must not allocate *)
@@ -19,7 +19,7 @@ type r3_mode =
 type r3_target = {
   qual : string list;
       (** qualified value name, unit-first: [["Throughput"; "run_alone"]],
-          [["Algorithm_a"; "Unboxed"; "write_max"]] *)
+          [["Adaptive"; "Alg_a"; "read_max"]] *)
   mode : r3_mode;
 }
 

@@ -3,10 +3,14 @@
    An abstract interpretation of the dune-produced typed trees in the
    paper's cost model: a *step* is one access to shared memory — a
    [read]/[write]/[cas] (or [get]/[set]/[compare_and_set]/...) through a
-   MEMORY functor parameter, or a raw [Atomic] access in the allowlisted
-   unboxed natives.  Everything else (local arithmetic, private arrays,
-   allocation — [M.make]/[Atomic.make] are not steps) costs nothing,
-   exactly as in the paper's complexity accounting.
+   MEMORY functor parameter or the [Raw] cell module of the structures
+   in lib/structures, or a raw [Atomic] access in the memory layer.
+   Everything else (local arithmetic, private arrays, allocation —
+   [M.make]/[Raw.make]/[Atomic.make] are not steps) costs nothing,
+   exactly as in the paper's complexity accounting.  A source compiled
+   twice (one compile per [Raw]) registers the same display-qualified
+   operations from both compiles; they read the same code, so each
+   operation is certified once.
 
    The analysis computes a per-function {!Summary.t} (reads/writes/cas,
    each a {!Summary.bound}) bottom-up over the call graph:
@@ -28,8 +32,8 @@
    - calls into [Budgets.instrumentation_roots] cost nothing (the
      observability shards are outside the model);
    - unknown external calls cost nothing — sound *in this repo* because
-     R1 confines raw atomics to the memory layer and the allowlisted
-     natives, so code outside the analyzed units cannot touch shared
+     R1 confines raw atomics to the memory layer and its allowlisted
+     submodules, so code outside the analyzed units cannot touch shared
      memory — unless they receive a closure that does, which is
      Unbounded (the callee may invoke it any number of times).
 
@@ -99,7 +103,8 @@ type ctx = {
   fparams : string list;         (* functor parameters in scope *)
   aliases : (string * string list) list;
       (* local module name -> qualified target, e.g.
-         F -> ["Farray"; "Make"] for [module F = Farray.Make (M)] *)
+         A -> ["Aac_maxreg"; "Make"] for
+         [module A = Maxreg.Aac_maxreg.Make (M)] *)
 }
 
 let bound_is_zero = function Summary.Const 0 -> true | _ -> false
@@ -129,14 +134,22 @@ let lookup_global ctx comps =
     | _ :: (_ :: _ :: _ as tl) -> Hashtbl.find_opt ctx.globals tl
     | _ -> None)
 
-(* One shared access through a memory functor parameter or raw Atomic;
-   [Some Summary.zero] for their non-step operations (make, length, ...).
-   [None] when the root is not a memory module at all. *)
+(* One shared access through a memory module (a MEMORY functor
+   parameter, or the [Raw] cell module the structures of lib/structures
+   are compiled against — reached as [Unboxed.Raw.get] through its
+   library's wrapper) or raw Atomic; [Some Summary.zero] for their
+   non-step operations (make, of_int, ...).  [None] when the root is not
+   a memory module at all. *)
 let classify_memory ctx comps =
+  let is_memory root = List.mem root ctx.budgets.Budgets.memory_params in
+  let comps =
+    match comps with
+    | _ :: (root :: _ :: _ as tl) when is_memory root -> tl
+    | _ -> comps
+  in
   match comps with
-  | root :: (_ :: _ as rest)
-    when List.mem root ctx.budgets.Budgets.memory_params
-         || String.equal root "Atomic" ->
+  | root :: (_ :: _ as rest) when is_memory root || String.equal root "Atomic"
+    ->
     let fn = List.nth rest (List.length rest - 1) in
     if List.mem fn read_fns then Some Summary.one_read
     else if List.mem fn write_fns then Some Summary.one_write
@@ -517,7 +530,7 @@ and walk_binding ctx env mb =
     | Tmod_constraint (me, _, _, _) -> shape me
     | Tmod_ident (p, _) -> `Alias (components p)
     | Tmod_apply (f, _, _) -> (
-      (* [module F = Farray.Make (M)]: calls through F resolve to the
+      (* [module A = Aac_maxreg.Make (M)]: calls through A resolve to the
          functor body's summaries, which are abstract in M *)
       match shape f with `Alias c -> `Alias c | _ -> `Opaque)
     | Tmod_structure _ | Tmod_functor _ -> `Descend

@@ -9,7 +9,7 @@ let all_rules = [ "R1"; "R2"; "R3"; "R4"; "C1" ]
 let rule_descriptions =
   [ ("R1",
      "atomics containment: raw Atomic/Obj/Domain only in the memory \
-      layer and allowlisted Unboxed submodules");
+      layer and allowlisted submodules");
     ("R2",
      "progress witness: unbounded loops / CAS retries in the algorithm \
       libs must re-read shared memory");

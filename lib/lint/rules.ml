@@ -39,7 +39,7 @@ let under_dir dir source =
 
 (* ------------------------------------------------------------------ *)
 (* Shared iteration machinery: walk a structure keeping the display
-   module path ("Cas_maxreg" :: "Unboxed" :: ...) current, calling
+   module path ("Adaptive" :: "Ctl" :: ...) current, calling
    [on_expr]/[on_vb]/[on_vbs]/[on_mexpr] at each node. *)
 
 let walk_structure ~modname ?on_expr ?on_typ ?on_vb ?on_vbs ?on_mexpr str =

@@ -131,7 +131,7 @@ module From_snapshot (M : Smem.Memory_intf.MEMORY) = struct
 end
 
 module From_farray (M : Smem.Memory_intf.MEMORY) = struct
-  module F = Farray.Make (M)
+  module F = Boxed.Farray
 
   type t = { farray : F.t; n : int }
 
@@ -145,7 +145,10 @@ module From_farray (M : Smem.Memory_intf.MEMORY) = struct
 
   let create ~n =
     if n <= 0 then invalid_arg "Max_array.create: n must be > 0";
-    { farray = F.create ~n ~combine:pair_max (); n }
+    { farray =
+        Boxed.Raw.with_memory (module M) (fun () ->
+            F.create ~n ~combine:pair_max ());
+      n }
 
   let decode = function
     | Simval.Bot -> (0, 0)

@@ -10,7 +10,7 @@
 open Memsim
 
 module Make (M : Smem.Memory_intf.MEMORY) = struct
-  module F = Farray.Make (M)
+  module F = Boxed.Farray
 
   type t = { farray : F.t; n : int; m : int }
 
@@ -29,7 +29,11 @@ module Make (M : Smem.Memory_intf.MEMORY) = struct
   let create ~n ~m =
     if n <= 0 then invalid_arg "Max_vector.create: n must be > 0";
     if m <= 0 then invalid_arg "Max_vector.create: m must be > 0";
-    { farray = F.create ~n ~combine:(vec_max m) (); n; m }
+    { farray =
+        Boxed.Raw.with_memory (module M) (fun () ->
+            F.create ~n ~combine:(vec_max m) ());
+      n;
+      m }
 
   let components t = t.m
 

@@ -1,80 +1,5 @@
-(** Algorithm A of the paper (Section 5): a wait-free linearizable max
-    register from read/write/CAS with ReadMax O(1) and WriteMax(v)
-    O(min(log N, log v)).
+(** Algorithm A is one source, lib/structures/algorithm_a.ml, compiled
+    as {!Unboxed.Algorithm_a} and {!Boxed.Algorithm_a}.  This alias keeps
+    the unboxed compile at the path bench/suite binds to. *)
 
-    The tree of Figure 4: a B1 left subtree (value leaves, leaf [v] at
-    depth O(log v)) joined with a complete right subtree (one leaf per
-    process), values propagated to the root with double-refresh CAS.
-
-    Deviation: the paper's line-16 early return is unsound when the chosen
-    B1 leaf was written by a concurrent, not-yet-propagated WriteMax of the
-    same value; by default this implementation helps (propagates) before
-    returning.  [~literal_early_return:true] reproduces the paper's literal
-    behaviour (see test_paper_deviation.ml and EXPERIMENTS.md E6). *)
-
-module Make (M : Smem.Memory_intf.MEMORY) : sig
-  type t
-
-  val create :
-    ?literal_early_return:bool ->
-    ?tl_shape:[ `B1 | `Complete ] ->
-    ?refreshes:int ->
-    n:int ->
-    unit ->
-    t
-  (** A max register shared by [n] processes.  Unbounded: any non-negative
-      value may be written; values below [n-1] use the cheap B1 leaves.
-
-      Ablations (for the A1/A2 experiments; defaults are the correct,
-      paper-faithful choices): [tl_shape:`Complete] replaces the B1 left
-      subtree with a complete tree (losing O(log v) writes);
-      [refreshes:1] performs single rather than double refresh during
-      propagation (losing linearizability). *)
-
-  val read_max : t -> int
-  (** One shared-memory event (a read of the root). *)
-
-  val write_max : t -> pid:int -> int -> unit
-  (** O(min(log n, log v)) shared-memory events. *)
-
-  (** {1 Structural introspection (Figure 4 audits)} *)
-
-  val tl_leaf_depth : t -> int -> int
-  (** Depth of the B1 leaf serving value [v]; O(log v). *)
-
-  val tr_leaf_depth : t -> int -> int
-  (** Depth of process [i]'s leaf in the complete subtree; O(log n). *)
-end
-
-(** The same algorithm over the unboxed backend ({!Smem.Unboxed_memory}),
-    specialized to [int Atomic.t] nodes so the Atomic primitives compile
-    inline: identical structure and step counts, but ReadMax and WriteMax
-    allocate nothing (the [bot] sentinel plays [Bot] and [combine] is bare
-    integer max).  [padded] (default true) gives every tree node its own
-    cache line. *)
-module Unboxed : sig
-  type t
-
-  val create :
-    ?literal_early_return:bool ->
-    ?tl_shape:[ `B1 | `Complete ] ->
-    ?refreshes:int ->
-    ?padded:bool ->
-    n:int ->
-    unit ->
-    t
-
-  val read_max : t -> int
-  val write_max : t -> pid:int -> int -> unit
-
-  val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-  (** [write_max] with contention observability: refresh rounds and CAS
-      outcomes are recorded under shard [pid], plus one
-      [Obs.Metrics.Help] when the write helps a concurrent same-value
-      writer propagate (the repaired line 16).  With
-      {!Obs.Metrics.disabled} each record site costs one immediate-bool
-      branch and allocates nothing. *)
-
-  val tl_leaf_depth : t -> int -> int
-  val tr_leaf_depth : t -> int -> int
-end
+module Unboxed = Unboxed.Algorithm_a

@@ -4,7 +4,7 @@
    construction — not a step in the paper's accounting).  Centralized here
    so data-structure code never touches [Atomic] directly: rule R1 of
    bin/lint.exe confines raw atomics to lib/smem, lib/obs, the throughput
-   harness and the [Unboxed] natives.
+   harness and two allowlisted harness submodules.
 
    Racing forcers may build duplicate values; exactly one wins the CAS and
    the losers' results are dropped before anyone else can observe them, so

@@ -1,10 +1,13 @@
 (* The base-object interface all algorithms are written against.
 
    The paper's model: base objects support read, write and CAS, applied
-   atomically.  Algorithms are functors over MEMORY so the same code runs on
-   the deterministic simulator (step counting, adversarial scheduling,
-   linearizability testing) and on OCaml 5 atomics (Domain-parallel
-   benchmarks).
+   atomically.  Algorithms run on the deterministic simulator (step
+   counting, adversarial scheduling, linearizability testing) and on OCaml
+   5 atomics (Domain-parallel benchmarks) either as functors over MEMORY
+   (AAC, the snapshots) or, for the int-valued structures of
+   lib/structures, as one source compiled against a [Raw] cell module per
+   backend (lib/smem/boxed: Simval cells in any MEMORY; lib/smem/unboxed:
+   int Atomic.t).
 
    MEMORY is the [Memsim.Simval.t]-valued instance of the general signature
    MEMORY_GEN; MEMORY_INT is the int-valued instance used by the unboxed

@@ -12,7 +12,7 @@
 open Memsim
 
 module Make (M : Smem.Memory_intf.MEMORY) = struct
-  module F = Farray.Make (M)
+  module F = Boxed.Farray
 
   type t = { farray : F.t; seqs : int array; n : int }
 
@@ -25,7 +25,11 @@ module Make (M : Smem.Memory_intf.MEMORY) = struct
 
   let create ~n =
     if n <= 0 then invalid_arg "Farray_snapshot.create: n must be > 0";
-    { farray = F.create ~n ~combine:concat (); seqs = Array.make n 0; n }
+    { farray =
+        Boxed.Raw.with_memory (module M) (fun () ->
+            F.create ~n ~combine:concat ());
+      seqs = Array.make n 0;
+      n }
 
   let update t ~pid v =
     if pid < 0 || pid >= t.n then invalid_arg "Farray_snapshot.update: bad pid";

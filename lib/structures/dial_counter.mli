@@ -1,0 +1,28 @@
+(** The tradeoff-dial counter: Theorem 1's frontier as one block-
+    structured construction.  A dial point f ({!Treeprim.Dial}) groups
+    the N per-process leaves into f blocks of ceil(N/f) leaves, each a
+    sum f-array: CounterRead collects the f block roots in Theta(f)
+    steps, CounterIncrement propagates only inside its own block in
+    O(log(N/f)) steps.  [F_one] coincides with {!Farray_counter},
+    [F_n] with {!Naive_counter}.  In the unboxed compile read and
+    increment allocate nothing. *)
+
+type t
+
+val create : n:int -> dial:Treeprim.Dial.t -> unit -> t
+
+val increment : t -> pid:int -> unit
+(** Leaf bump + in-block propagation: O(log(N/f)) events. *)
+
+val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
+(** [increment] with refresh rounds and CAS outcomes recorded under
+    shard [pid]; same steps, free with {!Obs.Metrics.disabled}. *)
+
+val add : t -> pid:int -> int -> unit
+(** [add t ~pid k]: absorb a batch of [k] at the caller's own leaf
+    with one in-block propagation (the combining layer's apply). *)
+
+val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
+
+val read : t -> int
+(** Collect of the f block roots: Theta(f) events. *)

@@ -1,0 +1,15 @@
+(** The opposite end of the tradeoff: one single-writer register per
+    process.  CounterIncrement O(1), CounterRead O(N).  Wait-free, reads
+    and writes only.  In the unboxed compile every per-process register
+    is padded to its own cache lines. *)
+
+type t
+
+val create : n:int -> unit -> t
+val increment : t -> pid:int -> unit
+
+val add : t -> pid:int -> int -> unit
+(** [add t ~pid k] adds [k] to the caller's own cell — the combining
+    layer's apply (the counter value is the sum over cells). *)
+
+val read : t -> int

@@ -14,7 +14,7 @@ module P = Harness.Adaptive.Policy
 module I = Harness.Instances
 module AD = Harness.Adaptive.Alg_a
 module CD = Harness.Adaptive.Cas
-module AU = Maxreg.Algorithm_a.Unboxed
+module AU = Unboxed.Algorithm_a
 
 (* {1 The pure policy kernel} *)
 

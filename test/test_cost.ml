@@ -1,16 +1,19 @@
 (* The static-vs-dynamic differential for the step-complexity certifier
    (lib/lint/cost.ml, rule C1).
 
-   For every budgeted boxed operation, drive the real implementation
-   solo over the Memsim simulator (or explicit counting memories for the
-   hybrid snapshot, whose unboxed half is native) and check that the
-   observed shared-memory step count never exceeds
-   [Lint.Summary.envelope] of the operation's budgeted class — the
-   concrete ceiling the certificate promises.  A final coverage check
-   pins that every budget row is either measured here or on an explicit
-   skip list (Unbounded allowlist entries, the non-simulable unboxed
-   native backend, internal helpers exercised inside a measured op), so
-   a new budget row cannot silently dodge the differential. *)
+   For every budgeted operation, drive the real implementation solo over
+   the Memsim simulator (or explicit counting memories for the hybrid
+   snapshot, whose unboxed half is native) and check that the observed
+   shared-memory step count never exceeds [Lint.Summary.envelope] of the
+   operation's budgeted class — the concrete ceiling the certificate
+   promises.  The structures of lib/structures run as their boxed
+   compile: the same source the unboxed backend compiles natively, so
+   the metered entries, the counters' batched add and the combining
+   fast path are measured too.  A final coverage check pins that every
+   budget row is either measured here or on an explicit skip list
+   (Unbounded allowlist entries, internal helpers exercised inside a
+   measured op), so a new budget row cannot silently dodge the
+   differential; and metering is checked never to be a step. *)
 
 let n = 8
 let bound = 64
@@ -25,6 +28,14 @@ let max_steps session thunks =
     0 thunks
 
 let values = [ 1; 3; 7; 20; 41; 63 ]
+
+(* A structure of lib/structures' boxed compile, built in a fresh
+   session. *)
+let in_session build =
+  let s = Memsim.Session.create () in
+  (s, Boxed.Raw.with_memory (Smem.Sim_memory.bind s) build)
+
+let live_metrics () = Obs.Metrics.create ~domains:n ()
 
 (* ------------------------------------------------------------------ *)
 (* Measurements: (op path, envelope size, observed max steps).  The
@@ -83,43 +94,111 @@ let snapshot_measurements impl prefix ~with_scan =
   :: (if with_scan then [ (prefix @ [ "scan" ], n, sc) ] else [])
 
 let farray_measurements () =
-  let s = Memsim.Session.create () in
-  let module M = (val Smem.Sim_memory.bind s) in
-  let module F = Farray.Make (M) in
-  let fa = F.create ~n ~combine:Memsim.Simval.max_val () in
+  let module F = Boxed.Farray in
+  let s, fa = in_session (F.create ~n ~combine:Memsim.Simval.max_val) in
+  let metrics = live_metrics () in
   let upd =
     max_steps s
       (List.map
          (fun v () -> F.update fa ~leaf:(v mod n) (Memsim.Simval.Int v))
          values)
   in
+  let upd_m =
+    max_steps s
+      (List.map
+         (fun v () ->
+           F.update_metered fa ~metrics ~domain:(v mod n) ~leaf:(v mod n)
+             (Memsim.Simval.Int (v + bound)))
+         values)
+  in
   let rd = max_steps s [ (fun () -> ignore (F.read fa)) ] in
   let rl = max_steps s [ (fun () -> ignore (F.read_leaf fa 0)) ] in
-  [ ([ "Farray"; "Make"; "update" ], n, upd);
-    ([ "Farray"; "Make"; "read" ], n, rd);
-    ([ "Farray"; "Make"; "read_leaf" ], n, rl) ]
+  [ ([ "Farray"; "update" ], n, upd);
+    ([ "Farray"; "update_metered" ], n, upd_m);
+    ([ "Farray"; "read" ], n, rd);
+    ([ "Farray"; "read_leaf" ], n, rl) ]
 
-let propagate_measurements () =
-  let s = Memsim.Session.create () in
-  let module M = (val Smem.Sim_memory.bind s) in
-  let module P = Treeprim.Propagate.Make (M) in
-  let combine = Memsim.Simval.max_val in
+(* A complete tree of [n] Bot leaves with leaf 0 holding 5: the leaf
+   and its parent. *)
+let propagate_tree () =
   let _root, leaves =
     Treeprim.Tree_shape.complete
-      ~mk:(fun () -> M.make Memsim.Simval.Bot)
+      ~mk:(fun () -> Boxed.Raw.make Memsim.Simval.Bot)
       ~nleaves:n ()
   in
   let leaf = leaves.(0) in
-  let parent =
-    match leaf.Treeprim.Tree_shape.parent with
-    | Some p -> p
-    | None -> Alcotest.fail "complete tree of 8 leaves has no internal node"
-  in
-  M.write leaf.Treeprim.Tree_shape.data (Memsim.Simval.Int 5);
+  Boxed.Raw.set leaf.Treeprim.Tree_shape.data (Memsim.Simval.Int 5);
+  match leaf.Treeprim.Tree_shape.parent with
+  | Some parent -> (leaf, parent)
+  | None -> Alcotest.fail "complete tree of 8 leaves has no internal node"
+
+let propagate_measurements () =
+  let module P = Boxed.Propagate in
+  let combine = Memsim.Simval.max_val in
+  let metrics = live_metrics () in
+  let s, (leaf, parent) = in_session propagate_tree in
   let refr = max_steps s [ (fun () -> P.refresh ~combine parent) ] in
-  let prop = max_steps s [ (fun () -> P.propagate ~combine leaf) ] in
-  [ ([ "Propagate"; "Make"; "refresh" ], n, refr);
-    ([ "Propagate"; "Make"; "propagate" ], n, prop) ]
+  let prop = max_steps s [ (fun () -> P.propagate ~refreshes:2 ~combine leaf) ] in
+  let refr_m =
+    max_steps s
+      [ (fun () -> P.refresh_metered ~metrics ~domain:0 ~combine parent) ]
+  in
+  let prop_m =
+    max_steps s
+      [ (fun () ->
+          P.propagate_metered ~metrics ~domain:0 ~refreshes:2 ~combine leaf) ]
+  in
+  [ ([ "Propagate"; "refresh" ], n, refr);
+    ([ "Propagate"; "propagate" ], n, prop);
+    ([ "Propagate"; "refresh_metered" ], n, refr_m);
+    ([ "Propagate"; "propagate_metered" ], n, prop_m) ]
+
+(* The operations that only the native fast path used to carry — the
+   metered entries, the counters' batched add (the combining apply) and
+   the CAS register's single attempt — on the boxed compile of the same
+   source. *)
+let fast_path_measurements () =
+  let metrics = live_metrics () in
+  let incrs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
+  let a_s, a = in_session (Boxed.Algorithm_a.create ~n) in
+  let a_w =
+    max_steps a_s
+      (List.map
+         (fun v () ->
+           Boxed.Algorithm_a.write_max_metered a ~metrics ~pid:(v mod n) v)
+         (values @ values))
+  in
+  let c_s, c = in_session Boxed.Cas_maxreg.create in
+  let c_once =
+    max_steps c_s
+      (List.map
+         (fun v () -> ignore (Boxed.Cas_maxreg.write_once c v : int))
+         (values @ values))
+  in
+  let nv_s, nv = in_session (Boxed.Naive_counter.create ~n) in
+  let nv_add =
+    max_steps nv_s
+      (List.map (fun k () -> Boxed.Naive_counter.add nv ~pid:(k mod n) k) incrs)
+  in
+  let module F = Boxed.Farray_counter in
+  let f_s, f = in_session (F.create ~n) in
+  let f_add =
+    max_steps f_s (List.map (fun k () -> F.add f ~pid:(k mod n) k) incrs)
+  in
+  let f_inc_m =
+    max_steps f_s
+      (List.map (fun k () -> F.increment_metered f ~metrics ~pid:(k mod n)) incrs)
+  in
+  let f_add_m =
+    max_steps f_s
+      (List.map (fun k () -> F.add_metered f ~metrics ~pid:(k mod n) k) incrs)
+  in
+  [ ([ "Algorithm_a"; "write_max_metered" ], bound, a_w);
+    ([ "Cas_maxreg"; "write_once" ], bound, c_once);
+    ([ "Naive_counter"; "add" ], bound, nv_add);
+    ([ "Farray_counter"; "add" ], bound, f_add);
+    ([ "Farray_counter"; "increment_metered" ], bound, f_inc_m);
+    ([ "Farray_counter"; "add_metered" ], bound, f_add_m) ]
 
 (* The hybrid snapshot mixes a boxed and an int memory, so count both
    halves with explicit wrappers instead of a simulator session. *)
@@ -204,30 +283,68 @@ let dial_measurements () =
   let max_of proj =
     List.fold_left (fun acc (_, m) -> max acc (proj m)) 0 worst
   in
-  [ ([ "Dial_counter"; "Make"; "read" ], n, max_of (fun (r, _, _, _) -> r));
-    ([ "Dial_counter"; "Make"; "increment" ], n,
-     max_of (fun (_, i, _, _) -> i));
-    ([ "Dial_maxreg"; "Make"; "read_max" ], n, max_of (fun (_, _, r, _) -> r));
-    ([ "Dial_maxreg"; "Make"; "write_max" ], n,
-     max_of (fun (_, _, _, w) -> w)) ]
+  let metrics = live_metrics () in
+  let fast =
+    List.map
+      (fun dial ->
+        let incrs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
+        let module C = Boxed.Dial_counter in
+        let c_s, c = in_session (C.create ~n ~dial) in
+        let add =
+          max_steps c_s (List.map (fun k () -> C.add c ~pid:(k mod n) k) incrs)
+        in
+        let inc_m =
+          max_steps c_s
+            (List.map
+               (fun k () -> C.increment_metered c ~metrics ~pid:(k mod n))
+               incrs)
+        in
+        let add_m =
+          max_steps c_s
+            (List.map
+               (fun k () -> C.add_metered c ~metrics ~pid:(k mod n) k)
+               incrs)
+        in
+        let r_s, r = in_session (Boxed.Dial_maxreg.create ~n ~dial) in
+        let w_m =
+          max_steps r_s
+            (List.map
+               (fun v () ->
+                 Boxed.Dial_maxreg.write_max_metered r ~metrics ~pid:(v mod n) v)
+               values)
+        in
+        (add, inc_m, add_m, w_m))
+      Treeprim.Dial.all
+  in
+  let max_fast proj = List.fold_left (fun acc m -> max acc (proj m)) 0 fast in
+  [ ([ "Dial_counter"; "read" ], n, max_of (fun (r, _, _, _) -> r));
+    ([ "Dial_counter"; "increment" ], n, max_of (fun (_, i, _, _) -> i));
+    ([ "Dial_counter"; "add" ], n, max_fast (fun (a, _, _, _) -> a));
+    ([ "Dial_counter"; "increment_metered" ], n,
+     max_fast (fun (_, i, _, _) -> i));
+    ([ "Dial_counter"; "add_metered" ], n, max_fast (fun (_, _, a, _) -> a));
+    ([ "Dial_maxreg"; "read_max" ], n, max_of (fun (_, _, r, _) -> r));
+    ([ "Dial_maxreg"; "write_max" ], n, max_of (fun (_, _, _, w) -> w));
+    ([ "Dial_maxreg"; "write_max_metered" ], n,
+     max_fast (fun (_, _, _, w) -> w)) ]
 
 let all_measurements () =
   List.concat
-    [ maxreg_measurements Harness.Instances.Algorithm_a
-        [ "Algorithm_a"; "Make" ] ~with_write:true;
+    [ maxreg_measurements Harness.Instances.Algorithm_a [ "Algorithm_a" ]
+        ~with_write:true;
       maxreg_measurements Harness.Instances.Aac_maxreg
         [ "Aac_maxreg"; "Make" ] ~with_write:true;
-      maxreg_measurements Harness.Instances.B1_maxreg
-        [ "B1_maxreg"; "Make" ] ~with_write:true;
+      maxreg_measurements Harness.Instances.B1_maxreg [ "B1_maxreg" ]
+        ~with_write:true;
       (* the CAS write retry loop is the Unbounded allowlist entry *)
-      maxreg_measurements Harness.Instances.Cas_maxreg
-        [ "Cas_maxreg"; "Make" ] ~with_write:false;
+      maxreg_measurements Harness.Instances.Cas_maxreg [ "Cas_maxreg" ]
+        ~with_write:false;
       counter_measurements Harness.Instances.Naive_counter
-        [ "Naive_counter"; "Make" ];
+        [ "Naive_counter" ];
       counter_measurements Harness.Instances.Aac_counter
         [ "Aac_counter"; "Make" ];
       counter_measurements Harness.Instances.Farray_counter
-        [ "Farray_counter"; "Make" ];
+        [ "Farray_counter" ];
       (* the double-collect scan is the Unbounded allowlist entry *)
       snapshot_measurements Harness.Instances.Double_collect
         [ "Double_collect"; "Make" ] ~with_scan:false;
@@ -237,6 +354,7 @@ let all_measurements () =
         [ "Farray_snapshot"; "Make" ] ~with_scan:true;
       farray_measurements ();
       propagate_measurements ();
+      fast_path_measurements ();
       hybrid_measurements ();
       dial_measurements () ]
 
@@ -317,20 +435,98 @@ let test_counting_is_live () =
   Alcotest.(check bool) "naive read touches every cell" true
     (Memsim.Session.direct_steps s >= n)
 
+(* Metering is never a step: every metered entry takes exactly the
+   steps of its plain op, operation by operation from the same initial
+   state, with a live handle and with [Obs.Metrics.disabled]. *)
+let steps_of_each build ops =
+  let s, x = in_session build in
+  List.map
+    (fun op ->
+      Memsim.Session.reset_steps s;
+      op x;
+      Memsim.Session.direct_steps s)
+    ops
+
+let test_metering_is_not_a_step () =
+  let same name build plain metered =
+    let expected = steps_of_each build plain in
+    List.iter
+      (fun (handle, metrics) ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s, %s handle" name handle)
+          expected
+          (steps_of_each build (metered metrics)))
+      [ ("live", live_metrics ()); ("disabled", Obs.Metrics.disabled) ]
+  in
+  (* repeated values take the no-op and the helping branches *)
+  let writes = values @ values @ [ 2; 2 ] in
+  let pids = [ 0; 1; 2; 3; 4; 5; 6; 7; 0; 3 ] in
+  let per xs f = List.map f xs in
+  let module A = Boxed.Algorithm_a in
+  same "Algorithm_a.write_max_metered" (A.create ~n)
+    (per writes (fun v a -> A.write_max a ~pid:(v mod n) v))
+    (fun metrics ->
+      per writes (fun v a -> A.write_max_metered a ~metrics ~pid:(v mod n) v));
+  let module C = Boxed.Cas_maxreg in
+  same "Cas_maxreg.write_max_metered" C.create
+    (per writes (fun v c -> C.write_max c ~pid:0 v))
+    (fun metrics -> per writes (fun v c -> C.write_max_metered c ~metrics ~pid:0 v));
+  let module F = Boxed.Farray_counter in
+  same "Farray_counter.increment_metered" (F.create ~n)
+    (per pids (fun pid f -> F.increment f ~pid))
+    (fun metrics -> per pids (fun pid f -> F.increment_metered f ~metrics ~pid));
+  same "Farray_counter.add_metered" (F.create ~n)
+    (per pids (fun pid f -> F.add f ~pid (pid + 1)))
+    (fun metrics ->
+      per pids (fun pid f -> F.add_metered f ~metrics ~pid (pid + 1)));
+  List.iter
+    (fun dial ->
+      let at op = op ^ " " ^ Treeprim.Dial.name dial in
+      let module D = Boxed.Dial_counter in
+      same (at "Dial_counter.increment_metered") (D.create ~n ~dial)
+        (per pids (fun pid d -> D.increment d ~pid))
+        (fun metrics ->
+          per pids (fun pid d -> D.increment_metered d ~metrics ~pid));
+      same (at "Dial_counter.add_metered") (D.create ~n ~dial)
+        (per pids (fun pid d -> D.add d ~pid (pid + 1)))
+        (fun metrics ->
+          per pids (fun pid d -> D.add_metered d ~metrics ~pid (pid + 1)));
+      let module R = Boxed.Dial_maxreg in
+      same (at "Dial_maxreg.write_max_metered") (R.create ~n ~dial)
+        (per writes (fun v r -> R.write_max r ~pid:(v mod n) v))
+        (fun metrics ->
+          per writes (fun v r ->
+              R.write_max_metered r ~metrics ~pid:(v mod n) v)))
+    Treeprim.Dial.all;
+  let module Fa = Boxed.Farray in
+  same "Farray.update_metered"
+    (Fa.create ~n ~combine:Memsim.Simval.max_val)
+    (per writes (fun v f -> Fa.update f ~leaf:(v mod n) (Memsim.Simval.Int v)))
+    (fun metrics ->
+      per writes (fun v f ->
+          Fa.update_metered f ~metrics ~domain:(v mod n) ~leaf:(v mod n)
+            (Memsim.Simval.Int v)));
+  let module P = Boxed.Propagate in
+  let combine = Memsim.Simval.max_val in
+  same "Propagate.{refresh,propagate}_metered" propagate_tree
+    [ (fun (_, parent) -> P.refresh ~combine parent);
+      (fun (leaf, _) -> P.propagate ~refreshes:2 ~combine leaf) ]
+    (fun metrics ->
+      [ (fun (_, parent) -> P.refresh_metered ~metrics ~domain:0 ~combine parent);
+        (fun (leaf, _) ->
+          P.propagate_metered ~metrics ~domain:0 ~refreshes:2 ~combine leaf) ])
+
 (* Every budget row is either measured above or explicitly skip-listed,
    so a new row cannot silently dodge the differential. *)
 let skip_reason op (row : Lint.Budgets.row) =
-  if List.mem "Unboxed" op then
-    Some "native backend (no simulator; same algorithm as the boxed twin)"
-  else
-    match row.budget with
-    | Lint.Summary.Unbounded _ -> Some "reviewed Unbounded allowlist entry"
-    | _ ->
-      if
-        op = [ "Double_collect"; "Make"; "collect" ]
-        || op = [ "Afek_snapshot"; "Make"; "collect" ]
-      then Some "internal helper, exercised inside the measured scan"
-      else None
+  match row.budget with
+  | Lint.Summary.Unbounded _ -> Some "reviewed Unbounded allowlist entry"
+  | _ ->
+    if
+      op = [ "Double_collect"; "Make"; "collect" ]
+      || op = [ "Afek_snapshot"; "Make"; "collect" ]
+    then Some "internal helper, exercised inside the measured scan"
+    else None
 
 let test_coverage () =
   let measured = List.map (fun (op, _, _) -> op) (all_measurements ()) in
@@ -352,5 +548,7 @@ let () =
           Alcotest.test_case "every dial point within its parametric envelope"
             `Quick test_dial_parametric_envelope;
           Alcotest.test_case "counting is live" `Quick test_counting_is_live;
+          Alcotest.test_case "metering is never a step" `Quick
+            test_metering_is_not_a_step;
           Alcotest.test_case "every budget row covered" `Quick test_coverage
         ] ) ]

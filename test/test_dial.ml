@@ -1,7 +1,7 @@
 (* The tradeoff-dial family (Dial_counter / Dial_maxreg): block geometry
    unit pins, differential equivalence against the naive baseline at
    every dial point (boxed, over Memsim), boxed-vs-unboxed parity,
-   4-domain exactness of the unboxed twins, zero-allocation checks, and
+   4-domain exactness of the unboxed compile, zero-allocation checks, and
    a fault-plan run with linearizability of the surviving history.
 
    The family's point is that f1 and fn are the two structures the repo
@@ -153,7 +153,7 @@ let test_parallel_dial_exact () =
   let per_domain = 5_000 in
   List.iter
     (fun dial ->
-      let module C = Counters.Dial_counter.Unboxed in
+      let module C = Unboxed.Dial_counter in
       let c = C.create ~n:domains_used ~dial () in
       in_domains domains_used (fun i ->
           for _ = 1 to per_domain do
@@ -168,7 +168,7 @@ let test_parallel_dial_maxreg_monotone () =
   let per_domain = 3_000 in
   List.iter
     (fun dial ->
-      let module A = Maxreg.Dial_maxreg.Unboxed in
+      let module A = Unboxed.Dial_maxreg in
       let reg = A.create ~n:domains_used ~dial () in
       let monotone = Atomic.make true in
       in_domains domains_used (fun i ->
@@ -211,7 +211,7 @@ let check_alloc_free name f =
 let test_alloc_free_dial () =
   List.iter
     (fun dial ->
-      let module C = Counters.Dial_counter.Unboxed in
+      let module C = Unboxed.Dial_counter in
       let c = C.create ~n:8 ~dial () in
       check_alloc_free (D.name dial ^ " increment") (fun () ->
           for _ = 1 to ops do

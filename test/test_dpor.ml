@@ -229,12 +229,14 @@ let test_verdicts_agree_on_buggy () =
    lost-update interleaving the naive enumeration finds. *)
 let test_dpor_finds_single_refresh_bug () =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module F = Farray.Make (M) in
+  let module F = Boxed.Farray in
   let sum a b =
     Simval.Int (Simval.int_or ~default:0 a + Simval.int_or ~default:0 b)
   in
-  let t = F.create ~refreshes:1 ~n:2 ~combine:sum () in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
+        F.create ~refreshes:1 ~n:2 ~combine:sum ())
+  in
   let make_body pid () =
     let c = Simval.int_or ~default:0 (F.read_leaf t pid) in
     F.update t ~leaf:pid (Simval.Int (c + 1))

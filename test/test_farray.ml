@@ -4,13 +4,14 @@
 open Memsim
 
 let make_sum session ~n =
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module F = Farray.Make (M) in
+  let module F = Boxed.Farray in
   let t =
-    F.create ~n
-      ~combine:(fun a b ->
-        Simval.Int (Simval.int_or ~default:0 a + Simval.int_or ~default:0 b))
-      ()
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
+        F.create ~n
+          ~combine:(fun a b ->
+            Simval.Int
+              (Simval.int_or ~default:0 a + Simval.int_or ~default:0 b))
+          ())
   in
   ( (fun i v -> F.update t ~leaf:i (Simval.Int v)),
     (fun () -> Simval.int_or ~default:0 (F.read t)),
@@ -30,9 +31,11 @@ let test_sum_sequential () =
 
 let test_max_aggregate () =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module F = Farray.Make (M) in
-  let t = F.create ~n:5 ~combine:Simval.max_val () in
+  let module F = Boxed.Farray in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
+        F.create ~n:5 ~combine:Simval.max_val ())
+  in
   F.update t ~leaf:1 (Simval.Int 9);
   F.update t ~leaf:4 (Simval.Int 3);
   Alcotest.(check bool) "max" true (Simval.equal (F.read t) (Simval.Int 9))

@@ -39,9 +39,8 @@ let test_counting_wrapper_is_isolated () =
 let test_counting_agrees_with_sim () =
   let session = Session.create () in
   let counting, counts = Smem.Counting_memory.wrap (Smem.Sim_memory.bind session) in
-  let module M = (val counting) in
-  let module A = Maxreg.Algorithm_a.Make (M) in
-  let reg = A.create ~n:16 () in
+  let module A = Boxed.Algorithm_a in
+  let reg = Boxed.Raw.with_memory counting (A.create ~n:16) in
   Session.reset_steps session;
   Smem.Counting_memory.reset counts;
   A.write_max reg ~pid:0 7;

@@ -277,6 +277,47 @@ let test_repo_is_lint_clean () =
   Alcotest.(check (list string)) "repo lints clean" []
     (List.map Lint.Diagnostic.to_human r.diagnostics)
 
+(* The inline guard.  Every shared-memory step of the unboxed compile
+   goes through lib/smem/unboxed/raw.mli; under dune's dev profile
+   (-opaque) a [val] there would turn each step into an out-of-line call
+   that neither the zero-alloc guards nor R3 can see, while an
+   [external] primitive expands inline exactly as [Stdlib.Atomic] does.
+   Read the compiled interface and require every function in it to be a
+   primitive, except the allocators (allocation is not a step). *)
+let raw_cmi =
+  Filename.concat repo_root
+    "_build/default/lib/smem/unboxed/.unboxed.objs/byte/unboxed__Raw.cmi"
+
+let test_raw_steps_are_primitives () =
+  let cmi = Cmi_format.read_cmi raw_cmi in
+  let functions =
+    List.filter_map
+      (function
+        | Types.Sig_value (id, vd, _) -> (
+          match Types.get_desc vd.Types.val_type with
+          | Types.Tarrow _ ->
+            let prim =
+              match vd.Types.val_kind with
+              | Types.Val_prim _ -> true
+              | _ -> false
+            in
+            Some (Ident.name id, prim)
+          | _ -> None)
+        | _ -> None)
+      cmi.Cmi_format.cmi_sign
+  in
+  let allocators = [ "make"; "maker" ] in
+  Alcotest.(check (list string)) "non-primitive functions in Raw" []
+    (List.filter_map
+       (fun (name, prim) ->
+         if prim || List.mem name allocators then None else Some name)
+       functions);
+  List.iter
+    (fun step ->
+      Alcotest.(check (option bool)) (step ^ " is a primitive") (Some true)
+        (List.assoc_opt step functions))
+    [ "get"; "set"; "cas"; "of_int"; "to_int" ]
+
 let () =
   Alcotest.run "lint"
     [ ("fixtures",
@@ -305,4 +346,6 @@ let () =
            test_golden_human_output;
          Alcotest.test_case "json shape" `Quick test_json_shape ]);
       ("meta", [ Alcotest.test_case "repo lint-clean" `Quick
-                   test_repo_is_lint_clean ]) ]
+                   test_repo_is_lint_clean;
+                 Alcotest.test_case "unboxed Raw steps are primitives" `Quick
+                   test_raw_steps_are_primitives ]) ]

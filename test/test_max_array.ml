@@ -299,9 +299,11 @@ let test_exhaustive_from_registers_cross () =
 
 let test_independent_registers_invert () =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module R = Maxreg.Cas_maxreg.Make (M) in
-  let ra = R.create () and rb = R.create () in
+  let module R = Boxed.Cas_maxreg in
+  let ra, rb =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
+        (R.create (), R.create ()))
+  in
   let scan_result a b = Simval.Vec [| Simval.Int a; Simval.Int b |] in
   let scan pid () =
     Session.annotate_invoke session ~op:"scan" ~arg:Simval.Bot;

@@ -104,32 +104,35 @@ let prop_b1_depth =
 
 (* {1 Propagate} *)
 
-module M = Smem.Atomic_memory
-module P = Propagate.Make (M)
+(* The boxed compile of Propagate over native atomics. *)
+module R = Boxed.Raw
+module P = Boxed.Propagate
+
+let atomic_tree ~nleaves =
+  R.with_memory (module Smem.Atomic_memory) (fun () ->
+      Tree_shape.complete ~mk:(fun () -> R.make Memsim.Simval.Bot) ~nleaves ())
 
 let test_propagate_max_reaches_root () =
-  let mk () = M.make Memsim.Simval.Bot in
-  let root, leaves = Tree_shape.complete ~mk ~nleaves:8 () in
-  M.write leaves.(5).Tree_shape.data (Memsim.Simval.Int 42);
-  P.propagate ~combine:Memsim.Simval.max_val leaves.(5);
+  let root, leaves = atomic_tree ~nleaves:8 in
+  R.set leaves.(5).Tree_shape.data (Memsim.Simval.Int 42);
+  P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(5);
   Alcotest.(check bool) "root holds max" true
-    (Memsim.Simval.equal (M.read root.Tree_shape.data) (Memsim.Simval.Int 42))
+    (Memsim.Simval.equal (R.get root.Tree_shape.data) (Memsim.Simval.Int 42))
 
 let test_propagate_keeps_maximum () =
-  let mk () = M.make Memsim.Simval.Bot in
-  let root, leaves = Tree_shape.complete ~mk ~nleaves:4 () in
+  let root, leaves = atomic_tree ~nleaves:4 in
   let write_and_propagate i v =
-    M.write leaves.(i).Tree_shape.data (Memsim.Simval.Int v);
-    P.propagate ~combine:Memsim.Simval.max_val leaves.(i)
+    R.set leaves.(i).Tree_shape.data (Memsim.Simval.Int v);
+    P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(i)
   in
   write_and_propagate 0 10;
   write_and_propagate 3 7;
   write_and_propagate 2 9;
   Alcotest.(check bool) "root still 10" true
-    (Memsim.Simval.equal (M.read root.Tree_shape.data) (Memsim.Simval.Int 10));
+    (Memsim.Simval.equal (R.get root.Tree_shape.data) (Memsim.Simval.Int 10));
   write_and_propagate 1 99;
   Alcotest.(check bool) "root now 99" true
-    (Memsim.Simval.equal (M.read root.Tree_shape.data) (Memsim.Simval.Int 99))
+    (Memsim.Simval.equal (R.get root.Tree_shape.data) (Memsim.Simval.Int 99))
 
 let () =
   Alcotest.run "treeprim"

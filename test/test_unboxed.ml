@@ -1,6 +1,8 @@
-(* Tests of the unboxed native backend and its specialized implementations:
-   the padded heap-block layout, differential equivalence against the boxed
-   backend on random operation sequences, zero-allocation assertions via
+(* Tests of the unboxed native backend and the unboxed compile of
+   lib/structures: the padded heap-block layout, differential equivalence
+   against the boxed compile of the same source on random operation
+   sequences (over Atomic_memory, whose physical CAS catches a source that
+   CASes with a re-encoded value), zero-allocation assertions via
    minor-heap deltas, and a multi-domain smoke test. *)
 
 (* {1 Padded layout}
@@ -40,9 +42,11 @@ let test_padded_layout () =
 
 (* {1 Differential: boxed vs unboxed on random operation sequences}
 
-   The unboxed specializations claim "same algorithm, different
-   representation"; random sequences of operations must be observationally
-   identical between the two backends. *)
+   The two compiles of one source must be observationally identical on
+   random sequences of operations.  The boxed side runs over
+   Atomic_memory, whose CAS is physical: a source that CASed with a value
+   re-encoded from an int, not the one its read returned, would never
+   install a value here. *)
 
 let bound = 1 lsl 20
 
@@ -202,7 +206,7 @@ let check_alloc_free name f =
     true (delta <= slack)
 
 let test_alloc_free_maxregs () =
-  let module C = Maxreg.Cas_maxreg.Unboxed in
+  let module C = Unboxed.Cas_maxreg in
   let reg = C.create () in
   let v0 = ref 0 in
   check_alloc_free "cas-loop write_max" (fun () ->
@@ -215,7 +219,7 @@ let test_alloc_free_maxregs () =
       for _ = 1 to ops do
         ignore (C.read_max reg : int)
       done);
-  let module A = Maxreg.Algorithm_a.Unboxed in
+  let module A = Unboxed.Algorithm_a in
   let areg = A.create ~n:4 () in
   let a0 = ref 0 in
   check_alloc_free "algorithm-a write_max" (fun () ->
@@ -230,7 +234,7 @@ let test_alloc_free_maxregs () =
       done);
   (* B1: steady-state only — materialize the spine first, then re-run the
      same values (lazy node construction is allowed to allocate) *)
-  let module B = Maxreg.B1_maxreg.Unboxed in
+  let module B = Unboxed.B1_maxreg in
   let breg = B.create () in
   for v = 0 to 200 do
     B.write_max breg ~pid:0 v
@@ -244,7 +248,7 @@ let test_alloc_free_maxregs () =
       done)
 
 let test_alloc_free_counters () =
-  let module F = Counters.Farray_counter.Unboxed in
+  let module F = Unboxed.Farray_counter in
   let c = F.create ~n:4 () in
   check_alloc_free "farray increment" (fun () ->
       for _ = 1 to ops do
@@ -254,7 +258,7 @@ let test_alloc_free_counters () =
       for _ = 1 to ops do
         ignore (F.read c : int)
       done);
-  let module N = Counters.Naive_counter.Unboxed in
+  let module N = Unboxed.Naive_counter in
   let nc = N.create ~n:4 () in
   check_alloc_free "naive increment" (fun () ->
       for _ = 1 to ops do
@@ -279,7 +283,7 @@ let in_domains k f =
 
 let test_parallel_counter_exact () =
   let per_domain = 5_000 in
-  let module F = Counters.Farray_counter.Unboxed in
+  let module F = Unboxed.Farray_counter in
   let c = F.create ~n:domains_used () in
   in_domains domains_used (fun i ->
       for _ = 1 to per_domain do
@@ -287,7 +291,7 @@ let test_parallel_counter_exact () =
       done);
   Alcotest.(check int) "farray total exact" (domains_used * per_domain)
     (F.read c);
-  let module N = Counters.Naive_counter.Unboxed in
+  let module N = Unboxed.Naive_counter in
   let nc = N.create ~n:domains_used () in
   in_domains domains_used (fun i ->
       for _ = 1 to per_domain do
@@ -298,7 +302,7 @@ let test_parallel_counter_exact () =
 
 let test_parallel_maxreg_monotone () =
   let per_domain = 3_000 in
-  let module A = Maxreg.Algorithm_a.Unboxed in
+  let module A = Unboxed.Algorithm_a in
   let reg = A.create ~n:domains_used () in
   let monotone = Atomic.make true in
   in_domains domains_used (fun i ->
