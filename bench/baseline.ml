@@ -5,7 +5,7 @@
    runners are too noisy to gate on (the per-row [rsd] field quantifies
    exactly how noisy), so the report flags suspects for a human.
 
-   Works on parsed {!Json_out.t} documents rather than [Bench_native.row]
+   Works on parsed {!Obs.Json_out.t} documents rather than [Bench_native.row]
    so both sides go through the same schema accessors; v2/v3 baselines
    (no combining rows; no adaptive rows) still diff fine — unmatched
    rows are counted, not errors.
@@ -30,9 +30,9 @@ type entry = {
 }
 
 let entry_of_row j =
-  let str k = Option.bind (Json_out.member k j) Json_out.as_string in
-  let int k = Option.bind (Json_out.member k j) Json_out.as_int in
-  let flt k = Option.bind (Json_out.member k j) Json_out.as_float in
+  let str k = Option.bind (Obs.Json_out.member k j) Obs.Json_out.as_string in
+  let int k = Option.bind (Obs.Json_out.member k j) Obs.Json_out.as_int in
+  let flt k = Option.bind (Obs.Json_out.member k j) Obs.Json_out.as_float in
   match
     (str "structure", str "impl", str "backend", int "domains",
      int "read_pct", flt "mops")
@@ -43,12 +43,12 @@ let entry_of_row j =
   | _ -> None
 
 let entries_of_doc doc =
-  match Option.bind (Json_out.member "rows" doc) Json_out.as_list with
+  match Option.bind (Obs.Json_out.member "rows" doc) Obs.Json_out.as_list with
   | None -> []
   | Some rows -> List.filter_map entry_of_row rows
 
 let schema_of_doc doc =
-  Option.bind (Json_out.member "schema" doc) Json_out.as_string
+  Option.bind (Obs.Json_out.member "schema" doc) Obs.Json_out.as_string
 
 let key e = (e.structure, e.impl, e.backend, e.domains, e.read_pct)
 

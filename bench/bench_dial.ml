@@ -110,15 +110,6 @@ type row = {
   rsd : float;
 }
 
-let pattern_slots = 128
-let bmask = pattern_slots - 1
-let batch = 64
-
-let read_pattern ~read_pct =
-  let reads = ((read_pct * pattern_slots) + 50) / 100 in
-  Array.init pattern_slots (fun i ->
-      ((i + 1) * reads / pattern_slots) - (i * reads / pattern_slots) = 1)
-
 let cell ~cfg ~dial ~domains ~read_pct =
   let c, _ =
     Option.get
@@ -126,10 +117,12 @@ let cell ~cfg ~dial ~domains ~read_pct =
          ~domains (Harness.Instances.Dial dial))
   in
   let read = c.Counters.Counter.read and increment = c.Counters.Counter.increment in
-  let pat = read_pattern ~read_pct in
+  let pat = Bench_native.read_pattern ~read_pct in
+  let mask = Array.length pat - 1 in
+  let batch = Bench_native.batch in
   let op d i =
     for j = i to i + batch - 1 do
-      if pat.(j land bmask) then ignore (read () : int) else increment ~pid:d
+      if pat.(j land mask) then ignore (read () : int) else increment ~pid:d
     done
   in
   let trial () =
@@ -138,15 +131,8 @@ let cell ~cfg ~dial ~domains ~read_pct =
   in
   ignore (trial () : float);  (* warmup, discarded *)
   let ms = List.init cfg.trials (fun _ -> trial ()) in
-  let sorted = List.sort compare ms in
-  let median = List.nth sorted (List.length sorted / 2) in
-  let mean = List.fold_left ( +. ) 0. ms /. float_of_int (List.length ms) in
-  let var =
-    List.fold_left (fun a m -> a +. ((m -. mean) ** 2.)) 0. ms
-    /. float_of_int (List.length ms)
-  in
-  let rsd = if mean > 0. then sqrt var /. mean else 0. in
-  { t_dial = dial; domains; read_pct; mops = median; trial_mops = ms; rsd }
+  { t_dial = dial; domains; read_pct; mops = Bench_native.median ms;
+    trial_mops = ms; rsd = Bench_native.rsd ms }
 
 let sweep ?(progress = fun (_ : string) -> ()) cfg =
   List.concat_map
@@ -181,7 +167,7 @@ let table rows =
 (* {1 JSON trajectory} *)
 
 let to_json ~cfg ~steps rows =
-  let open Json_out in
+  let open Obs.Json_out in
   Obj
     [ ("schema", Str "bench-dial/v1");
       ("n", Int cfg.n);

@@ -52,14 +52,14 @@ type row = {
   t_dial : Treeprim.Dial.t;
   domains : int;
   read_pct : int;
-  mops : float;  (** median over trials *)
+  mops : float;  (** {!Bench_native.median} of [trial_mops] *)
   trial_mops : float list;
-  rsd : float;
+  rsd : float;  (** {!Bench_native.rsd} of [trial_mops] *)
 }
 
 val sweep : ?progress:(string -> unit) -> config -> row list
 val table : row list -> string
 
-val to_json : cfg:config -> steps:step_row list -> row list -> Json_out.t
+val to_json : cfg:config -> steps:step_row list -> row list -> Obs.Json_out.t
 (** Schema ["bench-dial/v1"]: a ["steps"] section and a ["rows"]
     section. *)

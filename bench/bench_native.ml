@@ -835,59 +835,60 @@ let metrics_json (m : Obs.Metrics.totals) =
       ("combiner_locks", Obs.Json_out.Int m.combiner_locks) ]
 
 let to_json ~cfg rows =
-  Json_out.Obj
-    [ ("schema", Json_out.Str schema_version);
+  let open Obs.Json_out in
+  Obj
+    [ ("schema", Str schema_version);
       ( "host",
-        Json_out.Obj
-          [ ("ocaml", Json_out.Str Sys.ocaml_version);
-            ("word_size", Json_out.Int Sys.word_size);
+        Obj
+          [ ("ocaml", Str Sys.ocaml_version);
+            ("word_size", Int Sys.word_size);
             ( "recommended_domains",
-              Json_out.Int (Harness.Throughput.recommended_domains ()) ) ] );
+              Int (Harness.Throughput.recommended_domains ()) ) ] );
       ( "config",
-        Json_out.Obj
-          [ ("quick", Json_out.Bool cfg.quick);
-            ("structure_n", Json_out.Int (structure_n cfg));
+        Obj
+          [ ("quick", Bool cfg.quick);
+            ("structure_n", Int (structure_n cfg));
             ( "domain_counts",
-              Json_out.List (List.map (fun d -> Json_out.Int d) cfg.domain_counts) );
+              List (List.map (fun d -> Int d) cfg.domain_counts) );
             ( "read_shares",
-              Json_out.List (List.map (fun s -> Json_out.Int s) cfg.read_shares) );
-            ("seconds_per_trial", Json_out.Float cfg.seconds);
-            ("warmup_seconds", Json_out.Float cfg.warmup_seconds);
-            ("trials", Json_out.Int cfg.trials);
-            ("batch", Json_out.Int batch) ] );
+              List (List.map (fun s -> Int s) cfg.read_shares) );
+            ("seconds_per_trial", Float cfg.seconds);
+            ("warmup_seconds", Float cfg.warmup_seconds);
+            ("trials", Int cfg.trials);
+            ("batch", Int batch) ] );
       ( "rows",
-        Json_out.List
+        List
           (List.map
              (fun (r : row) ->
-               Json_out.Obj
-                 [ ("structure", Json_out.Str r.structure);
-                   ("impl", Json_out.Str r.impl);
-                   ("backend", Json_out.Str r.backend);
-                   ("domains", Json_out.Int r.domains);
-                   ("read_pct", Json_out.Int r.read_pct);
-                   ("mops", Json_out.Float r.mops);
+               Obj
+                 [ ("structure", Str r.structure);
+                   ("impl", Str r.impl);
+                   ("backend", Str r.backend);
+                   ("domains", Int r.domains);
+                   ("read_pct", Int r.read_pct);
+                   ("mops", Float r.mops);
                    ( "trial_mops",
-                     Json_out.List
-                       (List.map (fun m -> Json_out.Float m) r.trial_mops) );
-                   ("rsd", Json_out.Float r.rsd);
-                   ("oversubscribed", Json_out.Bool r.oversubscribed);
+                     List
+                       (List.map (fun m -> Float m) r.trial_mops) );
+                   ("rsd", Float r.rsd);
+                   ("oversubscribed", Bool r.oversubscribed);
                    ( "epoch_flips",
                      match r.epoch_flips with
-                     | None -> Json_out.Null
-                     | Some f -> Json_out.Int f );
+                     | None -> Null
+                     | Some f -> Int f );
                    ( "time_in_combining_pct",
                      match r.time_in_combining_pct with
-                     | None -> Json_out.Null
-                     | Some p -> Json_out.Float p );
+                     | None -> Null
+                     | Some p -> Float p );
                    ( "latency_ns",
-                     Json_out.Obj
-                       [ ("p50", Json_out.Float r.lat_p50);
-                         ("p95", Json_out.Float r.lat_p95);
-                         ("p99", Json_out.Float r.lat_p99);
-                         ("max", Json_out.Float r.lat_max);
-                         ("samples", Json_out.Int r.lat_samples) ] );
+                     Obj
+                       [ ("p50", Float r.lat_p50);
+                         ("p95", Float r.lat_p95);
+                         ("p99", Float r.lat_p99);
+                         ("max", Float r.lat_max);
+                         ("samples", Int r.lat_samples) ] );
                    ( "metrics",
                      match r.metrics with
-                     | None -> Json_out.Null
+                     | None -> Null
                      | Some m -> metrics_json m ) ])
              rows) ) ]

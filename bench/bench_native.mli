@@ -43,6 +43,13 @@ val sweep : ?progress:(string -> unit) -> config -> row list
     one line per trial round, and a line per (target, backend) as the
     latency/metrics epilogue starts. *)
 
+val batch : int
+(** Operations per harness call in every timed loop. *)
+
+val read_pattern : read_pct:int -> bool array
+(** A cell's operation mix over 128 slots, [true] for a read: the read
+    share quantized to 1/128 and interleaved evenly. *)
+
 val median : float list -> float
 (** Median of the finite members (NaN trials are dropped; the middle
     pair is averaged on even counts).  Exposed for the regression tests
@@ -56,7 +63,7 @@ val rsd : float list -> float
 val table : row list -> string
 (** Rendered throughput/latency table. *)
 
-val to_json : cfg:config -> row list -> Json_out.t
+val to_json : cfg:config -> row list -> Obs.Json_out.t
 (** The machine-readable trajectory (schema "bench-native/v4": adds the
     adaptive backend and its per-row [epoch_flips] /
     [time_in_combining_pct] fields to v3's combining backend, per-row

@@ -42,7 +42,7 @@ let run_dial cfg out =
   print_string (Benchkit.Bench_dial.table rows);
   let doc = Benchkit.Bench_dial.to_json ~cfg ~steps rows in
   let out = if out = "BENCH_NATIVE.json" then "BENCH_DIAL.json" else out in
-  Benchkit.Json_out.to_file out doc;
+  Obs.Json_out.to_file out doc;
   Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows)
 
 let run_backends cfg out baseline =
@@ -53,14 +53,14 @@ let run_backends cfg out baseline =
   in
   print_string (Benchkit.Bench_native.table rows);
   let doc = Benchkit.Bench_native.to_json ~cfg rows in
-  Benchkit.Json_out.to_file out doc;
+  Obs.Json_out.to_file out doc;
   Printf.printf "\nwrote %s (%d rows)\n" out (List.length rows);
   match baseline with
   | None -> ()
   | Some file ->
     (match
        let contents = In_channel.with_open_text file In_channel.input_all in
-       Benchkit.Json_out.parse contents
+       Obs.Json_out.parse contents
      with
      | base ->
        print_newline ();
@@ -68,15 +68,19 @@ let run_backends cfg out baseline =
          (Benchkit.Baseline.report ~baseline:base ~current:doc ())
      | exception Sys_error msg ->
        Printf.eprintf "bench: cannot read baseline: %s\n" msg
-     | exception Benchkit.Json_out.Parse_error msg ->
+     | exception Obs.Json_out.Parse_error msg ->
        Printf.eprintf "bench: baseline %s does not parse: %s\n" file msg)
 
 (* Bad sweep inputs (non-positive or non-finite seconds, zero trials,
-   shares outside 0..100, max-domains < 1) are refused before anything
-   runs: the error is printed and the exit status is non-zero. *)
+   shares outside 0..100, max-domains < 1) and a --baseline given with
+   --dial (Baseline reads bench-native trajectories only) are refused
+   before anything runs: the error is printed and the exit status is
+   non-zero. *)
 let run dial quick out baseline max_domains seconds trials read_shares =
   match
-    if dial then
+    if dial && Option.is_some baseline then
+      invalid_arg "--baseline diffs bench-native trajectories, not --dial"
+    else if dial then
       `Dial
         (Benchkit.Bench_dial.config ~quick ~max_domains ?seconds ?trials
            ~read_shares ())
@@ -113,7 +117,8 @@ let baseline =
        & info [ "baseline" ] ~docv:"FILE"
            ~doc:
              "Diff the fresh rows against a previously written trajectory \
-              (schema v2, v3 or v4); report regressions, warn-only.")
+              (schema v2, v3 or v4); report regressions, warn-only.  Not \
+              with --dial.")
 
 let max_domains =
   Arg.(value & opt int 4

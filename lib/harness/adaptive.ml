@@ -3,8 +3,9 @@
    plus a {!Smem.Combine} arena over it, and routes every update through
    whichever side of the paper's tradeoff the recent workload favors:
 
-   - the *plain* path is the structure's own lock-free operation (the
-     [_metered] entry point, so CAS attempt/failure signals accrue);
+   - the *plain* path is the structure's own lock-free operation, which
+     takes the instance's metrics handle (so CAS attempt/failure signals
+     accrue when it is live);
    - the *combining* path is the structure's fast-path attempt
      (elimination against the monotone root, cas-loop's [write_once])
      and otherwise an arena submit.  It is also the whole of the static
@@ -422,8 +423,7 @@ module type STRUCTURE = sig
 
   val default_policy : Policy.params
   val combine : int -> int -> int
-  val update : t -> pid:int -> int -> unit
-  val update_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
+  val update : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
 
   val subsumed : t -> int -> bool
   (* the update is already absorbed by the current state: a stale write *)
@@ -458,7 +458,7 @@ module Kernel (S : STRUCTURE) = struct
     let arena = Smem.Combine.create ?spin ~domains ~combine:S.combine () in
     { s;
       arena;
-      apply = (fun d v -> S.update_metered s ~metrics ~pid:d v);
+      apply = (fun d v -> S.update s ~metrics ~pid:d v);
       ctl = Ctl.create ~params:policy ~domains ~metrics ~arena;
       metrics;
       solo = domains = 1 && not (Obs.Metrics.enabled metrics);
@@ -472,8 +472,7 @@ module Kernel (S : STRUCTURE) = struct
   let[@inline] check v =
     if v < 0 then invalid_arg "Adaptive: negative update value"
 
-  let[@inline] update_plain t ~pid v =
-    S.update_metered t.s ~metrics:t.metrics ~pid v
+  let[@inline] update_plain t ~pid v = S.update t.s ~metrics:t.metrics ~pid v
 
   let[@inline] combining_path t ~pid v =
     let r = S.try_update t.s v in
@@ -483,19 +482,19 @@ module Kernel (S : STRUCTURE) = struct
 
   let update_combining t ~pid v =
     check v;
-    if t.solo then S.update t.s ~pid v else combining_path t ~pid v
+    if t.solo then update_plain t ~pid v else combining_path t ~pid v
 
   let tick_many t ~pid ~reads ~updates ~stale =
     if not t.solo then Ctl.tick_many t.ctl ~pid ~reads ~updates ~stale
 
   let update t ~pid v =
     check v;
-    if t.solo then S.update t.s ~pid v
+    if t.solo then update_plain t ~pid v
     else begin
       if Ctl.combining t.ctl then combining_path t ~pid v
       else begin
         if t.track_stale && S.subsumed t.s v then Ctl.note_stale t.ctl ~pid;
-        S.update_metered t.s ~metrics:t.metrics ~pid v
+        update_plain t ~pid v
       end;
       Ctl.tick t.ctl ~pid
     end
@@ -536,8 +535,7 @@ module Alg_a = struct
 
     let default_policy = Policy.default_maxreg
     let combine = imax
-    let update = AU.write_max
-    let update_metered = AU.write_max_metered
+    let update = AU.write_max_metered
     let subsumed reg v = v <= AU.read_max reg
 
     (* the root is monotone: a write at or below it is already subsumed
@@ -564,8 +562,7 @@ module Cas = struct
 
     let default_policy = Policy.default_cas
     let combine = imax
-    let update = CU.write_max
-    let update_metered = CU.write_max_metered
+    let update = CU.write_max_metered
     let subsumed reg v = v <= CU.read_max reg
 
     (* one uncontended read + CAS; only a lost race pays the arena,
@@ -593,8 +590,7 @@ module Farray_c = struct
 
     let default_policy = Policy.default_counter
     let combine = ( + )
-    let update = FU.add
-    let update_metered = FU.add_metered
+    let update = FU.add_metered
     let subsumed _ _ = false
     let try_update _ _ = 2
   end)
@@ -617,8 +613,7 @@ module Naive_c = struct
 
     let default_policy = Policy.default_control
     let combine = ( + )
-    let update = NU.add
-    let update_metered c ~metrics:_ ~pid k = NU.add c ~pid k
+    let update c ~metrics:_ ~pid k = NU.add c ~pid k
     let subsumed _ _ = false
     let try_update _ _ = 2
   end)

@@ -225,11 +225,10 @@ let meter_counter ~metrics (i : Counters.Counter.instance) :
           i.increment ~pid) }
 
 (* The plain unboxed structures, as a read and an update closure; the
-   update is the [_metered] entry only under a live handle, so an
-   unmetered instance calls exactly the raw op. *)
+   update meters into [metrics], which costs an unmetered instance (the
+   disabled handle) one branch per operation. *)
 
 let unboxed_maxreg ~metrics ~n spec =
-  let metered = Obs.Metrics.enabled metrics in
   match spec with
   | Impl ((Algorithm_a | Algorithm_a_literal) as impl) ->
     let module A = Unboxed.Algorithm_a in
@@ -238,15 +237,13 @@ let unboxed_maxreg ~metrics ~n spec =
     in
     Some
       ( (fun () -> A.read_max reg),
-        if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
-        else fun ~pid v -> A.write_max reg ~pid v )
+        fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
   | Impl Cas_maxreg ->
     let module A = Unboxed.Cas_maxreg in
     let reg = A.create () in
     Some
       ( (fun () -> A.read_max reg),
-        if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
-        else fun ~pid v -> A.write_max reg ~pid v )
+        fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
   | Impl B1_maxreg ->
     (* switch writes are idempotent 0->1 stores, no CAS to meter *)
     let module A = Unboxed.B1_maxreg in
@@ -257,20 +254,16 @@ let unboxed_maxreg ~metrics ~n spec =
     let reg = A.create ~n ~dial () in
     Some
       ( (fun () -> A.read_max reg),
-        if metered then fun ~pid v -> A.write_max_metered reg ~metrics ~pid v
-        else fun ~pid v -> A.write_max reg ~pid v )
+        fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
   | Impl Aac_maxreg -> None
 
 let unboxed_counter ~metrics ~n spec =
-  let metered = Obs.Metrics.enabled metrics in
   match spec with
   | Impl Farray_counter ->
     let module C = Unboxed.Farray_counter in
     let c = C.create ~n () in
     Some
-      ( (fun () -> C.read c),
-        if metered then fun ~pid -> C.increment_metered c ~metrics ~pid
-        else fun ~pid -> C.increment c ~pid )
+      ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
   | Impl Naive_counter ->
     (* single-writer cells, no CAS to meter *)
     let module C = Unboxed.Naive_counter in
@@ -288,9 +281,7 @@ let unboxed_counter ~metrics ~n spec =
     let module C = Unboxed.Dial_counter in
     let c = C.create ~n ~dial () in
     Some
-      ( (fun () -> C.read c),
-        if metered then fun ~pid -> C.increment_metered c ~metrics ~pid
-        else fun ~pid -> C.increment c ~pid )
+      ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
   | Impl (Aac_counter | Snapshot_counter (Double_collect | Afek)) -> None
 
 (* The dispatch backends: one adaptive instance over a fresh structure. *)

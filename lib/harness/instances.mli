@@ -144,11 +144,11 @@ val maxreg_dial_sim :
     instance, and they keep full dispatch at [domains = 1].  [Op_read]
     is never recorded here: the [read] closures carry no pid — record
     it at the call site.  Without a live handle (absent or
-    {!Obs.Metrics.disabled}) the unboxed backend calls the raw ops and
-    the dispatch backends run on that shared disabled handle — not a
-    private enabled one: stale-rate and arena signals only (each record
-    site one immediate-bool branch), and a direct plain call per update
-    at [domains = 1] (the zero-allocation guard in test_obs.ml pins the
+    {!Obs.Metrics.disabled}) every backend runs on that shared disabled
+    handle — not a private enabled one: one immediate-bool branch per
+    update for the metering, stale-rate and arena signals only on the
+    dispatch backends, and a direct plain call per update at
+    [domains = 1] (the zero-allocation guard in test_obs.ml pins the
     disabled path).  Combining statistics live in the arena: flush them
     with {!Obs.Metrics.record_combine_stats}. *)
 

@@ -3,6 +3,8 @@
    paper's bound for that operation, which lib/lint/cost.ml must certify
    the implementation stays within.  Growing or loosening a row is a
    reviewed change to this file, not an edit at the violation site.
+   An update's metered body ([write_max_metered], ...) has no row: the
+   plain op wraps it, so the plain op's row certifies the body.
 
    The auxiliary tables are the analysis's trusted annotations:
 
@@ -57,9 +59,6 @@ let default =
         row [ "Algorithm_a"; "write_max" ] Log
           "Algorithm A WriteMax: leaf write + double-refresh propagation, \
            O(min(log N, log v))";
-        row [ "Algorithm_a"; "write_max_metered" ] Log
-          "metered WriteMax: same walk, instrumentation excluded from the \
-           model's accounting";
         row [ "Aac_maxreg"; "Make"; "read_max" ] Log
           "AAC bounded max register: switch descent, O(log M)";
         row [ "Aac_maxreg"; "Make"; "write_max" ] Log
@@ -77,9 +76,6 @@ let default =
           "deliberately not wait-free: retries bounded only by concurrent \
            successful writers (the Theorem 3 adversary drives this to \
            Theta(K)) — the baseline Algorithm A exists to beat";
-        row [ "Cas_maxreg"; "write_max_metered" ]
-          (Unbounded "lock-free CAS retry loop")
-          "metered variant of the not-wait-free retry loop";
         row [ "Cas_maxreg"; "write_once" ] (Const 2)
           "single CAS attempt for the combining fast path: one read, one \
            CAS";
@@ -98,11 +94,6 @@ let default =
           "f-array counter increment: leaf bump + propagation, O(log N)";
         row [ "Farray_counter"; "add" ] Log
           "batched increment: one leaf update + one propagation";
-        row [ "Farray_counter"; "increment_metered" ] Log
-          "metered increment: instrumentation excluded from the model";
-        row [ "Farray_counter"; "add_metered" ] Log
-          "metered batched increment: instrumentation excluded from the \
-           model";
         row [ "Farray_counter"; "read" ] (Const 2)
           "f-array counter read: one read of the root";
         (* the tradeoff-dial family (Theorem 1's frontier).  The static
@@ -119,20 +110,11 @@ let default =
         row [ "Dial_counter"; "add" ] Log
           "batched dial increment: one leaf update + one in-block \
            propagation";
-        row [ "Dial_counter"; "increment_metered" ] Log
-          "metered dial increment: instrumentation excluded from the \
-           model";
-        row [ "Dial_counter"; "add_metered" ] Log
-          "metered batched dial increment: instrumentation excluded from \
-           the model";
         row [ "Dial_maxreg"; "read_max" ] Linear
           "dial max register ReadMax: collect of the f <= N block roots";
         row [ "Dial_maxreg"; "write_max" ] Log
           "dial max register WriteMax: in-block propagation, \
            O(log(N/f)) <= O(log N)";
-        row [ "Dial_maxreg"; "write_max_metered" ] Log
-          "metered dial WriteMax: instrumentation excluded from the \
-           model";
         (* f-array (Theorem 1's optimal point) *)
         row [ "Farray"; "read" ] (Const 1)
           "f-array read: a single read of the root";
@@ -140,17 +122,11 @@ let default =
         row [ "Farray"; "update" ] Log
           "f-array update: leaf write + double-refresh propagation, \
            O(log N)";
-        row [ "Farray"; "update_metered" ] Log
-          "metered update: instrumentation excluded from the model";
         (* tree propagation primitive *)
         row [ "Propagate"; "refresh" ] (Const 4)
           "one refresh: read node + read both children + CAS = 4 events";
         row [ "Propagate"; "propagate" ] Log
           "leaf-to-root walk, 2 refreshes per ancestor: O(depth)";
-        row [ "Propagate"; "refresh_metered" ] (Const 4)
-          "metered refresh: instrumentation excluded from the model";
-        row [ "Propagate"; "propagate_metered" ] Log
-          "metered walk: instrumentation excluded from the model";
         (* snapshots (E3) *)
         row [ "Double_collect"; "Make"; "update" ] (Const 2)
           "double-collect update: read own segment's seq + write";
@@ -178,8 +154,7 @@ let default =
           "hybrid snapshot scan: a single read of the root" ];
     recursion =
       [ (* leaf-to-root walks: depth of a complete/B1 tree *)
-        ([ "Propagate"; "propagate" ], Summary.Log);
-        ([ "Propagate"; "propagate_metered_live" ], Summary.Log);
+        ([ "Propagate"; "walk" ], Summary.Log);
         ([ "Aac_counter"; "Make"; "up" ], Summary.Log);
         ([ "Hybrid_snapshot"; "Make"; "propagate" ], Summary.Log);
         (* switch-tree descents: depth of the AAC / B1 partition tree *)

@@ -79,8 +79,8 @@ let default =
         { qual = [ "Algorithm_a"; "write_max" ]; mode = Body };
         { qual = [ "Algorithm_a"; "write_max_metered" ]; mode = Body };
         { qual = [ "Cas_maxreg"; "read_max" ]; mode = Body };
+        { qual = [ "Cas_maxreg"; "write_once" ]; mode = Body };
         { qual = [ "Cas_maxreg"; "cas_loop" ]; mode = Body };
-        { qual = [ "Cas_maxreg"; "cas_loop_metered" ]; mode = Body };
         { qual = [ "Cas_maxreg"; "write_max" ]; mode = Body };
         { qual = [ "Cas_maxreg"; "write_max_metered" ]; mode = Body };
         { qual = [ "B1_maxreg"; "switch_set" ]; mode = Body };
@@ -102,16 +102,17 @@ let default =
         { qual = [ "Naive_counter"; "add" ]; mode = Body };
         { qual = [ "Dial_counter"; "increment" ]; mode = Body };
         { qual = [ "Dial_counter"; "increment_metered" ]; mode = Body };
+        { qual = [ "Dial_counter"; "add" ]; mode = Body };
+        { qual = [ "Dial_counter"; "add_metered" ]; mode = Body };
         { qual = [ "Dial_counter"; "read" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "read_max" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "write_max" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "write_max_metered" ]; mode = Body };
         { qual = [ "Propagate"; "child_value" ]; mode = Body };
         { qual = [ "Propagate"; "refresh" ]; mode = Body };
+        { qual = [ "Propagate"; "walk" ]; mode = Body };
         { qual = [ "Propagate"; "propagate" ]; mode = Body };
-        { qual = [ "Propagate"; "refresh_metered" ]; mode = Body };
-        { qual = [ "Propagate"; "propagate_metered_live" ]; mode = Body };
-        { qual = [ "Propagate"; "propagate_metered" ]; mode = Body };
+        { qual = [ "Propagate"; "record" ]; mode = Body };
         { qual = [ "Throughput"; "run_alone" ]; mode = Loops };
         { qual = [ "Throughput"; "run_batched" ]; mode = Loops };
         (* the flat-combining arena hot paths: submit (fast path and
@@ -155,7 +156,7 @@ let default =
         { qual = [ "Adaptive"; "Farray_c"; "increment" ]; mode = Body };
         { qual = [ "Adaptive"; "Naive_c"; "read" ]; mode = Body };
         { qual = [ "Adaptive"; "Naive_c"; "increment" ]; mode = Body };
-        { qual = [ "Adaptive"; "Naive_c"; "update_metered" ]; mode = Body } ];
+        { qual = [ "Adaptive"; "Naive_c"; "update" ]; mode = Body } ];
     (* R4: every library module pins its public surface.  Allowlist:
        signature-only modules (nothing to hide) and executable entry
        modules living next to library code. *)

@@ -58,48 +58,29 @@ let read_max t =
 let combine a b = if Raw.to_int a >= Raw.to_int b then a else b
 
 (* WriteMax (lines 10-18): select the leaf, skip if the leaf already holds
-   a value at least as large, otherwise write and propagate. *)
-let write_max t ~pid value =
+   a value at least as large, otherwise write and propagate.  The walk is
+   metered under shard [pid], with one [Help] when the write takes the
+   help-the-concurrent-writer branch (the repaired line 16). *)
+let write_max_metered t ~metrics ~pid value =
   if value < 0 then invalid_arg "Algorithm_a.write_max: negative value";
   if pid < 0 || pid >= t.n then invalid_arg "Algorithm_a.write_max: bad pid";
   let in_tl = value < Array.length t.tl_leaves in
   let leaf = if in_tl then t.tl_leaves.(value) else t.tr_leaves.(pid) in
   (* [bot] reads as min_int < 0 <= value: no special case *)
-  let old_value = Raw.to_int (Raw.get leaf.Treeprim.Tree_shape.data) in
-  if value > old_value then begin
-    Raw.set leaf.Treeprim.Tree_shape.data (Raw.of_int value);
-    Propagate.propagate ~refreshes:t.refreshes ~combine leaf
+  let fresh = value > Raw.to_int (Raw.get leaf.Treeprim.Tree_shape.data) in
+  (* A TL leaf that already holds [value] may have been written by a
+     process that has not propagated yet: help it, so that our completed
+     WriteMax is visible at the root (see deviation note above). *)
+  if fresh || (in_tl && not t.literal_early_return) then begin
+    if fresh then Raw.set leaf.Treeprim.Tree_shape.data (Raw.of_int value);
+    let failed = Propagate.propagate ~refreshes:t.refreshes ~combine leaf in
+    if metrics.Obs.Metrics.enabled then
+      Propagate.record ~metrics ~domain:pid ~refreshes:t.refreshes
+        ~helped:(not fresh) leaf failed
   end
-  else if in_tl && not t.literal_early_return then
-    (* The leaf already holds [value], but the process that wrote it may
-       not have propagated yet; help it so our completed WriteMax is
-       visible at the root (see deviation note above). *)
-    Propagate.propagate ~refreshes:t.refreshes ~combine leaf
 
-(* Metered WriteMax: the same control flow, with refresh rounds and CAS
-   outcomes recorded by the metered propagate, plus one [Help] event
-   when the write takes the help-the-concurrent-writer branch (the
-   repaired line 16).  Kept separate from [write_max] so the
-   uninstrumented path carries no [enabled] test at all. *)
-let write_max_metered t ~metrics ~pid value =
-  if not metrics.Obs.Metrics.enabled then write_max t ~pid value
-  else begin
-    if value < 0 then invalid_arg "Algorithm_a.write_max: negative value";
-    if pid < 0 || pid >= t.n then invalid_arg "Algorithm_a.write_max: bad pid";
-    let in_tl = value < Array.length t.tl_leaves in
-    let leaf = if in_tl then t.tl_leaves.(value) else t.tr_leaves.(pid) in
-    let old_value = Raw.to_int (Raw.get leaf.Treeprim.Tree_shape.data) in
-    if value > old_value then begin
-      Raw.set leaf.Treeprim.Tree_shape.data (Raw.of_int value);
-      Propagate.propagate_metered ~metrics ~domain:pid ~refreshes:t.refreshes
-        ~combine leaf
-    end
-    else if in_tl && not t.literal_early_return then begin
-      Obs.Metrics.incr metrics ~domain:pid Obs.Metrics.Help;
-      Propagate.propagate_metered ~metrics ~domain:pid ~refreshes:t.refreshes
-        ~combine leaf
-    end
-  end
+let write_max t ~pid value =
+  write_max_metered t ~metrics:Obs.Metrics.disabled ~pid value
 
 (* Structural introspection, used by shape tests and Figure-4 audits. *)
 let tl_leaf_depth t v = Treeprim.Tree_shape.depth t.tl_leaves.(v)

@@ -39,12 +39,11 @@ val write_max : t -> pid:int -> int -> unit
 (** O(min(log n, log v)) shared-memory events. *)
 
 val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-(** [write_max] with contention observability: refresh rounds and CAS
-    outcomes are recorded under shard [pid], plus one
-    [Obs.Metrics.Help] when the write helps a concurrent same-value
-    writer propagate (the repaired line 16).  Same shared-memory steps
-    as [write_max]; with {!Obs.Metrics.disabled} each record site costs
-    one immediate-bool branch and allocates nothing. *)
+(** The body of [write_max], which passes {!Obs.Metrics.disabled}:
+    refresh rounds and CAS outcomes are recorded under shard [pid] once
+    per write, plus one [Obs.Metrics.Help] when the write helps a
+    concurrent same-value writer propagate (the repaired line 16).  Same
+    steps; one branch, no allocation, when disabled. *)
 
 (** {1 Structural introspection (Figure 4 audits)} *)
 

@@ -16,17 +16,7 @@ let create () = Raw.make (Raw.of_int 0)
 
 let read_max t = Raw.to_int (Raw.get t)
 
-let rec cas_loop t value =
-  let cur = Raw.get t in
-  if value > Raw.to_int cur then
-    if not (Raw.cas t cur (Raw.of_int value)) then cas_loop t value
-
-let write_max t ~pid value =
-  ignore pid;
-  if value < 0 then invalid_arg "Cas_maxreg.write_max: negative value";
-  cas_loop t value
-
-(* A single attempt of the retry loop, for the combining path of
+(* A single attempt of the retry loop, also the combining path of
    Harness.Adaptive.Cas (which the static flat-combining backend pins
    every update to): the uncontended case must stay exactly
    one read + one CAS, with the failure routed to the arena instead of
@@ -34,28 +24,28 @@ let write_max t ~pid value =
    allocation-free: 0 = value at or below the current maximum (the
    elimination case — the write linearizes at the read), 1 = CAS
    installed the value, 2 = CAS lost a race (contention: combine). *)
-let write_once t value =
+let[@inline] write_once t value =
   let cur = Raw.get t in
   if value <= Raw.to_int cur then 0
   else if Raw.cas t cur (Raw.of_int value) then 1
   else 2
 
-(* Metered retry loop: the interesting observable for the non-wait-free
-   baseline is precisely how many CAS attempts a WriteMax needed — the
-   quantity the Theorem 3 adversary drives to Theta(K). *)
-let rec cas_loop_metered ~metrics ~domain t value =
-  let cur = Raw.get t in
-  if value > Raw.to_int cur then begin
-    Obs.Metrics.incr metrics ~domain Obs.Metrics.Cas_attempt;
-    if not (Raw.cas t cur (Raw.of_int value)) then begin
-      Obs.Metrics.incr metrics ~domain Obs.Metrics.Cas_failure;
-      cas_loop_metered ~metrics ~domain t value
-    end
+(* The retry loop, until the value is installed or subsumed ([write_once]
+   inlines here).  Returns [2 × failed CASes + 1 if a CAS installed the
+   value]: both counts in one immediate int. *)
+let rec cas_loop t value acc =
+  let r = write_once t value in
+  if r = 2 then cas_loop t value (acc + 2) else acc + r
+
+(* WriteMax, recording its CAS attempts and failures under shard [pid]:
+   the retry count the Theorem 3 adversary drives to Theta(K). *)
+let write_max_metered t ~metrics ~pid value =
+  if value < 0 then invalid_arg "Cas_maxreg.write_max: negative value";
+  let r = cas_loop t value 0 in
+  if metrics.Obs.Metrics.enabled then begin
+    Obs.Metrics.add metrics ~domain:pid Obs.Metrics.Cas_attempt (r - (r lsr 1));
+    Obs.Metrics.add metrics ~domain:pid Obs.Metrics.Cas_failure (r lsr 1)
   end
 
-let write_max_metered t ~metrics ~pid value =
-  if not metrics.Obs.Metrics.enabled then write_max t ~pid value
-  else begin
-    if value < 0 then invalid_arg "Cas_maxreg.write_max: negative value";
-    cas_loop_metered ~metrics ~domain:pid t value
-  end
+let write_max t ~pid value =
+  write_max_metered t ~metrics:Obs.Metrics.disabled ~pid value

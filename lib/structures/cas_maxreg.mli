@@ -19,7 +19,7 @@ val write_once : t -> int -> int
     validate the value: callers on the hot path check once. *)
 
 val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-(** [write_max] recording every CAS attempt and failure under shard
-    [pid] — the retry count the Theorem 3 adversary stretches.  Same
-    shared-memory steps as [write_max]; free (one immediate-bool branch
-    per site) with {!Obs.Metrics.disabled}. *)
+(** The body of [write_max], which passes {!Obs.Metrics.disabled}: every
+    CAS attempt and failure is recorded under shard [pid] once the retry
+    loop returns — the retry count the Theorem 3 adversary stretches.
+    Same steps; one branch, no allocation, when disabled. *)

@@ -36,16 +36,13 @@ let read_max t =
   done;
   !best
 
-let write_max t ~pid v =
-  if v < 0 then invalid_arg "Dial_maxreg.write_max: negative value";
-  let fa = t.blocks.(pid / t.bsize) in
-  let leaf = pid mod t.bsize in
-  if v > value (Farray.read_leaf fa leaf) then
-    Farray.update fa ~leaf (Raw.of_int v)
-
+(* Leaf write + in-block propagation, metered under shard [pid]. *)
 let write_max_metered t ~metrics ~pid v =
   if v < 0 then invalid_arg "Dial_maxreg.write_max: negative value";
   let fa = t.blocks.(pid / t.bsize) in
   let leaf = pid mod t.bsize in
   if v > value (Farray.read_leaf fa leaf) then
     Farray.update_metered fa ~metrics ~domain:pid ~leaf (Raw.of_int v)
+
+let write_max t ~pid v =
+  write_max_metered t ~metrics:Obs.Metrics.disabled ~pid v

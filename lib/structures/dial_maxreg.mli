@@ -17,5 +17,6 @@ val write_max : t -> pid:int -> int -> unit
     a larger value). *)
 
 val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-(** [write_max] with refresh rounds and CAS outcomes recorded under
-    shard [pid]; same steps, free with {!Obs.Metrics.disabled}. *)
+(** The body of [write_max], with refresh rounds and CAS outcomes
+    recorded under shard [pid] once per write; same steps, one branch
+    with {!Obs.Metrics.disabled} (which [write_max] passes). *)

@@ -29,8 +29,6 @@ let create ?(refreshes = 2) ~n ~combine () =
   let root, leaves = Treeprim.Tree_shape.complete ~mk ~nleaves:n () in
   { root; leaves; combine; n; refreshes }
 
-let n t = t.n
-
 (* One step. *)
 let read t = Raw.get t.root.Treeprim.Tree_shape.data
 
@@ -40,24 +38,18 @@ let read_leaf t i =
   if i < 0 || i >= t.n then invalid_arg "Farray.read_leaf: bad index";
   Raw.get t.leaves.(i).Treeprim.Tree_shape.data
 
-(* O(log n) steps: write the leaf, double-refresh each ancestor. *)
-let update t ~leaf v =
+(* O(log n) steps: write the leaf, double-refresh each ancestor; the
+   walk is metered under shard [domain] (the calling pid). *)
+let update_metered t ~metrics ~domain ~leaf v =
   if leaf < 0 || leaf >= t.n then invalid_arg "Farray.update: bad index";
   let node = t.leaves.(leaf) in
   Raw.set node.Treeprim.Tree_shape.data v;
-  Propagate.propagate ~refreshes:t.refreshes ~combine:t.combine node
+  let failed =
+    Propagate.propagate ~refreshes:t.refreshes ~combine:t.combine node
+  in
+  if metrics.Obs.Metrics.enabled then
+    Propagate.record ~metrics ~domain ~refreshes:t.refreshes ~helped:false node
+      failed
 
-(* [update] with the metered propagate: refresh rounds and CAS outcomes
-   land in [metrics] under shard [domain] (the calling pid).  A disabled
-   handle delegates to the plain [update] after one inlined field test. *)
-let update_metered t ~metrics ~domain ~leaf v =
-  if not metrics.Obs.Metrics.enabled then update t ~leaf v
-  else begin
-    if leaf < 0 || leaf >= t.n then invalid_arg "Farray.update: bad index";
-    let node = t.leaves.(leaf) in
-    Raw.set node.Treeprim.Tree_shape.data v;
-    Propagate.propagate_metered ~metrics ~domain ~refreshes:t.refreshes
-      ~combine:t.combine node
-  end
-
-let leaf_depth t i = Treeprim.Tree_shape.depth t.leaves.(i)
+let update t ~leaf v =
+  update_metered t ~metrics:Obs.Metrics.disabled ~domain:0 ~leaf v

@@ -22,8 +22,6 @@ val create :
     count during propagation; 1 is an ablation that loses updates
     (experiment A2). *)
 
-val n : t -> int
-
 val read : t -> Raw.value
 (** The root aggregate: one shared-memory event. *)
 
@@ -36,7 +34,6 @@ val update : t -> leaf:int -> Raw.value -> unit
 
 val update_metered :
   t -> metrics:Obs.Metrics.t -> domain:int -> leaf:int -> Raw.value -> unit
-(** [update] with refresh rounds and CAS outcomes recorded under shard
-    [domain] (pass the calling pid); free with {!Obs.Metrics.disabled}. *)
-
-val leaf_depth : t -> int -> int
+(** The body of [update]: refresh rounds and CAS outcomes are recorded
+    under shard [domain] (pass the calling pid) once per update, by
+    {!Propagate.record}; [update] passes {!Obs.Metrics.disabled}. *)

@@ -21,28 +21,17 @@ let create ~n () = Farray.create ~n ~combine:sum ()
 
 let read t = count (Farray.read t)
 
-let increment t ~pid =
-  let c = count (Farray.read_leaf t pid) in
-  Farray.update t ~leaf:pid (Raw.of_int (c + 1))
-
 (* Batched increment, for the flat-combining layer: add [k] to the
    caller's own leaf with ONE update (one propagation for the whole
    batch).  The counter's value is the sum over all leaves, so which
    leaf absorbs a combined batch is immaterial — the combiner uses its
-   own, preserving the per-leaf single-writer discipline. *)
-let add t ~pid k =
+   own, preserving the per-leaf single-writer discipline.  Metered
+   under shard [pid]. *)
+let add_metered t ~metrics ~pid k =
   if k < 0 then invalid_arg "Farray_counter.add: negative k";
   let c = count (Farray.read_leaf t pid) in
-  Farray.update t ~leaf:pid (Raw.of_int (c + k))
+  Farray.update_metered t ~metrics ~domain:pid ~leaf:pid (Raw.of_int (c + k))
 
-(* [add] through the metered f-array update: propagation refresh rounds
-   and CAS outcomes recorded under shard [pid]. *)
-let add_metered t ~metrics ~pid k =
-  if not metrics.Obs.Metrics.enabled then add t ~pid k
-  else begin
-    if k < 0 then invalid_arg "Farray_counter.add: negative k";
-    let c = count (Farray.read_leaf t pid) in
-    Farray.update_metered t ~metrics ~domain:pid ~leaf:pid (Raw.of_int (c + k))
-  end
-
+let add t ~pid k = add_metered t ~metrics:Obs.Metrics.disabled ~pid k
+let increment t ~pid = add_metered t ~metrics:Obs.Metrics.disabled ~pid 1
 let increment_metered t ~metrics ~pid = add_metered t ~metrics ~pid 1

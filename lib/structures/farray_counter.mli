@@ -7,12 +7,12 @@
 type t
 
 val create : n:int -> unit -> t
+
 val increment : t -> pid:int -> unit
+(** [add t ~pid 1]. *)
 
 val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
-(** [increment] with propagation refresh rounds and CAS outcomes
-    recorded under shard [pid]; same steps, free with
-    {!Obs.Metrics.disabled}. *)
+(** [add_metered t ~metrics ~pid 1]. *)
 
 val add : t -> pid:int -> int -> unit
 (** [add t ~pid k] adds [k] to the caller's own leaf with one update
@@ -22,6 +22,9 @@ val add : t -> pid:int -> int -> unit
     discipline. *)
 
 val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
+(** The body of [add], with propagation refresh rounds and CAS outcomes
+    recorded under shard [pid] once per update; same steps, one branch
+    with {!Obs.Metrics.disabled} (which [add] passes). *)
 
 val read : t -> int
 (** One shared-memory event. *)

@@ -14,22 +14,19 @@ let create ~n () =
   if n <= 0 then invalid_arg "Naive_counter.create: n must be > 0";
   { cells = Array.init n (fun _ -> Raw.make (Raw.of_int 0)); n }
 
-let increment t ~pid =
-  if pid < 0 || pid >= t.n then invalid_arg "Naive_counter.increment: bad pid";
-  let cell = t.cells.(pid) in
-  Raw.set cell (Raw.of_int (Raw.to_int (Raw.get cell) + 1))
-
 (* Batched increment for the combining layer's control backend: the
    counter value is the sum over cells, so a combiner may absorb a
    whole batch into its own (still single-writer) cell.  For this
    structure combining is expected to LOSE — an increment is already
    one write to an owned line — which is exactly why the control
    exists (see EXPERIMENTS.md). *)
-let add t ~pid k =
+let[@inline] add t ~pid k =
   if pid < 0 || pid >= t.n then invalid_arg "Naive_counter.add: bad pid";
   if k < 0 then invalid_arg "Naive_counter.add: negative k";
   let cell = t.cells.(pid) in
   Raw.set cell (Raw.of_int (Raw.to_int (Raw.get cell) + k))
+
+let increment t ~pid = add t ~pid 1
 
 let read t =
   let total = ref 0 in

@@ -21,64 +21,38 @@ let child_value = function
   | Some (child : Raw.t Treeprim.Tree_shape.node) ->
     Raw.get child.Treeprim.Tree_shape.data
 
-(* One refresh: 4 events (read node, read both children, CAS). *)
+(* One refresh: 4 events (read node, read both children, CAS).  Returns
+   whether the CAS installed. *)
 let refresh ~combine (node : Raw.t Treeprim.Tree_shape.node) =
   let old_value = Raw.get node.Treeprim.Tree_shape.data in
   let l = child_value node.Treeprim.Tree_shape.left in
   let r = child_value node.Treeprim.Tree_shape.right in
-  let new_value = combine l r in
-  ignore (Raw.cas node.Treeprim.Tree_shape.data old_value new_value)
+  Raw.cas node.Treeprim.Tree_shape.data old_value (combine l r)
 
-(* Walk from [leaf] to the root, refreshing every proper ancestor
-   [refreshes] times: O(depth) events.  [refreshes = 1] exists only as an
-   ablation — it loses the covering guarantee and admits lost updates
-   (see experiment A2); correct algorithms use 2. *)
-let rec propagate ~refreshes ~combine (leaf : Raw.t Treeprim.Tree_shape.node) =
-  match leaf.Treeprim.Tree_shape.parent with
-  | None -> ()
-  | Some parent ->
-    for _ = 1 to refreshes do
-      refresh ~combine parent
-    done;
-    propagate ~refreshes ~combine parent
-
-(* {2 Metered variants}
-
-   Same walk, but each refresh round and each CAS outcome is recorded
-   into an {!Obs.Metrics.t} shard ([domain] should be the calling pid).
-   Kept separate from the plain walk above so the uninstrumented hot
-   path carries not even the [enabled] test.  A disabled handle
-   delegates to the plain walk after one inlined field test at entry
-   ([Obs.Metrics.t] is a private record precisely so this test is a
-   load, not a cross-library call): the no-op mode costs one branch
-   per *operation*, not one call per record site. *)
-
-let refresh_metered ~metrics ~domain ~combine
+(* Walk from [node] to the root, refreshing every proper ancestor
+   [refreshes] times: O(depth) events, a loop counting the failed refresh
+   CASes in [failed].  [refreshes = 1] is only an ablation — it admits
+   lost updates (see experiment A2); correct algorithms use 2. *)
+let rec walk ~refreshes ~combine failed
     (node : Raw.t Treeprim.Tree_shape.node) =
-  if not metrics.Obs.Metrics.enabled then refresh ~combine node
-  else begin
-    let old_value = Raw.get node.Treeprim.Tree_shape.data in
-    let l = child_value node.Treeprim.Tree_shape.left in
-    let r = child_value node.Treeprim.Tree_shape.right in
-    let new_value = combine l r in
-    Obs.Metrics.incr metrics ~domain Obs.Metrics.Cas_attempt;
-    if not (Raw.cas node.Treeprim.Tree_shape.data old_value new_value) then
-      Obs.Metrics.incr metrics ~domain Obs.Metrics.Cas_failure
-  end
-
-let rec propagate_metered_live ~metrics ~domain ~refreshes ~combine
-    (leaf : Raw.t Treeprim.Tree_shape.node) =
-  match leaf.Treeprim.Tree_shape.parent with
-  | None -> ()
+  match node.Treeprim.Tree_shape.parent with
+  | None -> failed
   | Some parent ->
+    let failed = ref failed in
     for _ = 1 to refreshes do
-      Obs.Metrics.incr metrics ~domain Obs.Metrics.Refresh_round;
-      refresh_metered ~metrics ~domain ~combine parent
+      if not (refresh ~combine parent) then incr failed
     done;
-    propagate_metered_live ~metrics ~domain ~refreshes ~combine parent
+    walk ~refreshes ~combine !failed parent
 
-let propagate_metered ~metrics ~domain ~refreshes ~combine
-    (leaf : Raw.t Treeprim.Tree_shape.node) =
-  if metrics.Obs.Metrics.enabled then
-    propagate_metered_live ~metrics ~domain ~refreshes ~combine leaf
-  else propagate ~refreshes ~combine leaf
+let propagate ~refreshes ~combine leaf = walk ~refreshes ~combine 0 leaf
+
+(* The metering of one walk from [leaf]: [refreshes × depth leaf]
+   refreshes of one CAS each.  Callers test [metrics.enabled] first, an
+   inlined field load ([Obs.Metrics.t] is private) where this call would
+   not be: a disabled handle costs one branch per operation. *)
+let record ~metrics ~domain ~refreshes ~helped leaf failures =
+  let rounds = refreshes * Treeprim.Tree_shape.depth leaf in
+  Obs.Metrics.add metrics ~domain Obs.Metrics.Refresh_round rounds;
+  Obs.Metrics.add metrics ~domain Obs.Metrics.Cas_attempt rounds;
+  Obs.Metrics.add metrics ~domain Obs.Metrics.Cas_failure failures;
+  if helped then Obs.Metrics.incr metrics ~domain Obs.Metrics.Help

@@ -12,39 +12,32 @@
 val refresh :
   combine:(Raw.value -> Raw.value -> Raw.value) ->
   Raw.t Treeprim.Tree_shape.node ->
-  unit
+  bool
 (** One refresh of one node: 4 shared-memory events (read node, read both
-    children, CAS). *)
+    children, CAS).  [true] iff the CAS installed. *)
 
 val propagate :
   refreshes:int ->
   combine:(Raw.value -> Raw.value -> Raw.value) ->
   Raw.t Treeprim.Tree_shape.node ->
-  unit
+  int
 (** Refresh every proper ancestor of the given leaf bottom-up, [refreshes]
-    times each: O(depth) events.  Correctness requires 2; [refreshes:1]
-    is an ablation that admits lost updates (experiment A2). *)
+    times each: O(depth) events.  Returns the number of refresh CASes
+    that failed.  Correctness requires 2; [refreshes:1] is an ablation
+    that admits lost updates (experiment A2). *)
 
-(** {1 Metered variants}
-
-    Identical walk, recording one [Refresh_round] per node refresh and
-    one [Cas_attempt] / [Cas_failure] per refresh CAS into the given
-    {!Obs.Metrics.t} under shard [domain] (pass the calling pid).  With
-    {!Obs.Metrics.disabled} each record site is a single immediate-bool
-    branch and allocates nothing; metering is never a shared-memory
-    step. *)
-
-val refresh_metered :
-  metrics:Obs.Metrics.t ->
-  domain:int ->
-  combine:(Raw.value -> Raw.value -> Raw.value) ->
-  Raw.t Treeprim.Tree_shape.node ->
-  unit
-
-val propagate_metered :
+val record :
   metrics:Obs.Metrics.t ->
   domain:int ->
   refreshes:int ->
-  combine:(Raw.value -> Raw.value -> Raw.value) ->
+  helped:bool ->
   Raw.t Treeprim.Tree_shape.node ->
+  int ->
   unit
+(** [record ~metrics ~domain ~refreshes ~helped leaf failures] meters one
+    {!propagate} from [leaf] that returned [failures] under shard
+    [domain] (the calling pid): [refreshes × depth leaf] refresh rounds
+    and CAS attempts, [failures] CAS failures, and one [Help] if
+    [helped].  No step, no allocation.  Call it under
+    [if metrics.Obs.Metrics.enabled], so that a disabled handle costs
+    one branch per operation and no call. *)

@@ -8,8 +8,8 @@
    operation's budgeted class — the concrete ceiling the certificate
    promises.  The structures of lib/structures run as their boxed
    compile: the same source the unboxed backend compiles natively, so
-   the metered entries, the counters' batched add and the combining
-   fast path are measured too.  A final coverage check pins that every
+   the counters' batched add and the combining fast path are measured
+   too (each metered entry is the body its plain op wraps).  A final coverage check pins that every
    budget row is either measured here or on an explicit skip list
    (Unbounded allowlist entries, internal helpers exercised inside a
    measured op), so a new budget row cannot silently dodge the
@@ -96,25 +96,15 @@ let snapshot_measurements impl prefix ~with_scan =
 let farray_measurements () =
   let module F = Boxed.Farray in
   let s, fa = in_session (F.create ~n ~combine:Memsim.Simval.max_val) in
-  let metrics = live_metrics () in
   let upd =
     max_steps s
       (List.map
          (fun v () -> F.update fa ~leaf:(v mod n) (Memsim.Simval.Int v))
          values)
   in
-  let upd_m =
-    max_steps s
-      (List.map
-         (fun v () ->
-           F.update_metered fa ~metrics ~domain:(v mod n) ~leaf:(v mod n)
-             (Memsim.Simval.Int (v + bound)))
-         values)
-  in
   let rd = max_steps s [ (fun () -> ignore (F.read fa)) ] in
   let rl = max_steps s [ (fun () -> ignore (F.read_leaf fa 0)) ] in
   [ ([ "Farray"; "update" ], n, upd);
-    ([ "Farray"; "update_metered" ], n, upd_m);
     ([ "Farray"; "read" ], n, rd);
     ([ "Farray"; "read_leaf" ], n, rl) ]
 
@@ -135,39 +125,22 @@ let propagate_tree () =
 let propagate_measurements () =
   let module P = Boxed.Propagate in
   let combine = Memsim.Simval.max_val in
-  let metrics = live_metrics () in
   let s, (leaf, parent) = in_session propagate_tree in
-  let refr = max_steps s [ (fun () -> P.refresh ~combine parent) ] in
-  let prop = max_steps s [ (fun () -> P.propagate ~refreshes:2 ~combine leaf) ] in
-  let refr_m =
-    max_steps s
-      [ (fun () -> P.refresh_metered ~metrics ~domain:0 ~combine parent) ]
+  let refr =
+    max_steps s [ (fun () -> ignore (P.refresh ~combine parent : bool)) ]
   in
-  let prop_m =
+  let prop =
     max_steps s
-      [ (fun () ->
-          P.propagate_metered ~metrics ~domain:0 ~refreshes:2 ~combine leaf) ]
+      [ (fun () -> ignore (P.propagate ~refreshes:2 ~combine leaf : int)) ]
   in
   [ ([ "Propagate"; "refresh" ], n, refr);
-    ([ "Propagate"; "propagate" ], n, prop);
-    ([ "Propagate"; "refresh_metered" ], n, refr_m);
-    ([ "Propagate"; "propagate_metered" ], n, prop_m) ]
+    ([ "Propagate"; "propagate" ], n, prop) ]
 
 (* The operations that only the native fast path used to carry — the
-   metered entries, the counters' batched add (the combining apply) and
-   the CAS register's single attempt — on the boxed compile of the same
-   source. *)
+   counters' batched add (the combining apply) and the CAS register's
+   single attempt — on the boxed compile of the same source. *)
 let fast_path_measurements () =
-  let metrics = live_metrics () in
   let incrs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
-  let a_s, a = in_session (Boxed.Algorithm_a.create ~n) in
-  let a_w =
-    max_steps a_s
-      (List.map
-         (fun v () ->
-           Boxed.Algorithm_a.write_max_metered a ~metrics ~pid:(v mod n) v)
-         (values @ values))
-  in
   let c_s, c = in_session Boxed.Cas_maxreg.create in
   let c_once =
     max_steps c_s
@@ -185,20 +158,9 @@ let fast_path_measurements () =
   let f_add =
     max_steps f_s (List.map (fun k () -> F.add f ~pid:(k mod n) k) incrs)
   in
-  let f_inc_m =
-    max_steps f_s
-      (List.map (fun k () -> F.increment_metered f ~metrics ~pid:(k mod n)) incrs)
-  in
-  let f_add_m =
-    max_steps f_s
-      (List.map (fun k () -> F.add_metered f ~metrics ~pid:(k mod n) k) incrs)
-  in
-  [ ([ "Algorithm_a"; "write_max_metered" ], bound, a_w);
-    ([ "Cas_maxreg"; "write_once" ], bound, c_once);
+  [ ([ "Cas_maxreg"; "write_once" ], bound, c_once);
     ([ "Naive_counter"; "add" ], bound, nv_add);
-    ([ "Farray_counter"; "add" ], bound, f_add);
-    ([ "Farray_counter"; "increment_metered" ], bound, f_inc_m);
-    ([ "Farray_counter"; "add_metered" ], bound, f_add_m) ]
+    ([ "Farray_counter"; "add" ], bound, f_add) ]
 
 (* The hybrid snapshot mixes a boxed and an int memory, so count both
    halves with explicit wrappers instead of a simulator session. *)
@@ -283,50 +245,22 @@ let dial_measurements () =
   let max_of proj =
     List.fold_left (fun acc (_, m) -> max acc (proj m)) 0 worst
   in
-  let metrics = live_metrics () in
-  let fast =
-    List.map
-      (fun dial ->
+  let add =
+    List.fold_left
+      (fun acc dial ->
         let incrs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
         let module C = Boxed.Dial_counter in
         let c_s, c = in_session (C.create ~n ~dial) in
-        let add =
-          max_steps c_s (List.map (fun k () -> C.add c ~pid:(k mod n) k) incrs)
-        in
-        let inc_m =
-          max_steps c_s
-            (List.map
-               (fun k () -> C.increment_metered c ~metrics ~pid:(k mod n))
-               incrs)
-        in
-        let add_m =
-          max_steps c_s
-            (List.map
-               (fun k () -> C.add_metered c ~metrics ~pid:(k mod n) k)
-               incrs)
-        in
-        let r_s, r = in_session (Boxed.Dial_maxreg.create ~n ~dial) in
-        let w_m =
-          max_steps r_s
-            (List.map
-               (fun v () ->
-                 Boxed.Dial_maxreg.write_max_metered r ~metrics ~pid:(v mod n) v)
-               values)
-        in
-        (add, inc_m, add_m, w_m))
-      Treeprim.Dial.all
+        max acc
+          (max_steps c_s
+             (List.map (fun k () -> C.add c ~pid:(k mod n) k) incrs)))
+      0 Treeprim.Dial.all
   in
-  let max_fast proj = List.fold_left (fun acc m -> max acc (proj m)) 0 fast in
   [ ([ "Dial_counter"; "read" ], n, max_of (fun (r, _, _, _) -> r));
     ([ "Dial_counter"; "increment" ], n, max_of (fun (_, i, _, _) -> i));
-    ([ "Dial_counter"; "add" ], n, max_fast (fun (a, _, _, _) -> a));
-    ([ "Dial_counter"; "increment_metered" ], n,
-     max_fast (fun (_, i, _, _) -> i));
-    ([ "Dial_counter"; "add_metered" ], n, max_fast (fun (_, _, a, _) -> a));
+    ([ "Dial_counter"; "add" ], n, add);
     ([ "Dial_maxreg"; "read_max" ], n, max_of (fun (_, _, r, _) -> r));
-    ([ "Dial_maxreg"; "write_max" ], n, max_of (fun (_, _, _, w) -> w));
-    ([ "Dial_maxreg"; "write_max_metered" ], n,
-     max_fast (fun (_, _, _, w) -> w)) ]
+    ([ "Dial_maxreg"; "write_max" ], n, max_of (fun (_, _, _, w) -> w)) ]
 
 let all_measurements () =
   List.concat
@@ -508,13 +442,13 @@ let test_metering_is_not_a_step () =
             (Memsim.Simval.Int v)));
   let module P = Boxed.Propagate in
   let combine = Memsim.Simval.max_val in
-  same "Propagate.{refresh,propagate}_metered" propagate_tree
-    [ (fun (_, parent) -> P.refresh ~combine parent);
-      (fun (leaf, _) -> P.propagate ~refreshes:2 ~combine leaf) ]
+  let walk (leaf, _) = P.propagate ~refreshes:2 ~combine leaf in
+  same "Propagate.record" propagate_tree
+    [ (fun x -> ignore (walk x : int)) ]
     (fun metrics ->
-      [ (fun (_, parent) -> P.refresh_metered ~metrics ~domain:0 ~combine parent);
-        (fun (leaf, _) ->
-          P.propagate_metered ~metrics ~domain:0 ~refreshes:2 ~combine leaf) ])
+      [ (fun x ->
+          P.record ~metrics ~domain:0 ~refreshes:2 ~helped:false (fst x)
+            (walk x)) ])
 
 (* Every budget row is either measured above or explicitly skip-listed,
    so a new row cannot silently dodge the differential. *)

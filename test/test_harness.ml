@@ -361,6 +361,26 @@ let test_bench_config_rejects () =
        ~read_shares:[ 0; 100 ] ()
       : Benchkit.Bench_dial.config)
 
+(* The dial sweep's rows use bench-native's statistics: regression, its
+   private median took the upper-middle trial (biased high on even
+   trial counts) and its rsd the population variance. *)
+let test_dial_rows_use_shared_stats () =
+  let cfg =
+    Benchkit.Bench_dial.config ~max_domains:1 ~seconds:1e-3 ~trials:2
+      ~read_shares:[ 50 ] ()
+  in
+  List.iter
+    (fun (r : Benchkit.Bench_dial.row) ->
+      let at what =
+        Printf.sprintf "%s %s" (Treeprim.Dial.name r.t_dial) what
+      in
+      Alcotest.(check int) (at "trials") 2 (List.length r.trial_mops);
+      Alcotest.(check (float 0.)) (at "mops")
+        (Benchkit.Bench_native.median r.trial_mops) r.mops;
+      Alcotest.(check (float 0.)) (at "rsd")
+        (Benchkit.Bench_native.rsd r.trial_mops) r.rsd)
+    (Benchkit.Bench_dial.sweep cfg)
+
 let () =
   Alcotest.run "harness"
     [ ( "counting memory",
@@ -399,4 +419,6 @@ let () =
             test_baseline_symmetric_rows_quiet ] );
       ( "bench config",
         [ Alcotest.test_case "bad sweep inputs refused" `Quick
-            test_bench_config_rejects ] ) ]
+            test_bench_config_rejects;
+          Alcotest.test_case "dial rows use the shared statistics" `Quick
+            test_dial_rows_use_shared_stats ] ) ]

@@ -1,7 +1,7 @@
 (* Tests for the observability layer (lib/obs): sharded metric counters,
    log-bucketed latency histograms, JSON round-tripping and the Chrome
-   trace exporter — plus the zero-allocation guard for disabled
-   instrumentation. *)
+   trace exporter — plus the exact totals the metered updates record and
+   the zero-allocation guard for disabled instrumentation. *)
 
 module H = Obs.Histogram
 module M = Obs.Metrics
@@ -241,6 +241,119 @@ let test_metrics_totals_roundtrip () =
       let expect = if c = M.Batch_max then 3 else 5 in
       Alcotest.(check int) (M.counter_name c) expect (M.total_of t c))
     M.all_counters
+
+(* {1 What the metered updates record}
+
+   A scripted solo sequence on the unboxed compile, with exact totals
+   per operation.  Solo, every refresh CAS installs, so an update that
+   propagates from a leaf at depth d records 2d refresh rounds, 2d CAS
+   attempts and no failure; an update that skips propagation records
+   nothing.  The same script under {!M.disabled} must record nothing
+   (and reach no shard: the disabled handle has none). *)
+
+let totals = Alcotest.testable M.pp_totals ( = )
+let nothing = M.zero_totals
+
+let walk ?(helps = 0) depth =
+  { M.zero_totals with
+    refresh_rounds = 2 * depth;
+    cas_attempts = 2 * depth;
+    helps }
+
+(* Depth of [pid]'s leaf inside its dial block: a complete tree over
+   the block's leaves. *)
+let dial_leaf_depth ~n dial pid =
+  let bsize = Treeprim.Dial.block_size ~n dial in
+  let size = min bsize (n - (pid / bsize * bsize)) in
+  let _, leaves = Treeprim.Tree_shape.complete ~mk:ignore ~nleaves:size () in
+  Treeprim.Tree_shape.depth leaves.(pid mod bsize)
+
+let metered_script ~metrics check =
+  let n = 64 in
+  let module A = Unboxed.Algorithm_a in
+  let a = A.create ~n () in
+  let write_a ~pid v () = A.write_max_metered a ~metrics ~pid v in
+  check "alg A: fresh TR write" (walk (A.tr_leaf_depth a 3)) (write_a ~pid:3 100);
+  check "alg A: fresh TL write" (walk (A.tl_leaf_depth a 5)) (write_a ~pid:0 5);
+  check "alg A: repeated TL value helps"
+    (walk ~helps:1 (A.tl_leaf_depth a 5))
+    (write_a ~pid:1 5);
+  check "alg A: stale TR write" nothing (write_a ~pid:3 99);
+  let module F = Unboxed.Farray_counter in
+  let c = F.create ~n () in
+  check "farray counter: increment" (walk 6) (fun () ->
+      F.increment_metered c ~metrics ~pid:3);
+  check "farray counter: add" (walk 6) (fun () ->
+      F.add_metered c ~metrics ~pid:3 5);
+  let module C = Unboxed.Cas_maxreg in
+  let r = C.create () in
+  check "cas-loop: fresh write" { nothing with cas_attempts = 1 } (fun () ->
+      C.write_max_metered r ~metrics ~pid:0 7);
+  check "cas-loop: stale write" nothing (fun () ->
+      C.write_max_metered r ~metrics ~pid:1 3);
+  List.iter
+    (fun dial ->
+      let at what pid =
+        Printf.sprintf "%s %s pid %d" (Treeprim.Dial.name dial) what pid
+      in
+      let module D = Unboxed.Dial_counter in
+      let module R = Unboxed.Dial_maxreg in
+      let d = D.create ~n ~dial () in
+      let r = R.create ~n ~dial () in
+      List.iter
+        (fun pid ->
+          let depth = dial_leaf_depth ~n dial pid in
+          check (at "dial counter: increment" pid) (walk depth) (fun () ->
+              D.increment_metered d ~metrics ~pid);
+          check (at "dial counter: add" pid) (walk depth) (fun () ->
+              D.add_metered d ~metrics ~pid 3);
+          check (at "dial maxreg: fresh write" pid) (walk depth) (fun () ->
+              R.write_max_metered r ~metrics ~pid (100 + pid));
+          check (at "dial maxreg: stale write" pid) nothing (fun () ->
+              R.write_max_metered r ~metrics ~pid pid))
+        [ 0; 1; 10; 63 ])
+    Treeprim.Dial.all
+
+let test_metered_totals () =
+  let m = M.create ~domains:64 () in
+  metered_script ~metrics:m (fun name expected op ->
+      M.reset m;
+      op ();
+      Alcotest.check totals name expected (M.totals m));
+  metered_script ~metrics:M.disabled (fun name _ op ->
+      op ();
+      Alcotest.check totals (name ^ ", disabled") nothing (M.totals M.disabled))
+
+(* A failed refresh CAS is counted: two f-array updates over the
+   simulator (the boxed compile of the same source) under a fixed
+   schedule, where process 1 completes a refresh of the root between
+   process 0's reads and its CAS. *)
+let test_metered_failed_cas () =
+  let module S = Memsim.Scheduler in
+  let session = Memsim.Session.create () in
+  let fa =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session)
+      (Boxed.Farray.create ~n:2 ~combine:Memsim.Simval.max_val)
+  in
+  let m = M.create ~domains:2 () in
+  let sched = S.create session in
+  let update leaf () =
+    Boxed.Farray.update_metered fa ~metrics:m ~domain:leaf ~leaf
+      (Memsim.Simval.Int (leaf + 1))
+  in
+  let p0 = S.spawn sched (update 0) and p1 = S.spawn sched (update 1) in
+  let steps pid k =
+    for _ = 1 to k do ignore (S.step sched pid : Memsim.Event.t) done
+  in
+  let run_out pid = while S.enabled sched pid <> None do steps pid 1 done in
+  steps p0 4;  (* leaf write; the root's and both children's reads *)
+  steps p1 5;  (* leaf write and a whole refresh, which installs *)
+  run_out p0;  (* the CAS fails, the second refresh installs *)
+  run_out p1;
+  ignore (S.finish sched : Memsim.Trace.t);
+  Alcotest.check totals "two walks, one failed CAS"
+    { nothing with refresh_rounds = 4; cas_attempts = 4; cas_failures = 1 }
+    (M.totals m)
 
 (* {1 The zero-allocation guard}
 
@@ -515,7 +628,11 @@ let () =
           Alcotest.test_case "all counters round-trip" `Quick
             test_metrics_totals_roundtrip;
           Alcotest.test_case "parallel single-writer" `Quick
-            test_metrics_parallel_single_writer ] );
+            test_metrics_parallel_single_writer;
+          Alcotest.test_case "metered updates record exact totals" `Quick
+            test_metered_totals;
+          Alcotest.test_case "a failed refresh CAS is counted" `Quick
+            test_metered_failed_cas ] );
       ( "zero-allocation guard",
         [ Alcotest.test_case "record sites" `Quick
             test_disabled_record_allocates_nothing;

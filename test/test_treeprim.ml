@@ -115,7 +115,8 @@ let atomic_tree ~nleaves =
 let test_propagate_max_reaches_root () =
   let root, leaves = atomic_tree ~nleaves:8 in
   R.set leaves.(5).Tree_shape.data (Memsim.Simval.Int 42);
-  P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(5);
+  Alcotest.(check int) "solo: no refresh CAS fails" 0
+    (P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(5));
   Alcotest.(check bool) "root holds max" true
     (Memsim.Simval.equal (R.get root.Tree_shape.data) (Memsim.Simval.Int 42))
 
@@ -123,7 +124,7 @@ let test_propagate_keeps_maximum () =
   let root, leaves = atomic_tree ~nleaves:4 in
   let write_and_propagate i v =
     R.set leaves.(i).Tree_shape.data (Memsim.Simval.Int v);
-    P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(i)
+    ignore (P.propagate ~refreshes:2 ~combine:Memsim.Simval.max_val leaves.(i))
   in
   write_and_propagate 0 10;
   write_and_propagate 3 7;
