@@ -34,7 +34,9 @@ let find_linearization (type s) (module S : Spec.SPEC with type state = s) ~n
         !mask)
       ops
   in
-  let visited : (int * s, unit) Hashtbl.t = Hashtbl.create 4096 in
+  (* Most histories here have a handful of operations and the search
+     visits a few states; start small and let the table grow. *)
+  let visited : (int * s, unit) Hashtbl.t = Hashtbl.create 16 in
   let rec dfs taken (state : s) =
     if taken land completed_mask = completed_mask then Some []
     else if Hashtbl.mem visited (taken, state) then None

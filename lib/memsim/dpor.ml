@@ -30,9 +30,20 @@
      dependent with q's transition wakes it, so no trace is delivered
      twice.
 
-   Continuations are one-shot (see [Explore]), so each visited node replays
-   its prefix from the initial configuration; the per-node cost matches
-   the naive explorer and the win is purely in how few nodes remain. *)
+   Continuations are one-shot (see [Explore]), so a run cannot be forked
+   at a node.  Instead a node hands its open run to the first child it
+   explores, which applies its one transition to it; only a later sibling
+   replays its prefix from the initial configuration.  That is one replay
+   per branch, where the naive explorer replays at every node.
+
+   One case must not hand its run down.  Inspecting the enabled set starts
+   every process not yet started, and a process whose first operation
+   issues no event records that operation's Invoke/Return annotations as
+   it starts: in the open run they land before the child's transition,
+   while a replay of the child's prefix records them after it.  A node
+   whose inspection recorded any trace entry therefore finishes its run
+   and replays every child, so each delivered trace equals the replay of
+   its own schedule followed by one inspection. *)
 
 module IMap = Map.Make (Int)
 
@@ -88,17 +99,6 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
   let bottom = Vector_clock.bottom n in
   let obj_clock map obj =
     match IMap.find_opt obj map with Some c -> c | None -> bottom
-  in
-  (* Replay [rev_prefix] from the initial configuration; the run is left
-     open so enabled transitions can be inspected. *)
-  let replay rev_prefix =
-    Store.reset (Session.store session);
-    let sched = Scheduler.create session in
-    for pid = 0 to n - 1 do
-      ignore (Scheduler.spawn sched (make_body pid))
-    done;
-    List.iter (fun pid -> ignore (Scheduler.step sched pid)) (List.rev rev_prefix);
-    sched
   in
   let enabled_of sched =
     let rec go pid acc =
@@ -159,89 +159,107 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
          in
          fr.backtrack <- fr.backtrack lor bit q)
   in
-  (* Depth-first exploration.  [cp] maps each pid to the clock of its last
-     event; [ow] maps each object to the clock of its last write-like
-     event, [ord] to the join of its reads since then; [sleep] is the pid
-     bitmask of sleeping transitions. *)
-  let rec explore rev_prefix depth sevs cp ow ord sleep =
-    if !continue then begin
-      if !explored >= max_schedules || depth > max_events then
-        truncated := true
-      else begin
-        let sched = replay rev_prefix in
-        match enabled_of sched with
-        | [] ->
-          let trace = Scheduler.finish sched in
-          incr explored;
-          if not (on_complete trace) then continue := false
-        | enabled ->
-          ignore (Scheduler.finish sched);
-          List.iter (detect_races sevs cp) enabled;
-          (match
-             List.find_opt (fun ne -> not (mem ne.pid sleep)) enabled
-           with
-           | None ->
-             (* Everything enabled sleeps: every continuation from here is
-                a reordering of a trace delivered elsewhere. *)
-             incr sleep_blocked
-           | Some first ->
-             let fr =
-               { enabled; backtrack = bit first.pid; done_ = 0 }
-             in
-             frames.(depth) <- fr;
-             let zs = ref sleep in
-             let rec loop () =
-               if !continue then
-                 match lowest_bit (fr.backtrack land lnot fr.done_) with
-                 | None -> ()
-                 | Some q ->
-                   fr.done_ <- fr.done_ lor bit q;
-                   if not (mem q !zs) then begin
-                     let ne = List.find (fun ne -> ne.pid = q) enabled in
-                     let local = Vector_clock.get cp.(q) q + 1 in
-                     let cv = Vector_clock.join cp.(q) (obj_clock ow ne.obj) in
-                     let cv =
-                       if ne.writes then
-                         Vector_clock.join cv (obj_clock ord ne.obj)
-                       else cv
-                     in
-                     let cv = Vector_clock.tick cv q ~local in
-                     let cp' = Array.copy cp in
-                     cp'.(q) <- cv;
-                     let ow' = if ne.writes then IMap.add ne.obj cv ow else ow in
-                     let ord' =
-                       if ne.writes then IMap.remove ne.obj ord
-                       else
-                         IMap.add ne.obj
-                           (Vector_clock.join cv (obj_clock ord ne.obj))
-                           ord
-                     in
-                     let sev =
-                       { depth; spid = q; sobj = ne.obj; swrites = ne.writes;
-                         slocal = local }
-                     in
-                     (* Siblings keep sleeping only while independent of
-                        the transition just taken. *)
-                     let sleep' =
-                       List.fold_left
-                         (fun acc r ->
-                           if
-                             mem r.pid !zs
-                             && not (dependent (r.obj, r.prim) (ne.obj, ne.prim))
-                           then acc lor bit r.pid
-                           else acc)
-                         0 enabled
-                     in
-                     explore (q :: rev_prefix) (depth + 1) (sev :: sevs) cp'
-                       ow' ord' sleep';
-                     zs := !zs lor bit q
-                   end;
-                   loop ()
-             in
-             loop ())
-      end
+  let finish sched = ignore (Scheduler.finish sched : Trace.t) in
+  (* Depth-first exploration, called only while [!continue].  [live] is
+     the parent's open run, at the parent's node: this node applies its
+     transition, the head of [rev_prefix], to it instead of replaying.
+     Every path out of a node finishes the run it holds or hands it to a
+     child.  [cp] maps each pid to the clock of its last event; [ow] maps
+     each object to the clock of its last write-like event, [ord] to the
+     join of its reads since then; [sleep] is the pid bitmask of sleeping
+     transitions. *)
+  let rec explore live rev_prefix depth sevs cp ow ord sleep =
+    if !explored >= max_schedules || depth > max_events then begin
+      Option.iter finish live;
+      truncated := true
+    end
+    else begin
+      let sched =
+        match live with
+        | Some sched ->
+          ignore (Scheduler.step sched (List.hd rev_prefix) : Event.t);
+          sched
+        | None ->
+          Replay.replay session ~n ~make_body ~schedule:(List.rev rev_prefix)
+            ()
+      in
+      let entries = Scheduler.entry_count sched in
+      match enabled_of sched with
+      | [] ->
+        let trace = Scheduler.finish sched in
+        incr explored;
+        if not (on_complete trace) then continue := false
+      | enabled ->
+        let quiet = Scheduler.entry_count sched = entries in
+        List.iter (detect_races sevs cp) enabled;
+        (match List.find_opt (fun ne -> not (mem ne.pid sleep)) enabled with
+         | None ->
+           (* Everything enabled sleeps: every continuation from here is a
+              reordering of a trace delivered elsewhere. *)
+           finish sched;
+           incr sleep_blocked
+         | Some first ->
+           let fr = { enabled; backtrack = bit first.pid; done_ = 0 } in
+           frames.(depth) <- fr;
+           (* The loop's first child is [first], which is awake, so the run
+              goes to it unless the inspection recorded an entry. *)
+           let live =
+             ref (if quiet then Some sched else (finish sched; None))
+           in
+           let zs = ref sleep in
+           let rec loop () =
+             if !continue then
+               match lowest_bit (fr.backtrack land lnot fr.done_) with
+               | None -> ()
+               | Some q ->
+                 fr.done_ <- fr.done_ lor bit q;
+                 if not (mem q !zs) then begin
+                   let ne = List.find (fun ne -> ne.pid = q) enabled in
+                   let local = Vector_clock.get cp.(q) q + 1 in
+                   let cv = Vector_clock.join cp.(q) (obj_clock ow ne.obj) in
+                   let cv =
+                     if ne.writes then
+                       Vector_clock.join cv (obj_clock ord ne.obj)
+                     else cv
+                   in
+                   let cv = Vector_clock.tick cv q ~local in
+                   let cp' = Array.copy cp in
+                   cp'.(q) <- cv;
+                   let ow' = if ne.writes then IMap.add ne.obj cv ow else ow in
+                   let ord' =
+                     if ne.writes then IMap.remove ne.obj ord
+                     else
+                       IMap.add ne.obj
+                         (Vector_clock.join cv (obj_clock ord ne.obj))
+                         ord
+                   in
+                   let sev =
+                     { depth; spid = q; sobj = ne.obj; swrites = ne.writes;
+                       slocal = local }
+                   in
+                   (* Siblings keep sleeping only while independent of the
+                      transition just taken. *)
+                   let sleep' =
+                     List.fold_left
+                       (fun acc r ->
+                         if
+                           mem r.pid !zs
+                           && not (dependent (r.obj, r.prim) (ne.obj, ne.prim))
+                         then acc lor bit r.pid
+                         else acc)
+                       0 enabled
+                   in
+                   let run = !live in
+                   live := None;
+                   explore run (q :: rev_prefix) (depth + 1) (sev :: sevs) cp'
+                     ow' ord' sleep';
+                   zs := !zs lor bit q
+                 end;
+                 loop ()
+           in
+           loop ())
     end
   in
-  explore [] 0 [] (Array.make n bottom) IMap.empty IMap.empty 0;
+  explore None [] 0 [] (Array.make n bottom) IMap.empty IMap.empty 0;
   { explored = !explored; sleep_blocked = !sleep_blocked;
     truncated = !truncated }

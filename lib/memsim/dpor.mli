@@ -39,8 +39,15 @@ val run :
   unit ->
   stats
 (** [run session ~n ~make_body ~on_complete ()] explores all maximal
-    schedules of processes [0..n-1] up to trace equivalence, re-executing
-    each prefix from the initial configuration exactly like
-    {!Explore.run} (fresh bodies, store reset).  [on_complete] returns
+    schedules of processes [0..n-1] up to trace equivalence.  A run
+    cannot be forked, so each branch starts from the initial
+    configuration (fresh bodies, store reset, the branch's prefix
+    replayed) and is then extended one transition per node: a node hands
+    its open run to the first child it explores, and only later siblings
+    replay.  Every trace passed to [on_complete] equals
+    {!Replay.replay} of its own {!Trace.schedule} followed by
+    {!Scheduler.active_pids} and {!Scheduler.finish}.  No run is open on
+    [session] while [on_complete] runs, nor after [run] returns, whether
+    it completed, hit a limit or was aborted.  [on_complete] returns
     [false] to abort early.  Handles processes whose step counts are
     schedule-dependent (retry loops).  At most 62 processes. *)

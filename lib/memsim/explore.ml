@@ -10,18 +10,13 @@
 
 type stats = { explored : int; truncated : bool }
 
-(* Replay [schedule] and return the active pids after it (or None when the
-   schedule is not executable, which cannot happen for schedules built by
-   [run] itself). *)
-let active_after session ~n ~make_body schedule =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (make_body pid))
-  done;
-  List.iter (fun pid -> ignore (Scheduler.step sched pid)) (List.rev schedule);
-  let active = Scheduler.active_pids sched in
-  (sched, active)
+(* Replay [rev_prefix] (newest first) and return the open run with its
+   active pids. *)
+let active_after session ~n ~make_body rev_prefix =
+  let sched =
+    Replay.replay session ~n ~make_body ~schedule:(List.rev rev_prefix) ()
+  in
+  (sched, Scheduler.active_pids sched)
 
 (* Depth-first over all maximal schedules.  [on_complete] receives the full
    trace of each complete execution; return [false] from it to abort the
@@ -66,11 +61,7 @@ let run_interleavings ?(max_schedules = 1_000_000) session ~make_body ~counts
   let remaining = Array.copy counts in
   let execute rev_schedule =
     let schedule = List.rev rev_schedule in
-    Store.reset (Session.store session);
-    let sched = Scheduler.create session in
-    for pid = 0 to n - 1 do
-      ignore (Scheduler.spawn sched (make_body pid))
-    done;
+    let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
     List.iter
       (fun pid ->
         if not (Scheduler.is_active sched pid) then begin
@@ -107,11 +98,7 @@ let run_interleavings ?(max_schedules = 1_000_000) session ~make_body ~counts
 
 (* Solo step counts, for run_interleavings. *)
 let solo_counts session ~n ~make_body =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (make_body pid))
-  done;
+  let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
   let counts =
     Array.init n (fun pid ->
         let before = Scheduler.steps_of sched pid in

@@ -16,12 +16,11 @@ let erase_from_schedule schedule ~erased =
 (* Start a fresh run of [n] processes on [session] (store reset to the
    initial configuration) and replay [schedule].  The run is left open so
    the caller can inspect enabled events and keep extending it. *)
-let replay session ~n ?names ~make_body ~schedule () =
+let replay session ~n ~make_body ~schedule () =
   Store.reset (Session.store session);
   let sched = Scheduler.create session in
   for pid = 0 to n - 1 do
-    let name = match names with Some f -> Some (f pid) | None -> None in
-    let spawned = Scheduler.spawn sched ?name (make_body pid) in
+    let spawned = Scheduler.spawn sched (make_body pid) in
     assert (spawned = pid)
   done;
   Scheduler.run_schedule sched schedule;

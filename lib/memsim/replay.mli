@@ -9,7 +9,6 @@ val erase_from_schedule : int list -> erased:int list -> int list
 val replay :
   Session.t ->
   n:int ->
-  ?names:(int -> string) ->
   make_body:(int -> unit -> unit) ->
   schedule:int list ->
   unit ->

@@ -22,7 +22,6 @@ type state =
 
 type entry = {
   pid : int;
-  pname : string;
   mutable state : state;
   mutable steps : int;
 }
@@ -47,10 +46,9 @@ let create session =
 
 let session t = t.session
 
-let spawn t ?name body =
+let spawn t body =
   let pid = t.n in
-  let pname = match name with Some s -> s | None -> Printf.sprintf "p%d" pid in
-  let entry = { pid; pname; state = Not_started body; steps = 0 } in
+  let entry = { pid; state = Not_started body; steps = 0 } in
   if t.n = Array.length t.entries then begin
     let cap = max 8 (2 * t.n) in
     let entries = Array.make cap entry in
@@ -158,8 +156,6 @@ let erase t pid =
 
 let steps_of t pid = (get t pid).steps
 
-let name_of t pid = (get t pid).pname
-
 let is_finished t pid =
   match (get t pid).state with
   | Finished -> true
@@ -168,6 +164,8 @@ let is_finished t pid =
 let n_processes t = t.n
 
 let event_count t = Trace.event_count t.trace
+
+let entry_count t = Trace.length t.trace
 
 (* A copy of the execution so far; the run remains in progress. *)
 let current_trace t = Trace.finish t.trace

@@ -19,7 +19,7 @@ val create : Session.t -> t
 
 val session : t -> Session.t
 
-val spawn : t -> ?name:string -> (unit -> unit) -> int
+val spawn : t -> (unit -> unit) -> int
 (** Register a process; returns its pid (dense, in spawn order).  The body
     is not executed until the process is first inspected or stepped. *)
 
@@ -37,9 +37,15 @@ val is_active : t -> int -> bool
 val is_finished : t -> int -> bool
 val active_pids : t -> int list
 val steps_of : t -> int -> int
-val name_of : t -> int -> string
 val n_processes : t -> int
 val event_count : t -> int
+
+val entry_count : t -> int
+(** Trace entries recorded so far: events plus Invoke/Return
+    annotations.  Inspection ({!enabled}, {!is_active}, {!active_pids})
+    issues no event, but starting a process whose first operation issues
+    none records that operation's annotations; comparing [entry_count]
+    around an inspection tells whether it did. *)
 
 val current_trace : t -> Trace.t
 (** Copy of the execution so far; the run remains in progress. *)

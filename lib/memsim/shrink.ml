@@ -14,11 +14,7 @@
    schedules mangled by shrinking still denote executions.  Returns the
    completed trace. *)
 let replay session ~n ~make_body schedule =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (make_body pid))
-  done;
+  let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
   List.iter
     (fun pid ->
       if pid >= 0 && pid < n && Scheduler.is_active sched pid then

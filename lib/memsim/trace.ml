@@ -43,6 +43,7 @@ let add_invoke b ~pid ~op ~arg = push b (Invoke { pid; op; arg })
 let add_return b ~pid ~op ~result = push b (Return { pid; op; result })
 
 let event_count b = b.events
+let length b = b.len
 
 let finish b = { entries = Array.sub b.buf 0 b.len }
 

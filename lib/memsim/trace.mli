@@ -29,6 +29,10 @@ val add_invoke : builder -> pid:int -> op:string -> arg:Simval.t -> unit
 val add_return : builder -> pid:int -> op:string -> result:Simval.t -> unit
 
 val event_count : builder -> int
+
+val length : builder -> int
+(** Number of entries so far, events and annotations alike. *)
+
 val finish : builder -> t
 
 (** {1 Queries} *)

@@ -130,13 +130,12 @@ let progs_gen =
   QCheck.Gen.(
     array_size (return 3) (list_size (int_range 0 4) op_gen))
 
-let progs_arb =
-  QCheck.make
-    ~print:(fun progs ->
-      String.concat " | "
-        (Array.to_list
-           (Array.map (fun p -> String.concat ";" (List.map pp_op p)) progs)))
-    progs_gen
+let print_progs pp progs =
+  String.concat " | "
+    (Array.to_list
+       (Array.map (fun p -> String.concat ";" (List.map pp p)) progs))
+
+let progs_arb = QCheck.make ~print:(print_progs pp_op) progs_gen
 
 let final_states explorer ~session ~objs ~n ~make_body =
   let store = Session.store session in
@@ -177,6 +176,112 @@ let prop_same_final_states =
           ~session ~objs ~n:3 ~make_body
       in
       naive_states = dpor_states && dpor_count <= naive_count)
+
+(* {1 Replay oracle (qcheck)}
+
+   DPOR hands a node's open run to its first child instead of replaying
+   the child's prefix.  Every delivered trace must still equal, entry for
+   entry, a fresh replay of its own schedule followed by one inspection of
+   every process, which is what replaying at every node delivers.  The
+   programs add a fourth kind of operation, [nop]: an annotated operation
+   that issues no event.  Its annotations are recorded as soon as its
+   process starts, so it is the case where an inspection changes the open
+   run's trace. *)
+
+let nop = 3
+
+let pp_annotated op = if op.kind = nop then "nop" else pp_op op
+
+let annotated_progs_arb =
+  QCheck.make ~print:(print_progs pp_annotated)
+    QCheck.Gen.(
+      array_size (return 3)
+        (list_size (int_range 0 4)
+           (map
+              (fun (kind, obj, (a, b)) -> { kind; obj; a; b })
+              (triple (int_range 0 nop) (int_range 0 1)
+                 (pair (int_range 0 2) (int_range 0 2))))))
+
+(* Every operation is annotated, so invocations are buffered across
+   inspections too. *)
+let annotated_scenario progs =
+  let session = Session.create () in
+  let o0 = Session.alloc session ~name:"x" (Simval.Int 0) in
+  let o1 = Session.alloc session ~name:"y" (Simval.Int 0) in
+  let make_body pid () =
+    List.iter
+      (fun op ->
+        let name = pp_annotated op in
+        Session.annotate_invoke session ~op:name ~arg:(Simval.Int op.a);
+        if op.kind <> nop then
+          ignore
+            (Session.mem_op session (if op.obj = 0 then o0 else o1)
+               (prim_of_op op));
+        Session.annotate_return session ~op:name ~result:Simval.Bot)
+      progs.(pid)
+  in
+  (session, make_body)
+
+(* The number of delivered traces that differ from the replay of their
+   own schedule. *)
+let replay_mismatches progs =
+  let session, make_body = annotated_scenario progs in
+  let mismatches = ref 0 in
+  ignore
+    (Dpor.run session ~n:3 ~make_body
+       ~on_complete:(fun trace ->
+         let sched =
+           Replay.replay session ~n:3 ~make_body
+             ~schedule:(Trace.schedule trace) ()
+         in
+         ignore (Scheduler.active_pids sched);
+         let replayed = Scheduler.finish sched in
+         if Trace.entries replayed <> Trace.entries trace then
+           incr mismatches;
+         true)
+       ());
+  !mismatches
+
+let prop_replay_oracle =
+  QCheck.Test.make ~name:"every delivered trace equals its schedule's replay"
+    ~count:200 annotated_progs_arb (fun progs -> replay_mismatches progs = 0)
+
+let mk kind obj = { kind; obj; a = 1; b = 0 }
+
+(* p0 = write x; read y | p1 = nop; write x | p2 = read x.  Inspecting
+   the root starts p1, whose nop records its annotations there: a run
+   handed down from the root would hold them before p0's write. *)
+let fixed_progs = [| [ mk 1 0; mk 0 1 ]; [ mk nop 0; mk 1 0 ]; [ mk 0 0 ] |]
+
+let test_replay_oracle_fixed () =
+  Alcotest.(check int) "traces differing from their replay" 0
+    (replay_mismatches fixed_progs)
+
+(* Every way out of an exploration ends its run: a second exploration on
+   the same session starts and delivers every class. *)
+let test_run_lifecycle () =
+  let session, make_body = annotated_scenario fixed_progs in
+  let full () =
+    Dpor.run session ~n:3 ~make_body ~on_complete:(fun _ -> true) ()
+  in
+  Alcotest.(check int) "classes" 6 (full ()).Dpor.explored;
+  let stopped =
+    [ ("max_schedules", fun () ->
+          Dpor.run ~max_schedules:1 session ~n:3 ~make_body
+            ~on_complete:(fun _ -> true) ());
+      ("max_events", fun () ->
+          Dpor.run ~max_events:1 session ~n:3 ~make_body
+            ~on_complete:(fun _ -> true) ());
+      ("on_complete", fun () ->
+          Dpor.run session ~n:3 ~make_body ~on_complete:(fun _ -> false) ()) ]
+  in
+  List.iter
+    (fun (how, stop) ->
+      let st = stop () in
+      Alcotest.(check bool) (how ^ " stopped early") true (st.Dpor.explored < 6);
+      Alcotest.(check int) ("classes after a stop by " ^ how) 6
+        (full ()).Dpor.explored)
+    stopped
 
 (* A max register whose failed CAS silently drops the value (no retry):
    the canonical injected bug.  Used both for verdict agreement and for
@@ -335,6 +440,17 @@ let test_pinned_counts_cas_maxreg () =
    Model checking that the naive explorer cannot finish: every trace class
    of each scenario is visited and checked linearizable. *)
 
+(* The exploration fingerprint of a scenario: its class count, the paths
+   its sleep sets cut off, and the events of every delivered trace.
+   Exploring other nodes, in another order or with other sleep sets,
+   moves at least one of them.  The same rule as the pins above applies
+   to updating them. *)
+let pin_fingerprint (stats : Dpor.stats) delivered ~classes ~sleep_blocked
+    ~events =
+  Alcotest.(check int) "classes" classes stats.explored;
+  Alcotest.(check int) "sleep-blocked paths" sleep_blocked stats.sleep_blocked;
+  Alcotest.(check int) "events in delivered traces" events delivered
+
 let test_algorithm_a_n3_exhaustive () =
   let session = Session.create () in
   let reg =
@@ -351,11 +467,12 @@ let test_algorithm_a_n3_exhaustive () =
   (* Theorem 5 (linearizability) and the step-bound half of Theorem 6
      (wait-freedom) checked over EVERY trace class: linearizable, and no
      process exceeds a fixed step bound in any interleaving. *)
-  let max_steps = ref 0 in
+  let max_steps = ref 0 and events = ref 0 in
   let check trace =
     List.iter
       (fun pid -> max_steps := max !max_steps (Trace.step_count trace pid))
       (Trace.pids trace);
+    events := !events + Array.length (Trace.events trace);
     lin_maxreg ~n:3 trace
   in
   let dstats, failures = dpor_explore ~session ~n:3 ~make_body ~check () in
@@ -364,6 +481,8 @@ let test_algorithm_a_n3_exhaustive () =
     (Printf.sprintf "real coverage (%d classes)" dstats.Dpor.explored)
     true
     (dstats.Dpor.explored >= 500);
+  pin_fingerprint dstats !events ~classes:784 ~sleep_blocked:70
+    ~events:35_280;
   Alcotest.(check int) "all linearizable (theorem 5 at n=3)" 0 failures;
   Alcotest.(check bool)
     (Printf.sprintf "wait-free step bound holds everywhere (max %d)"
@@ -400,14 +519,19 @@ let test_farray_counter_n3_exhaustive () =
   let make_body pid () =
     if pid < 2 then c.increment ~pid else ignore (c.read ())
   in
-  let dstats, failures =
-    dpor_explore ~session ~n:3 ~make_body ~check:(lin_counter ~n:3) ()
+  let events = ref 0 in
+  let check trace =
+    events := !events + Array.length (Trace.events trace);
+    lin_counter ~n:3 trace
   in
+  let dstats, failures = dpor_explore ~session ~n:3 ~make_body ~check () in
   Alcotest.(check bool) "not truncated" false dstats.Dpor.truncated;
   Alcotest.(check bool)
     (Printf.sprintf "real coverage (%d classes)" dstats.Dpor.explored)
     true
     (dstats.Dpor.explored >= 10_000);
+  pin_fingerprint dstats !events ~classes:32_336 ~sleep_blocked:2_723
+    ~events:1_196_432;
   Alcotest.(check int) "all linearizable" 0 failures
 
 let test_farray_snapshot_n3_exhaustive () =
@@ -530,7 +654,12 @@ let () =
           Alcotest.test_case "verdicts agree on an injected bug" `Quick
             test_verdicts_agree_on_buggy;
           Alcotest.test_case "finds the single-refresh lost update (A2)"
-            `Quick test_dpor_finds_single_refresh_bug ] );
+            `Quick test_dpor_finds_single_refresh_bug;
+          QCheck_alcotest.to_alcotest prop_replay_oracle;
+          Alcotest.test_case "a zero-event first op replays exactly" `Quick
+            test_replay_oracle_fixed;
+          Alcotest.test_case "every stop ends the run" `Quick
+            test_run_lifecycle ] );
       ( "pruning",
         [ Alcotest.test_case "algorithm A w+r+r: >=10x fewer schedules"
             `Quick test_algorithm_a_pruning_ratio;
