@@ -95,18 +95,22 @@ type row = {
 (* {1 Workload construction}
 
    Honest measurement of sub-10ns operations needs the loop body to be the
-   operation itself, so each (implementation, backend) pair gets a fused,
-   batched closure written out by hand:
+   operation itself, so each cell runs a fused, batched closure:
 
    - the read/write mix is a precomputed 128-slot Bresenham pattern,
      decided per op by one array load and a mask (an integer division
      would cost as much as the unboxed operation being measured);
-   - the implementation is called *directly* — the unboxed structures and
-     the {!Harness.Adaptive} instances are concrete modules, so reads and
-     plain-path updates compile to static calls, while the boxed side's
-     indirect functor call is part of the representation cost being
-     measured.  Any generic wrapper (instance record, first-class module)
-     would add an indirect call to both sides and dilute the ratio;
+   - each structure op is one call.  Every bench entry point builds in
+     dune's dev profile, whose [-opaque] hides other modules'
+     implementations, so an op of an unboxed structure or of a
+     {!Harness.Adaptive} instance compiles to one indirect call
+     ([call *%reg], or [caml_applyN] for several arguments) whether the
+     loop names its module or takes it from the {!targets} table — which
+     is why one loop per structure kind serves every target.  A release
+     build would turn a named call into a direct one and leave the
+     table's indirect, so this one-call parity assumes the dev profile.
+     The boxed side's first-class memory module per step is part of the
+     representation cost being measured;
    - each closure performs [batch] operations per invocation, so the
      harness's stop-flag read and bookkeeping amortize to noise
      ({!Harness.Throughput.run_batched}).
@@ -116,9 +120,9 @@ type row = {
    only the call path is flattened here.  The combining column is the
    adaptive cell pinned to the combining path — the registry's
    combining backend is that same pinning.  The metered pass, by
-   contrast, goes through the registry's instances — indirect calls,
-   which is fine: its numbers are distributions and counts, not the
-   throughput of record. *)
+   contrast, goes through the registry's instances — a second indirect
+   call per op, which is fine: its numbers are distributions and
+   counts, not the throughput of record. *)
 
 let pattern_slots = 128
 let mask = pattern_slots - 1
@@ -199,288 +203,155 @@ type kind =
   | Maxreg of Harness.Instances.maxreg_impl
   | Counter of Harness.Instances.counter_impl
 
+let names = function
+  | Maxreg impl -> ("max-register", Harness.Instances.maxreg_name impl)
+  | Counter impl -> ("counter", Harness.Instances.counter_name impl)
+
 type backend = [ `Boxed | `Unboxed | `Combining | `Adaptive ]
 
-(* [mk] returns the fused closure of an unboxed-compile column plus, for
-   a live adaptive instance, the report thunk
-   ({!Harness.Adaptive.report}: current mode, epoch count, flips,
-   combining-ops share) — [None] everywhere else, including the adaptive
-   backend's create-time solo dispatch at [domains = 1], where the
-   dispatcher is compiled away entirely.  The boxed column is
-   {!boxed_cell}, shared by every target. *)
-type target = {
-  structure : string;
-  impl_name : string;
-  kind : kind;
-  mk :
-    backend:[ `Unboxed | `Combining | `Adaptive ] ->
-    n:int ->
-    domains:int ->
-    pattern:bool array ->
-    (int -> int -> unit) * (unit -> Harness.Adaptive.report) option;
+(* A target's unboxed-compile structure as the timed loops call it.
+   [update] is [write_max] for a max register and [add] for a counter,
+   which the loops call with 1 (the body of [increment]).  [adaptive] is
+   the {!Harness.Adaptive} instance over the structure, [None] where the
+   registry has no dispatch backend; [tally_stale] marks the one whose
+   policy watches stale writes. *)
+type 's ops = {
+  create : n:int -> 's;
+  read : 's -> int;
+  update : 's -> pid:int -> int -> unit;
+  adaptive : (module Harness.Adaptive.S with type structure = 's) option;
+  tally_stale : bool;
 }
+
+type target = Target : kind * 's ops -> target
 
 module AU = Unboxed.Algorithm_a
 module BU = Unboxed.B1_maxreg
 module CU = Unboxed.Cas_maxreg
 module FU = Unboxed.Farray_counter
 module NU = Unboxed.Naive_counter
-module AD = Harness.Adaptive.Alg_a
-module CD = Harness.Adaptive.Cas
-module FD = Harness.Adaptive.Farray_c
-module ND = Harness.Adaptive.Naive_c
 
-(* Max registers write strictly increasing, domain-disjoint values
-   [i * domains + d]: every write really updates (monotone streams), and
-   the CAS-based propagation paths stay ABA-free.  Note the combining
-   backend sees the same stream, so its eliminations count races lost to
-   other domains, not stale replays.
-
-   Each target with a dispatch layer has two loops: unboxed, and the
-   adaptive cell, which the combining column reuses pinned to the
-   combining path.  The unboxed loop also serves the d=1
-   combining/adaptive cells (create-time solo dispatch: one
-   participating domain can never contend, so those backends at
-   domains = 1 *are* the plain unboxed structure).  Sharing the builder
-   means those rows run the SAME compiled loop and differ only in data
-   — a separate textual copy of an identical loop can land on different
-   code alignment and skew sub-3ns cells by ~10%. *)
-
-let alg_a_target =
-  { structure = "max-register";
-    impl_name = Harness.Instances.maxreg_name Harness.Instances.Algorithm_a;
-    kind = Maxreg Harness.Instances.Algorithm_a;
-    mk =
-      (fun ~backend ~n ~domains ~pattern ->
-        let unboxed_cell () =
-          let reg = AU.create ~n () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (AU.read_max reg : int)
-                else AU.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        in
-        (* batch-granular dispatch: cached mode per batch, raw path in
-           the inner loop, accounting settled per flush window.  The
-           plain loop tallies stale writes (value already <= max: one
-           root load) — the signal that flips this structure to
-           combining where elimination wins. *)
-        let adaptive_cell ~pinned =
-          let reg = AD.create ~n ~domains () in
-          let raw = AD.unboxed reg in
-          let acc, flush =
-            dispatch_slots ~pattern ~domains ~pinned
-              ~tick_many:(AD.tick_many reg)
-              ~combining_now:(fun () -> AD.combining_now reg)
-          in
-          ( (fun d i0 ->
-              let a = d * acc_stride in
-              if Array.unsafe_get acc (a + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (AU.read_max raw : int)
-                  else AD.write_combining reg ~pid:d ((i * domains) + d)
-                done
-              else begin
-                let stale = ref 0 in
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (AU.read_max raw : int)
-                  else begin
-                    let v = (i * domains) + d in
-                    if v <= AU.read_max raw then incr stale;
-                    AU.write_max raw ~pid:d v
-                  end
-                done;
-                Array.unsafe_set acc (a + 2)
-                  (Array.unsafe_get acc (a + 2) + !stale)
-              end;
-              flush d),
-            if pinned then None else Some (fun () -> AD.report reg) )
-        in
-        match backend with
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining -> adaptive_cell ~pinned:true
-        | `Adaptive -> adaptive_cell ~pinned:false) }
-
-let b1_target =
-  { structure = "max-register";
-    impl_name = Harness.Instances.maxreg_name Harness.Instances.B1_maxreg;
-    kind = Maxreg Harness.Instances.B1_maxreg;
-    mk =
-      (fun ~backend ~n:_ ~domains ~pattern ->
-        match backend with
-        | `Unboxed ->
-          let reg = BU.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (BU.read_max reg : int)
-                else BU.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        | `Combining | `Adaptive ->
-          invalid_arg "b1-maxreg has no combining/adaptive backend") }
-
-let cas_target =
-  { structure = "max-register";
-    impl_name = Harness.Instances.maxreg_name Harness.Instances.Cas_maxreg;
-    kind = Maxreg Harness.Instances.Cas_maxreg;
-    mk =
-      (fun ~backend ~n ~domains ~pattern ->
-        ignore n;
-        let unboxed_cell () =
-          let reg = CU.create () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                let i = i0 + k in
-                if Array.unsafe_get pattern (i land mask) then
-                  ignore (CU.read_max reg : int)
-                else CU.write_max reg ~pid:d ((i * domains) + d)
-              done),
-            None )
-        in
-        (* as algorithm-a, with no stale tally (default_cas disables
-           that trigger — a stale plain cas write is already one cheap
-           load) *)
-        let adaptive_cell ~pinned =
-          let reg = CD.create ~domains () in
-          let raw = CD.unboxed reg in
-          let acc, flush =
-            dispatch_slots ~pattern ~domains ~pinned
-              ~tick_many:(CD.tick_many reg)
-              ~combining_now:(fun () -> CD.combining_now reg)
-          in
-          ( (fun d i0 ->
-              if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (CU.read_max raw : int)
-                  else CD.write_combining reg ~pid:d ((i * domains) + d)
-                done
-              else
-                for k = 0 to batch - 1 do
-                  let i = i0 + k in
-                  if Array.unsafe_get pattern (i land mask) then
-                    ignore (CU.read_max raw : int)
-                  else CU.write_max raw ~pid:d ((i * domains) + d)
-                done;
-              flush d),
-            if pinned then None else Some (fun () -> CD.report reg) )
-        in
-        match backend with
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining -> adaptive_cell ~pinned:true
-        | `Adaptive -> adaptive_cell ~pinned:false) }
-
-(* Counter increments are never stale: the counter cells' stale slot
-   stays 0. *)
-
-let farray_target =
-  { structure = "counter";
-    impl_name =
-      Harness.Instances.counter_name Harness.Instances.Farray_counter;
-    kind = Counter Harness.Instances.Farray_counter;
-    mk =
-      (fun ~backend ~n ~domains ~pattern ->
-        let unboxed_cell () =
-          let c = FU.create ~n () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (FU.read c : int)
-                else FU.increment c ~pid:d
-              done),
-            None )
-        in
-        let adaptive_cell ~pinned =
-          let c = FD.create ~n ~domains () in
-          let raw = FD.unboxed c in
-          let acc, flush =
-            dispatch_slots ~pattern ~domains ~pinned
-              ~tick_many:(FD.tick_many c)
-              ~combining_now:(fun () -> FD.combining_now c)
-          in
-          ( (fun d i0 ->
-              if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (FU.read raw : int)
-                  else FD.update_combining c ~pid:d 1
-                done
-              else
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (FU.read raw : int)
-                  else FU.increment raw ~pid:d
-                done;
-              flush d),
-            if pinned then None else Some (fun () -> FD.report c) )
-        in
-        match backend with
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining -> adaptive_cell ~pinned:true
-        | `Adaptive -> adaptive_cell ~pinned:false) }
-
-let naive_target =
-  { structure = "counter";
-    impl_name = Harness.Instances.counter_name Harness.Instances.Naive_counter;
-    kind = Counter Harness.Instances.Naive_counter;
-    mk =
-      (fun ~backend ~n ~domains ~pattern ->
-        let unboxed_cell () =
-          let c = NU.create ~n () in
-          ( (fun d i0 ->
-              for k = 0 to batch - 1 do
-                if Array.unsafe_get pattern ((i0 + k) land mask) then
-                  ignore (NU.read c : int)
-                else NU.increment c ~pid:d
-              done),
-            None )
-        in
-        (* the measured control: protocol cost, no win *)
-        let adaptive_cell ~pinned =
-          let c = ND.create ~n ~domains () in
-          let raw = ND.unboxed c in
-          let acc, flush =
-            dispatch_slots ~pattern ~domains ~pinned
-              ~tick_many:(ND.tick_many c)
-              ~combining_now:(fun () -> ND.combining_now c)
-          in
-          ( (fun d i0 ->
-              if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (NU.read raw : int)
-                  else ND.update_combining c ~pid:d 1
-                done
-              else
-                for k = 0 to batch - 1 do
-                  if Array.unsafe_get pattern ((i0 + k) land mask) then
-                    ignore (NU.read raw : int)
-                  else NU.increment raw ~pid:d
-                done;
-              flush d),
-            if pinned then None else Some (fun () -> ND.report c) )
-        in
-        match backend with
-        | `Unboxed -> unboxed_cell ()
-        | (`Combining | `Adaptive) when domains = 1 -> unboxed_cell ()
-        | `Combining -> adaptive_cell ~pinned:true
-        | `Adaptive -> adaptive_cell ~pinned:false) }
-
+(* cas-loop has no stale tally: default_cas disables that trigger, a
+   stale plain cas write being already one cheap load.  The naive
+   counter's dispatch is the measured control: protocol cost, no win. *)
 let targets =
-  [ alg_a_target; b1_target; cas_target; farray_target; naive_target ]
+  let open Harness.Instances in
+  [ Target
+      ( Maxreg Algorithm_a,
+        { create = (fun ~n -> AU.create ~n ());
+          read = AU.read_max;
+          update = AU.write_max;
+          adaptive = Some (module Harness.Adaptive.Alg_a);
+          tally_stale = true } );
+    Target
+      ( Maxreg B1_maxreg,
+        { create = (fun ~n:_ -> BU.create ());
+          read = BU.read_max;
+          update = BU.write_max;
+          adaptive = None;
+          tally_stale = false } );
+    Target
+      ( Maxreg Cas_maxreg,
+        { create = (fun ~n:_ -> CU.create ());
+          read = CU.read_max;
+          update = CU.write_max;
+          adaptive = Some (module Harness.Adaptive.Cas);
+          tally_stale = false } );
+    Target
+      ( Counter Farray_counter,
+        { create = (fun ~n -> FU.create ~n ());
+          read = FU.read;
+          update = FU.add;
+          adaptive = Some (module Harness.Adaptive.Farray_c);
+          tally_stale = false } );
+    Target
+      ( Counter Naive_counter,
+        { create = (fun ~n -> NU.create ~n ());
+          read = NU.read;
+          update = NU.add;
+          adaptive = Some (module Harness.Adaptive.Naive_c);
+          tally_stale = false } ) ]
+
+(* The batch loop of each structure kind: [read] on [r], the update on
+   [w] — the structure itself, or on the combining path the adaptive
+   instance over it.  Max registers write strictly increasing,
+   domain-disjoint values [i * domains + d]: every write really updates
+   (monotone streams), and the CAS-based propagation paths stay
+   ABA-free.  Note the combining backend sees the same stream, so its
+   eliminations count races lost to other domains, not stale replays.
+   Counters add 1.  Inlined into each cell's closure, so a batch costs
+   no call beyond its operations'. *)
+let[@inline] batch_loop kind ~pattern ~domains read r update w d i0 =
+  match kind with
+  | Maxreg _ ->
+    for k = 0 to batch - 1 do
+      let i = i0 + k in
+      if Array.unsafe_get pattern (i land mask) then ignore (read r : int)
+      else update w ~pid:d ((i * domains) + d)
+    done
+  | Counter _ ->
+    for k = 0 to batch - 1 do
+      if Array.unsafe_get pattern ((i0 + k) land mask) then
+        ignore (read r : int)
+      else update w ~pid:d 1
+    done
+
+(* A dispatch cell: batch-granular dispatch — the cached mode per batch,
+   the raw path in the inner loop, accounting settled per flush window.
+   A policy that watches stale writes gets the plain loop that tallies
+   them (value already <= max: one root load) — the signal that flips
+   the structure to combining where elimination wins. *)
+let adaptive_cell (type s)
+    (module A : Harness.Adaptive.S with type structure = s) kind
+    { create; read; update; tally_stale; _ } ~n ~domains ~pattern ~pinned =
+  let a = A.make ~domains (create ~n) in
+  let raw = A.unboxed a in
+  let acc, flush =
+    dispatch_slots ~pattern ~domains ~pinned ~tick_many:(A.tick_many a)
+      ~combining_now:(fun () -> A.combining_now a)
+  in
+  ( (fun d i0 ->
+      if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
+        batch_loop kind ~pattern ~domains read raw A.update_combining a d i0
+      else if tally_stale then begin
+        let stale = ref 0 in
+        for k = 0 to batch - 1 do
+          let i = i0 + k in
+          if Array.unsafe_get pattern (i land mask) then
+            ignore (read raw : int)
+          else begin
+            let v = (i * domains) + d in
+            if v <= read raw then incr stale;
+            update raw ~pid:d v
+          end
+        done;
+        let s = (d * acc_stride) + 2 in
+        Array.unsafe_set acc s (Array.unsafe_get acc s + !stale)
+      end
+      else batch_loop kind ~pattern ~domains read raw update raw d i0;
+      flush d),
+    if pinned then None else Some (fun () -> A.report a) )
+
+(* A target's closure on an unboxed-compile column plus, for a live
+   adaptive instance, the report thunk ({!Harness.Adaptive.report}:
+   current mode, epoch count, flips, combining-ops share).  The unboxed
+   loop also serves the d=1 combining/adaptive cells (create-time solo
+   dispatch: one participating domain can never contend, so those
+   backends at domains = 1 *are* the plain unboxed structure, the
+   dispatcher compiled away), which report [None].  So every unboxed
+   row and every d=1 dispatch row runs the SAME compiled closure and
+   differs only in data — a separate copy of an identical loop can land
+   on different code alignment and skew sub-3ns cells by ~10%.  The
+   boxed column is {!boxed_cell}, shared by every target. *)
+let cell (Target (kind, ops)) ~backend ~n ~domains ~pattern =
+  match (backend, ops.adaptive) with
+  | (`Combining | `Adaptive), Some m when domains > 1 ->
+    adaptive_cell m kind ops ~n ~domains ~pattern
+      ~pinned:(backend = `Combining)
+  | _ ->
+    let { create; read; update; _ } = ops in
+    let s = create ~n in
+    ((fun d i0 -> batch_loop kind ~pattern ~domains read s update s d i0), None)
 
 (* The boxed column: the boxed compile of the same structure over native
    atomics, as the registry's closed instance.  The instance-record call
@@ -557,16 +428,17 @@ let metered_op ~metrics ~kind ~backend ~n ~domains ~pattern =
    their placement (two domains' cells sharing a cache line). *)
 let columns =
   List.map
-    (fun (t : target) ->
-      ( t,
+    (fun (Target (kind, _) as target) ->
+      ( kind,
+        target,
         List.filter
           (fun b ->
             match registry b with
             | None -> true
             | Some backend ->
               Option.is_some
-                (metered_op ~metrics:Obs.Metrics.disabled ~kind:t.kind
-                   ~backend ~n:1 ~domains:1 ~pattern:[||]))
+                (metered_op ~metrics:Obs.Metrics.disabled ~kind ~backend ~n:1
+                   ~domains:1 ~pattern:[||]))
           [ `Boxed; `Unboxed; `Combining; `Adaptive ] ))
     targets
 
@@ -618,7 +490,7 @@ let structure_n cfg = List.fold_left max 1 cfg.domain_counts
    and sweep-order drift correlated with the cell grid). *)
 
 type cell = {
-  c_target : target;
+  c_kind : kind;
   c_backend : backend;
   c_domains : int;
   c_read_pct : int;
@@ -632,7 +504,7 @@ type cell = {
 let make_cells cfg =
   let n = structure_n cfg in
   List.concat_map
-    (fun (target, backends) ->
+    (fun (kind, target, backends) ->
       List.concat_map
         (fun backend ->
           List.concat_map
@@ -642,12 +514,11 @@ let make_cells cfg =
                   let pattern = read_pattern ~read_pct in
                   let op, report =
                     match backend with
-                    | `Boxed ->
-                      (boxed_cell target.kind ~n ~domains ~pattern, None)
+                    | `Boxed -> (boxed_cell kind ~n ~domains ~pattern, None)
                     | (`Unboxed | `Combining | `Adaptive) as backend ->
-                      target.mk ~backend ~n ~domains ~pattern
+                      cell target ~backend ~n ~domains ~pattern
                   in
-                  { c_target = target;
+                  { c_kind = kind;
                     c_backend = backend;
                     c_domains = domains;
                     c_read_pct = read_pct;
@@ -678,7 +549,7 @@ let finish_cell ~cfg ~recommended (c : cell) =
         let metrics = Obs.Metrics.create ~domains:c.c_domains () in
         let op_m, dispatch =
           Option.get
-            (metered_op ~metrics ~kind:c.c_target.kind ~backend ~n
+            (metered_op ~metrics ~kind:c.c_kind ~backend ~n
                ~domains:c.c_domains ~pattern:c.c_pattern)
         in
         ignore
@@ -713,8 +584,9 @@ let finish_cell ~cfg ~recommended (c : cell) =
       if c.c_backend = `Adaptive then (Some 0, Some 0.) else (None, None)
   in
   let trial_mops = List.rev c.c_trials in
-  { structure = c.c_target.structure;
-    impl = c.c_target.impl_name;
+  let structure, impl = names c.c_kind in
+  { structure;
+    impl;
     backend = backend_name c.c_backend;
     domains = c.c_domains;
     read_pct = c.c_read_pct;
@@ -767,9 +639,9 @@ let sweep ?(progress = fun _ -> ()) cfg =
   let last_group = ref "" in
   List.map
     (fun c ->
+      let structure, impl = names c.c_kind in
       let group =
-        Printf.sprintf "latency+metrics: %s/%s (%s)" c.c_target.structure
-          c.c_target.impl_name
+        Printf.sprintf "latency+metrics: %s/%s (%s)" structure impl
           (backend_name c.c_backend)
       in
       if group <> !last_group then begin

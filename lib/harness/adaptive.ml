@@ -34,7 +34,7 @@
    {!Obs.Metrics.disabled} handle, so the settled plain path is the raw
    structure op plus one immediate-bool branch; and drivers that know
    their batch shape hoist the mode check out of the inner loop
-   ([combining_now] + the raw [write_plain]/[write_combining] pair) and
+   ([combining_now] + the raw [update_plain]/[update_combining] pair) and
    settle accounting in bulk with [tick_many] — at any granularity, the
    bench uses 16-batch flush windows with a cached mode — so the
    dispatch tax is amortized to ~nothing per op.  The per-op
@@ -453,9 +453,9 @@ module Kernel (S : STRUCTURE) = struct
      and [domains = 1] short-circuits every update to a direct call.  A
      live handle adds CAS-rate dispatch and keeps full dispatch at
      [domains = 1]: the metrics pass measures counters, not time. *)
-  let make ?(policy = S.default_policy) ?spin ?(metrics = Obs.Metrics.disabled)
+  let make ?(policy = S.default_policy) ?(metrics = Obs.Metrics.disabled)
       ~domains s =
-    let arena = Smem.Combine.create ?spin ~domains ~combine:S.combine () in
+    let arena = Smem.Combine.create ~domains ~combine:S.combine () in
     { s;
       arena;
       apply = (fun d v -> S.update s ~metrics ~pid:d v);
@@ -507,7 +507,6 @@ module type S = sig
 
   val make :
     ?policy:Policy.params ->
-    ?spin:int ->
     ?metrics:Obs.Metrics.t ->
     domains:int ->
     structure ->
@@ -543,17 +542,14 @@ module Alg_a = struct
     let try_update reg v = if subsumed reg v then 0 else 2
   end)
 
-  let create ?policy ?spin ~n ~domains () =
-    make ?policy ?spin ~domains (AU.create ~n ())
+  let create ?policy ~n ~domains () = make ?policy ~domains (AU.create ~n ())
 
-  let create_metered ?policy ?spin ~metrics ~n ~domains () =
-    make ?policy ?spin ~metrics ~domains (AU.create ~n ())
+  let create_metered ?policy ~metrics ~n ~domains () =
+    make ?policy ~metrics ~domains (AU.create ~n ())
 
   let[@inline] read_max t = AU.read_max t.s
   let read = read_max
   let write_max = update
-  let write_plain = update_plain
-  let write_combining = update_combining
 end
 
 module Cas = struct
@@ -570,14 +566,11 @@ module Cas = struct
     let try_update = CU.write_once
   end)
 
-  let create ?policy ?spin ~domains () =
-    make ?policy ?spin ~domains (CU.create ())
+  let create ?policy ~domains () = make ?policy ~domains (CU.create ())
 
   let[@inline] read_max t = CU.read_max t.s
   let read = read_max
   let write_max = update
-  let write_plain = update_plain
-  let write_combining = update_combining
 end
 
 (* Counters: an increment is an update by 1, never subsumed; the arena
@@ -595,8 +588,7 @@ module Farray_c = struct
     let try_update _ _ = 2
   end)
 
-  let create ?policy ?spin ~n ~domains () =
-    make ?policy ?spin ~domains (FU.create ~n ())
+  let create ?policy ~n ~domains () = make ?policy ~domains (FU.create ~n ())
 
   let[@inline] read t = FU.read t.s
   let increment t ~pid = update t ~pid 1
@@ -618,8 +610,7 @@ module Naive_c = struct
     let try_update _ _ = 2
   end)
 
-  let create ?policy ?spin ~n ~domains () =
-    make ?policy ?spin ~domains (NU.create ~n ())
+  let create ?policy ~n ~domains () = make ?policy ~domains (NU.create ~n ())
 
   let[@inline] read t = NU.read t.s
   let increment t ~pid = update t ~pid 1

@@ -144,7 +144,6 @@ module type S = sig
 
   val make :
     ?policy:Policy.params ->
-    ?spin:int ->
     ?metrics:Obs.Metrics.t ->
     domains:int ->
     structure ->
@@ -208,13 +207,11 @@ end
 module Alg_a : sig
   include S with type structure = Unboxed.Algorithm_a.t
 
-  val create :
-    ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
+  val create : ?policy:Policy.params -> n:int -> domains:int -> unit -> t
   (** [make] over a fresh register. *)
 
   val create_metered :
     ?policy:Policy.params ->
-    ?spin:int ->
     metrics:Obs.Metrics.t ->
     n:int ->
     domains:int ->
@@ -224,30 +221,25 @@ module Alg_a : sig
 
   val read_max : t -> int
   val write_max : t -> pid:int -> int -> unit
-  val write_plain : t -> pid:int -> int -> unit
-  val write_combining : t -> pid:int -> int -> unit
-  (** [read], [update], [update_plain] and [update_combining]. *)
+  (** [read] and [update]. *)
 end
 
 (** Adaptive CAS-loop max register ({!Policy.default_cas}). *)
 module Cas : sig
   include S with type structure = Unboxed.Cas_maxreg.t
 
-  val create : ?policy:Policy.params -> ?spin:int -> domains:int -> unit -> t
+  val create : ?policy:Policy.params -> domains:int -> unit -> t
   (** [make] over a fresh register; metered instances come from [make]. *)
 
   val read_max : t -> int
   val write_max : t -> pid:int -> int -> unit
-  val write_plain : t -> pid:int -> int -> unit
-  val write_combining : t -> pid:int -> int -> unit
 end
 
 (** Adaptive f-array counter ({!Policy.default_counter}). *)
 module Farray_c : sig
   include S with type structure = Unboxed.Farray_counter.t
 
-  val create :
-    ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
+  val create : ?policy:Policy.params -> n:int -> domains:int -> unit -> t
 
   val increment : t -> pid:int -> unit
   (** [update] by 1. *)
@@ -258,8 +250,7 @@ end
 module Naive_c : sig
   include S with type structure = Unboxed.Naive_counter.t
 
-  val create :
-    ?policy:Policy.params -> ?spin:int -> n:int -> domains:int -> unit -> t
+  val create : ?policy:Policy.params -> n:int -> domains:int -> unit -> t
 
   val increment : t -> pid:int -> unit
 end

@@ -79,56 +79,18 @@ end
 
 (* {1 Chaos-instrumented memory} *)
 
-module Wrap_gen (C : sig val cfg : config end) (M : Smem.Memory_intf.MEMORY_GEN) =
-struct
-  type value = M.value
-  type t = M.t
-
-  let make = M.make
-  let read o = Inject.boundary C.cfg; M.read o
-  let write o v = Inject.boundary C.cfg; M.write o v
-
-  let cas o ~expected ~desired =
-    Inject.boundary C.cfg;
-    M.cas o ~expected ~desired
-end
-
 let wrap cfg (module M : Smem.Memory_intf.MEMORY) :
     (module Smem.Memory_intf.MEMORY) =
-  let module W =
-    Wrap_gen
-      (struct let cfg = cfg end)
-      (struct
-        type value = Memsim.Simval.t
-        type t = M.t
-
-        let make = M.make
-        let read = M.read
-        let write = M.write
-        let cas = M.cas
-      end)
-  in
-  (module W)
-
-let wrap_int cfg (module M : Smem.Memory_intf.MEMORY_INT) :
-    (module Smem.Memory_intf.MEMORY_INT) =
-  let module W =
-    Wrap_gen
-      (struct let cfg = cfg end)
-      (struct
-        type value = int
-        type t = M.t
-
-        let make = M.make
-        let read = M.read
-        let write = M.write
-        let cas = M.cas
-      end)
-  in
   (module struct
-    let bot = M.bot
+    type t = M.t
 
-    include W
+    let make = M.make
+    let read o = Inject.boundary cfg; M.read o
+    let write o v = Inject.boundary cfg; M.write o v
+
+    let cas o ~expected ~desired =
+      Inject.boundary cfg;
+      M.cas o ~expected ~desired
   end)
 
 (* {1 Instances over chaos memory} *)

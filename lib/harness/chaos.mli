@@ -4,7 +4,7 @@
     analogue is making the OS/GC scheduler hostile: preemption storms and
     GC pressure at memory-operation boundaries, and whole domains stalled
     mid-run.  This module injects those faults through a
-    chaos-instrumented {!Smem.Memory_intf.MEMORY_GEN} wrapper — the same
+    chaos-instrumented {!Smem.Memory_intf.MEMORY} wrapper — the same
     boundary the algorithms already use, so no algorithm code changes —
     and collects timestamped histories that feed
     {!Linearize.Checker.check} directly.
@@ -68,18 +68,10 @@ end
 
 (** {1 Chaos-instrumented memory} *)
 
-module Wrap_gen (_ : sig val cfg : config end) (M : Smem.Memory_intf.MEMORY_GEN) :
-  Smem.Memory_intf.MEMORY_GEN with type value = M.value and type t = M.t
-(** Every [read]/[write]/[cas] passes one injection boundary first;
-    [make] is untouched (allocation is not a step). *)
-
 val wrap :
   config -> (module Smem.Memory_intf.MEMORY) -> (module Smem.Memory_intf.MEMORY)
-
-val wrap_int :
-  config ->
-  (module Smem.Memory_intf.MEMORY_INT) ->
-  (module Smem.Memory_intf.MEMORY_INT)
+(** Every [read]/[write]/[cas] passes one injection boundary first;
+    [make] is untouched (allocation is not a step). *)
 
 (** {1 Instances over chaos memory} *)
 

@@ -128,21 +128,22 @@ let maxreg_native ~n ~bound impl = maxreg_over native ~n ~bound impl
 let counter_native ~n ~bound impl = counter_over native ~n ~bound impl
 let snapshot_native ~n impl = snapshot_over native ~n impl
 
-(* {1 Unboxed snapshot construction over an arbitrary MEMORY_INT}
+(* {1 The unboxed snapshot}
 
-   The hybrid snapshot keeps its boxed vector inner nodes but is
-   functorized over the leaf-register memory, so it still composes with
-   any MEMORY_INT (including the counting instrumentation).  The maxreg
-   and counter structures are not functors: their one source is
-   compiled once per memory backend (lib/smem/unboxed, lib/smem/boxed),
-   because without flambda a functor's indirect calls cost more than the
-   memory operations themselves. *)
+   The hybrid snapshot keeps its boxed vector inner nodes over padded
+   unboxed leaf registers.  The maxreg and counter structures are not
+   functors: their one source is compiled once per memory backend
+   (lib/smem/unboxed, lib/smem/boxed), because without flambda a
+   functor's indirect calls cost more than the memory operations
+   themselves. *)
 
-let snapshot_int_over (module M : Smem.Memory_intf.MEMORY_INT) ~n impl :
-    Snapshots.Snapshot.instance option =
+let snapshot_native_fast ~n impl : Snapshots.Snapshot.instance option =
   match impl with
   | Farray_snapshot ->
-    let module S = Snapshots.Hybrid_snapshot.Make (Smem.Atomic_memory) (M) in
+    let module S =
+      Snapshots.Hybrid_snapshot.Make (Smem.Atomic_memory)
+        (Smem.Unboxed_memory.Padded)
+    in
     Some (Snapshots.Snapshot.instantiate (module S) (S.create ~n))
   | Double_collect | Afek -> None
 
@@ -184,11 +185,6 @@ let maxreg_dial_sim session ~n dial =
    propagation to batch), the literal-line-16 ablation (kept pure as
    the paper-faithful bug exhibit), the snapshot counters and the dial
    points. *)
-
-let native_unboxed : (module Smem.Memory_intf.MEMORY_INT) =
-  (module Smem.Unboxed_memory.Padded)
-
-let snapshot_native_fast ~n impl = snapshot_int_over native_unboxed ~n impl
 
 type 'impl spec = Impl of 'impl | Dial of Treeprim.Dial.t
 type maxreg_spec = maxreg_impl spec

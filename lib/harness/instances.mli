@@ -69,21 +69,14 @@ val counter_native :
 
 val snapshot_native : n:int -> snapshot_impl -> Snapshots.Snapshot.instance
 
-(** {1 Unboxed snapshot construction over an arbitrary MEMORY_INT}
+(** {1 The unboxed snapshot}
 
-    The hybrid snapshot keeps boxed vector inner nodes but is functorized
-    over its leaf-register memory, so it composes with any MEMORY_INT.
-    [None] when the snapshot has no int-leaf specialization (double-collect
-    and Afek are vector-valued throughout).  The maxreg and counter
-    structures are not functors but one source compiled per backend
-    ({!Unboxed.Algorithm_a}, {!Boxed.Algorithm_a}, ...), so they have no
-    [_int_over] constructor; use {!maxreg_backend} / {!counter_backend}. *)
-
-val snapshot_int_over :
-  (module Smem.Memory_intf.MEMORY_INT) ->
-  n:int -> snapshot_impl -> Snapshots.Snapshot.instance option
-
-val native_unboxed : (module Smem.Memory_intf.MEMORY_INT)
+    The hybrid snapshot: boxed vector inner nodes over padded unboxed
+    int leaf registers.  [None] when the snapshot has no int-leaf
+    specialization (double-collect and Afek are vector-valued
+    throughout).  The maxreg and counter structures are one source
+    compiled per backend ({!Unboxed.Algorithm_a}, {!Boxed.Algorithm_a},
+    ...); use {!maxreg_backend} / {!counter_backend}. *)
 
 val snapshot_native_fast :
   n:int -> snapshot_impl -> Snapshots.Snapshot.instance option

@@ -418,7 +418,7 @@ let test_tick_rejects_bad_pid () =
 (* {1 Batch-granular dispatch: the bench's idiom}
 
    The timed loops hoist [combining_now] per batch, run the raw
-   [write_plain]/[write_combining] path, and settle accounting once via
+   [update_plain]/[update_combining] path, and settle accounting once via
    [tick_many].  Pin that this path (a) drives epochs and the
    stale-rate trigger, (b) respects the read-share gate, and (c) stays
    observationally identical to the plain unboxed structure across
@@ -435,12 +435,12 @@ let test_batch_stale_flips () =
       benefit_min = 0. }
   in
   let ad = AD.create ~policy ~n:2 ~domains:2 () in
-  AD.write_plain ad ~pid:0 1000;
+  AD.update_plain ad ~pid:0 1000;
   Alcotest.(check bool) "starts plain" false (AD.combining_now ad);
   (* two batches of 64 stale writes: rate 1.0 >= 0.25 at the boundary *)
   for _ = 1 to 2 do
     for v = 1 to 64 do
-      AD.write_plain ad ~pid:0 v
+      AD.update_plain ad ~pid:0 v
     done;
     AD.tick_many ad ~pid:0 ~reads:0 ~updates:64 ~stale:64
   done;
@@ -461,7 +461,7 @@ let test_batch_reads_gate_share () =
       benefit_min = 0. }
   in
   let ad = AD.create ~policy ~n:2 ~domains:2 () in
-  AD.write_plain ad ~pid:0 1000;
+  AD.update_plain ad ~pid:0 1000;
   (* every batch is fully stale but read-dominated: share 64/576 < 0.5,
      so the share gate wins and the mode never leaves plain *)
   for _ = 1 to 4 do
@@ -496,10 +496,10 @@ let test_batch_dispatch_differential () =
     for _ = 1 to 16 do
       let v = if stale_batch then 0 else (incr next; !next) in
       AU.write_max plain ~pid:0 v;
-      if comb then AD.write_combining ad ~pid:0 v
+      if comb then AD.update_combining ad ~pid:0 v
       else begin
         if v <= AD.read_max ad then incr stale;
-        AD.write_plain ad ~pid:0 v
+        AD.update_plain ad ~pid:0 v
       end;
       if AU.read_max plain <> AD.read_max ad then
         Alcotest.failf "diverged at batch %d" b
@@ -512,10 +512,9 @@ let test_batch_dispatch_differential () =
 
 (* Validation happens once, in the shared kernel, before either update
    path: a negative value raises on the raw combining path
-   ([write_combining] is [update_combining]) exactly as on the per-op
-   and raw plain paths, in either dispatcher mode, and never counts an
-   elimination (root >= 0 > v would otherwise pass the elimination
-   check). *)
+   ([update_combining]) exactly as on the per-op and raw plain paths,
+   in either dispatcher mode, and never counts an elimination
+   (root >= 0 > v would otherwise pass the elimination check). *)
 let negative_value_both_modes (type a)
     (module A : Harness.Adaptive.S with type t = a) name (t : a) =
   let raises what f =

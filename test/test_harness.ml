@@ -381,6 +381,42 @@ let test_dial_rows_use_shared_stats () =
         (Benchkit.Bench_native.rsd r.trial_mops) r.rsd)
     (Benchkit.Bench_dial.sweep cfg)
 
+(* The sweep's columns are the registry's: each target on every backend
+   the registry builds it for — algorithm-a, cas-loop, farray and naive
+   on all four, B1 on boxed and unboxed — once per cell, each with a
+   positive rate. *)
+let test_bench_columns () =
+  let cfg =
+    Benchkit.Bench_native.config ~quick:true ~max_domains:1 ~trials:1
+      ~seconds:1e-3 ~read_shares:[ 50 ] ()
+  in
+  let rows =
+    B.entries_of_doc
+      (Benchkit.Bench_native.to_json ~cfg (Benchkit.Bench_native.sweep cfg))
+  in
+  let all = [ "boxed"; "unboxed"; "combining"; "adaptive" ] in
+  let expected =
+    List.concat_map
+      (fun (s, i, backends) -> List.map (fun b -> (s, i, b)) backends)
+      [ ("max-register", "algorithm-a", all);
+        ("max-register", "aac-unbounded-b1", [ "boxed"; "unboxed" ]);
+        ("max-register", "cas-loop", all);
+        ("counter", "farray", all);
+        ("counter", "naive", all) ]
+  in
+  Alcotest.(check int) "18 columns" 18 (List.length expected);
+  Alcotest.(check (list (triple string string string)))
+    "one row per column"
+    (List.sort compare expected)
+    (List.sort compare
+       (List.map (fun (e : B.entry) -> (e.structure, e.impl, e.backend)) rows));
+  List.iter
+    (fun (e : B.entry) ->
+      if not (e.mops > 0.) then
+        Alcotest.failf "%s/%s (%s): mops %g" e.structure e.impl e.backend
+          e.mops)
+    rows
+
 let () =
   Alcotest.run "harness"
     [ ( "counting memory",
@@ -421,4 +457,6 @@ let () =
         [ Alcotest.test_case "bad sweep inputs refused" `Quick
             test_bench_config_rejects;
           Alcotest.test_case "dial rows use the shared statistics" `Quick
-            test_dial_rows_use_shared_stats ] ) ]
+            test_dial_rows_use_shared_stats;
+          Alcotest.test_case "sweep rows are the registry's 18 columns"
+            `Quick test_bench_columns ] ) ]
