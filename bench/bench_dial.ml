@@ -22,8 +22,9 @@
    mixes favour large f (shallow propagation), with the crossover
    sliding monotonically in the read share. *)
 
+let n = 64
+
 type config = {
-  n : int;              (* leaves; also the pid space of the boxed family *)
   domain_counts : int list;
   read_shares : int list;
   seconds : float;
@@ -31,7 +32,7 @@ type config = {
   quick : bool;
 }
 
-let config ?(quick = false) ?(n = 64) ?(max_domains = 4) ?seconds ?trials
+let config ?(quick = false) ?(max_domains = 4) ?seconds ?trials
     ?(read_shares = [ 0; 50; 90; 99 ]) () =
   let seconds =
     match seconds with Some s -> s | None -> if quick then 0.05 else 0.2
@@ -39,7 +40,7 @@ let config ?(quick = false) ?(n = 64) ?(max_domains = 4) ?seconds ?trials
   let trials = match trials with Some t -> t | None -> if quick then 1 else 3 in
   Bench_native.check_sweep ~max_domains ~seconds ~trials ~read_shares;
   let rec powers d = if d > max_domains then [] else d :: powers (2 * d) in
-  { n; domain_counts = powers 1; read_shares; seconds; trials; quick }
+  { domain_counts = powers 1; read_shares; seconds; trials; quick }
 
 (* {1 Steps section} *)
 
@@ -113,7 +114,7 @@ type row = {
 let cell ~cfg ~dial ~domains ~read_pct =
   let c, _ =
     Option.get
-      (Harness.Instances.counter_backend Harness.Instances.Unboxed ~n:cfg.n
+      (Harness.Instances.counter_backend Harness.Instances.Unboxed ~n
          ~domains (Harness.Instances.Dial dial))
   in
   let read = c.Counters.Counter.read and increment = c.Counters.Counter.increment in
@@ -170,7 +171,7 @@ let to_json ~cfg ~steps rows =
   let open Obs.Json_out in
   Obj
     [ ("schema", Str "bench-dial/v1");
-      ("n", Int cfg.n);
+      ("n", Int n);
       ("quick", Bool cfg.quick);
       ( "steps",
         List

@@ -7,8 +7,11 @@
     the crossover between dial points slides monotonically with the read
     share, which is the paper's tradeoff made operational. *)
 
+val n : int
+(** 64: the leaf count of every dial point swept, and the pid space of
+    the boxed family. *)
+
 type config = {
-  n : int;
   domain_counts : int list;
   read_shares : int list;
   seconds : float;
@@ -18,7 +21,6 @@ type config = {
 
 val config :
   ?quick:bool ->
-  ?n:int ->
   ?max_domains:int ->
   ?seconds:float ->
   ?trials:int ->

@@ -43,16 +43,22 @@ type config = {
 
 (* Bad sweep inputs fail loudly: a zero-second or zero-trial cell would
    otherwise emit a nan row, an out-of-range share misquantizes in
-   [read_pattern], and [max_domains] < 1 silently ran d=1. *)
+   [read_pattern], [max_domains] < 1 silently ran d=1, no share wrote
+   an empty trajectory, and a repeated share wrote rows with duplicate
+   keys. *)
 let check_sweep ~max_domains ~seconds ~trials ~read_shares =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
   if max_domains < 1 then bad "max-domains must be >= 1 (got %d)" max_domains;
   if not (Float.is_finite seconds && seconds > 0.) then
     bad "seconds per trial must be finite and > 0 (got %g)" seconds;
   if trials < 1 then bad "trials must be >= 1 (got %d)" trials;
+  if read_shares = [] then bad "no read share to sweep";
   List.iter
     (fun s -> if s < 0 || s > 100 then bad "read share %d%% is outside 0..100" s)
-    read_shares
+    read_shares;
+  if List.compare_lengths (List.sort_uniq Int.compare read_shares) read_shares
+     <> 0
+  then bad "read shares must be distinct"
 
 let config ?(quick = false) ?(max_domains = 4) ?seconds ?trials
     ?(read_shares = [ 0; 50; 90; 99 ]) () =

@@ -32,8 +32,9 @@ val config :
 val check_sweep :
   max_domains:int -> seconds:float -> trials:int -> read_shares:int list -> unit
 (** Raises [Invalid_argument] unless [max_domains >= 1], [seconds] is
-    finite and positive, [trials >= 1] and every read share is in
-    0..100.  Shared with {!Bench_dial.config}. *)
+    finite and positive, [trials >= 1] and [read_shares] is a non-empty
+    list of distinct shares in 0..100.  Shared with
+    {!Bench_dial.config}. *)
 
 type row
 

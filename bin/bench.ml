@@ -20,9 +20,9 @@ open Cmdliner
    from the same budget functions the C1 certifier enforces, so the
    table is "measured frontier vs certified envelope" line by line. *)
 let run_dial cfg out =
-  let steps = Benchkit.Bench_dial.steps_rows ~n:cfg.Benchkit.Bench_dial.n in
+  let n = Benchkit.Bench_dial.n in
+  let steps = Benchkit.Bench_dial.steps_rows ~n in
   let envelope dial =
-    let n = cfg.Benchkit.Bench_dial.n in
     let f = Treeprim.Dial.width ~n dial in
     let env b =
       match Lint.Summary.envelope ~n b with Some e -> e | None -> max_int
@@ -31,8 +31,7 @@ let run_dial cfg out =
       env (Lint.Budgets.dial_update_budget ~f ~n) )
   in
   print_string
-    (Benchkit.Bench_dial.steps_table ~envelope ~n:cfg.Benchkit.Bench_dial.n
-       steps);
+    (Benchkit.Bench_dial.steps_table ~envelope ~n steps);
   print_newline ();
   let rows =
     Benchkit.Bench_dial.sweep

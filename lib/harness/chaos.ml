@@ -12,12 +12,16 @@ type config = {
   metrics : Obs.Metrics.t;
 }
 
+(* [Inject.boundary] rolls once for both faults, so the two rates share
+   one million. *)
 let config ?(yield_ppm = 20_000) ?(storm = 64) ?(gc_ppm = 2_000)
     ?(gc_bytes = 4096) ?(metrics = Obs.Metrics.disabled) ~seed () =
-  if yield_ppm < 0 || yield_ppm > 1_000_000 then
-    invalid_arg "Chaos.config: yield_ppm out of [0, 1_000_000]";
-  if gc_ppm < 0 || gc_ppm > 1_000_000 then
-    invalid_arg "Chaos.config: gc_ppm out of [0, 1_000_000]";
+  if yield_ppm < 0 || gc_ppm < 0 || yield_ppm + gc_ppm > 1_000_000 then
+    invalid_arg
+      "Chaos.config: yield_ppm and gc_ppm must be >= 0 and sum to at most \
+       1_000_000";
+  if storm < 0 then invalid_arg "Chaos.config: storm must be >= 0";
+  if gc_bytes < 0 then invalid_arg "Chaos.config: gc_bytes must be >= 0";
   { seed; yield_ppm; storm; gc_ppm; gc_bytes; metrics }
 
 module Inject = struct

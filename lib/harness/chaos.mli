@@ -41,7 +41,9 @@ val config :
   config
 (** Defaults: [yield_ppm = 20_000] (2% of boundaries), [storm = 64],
     [gc_ppm = 2_000] (0.2%), [gc_bytes = 4096], metrics
-    {!Obs.Metrics.disabled}. *)
+    {!Obs.Metrics.disabled}.  Raises [Invalid_argument] on a negative
+    rate, storm or GC size, and when [yield_ppm + gc_ppm] exceeds
+    1_000_000 (each boundary injects at most one of the two). *)
 
 (** The raw-primitive containment submodule: every use of [Domain],
     [Atomic] and allocation-pressure tricks lives here (see the R1

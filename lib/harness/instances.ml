@@ -41,7 +41,8 @@ let all_snapshots = [ Double_collect; Afek; Farray_snapshot ]
    The structures of lib/structures run here as their boxed compile, the
    same source the unboxed backend runs natively, built inside
    [Boxed.Raw.with_memory] so their cells live in [m].  AAC and the
-   snapshots are functors over MEMORY. *)
+   snapshots are functors over MEMORY; a snapshot counter is Corollary
+   1's reduction over the snapshot's closed instance. *)
 
 (* A closed instance of a boxed-compile structure built in [m]. *)
 let boxed_maxreg (type r) m (module R : Maxreg.Max_register.S with type t = r)
@@ -66,19 +67,7 @@ let maxreg_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
   | B1_maxreg -> boxed_maxreg m (module Boxed.B1_maxreg) Boxed.B1_maxreg.create
   | Cas_maxreg -> boxed_maxreg m (module Boxed.Cas_maxreg) Boxed.Cas_maxreg.create
 
-let rec counter_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
-    Counters.Counter.instance =
-  match impl with
-  | Aac_counter ->
-    let module C = Counters.Aac_counter.Make ((val m)) in
-    Counters.Counter.instantiate (module C) (C.create ~n ~bound)
-  | Farray_counter ->
-    boxed_counter m (module Boxed.Farray_counter) (Boxed.Farray_counter.create ~n)
-  | Naive_counter ->
-    boxed_counter m (module Boxed.Naive_counter) (Boxed.Naive_counter.create ~n)
-  | Snapshot_counter s -> counter_of_snapshot_over m ~n s
-
-and snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n impl :
+let snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n impl :
     Snapshots.Snapshot.instance =
   match impl with
   | Double_collect ->
@@ -91,25 +80,20 @@ and snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n impl :
     let module S = Snapshots.Farray_snapshot.Make (M) in
     Snapshots.Snapshot.instantiate (module S) (S.create ~n)
 
-and counter_of_snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n impl :
+let counter_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
     Counters.Counter.instance =
-  let make (type st) (module S : Snapshots.Snapshot.S with type t = st)
-      (s : st) =
-    let module C = Snapshots.Counter_of_snapshot.Make (S) in
-    let c = C.create ~n s in
-    { Counters.Counter.increment = (fun ~pid -> C.increment c ~pid);
-      read = (fun () -> C.read c) }
-  in
   match impl with
-  | Double_collect ->
-    let module S = Snapshots.Double_collect.Make (M) in
-    make (module S) (S.create ~n ())
-  | Afek ->
-    let module S = Snapshots.Afek_snapshot.Make (M) in
-    make (module S) (S.create ~n)
-  | Farray_snapshot ->
-    let module S = Snapshots.Farray_snapshot.Make (M) in
-    make (module S) (S.create ~n)
+  | Aac_counter ->
+    let module C = Counters.Aac_counter.Make ((val m)) in
+    Counters.Counter.instantiate (module C) (C.create ~n ~bound)
+  | Farray_counter ->
+    boxed_counter m (module Boxed.Farray_counter) (Boxed.Farray_counter.create ~n)
+  | Naive_counter ->
+    boxed_counter m (module Boxed.Naive_counter) (Boxed.Naive_counter.create ~n)
+  | Snapshot_counter s ->
+    Counters.Counter.instantiate
+      (module Snapshots.Counter_of_snapshot)
+      (Snapshots.Counter_of_snapshot.create ~n (snapshot_over m ~n s))
 
 (* {1 Convenience constructors} *)
 
@@ -127,25 +111,6 @@ let native : (module Smem.Memory_intf.MEMORY) = (module Smem.Atomic_memory)
 let maxreg_native ~n ~bound impl = maxreg_over native ~n ~bound impl
 let counter_native ~n ~bound impl = counter_over native ~n ~bound impl
 let snapshot_native ~n impl = snapshot_over native ~n impl
-
-(* {1 The unboxed snapshot}
-
-   The hybrid snapshot keeps its boxed vector inner nodes over padded
-   unboxed leaf registers.  The maxreg and counter structures are not
-   functors: their one source is compiled once per memory backend
-   (lib/smem/unboxed, lib/smem/boxed), because without flambda a
-   functor's indirect calls cost more than the memory operations
-   themselves. *)
-
-let snapshot_native_fast ~n impl : Snapshots.Snapshot.instance option =
-  match impl with
-  | Farray_snapshot ->
-    let module S =
-      Snapshots.Hybrid_snapshot.Make (Smem.Atomic_memory)
-        (Smem.Unboxed_memory.Padded)
-    in
-    Some (Snapshots.Snapshot.instantiate (module S) (S.create ~n))
-  | Double_collect | Afek -> None
 
 (* {1 Tradeoff-dial constructors}
 
@@ -180,11 +145,12 @@ let maxreg_dial_sim session ~n dial =
    the same unboxed structure: adaptive dispatches per epoch, combining
    pins every update to the instance's combining path, so there is one
    combining implementation, not two.  [None] exactly where no such
-   instance exists: AAC everywhere (no unboxed specialization), and on
-   the dispatch backends also B1 (idempotent switch writes — no per-op
-   propagation to batch), the literal-line-16 ablation (kept pure as
-   the paper-faithful bug exhibit), the snapshot counters and the dial
-   points. *)
+   instance exists: AAC and the snapshot counters everywhere (no
+   unboxed specialization; the native f-array snapshot is the boxed
+   [snapshot_native]), and on the dispatch backends also B1 (idempotent
+   switch writes — no per-op propagation to batch), the
+   literal-line-16 ablation (kept pure as the paper-faithful bug
+   exhibit) and the dial points. *)
 
 type 'impl spec = Impl of 'impl | Dial of Treeprim.Dial.t
 type maxreg_spec = maxreg_impl spec
@@ -265,20 +231,12 @@ let unboxed_counter ~metrics ~n spec =
     let module C = Unboxed.Naive_counter in
     let c = C.create ~n () in
     Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
-  | Impl (Snapshot_counter Farray_snapshot) ->
-    let module S =
-      Snapshots.Hybrid_snapshot.Make (Smem.Atomic_memory)
-        (Smem.Unboxed_memory.Padded)
-    in
-    let module C = Snapshots.Counter_of_snapshot.Make (S) in
-    let c = C.create ~n (S.create ~n) in
-    Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
   | Dial dial ->
     let module C = Unboxed.Dial_counter in
     let c = C.create ~n ~dial () in
     Some
       ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
-  | Impl (Aac_counter | Snapshot_counter (Double_collect | Afek)) -> None
+  | Impl (Aac_counter | Snapshot_counter _) -> None
 
 (* The dispatch backends: one adaptive instance over a fresh structure. *)
 let dispatched (type s) (module A : Adaptive.S with type structure = s)

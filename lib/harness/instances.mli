@@ -69,18 +69,6 @@ val counter_native :
 
 val snapshot_native : n:int -> snapshot_impl -> Snapshots.Snapshot.instance
 
-(** {1 The unboxed snapshot}
-
-    The hybrid snapshot: boxed vector inner nodes over padded unboxed
-    int leaf registers.  [None] when the snapshot has no int-leaf
-    specialization (double-collect and Afek are vector-valued
-    throughout).  The maxreg and counter structures are one source
-    compiled per backend ({!Unboxed.Algorithm_a}, {!Boxed.Algorithm_a},
-    ...); use {!maxreg_backend} / {!counter_backend}. *)
-
-val snapshot_native_fast :
-  n:int -> snapshot_impl -> Snapshots.Snapshot.instance option
-
 (** {1 Tradeoff-dial constructors}
 
     The [Dial_counter] / [Dial_maxreg] family, keyed by a
@@ -123,11 +111,12 @@ val maxreg_dial_sim :
 
     Returns the closed instance and, for the two dispatch backends, its
     {!dispatch} handle.  [None] exactly where no such instance exists:
-    the AAC constructions on every backend (no unboxed specialization);
-    and on [Combining] and [Adaptive] also B1, the literal-line-16
-    ablation, the snapshot counters and the dial points.  [domains] is
-    the number of participating domains: every [pid] passed to an
-    operation must be in [0 .. domains-1].
+    the AAC constructions and the snapshot counters on every backend
+    (no unboxed specialization; the native f-array snapshot is
+    {!snapshot_native}'s functor over boxed atomics); and on [Combining]
+    and [Adaptive] also B1, the literal-line-16 ablation and the dial
+    points.  [domains] is the number of participating domains: every
+    [pid] passed to an operation must be in [0 .. domains-1].
 
     With a live [metrics] handle every instance records [Op_update] per
     update, plus CAS attempts/failures, propagate refresh rounds and

@@ -22,13 +22,12 @@
      double-refresh).  Any other non-literal loop limit is classified as
      O(n) trips.
 
-   - [memory_params]: the memory modules — functor-parameter names
-     instantiated with MEMORY / MEMORY_GEN / MEMORY_INT, and [Raw], the
-     cell module lib/structures is compiled against (once per backend);
-     [<name>.read/write/cas] (and get/set/compare_and_set) through one of
-     these names is one shared access.  Calls through any OTHER functor
-     parameter are Unbounded (the cost belongs to the instantiation,
-     e.g. Counter_of_snapshot over S).
+   - [memory_params]: the memory modules — the functor-parameter name
+     instantiated with MEMORY, and [Raw], the cell module lib/structures
+     is compiled against (once per backend); [<name>.read/write/cas] (and
+     get/set/compare_and_set) through one of these names is one shared
+     access.  Calls through any OTHER functor parameter are Unbounded
+     (the cost belongs to the instantiation).
 
    - [instrumentation_roots]: call targets excluded from the model's
      accounting (single-writer observability shards; the paper's
@@ -147,16 +146,11 @@ let default =
         row [ "Farray_snapshot"; "Make"; "update" ] Log
           "f-array snapshot update: leaf write + propagation, O(log N)";
         row [ "Farray_snapshot"; "Make"; "scan" ] (Const 1)
-          "f-array snapshot scan: a single read of the root";
-        row [ "Hybrid_snapshot"; "Make"; "update" ] Log
-          "hybrid snapshot update: unboxed leaf write + boxed propagation";
-        row [ "Hybrid_snapshot"; "Make"; "scan" ] (Const 1)
-          "hybrid snapshot scan: a single read of the root" ];
+          "f-array snapshot scan: a single read of the root" ];
     recursion =
       [ (* leaf-to-root walks: depth of a complete/B1 tree *)
         ([ "Propagate"; "walk" ], Summary.Log);
         ([ "Aac_counter"; "Make"; "up" ], Summary.Log);
-        ([ "Hybrid_snapshot"; "Make"; "propagate" ], Summary.Log);
         (* switch-tree descents: depth of the AAC / B1 partition tree *)
         ([ "Aac_maxreg"; "Make"; "read_max" ], Summary.Log);
         ([ "Aac_maxreg"; "Make"; "write" ], Summary.Log);
@@ -166,7 +160,7 @@ let default =
            embedded scan, so at most N+1 collects *)
         ([ "Afek_snapshot"; "Make"; "loop" ], Summary.Linear) ];
     const_bounds = [ ("refreshes", 2) ];
-    memory_params = [ "M"; "B"; "U"; "Raw" ];
+    memory_params = [ "M"; "Raw" ];
     instrumentation_roots = [ "Obs"; "Metrics" ] }
 
 let find t op = List.find_opt (fun r -> r.op = op) t.rows

@@ -19,8 +19,8 @@ type t = {
   (** identifiers usable as [for]-loop limits with a known constant
       magnitude (e.g. [refreshes] = 2) *)
   memory_params : string list;
-  (** memory modules: functor-parameter names instantiated with
-      MEMORY/MEMORY_INT, and [Raw] (the cells of lib/structures) *)
+  (** memory modules: the functor-parameter name instantiated with
+      MEMORY, and [Raw] (the cells of lib/structures) *)
   instrumentation_roots : string list;
   (** call roots excluded from the model's accounting *)
 }

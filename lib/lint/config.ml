@@ -31,8 +31,8 @@ let default =
     scope_dirs = [ "lib"; "bin"; "bench" ];
     (* R1: the concurrency and representation escape hatches.  Everything
        outside the allowlist must reach shared memory through the
-       MEMORY/MEMORY_GEN signatures (lib/smem), the observability layer,
-       or the throughput harness. *)
+       MEMORY signature or the [Raw] cells (lib/smem), the observability
+       layer, or the throughput harness. *)
     r1_banned = [ "Atomic"; "Obj"; "Domain"; "Mutex"; "Condition"; "Semaphore" ];
     r1_allow =
       [ (* the memory layer itself: boxed/unboxed/counting/sim backends,

@@ -27,8 +27,7 @@
      no step of another process can bound the retries, so a depth
      annotation would certify a lie);
    - calls through a non-memory functor parameter are Unbounded (the
-     cost belongs to the instantiation — e.g. Counter_of_snapshot over
-     S);
+     cost belongs to the instantiation — e.g. Adaptive.Kernel over S);
    - calls into [Budgets.instrumentation_roots] cost nothing (the
      observability shards are outside the model);
    - unknown external calls cost nothing — sound *in this repo* because

@@ -128,7 +128,7 @@ let r1 ~(config : Config.t) (u : Cmt_unit.t) =
           Diagnostic.v ~rule:"R1" ~loc
             (Printf.sprintf
                "direct use of %s %s outside the memory layer; go through \
-                Smem (MEMORY/MEMORY_GEN) or add a reviewed entry to \
+                MEMORY or Raw (lib/smem) or add a reviewed entry to \
                 Lint.Config.r1_allow"
                what
                (String.concat "." comps))

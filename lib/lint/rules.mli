@@ -4,7 +4,7 @@
     - {b R1 atomics containment}: direct [Atomic]/[Obj]/[Domain]/[Mutex]
       (etc.) use is confined to the memory layer, the observability
       shards, the throughput harness, and the allowlisted submodules;
-      algorithm code must go through [MEMORY]/[MEMORY_GEN] or [Raw].
+      algorithm code must go through [MEMORY] or [Raw].
     - {b R2 progress witness}: unbounded loops and CASing recursive
       retries in the algorithm libraries must re-read shared memory —
       the syntactic face of the paper's progress arguments.

@@ -1,8 +1,8 @@
 (* The cost lattice of the step-complexity certifier (rule C1).
 
-   A [bound] classifies how many shared-memory accesses (MEMORY /
-   MEMORY_GEN read/write/cas, or the raw-atomic sites the R1 allowlist
-   admits) an expression performs, as a function of the structure size n
+   A [bound] classifies how many shared-memory accesses (MEMORY or [Raw]
+   read/write/cas, or the raw-atomic sites the R1 allowlist admits) an
+   expression performs, as a function of the structure size n
    (number of processes, register bound, or tree width — whichever the
    paper's bound for that operation is stated in):
 

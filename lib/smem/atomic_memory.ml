@@ -1,14 +1,12 @@
 (* Native MEMORY over OCaml 5 atomics, for Domain-parallel execution.
    See the .mli for the physical-CAS/ABA argument. *)
 
-type t = { cell : Memsim.Simval.t Atomic.t; label : string option }
+type t = Memsim.Simval.t Atomic.t
 
-let make ?name init = { cell = Atomic.make init; label = name }
+let make ?name init =
+  ignore name;
+  Atomic.make init
 
-let label t = t.label
-
-let read t = Atomic.get t.cell
-
-let write t v = Atomic.set t.cell v
-
-let cas t ~expected ~desired = Atomic.compare_and_set t.cell expected desired
+let read = Atomic.get
+let write = Atomic.set
+let cas t ~expected ~desired = Atomic.compare_and_set t expected desired

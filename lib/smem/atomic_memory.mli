@@ -13,8 +13,5 @@
     entirely. *)
 
 include Memory_intf.MEMORY
-
-val label : t -> string option
-(** The [?name] the object was allocated with, as a debug label (the
-    simulator backend uses names to key its store; here they are carried
-    for diagnostics only). *)
+(** [make] ignores [?name], which only the simulator backend uses (to key
+    its store). *)

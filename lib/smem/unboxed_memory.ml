@@ -21,10 +21,6 @@ let make ?name init =
   ignore name;
   Atomic.make init
 
-let read = Atomic.get
-let write = Atomic.set
-let cas obj ~expected ~desired = Atomic.compare_and_set obj expected desired
-
 (* 64-byte lines, 8-byte words.  A [2*words_per_line - 1]-field block spans
    at least one full line past the header at any alignment, so no two
    padded atomics can fall on the same line. *)
@@ -33,8 +29,6 @@ let padded_words = (2 * words_per_line) - 1
 
 module Padded = struct
   type t = int Atomic.t
-
-  let bot = min_int
 
   let make ?name init =
     ignore name;

@@ -6,7 +6,17 @@
     needed).  {!Memsim.Simval.Bot} is encoded as the sentinel [bot]
     ([min_int]); algorithms must store values strictly above it. *)
 
-include Memory_intf.MEMORY_INT with type t = int Atomic.t
+type t = int Atomic.t
+
+val bot : int
+(** Sentinel for "no value written yet"; smaller than every stored
+    value, so [max] over raw ints coincides with {!Memsim.Simval.max_val}
+    over the encoded domain.  Never write [bot] as a real value. *)
+
+val make : ?name:string -> int -> t
+(** An unpadded cell, for cells built lazily (the B1 register's
+    switches); read, write and CAS it through [Atomic] (the unboxed
+    [Raw]'s primitives).  Allocation is not a step; [name] is ignored. *)
 
 val words_per_line : int
 (** Assumed cache-line size in words (8 × 8 bytes = 64-byte lines). *)
@@ -23,5 +33,10 @@ module Padded : sig
       line.  Use for arrays of objects written by different domains:
       f-array leaves, Algorithm A tree nodes, per-domain counters. *)
 
-  include Memory_intf.MEMORY_INT with type t = int Atomic.t
+  type t = int Atomic.t
+
+  val make : ?name:string -> int -> t
+  val read : t -> int
+  val write : t -> int -> unit
+  val cas : t -> expected:int -> desired:int -> bool
 end

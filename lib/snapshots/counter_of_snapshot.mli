@@ -3,10 +3,8 @@
     count; read = one Scan, summed).  Transfers Theorem 1's counter
     tradeoff to snapshots. *)
 
-module Make (S : Snapshot.S) : sig
-  type t
+type t
 
-  val create : n:int -> S.t -> t
-  val increment : t -> pid:int -> unit
-  val read : t -> int
-end
+val create : n:int -> Snapshot.instance -> t
+val increment : t -> pid:int -> unit
+val read : t -> int

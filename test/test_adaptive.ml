@@ -273,9 +273,10 @@ let test_thrash_actually_flips () =
 
    Every (spec, backend) pair the registry's constructors accept — with
    and without a live metrics handle — must replay a random sequence
-   exactly like the plain unboxed structure of the same spec; and the
-   specs with no dispatch layer must stay [None] on both dispatch
-   backends. *)
+   exactly like the plain unboxed structure of the same spec; the specs
+   with no unboxed specialization (AAC, the snapshot counters) must stay
+   [None] on every backend, and those with no dispatch layer on the
+   dispatch backends. *)
 
 let dispatch_backends = [ I.Combining; I.Adaptive None; thrash ]
 
@@ -340,10 +341,10 @@ let test_registry_differential () =
         [ false; true ])
     (I.Unboxed :: dispatch_backends);
   (* unboxed: every maxreg spec but AAC (8) and every counter spec with
-     an int specialization (7); each dispatch backend: the four
+     an int specialization (6); each dispatch backend: the four
      structures with a combining layer (2 + 2); all twice *)
   Alcotest.(check int) "accepted (spec, backend) pairs"
-    (2 * (8 + 7 + (3 * 4)))
+    (2 * (8 + 6 + (3 * 4)))
     !accepted
 
 let test_registry_no_dispatch_layer () =
@@ -354,6 +355,13 @@ let test_registry_no_dispatch_layer () =
     (I.maxreg_backend I.Unboxed ~n:3 ~domains:3 (I.Impl I.Aac_maxreg));
   none "aac counter, unboxed"
     (I.counter_backend I.Unboxed ~n:3 ~domains:3 (I.Impl I.Aac_counter));
+  List.iter
+    (fun s ->
+      none
+        (I.counter_name (I.Snapshot_counter s) ^ ", unboxed")
+        (I.counter_backend I.Unboxed ~n:3 ~domains:3
+           (I.Impl (I.Snapshot_counter s))))
+    I.all_snapshots;
   List.iter
     (fun backend ->
       List.iter

@@ -365,6 +365,35 @@ let test_fault_counters_recorded () =
   Alcotest.(check int) "quiet config injects nothing" 0
     (q.Obs.Metrics.fault_yields + q.Obs.Metrics.fault_gcs)
 
+(* {1 Config validation}
+
+   regression: rates summing past one million silently shrank the GC
+   share (one roll decides both), a negative [gc_bytes] raised inside a
+   worker domain at the first GC event, and a negative [storm] recorded
+   yield storms that never spun. *)
+
+let test_config_rejects () =
+  let rates =
+    Invalid_argument
+      "Chaos.config: yield_ppm and gc_ppm must be >= 0 and sum to at most \
+       1_000_000"
+  in
+  Alcotest.check_raises "rates summing past 1_000_000" rates (fun () ->
+      ignore (Harness.Chaos.config ~yield_ppm:600_000 ~gc_ppm:500_000 ~seed:1 ()));
+  Alcotest.check_raises "negative yield rate" rates (fun () ->
+      ignore (Harness.Chaos.config ~yield_ppm:(-1) ~seed:1 ()));
+  Alcotest.check_raises "negative gc_bytes"
+    (Invalid_argument "Chaos.config: gc_bytes must be >= 0") (fun () ->
+      ignore (Harness.Chaos.config ~gc_bytes:(-1) ~seed:1 ()));
+  Alcotest.check_raises "negative storm"
+    (Invalid_argument "Chaos.config: storm must be >= 0") (fun () ->
+      ignore (Harness.Chaos.config ~storm:(-1) ~seed:1 ()));
+  (* the boundaries themselves are accepted *)
+  ignore
+    (Harness.Chaos.config ~yield_ppm:600_000 ~gc_ppm:400_000 ~storm:0
+       ~gc_bytes:0 ~seed:1 ()
+      : Harness.Chaos.config)
+
 (* {1 Large invariant run under sustained chaos}
 
    The acceptance-scale runs (>= 10^6 ops per structure) live in
@@ -440,6 +469,9 @@ let () =
       ( "fault counters",
         [ Alcotest.test_case "yields and gc recorded, quiet mode silent"
             `Quick test_fault_counters_recorded ] );
+      ( "config",
+        [ Alcotest.test_case "bad settings refused" `Quick
+            test_config_rejects ] );
       ( "invariants",
         [ Alcotest.test_case "totals exact, maxima monotone" `Slow
             test_invariants_under_chaos;

@@ -2,11 +2,9 @@
    (lib/lint/cost.ml, rule C1).
 
    For every budgeted operation, drive the real implementation solo over
-   the Memsim simulator (or explicit counting memories for the hybrid
-   snapshot, whose unboxed half is native) and check that the observed
-   shared-memory step count never exceeds [Lint.Summary.envelope] of the
-   operation's budgeted class — the concrete ceiling the certificate
-   promises.  The structures of lib/structures run as their boxed
+   the Memsim simulator and check that the observed shared-memory step
+   count never exceeds [Lint.Summary.envelope] of the operation's
+   budgeted class — the concrete ceiling the certificate promises.  The structures of lib/structures run as their boxed
    compile: the same source the unboxed backend compiles natively, so
    the counters' batched add and the combining fast path are measured
    too (each metered entry is the body its plain op wraps).  A final coverage check pins that every
@@ -162,51 +160,6 @@ let fast_path_measurements () =
     ([ "Naive_counter"; "add" ], bound, nv_add);
     ([ "Farray_counter"; "add" ], bound, f_add) ]
 
-(* The hybrid snapshot mixes a boxed and an int memory, so count both
-   halves with explicit wrappers instead of a simulator session. *)
-let hybrid_measurements () =
-  let int_steps = ref 0 in
-  let module U = struct
-    let bot = Smem.Unboxed_memory.bot
-
-    type t = int Atomic.t
-
-    let make ?name v =
-      ignore name;
-      Atomic.make v
-
-    let read r =
-      incr int_steps;
-      Atomic.get r
-
-    let write r v =
-      incr int_steps;
-      Atomic.set r v
-
-    let cas r ~expected ~desired =
-      incr int_steps;
-      Atomic.compare_and_set r expected desired
-  end in
-  let bmem, counts = Smem.Counting_memory.wrap (module Smem.Atomic_memory) in
-  let module B = (val bmem) in
-  let module H = Snapshots.Hybrid_snapshot.Make (B) (U) in
-  let h = H.create ~n in
-  let measure thunks =
-    List.fold_left
-      (fun acc f ->
-        Smem.Counting_memory.reset counts;
-        int_steps := 0;
-        f ();
-        max acc (Smem.Counting_memory.total counts + !int_steps))
-      0 thunks
-  in
-  let upd =
-    measure (List.map (fun v () -> H.update h ~pid:(v mod n) v) values)
-  in
-  let sc = measure [ (fun () -> ignore (H.scan h)) ] in
-  [ ([ "Hybrid_snapshot"; "Make"; "update" ], n, upd);
-    ([ "Hybrid_snapshot"; "Make"; "scan" ], n, sc) ]
-
 (* The dial family instantiates one construction at four dial points;
    the static rows certify the worst case over the dial (read Linear,
    update Log), so the row measurement takes the max over every dial —
@@ -289,7 +242,6 @@ let all_measurements () =
       farray_measurements ();
       propagate_measurements ();
       fast_path_measurements ();
-      hybrid_measurements ();
       dial_measurements () ]
 
 (* ------------------------------------------------------------------ *)

@@ -327,8 +327,10 @@ let test_baseline_symmetric_rows_quiet () =
 
    regression: [--seconds 0] and [--trials 0] used to write every row
    with a nan mops and exit 0, [--read-shares 150,-10] was measured as
-   50% and 0% (read_pattern misquantizes out-of-range shares), and
-   [--max-domains 0] silently ran d=1. *)
+   50% and 0% (read_pattern misquantizes out-of-range shares),
+   [--max-domains 0] silently ran d=1, [--read-shares ""] wrote zero
+   rows and exited 0, and [--read-shares 50,50] wrote rows with
+   duplicate keys. *)
 
 let refused what f =
   Alcotest.(check bool) (what ^ " refused") true
@@ -350,6 +352,8 @@ let test_bench_config_rejects () =
   both "trials 0" ~trials:0 ();
   both "share 150" ~read_shares:[ 0; 150 ] ();
   both "share -10" ~read_shares:[ -10 ] ();
+  both "no shares" ~read_shares:[] ();
+  both "repeated share" ~read_shares:[ 50; 90; 50 ] ();
   both "max-domains 0" ~max_domains:0 ();
   (* the boundaries themselves are accepted *)
   ignore

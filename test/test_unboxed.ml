@@ -105,56 +105,32 @@ let differential_counter impl =
           end)
         ops)
 
-let differential_snapshot =
-  QCheck.Test.make ~count:200 ~name:"farray snapshot: boxed = hybrid"
-    (ops_gen ~n:3)
-    (fun ops ->
-      let boxed =
-        Harness.Instances.snapshot_native ~n:3 Harness.Instances.Farray_snapshot
-      in
-      let hybrid =
-        Option.get
-          (Harness.Instances.snapshot_native_fast ~n:3
-             Harness.Instances.Farray_snapshot)
-      in
-      List.for_all
-        (fun (pid, v) ->
-          if v < 0 then boxed.scan () = hybrid.scan ()
-          else begin
-            boxed.update ~pid v;
-            hybrid.update ~pid v;
-            boxed.scan () = hybrid.scan ()
-          end)
-        ops)
-
 (* {1 Cross-implementation differential}
 
    Different algorithms for the same abstract object must agree
-   observationally on every sequential operation sequence: the hybrid
-   f-array snapshot against the double-collect baseline, and the AAC
+   observationally on every sequential operation sequence: the f-array
+   snapshot against the double-collect baseline, and the AAC
    counter against the naive one.  This is independent of the
    boxed-vs-unboxed pairs above — here the *algorithms* differ and the
    shared sequential semantics is what's under test. *)
 
 let differential_snapshot_impls =
-  QCheck.Test.make ~count:200 ~name:"hybrid farray snapshot = double-collect"
+  QCheck.Test.make ~count:200 ~name:"farray snapshot = double-collect"
     (ops_gen ~n:3)
     (fun ops ->
-      let hybrid =
-        Option.get
-          (Harness.Instances.snapshot_native_fast ~n:3
-             Harness.Instances.Farray_snapshot)
+      let farray =
+        Harness.Instances.snapshot_native ~n:3 Harness.Instances.Farray_snapshot
       in
       let baseline =
         Harness.Instances.snapshot_native ~n:3 Harness.Instances.Double_collect
       in
       List.for_all
         (fun (pid, v) ->
-          if v < 0 then hybrid.scan () = baseline.scan ()
+          if v < 0 then farray.scan () = baseline.scan ()
           else begin
-            hybrid.update ~pid v;
+            farray.update ~pid v;
             baseline.update ~pid v;
-            hybrid.scan () = baseline.scan ()
+            farray.scan () = baseline.scan ()
           end)
         ops)
 
@@ -336,11 +312,7 @@ let () =
             differential_maxreg Harness.Instances.B1_maxreg;
             differential_maxreg Harness.Instances.Cas_maxreg;
             differential_counter Harness.Instances.Farray_counter;
-            differential_counter Harness.Instances.Naive_counter;
-            differential_counter
-              (Harness.Instances.Snapshot_counter
-                 Harness.Instances.Farray_snapshot);
-            differential_snapshot ] );
+            differential_counter Harness.Instances.Naive_counter ] );
       ( "cross-implementation",
         qsuite [ differential_snapshot_impls; differential_counter_impls ] );
       ( "allocation",
