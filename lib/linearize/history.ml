@@ -13,42 +13,57 @@ type op = {
   return : int option;       (* entry index of the response *)
 }
 
+let unused =
+  { pid = -1; name = ""; arg = Simval.Bot; result = None; invoke = -1;
+    return = None }
+
+(* One pass: each invocation appends a slot, so the slots come out in
+   invocation order, and [open_.(pid)] is the slot of [pid]'s open
+   operation (-1 if none), completed by its return. *)
 let of_trace trace =
-  let open_ops : (int, string * Simval.t * int) Hashtbl.t = Hashtbl.create 16 in
-  let ops = ref [] in
-  Array.iteri
-    (fun idx entry ->
-      match entry with
-      | Trace.Mem _ -> ()
-      | Trace.Invoke { pid; op; arg } ->
-        if Hashtbl.mem open_ops pid then
-          invalid_arg
-            (Printf.sprintf "History.of_trace: nested operation by p%d" pid);
-        Hashtbl.replace open_ops pid (op, arg, idx)
-      | Trace.Return { pid; op; result } -> (
-        match Hashtbl.find_opt open_ops pid with
-        | Some (name, arg, invoke) when name = op ->
-          Hashtbl.remove open_ops pid;
-          ops :=
-            { pid; name; arg; result = Some result; invoke; return = Some idx }
-            :: !ops
-        | Some (name, _, _) ->
-          invalid_arg
-            (Printf.sprintf
-               "History.of_trace: p%d returns from %s while %s is open" pid op
-               name)
-        | None ->
-          invalid_arg
-            (Printf.sprintf "History.of_trace: p%d returns without invoke" pid)))
-    (Trace.entries trace);
-  (* Operations that never returned are pending. *)
-  Hashtbl.iter
-    (fun pid (name, arg, invoke) ->
-      ops := { pid; name; arg; result = None; invoke; return = None } :: !ops)
-    open_ops;
-  let arr = Array.of_list !ops in
-  Array.sort (fun a b -> Int.compare a.invoke b.invoke) arr;
-  arr
+  let entries = Trace.entries trace in
+  let ops = ref (Array.make 8 unused) and count = ref 0 in
+  let open_ = ref (Array.make 8 (-1)) in
+  let open_slot pid =
+    if pid >= Array.length !open_ then begin
+      let grown = Array.make (2 * pid + 1) (-1) in
+      Array.blit !open_ 0 grown 0 (Array.length !open_);
+      open_ := grown
+    end;
+    !open_.(pid)
+  in
+  for idx = 0 to Array.length entries - 1 do
+    match entries.(idx) with
+    | Trace.Mem _ -> ()
+    | Trace.Invoke { pid; op; arg } ->
+      if open_slot pid >= 0 then
+        invalid_arg
+          (Printf.sprintf "History.of_trace: nested operation by p%d" pid);
+      if !count = Array.length !ops then begin
+        let grown = Array.make (2 * !count) unused in
+        Array.blit !ops 0 grown 0 !count;
+        ops := grown
+      end;
+      !ops.(!count) <-
+        { pid; name = op; arg; result = None; invoke = idx; return = None };
+      !open_.(pid) <- !count;
+      incr count
+    | Trace.Return { pid; op; result } ->
+      let slot = open_slot pid in
+      if slot < 0 then
+        invalid_arg
+          (Printf.sprintf "History.of_trace: p%d returns without invoke" pid);
+      let o = !ops.(slot) in
+      if o.name <> op then
+        invalid_arg
+          (Printf.sprintf
+             "History.of_trace: p%d returns from %s while %s is open" pid op
+             o.name);
+      !ops.(slot) <- { o with result = Some result; return = Some idx };
+      !open_.(pid) <- -1
+  done;
+  (* operations that never returned stay pending *)
+  Array.sub !ops 0 !count
 
 let is_pending op = op.result = None
 

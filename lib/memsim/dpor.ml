@@ -16,25 +16,34 @@
      read, but whether a CAS fails is only known after applying it, so CAS
      is conservatively write-like.
 
-   - Happens-before is tracked with vector clocks ({!Vector_clock}): one
-     clock per process (its causal past) and two per object (last
-     write-like access; join of reads since).  An event and a later
-     enabled transition are in *race* when they are dependent and the
-     event is not in the transition's causal past — then reversing them
-     may reach a different trace, so the pid (or, failing that, every
-     enabled pid) is added to the backtrack set of the frame that executed
-     the event (the persistent-set side).
+   - Happens-before is tracked with vector clocks: one clock per process
+     (its causal past) and two per object (last write-like access; join of
+     reads since).  An event and a later enabled transition are in *race*
+     when they are dependent and the event is not in the transition's
+     causal past — then reversing them may reach a different trace, so the
+     pid (or, failing that, every enabled pid) is added to the backtrack
+     set of the frame that executed the event (the persistent-set side).
 
    - Sleep sets prune the other direction: after a subtree for pid q is
      fully explored, q "sleeps" in the sibling subtrees until an event
      dependent with q's transition wakes it, so no trace is delivered
      twice.
 
+   The state is flat.  Each depth of the current path owns one [level],
+   reused by every node at that depth: the node's clock matrix (copied
+   into the child's level when a transition is taken), its enabled
+   transitions and backtracking frame, and the transition taken to the
+   child.  The object clocks are arrays indexed by object id, changed in
+   place by a transition and restored when its subtree is done.  The
+   executed events on each object form a chain through the levels, so
+   race detection scans only the events on the transition's object.
+
    Continuations are one-shot (see [Explore]), so a run cannot be forked
    at a node.  Instead a node hands its open run to the first child it
-   explores, which applies its one transition to it; only a later sibling
-   replays its prefix from the initial configuration.  That is one replay
-   per branch, where the naive explorer replays at every node.
+   explores, which applies its one transition to it; a later sibling
+   restarts at the node ([Scheduler.restart]) from the trace the node
+   recorded, fast-forwarding the processes through their recorded events
+   instead of scheduling them again, and then applies its transition.
 
    One case must not hand its run down.  Inspecting the enabled set starts
    every process not yet started, and a process whose first operation
@@ -42,10 +51,9 @@
    it starts: in the open run they land before the child's transition,
    while a replay of the child's prefix records them after it.  A node
    whose inspection recorded any trace entry therefore finishes its run
-   and replays every child, so each delivered trace equals the replay of
-   its own schedule followed by one inspection. *)
-
-module IMap = Map.Make (Int)
+   and restarts every child from the trace as it was before the
+   inspection, so each delivered trace equals the replay of its own
+   schedule followed by one inspection. *)
 
 type stats = {
   explored : int;
@@ -56,36 +64,185 @@ type stats = {
 let dependent (obj1, prim1) (obj2, prim2) =
   obj1 = obj2 && (Event.prim_writes prim1 || Event.prim_writes prim2)
 
-(* A process's enabled transition, as exposed before it is applied. *)
-type next_ev = { pid : int; obj : int; writes : bool; prim : Event.prim }
-
-(* One executed event of the current stack (newest first). *)
-type sev = {
-  depth : int;    (* index of the frame that executed it *)
-  spid : int;
-  sobj : int;
-  swrites : bool;
-  slocal : int;   (* 1-based index among spid's events *)
-}
-
-(* The exploration frame at one stack depth.  [backtrack] is mutated by
-   race detection in descendants. *)
-type frame = {
-  enabled : next_ev list;   (* ascending pid *)
-  mutable backtrack : int;  (* pid bitmask *)
-  mutable done_ : int;      (* pid bitmask *)
-}
-
 let bit pid = 1 lsl pid
 let mem pid mask = mask land bit pid <> 0
 
-let lowest_bit mask =
-  if mask = 0 then None
+(* The lowest pid of a non-empty mask. *)
+let lowest mask =
+  let rec go i = if mem i mask then i else go (i + 1) in
+  go 0
+
+(* The exploration state at one depth of the current path. *)
+type level = {
+  clocks : int array;
+      (* n × n: row q ([q * n ..]) is the clock of q's last event, whose
+         entry r counts r's events that happen before it; entry q counts
+         q's events *)
+  objs : int array;          (* object of each enabled pid's transition *)
+  mutable enabled : int;     (* pid bitmask *)
+  mutable writers : int;     (* enabled pids whose transition writes *)
+  mutable backtrack : int;   (* pid bitmask, grown by race detection *)
+  mutable done_ : int;       (* pid bitmask *)
+  mutable prefix : Scheduler.prefix;
+      (* the node's trace before its inspection: where children restart *)
+  mutable pid : int;         (* the transition taken to the child *)
+  mutable prev : int;        (* level of the previous event on its object *)
+  saved : int array;         (* its object's two clocks before it *)
+}
+
+type state = {
+  n : int;
+  mutable levels : level array;
+  mutable wclock : int array;  (* object × n: its last write-like event *)
+  mutable rclock : int array;  (* object × n: join of its reads since *)
+  mutable last : int array;    (* object: level of its latest event, or -1 *)
+}
+
+let level st d =
+  let ls = st.levels in
+  if d < Array.length ls then ls.(d)
   else begin
-    let i = ref 0 in
-    while not (mem !i mask) do incr i done;
-    Some !i
+    let n = st.n in
+    let fresh () =
+      { clocks = Array.make (n * n) 0; objs = Array.make n 0; enabled = 0;
+        writers = 0; backtrack = 0; done_ = 0; prefix = Scheduler.initial;
+        pid = 0; prev = -1; saved = Array.make (2 * n) 0 }
+    in
+    let grown =
+      Array.init (max 16 (2 * d)) (fun i ->
+          if i < Array.length ls then ls.(i) else fresh ())
+    in
+    st.levels <- grown;
+    grown.(d)
   end
+
+(* Objects can be allocated mid-run (lazily built cells), so the object
+   tables grow to the store's size. *)
+let reserve st objects =
+  let cap = Array.length st.last in
+  if objects > cap then begin
+    let cap = max objects (2 * cap) in
+    let grow a per fill =
+      let a' = Array.make (cap * per) fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    st.wclock <- grow st.wclock st.n 0;
+    st.rclock <- grow st.rclock st.n 0;
+    st.last <- grow st.last 1 (-1)
+  end
+
+(* Inspect every process, highest pid first. *)
+let inspect st sched lv =
+  let enabled = ref 0 and writers = ref 0 in
+  for pid = st.n - 1 downto 0 do
+    match Scheduler.enabled sched pid with
+    | Some (obj, prim) ->
+      enabled := !enabled lor bit pid;
+      lv.objs.(pid) <- obj;
+      if Event.prim_writes prim then writers := !writers lor bit pid
+    | None -> ()
+  done;
+  lv.enabled <- !enabled;
+  lv.writers <- !writers
+
+(* The event at level [d] races with the transition of [p], whose clock
+   is row [row] of [cp]: revive exploration at [d] by adding to its
+   backtrack set.  Processes whose transition at [d] starts a causal
+   chain into [p]'s — those with an event after [d] that [p]'s clock
+   counts — suffice to reach the reversed trace; [p] itself is
+   preferred, then the lowest such pid. *)
+let revive st d p cp row =
+  let n = st.n in
+  let fr = st.levels.(d) in
+  if mem p fr.enabled then fr.backtrack <- fr.backtrack lor bit p
+  else begin
+    let after = st.levels.(d + 1).clocks in
+    let rec first c =
+      if c = n then -1
+      else if mem c fr.enabled && after.((c * n) + c) < cp.(row + c) then c
+      else first (c + 1)
+    in
+    match first 0 with
+    | -1 ->
+      (* No single pid provably reaches the reversal: fall back to the
+         whole enabled set (still a persistent set). *)
+      fr.backtrack <- fr.backtrack lor fr.enabled
+    | c -> fr.backtrack <- fr.backtrack lor bit c
+  end
+
+(* Race detection (the persistent-set side) for the transition of [p],
+   enabled at level [depth]: the latest executed event that is dependent
+   with it and not in [p]'s causal past.  Only events on the same object
+   are dependent, and that object's chain holds them newest first.  A
+   write-like event in [p]'s past ends the scan: every earlier event on
+   the object happens before it. *)
+let detect_race st depth p =
+  let n = st.n in
+  let lv = st.levels.(depth) in
+  let w = mem p lv.writers in
+  let cp = lv.clocks and row = p * n in
+  let rec scan d =
+    if d >= 0 then begin
+      let e = st.levels.(d) in
+      let s = e.pid in
+      let ew = mem s e.writers in
+      let past = e.clocks.((s * n) + s) < cp.(row + s) in
+      if s <> p && (ew || w) && not past then revive st d p cp row
+      else if not (ew && past) then scan e.prev
+    end
+  in
+  scan st.last.(lv.objs.(p))
+
+(* Take [q]'s transition from level [depth]: fill the child's clocks and
+   update the object's, saving what [untake] restores. *)
+let take st depth q =
+  let n = st.n in
+  let lv = st.levels.(depth) in
+  let cp = (level st (depth + 1)).clocks in
+  let w = mem q lv.writers in
+  let o = lv.objs.(q) in
+  let ob = o * n and row = q * n in
+  let wclock = st.wclock and rclock = st.rclock in
+  Array.blit lv.clocks 0 cp 0 (n * n);
+  Array.blit wclock ob lv.saved 0 n;
+  Array.blit rclock ob lv.saved n n;
+  for r = 0 to n - 1 do
+    let c = Int.max cp.(row + r) wclock.(ob + r) in
+    cp.(row + r) <- (if w then Int.max c rclock.(ob + r) else c)
+  done;
+  cp.(row + q) <- lv.clocks.(row + q) + 1;
+  if w then begin
+    Array.blit cp row wclock ob n;
+    Array.fill rclock ob n 0
+  end
+  else
+    for r = 0 to n - 1 do
+      rclock.(ob + r) <- Int.max rclock.(ob + r) cp.(row + r)
+    done;
+  lv.pid <- q;
+  lv.prev <- st.last.(o);
+  st.last.(o) <- depth
+
+let untake st depth =
+  let n = st.n in
+  let lv = st.levels.(depth) in
+  let o = lv.objs.(lv.pid) in
+  Array.blit lv.saved 0 st.wclock (o * n) n;
+  Array.blit lv.saved n st.rclock (o * n) n;
+  st.last.(o) <- lv.prev
+
+(* Siblings keep sleeping only while independent of [q]'s transition. *)
+let sleep_after st lv sleep q =
+  let o = lv.objs.(q) and w = mem q lv.writers in
+  let keep = ref 0 in
+  for r = 0 to st.n - 1 do
+    if
+      mem r (lv.enabled land sleep)
+      && not (lv.objs.(r) = o && (w || mem r lv.writers))
+    then keep := !keep lor bit r
+  done;
+  !keep
 
 let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
     ~on_complete () =
@@ -94,172 +251,84 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
   let sleep_blocked = ref 0 in
   let truncated = ref false in
   let continue = ref true in
-  let dummy = { enabled = []; backtrack = 0; done_ = 0 } in
-  let frames = Array.make (max_events + 1) dummy in
-  let bottom = Vector_clock.bottom n in
-  let obj_clock map obj =
-    match IMap.find_opt obj map with Some c -> c | None -> bottom
-  in
-  let enabled_of sched =
-    let rec go pid acc =
-      if pid < 0 then acc
-      else
-        go (pid - 1)
-          (match Scheduler.enabled sched pid with
-           | Some (obj, prim) ->
-             { pid; obj; writes = Event.prim_writes prim; prim } :: acc
-           | None -> acc)
-    in
-    go (n - 1) []
-  in
-  (* Race detection (the persistent-set side).  [ne] is enabled at the
-     current node, whose stack is [sevs] (newest first) and whose
-     per-process clocks are [cp].  Find the latest executed event that is
-     dependent with [ne] and not in [ne.pid]'s causal past; reversing the
-     pair may reach a new trace, so revive exploration at that frame. *)
-  let detect_races sevs (cp : Vector_clock.t array) ne =
-    let p = ne.pid in
-    let race =
-      List.find_opt
-        (fun e ->
-          e.spid <> p
-          && e.sobj = ne.obj
-          && (e.swrites || ne.writes)
-          && not (Vector_clock.event_leq ~pid:e.spid ~local:e.slocal cp.(p)))
-        sevs
-    in
-    match race with
-    | None -> ()
-    | Some e ->
-      let fr = frames.(e.depth) in
-      (* Processes whose transition at [fr] starts a causal chain into
-         [ne]: scheduling one of them there suffices to reach the reversed
-         trace. *)
-      let candidates =
-        List.filter
-          (fun (cand : next_ev) ->
-            cand.pid = p
-            || List.exists
-                 (fun j ->
-                   j.depth > e.depth && j.spid = cand.pid
-                   && Vector_clock.event_leq ~pid:j.spid ~local:j.slocal cp.(p))
-                 sevs)
-          fr.enabled
-      in
-      (match candidates with
-       | [] ->
-         (* No single pid provably reaches the reversal: fall back to the
-            whole enabled set (still a persistent set). *)
-         List.iter (fun (c : next_ev) -> fr.backtrack <- fr.backtrack lor bit c.pid)
-           fr.enabled
-       | cs ->
-         let q =
-           if List.exists (fun (c : next_ev) -> c.pid = p) cs then p
-           else (List.hd cs).pid
-         in
-         fr.backtrack <- fr.backtrack lor bit q)
+  let st =
+    { n; levels = [||]; wclock = [||]; rclock = [||]; last = [||] }
   in
   let finish sched = ignore (Scheduler.finish sched : Trace.t) in
   (* Depth-first exploration, called only while [!continue].  [live] is
-     the parent's open run, at the parent's node: this node applies its
-     transition, the head of [rev_prefix], to it instead of replaying.
-     Every path out of a node finishes the run it holds or hands it to a
-     child.  [cp] maps each pid to the clock of its last event; [ow] maps
-     each object to the clock of its last write-like event, [ord] to the
-     join of its reads since then; [sleep] is the pid bitmask of sleeping
-     transitions. *)
-  let rec explore live rev_prefix depth sevs cp ow ord sleep =
+     the parent's open run, at the parent's node: this node applies the
+     parent's chosen transition to it, or to a restart at the parent's
+     prefix when [live] is [None].  Every path out of a node finishes the
+     run it holds or hands it to a child.  [sleep] is the pid bitmask of
+     sleeping transitions. *)
+  let rec explore live depth sleep =
     if !explored >= max_schedules || depth > max_events then begin
       Option.iter finish live;
       truncated := true
     end
     else begin
       let sched =
-        match live with
-        | Some sched ->
-          ignore (Scheduler.step sched (List.hd rev_prefix) : Event.t);
+        if depth = 0 then
+          Scheduler.restart session ~n ~make_body Scheduler.initial
+        else begin
+          let parent = st.levels.(depth - 1) in
+          let sched =
+            match live with
+            | Some sched -> sched
+            | None -> Scheduler.restart session ~n ~make_body parent.prefix
+          in
+          ignore (Scheduler.step sched parent.pid : Event.t);
           sched
-        | None ->
-          Replay.replay session ~n ~make_body ~schedule:(List.rev rev_prefix)
-            ()
+        end
       in
+      let lv = level st depth in
       let entries = Scheduler.entry_count sched in
-      match enabled_of sched with
-      | [] ->
+      lv.prefix <- Scheduler.prefix sched;
+      inspect st sched lv;
+      if lv.enabled = 0 then begin
         let trace = Scheduler.finish sched in
         incr explored;
         if not (on_complete trace) then continue := false
-      | enabled ->
+      end
+      else begin
         let quiet = Scheduler.entry_count sched = entries in
-        List.iter (detect_races sevs cp) enabled;
-        (match List.find_opt (fun ne -> not (mem ne.pid sleep)) enabled with
-         | None ->
-           (* Everything enabled sleeps: every continuation from here is a
-              reordering of a trace delivered elsewhere. *)
-           finish sched;
-           incr sleep_blocked
-         | Some first ->
-           let fr = { enabled; backtrack = bit first.pid; done_ = 0 } in
-           frames.(depth) <- fr;
-           (* The loop's first child is [first], which is awake, so the run
-              goes to it unless the inspection recorded an entry. *)
-           let live =
-             ref (if quiet then Some sched else (finish sched; None))
-           in
-           let zs = ref sleep in
-           let rec loop () =
-             if !continue then
-               match lowest_bit (fr.backtrack land lnot fr.done_) with
-               | None -> ()
-               | Some q ->
-                 fr.done_ <- fr.done_ lor bit q;
-                 if not (mem q !zs) then begin
-                   let ne = List.find (fun ne -> ne.pid = q) enabled in
-                   let local = Vector_clock.get cp.(q) q + 1 in
-                   let cv = Vector_clock.join cp.(q) (obj_clock ow ne.obj) in
-                   let cv =
-                     if ne.writes then
-                       Vector_clock.join cv (obj_clock ord ne.obj)
-                     else cv
-                   in
-                   let cv = Vector_clock.tick cv q ~local in
-                   let cp' = Array.copy cp in
-                   cp'.(q) <- cv;
-                   let ow' = if ne.writes then IMap.add ne.obj cv ow else ow in
-                   let ord' =
-                     if ne.writes then IMap.remove ne.obj ord
-                     else
-                       IMap.add ne.obj
-                         (Vector_clock.join cv (obj_clock ord ne.obj))
-                         ord
-                   in
-                   let sev =
-                     { depth; spid = q; sobj = ne.obj; swrites = ne.writes;
-                       slocal = local }
-                   in
-                   (* Siblings keep sleeping only while independent of the
-                      transition just taken. *)
-                   let sleep' =
-                     List.fold_left
-                       (fun acc r ->
-                         if
-                           mem r.pid !zs
-                           && not (dependent (r.obj, r.prim) (ne.obj, ne.prim))
-                         then acc lor bit r.pid
-                         else acc)
-                       0 enabled
-                   in
-                   let run = !live in
-                   live := None;
-                   explore run (q :: rev_prefix) (depth + 1) (sev :: sevs) cp'
-                     ow' ord' sleep';
-                   zs := !zs lor bit q
-                 end;
-                 loop ()
-           in
-           loop ())
+        reserve st (Store.size (Session.store session));
+        for p = 0 to n - 1 do
+          if mem p lv.enabled then detect_race st depth p
+        done;
+        let awake = lv.enabled land lnot sleep in
+        if awake = 0 then begin
+          (* Everything enabled sleeps: every continuation from here is a
+             reordering of a trace delivered elsewhere. *)
+          finish sched;
+          incr sleep_blocked
+        end
+        else begin
+          (* The first child is the lowest awake pid, so the run goes to
+             it unless the inspection recorded an entry. *)
+          lv.backtrack <- bit (lowest awake);
+          lv.done_ <- 0;
+          let live = ref (if quiet then Some sched else (finish sched; None)) in
+          let zs = ref sleep in
+          let todo = ref lv.backtrack in
+          while !continue && !todo <> 0 do
+            let q = lowest !todo in
+            lv.done_ <- lv.done_ lor bit q;
+            if not (mem q !zs) then begin
+              let sleep' = sleep_after st lv !zs q in
+              take st depth q;
+              let run = !live in
+              live := None;
+              explore run (depth + 1) sleep';
+              untake st depth;
+              zs := !zs lor bit q
+            end;
+            todo := lv.backtrack land lnot lv.done_
+          done
+        end
+      end
     end
   in
-  explore None [] 0 [] (Array.make n bottom) IMap.empty IMap.empty 0;
+  explore None 0 0;
   { explored = !explored; sleep_blocked = !sleep_blocked;
     truncated = !truncated }

@@ -11,10 +11,10 @@
     verified, at a fraction of the schedules.
 
     The engine is Flanagan–Godefroid DPOR with persistent/backtrack sets
-    (driven by vector-clock race detection, {!Vector_clock}) plus sleep
-    sets.  It plugs into the same [Session]/[Scheduler]/[Trace] machinery
-    and exposes the same [on_complete] callback as {!Explore.run}, so
-    checkers consume it unchanged. *)
+    (driven by vector-clock race detection) plus sleep sets.  It plugs
+    into the same [Session]/[Scheduler]/[Trace] machinery and exposes the
+    same [on_complete] callback as {!Explore.run}, so checkers consume it
+    unchanged. *)
 
 type stats = {
   explored : int;       (** complete executions delivered to [on_complete] *)
@@ -40,11 +40,13 @@ val run :
   stats
 (** [run session ~n ~make_body ~on_complete ()] explores all maximal
     schedules of processes [0..n-1] up to trace equivalence.  A run
-    cannot be forked, so each branch starts from the initial
-    configuration (fresh bodies, store reset, the branch's prefix
-    replayed) and is then extended one transition per node: a node hands
-    its open run to the first child it explores, and only later siblings
-    replay.  Every trace passed to [on_complete] equals
+    cannot be forked, so it is extended one transition per node: a node
+    hands its open run to the first child it explores, and a later
+    sibling restarts at the node ({!Scheduler.restart} from the node's
+    recorded trace: fresh bodies fast-forwarded through their recorded
+    events, nothing scheduled again) before applying its transition.
+    [max_events] bounds the depth of a schedule; [max_int] means no
+    bound.  Every trace passed to [on_complete] equals
     {!Replay.replay} of its own {!Trace.schedule} followed by
     {!Scheduler.active_pids} and {!Scheduler.finish}.  No run is open on
     [session] while [on_complete] runs, nor after [run] returns, whether

@@ -6,7 +6,14 @@
    the enabled event (object id + primitive with operands), so a scheduling
    policy — in particular the paper's adversaries — can inspect every
    process's next event before deciding what to apply.  Applying an event
-   (= [step]) is the unit of step complexity. *)
+   (= [step]) is the unit of step complexity.
+
+   A run can also be restarted at a point of another run ([restart]):
+   fresh bodies are re-run through the events that run's trace holds,
+   each answered from the trace (fast-forward) rather than scheduled
+   and applied again.  The answer is given by this handler, under any
+   handler the body installs itself, so a body that forwards its own
+   operations (see [Faults.instrument]) sees every one of them. *)
 
 type pending = {
   obj : int;
@@ -24,6 +31,8 @@ type entry = {
   pid : int;
   mutable state : state;
   mutable steps : int;
+  mutable logged : int;  (* events still to fast-forward through *)
+  mutable next : int;    (* trace index to look for the next one from *)
 }
 
 type t = {
@@ -35,20 +44,23 @@ type t = {
 
 exception Process_failure of int * exn
 
-let create session =
+let open_run session trace =
   if Session.trace_builder session <> None then
     invalid_arg "Scheduler.create: a run is already in progress on this session";
-  let trace = Trace.builder () in
   Session.set_in_run session true;
   Session.set_trace session (Some trace);
   Session.clear_pending_invokes session;
   { session; entries = [||]; n = 0; trace }
 
+let create session = open_run session (Trace.builder ())
+
 let session t = t.session
 
 let spawn t body =
   let pid = t.n in
-  let entry = { pid; state = Not_started body; steps = 0 } in
+  let entry =
+    { pid; state = Not_started body; steps = 0; logged = 0; next = 0 }
+  in
   if t.n = Array.length t.entries then begin
     let cap = max 8 (2 * t.n) in
     let entries = Array.make cap entry in
@@ -63,7 +75,15 @@ let get t pid =
   if pid < 0 || pid >= t.n then invalid_arg "Scheduler: bad pid";
   t.entries.(pid)
 
-let handler entry : (unit, unit) Effect.Deep.handler =
+(* The process's next event in the trace, from index [entry.next] on. *)
+let rec next_logged t entry =
+  let i = entry.next in
+  entry.next <- i + 1;
+  match Trace.get t.trace i with
+  | Trace.Mem ev when ev.pid = entry.pid -> ev
+  | Trace.Mem _ | Trace.Invoke _ | Trace.Return _ -> next_logged t entry
+
+let handler t entry : (unit, unit) Effect.Deep.handler =
   { retc = (fun () -> entry.state <- Finished);
     exnc = (fun e -> entry.state <- Finished; raise e);
     effc =
@@ -72,20 +92,34 @@ let handler entry : (unit, unit) Effect.Deep.handler =
         | Session.Mem_op (obj, prim) ->
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
-              entry.state <- Pending { obj; prim; k })
+              if entry.logged > 0 then begin
+                (* Fast-forward: the trace holds this event and the
+                   annotations buffered before it. *)
+                let ev = next_logged t entry in
+                entry.logged <- entry.logged - 1;
+                Session.drop_invokes t.session entry.pid;
+                Effect.Deep.continue k ev.response
+              end
+              else entry.state <- Pending { obj; prim; k })
         | _ -> None) }
 
-(* Run a process body until its first shared-memory event is enabled (or it
-   finishes without one).  Issues no event. *)
+(* Run a process body until its first shared-memory event that the trace
+   does not hold is enabled (or it finishes without one).  Issues no
+   event.  A process with logged events runs through them in
+   fast-forward, where its annotations are in the trace already. *)
 let ensure_started t entry =
   match entry.state with
   | Not_started body ->
-    Session.set_current_pid t.session entry.pid;
-    (try Effect.Deep.match_with body () (handler entry)
-     with e ->
-       Session.set_current_pid t.session (-1);
-       raise (Process_failure (entry.pid, e)));
-    Session.set_current_pid t.session (-1)
+    let session = t.session in
+    let stop () =
+      Session.set_fast_forward session false;
+      Session.set_current_pid session (-1)
+    in
+    Session.set_current_pid session entry.pid;
+    Session.set_fast_forward session (entry.logged > 0);
+    (try Effect.Deep.match_with body () (handler t entry)
+     with e -> stop (); raise (Process_failure (entry.pid, e)));
+    stop ()
   | Pending _ | Finished | Erased -> ()
 
 let enabled t pid =
@@ -169,6 +203,41 @@ let entry_count t = Trace.length t.trace
 
 (* A copy of the execution so far; the run remains in progress. *)
 let current_trace t = Trace.finish t.trace
+
+(* {2 Restarting} *)
+
+(* The first [len] entries of [log]; the builder only grows, so later
+   steps of the run do not change them. *)
+type prefix = { log : Trace.builder; len : int }
+
+let prefix t = { log = t.trace; len = Trace.length t.trace }
+
+let initial = { log = Trace.builder (); len = 0 }
+
+let restart session ~n ~make_body p =
+  let t = open_run session (Trace.prefix p.log p.len) in
+  let store = Session.store session in
+  Store.reset store;
+  for pid = 0 to n - 1 do
+    ignore (spawn t (make_body pid) : int)
+  done;
+  (* One pass over the prefix: the store ends at each object's last
+     [after], and each process learns where its first event is. *)
+  for i = 0 to p.len - 1 do
+    match Trace.get t.trace i with
+    | Trace.Mem ev ->
+      Store.set store ev.obj ev.after;
+      let entry = get t ev.pid in
+      if entry.logged = 0 then entry.next <- i;
+      entry.logged <- entry.logged + 1;
+      entry.steps <- entry.steps + 1
+    | Trace.Invoke _ | Trace.Return _ -> ()
+  done;
+  for pid = 0 to n - 1 do
+    let entry = t.entries.(pid) in
+    if entry.logged > 0 then ensure_started t entry
+  done;
+  t
 
 let finish t =
   for pid = 0 to t.n - 1 do

@@ -22,6 +22,9 @@ type t = {
          This is sound: the adversary may delay a process arbitrarily
          between its invocation and its first step, so the tightened
          history corresponds to a legal execution. *)
+  mutable fast_forward : bool;
+      (* The scheduler is re-running the current process through events
+         its trace already holds, so its annotations are there too. *)
 }
 
 type _ Effect.t +=
@@ -36,7 +39,8 @@ let create () =
     current_pid = -1;
     trace = None;
     direct_steps = 0;
-    pending_invokes = Hashtbl.create 16 }
+    pending_invokes = Hashtbl.create 16;
+    fast_forward = false }
 
 let store t = t.store
 
@@ -69,6 +73,8 @@ let flush_invokes t pid =
     | None -> ())
   | None -> ()
 
+let drop_invokes t pid = Hashtbl.remove t.pending_invokes pid
+
 let annotate_invoke t ~op ~arg =
   match t.trace with
   | Some _ when t.current_pid >= 0 ->
@@ -81,6 +87,9 @@ let annotate_invoke t ~op ~arg =
 
 let annotate_return t ~op ~result =
   match t.trace with
+  | Some _ when t.current_pid >= 0 && t.fast_forward ->
+    (* the operation's invocation and return are both in the trace *)
+    drop_invokes t t.current_pid
   | Some b when t.current_pid >= 0 ->
     (* an operation that issued no events still needs its invoke first *)
     flush_invokes t t.current_pid;
@@ -92,4 +101,5 @@ let clear_pending_invokes t = Hashtbl.reset t.pending_invokes
 let set_in_run t b = t.in_run <- b
 let set_current_pid t pid = t.current_pid <- pid
 let set_trace t b = t.trace <- b
+let set_fast_forward t b = t.fast_forward <- b
 let trace_builder t = t.trace

@@ -53,6 +53,16 @@ val flush_invokes : t -> int -> unit
 (** Move a process's buffered invocation annotations into the trace (the
     scheduler calls this just before recording one of its events). *)
 
+val drop_invokes : t -> int -> unit
+(** Discard a process's buffered invocation annotations (the scheduler
+    calls this when it answers one of the process's events from a trace
+    that already holds them). *)
+
+val set_fast_forward : t -> bool -> unit
+(** While set, {!annotate_return} records nothing and discards the
+    process's buffered invocations instead: the scheduler is re-running
+    the process through a stretch its trace already holds. *)
+
 val set_in_run : t -> bool -> unit
 val set_current_pid : t -> int -> unit
 val set_trace : t -> Trace.builder option -> unit

@@ -45,6 +45,26 @@ let add_return b ~pid ~op ~result = push b (Return { pid; op; result })
 let event_count b = b.events
 let length b = b.len
 
+let get b i =
+  if i < 0 || i >= b.len then invalid_arg "Trace.get: no such entry";
+  b.buf.(i)
+
+(* Entries are immutable, so a copy shares them: later additions to
+   either builder do not reach the other. *)
+let prefix b len =
+  if len < 0 || len > b.len then invalid_arg "Trace.prefix: bad length";
+  let buf = Array.make (max 64 (2 * len)) b.buf.(0) in
+  Array.blit b.buf 0 buf 0 len;
+  (* the last event's sequence number counts the events before it *)
+  let rec events i =
+    if i < 0 then 0
+    else
+      match buf.(i) with
+      | Mem e -> e.seq + 1
+      | Invoke _ | Return _ -> events (i - 1)
+  in
+  { buf; len; events = events (len - 1) }
+
 let finish b = { entries = Array.sub b.buf 0 b.len }
 
 let entries t = t.entries

@@ -33,6 +33,14 @@ val event_count : builder -> int
 val length : builder -> int
 (** Number of entries so far, events and annotations alike. *)
 
+val get : builder -> int -> entry
+(** [get b i] is the [i]th entry added to [b] (0-based). *)
+
+val prefix : builder -> int -> builder
+(** [prefix b len] is a new builder holding the first [len] entries of
+    [b].  The entries are shared, not copied (they are immutable), and
+    later additions to either builder do not reach the other. *)
+
 val finish : builder -> t
 
 (** {1 Queries} *)

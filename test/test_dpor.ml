@@ -179,8 +179,9 @@ let prop_same_final_states =
 
 (* {1 Replay oracle (qcheck)}
 
-   DPOR hands a node's open run to its first child instead of replaying
-   the child's prefix.  Every delivered trace must still equal, entry for
+   DPOR hands a node's open run to its first child and restarts a later
+   sibling from the node's recorded trace, instead of replaying either
+   child's prefix.  Every delivered trace must still equal, entry for
    entry, a fresh replay of its own schedule followed by one inspection of
    every process, which is what replaying at every node delivers.  The
    programs add a fourth kind of operation, [nop]: an annotated operation
@@ -223,9 +224,10 @@ let annotated_scenario progs =
   (session, make_body)
 
 (* The number of delivered traces that differ from the replay of their
-   own schedule. *)
-let replay_mismatches progs =
+   own schedule, for bodies wrapped by [Faults.instrument plan]. *)
+let replay_mismatches ?(plan = []) progs =
   let session, make_body = annotated_scenario progs in
+  let make_body = Faults.instrument plan make_body in
   let mismatches = ref 0 in
   ignore
     (Dpor.run session ~n:3 ~make_body
@@ -242,9 +244,26 @@ let replay_mismatches progs =
        ());
   !mismatches
 
+(* Half the programs run under one program fault.  [Faults.instrument]
+   forwards each operation through its own handler, which counts the
+   process's events to crash it or turns a CAS into a read; a restarted
+   process must present every fast-forwarded operation to that handler
+   too. *)
+let no_fault_or_one =
+  QCheck.make ~print:Faults.to_string
+    QCheck.Gen.(
+      frequency
+        [ (2, return []);
+          (1, map2 (fun pid after -> [ Faults.Crash { pid; after } ])
+                (int_range 0 2) (int_range 0 3));
+          (1, map2 (fun pid nth -> [ Faults.Cas_fail { pid; nth } ])
+                (int_range 0 2) (int_range 1 4)) ])
+
 let prop_replay_oracle =
   QCheck.Test.make ~name:"every delivered trace equals its schedule's replay"
-    ~count:200 annotated_progs_arb (fun progs -> replay_mismatches progs = 0)
+    ~count:400
+    (QCheck.pair annotated_progs_arb no_fault_or_one)
+    (fun (progs, plan) -> replay_mismatches ~plan progs = 0)
 
 let mk kind obj = { kind; obj; a = 1; b = 0 }
 
@@ -282,6 +301,18 @@ let test_run_lifecycle () =
       Alcotest.(check int) ("classes after a stop by " ^ how) 6
         (full ()).Dpor.explored)
     stopped
+
+(* [max_events] bounds the depth of a schedule; [max_int] bounds
+   nothing, so it explores exactly what the default does here. *)
+let test_unbounded_depth () =
+  let session, make_body = annotated_scenario fixed_progs in
+  let classes ?max_events () =
+    (Dpor.run ?max_events session ~n:3 ~make_body
+       ~on_complete:(fun _ -> true) ())
+      .Dpor.explored
+  in
+  Alcotest.(check int) "classes with max_events = max_int" (classes ())
+    (classes ~max_events:max_int ())
 
 (* A max register whose failed CAS silently drops the value (no retry):
    the canonical injected bug.  Used both for verdict agreement and for
@@ -659,7 +690,9 @@ let () =
           Alcotest.test_case "a zero-event first op replays exactly" `Quick
             test_replay_oracle_fixed;
           Alcotest.test_case "every stop ends the run" `Quick
-            test_run_lifecycle ] );
+            test_run_lifecycle;
+          Alcotest.test_case "max_events = max_int is no bound" `Quick
+            test_unbounded_depth ] );
       ( "pruning",
         [ Alcotest.test_case "algorithm A w+r+r: >=10x fewer schedules"
             `Quick test_algorithm_a_pruning_ratio;

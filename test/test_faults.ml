@@ -375,7 +375,11 @@ let checked ~step_bound ~n trace ~failures =
   if not (lin_maxreg ~n trace) then incr failures;
   true
 
-let crash_sweep name make_scenario =
+(* [plans] and [classes] pin the sweep's size: the DPOR classes summed
+   over every plan.  A restart that fast-forwarded a crashed or
+   CAS-failing process past the plan's own handler would explore other
+   programs and move them. *)
+let crash_sweep name make_scenario ~plans:n_plans ~classes =
   let session, make_body = make_scenario () in
   let counts = Explore.solo_counts session ~n:3 ~make_body in
   let plans = Faults.single_crash_plans ~counts in
@@ -404,13 +408,17 @@ let crash_sweep name make_scenario =
        "%s: all surviving histories linearizable, step bound holds (%d plans, \
         %d classes)"
        name (List.length plans) !total_classes)
-    0 !failures
+    0 !failures;
+  Alcotest.(check int) (name ^ ": crash plans") n_plans (List.length plans);
+  Alcotest.(check int) (name ^ ": dpor classes over all plans") classes
+    !total_classes
 
 let test_crash_sweep_algorithm_a () =
-  crash_sweep "algorithm A w+r+r" sweep_scenario_algorithm_a
+  crash_sweep "algorithm A w+r+r" sweep_scenario_algorithm_a ~plans:28
+    ~classes:44
 
 let test_crash_sweep_cas_loop () =
-  crash_sweep "cas-loop w+w+r" sweep_scenario_cas_loop
+  crash_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~plans:5 ~classes:16
 
 let stall_sweep name make_scenario ~points =
   let session, make_body = make_scenario () in

@@ -292,6 +292,151 @@ let test_replay_detects_divergence () =
    | Ok () -> Alcotest.fail "expected divergence to be detected"
    | Error _ -> ())
 
+(* {1 Restart}
+
+   A restart at a point of a run must equal the replay of that point's
+   schedule.  Random 3-process programs over two objects: every operation
+   is annotated, [nop] issues no event (its annotations are recorded with
+   no event of its own), [rw] reads and then writes, and each write adds
+   what its process has read so far, so a wrong answer to a
+   fast-forwarded read shows in a later event. *)
+
+type prog_op = { kind : int; obj : int; a : int; b : int }
+
+let nop = 3
+
+let prog_op_name op =
+  match op.kind with
+  | 0 -> "read"
+  | 1 -> "write"
+  | 2 -> "cas"
+  | 3 -> "nop"
+  | _ -> "rw"
+
+let progs_arb =
+  let print op =
+    Printf.sprintf "%s(%d,%d)@o%d" (prog_op_name op) op.a op.b op.obj
+  in
+  QCheck.make
+    ~print:(fun progs ->
+      String.concat " | "
+        (Array.to_list
+           (Array.map (fun p -> String.concat ";" (List.map print p)) progs)))
+    QCheck.Gen.(
+      array_size (return 3)
+        (list_size (int_range 0 4)
+           (map
+              (fun (kind, obj, (a, b)) -> { kind; obj; a; b })
+              (triple (int_range 0 4) (int_range 0 1)
+                 (pair (int_range 0 2) (int_range 0 2))))))
+
+let restart_scenario progs =
+  let session = Session.create () in
+  let objs =
+    [| reg session "x" (Simval.Int 0); reg session "y" (Simval.Int 0) |]
+  in
+  let make_body pid () =
+    let seen = ref 0 in
+    let read obj =
+      match Session.mem_op session obj Event.Read with
+      | Event.RVal v -> seen := !seen + Simval.int_or ~default:0 v; v
+      | Event.RAck | Event.RBool _ -> assert false
+    in
+    let write obj a =
+      ignore (Session.mem_op session obj (Event.Write (Simval.Int (a + !seen))))
+    in
+    List.iter
+      (fun op ->
+        let name = prog_op_name op and obj = objs.(op.obj) in
+        Session.annotate_invoke session ~op:name ~arg:(Simval.Int op.a);
+        let result =
+          match op.kind with
+          | 0 -> read obj
+          | 1 -> write obj op.a; Simval.Bot
+          | 2 -> (
+            match
+              Session.mem_op session obj
+                (Event.Cas
+                   { expected = Simval.Int op.a; desired = Simval.Int op.b })
+            with
+            | Event.RBool ok -> Simval.Int (Bool.to_int ok)
+            | Event.RVal _ | Event.RAck -> assert false)
+          | k when k = nop -> Simval.Bot
+          | _ -> let v = read obj in write obj op.b; v
+        in
+        Session.annotate_return session ~op:name ~result)
+      progs.(pid)
+  in
+  (session, Array.to_list objs, make_body)
+
+(* What a test can see of an open run: its entries and store, each
+   process's steps and enabled event, the entries after that inspection,
+   and after one more step of [next].  Finishes the run. *)
+let observe session objs sched next =
+  let entries () = Trace.entries (Scheduler.current_trace sched) in
+  let store () = List.map (Store.get (Session.store session)) objs in
+  let before = entries () and values = store () in
+  let steps = List.init 3 (Scheduler.steps_of sched) in
+  let enabled = List.init 3 (Scheduler.enabled sched) in
+  let inspected = entries () in
+  let stepped =
+    Option.map
+      (fun pid ->
+        ignore (Scheduler.step sched pid : Event.t);
+        (entries (), store ()))
+      next
+  in
+  ignore (Scheduler.finish sched : Trace.t);
+  (before, values, steps, enabled, inspected, stepped)
+
+let prop_restart_equals_replay =
+  QCheck.Test.make ~name:"a restart equals the replay of its prefix"
+    ~count:200 (QCheck.pair progs_arb QCheck.small_nat)
+    (fun (progs, seed) ->
+      let session, objs, make_body = restart_scenario progs in
+      let run = Replay.replay session ~n:3 ~make_body ~schedule:[] () in
+      Scheduler.run_random ~seed run;
+      let schedule = Array.of_list (Trace.schedule (Scheduler.finish run)) in
+      let len = Array.length schedule in
+      (* Prefixes of one run advanced by steps alone ... *)
+      let run = Replay.replay session ~n:3 ~make_body ~schedule:[] () in
+      let live =
+        Array.init (len + 1) (fun i ->
+            let p = Scheduler.prefix run in
+            if i < len then ignore (Scheduler.step run schedule.(i) : Event.t);
+            p)
+      in
+      ignore (Scheduler.finish run : Trace.t);
+      (* ... and of runs each restarted at the prefix before and stepped
+         once. *)
+      let chained = Array.make (len + 1) Scheduler.initial in
+      for i = 0 to len - 1 do
+        let run = Scheduler.restart session ~n:3 ~make_body chained.(i) in
+        ignore (Scheduler.step run schedule.(i) : Event.t);
+        chained.(i + 1) <- Scheduler.prefix run;
+        ignore (Scheduler.finish run : Trace.t)
+      done;
+      let ok = ref true in
+      for i = 0 to len do
+        let next = if i < len then Some schedule.(i) else None in
+        let replayed =
+          observe session objs
+            (Replay.replay session ~n:3 ~make_body
+               ~schedule:(Array.to_list (Array.sub schedule 0 i)) ())
+            next
+        in
+        List.iter
+          (fun p ->
+            let restarted =
+              observe session objs
+                (Scheduler.restart session ~n:3 ~make_body p)
+                next
+            in
+            if restarted <> replayed then ok := false)
+          [ live.(i); chained.(i) ]
+      done;
+      !ok)
+
 (* {1 Robustness / error paths} *)
 
 let test_nested_run_rejected () =
@@ -429,7 +574,8 @@ let () =
       ( "replay",
         [ Alcotest.test_case "reproduces" `Quick test_replay_reproduces_execution;
           Alcotest.test_case "erasure" `Quick test_replay_with_erasure;
-          Alcotest.test_case "detects divergence" `Quick test_replay_detects_divergence ] );
+          Alcotest.test_case "detects divergence" `Quick test_replay_detects_divergence;
+          QCheck_alcotest.to_alcotest prop_restart_equals_replay ] );
       ( "robustness",
         [ Alcotest.test_case "nested run" `Quick test_nested_run_rejected;
           Alcotest.test_case "step finished" `Quick test_step_finished_process_rejected;
