@@ -195,7 +195,10 @@ let detect_race st depth p =
   scan st.last.(lv.objs.(p))
 
 (* Take [q]'s transition from level [depth]: fill the child's clocks and
-   update the object's, saving what [untake] restores. *)
+   update the object's, saving what [untake] restores.  Rows are copied
+   by loops over the [int array]s, which store without a write barrier;
+   [Array.blit] is a C call that runs one on every element of these
+   long-lived arrays. *)
 let take st depth q =
   let n = st.n in
   let lv = st.levels.(depth) in
@@ -203,19 +206,25 @@ let take st depth q =
   let w = mem q lv.writers in
   let o = lv.objs.(q) in
   let ob = o * n and row = q * n in
+  let clocks = lv.clocks and saved = lv.saved in
   let wclock = st.wclock and rclock = st.rclock in
-  Array.blit lv.clocks 0 cp 0 (n * n);
-  Array.blit wclock ob lv.saved 0 n;
-  Array.blit rclock ob lv.saved n n;
+  for i = 0 to (n * n) - 1 do
+    cp.(i) <- clocks.(i)
+  done;
+  for r = 0 to n - 1 do
+    saved.(r) <- wclock.(ob + r);
+    saved.(n + r) <- rclock.(ob + r)
+  done;
   for r = 0 to n - 1 do
     let c = Int.max cp.(row + r) wclock.(ob + r) in
     cp.(row + r) <- (if w then Int.max c rclock.(ob + r) else c)
   done;
-  cp.(row + q) <- lv.clocks.(row + q) + 1;
-  if w then begin
-    Array.blit cp row wclock ob n;
-    Array.fill rclock ob n 0
-  end
+  cp.(row + q) <- clocks.(row + q) + 1;
+  if w then
+    for r = 0 to n - 1 do
+      wclock.(ob + r) <- cp.(row + r);
+      rclock.(ob + r) <- 0
+    done
   else
     for r = 0 to n - 1 do
       rclock.(ob + r) <- Int.max rclock.(ob + r) cp.(row + r)
@@ -228,8 +237,12 @@ let untake st depth =
   let n = st.n in
   let lv = st.levels.(depth) in
   let o = lv.objs.(lv.pid) in
-  Array.blit lv.saved 0 st.wclock (o * n) n;
-  Array.blit lv.saved n st.rclock (o * n) n;
+  let ob = o * n and saved = lv.saved in
+  let wclock = st.wclock and rclock = st.rclock in
+  for r = 0 to n - 1 do
+    wclock.(ob + r) <- saved.(r);
+    rclock.(ob + r) <- saved.(n + r)
+  done;
   st.last.(o) <- lv.prev
 
 (* Siblings keep sleeping only while independent of [q]'s transition. *)

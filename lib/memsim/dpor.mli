@@ -44,7 +44,9 @@ val run :
     hands its open run to the first child it explores, and a later
     sibling restarts at the node ({!Scheduler.restart} from the node's
     recorded trace: fresh bodies fast-forwarded through their recorded
-    events, nothing scheduled again) before applying its transition.
+    events, nothing scheduled again, and no body re-entered that had
+    returned there) before applying its transition.  A body must
+    therefore not rely on being re-executed for OCaml-side effects.
     [max_events] bounds the depth of a schedule; [max_int] means no
     bound.  Every trace passed to [on_complete] equals
     {!Replay.replay} of its own {!Trace.schedule} followed by

@@ -131,11 +131,20 @@ val run_random : ?max_events:int -> seed:int -> Scheduler.t -> gate -> unit
 
     Enumerates every maximal gated schedule of the instrumented program
     (program-level faults applied, scheduler-level faults gating each
-    depth).  The gate state is a function of the prefix alone, so
-    prefix replay is deterministic, like {!Explore.run}.  Use
-    {!Dpor.run} over [instrument plan make_body] instead when the plan
-    has no scheduler-level faults — same coverage, far fewer
-    schedules. *)
+    depth).  The gate state is a function of the schedule alone.  Runs
+    are extended as in {!Dpor.run}: a node hands its open run to its
+    first child, and a later sibling restarts at the node
+    ({!Scheduler.restart}) with a gate at the node's point; a node whose
+    inspection recorded a trace entry restarts every child.  A restart
+    re-enters no body that had returned at the node and fast-forwards
+    the others, so a body must not rely on being re-executed for
+    OCaml-side effects.  Every
+    delivered trace equals {!Replay.replay} of its own {!Trace.schedule}
+    followed by {!Scheduler.active_pids} and {!Scheduler.finish}.  Raises
+    [Invalid_argument], leaving the store as it is, if a run is already
+    open on the session.  Use {!Dpor.run} over [instrument plan
+    make_body] instead when the plan has no scheduler-level faults —
+    same coverage, far fewer schedules. *)
 
 val explore :
   ?max_schedules:int ->

@@ -15,10 +15,12 @@ let erase_from_schedule schedule ~erased =
 
 (* Start a fresh run of [n] processes on [session] (store reset to the
    initial configuration) and replay [schedule].  The run is left open so
-   the caller can inspect enabled events and keep extending it. *)
+   the caller can inspect enabled events and keep extending it.  The
+   store is reset only once [Scheduler.create] has accepted the run: a
+   run already open on the session keeps its store. *)
 let replay session ~n ~make_body ~schedule () =
-  Store.reset (Session.store session);
   let sched = Scheduler.create session in
+  Store.reset (Session.store session);
   for pid = 0 to n - 1 do
     let spawned = Scheduler.spawn sched (make_body pid) in
     assert (spawned = pid)

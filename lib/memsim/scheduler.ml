@@ -13,7 +13,9 @@
    each answered from the trace (fast-forward) rather than scheduled
    and applied again.  The answer is given by this handler, under any
    handler the body installs itself, so a body that forwards its own
-   operations (see [Faults.instrument]) sees every one of them. *)
+   operations (see [Faults.instrument]) sees every one of them.  A
+   process that had returned at that point is not re-run at all: the
+   trace holds all it did. *)
 
 type pending = {
   obj : int;
@@ -33,6 +35,8 @@ type entry = {
   mutable steps : int;
   mutable logged : int;  (* events still to fast-forward through *)
   mutable next : int;    (* trace index to look for the next one from *)
+  mutable returned : int;
+      (* entries in the trace when the body returned; [max_int] before *)
 }
 
 type t = {
@@ -59,7 +63,8 @@ let session t = t.session
 let spawn t body =
   let pid = t.n in
   let entry =
-    { pid; state = Not_started body; steps = 0; logged = 0; next = 0 }
+    { pid; state = Not_started body; steps = 0; logged = 0; next = 0;
+      returned = max_int }
   in
   if t.n = Array.length t.entries then begin
     let cap = max 8 (2 * t.n) in
@@ -84,7 +89,10 @@ let rec next_logged t entry =
   | Trace.Mem _ | Trace.Invoke _ | Trace.Return _ -> next_logged t entry
 
 let handler t entry : (unit, unit) Effect.Deep.handler =
-  { retc = (fun () -> entry.state <- Finished);
+  { retc =
+      (fun () ->
+        entry.state <- Finished;
+        entry.returned <- Trace.length t.trace);
     exnc = (fun e -> entry.state <- Finished; raise e);
     effc =
       (fun (type a) (eff : a Effect.t) ->
@@ -207,12 +215,20 @@ let current_trace t = Trace.finish t.trace
 (* {2 Restarting} *)
 
 (* The first [len] entries of [log]; the builder only grows, so later
-   steps of the run do not change them. *)
-type prefix = { log : Trace.builder; len : int }
+   steps of the run do not change them.  [procs] are the run's
+   processes, whose [returned] is set once. *)
+type prefix = { log : Trace.builder; len : int; procs : entry array }
 
-let prefix t = { log = t.trace; len = Trace.length t.trace }
+let prefix t = { log = t.trace; len = Trace.length t.trace; procs = t.entries }
 
-let initial = { log = Trace.builder (); len = 0 }
+let initial = { log = Trace.builder (); len = 0; procs = [||] }
+
+(* Had [pid], which has events in [p], returned when [p] was taken?  A
+   process with events is started, so if it had not returned then, its
+   body can only return after one more step, which adds an entry past
+   [len]. *)
+let returned_in p pid =
+  pid < Array.length p.procs && p.procs.(pid).returned <= p.len
 
 let restart session ~n ~make_body p =
   let t = open_run session (Trace.prefix p.log p.len) in
@@ -233,9 +249,17 @@ let restart session ~n ~make_body p =
       entry.steps <- entry.steps + 1
     | Trace.Invoke _ | Trace.Return _ -> ()
   done;
+  (* A process with events in [p] is fast-forwarded, unless it had
+     returned: re-running it would rebuild nothing [p] lacks. *)
   for pid = 0 to n - 1 do
     let entry = t.entries.(pid) in
-    if entry.logged > 0 then ensure_started t entry
+    if entry.logged > 0 then
+      if returned_in p pid then begin
+        entry.state <- Finished;
+        entry.returned <- p.procs.(pid).returned;
+        entry.logged <- 0
+      end
+      else ensure_started t entry
   done;
   t
 

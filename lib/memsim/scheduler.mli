@@ -56,8 +56,9 @@ type prefix
 (** A point of a run: the first {!entry_count} entries of its trace. *)
 
 val prefix : t -> prefix
-(** The run's trace so far.  Later steps of the run do not change it, and
-    it stays valid after the run is finished. *)
+(** The run's trace so far, and which of its processes had returned.
+    Later steps of the run do not change it, and it stays valid after the
+    run is finished. *)
 
 val initial : prefix
 (** The empty prefix: the initial configuration. *)
@@ -70,28 +71,37 @@ val restart :
     - the store is reset, then each object touched in [p] is set to its
       last [after] value there;
     - the new run's trace starts with [p]'s entries (shared);
-    - every process with events in [p] is started in fast-forward: this
-      scheduler's effect handler answers each of its first operations
-      with the response [p] recorded for it, touching no object, adding
-      no trace entry and recording no annotation, until the process
-      reaches an operation [p] does not hold (its enabled event) or
-      returns.  A process's buffered invocations are dropped whenever
-      one of its events is answered, since [p] holds them; those
-      buffered after its last event stay buffered.  A handler the body
-      installs itself still sees every operation;
-    - every other process is left unstarted.
+    - every process with events in [p] that had returned when [p] was
+      taken is finished without its body being entered: its events,
+      {!steps_of} and annotations are all in [p];
+    - every other process with events in [p] is started in
+      fast-forward: this scheduler's effect handler answers each of its
+      first operations with the response [p] recorded for it, touching
+      no object, adding no trace entry and recording no annotation,
+      until the process reaches an operation [p] does not hold (its
+      enabled event).  A process's buffered invocations are dropped
+      whenever one of its events is answered, since [p] holds them;
+      those buffered after its last event stay buffered.  A handler the
+      body installs itself still sees every operation;
+    - every process without events in [p] is left unstarted.
+
+    A body is therefore not re-entered after it returned, and one that
+    has not returned is re-entered from its start: a body must not rely
+    on being re-executed (or on not being) for OCaml-side effects —
+    results it stores for the caller, say — since a restart decides
+    which bodies run again.
 
     The result equals {!Replay.replay} of [p]'s {!Trace.schedule} —
-    same entries, store, enabled events, {!steps_of}, and the same run
-    from there on — provided [p] was taken from a run of the same
-    deterministic bodies whose first entries equal that replay's.  A
-    run started by [restart] (or [Replay.replay]) and advanced by
-    {!step} alone is one.  Inspection can break it: starting a process
-    whose first operation issues no event records that operation's
-    annotations at once, while a replay records them at the process's
-    first step.  [restart session ~n ~make_body initial] is a fresh run
-    with nothing replayed.  The caller must eventually {!finish} the
-    run. *)
+    same entries, store, enabled events, {!steps_of}, {!is_finished},
+    and the same run from there on — provided [p] was taken from a run
+    of the same deterministic bodies whose first entries equal that
+    replay's.  A run started by [restart] (or [Replay.replay]) and
+    advanced by {!step} alone is one.  Inspection can break it:
+    starting a process whose first operation issues no event records
+    that operation's annotations at once, while a replay records them
+    at the process's first step.  [restart session ~n ~make_body
+    initial] is a fresh run with nothing replayed.  The caller must
+    eventually {!finish} the run. *)
 
 (** {1 Advancing} *)
 

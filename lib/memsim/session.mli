@@ -11,7 +11,8 @@ type t
 
 type _ Effect.t +=
   | Mem_op : int * Event.prim -> Event.response Effect.t
-        (** Performed by {!Smem.Sim_memory} operations during a run. *)
+        (** Performed by {!read}, {!write} and {!cas} during a run: one
+            event on the object. *)
 
 exception Erased
 (** Raised into a process continuation to discard it. *)
@@ -29,9 +30,20 @@ val reset_steps : t -> unit
 val direct_steps : t -> int
 (** Number of events applied in direct mode since the last reset. *)
 
-val mem_op : t -> int -> Event.prim -> Event.response
-(** Apply one shared-memory event (routed through the scheduler when a run
-    is in progress). *)
+(** {1 The three primitives}
+
+    One read, write or CAS of an object: the only shared-memory events.
+    Inside a run each performs {!Mem_op} with the corresponding
+    primitive, so the scheduler (and any handler a body installs) sees
+    one event.  Outside a run each is applied to the store and counted
+    in {!direct_steps}, building no {!Event.prim} and no
+    {!Event.response}.  {!Smem.Sim_memory} is written over these. *)
+
+val read : t -> int -> Simval.t
+val write : t -> int -> Simval.t -> unit
+
+val cas : t -> int -> expected:Simval.t -> desired:Simval.t -> bool
+(** Compare-and-swap with {!Simval.equal} as the comparison. *)
 
 val annotate_invoke : t -> op:string -> arg:Simval.t -> unit
 (** Record an operation invocation.  Buffered until the process's next
@@ -47,7 +59,9 @@ val annotate_return : t -> op:string -> result:Simval.t -> unit
 
 val clear_pending_invokes : t -> unit
 (** Drop buffered invocations (called at run boundaries: an invocation
-    whose process never took a step leaves no record). *)
+    whose process never took a step leaves no record).  Invocations are
+    buffered in one slot per pid; this call, {!flush_invokes} and
+    {!drop_invokes} cost one test when none is buffered. *)
 
 val flush_invokes : t -> int -> unit
 (** Move a process's buffered invocation annotations into the trace (the

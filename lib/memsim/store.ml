@@ -51,19 +51,23 @@ let name t id = check t id; t.names.(id)
 
 let reset t = Array.blit t.initial 0 t.values 0 t.len
 
+let cas t id ~expected ~desired =
+  check t id;
+  if Simval.equal t.values.(id) expected then begin
+    t.values.(id) <- desired;
+    true
+  end
+  else false
+
 (* Atomically apply [prim] to object [id]; returns the response. *)
 let apply t id (prim : Event.prim) : Event.response =
-  check t id;
   match prim with
-  | Read -> RVal t.values.(id)
+  | Read -> RVal (get t id)
   | Write v ->
-    t.values.(id) <- v;
+    set t id v;
     RAck
   | Cas { expected; desired } ->
-    if Simval.equal t.values.(id) expected then begin
-      t.values.(id) <- desired;
-      RBool true
-    end else RBool false
+    if cas t id ~expected ~desired then RBool true else RBool false
 
 (* Would applying [prim] right now change the object's value?  Used by the
    sigma-scheduler (Lemma 1) to classify enabled events as trivial or not. *)

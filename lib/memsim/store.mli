@@ -20,6 +20,10 @@ val name : t -> int -> string
 val reset : t -> unit
 (** Restore every object to its initial value. *)
 
+val cas : t -> int -> expected:Simval.t -> desired:Simval.t -> bool
+(** Compare-and-swap: if the object's value equals [expected]
+    ({!Simval.equal}), set it to [desired] and return [true]. *)
+
 val apply : t -> int -> Event.prim -> Event.response
 (** Atomically apply a primitive, returning its response. *)
 

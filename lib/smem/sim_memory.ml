@@ -1,6 +1,6 @@
 (* Simulator-backed MEMORY: every operation is one shared-memory event of
-   the session, scheduled by whatever scheduler is running (or applied
-   directly outside a run). *)
+   the session ([Session.read]/[write]/[cas]), scheduled by whatever
+   scheduler is running (or applied directly outside a run). *)
 
 open Memsim
 
@@ -20,18 +20,7 @@ let bind (session : Session.t) : (module Memory_intf.MEMORY) =
       in
       Session.alloc session ~name init
 
-    let read obj =
-      match Session.mem_op session obj Event.Read with
-      | Event.RVal v -> v
-      | Event.RAck | Event.RBool _ -> assert false
-
-    let write obj v =
-      match Session.mem_op session obj (Event.Write v) with
-      | Event.RAck -> ()
-      | Event.RVal _ | Event.RBool _ -> assert false
-
-    let cas obj ~expected ~desired =
-      match Session.mem_op session obj (Event.Cas { expected; desired }) with
-      | Event.RBool b -> b
-      | Event.RVal _ | Event.RAck -> assert false
+    let read obj = Session.read session obj
+    let write obj v = Session.write session obj v
+    let cas obj ~expected ~desired = Session.cas session obj ~expected ~desired
   end)

@@ -50,8 +50,8 @@ let test_disjoint_collapses () =
   let b = Session.alloc session ~name:"b" (Simval.Int 0) in
   let make_body pid () =
     let obj = if pid = 0 then a else b in
-    ignore (Session.mem_op session obj Event.Read);
-    ignore (Session.mem_op session obj (Event.Write (Simval.Int pid)))
+    ignore (Session.read session obj);
+    Session.write session obj (Simval.Int pid)
   in
   let dstats, _ =
     dpor_explore ~session ~n:2 ~make_body ~check:(fun _ -> true) ()
@@ -69,7 +69,7 @@ let test_conflict_keeps_both_orders () =
   let session = Session.create () in
   let a = Session.alloc session ~name:"a" (Simval.Int 0) in
   let make_body pid () =
-    ignore (Session.mem_op session a (Event.Write (Simval.Int pid)))
+    Session.write session a (Simval.Int pid)
   in
   let dstats, _ =
     dpor_explore ~session ~n:2 ~make_body ~check:(fun _ -> true) ()
@@ -116,6 +116,16 @@ let prim_of_op op =
   | _ ->
     Event.Cas { expected = Simval.Int op.a; desired = Simval.Int op.b }
 
+(* [op] as one step on [obj]. *)
+let perform session obj op =
+  match op.kind with
+  | 0 -> ignore (Session.read session obj)
+  | 1 -> Session.write session obj (Simval.Int op.a)
+  | _ ->
+    ignore
+      (Session.cas session obj ~expected:(Simval.Int op.a)
+         ~desired:(Simval.Int op.b))
+
 let pp_op op =
   Fmt.str "%a@o%d" Event.pp_prim (prim_of_op op) op.obj
 
@@ -159,8 +169,7 @@ let prop_same_final_states =
       let make_body pid () =
         List.iter
           (fun op ->
-            let obj = if op.obj = 0 then o0 else o1 in
-            ignore (Session.mem_op session obj (prim_of_op op)))
+            perform session (if op.obj = 0 then o0 else o1) op)
           progs.(pid)
       in
       let naive_states, naive_count =
@@ -215,9 +224,7 @@ let annotated_scenario progs =
         let name = pp_annotated op in
         Session.annotate_invoke session ~op:name ~arg:(Simval.Int op.a);
         if op.kind <> nop then
-          ignore
-            (Session.mem_op session (if op.obj = 0 then o0 else o1)
-               (prim_of_op op));
+          perform session (if op.obj = 0 then o0 else o1) op;
         Session.annotate_return session ~op:name ~result:Simval.Bot)
       progs.(pid)
   in
@@ -319,20 +326,15 @@ let test_unbounded_depth () =
    the shrinker tests below. *)
 let buggy_maxreg session : Maxreg.Max_register.instance =
   let r = Session.alloc session ~name:"buggy" (Simval.Int 0) in
-  let read_prim () =
-    match Session.mem_op session r Event.Read with
-    | Event.RVal v -> v
-    | Event.RAck | Event.RBool _ -> assert false
-  in
-  { read_max = (fun () -> Simval.int_or ~default:0 (read_prim ()));
+  { read_max =
+      (fun () -> Simval.int_or ~default:0 (Session.read session r));
     write_max =
       (fun ~pid:_ v ->
-        let cur = read_prim () in
+        let cur = Session.read session r in
         if v > Simval.int_or ~default:0 cur then
           (* one CAS attempt; on failure the value is lost *)
           ignore
-            (Session.mem_op session r
-               (Event.Cas { expected = cur; desired = Simval.Int v }))) }
+            (Session.cas session r ~expected:cur ~desired:(Simval.Int v))) }
 
 let buggy_scenario () =
   let session = Session.create () in

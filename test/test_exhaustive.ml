@@ -272,7 +272,7 @@ let prop_interleaving_count =
       let make_body pid () =
         let steps = if pid = 0 then c0 else c1 in
         for _ = 1 to steps do
-          ignore (Session.mem_op session a Event.Read)
+          ignore (Session.read session a)
         done
       in
       let seen = ref 0 in
@@ -290,8 +290,8 @@ let test_enumerators_agree () =
   let b = Session.alloc session ~name:"b" (Simval.Int 0) in
   let make_body pid () =
     let obj = if pid = 0 then a else b in
-    ignore (Session.mem_op session obj Event.Read);
-    ignore (Session.mem_op session obj (Event.Write (Simval.Int pid)))
+    ignore (Session.read session obj);
+    Session.write session obj (Simval.Int pid)
   in
   let generic = ref 0 in
   let s1 =

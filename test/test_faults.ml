@@ -141,7 +141,7 @@ let test_crash_truncates_exactly () =
   let x = Session.alloc session ~name:"x" (Simval.Int 0) in
   let make_body _pid () =
     for v = 1 to 5 do
-      ignore (Session.mem_op session x (Event.Write (Simval.Int v)))
+      Session.write session x (Simval.Int v)
     done
   in
   List.iter
@@ -170,12 +170,11 @@ let test_cas_fail_forces_failure () =
   let results = ref [] in
   let make_body _pid () =
     for v = 1 to 3 do
-      match
-        Session.mem_op session x
-          (Event.Cas { expected = Simval.Int (v - 1); desired = Simval.Int v })
-      with
-      | Event.RBool ok -> results := ok :: !results
-      | Event.RVal _ | Event.RAck -> assert false
+      let ok =
+        Session.cas session x ~expected:(Simval.Int (v - 1))
+          ~desired:(Simval.Int v)
+      in
+      results := ok :: !results
     done
   in
   let run plan =
@@ -208,8 +207,8 @@ let test_crash_composes_with_dpor () =
   let b = Session.alloc session ~name:"b" (Simval.Int 0) in
   let make_body pid () =
     let obj = if pid = 0 then a else b in
-    ignore (Session.mem_op session obj Event.Read);
-    ignore (Session.mem_op session obj (Event.Write (Simval.Int pid)))
+    ignore (Session.read session obj);
+    Session.write session obj (Simval.Int pid)
   in
   let classes plan =
     let stats =
@@ -237,14 +236,8 @@ let test_crash_composes_with_dpor () =
 let helper_dependent_maxreg session =
   let announce = Session.alloc session ~name:"announce" (Simval.Int 0) in
   let root = Session.alloc session ~name:"root" (Simval.Int 0) in
-  let read obj =
-    match Session.mem_op session obj Event.Read with
-    | Event.RVal v -> Simval.int_or ~default:0 v
-    | Event.RAck | Event.RBool _ -> assert false
-  in
-  let write obj v =
-    ignore (Session.mem_op session obj (Event.Write (Simval.Int v)))
-  in
+  let read obj = Simval.int_or ~default:0 (Session.read session obj) in
+  let write obj v = Session.write session obj (Simval.Int v) in
   let reg : Maxreg.Max_register.instance =
     { read_max = (fun () -> read root);
       write_max =
@@ -420,13 +413,16 @@ let test_crash_sweep_algorithm_a () =
 let test_crash_sweep_cas_loop () =
   crash_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~plans:5 ~classes:16
 
-let stall_sweep name make_scenario ~points =
+(* [plans] and [schedules] pin the sweep's size, as [crash_sweep]'s
+   totals do: the gated schedules summed over every plan. *)
+let stall_sweep name make_scenario ~points ~plans:n_plans ~schedules =
   let session, make_body = make_scenario () in
   let counts = Explore.solo_counts session ~n:3 ~make_body in
   (* stalls starting beyond the longest possible execution never bind *)
   let max_point = Array.fold_left ( + ) 0 counts in
   let plans = Faults.single_stall_plans ~n:3 ~max_point ~points in
   let failures = ref 0 in
+  let total = ref 0 in
   List.iter
     (fun plan ->
       let stats =
@@ -440,18 +436,73 @@ let stall_sweep name make_scenario ~points =
       Alcotest.(check bool)
         (Fmt.str "%s: %a explored something" name Faults.pp plan)
         true
-        (stats.Explore.explored > 0))
+        (stats.Explore.explored > 0);
+      total := !total + stats.Explore.explored)
     plans;
   Alcotest.(check int)
     (Printf.sprintf "%s: linearizable within step bound under all %d stalls"
        name (List.length plans))
-    0 !failures
+    0 !failures;
+  Alcotest.(check int) (name ^ ": stall plans") n_plans (List.length plans);
+  Alcotest.(check int) (name ^ ": schedules over all plans") schedules !total
 
 let test_stall_sweep_algorithm_a () =
   stall_sweep "algorithm A w+r+r" sweep_scenario_algorithm_a ~points:5
+    ~plans:87 ~schedules:45_216
 
 let test_stall_sweep_cas_loop () =
-  stall_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~points:5
+  stall_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~points:5 ~plans:18
+    ~schedules:344
+
+(* Every trace the gated explorer delivers equals the replay of its own
+   schedule followed by one inspection, under no stall and under each
+   single stall.  p1 starts with an operation that issues no event, so
+   inspecting the root records its annotations: the explorer must
+   restart every child there rather than hand the root's run down. *)
+let test_gated_traces_replay () =
+  let session = Session.create () in
+  let x = Session.alloc session ~name:"x" (Simval.Int 0) in
+  let y = Session.alloc session ~name:"y" (Simval.Int 0) in
+  let op name f =
+    Session.annotate_invoke session ~op:name ~arg:Simval.Bot;
+    f ();
+    Session.annotate_return session ~op:name ~result:Simval.Bot
+  in
+  let write o v () =
+    Session.write session o (Simval.Int v)
+  in
+  let read o () = ignore (Session.read session o) in
+  let make_body pid () =
+    match pid with
+    | 0 -> op "write" (write x 1); op "read" (read y)
+    | 1 -> op "nop" ignore; op "write" (write x 2); op "write" (write y 3)
+    | _ -> op "read" (read x)
+  in
+  List.iter
+    (fun plan ->
+      let mismatches = ref 0 in
+      let stats =
+        Faults.explore session ~n:3 ~make_body ~plan
+          ~on_complete:(fun trace ->
+            let sched =
+              Replay.replay session ~n:3 ~make_body
+                ~schedule:(Trace.schedule trace) ()
+            in
+            ignore (Scheduler.active_pids sched : int list);
+            let replayed = Scheduler.finish sched in
+            if Trace.entries replayed <> Trace.entries trace then
+              incr mismatches;
+            true)
+          ()
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%a explored something" Faults.pp plan)
+        true
+        (stats.Explore.explored > 0);
+      Alcotest.(check int)
+        (Fmt.str "%a: traces differing from their replay" Faults.pp plan)
+        0 !mismatches)
+    ([] :: Faults.single_stall_plans ~n:3 ~max_point:6 ~points:2)
 
 (* {1 Random fault plans (qcheck)}
 
@@ -569,5 +620,7 @@ let () =
           Alcotest.test_case "all 1-stall plans, algorithm A" `Slow
             test_stall_sweep_algorithm_a;
           Alcotest.test_case "all 1-stall plans, cas-loop" `Quick
-            test_stall_sweep_cas_loop ] );
+            test_stall_sweep_cas_loop;
+          Alcotest.test_case "gated traces equal their replay" `Quick
+            test_gated_traces_replay ] );
       ("random plans", qsuite qcheck_random_plans) ]

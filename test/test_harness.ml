@@ -56,8 +56,8 @@ let test_measure_steps () =
   let a = Session.alloc session ~name:"a" (Simval.Int 0) in
   let steps =
     Harness.Measure.steps session (fun () ->
-        ignore (Session.mem_op session a Event.Read);
-        ignore (Session.mem_op session a (Event.Write (Simval.Int 1))))
+        ignore (Session.read session a);
+        Session.write session a (Simval.Int 1))
   in
   Alcotest.(check int) "two events" 2 steps
 
@@ -67,7 +67,7 @@ let test_measure_max_steps () =
   let worst =
     Harness.Measure.max_steps session ~trials:5 (fun i ->
         for _ = 0 to i do
-          ignore (Session.mem_op session a Event.Read)
+          ignore (Session.read session a)
         done)
   in
   Alcotest.(check int) "worst trial issues 5 reads" 5 worst

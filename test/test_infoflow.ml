@@ -4,6 +4,13 @@
 
 open Memsim
 
+(* [prim] as one step on [obj]. *)
+let perform session obj : Event.prim -> unit = function
+  | Event.Read -> ignore (Session.read session obj)
+  | Event.Write v -> Session.write session obj v
+  | Event.Cas { expected; desired } ->
+    ignore (Session.cas session obj ~expected ~desired)
+
 (* Run scripted processes: process i performs the listed primitives on the
    listed objects, in order; the schedule interleaves by pid. *)
 let run_script ~objects ~procs ~schedule =
@@ -17,7 +24,7 @@ let run_script ~objects ~procs ~schedule =
       let body () =
         List.iter
           (fun (obj_idx, prim) ->
-            ignore (Session.mem_op session objs.(obj_idx) prim))
+            perform session objs.(obj_idx) prim)
           ops
       in
       let pid = Scheduler.spawn sched body in
@@ -268,7 +275,7 @@ let prop_lemma1_growth =
             Scheduler.spawn sched (fun () ->
                 List.iter
                   (fun (obj_idx, prim) ->
-                    ignore (Session.mem_op session objs.(obj_idx) prim))
+                    perform session objs.(obj_idx) prim)
                   ops)
             |> fun pid -> ignore i; pid)
       in
@@ -324,7 +331,7 @@ let prop_claim1_hidden_erasure =
       let make_body pid () =
         List.iter
           (fun (obj_idx, prim) ->
-            ignore (Session.mem_op session objs.(obj_idx) prim))
+            perform session objs.(obj_idx) prim)
           scripts.(pid)
       in
       (* random execution *)
@@ -372,8 +379,8 @@ let test_erasing_known_process_detected () =
   let session = Session.create () in
   let o = Session.alloc session ~name:"o" (Simval.Int 0) in
   let make_body pid () =
-    if pid = 0 then ignore (Session.mem_op session o (w 1))
-    else ignore (Session.mem_op session o Event.Read)
+    if pid = 0 then Session.write session o (Simval.Int 1)
+    else ignore (Session.read session o)
   in
   let sched = Scheduler.create session in
   ignore (Scheduler.spawn sched (make_body 0));
@@ -400,9 +407,9 @@ let test_sigma_ordering () =
   let o = Session.alloc session ~name:"o" (Simval.Int 0) in
   let x = Session.alloc session ~name:"x" (Simval.Int 0) in
   let sched = Scheduler.create session in
-  let p_read = Scheduler.spawn sched (fun () -> ignore (Session.mem_op session o Event.Read)) in
-  let p_write = Scheduler.spawn sched (fun () -> ignore (Session.mem_op session x (w 1))) in
-  let p_cas = Scheduler.spawn sched (fun () -> ignore (Session.mem_op session o (cas 0 5))) in
+  let p_read = Scheduler.spawn sched (fun () -> ignore (Session.read session o)) in
+  let p_write = Scheduler.spawn sched (fun () -> Session.write session x (Simval.Int 1)) in
+  let p_cas = Scheduler.spawn sched (fun () -> perform session o (cas 0 5)) in
   ignore (Infoflow.Sigma.round sched [ p_cas; p_write; p_read ]);
   let trace = Scheduler.finish sched in
   let order = Array.map (fun (e : Event.t) -> e.Event.pid) (Trace.events trace) in
@@ -418,9 +425,9 @@ let test_sigma_cas_once () =
   let pids =
     List.init 4 (fun i ->
         Scheduler.spawn sched (fun () ->
-            match Session.mem_op session o (cas 0 (i + 1)) with
-            | Event.RBool b -> oks.(i) <- b
-            | _ -> assert false))
+            oks.(i) <-
+              Session.cas session o ~expected:(Simval.Int 0)
+                ~desired:(Simval.Int (i + 1))))
   in
   ignore (Infoflow.Sigma.round sched pids);
   ignore (Scheduler.finish sched);

@@ -62,9 +62,9 @@ let test_direct_mode_counts_steps () =
   let session = Session.create () in
   let a = reg session "a" (Simval.Int 0) in
   Session.reset_steps session;
-  ignore (Session.mem_op session a Event.Read);
-  ignore (Session.mem_op session a (Event.Write (Simval.Int 5)));
-  ignore (Session.mem_op session a (Event.Cas { expected = Simval.Int 5; desired = Simval.Int 6 }));
+  ignore (Session.read session a);
+  Session.write session a (Simval.Int 5);
+  ignore (Session.cas session a ~expected:(Simval.Int 5) ~desired:(Simval.Int 6));
   Alcotest.(check int) "three steps" 3 (Session.direct_steps session)
 
 (* {1 Scheduling} *)
@@ -74,10 +74,8 @@ let test_round_robin_interleaves () =
   let a = reg session "a" (Simval.Int 0) in
   let sched = Scheduler.create session in
   let bump () =
-    match Session.mem_op session a Event.Read with
-    | Event.RVal v ->
-      ignore (Session.mem_op session a (Event.Write (Simval.Int (Simval.int_exn v + 1))))
-    | _ -> assert false
+    let v = Session.read session a in
+    Session.write session a (Simval.Int (Simval.int_exn v + 1))
   in
   let p0 = Scheduler.spawn sched bump in
   let p1 = Scheduler.spawn sched bump in
@@ -96,7 +94,7 @@ let test_solo_runs_to_completion () =
   let sched = Scheduler.create session in
   let body () =
     for _ = 1 to 10 do
-      ignore (Session.mem_op session a (Event.Write (Simval.Int 1)))
+      Session.write session a (Simval.Int 1)
     done
   in
   let p = Scheduler.spawn sched body in
@@ -112,7 +110,7 @@ let test_enabled_peek_is_not_a_step () =
   let sched = Scheduler.create session in
   let p =
     Scheduler.spawn sched (fun () ->
-        ignore (Session.mem_op session a (Event.Write (Simval.Int 1))))
+        Session.write session a (Simval.Int 1))
   in
   (match Scheduler.enabled sched p with
    | Some (obj, Event.Write v) ->
@@ -130,9 +128,9 @@ let test_scheduler_controls_cas_interleaving () =
   let sched = Scheduler.create session in
   let outcomes = Array.make 2 true in
   let body i () =
-    match Session.mem_op session a (Event.Cas { expected = Simval.Int 0; desired = Simval.Int (i + 1) }) with
-    | Event.RBool b -> outcomes.(i) <- b
-    | _ -> assert false
+    outcomes.(i) <-
+      Session.cas session a ~expected:(Simval.Int 0)
+        ~desired:(Simval.Int (i + 1))
   in
   let p0 = Scheduler.spawn sched (body 0) in
   let p1 = Scheduler.spawn sched (body 1) in
@@ -150,7 +148,7 @@ let test_erase_live () =
   let sched = Scheduler.create session in
   let p =
     Scheduler.spawn sched (fun () ->
-        ignore (Session.mem_op session a (Event.Write (Simval.Int 1))))
+        Session.write session a (Simval.Int 1))
   in
   Alcotest.(check bool) "active" true (Scheduler.is_active sched p);
   Scheduler.erase sched p;
@@ -165,7 +163,7 @@ let test_annotations_recorded () =
   let p =
     Scheduler.spawn sched (fun () ->
         Session.annotate_invoke session ~op:"op" ~arg:(Simval.Int 7);
-        ignore (Session.mem_op session a (Event.Write (Simval.Int 7)));
+        Session.write session a (Simval.Int 7);
         Session.annotate_return session ~op:"op" ~result:Simval.Bot)
   in
   Scheduler.run_solo sched p;
@@ -184,7 +182,7 @@ let test_process_exception_propagates () =
   let sched = Scheduler.create session in
   let p =
     Scheduler.spawn sched (fun () ->
-        ignore (Session.mem_op session a Event.Read);
+        ignore (Session.read session a);
         failwith "boom")
   in
   (* The exception surfaces when the step resumes the body past the read. *)
@@ -201,12 +199,8 @@ let test_replay_reproduces_execution () =
   let session = Session.create () in
   let a = reg session "a" (Simval.Int 0) in
   let make_body pid () =
-    match Session.mem_op session a Event.Read with
-    | Event.RVal v ->
-      ignore
-        (Session.mem_op session a
-           (Event.Write (Simval.Int (Simval.int_exn v + 10 + pid))))
-    | _ -> assert false
+    let v = Session.read session a in
+    Session.write session a (Simval.Int (Simval.int_exn v + 10 + pid))
   in
   (* Original run: interleave 2 processes. *)
   let sched = Scheduler.create session in
@@ -236,11 +230,8 @@ let test_replay_with_erasure () =
   let b = reg session "b" (Simval.Int 0) in
   let make_body pid () =
     let obj = if pid = 0 then a else b in
-    match Session.mem_op session obj Event.Read with
-    | Event.RVal v ->
-      ignore
-        (Session.mem_op session obj (Event.Write (Simval.Int (Simval.int_exn v + 1))))
-    | _ -> assert false
+    let v = Session.read session obj in
+    Session.write session obj (Simval.Int (Simval.int_exn v + 1))
   in
   let sched = Scheduler.create session in
   for pid = 0 to 1 do
@@ -269,8 +260,8 @@ let test_replay_detects_divergence () =
      loser's view, which indistinguishability must detect. *)
   let a = reg session "a" (Simval.Int 0) in
   let make_body pid () =
-    ignore (Session.mem_op session a (Event.Write (Simval.Int pid)));
-    ignore (Session.mem_op session a Event.Read)
+    Session.write session a (Simval.Int pid);
+    ignore (Session.read session a)
   in
   let sched = Scheduler.create session in
   for pid = 0 to 1 do
@@ -338,12 +329,12 @@ let restart_scenario progs =
   let make_body pid () =
     let seen = ref 0 in
     let read obj =
-      match Session.mem_op session obj Event.Read with
-      | Event.RVal v -> seen := !seen + Simval.int_or ~default:0 v; v
-      | Event.RAck | Event.RBool _ -> assert false
+      let v = Session.read session obj in
+      seen := !seen + Simval.int_or ~default:0 v;
+      v
     in
     let write obj a =
-      ignore (Session.mem_op session obj (Event.Write (Simval.Int (a + !seen))))
+      Session.write session obj (Simval.Int (a + !seen))
     in
     List.iter
       (fun op ->
@@ -353,14 +344,11 @@ let restart_scenario progs =
           match op.kind with
           | 0 -> read obj
           | 1 -> write obj op.a; Simval.Bot
-          | 2 -> (
-            match
-              Session.mem_op session obj
-                (Event.Cas
-                   { expected = Simval.Int op.a; desired = Simval.Int op.b })
-            with
-            | Event.RBool ok -> Simval.Int (Bool.to_int ok)
-            | Event.RVal _ | Event.RAck -> assert false)
+          | 2 ->
+            Simval.Int
+              (Bool.to_int
+                 (Session.cas session obj ~expected:(Simval.Int op.a)
+                    ~desired:(Simval.Int op.b)))
           | k when k = nop -> Simval.Bot
           | _ -> let v = read obj in write obj op.b; v
         in
@@ -370,13 +358,15 @@ let restart_scenario progs =
   (session, Array.to_list objs, make_body)
 
 (* What a test can see of an open run: its entries and store, each
-   process's steps and enabled event, the entries after that inspection,
-   and after one more step of [next].  Finishes the run. *)
+   process's steps, whether it has finished and its enabled event, the
+   entries after that inspection, and after one more step of [next].
+   Finishes the run. *)
 let observe session objs sched next =
   let entries () = Trace.entries (Scheduler.current_trace sched) in
   let store () = List.map (Store.get (Session.store session)) objs in
   let before = entries () and values = store () in
   let steps = List.init 3 (Scheduler.steps_of sched) in
+  let finished = List.init 3 (Scheduler.is_finished sched) in
   let enabled = List.init 3 (Scheduler.enabled sched) in
   let inspected = entries () in
   let stepped =
@@ -387,7 +377,7 @@ let observe session objs sched next =
       next
   in
   ignore (Scheduler.finish sched : Trace.t);
-  (before, values, steps, enabled, inspected, stepped)
+  (before, values, steps, finished, enabled, inspected, stepped)
 
 let prop_restart_equals_replay =
   QCheck.Test.make ~name:"a restart equals the replay of its prefix"
@@ -437,7 +427,67 @@ let prop_restart_equals_replay =
       done;
       !ok)
 
+(* A restart enters only the bodies that had not returned at its
+   prefix: p0 returned after its one write, and is finished with its
+   step counted but never entered; p1 is re-entered and fast-forwarded
+   through its write to its read. *)
+let test_restart_enters_unfinished_only () =
+  let session = Session.create () in
+  let a = reg session "a" (Simval.Int 0) in
+  let entered = Array.make 2 0 in
+  let make_body pid () =
+    entered.(pid) <- entered.(pid) + 1;
+    Session.write session a (Simval.Int (pid + 1));
+    if pid = 1 then ignore (Session.read session a)
+  in
+  let run = Replay.replay session ~n:2 ~make_body ~schedule:[ 0; 1 ] () in
+  let p = Scheduler.prefix run in
+  ignore (Scheduler.finish run : Trace.t);
+  Array.fill entered 0 2 0;
+  let run = Scheduler.restart session ~n:2 ~make_body p in
+  Alcotest.(check (array int)) "bodies entered by the restart" [| 0; 1 |]
+    entered;
+  Alcotest.(check bool) "p0 finished" true (Scheduler.is_finished run 0);
+  Alcotest.(check (list int)) "steps" [ 1; 1 ]
+    (List.init 2 (Scheduler.steps_of run));
+  Alcotest.(check bool) "p1 waits at its read" true
+    (Scheduler.enabled run 1 = Some (a, Event.Read));
+  Alcotest.(check bool) "store holds p1's write" true
+    (Simval.equal (Store.get (Session.store session) a) (Simval.Int 2));
+  ignore (Scheduler.step run 1 : Event.t);
+  Alcotest.(check (array int)) "no body entered again" [| 0; 1 |] entered;
+  ignore (Scheduler.finish run : Trace.t)
+
 (* {1 Robustness / error paths} *)
+
+(* A refused second run leaves the open run's store alone: [Replay.replay]
+   and [Faults.explore] check the session before they reset it. *)
+let test_refused_run_keeps_store () =
+  let session = Session.create () in
+  let a = reg session "a" (Simval.Int 0) in
+  let make_body _ () =
+    Session.write session a (Simval.Int 7)
+  in
+  let sched = Scheduler.create session in
+  ignore (Scheduler.spawn sched (make_body 0) : int);
+  ignore (Scheduler.step sched 0 : Event.t);
+  let reads_7 what =
+    Alcotest.(check bool) (what ^ ": open run still reads a = 7") true
+      (Simval.equal (Store.get (Session.store session) a) (Simval.Int 7))
+  in
+  reads_7 "before";
+  (match Replay.replay session ~n:1 ~make_body ~schedule:[ 0 ] () with
+   | _ -> Alcotest.fail "Replay.replay: second run accepted"
+   | exception Invalid_argument _ -> ());
+  reads_7 "Replay.replay refused";
+  (match
+     Faults.explore session ~n:1 ~make_body ~plan:[]
+       ~on_complete:(fun _ -> true) ()
+   with
+   | _ -> Alcotest.fail "Faults.explore: second run accepted"
+   | exception Invalid_argument _ -> ());
+  reads_7 "Faults.explore refused";
+  ignore (Scheduler.finish sched : Trace.t)
 
 let test_nested_run_rejected () =
   let session = Session.create () in
@@ -457,7 +507,7 @@ let test_step_finished_process_rejected () =
   let sched = Scheduler.create session in
   let p =
     Scheduler.spawn sched (fun () ->
-        ignore (Session.mem_op session a Event.Read))
+        ignore (Session.read session a))
   in
   Scheduler.run_solo sched p;
   Alcotest.check_raises "stepping a finished process"
@@ -488,8 +538,8 @@ let test_finish_unwinds_active_processes () =
         Fun.protect
           ~finally:(fun () -> cleanup_ran := true)
           (fun () ->
-            ignore (Session.mem_op session a Event.Read);
-            ignore (Session.mem_op session a Event.Read)))
+            ignore (Session.read session a);
+            ignore (Session.read session a)))
   in
   ignore (Scheduler.step sched p);
   ignore (Scheduler.finish sched);
@@ -503,8 +553,8 @@ let test_trace_pp_smoke () =
   let p =
     Scheduler.spawn sched (fun () ->
         Session.annotate_invoke session ~op:"op" ~arg:(Simval.Int 1);
-        ignore (Session.mem_op session a (Event.Write (Simval.Vec [| Simval.Int 1; Simval.Bot |])));
-        ignore (Session.mem_op session a (Event.Cas { expected = Simval.Bot; desired = Simval.Int 2 }));
+        Session.write session a (Simval.Vec [| Simval.Int 1; Simval.Bot |]);
+        ignore (Session.cas session a ~expected:(Simval.Bot) ~desired:(Simval.Int 2));
         Session.annotate_return session ~op:"op" ~result:Simval.Bot)
   in
   Scheduler.run_solo sched p;
@@ -575,9 +625,13 @@ let () =
         [ Alcotest.test_case "reproduces" `Quick test_replay_reproduces_execution;
           Alcotest.test_case "erasure" `Quick test_replay_with_erasure;
           Alcotest.test_case "detects divergence" `Quick test_replay_detects_divergence;
-          QCheck_alcotest.to_alcotest prop_restart_equals_replay ] );
+          QCheck_alcotest.to_alcotest prop_restart_equals_replay;
+          Alcotest.test_case "restart enters unfinished bodies only" `Quick
+            test_restart_enters_unfinished_only ] );
       ( "robustness",
         [ Alcotest.test_case "nested run" `Quick test_nested_run_rejected;
+          Alcotest.test_case "refused run keeps the store" `Quick
+            test_refused_run_keeps_store;
           Alcotest.test_case "step finished" `Quick test_step_finished_process_rejected;
           Alcotest.test_case "bad pid" `Quick test_bad_pid_rejected;
           Alcotest.test_case "bad object" `Quick test_bad_object_rejected;
