@@ -46,4 +46,9 @@ let snapshot session (inst : Snapshots.Snapshot.instance) :
       (fun ~pid v ->
         Session.annotate_invoke session ~op:"update" ~arg:(Simval.Int v);
         inst.update ~pid v;
-        Session.annotate_return session ~op:"update" ~result:Simval.Bot) }
+        Session.annotate_return session ~op:"update" ~result:Simval.Bot);
+    add =
+      (fun ~pid d ->
+        Session.annotate_invoke session ~op:"add" ~arg:(Simval.Int d);
+        inst.add ~pid d;
+        Session.annotate_return session ~op:"add" ~result:Simval.Bot) }

@@ -104,6 +104,9 @@ module Snapshot : SPEC with type state = int list = struct
     | "update" ->
       let v = Simval.int_exn arg in
       Some (List.mapi (fun i x -> if i = pid then v else x) s, Simval.Bot)
+    | "add" ->
+      let d = Simval.int_exn arg in
+      Some (List.mapi (fun i x -> if i = pid then x + d else x) s, Simval.Bot)
     | "scan" -> Some (s, Simval.of_int_array (Array.of_list s))
     | _ -> None
 end

@@ -36,4 +36,5 @@ module Max_vector : SPEC with type state = int list
     m; result = the m maxima). *)
 
 module Snapshot : SPEC with type state = int list
-(** Operations: ["update"] (arg = value, segment = pid), ["scan"]. *)
+(** Operations: ["update"] (arg = value, segment = pid), ["add"] (arg =
+    what is added to segment pid), ["scan"]. *)

@@ -267,7 +267,19 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
   let st =
     { n; levels = [||]; wclock = [||]; rclock = [||]; last = [||] }
   in
-  let finish sched = ignore (Scheduler.finish sched : Trace.t) in
+  (* The run open on [session], if any: a body that raises leaves it to
+     be finished before the exception goes on. *)
+  let held = ref None in
+  let restart p =
+    let sched = Scheduler.restart session ~n ~make_body p in
+    held := Some sched;
+    sched
+  in
+  let finish_trace sched =
+    held := None;
+    Scheduler.finish sched
+  in
+  let finish sched = ignore (finish_trace sched : Trace.t) in
   (* Depth-first exploration, called only while [!continue].  [live] is
      the parent's open run, at the parent's node: this node applies the
      parent's chosen transition to it, or to a restart at the parent's
@@ -281,14 +293,13 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
     end
     else begin
       let sched =
-        if depth = 0 then
-          Scheduler.restart session ~n ~make_body Scheduler.initial
+        if depth = 0 then restart Scheduler.initial
         else begin
           let parent = st.levels.(depth - 1) in
           let sched =
             match live with
             | Some sched -> sched
-            | None -> Scheduler.restart session ~n ~make_body parent.prefix
+            | None -> restart parent.prefix
           in
           ignore (Scheduler.step sched parent.pid : Event.t);
           sched
@@ -299,7 +310,7 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
       lv.prefix <- Scheduler.prefix sched;
       inspect st sched lv;
       if lv.enabled = 0 then begin
-        let trace = Scheduler.finish sched in
+        let trace = finish_trace sched in
         incr explored;
         if not (on_complete trace) then continue := false
       end
@@ -342,6 +353,10 @@ let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
       end
     end
   in
-  explore None 0 0;
+  (match explore None 0 0 with
+   | () -> ()
+   | exception e ->
+     Option.iter finish !held;
+     raise e);
   { explored = !explored; sleep_blocked = !sleep_blocked;
     truncated = !truncated }

@@ -297,7 +297,19 @@ let explore ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n
   let explored = ref 0 in
   let truncated = ref false in
   let continue = ref true in
-  let finish sched = ignore (Scheduler.finish sched : Trace.t) in
+  (* The run open on [session], if any: a body that raises leaves it to
+     be finished before the exception goes on. *)
+  let held = ref None in
+  let restart p =
+    let sched = Scheduler.restart session ~n ~make_body p in
+    held := Some sched;
+    sched
+  in
+  let finish_trace sched =
+    held := None;
+    Scheduler.finish sched
+  in
+  let finish sched = ignore (finish_trace sched : Trace.t) in
   (* The node [sched] is at, [len] steps deep, gated by [g].  Every path
      out of it finishes the run or hands it to a child. *)
   let rec node sched g len =
@@ -305,7 +317,7 @@ let explore ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n
     let at = Scheduler.prefix sched in
     match settle sched g with
     | `Done | `Frozen ->
-      let trace = Scheduler.finish sched in
+      let trace = finish_trace sched in
       incr explored;
       if not (on_complete trace) then continue := false
     | `Ready pids ->
@@ -336,16 +348,20 @@ let explore ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n
       let sched, g =
         match live with
         | Some run -> run
-        | None -> (Scheduler.restart session ~n ~make_body at, { plan; point })
+        | None -> (restart at, { plan; point })
       in
       ignore (step sched g pid : Event.t);
       node sched g len
     end
   in
   if max_schedules <= 0 || max_events < 0 then truncated := true
-  else
-    node (Scheduler.restart session ~n ~make_body Scheduler.initial)
-      (gate plan) 0;
+  else begin
+    match node (restart Scheduler.initial) (gate plan) 0 with
+    | () -> ()
+    | exception e ->
+      Option.iter finish !held;
+      raise e
+  end;
   { Explore.explored = !explored; truncated = !truncated }
 
 (* {1 Plan enumeration and minimization} *)

@@ -15,7 +15,10 @@
    handler the body installs itself, so a body that forwards its own
    operations (see [Faults.instrument]) sees every one of them.  A
    process that had returned at that point is not re-run at all: the
-   trace holds all it did. *)
+   trace holds all it did.  When the point lies on the trace of the run
+   that just finished, the restart rewinds that trace in place, undoing
+   its later events in the store, instead of rebuilding the point from
+   the initial configuration. *)
 
 type pending = {
   obj : int;
@@ -34,7 +37,7 @@ type entry = {
   mutable state : state;
   mutable steps : int;
   mutable logged : int;  (* events still to fast-forward through *)
-  mutable next : int;    (* trace index to look for the next one from *)
+  mutable next : int;    (* the next of them, counted among our events *)
   mutable returned : int;
       (* entries in the trace when the body returned; [max_int] before *)
 }
@@ -44,19 +47,23 @@ type t = {
   mutable entries : entry array;
   mutable n : int;
   trace : Trace.builder;
+  initial : bool;
+      (* opened by [restart], so the run began at the initial
+         configuration and its trace accounts for the whole store *)
+  mutable finished : bool;
 }
 
 exception Process_failure of int * exn
 
-let open_run session trace =
+let open_run session trace ~initial =
   if Session.trace_builder session <> None then
     invalid_arg "Scheduler.create: a run is already in progress on this session";
   Session.set_in_run session true;
   Session.set_trace session (Some trace);
   Session.clear_pending_invokes session;
-  { session; entries = [||]; n = 0; trace }
+  { session; entries = [||]; n = 0; trace; initial; finished = false }
 
-let create session = open_run session (Trace.builder ())
+let create session = open_run session (Trace.builder ()) ~initial:false
 
 let session t = t.session
 
@@ -80,14 +87,6 @@ let get t pid =
   if pid < 0 || pid >= t.n then invalid_arg "Scheduler: bad pid";
   t.entries.(pid)
 
-(* The process's next event in the trace, from index [entry.next] on. *)
-let rec next_logged t entry =
-  let i = entry.next in
-  entry.next <- i + 1;
-  match Trace.get t.trace i with
-  | Trace.Mem ev when ev.pid = entry.pid -> ev
-  | Trace.Mem _ | Trace.Invoke _ | Trace.Return _ -> next_logged t entry
-
 let handler t entry : (unit, unit) Effect.Deep.handler =
   { retc =
       (fun () ->
@@ -103,10 +102,11 @@ let handler t entry : (unit, unit) Effect.Deep.handler =
               if entry.logged > 0 then begin
                 (* Fast-forward: the trace holds this event and the
                    annotations buffered before it. *)
-                let ev = next_logged t entry in
+                let response = Trace.response t.trace entry.pid entry.next in
+                entry.next <- entry.next + 1;
                 entry.logged <- entry.logged - 1;
                 Session.drop_invokes t.session entry.pid;
-                Effect.Deep.continue k ev.response
+                Effect.Deep.continue k response
               end
               else entry.state <- Pending { obj; prim; k })
         | _ -> None) }
@@ -212,16 +212,45 @@ let entry_count t = Trace.length t.trace
 (* A copy of the execution so far; the run remains in progress. *)
 let current_trace t = Trace.finish t.trace
 
+(* A second [finish] would close whatever run is open on the session by
+   then, and name this run's trace as the one the store holds.  A body
+   not started yet is discarded too: an inspection after the run would
+   start it outside any run, applying its operations to the store. *)
+let finish t =
+  if t.finished then invalid_arg "Scheduler.finish: the run has finished";
+  t.finished <- true;
+  for pid = 0 to t.n - 1 do
+    let entry = t.entries.(pid) in
+    match entry.state with
+    | Pending { k; _ } ->
+      (try Effect.Deep.discontinue k Session.Erased with _ -> ());
+      entry.state <- Erased
+    | Not_started _ -> entry.state <- Erased
+    | Finished | Erased -> ()
+  done;
+  Session.set_in_run t.session false;
+  Session.set_trace t.session None;
+  Session.clear_pending_invokes t.session;
+  Session.set_latest t.session (if t.initial then Some t.trace else None);
+  Trace.finish t.trace
+
 (* {2 Restarting} *)
 
-(* The first [len] entries of [log]; the builder only grows, so later
-   steps of the run do not change them.  [procs] are the run's
-   processes, whose [returned] is set once. *)
-type prefix = { log : Trace.builder; len : int; procs : entry array }
+(* The first [len] entries of [log], as they were after [rewinds]
+   rewinds of it.  [procs] are the run's processes, whose [returned] is
+   set once. *)
+type prefix = {
+  log : Trace.builder;
+  len : int;
+  rewinds : int;
+  procs : entry array;
+}
 
-let prefix t = { log = t.trace; len = Trace.length t.trace; procs = t.entries }
+let prefix t =
+  { log = t.trace; len = Trace.length t.trace; rewinds = Trace.rewinds t.trace;
+    procs = t.entries }
 
-let initial = { log = Trace.builder (); len = 0; procs = [||] }
+let initial = { log = Trace.builder (); len = 0; rewinds = 0; procs = [||] }
 
 (* Had [pid], which has events in [p], returned when [p] was taken?  A
    process with events is started, so if it had not returned then, its
@@ -230,52 +259,63 @@ let initial = { log = Trace.builder (); len = 0; procs = [||] }
 let returned_in p pid =
   pid < Array.length p.procs && p.procs.(pid).returned <= p.len
 
-let restart session ~n ~make_body p =
-  let t = open_run session (Trace.prefix p.log p.len) in
+(* Open the run [restart] starts at [p], with the store at [p]'s point.
+   Everything that can refuse the restart is checked before the store is
+   touched.  If [p] lies on the trace of the run that finished last on
+   this session, and the store has not changed since, the store holds
+   that trace's end: undo its events back to [p] and reuse the trace.
+   Otherwise copy [p]'s entries into a new trace and rebuild the store
+   from the initial configuration; so does a restart with fewer
+   processes than that trace has had, where the copy tells whether [p]
+   holds events of a pid it does not spawn. *)
+let open_at session ~n p =
+  if not (Trace.intact p.log ~len:p.len ~rewinds:p.rewinds) then
+    invalid_arg "Scheduler.restart: a later restart rewound this prefix's trace";
   let store = Session.store session in
-  Store.reset store;
-  for pid = 0 to n - 1 do
-    ignore (spawn t (make_body pid) : int)
-  done;
-  (* One pass over the prefix: the store ends at each object's last
-     [after], and each process learns where its first event is. *)
-  for i = 0 to p.len - 1 do
-    match Trace.get t.trace i with
-    | Trace.Mem ev ->
-      Store.set store ev.obj ev.after;
-      let entry = get t ev.pid in
-      if entry.logged = 0 then entry.next <- i;
-      entry.logged <- entry.logged + 1;
-      entry.steps <- entry.steps + 1
-    | Trace.Invoke _ | Trace.Return _ -> ()
-  done;
-  (* A process with events in [p] is fast-forwarded, unless it had
-     returned: re-running it would rebuild nothing [p] lacks. *)
-  for pid = 0 to n - 1 do
-    let entry = t.entries.(pid) in
-    if entry.logged > 0 then
-      if returned_in p pid then begin
-        entry.state <- Finished;
-        entry.returned <- p.procs.(pid).returned;
-        entry.logged <- 0
-      end
-      else ensure_started t entry
-  done;
-  t
+  match Session.latest session with
+  | Some b when b == p.log && Trace.processes b <= n ->
+    let t = open_run session b ~initial:true in
+    Trace.rewind b p.len ~undo:(fun ev -> Store.set store ev.obj ev.before);
+    t
+  | Some _ | None ->
+    let b = Trace.prefix p.log p.len in
+    if Trace.processes b > n then
+      invalid_arg "Scheduler.restart: the prefix has events of a pid >= n";
+    let t = open_run session b ~initial:true in
+    Store.reset store;
+    for i = 0 to p.len - 1 do
+      match Trace.get b i with
+      | Trace.Mem ev -> Store.set store ev.obj ev.after
+      | Trace.Invoke _ | Trace.Return _ -> ()
+    done;
+    t
 
-let finish t =
-  for pid = 0 to t.n - 1 do
-    let entry = t.entries.(pid) in
-    match entry.state with
-    | Pending { k; _ } ->
-      (try Effect.Deep.discontinue k Session.Erased with _ -> ());
-      entry.state <- Erased
-    | Not_started _ | Finished | Erased -> ()
-  done;
-  Session.set_in_run t.session false;
-  Session.set_trace t.session None;
-  Session.clear_pending_invokes t.session;
-  Trace.finish t.trace
+let restart session ~n ~make_body p =
+  let t = open_at session ~n p in
+  (* A process with events in [p] is fast-forwarded, unless it had
+     returned: re-running it would rebuild nothing [p] lacks.  A body
+     that fails here leaves no run open. *)
+  (try
+     for pid = 0 to n - 1 do
+       let entry = t.entries.(spawn t (make_body pid)) in
+       let logged = Trace.events_by t.trace pid in
+       entry.logged <- logged;
+       entry.steps <- logged
+     done;
+     for pid = 0 to n - 1 do
+       let entry = t.entries.(pid) in
+       if entry.logged > 0 then
+         if returned_in p pid then begin
+           entry.state <- Finished;
+           entry.returned <- p.procs.(pid).returned;
+           entry.logged <- 0
+         end
+         else ensure_started t entry
+     done
+   with e ->
+     ignore (finish t : Trace.t);
+     raise e);
+  t
 
 (* {2 Canned policies} *)
 

@@ -58,7 +58,10 @@ type prefix
 val prefix : t -> prefix
 (** The run's trace so far, and which of its processes had returned.
     Later steps of the run do not change it, and it stays valid after the
-    run is finished. *)
+    run is finished, until a {!restart} rewinds the run's trace to a
+    shorter point: the rewound trace is grown again from there, so every
+    prefix of it longer than that point is stale, and {!restart} refuses
+    it. *)
 
 val initial : prefix
 (** The empty prefix: the initial configuration. *)
@@ -68,9 +71,20 @@ val restart :
 (** [restart session ~n ~make_body p] starts a fresh run of [n] processes
     (pid [i] runs [make_body i]) at [p], without scheduling [p]'s events
     again:
-    - the store is reset, then each object touched in [p] is set to its
-      last [after] value there;
-    - the new run's trace starts with [p]'s entries (shared);
+    - the store is brought to [p]'s point, and the new run's trace starts
+      with [p]'s entries.  If [p] was taken from the run that finished
+      last on [session], that run was itself started by [restart] (so it
+      began at the initial configuration), and the store has not changed
+      since it finished ({!Store.mutations}), the restart {e rewinds}:
+      it undoes that run's events after [p] in the store, from the last
+      back, restoring each one's [before] value, and cuts that run's
+      trace back to [p] to grow the new run's trace on it
+      ({!Trace.rewind}).
+      Otherwise it copies [p]'s entries (shared) into a new trace,
+      resets the store and sets each object touched in [p] to its last
+      [after] value there.  Either way the store holds the initial
+      values plus [p]'s events.  A run started by {!create} never
+      qualifies: it starts wherever the store is;
     - every process with events in [p] that had returned when [p] was
       taken is finished without its body being entered: its events,
       {!steps_of} and annotations are all in [p];
@@ -89,7 +103,17 @@ val restart :
     has not returned is re-entered from its start: a body must not rely
     on being re-executed (or on not being) for OCaml-side effects —
     results it stores for the caller, say — since a restart decides
-    which bodies run again.
+    which bodies run again.  A body must be a deterministic function of
+    the responses to its operations: state it keeps in OCaml across
+    runs (a private count that each re-run advances again, say) makes
+    the re-run body issue other operations than the recorded ones.
+
+    [restart] raises [Invalid_argument] without touching the store and
+    without opening a run if a run is already in progress on [session],
+    if [p] is stale (a later rewind of its trace went below it), or if
+    [p] holds events of a pid [>= n].  A body that raises while it is
+    fast-forwarded ends the new run ({!finish}) and raises
+    {!Process_failure}.
 
     The result equals {!Replay.replay} of [p]'s {!Trace.schedule} —
     same entries, store, enabled events, {!steps_of}, {!is_finished},
@@ -115,8 +139,9 @@ val erase : t -> int -> unit
     done by replaying a filtered schedule; see {!Replay}.) *)
 
 val finish : t -> Trace.t
-(** End the run: unwind all still-active processes and return the
-    execution. *)
+(** End the run: unwind all still-active processes, discard those not
+    started yet, and return the execution.  Raises [Invalid_argument] if
+    the run has finished already. *)
 
 (** {1 Canned policies} *)
 

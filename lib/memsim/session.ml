@@ -29,6 +29,11 @@ type t = {
   mutable fast_forward : bool;
       (* The scheduler is re-running the current process through events
          its trace already holds, so its annotations are there too. *)
+  mutable latest : Trace.builder option;
+      (* The trace of the latest finished run, if that run began at the
+         initial configuration ... *)
+  mutable latest_mutations : int;
+      (* ... and the store's mutation count when it finished. *)
 }
 
 type _ Effect.t +=
@@ -45,7 +50,9 @@ let create () =
     direct_steps = 0;
     pending = [||];
     buffered = 0;
-    fast_forward = false }
+    fast_forward = false;
+    latest = None;
+    latest_mutations = 0 }
 
 let store t = t.store
 
@@ -154,3 +161,10 @@ let set_current_pid t pid = t.current_pid <- pid
 let set_trace t b = t.trace <- b
 let set_fast_forward t b = t.fast_forward <- b
 let trace_builder t = t.trace
+
+let set_latest t b =
+  t.latest <- b;
+  t.latest_mutations <- Store.mutations t.store
+
+let latest t =
+  if Store.mutations t.store = t.latest_mutations then t.latest else None

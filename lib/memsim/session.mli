@@ -77,6 +77,16 @@ val set_fast_forward : t -> bool -> unit
     process's buffered invocations instead: the scheduler is re-running
     the process through a stretch its trace already holds. *)
 
+val set_latest : t -> Trace.builder option -> unit
+(** Remember the trace of the run that just finished, if that run began
+    at the initial configuration (else [None]), with the store's
+    {!Store.mutations} count now. *)
+
+val latest : t -> Trace.builder option
+(** The trace {!set_latest} remembered, provided the store has not
+    changed since: the store then holds exactly what that trace's events
+    left in it. *)
+
 val set_in_run : t -> bool -> unit
 val set_current_pid : t -> int -> unit
 val set_trace : t -> Trace.builder option -> unit

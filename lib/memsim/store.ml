@@ -10,13 +10,18 @@ type t = {
   mutable initial : Simval.t array;
   mutable names : string array;
   mutable len : int;
+  mutable mutations : int;
+      (* bumped by every change: [set], a successful [cas], [reset] and
+         [alloc]; a caller that saw the same count twice knows the store
+         did not change in between *)
 }
 
 let create () =
   { values = Array.make 16 Simval.Bot;
     initial = Array.make 16 Simval.Bot;
     names = Array.make 16 "";
-    len = 0 }
+    len = 0;
+    mutations = 0 }
 
 let grow t =
   let cap = Array.length t.values in
@@ -38,6 +43,7 @@ let alloc t ~name init =
   t.initial.(id) <- init;
   t.names.(id) <- name;
   t.len <- t.len + 1;
+  t.mutations <- t.mutations + 1;
   id
 
 let size t = t.len
@@ -46,15 +52,24 @@ let check t id =
   if id < 0 || id >= t.len then invalid_arg "Store: bad object id"
 
 let get t id = check t id; t.values.(id)
-let set t id v = check t id; t.values.(id) <- v
+let set t id v =
+  check t id;
+  t.values.(id) <- v;
+  t.mutations <- t.mutations + 1
+
 let name t id = check t id; t.names.(id)
 
-let reset t = Array.blit t.initial 0 t.values 0 t.len
+let reset t =
+  Array.blit t.initial 0 t.values 0 t.len;
+  t.mutations <- t.mutations + 1
+
+let mutations t = t.mutations
 
 let cas t id ~expected ~desired =
   check t id;
   if Simval.equal t.values.(id) expected then begin
     t.values.(id) <- desired;
+    t.mutations <- t.mutations + 1;
     true
   end
   else false

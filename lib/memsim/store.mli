@@ -20,6 +20,12 @@ val name : t -> int -> string
 val reset : t -> unit
 (** Restore every object to its initial value. *)
 
+val mutations : t -> int
+(** A count bumped by every change to the store: {!set}, a successful
+    {!cas} (so every {!apply} of a write or a successful CAS), {!reset}
+    and {!alloc}.  Equal counts at two moments mean the store did not
+    change in between. *)
+
 val cas : t -> int -> expected:Simval.t -> desired:Simval.t -> bool
 (** Compare-and-swap: if the object's value equals [expected]
     ({!Simval.equal}), set it to [desired] and return [true]. *)

@@ -59,9 +59,16 @@ module Make (M : Smem.Memory_intf.MEMORY) = struct
     in
     loop (collect t)
 
-  let update t ~pid v =
+  (* Set the caller's segment to [v], or to its value plus [v] if [add]:
+     the read of the segment that gives the sequence number gives the
+     single writer its own last value too. *)
+  let write_own t ~pid ~add v =
     if pid < 0 || pid >= t.n then invalid_arg "Afek_snapshot.update: bad pid";
     let embedded = scan t in
-    let { seq; _ } = decode t.n (M.read t.segs.(pid)) in
-    M.write t.segs.(pid) (encode { seq = seq + 1; value = v; embedded })
+    let { seq; value; _ } = decode t.n (M.read t.segs.(pid)) in
+    let value = if add then value + v else v in
+    M.write t.segs.(pid) (encode { seq = seq + 1; value; embedded })
+
+  let update t ~pid v = write_own t ~pid ~add:false v
+  let add t ~pid d = write_own t ~pid ~add:true d
 end

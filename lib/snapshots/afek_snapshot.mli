@@ -9,5 +9,6 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
 
   val create : n:int -> t
   val update : t -> pid:int -> int -> unit
+  val add : t -> pid:int -> int -> unit
   val scan : t -> int array
 end

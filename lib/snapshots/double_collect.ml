@@ -26,10 +26,17 @@ module Make (M : Smem.Memory_intf.MEMORY) = struct
       n;
       max_collects }
 
-  let update t ~pid v =
+  (* Set the caller's segment to [v], or to its value plus [v] if [add]:
+     one read of the segment (its sequence number and, for the single
+     writer, its own last value) and one write. *)
+  let write_own t ~pid ~add v =
     if pid < 0 || pid >= t.n then invalid_arg "Double_collect.update: bad pid";
-    let seq, _ = seg_value (M.read t.segs.(pid)) in
+    let seq, x = seg_value (M.read t.segs.(pid)) in
+    let v = if add then x + v else v in
     M.write t.segs.(pid) (Simval.Vec [| Simval.Int (seq + 1); Simval.Int v |])
+
+  let update t ~pid v = write_own t ~pid ~add:false v
+  let add t ~pid d = write_own t ~pid ~add:true d
 
   let collect t = Array.map (fun seg -> seg_value (M.read seg)) t.segs
 

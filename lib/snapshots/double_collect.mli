@@ -16,5 +16,6 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
 
   val create : ?max_collects:int -> n:int -> unit -> t
   val update : t -> pid:int -> int -> unit
+  val add : t -> pid:int -> int -> unit
   val scan : t -> int array
 end

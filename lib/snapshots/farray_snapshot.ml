@@ -14,7 +14,7 @@ open Memsim
 module Make (M : Smem.Memory_intf.MEMORY) = struct
   module F = Boxed.Farray
 
-  type t = { farray : F.t; seqs : int array; n : int }
+  type t = { farray : F.t; n : int }
 
   let items = function
     | Simval.Bot -> [||]
@@ -28,17 +28,28 @@ module Make (M : Smem.Memory_intf.MEMORY) = struct
     { farray =
         Boxed.Raw.with_memory (module M) (fun () ->
             F.create ~n ~combine:concat ());
-      seqs = Array.make n 0;
       n }
 
-  let update t ~pid v =
+  (* Set the caller's leaf to [v], or to its value plus [v] if [add].  The
+     caller is the leaf's single writer, so one read of the leaf gives it
+     its last sequence number and value. *)
+  let write_own t ~pid ~add v =
     if pid < 0 || pid >= t.n then invalid_arg "Farray_snapshot.update: bad pid";
-    (* seqs.(pid) is process-local state of the single writer of leaf pid *)
-    t.seqs.(pid) <- t.seqs.(pid) + 1;
+    let seq, x =
+      match F.read_leaf t.farray pid with
+      | Simval.Bot -> (0, 0)
+      | Simval.Vec [| Simval.Vec [| Simval.Int _; Simval.Int seq; Simval.Int x |] |] ->
+        (seq, x)
+      | Simval.Int _ | Simval.Vec _ -> invalid_arg "Farray_snapshot: bad leaf"
+    in
+    let v = if add then x + v else v in
     let triple =
-      Simval.Vec [| Simval.Int pid; Simval.Int t.seqs.(pid); Simval.Int v |]
+      Simval.Vec [| Simval.Int pid; Simval.Int (seq + 1); Simval.Int v |]
     in
     F.update t.farray ~leaf:pid (Simval.Vec [| triple |])
+
+  let update t ~pid v = write_own t ~pid ~add:false v
+  let add t ~pid d = write_own t ~pid ~add:true d
 
   let scan t =
     let out = Array.make t.n 0 in

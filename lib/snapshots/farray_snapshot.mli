@@ -11,6 +11,10 @@ module Make (M : Smem.Memory_intf.MEMORY) : sig
 
   val create : n:int -> t
   val update : t -> pid:int -> int -> unit
+  (** One read of the caller's own leaf (its last sequence number), then
+      an f-array update. *)
+
+  val add : t -> pid:int -> int -> unit
 
   val scan : t -> int array
   (** One shared-memory event. *)

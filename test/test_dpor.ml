@@ -309,6 +309,29 @@ let test_run_lifecycle () =
         (full ()).Dpor.explored)
     stopped
 
+(* A body that raises ends the exploration with [Process_failure] and
+   leaves no run open: the session takes another exploration and a
+   replay. *)
+let test_raising_body_ends_the_run () =
+  let session = Session.create () in
+  let a = Session.alloc session ~name:"a" (Simval.Int 0) in
+  let quiet pid () = Session.write session a (Simval.Int pid) in
+  let raising pid () =
+    quiet pid ();
+    if pid = 1 then failwith "p1 fails"
+  in
+  (match
+     Dpor.run session ~n:2 ~make_body:raising ~on_complete:(fun _ -> true) ()
+   with
+   | _ -> Alcotest.fail "the failing body went unnoticed"
+   | exception Scheduler.Process_failure (1, Failure _) -> ());
+  Alcotest.(check int) "classes of a second exploration" 2
+    (Dpor.run session ~n:2 ~make_body:quiet ~on_complete:(fun _ -> true) ())
+      .Dpor.explored;
+  let run = Replay.replay session ~n:2 ~make_body:quiet ~schedule:[ 1; 0 ] () in
+  Alcotest.(check int) "events replayed" 2 (Scheduler.event_count run);
+  ignore (Scheduler.finish run : Trace.t)
+
 (* [max_events] bounds the depth of a schedule; [max_int] bounds
    nothing, so it explores exactly what the default does here. *)
 let test_unbounded_depth () =
@@ -587,6 +610,37 @@ let test_farray_snapshot_n3_exhaustive () =
     (dstats.Dpor.explored >= 10_000);
   Alcotest.(check int) "all linearizable" 0 failures
 
+(* Corollary 1's counters over each snapshot: p0 increments twice, p1
+   reads.  A restart re-runs an unfinished increment from its start, so
+   the count must come from the caller's own segment, not from OCaml
+   state that the first run already advanced. *)
+let test_snapshot_counters_n2 () =
+  List.iter
+    (fun impl ->
+      let session = Session.create () in
+      let c =
+        Harness.Annotate.counter session
+          (Harness.Instances.counter_sim session ~n:2 ~bound:4
+             (Harness.Instances.Snapshot_counter impl))
+      in
+      let make_body pid () =
+        if pid = 0 then begin
+          c.increment ~pid;
+          c.increment ~pid
+        end
+        else ignore (c.read ())
+      in
+      let dstats, failures =
+        dpor_explore ~session ~n:2 ~make_body ~check:(lin_counter ~n:2) ()
+      in
+      let name = Harness.Instances.snapshot_name impl in
+      Alcotest.(check bool) (name ^ ": not truncated") false
+        dstats.Dpor.truncated;
+      Alcotest.(check bool) (name ^ ": several classes") true
+        (dstats.Dpor.explored > 1);
+      Alcotest.(check int) (name ^ ": all linearizable") 0 failures)
+    Harness.Instances.all_snapshots
+
 (* {1 Shrinking} *)
 
 let test_minimize_synthetic () =
@@ -693,6 +747,8 @@ let () =
             test_replay_oracle_fixed;
           Alcotest.test_case "every stop ends the run" `Quick
             test_run_lifecycle;
+          Alcotest.test_case "a raising body ends the run" `Quick
+            test_raising_body_ends_the_run;
           Alcotest.test_case "max_events = max_int is no bound" `Quick
             test_unbounded_depth ] );
       ( "pruning",
@@ -710,7 +766,9 @@ let () =
           Alcotest.test_case "f-array counter i+i+r, exhaustive" `Slow
             test_farray_counter_n3_exhaustive;
           Alcotest.test_case "f-array snapshot u+u+s, exhaustive" `Slow
-            test_farray_snapshot_n3_exhaustive ] );
+            test_farray_snapshot_n3_exhaustive;
+          Alcotest.test_case "snapshot counters i;i + r (n=2)" `Quick
+            test_snapshot_counters_n2 ] );
       ( "shrinking",
         [ Alcotest.test_case "synthetic ddmin" `Quick test_minimize_synthetic;
           Alcotest.test_case "rejects a passing schedule" `Quick

@@ -454,6 +454,30 @@ let test_stall_sweep_cas_loop () =
   stall_sweep "cas-loop w+w+r" sweep_scenario_cas_loop ~points:5 ~plans:18
     ~schedules:344
 
+(* A body that raises ends the gated exploration with [Process_failure]
+   and leaves no run open: the session takes another exploration and a
+   replay. *)
+let test_raising_body_ends_the_run () =
+  let session = Session.create () in
+  let a = Session.alloc session ~name:"a" (Simval.Int 0) in
+  let quiet pid () = Session.write session a (Simval.Int pid) in
+  let raising pid () =
+    quiet pid ();
+    if pid = 1 then failwith "p1 fails"
+  in
+  let explore make_body =
+    Faults.explore session ~n:2 ~make_body ~plan:[]
+      ~on_complete:(fun _ -> true) ()
+  in
+  (match explore raising with
+   | _ -> Alcotest.fail "the failing body went unnoticed"
+   | exception Scheduler.Process_failure (1, Failure _) -> ());
+  Alcotest.(check int) "schedules of a second exploration" 2
+    (explore quiet).Explore.explored;
+  let run = Replay.replay session ~n:2 ~make_body:quiet ~schedule:[ 1; 0 ] () in
+  Alcotest.(check int) "events replayed" 2 (Scheduler.event_count run);
+  ignore (Scheduler.finish run : Trace.t)
+
 (* Every trace the gated explorer delivers equals the replay of its own
    schedule followed by one inspection, under no stall and under each
    single stall.  p1 starts with an operation that issues no event, so
@@ -622,5 +646,7 @@ let () =
           Alcotest.test_case "all 1-stall plans, cas-loop" `Quick
             test_stall_sweep_cas_loop;
           Alcotest.test_case "gated traces equal their replay" `Quick
-            test_gated_traces_replay ] );
+            test_gated_traces_replay;
+          Alcotest.test_case "a raising body ends the run" `Quick
+            test_raising_body_ends_the_run ] );
       ("random plans", qsuite qcheck_random_plans) ]

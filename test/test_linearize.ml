@@ -169,7 +169,19 @@ let test_snapshot_spec () =
         (1, `Invoke ("scan", Simval.Bot));
         (1, `Return ("scan", scan_result [ 0; 0 ])) ]
   in
-  Alcotest.(check bool) "scan misses completed update" false (check_snapshot 2 bad)
+  Alcotest.(check bool) "scan misses completed update" false (check_snapshot 2 bad);
+  let added result =
+    trace_of_script
+      [ (0, `Invoke ("update", i 4));
+        (0, `Return ("update", Simval.Bot));
+        (0, `Invoke ("add", i 3));
+        (0, `Return ("add", Simval.Bot));
+        (1, `Invoke ("scan", Simval.Bot));
+        (1, `Return ("scan", scan_result result)) ]
+  in
+  Alcotest.(check bool) "scan sees the add" true (check_snapshot 2 (added [ 7; 0 ]));
+  Alcotest.(check bool) "scan misses the add" false
+    (check_snapshot 2 (added [ 4; 0 ]))
 
 (* The snapshot's new-old inversion: two scans disagreeing on the order of
    concurrent updates is not linearizable. *)
@@ -383,6 +395,84 @@ let prop_counter_matches_brute_force =
       brute_force_spec (module Linearize.Spec.Counter) ~n:2 ops
       = Linearize.Checker.check (module Linearize.Spec.Counter) ~n:2 ops)
 
+(* The first real-time-respecting legal order in lexicographic order of
+   operation indices: the witness a depth-first search that tries lower
+   indices first must return, on a history with no pending operation. *)
+let brute_force_order (type s)
+    (module S : Linearize.Spec.SPEC with type state = s) ~n
+    (ops : Linearize.History.op array) =
+  let m = Array.length ops in
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x ->
+          List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+        l
+  in
+  let before a b =
+    match ops.(a).Linearize.History.return with
+    | Some r -> r < ops.(b).Linearize.History.invoke
+    | None -> false
+  in
+  let rec legal state placed = function
+    | [] -> true
+    | j :: rest -> (
+      List.for_all (fun i -> List.mem i placed || not (before i j))
+        (List.init m Fun.id)
+      &&
+      let op = ops.(j) in
+      match S.apply state ~name:op.Linearize.History.name ~pid:op.pid ~arg:op.arg with
+      | None -> false
+      | Some (state', result) -> (
+        match op.result with
+        | None -> legal state' (j :: placed) rest
+        | Some r -> Simval.equal r result && legal state' (j :: placed) rest))
+  in
+  List.find_opt (legal (S.initial ~n) []) (permutations (List.init m Fun.id))
+
+(* Histories of the shape the model-check workload checks: p0 and p1
+   increment, p2 reads, each one to two operations, interleaved at
+   random and all complete; reads return 0..3, so some are not
+   linearizable.  The checker must agree with brute force on the verdict
+   and on the witness order. *)
+let prop_counter_orders_match_brute_force =
+  QCheck.Test.make
+    ~name:"checker = brute force on 3-process counter histories (orders too)"
+    ~count:300 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed; 7 |] in
+      let left = Array.init 3 (fun _ -> 1 + Random.State.int rng 2) in
+      let open_ = Array.make 3 false in
+      let b = Trace.builder () in
+      let rec go () =
+        let live =
+          List.filter (fun pid -> open_.(pid) || left.(pid) > 0) [ 0; 1; 2 ]
+        in
+        if live <> [] then begin
+          let pid = List.nth live (Random.State.int rng (List.length live)) in
+          let op = if pid < 2 then "increment" else "read" in
+          if open_.(pid) then begin
+            let result =
+              if pid < 2 then Simval.Bot
+              else Simval.Int (Random.State.int rng 4)
+            in
+            Trace.add_return b ~pid ~op ~result;
+            open_.(pid) <- false
+          end
+          else begin
+            Trace.add_invoke b ~pid ~op ~arg:Simval.Bot;
+            left.(pid) <- left.(pid) - 1;
+            open_.(pid) <- true
+          end;
+          go ()
+        end
+      in
+      go ();
+      let ops = Linearize.History.of_trace (Trace.finish b) in
+      brute_force_order (module Linearize.Spec.Counter) ~n:3 ops
+      = Linearize.Checker.find_linearization (module Linearize.Spec.Counter)
+          ~n:3 ops)
+
 let prop_snapshot_matches_brute_force =
   QCheck.Test.make ~name:"checker = brute force on random snapshot histories"
     ~count:150 QCheck.small_int (fun seed ->
@@ -426,4 +516,5 @@ let () =
       ( "reference",
         [ QCheck_alcotest.to_alcotest prop_checker_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_counter_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_counter_orders_match_brute_force;
           QCheck_alcotest.to_alcotest prop_snapshot_matches_brute_force ] ) ]

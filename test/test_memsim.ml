@@ -388,15 +388,33 @@ let prop_restart_equals_replay =
       Scheduler.run_random ~seed run;
       let schedule = Array.of_list (Trace.schedule (Scheduler.finish run)) in
       let len = Array.length schedule in
-      (* Prefixes of one run advanced by steps alone ... *)
-      let run = Replay.replay session ~n:3 ~make_body ~schedule:[] () in
-      let live =
+      let next i = if i < len then Some schedule.(i) else None in
+      let replayed =
         Array.init (len + 1) (fun i ->
-            let p = Scheduler.prefix run in
-            if i < len then ignore (Scheduler.step run schedule.(i) : Event.t);
-            p)
+            observe session objs
+              (Replay.replay session ~n:3 ~make_body
+                 ~schedule:(Array.to_list (Array.sub schedule 0 i)) ())
+              (next i))
       in
-      ignore (Scheduler.finish run : Trace.t);
+      let equals_replay i p =
+        observe session objs (Scheduler.restart session ~n:3 ~make_body p)
+          (next i)
+        = replayed.(i)
+      in
+      (* Prefixes of a run advanced by steps alone, taken from [run]. *)
+      let points run =
+        let ps =
+          Array.init (len + 1) (fun i ->
+              let p = Scheduler.prefix run in
+              if i < len then ignore (Scheduler.step run schedule.(i) : Event.t);
+              p)
+        in
+        ignore (Scheduler.finish run : Trace.t);
+        ps
+      in
+      let live =
+        points (Replay.replay session ~n:3 ~make_body ~schedule:[] ())
+      in
       (* ... and of runs each restarted at the prefix before and stepped
          once. *)
       let chained = Array.make (len + 1) Scheduler.initial in
@@ -408,24 +426,203 @@ let prop_restart_equals_replay =
       done;
       let ok = ref true in
       for i = 0 to len do
-        let next = if i < len then Some schedule.(i) else None in
-        let replayed =
-          observe session objs
-            (Replay.replay session ~n:3 ~make_body
-               ~schedule:(Array.to_list (Array.sub schedule 0 i)) ())
-            next
-        in
         List.iter
-          (fun p ->
-            let restarted =
-              observe session objs
-                (Scheduler.restart session ~n:3 ~make_body p)
-                next
-            in
-            if restarted <> replayed then ok := false)
+          (fun p -> if not (equals_replay i p) then ok := false)
           [ live.(i); chained.(i) ]
       done;
+      (* ... and of the session's latest run, opened by a restart:
+         restarting at its prefixes, longest first, rewinds its trace
+         each time, further back than the last. *)
+      let latest =
+        points (Scheduler.restart session ~n:3 ~make_body Scheduler.initial)
+      in
+      for i = len downto 0 do
+        if not (equals_replay i latest.(i)) then ok := false
+      done;
+      (* Those rewinds cut the longest prefix off. *)
+      if len > 0 then begin
+        match Scheduler.restart session ~n:3 ~make_body latest.(len) with
+        | run ->
+          ignore (Scheduler.finish run : Trace.t);
+          ok := false
+        | exception Invalid_argument _ -> ()
+      end;
       !ok)
+
+(* A restart at a prefix whose entries a later rewind overwrote, or with
+   fewer processes than have events in the prefix, is refused before it
+   touches the store or opens a run. *)
+let test_rewound_prefix_refused () =
+  let session = Session.create () in
+  let a = reg session "a" (Simval.Int 0) in
+  let make_body pid () =
+    Session.write session a (Simval.Int (pid + 1));
+    ignore (Session.read session a)
+  in
+  let run = Scheduler.restart session ~n:2 ~make_body Scheduler.initial in
+  let root = Scheduler.prefix run in
+  ignore (Scheduler.step run 0 : Event.t);
+  ignore (Scheduler.step run 1 : Event.t);
+  let deep = Scheduler.prefix run in
+  ignore (Scheduler.finish run : Trace.t);
+  let refused ?(n = 2) what =
+    let before = Store.get (Session.store session) a in
+    (match Scheduler.restart session ~n ~make_body deep with
+     | _ -> Alcotest.failf "%s: the prefix was accepted" what
+     | exception Invalid_argument _ -> ());
+    Alcotest.(check bool) (what ^ ": store untouched") true
+      (Simval.equal (Store.get (Session.store session) a) before)
+  in
+  refused ~n:1 "p1's events without p1";
+  (* The restart at [root] rewinds the trace [deep] lies on; p1's two
+     steps then overwrite [deep]'s two entries. *)
+  let run = Scheduler.restart session ~n:2 ~make_body root in
+  ignore (Scheduler.step run 1 : Event.t);
+  ignore (Scheduler.step run 1 : Event.t);
+  ignore (Scheduler.finish run : Trace.t);
+  refused "overwritten";
+  (* ... and a rewind that leaves fewer entries than [deep] has. *)
+  ignore (Scheduler.finish (Scheduler.restart session ~n:2 ~make_body root)
+          : Trace.t);
+  refused "cut short";
+  (* No run was left open. *)
+  ignore (Scheduler.finish (Scheduler.restart session ~n:2 ~make_body root)
+          : Trace.t)
+
+(* A body that raises while a restart fast-forwards it ends the restarted
+   run: here p0 fails whenever it is entered a second time. *)
+let test_restart_failure_ends_run () =
+  let session = Session.create () in
+  let a = reg session "a" (Simval.Int 0) in
+  let entered = ref 0 in
+  let make_body _ () =
+    incr entered;
+    Session.write session a (Simval.Int 1);
+    if !entered > 1 then failwith "entered again";
+    ignore (Session.read session a)
+  in
+  let run = Scheduler.restart session ~n:1 ~make_body Scheduler.initial in
+  ignore (Scheduler.step run 0 : Event.t);
+  let p = Scheduler.prefix run in
+  ignore (Scheduler.finish run : Trace.t);
+  (match Scheduler.restart session ~n:1 ~make_body p with
+   | _ -> Alcotest.fail "the failing body went unnoticed"
+   | exception Scheduler.Process_failure (0, Failure _) -> ());
+  entered := 0;
+  let run = Scheduler.restart session ~n:1 ~make_body Scheduler.initial in
+  Alcotest.(check bool) "a new run starts" true (Scheduler.is_active run 0);
+  ignore (Scheduler.finish run : Trace.t)
+
+(* A run finishes once.  A second [finish] of a run whose session has
+   run again since would close that session's open run, and name its
+   own trace as the one the store holds, so that a restart at one of its
+   prefixes would rewind from a store it does not describe.  And a
+   finished run starts no body. *)
+let test_finish_once () =
+  let session = Session.create () in
+  let a = reg session "a" (Simval.Int 0) in
+  let b = reg session "b" (Simval.Int 0) in
+  let make_body pid () =
+    Session.write session (if pid = 0 then a else b) (Simval.Int 1)
+  in
+  let first = Scheduler.restart session ~n:2 ~make_body Scheduler.initial in
+  let root = Scheduler.prefix first in
+  ignore (Scheduler.step first 0 : Event.t);
+  ignore (Scheduler.finish first : Trace.t);
+  let other = Scheduler.restart session ~n:2 ~make_body Scheduler.initial in
+  ignore (Scheduler.step other 1 : Event.t);
+  ignore (Scheduler.finish other : Trace.t);
+  Alcotest.check_raises "second finish"
+    (Invalid_argument "Scheduler.finish: the run has finished") (fun () ->
+      ignore (Scheduler.finish first : Trace.t));
+  let run = Scheduler.restart session ~n:2 ~make_body root in
+  let value obj = Store.get (Session.store session) obj in
+  Alcotest.(check bool) "the restart starts from the initial values" true
+    (Simval.equal (value a) (Simval.Int 0)
+     && Simval.equal (value b) (Simval.Int 0));
+  ignore (Scheduler.finish run : Trace.t);
+  (* Inspecting a finished run starts no body: p1, never started, would
+     write b outside any run. *)
+  Alcotest.(check bool) "p1 not enabled after finish" true
+    (Scheduler.enabled run 1 = None);
+  Alcotest.(check bool) "b untouched" true
+    (Simval.equal (value b) (Simval.Int 0))
+
+(* p0 writes y and then reads x; p1 writes x; p2 does nothing (three
+   processes, as [observe] expects).  [mid] is the point after
+   p0's write, so undoing the run from its end back to [mid] touches x
+   only: y keeps [mid]'s value and z (no body touches it) its initial
+   one only if the store was left as the run left it. *)
+let store_scenario () =
+  let session = Session.create () in
+  let x = reg session "x" (Simval.Int 0) in
+  let y = reg session "y" (Simval.Int 0) in
+  let z = reg session "z" (Simval.Int 0) in
+  let make_body pid () =
+    if pid = 0 then begin
+      Session.write session y (Simval.Int 5);
+      ignore (Session.read session x)
+    end
+    else if pid = 1 then Session.write session x (Simval.Int 2)
+  in
+  (session, [ x; y; z ], make_body)
+
+(* After a direct-mode write or a [Store.reset] the store no longer holds
+   what the latest run left, so the next restart copies its prefix and
+   rebuilds the store: it equals the replay, and the latest run's trace
+   is not rewound (its longest prefix still restarts). *)
+let test_changed_store_restarts_by_copy () =
+  let session, objs, make_body = store_scenario () in
+  let z = List.nth objs 2 in
+  let replayed =
+    observe session objs
+      (Replay.replay session ~n:3 ~make_body ~schedule:[ 0 ] ())
+      (Some 1)
+  in
+  List.iter
+    (fun (what, change) ->
+      let run = Scheduler.restart session ~n:3 ~make_body Scheduler.initial in
+      ignore (Scheduler.step run 0 : Event.t);
+      let mid = Scheduler.prefix run in
+      ignore (Scheduler.step run 1 : Event.t);
+      ignore (Scheduler.step run 0 : Event.t);
+      let full = Scheduler.prefix run in
+      ignore (Scheduler.finish run : Trace.t);
+      change ();
+      let restarted =
+        observe session objs (Scheduler.restart session ~n:3 ~make_body mid)
+          (Some 1)
+      in
+      Alcotest.(check bool) (what ^ ": restart equals the replay") true
+        (restarted = replayed);
+      ignore
+        (Scheduler.finish (Scheduler.restart session ~n:3 ~make_body full)
+          : Trace.t))
+    [ ("direct write", fun () -> Session.write session z (Simval.Int 9));
+      ("store reset", fun () -> Store.reset (Session.store session)) ]
+
+(* A run opened by [Scheduler.create] starts wherever the store is; here
+   y was written before it.  A restart at its prefix is never a rewind:
+   it starts from the initial values plus the prefix, so y reads 0. *)
+let test_created_run_not_rewound () =
+  let session, objs, make_body = store_scenario () in
+  let x = List.nth objs 0 and y = List.nth objs 1 in
+  Session.write session y (Simval.Int 7);
+  let run = Scheduler.create session in
+  for pid = 0 to 1 do
+    ignore (Scheduler.spawn run (make_body pid) : int)
+  done;
+  ignore (Scheduler.step run 1 : Event.t);
+  let p = Scheduler.prefix run in
+  ignore (Scheduler.step run 0 : Event.t);
+  ignore (Scheduler.finish run : Trace.t);
+  let run = Scheduler.restart session ~n:2 ~make_body p in
+  let value obj = Store.get (Session.store session) obj in
+  Alcotest.(check bool) "x holds the prefix's write" true
+    (Simval.equal (value x) (Simval.Int 2));
+  Alcotest.(check bool) "y holds its initial value" true
+    (Simval.equal (value y) (Simval.Int 0));
+  ignore (Scheduler.finish run : Trace.t)
 
 (* A restart enters only the bodies that had not returned at its
    prefix: p0 returned after its one write, and is finished with its
@@ -627,7 +824,16 @@ let () =
           Alcotest.test_case "detects divergence" `Quick test_replay_detects_divergence;
           QCheck_alcotest.to_alcotest prop_restart_equals_replay;
           Alcotest.test_case "restart enters unfinished bodies only" `Quick
-            test_restart_enters_unfinished_only ] );
+            test_restart_enters_unfinished_only;
+          Alcotest.test_case "a rewound prefix is refused" `Quick
+            test_rewound_prefix_refused;
+          Alcotest.test_case "a changed store restarts by copy" `Quick
+            test_changed_store_restarts_by_copy;
+          Alcotest.test_case "a created run is never rewound" `Quick
+            test_created_run_not_rewound;
+          Alcotest.test_case "a body failing in fast-forward ends the run"
+            `Quick test_restart_failure_ends_run;
+          Alcotest.test_case "a run finishes once" `Quick test_finish_once ] );
       ( "robustness",
         [ Alcotest.test_case "nested run" `Quick test_nested_run_rejected;
           Alcotest.test_case "refused run keeps the store" `Quick
