@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-all check lint cost tsan chaos adaptive dial bench bench-native experiments examples clean doc
+.PHONY: all build test test-all check lint cost tsan chaos adaptive dial bench-native experiments examples clean doc
 
 all: build
 
@@ -62,9 +62,6 @@ dial:
 	dune exec test/test_dial.exe
 	dune exec test/test_cost.exe
 	dune exec bin/bench.exe -- --dial --quick --max-domains 2 -o /tmp/dial-bench.json
-
-bench:
-	dune exec bench/main.exe
 
 # add `-- --baseline OLD.json` to diff against a previous run (warn-only)
 bench-native:

@@ -85,12 +85,10 @@ let scenario_snapshot ~impl ~procs ~readers ~value_range ~seed =
    the bodies, stalls/halts gate the scheduler.  Deterministic in
    (scenario, plan, seed), which is what plan minimization replays. *)
 let run_once { session; make_body; check } ~plan ~procs ~seed =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  let body = Faults.instrument plan make_body in
-  for pid = 0 to procs - 1 do
-    ignore (Scheduler.spawn sched (body pid))
-  done;
+  let sched =
+    Replay.replay session ~n:procs ~make_body:(Faults.instrument plan make_body)
+      ~schedule:[] ()
+  in
   (if plan = [] then Scheduler.run_random ~seed ~max_events:1_000_000 sched
    else Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate plan));
   let trace = Scheduler.finish sched in

@@ -20,9 +20,8 @@ let measure ~tl_shape ~n v =
     Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (fun () ->
         Boxed.Algorithm_a.create ~tl_shape ~n ())
   in
-  Session.reset_steps session;
-  Boxed.Algorithm_a.write_max reg ~pid:0 v;
-  Session.direct_steps session
+  Harness.Measure.steps session (fun () ->
+      Boxed.Algorithm_a.write_max reg ~pid:0 v)
 
 let sweep ?(ns = [ 64; 1024; 16384 ]) () =
   List.concat_map

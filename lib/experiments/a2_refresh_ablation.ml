@@ -33,11 +33,10 @@ let count_lost ~refreshes =
     let c = Simval.int_or ~default:0 (F.read_leaf t pid) in
     F.update t ~leaf:pid (Simval.Int (c + 1))
   in
-  let counts = Explore.solo_counts session ~n:2 ~make_body in
   let interleavings = ref 0 in
   let lost = ref 0 in
   let stats =
-    Explore.run_interleavings session ~make_body ~counts
+    Explore.run session ~n:2 ~make_body
       ~on_complete:(fun _ ->
         incr interleavings;
         if Simval.int_or ~default:0 (F.read t) <> 2 then incr lost;

@@ -41,16 +41,8 @@ let counter_crossover ~n =
     for pid = 0 to n - 1 do
       c.increment ~pid
     done;
-    let inc =
-      Session.reset_steps session;
-      c.increment ~pid:0;
-      Session.direct_steps session
-    in
-    let read =
-      Session.reset_steps session;
-      ignore (c.read ());
-      Session.direct_steps session
-    in
+    let inc = Harness.Measure.steps session (fun () -> c.increment ~pid:0) in
+    let read = Harness.Measure.steps session (fun () -> ignore (c.read ())) in
     (read, inc)
   in
   let naive_read, naive_inc = measure Harness.Instances.Naive_counter in

@@ -24,16 +24,12 @@ let measure impl ~n ~bound =
   in
   let write_steps v =
     let session, reg = fresh () in
-    Session.reset_steps session;
-    reg.write_max ~pid:(n - 1) v;
-    Session.direct_steps session
+    Harness.Measure.steps session (fun () -> reg.write_max ~pid:(n - 1) v)
   in
   let read_steps =
     let session, reg = fresh () in
     reg.write_max ~pid:0 (bound - 1);
-    Session.reset_steps session;
-    ignore (reg.read_max ());
-    Session.direct_steps session
+    Harness.Measure.steps session (fun () -> ignore (reg.read_max ()))
   in
   { impl = Harness.Instances.maxreg_name impl;
     n;

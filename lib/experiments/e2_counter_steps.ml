@@ -23,17 +23,11 @@ let measure impl ~n =
     c.increment ~pid
   done;
   let inc_steps =
-    let worst = ref 0 in
-    for pid = 0 to n - 1 do
-      Session.reset_steps session;
-      c.increment ~pid;
-      worst := max !worst (Session.direct_steps session)
-    done;
-    !worst
+    Harness.Measure.max_steps session ~trials:n (fun pid -> c.increment ~pid)
   in
-  Session.reset_steps session;
-  ignore (c.read ());
-  let read_steps = Session.direct_steps session in
+  let read_steps =
+    Harness.Measure.steps session (fun () -> ignore (c.read ()))
+  in
   { impl = Harness.Instances.counter_name impl; n; read_steps; inc_steps }
 
 let sweep ?(ns = [ 4; 16; 64; 256 ]) () =

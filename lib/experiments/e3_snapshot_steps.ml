@@ -23,17 +23,12 @@ let measure impl ~n =
     s.update ~pid (pid + 1)
   done;
   let update_steps =
-    let worst = ref 0 in
-    for pid = 0 to n - 1 do
-      Session.reset_steps session;
-      s.update ~pid (pid + 100);
-      worst := max !worst (Session.direct_steps session)
-    done;
-    !worst
+    Harness.Measure.max_steps session ~trials:n (fun pid ->
+        s.update ~pid (pid + 100))
   in
-  Session.reset_steps session;
-  ignore (s.scan ());
-  let scan_steps = Session.direct_steps session in
+  let scan_steps =
+    Harness.Measure.steps session (fun () -> ignore (s.scan ()))
+  in
   { impl = Harness.Instances.snapshot_name impl;
     n;
     scan_steps;

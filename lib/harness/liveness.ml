@@ -20,6 +20,10 @@
 
 open Memsim
 
+(* Each audit opens a fresh run and finishes it however the audit ends,
+   so a body that raises leaves no run open on the session. *)
+let finish sched = ignore (Scheduler.finish sched : Trace.t)
+
 type solo_report = {
   scenarios : int;          (* random intermediate states examined *)
   all_completed : bool;     (* every process finished when run alone *)
@@ -33,22 +37,18 @@ let solo_completion_bound ?(scenarios = 50) ?(max_prefix = 40)
   let all_completed = ref true in
   let worst = ref 0 in
   for seed = 1 to scenarios do
-    Store.reset (Session.store session);
-    let sched = Scheduler.create session in
-    for pid = 0 to n - 1 do
-      ignore (Scheduler.spawn sched (make_body pid))
-    done;
-    let rng = Random.State.make [| seed |] in
-    Scheduler.run_random ~seed:(Random.State.bits rng)
-      ~max_events:(Random.State.int rng max_prefix)
-      sched;
-    for pid = 0 to n - 1 do
-      let before = Scheduler.steps_of sched pid in
-      Scheduler.run_solo ~max_events:step_budget sched pid;
-      if not (Scheduler.is_finished sched pid) then all_completed := false
-      else worst := max !worst (Scheduler.steps_of sched pid - before)
-    done;
-    ignore (Scheduler.finish sched)
+    let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
+    Fun.protect ~finally:(fun () -> finish sched) (fun () ->
+        let rng = Random.State.make [| seed |] in
+        Scheduler.run_random ~seed:(Random.State.bits rng)
+          ~max_events:(Random.State.int rng max_prefix)
+          sched;
+        for pid = 0 to n - 1 do
+          let before = Scheduler.steps_of sched pid in
+          Scheduler.run_solo ~max_events:step_budget sched pid;
+          if not (Scheduler.is_finished sched pid) then all_completed := false
+          else worst := max !worst (Scheduler.steps_of sched pid - before)
+        done)
   done;
   { scenarios; all_completed = !all_completed; max_solo_steps = !worst }
 
@@ -62,34 +62,32 @@ type interference_report = {
    interferer restarts its operation forever. *)
 let interference_bound ?(per_round = 8) ?(victim_budget = 10_000) session
     ~victim_body ~interferer_body () =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  let victim = Scheduler.spawn sched victim_body in
-  let interferer =
-    Scheduler.spawn sched (fun () ->
-        (* an endless stream of operations *)
-        while true do
-          interferer_body ()
-        done)
+  let victim = 0 and interferer = 1 in
+  let make_body pid () =
+    if pid = victim then victim_body ()
+    else
+      (* an endless stream of operations *)
+      while true do
+        interferer_body ()
+      done
   in
-  let interference = ref 0 in
-  let budget = ref victim_budget in
-  while Scheduler.is_active sched victim && !budget > 0 do
-    ignore (Scheduler.step sched victim);
-    decr budget;
-    for _ = 1 to per_round do
-      if Scheduler.is_active sched interferer then begin
-        ignore (Scheduler.step sched interferer);
-        incr interference
-      end
-    done
-  done;
-  let victim_steps = Scheduler.steps_of sched victim in
-  let completed = Scheduler.is_finished sched victim in
-  ignore (Scheduler.finish sched);
-  { victim_completed = completed;
-    victim_steps;
-    interference_steps = !interference }
+  let sched = Replay.replay session ~n:2 ~make_body ~schedule:[] () in
+  Fun.protect ~finally:(fun () -> finish sched) (fun () ->
+      let interference = ref 0 in
+      let budget = ref victim_budget in
+      while Scheduler.is_active sched victim && !budget > 0 do
+        ignore (Scheduler.step sched victim);
+        decr budget;
+        for _ = 1 to per_round do
+          if Scheduler.is_active sched interferer then begin
+            ignore (Scheduler.step sched interferer);
+            incr interference
+          end
+        done
+      done;
+      { victim_completed = Scheduler.is_finished sched victim;
+        victim_steps = Scheduler.steps_of sched victim;
+        interference_steps = !interference })
 
 type plan_report = {
   survivors : int;
@@ -105,33 +103,27 @@ type plan_report = {
    test suites and bin/stress.exe. *)
 let completion_under_plan ?(max_events = 100_000) session ~n ~make_body ~plan
     () =
-  Store.reset (Session.store session);
-  let sched = Scheduler.create session in
-  let body = Faults.instrument plan make_body in
-  for pid = 0 to n - 1 do
-    ignore (Scheduler.spawn sched (body pid))
-  done;
-  let g = Faults.gate plan in
-  Faults.run_round_robin ~max_events sched g;
-  let crashed pid =
-    List.exists
-      (function Faults.Crash { pid = p; _ } -> p = pid | _ -> false)
-      plan
+  let sched =
+    Replay.replay session ~n ~make_body:(Faults.instrument plan make_body)
+      ~schedule:[] ()
   in
-  let survivors =
-    List.filter
-      (fun pid -> (not (crashed pid)) && not (Faults.halted_forever g pid))
-      (List.init n Fun.id)
-  in
-  let completed =
-    List.for_all (fun pid -> Scheduler.is_finished sched pid) survivors
-  in
-  let worst =
-    List.fold_left
-      (fun acc pid -> max acc (Scheduler.steps_of sched pid))
-      0 survivors
-  in
-  ignore (Scheduler.finish sched);
-  { survivors = List.length survivors;
-    survivors_completed = completed;
-    max_survivor_steps = worst }
+  Fun.protect ~finally:(fun () -> finish sched) (fun () ->
+      let g = Faults.gate plan in
+      Faults.run_round_robin ~max_events sched g;
+      let crashed pid =
+        List.exists
+          (function Faults.Crash { pid = p; _ } -> p = pid | _ -> false)
+          plan
+      in
+      let survivors =
+        List.filter
+          (fun pid -> (not (crashed pid)) && not (Faults.halted_forever g pid))
+          (List.init n Fun.id)
+      in
+      { survivors = List.length survivors;
+        survivors_completed =
+          List.for_all (fun pid -> Scheduler.is_finished sched pid) survivors;
+        max_survivor_steps =
+          List.fold_left
+            (fun acc pid -> max acc (Scheduler.steps_of sched pid))
+            0 survivors })

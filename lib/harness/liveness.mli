@@ -1,7 +1,12 @@
 (** Liveness audits on the simulator: solo completion from random
     intermediate states (obstruction-freedom, with a step bound that
     exposes wait-freedom) and completion under relentless interference
-    (wait-freedom vs lock-freedom). *)
+    (wait-freedom vs lock-freedom).
+
+    Each audit opens its runs with {!Memsim.Replay.replay}, so it raises
+    [Invalid_argument], leaving the store as it is, if a run is already
+    open on the session; and it finishes every run it opens, also when a
+    body raises. *)
 
 type solo_report = {
   scenarios : int;

@@ -158,7 +158,6 @@ let default =
         { qual = [ "Adaptive"; "Naive_c"; "increment" ]; mode = Body };
         { qual = [ "Adaptive"; "Naive_c"; "update" ]; mode = Body } ];
     (* R4: every library module pins its public surface.  Allowlist:
-       signature-only modules (nothing to hide) and executable entry
-       modules living next to library code. *)
+       signature-only modules (nothing to hide). *)
     r4_dirs = [ "lib"; "bench" ];
-    r4_allow = [ "lib/smem/memory_intf.ml"; "bench/main.ml" ] }
+    r4_allow = [ "lib/smem/memory_intf.ml" ] }

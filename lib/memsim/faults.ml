@@ -275,94 +275,19 @@ let run_random ?(max_events = max_int) ~seed sched g =
 
 (* {1 Gated exhaustive exploration}
 
-   The Explore.run DFS with the gate threaded through each schedule, in
-   [Dpor.run]'s shape: a node hands its open run to its first child, and
-   a later sibling restarts at the node ([Scheduler.restart] at the
-   node's prefix) with a fresh gate at the point saved beside it.  That
-   point is the one after the node's [settle]: a child's pid was chosen
-   from the post-[settle] permitted set, and [settle] stops ticking at
-   the first point where some active pid is permitted, so the pid was
-   permitted at no earlier point.  The gate state is thus a function of
-   the schedule alone, as a replay of the schedule that ticks until each
-   chosen pid is permitted would also find.
+   [Explore.walk] over the instrumented bodies, with [settle] ticking the
+   plan's gate at each node from the point the walk saved beside it. *)
 
-   As in [Dpor.run], a node whose [settle] recorded a trace entry (it
-   started a process whose first operation issues no event) finishes its
-   run and restarts every child from the trace as it was before [settle],
-   so each delivered trace equals the replay of its own schedule. *)
-
-let explore ?(max_schedules = 1_000_000) ?(max_events = 60) session ~n
-    ~make_body ~plan ~on_complete () =
-  let make_body = instrument plan make_body in
-  let explored = ref 0 in
-  let truncated = ref false in
-  let continue = ref true in
-  (* The run open on [session], if any: a body that raises leaves it to
-     be finished before the exception goes on. *)
-  let held = ref None in
-  let restart p =
-    let sched = Scheduler.restart session ~n ~make_body p in
-    held := Some sched;
-    sched
-  in
-  let finish_trace sched =
-    held := None;
-    Scheduler.finish sched
-  in
-  let finish sched = ignore (finish_trace sched : Trace.t) in
-  (* The node [sched] is at, [len] steps deep, gated by [g].  Every path
-     out of it finishes the run or hands it to a child. *)
-  let rec node sched g len =
-    let entries = Scheduler.entry_count sched in
-    let at = Scheduler.prefix sched in
-    match settle sched g with
-    | `Done | `Frozen ->
-      let trace = finish_trace sched in
-      incr explored;
-      if not (on_complete trace) then continue := false
-    | `Ready pids ->
-      let point = g.point in
-      let live =
-        ref
-          (if Scheduler.entry_count sched = entries then Some (sched, g)
-           else (finish sched; None))
-      in
-      List.iter
-        (fun pid ->
-          if !continue then begin
-            let run = !live in
-            live := None;
-            child run at point pid (len + 1)
-          end)
-        pids;
-      Option.iter (fun (sched, _) -> finish sched) !live
-  (* The child [pid]'s step leads to from a node whose prefix and
-     post-[settle] gate point are [at] and [point]: on the node's open
-     run [live] when given, else on a restart at [at]. *)
-  and child live at point pid len =
-    if !explored >= max_schedules || len > max_events then begin
-      Option.iter (fun (sched, _) -> finish sched) live;
-      truncated := true
-    end
-    else begin
-      let sched, g =
-        match live with
-        | Some run -> run
-        | None -> (restart at, { plan; point })
-      in
-      ignore (step sched g pid : Event.t);
-      node sched g len
-    end
-  in
-  if max_schedules <= 0 || max_events < 0 then truncated := true
-  else begin
-    match node (restart Scheduler.initial) (gate plan) 0 with
-    | () -> ()
-    | exception e ->
-      Option.iter finish !held;
-      raise e
-  end;
-  { Explore.explored = !explored; truncated = !truncated }
+let explore ?max_schedules ?max_events session ~n ~make_body ~plan
+    ~on_complete () =
+  Explore.walk ?max_schedules ?max_events session ~n
+    ~make_body:(instrument plan make_body) ~on_complete
+    ~settle:(fun sched point ->
+      let g = { plan; point } in
+      match settle sched g with
+      | `Done | `Frozen -> (g.point, [])
+      | `Ready pids -> (g.point, pids))
+    ()
 
 (* {1 Plan enumeration and minimization} *)
 

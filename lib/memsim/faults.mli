@@ -129,22 +129,17 @@ val run_random : ?max_events:int -> seed:int -> Scheduler.t -> gate -> unit
 
 (** {1 Exhaustive exploration under a plan}
 
-    Enumerates every maximal gated schedule of the instrumented program
-    (program-level faults applied, scheduler-level faults gating each
-    depth).  The gate state is a function of the schedule alone.  Runs
-    are extended as in {!Dpor.run}: a node hands its open run to its
-    first child, and a later sibling restarts at the node
-    ({!Scheduler.restart}) with a gate at the node's point; a node whose
-    inspection recorded a trace entry restarts every child.  A restart
-    re-enters no body that had returned at the node and fast-forwards
-    the others, so a body must not rely on being re-executed for
-    OCaml-side effects.  Every
-    delivered trace equals {!Replay.replay} of its own {!Trace.schedule}
-    followed by {!Scheduler.active_pids} and {!Scheduler.finish}.  Raises
-    [Invalid_argument], leaving the store as it is, if a run is already
-    open on the session.  Use {!Dpor.run} over [instrument plan
-    make_body] instead when the plan has no scheduler-level faults —
-    same coverage, far fewer schedules. *)
+    {!Explore.run} over [instrument plan make_body], gated: at each node
+    the gate ticks through stalls until some active process is
+    permitted, and only permitted processes step there; a node where
+    every active process is frozen forever ends a maximal execution.
+    The gate state is a function of the schedule alone, so a restarted
+    sibling resumes it.  Everything else — the restarts, the re-entry
+    rule, the traces delivered, the limits, and what is refused or
+    finished when a body raises — is {!Explore.run}'s.  Use
+    {!Dpor.run} over [instrument plan make_body] instead when the plan
+    has no scheduler-level faults — same coverage, far fewer
+    schedules. *)
 
 val explore :
   ?max_schedules:int ->

@@ -15,9 +15,10 @@ let erase_from_schedule schedule ~erased =
 
 (* Start a fresh run of [n] processes on [session] (store reset to the
    initial configuration) and replay [schedule].  The run is left open so
-   the caller can inspect enabled events and keep extending it.  The
-   store is reset only once [Scheduler.create] has accepted the run: a
-   run already open on the session keeps its store. *)
+   the caller can inspect enabled events and keep extending it, unless
+   the replay raises: then the run is finished first.  The store is reset
+   only once [Scheduler.create] has accepted the run: a run already open
+   on the session keeps its store. *)
 let replay session ~n ~make_body ~schedule () =
   let sched = Scheduler.create session in
   Store.reset (Session.store session);
@@ -25,8 +26,11 @@ let replay session ~n ~make_body ~schedule () =
     let spawned = Scheduler.spawn sched (make_body pid) in
     assert (spawned = pid)
   done;
-  Scheduler.run_schedule sched schedule;
-  sched
+  match Scheduler.run_schedule sched schedule with
+  | () -> sched
+  | exception e ->
+    ignore (Scheduler.finish sched : Trace.t);
+    raise e
 
 (* Do the events of [pid] in [new_] match its events in [old_]
    (same objects, primitives and responses), up to the length present in

@@ -16,8 +16,11 @@ val replay :
 (** Reset the session's store, spawn [n] fresh processes (pid [i] runs
     [make_body i]) and replay [schedule].  The returned run is left open for
     further inspection and extension; the caller must eventually call
-    {!Scheduler.finish}.  Raises [Invalid_argument], leaving the store
-    as it is, if a run is already open on [session]. *)
+    {!Scheduler.finish}.  If the replay raises (a body's
+    {!Scheduler.Process_failure}, or a step of a pid that is not active),
+    the run is finished before the exception goes on.  Raises
+    [Invalid_argument], leaving the store as it is, if a run is already
+    open on [session]. *)
 
 val indistinguishable_for :
   old_trace:Trace.t -> new_trace:Trace.t -> pid:int -> (unit, string) result

@@ -12,15 +12,21 @@
 (* Replay [schedule] leniently against fresh bodies: entries whose process
    is not active (already finished, or out of range) are skipped, so
    schedules mangled by shrinking still denote executions.  Returns the
-   completed trace. *)
+   completed trace; the run is finished before a body's exception goes
+   on too. *)
 let replay session ~n ~make_body schedule =
   let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
-  List.iter
-    (fun pid ->
-      if pid >= 0 && pid < n && Scheduler.is_active sched pid then
-        ignore (Scheduler.step sched pid))
-    schedule;
-  Scheduler.finish sched
+  match
+    List.iter
+      (fun pid ->
+        if pid >= 0 && pid < n && Scheduler.is_active sched pid then
+          ignore (Scheduler.step sched pid))
+      schedule
+  with
+  | () -> Scheduler.finish sched
+  | exception e ->
+    ignore (Scheduler.finish sched : Trace.t);
+    raise e
 
 (* The effective schedule: what [replay] would actually execute. *)
 let effective session ~n ~make_body schedule =

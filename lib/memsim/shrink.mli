@@ -8,7 +8,8 @@ val replay :
 (** Replay a schedule from the initial configuration against fresh bodies,
     {e leniently}: entries whose process is inactive or out of range are
     skipped, so schedules mangled by shrinking still denote executions.
-    Returns the completed trace. *)
+    Returns the completed trace.  No run is left open on the session,
+    also when a body raises. *)
 
 val effective :
   Session.t ->

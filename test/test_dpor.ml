@@ -188,15 +188,15 @@ let prop_same_final_states =
 
 (* {1 Replay oracle (qcheck)}
 
-   DPOR hands a node's open run to its first child and restarts a later
-   sibling from the node's recorded trace, instead of replaying either
-   child's prefix.  Every delivered trace must still equal, entry for
-   entry, a fresh replay of its own schedule followed by one inspection of
-   every process, which is what replaying at every node delivers.  The
-   programs add a fourth kind of operation, [nop]: an annotated operation
-   that issues no event.  Its annotations are recorded as soon as its
-   process starts, so it is the case where an inspection changes the open
-   run's trace. *)
+   DPOR and the naive explorer hand a node's open run to its first child
+   and restart a later sibling from the node's recorded trace, instead of
+   replaying either child's prefix.  Every delivered trace must still
+   equal, entry for entry, a fresh replay of its own schedule followed by
+   one inspection of every process, which is what replaying at every node
+   delivers.  The programs add a fourth kind of operation, [nop]: an
+   annotated operation that issues no event.  Its annotations are
+   recorded as soon as its process starts, so it is the case where an
+   inspection changes the open run's trace. *)
 
 let nop = 3
 
@@ -230,25 +230,29 @@ let annotated_scenario progs =
   in
   (session, make_body)
 
-(* The number of delivered traces that differ from the replay of their
-   own schedule, for bodies wrapped by [Faults.instrument plan]. *)
-let replay_mismatches ?(plan = []) progs =
+(* The explorers the oracle checks, as functions of the session, the
+   bodies and the callback. *)
+let explorers =
+  [ ("Dpor.run", fun session ~make_body ~on_complete ->
+        ignore (Dpor.run session ~n:3 ~make_body ~on_complete ()));
+    ("Explore.run", fun session ~make_body ~on_complete ->
+        ignore (Explore.run session ~n:3 ~make_body ~on_complete ())) ]
+
+(* The number of traces [explore] delivers that differ from the replay of
+   their own schedule, for bodies wrapped by [Faults.instrument plan]. *)
+let replay_mismatches ?(plan = []) explore progs =
   let session, make_body = annotated_scenario progs in
   let make_body = Faults.instrument plan make_body in
   let mismatches = ref 0 in
-  ignore
-    (Dpor.run session ~n:3 ~make_body
-       ~on_complete:(fun trace ->
-         let sched =
-           Replay.replay session ~n:3 ~make_body
-             ~schedule:(Trace.schedule trace) ()
-         in
-         ignore (Scheduler.active_pids sched);
-         let replayed = Scheduler.finish sched in
-         if Trace.entries replayed <> Trace.entries trace then
-           incr mismatches;
-         true)
-       ());
+  explore session ~make_body ~on_complete:(fun trace ->
+      let sched =
+        Replay.replay session ~n:3 ~make_body
+          ~schedule:(Trace.schedule trace) ()
+      in
+      ignore (Scheduler.active_pids sched);
+      let replayed = Scheduler.finish sched in
+      if Trace.entries replayed <> Trace.entries trace then incr mismatches;
+      true);
   !mismatches
 
 (* Half the programs run under one program fault.  [Faults.instrument]
@@ -270,7 +274,10 @@ let prop_replay_oracle =
   QCheck.Test.make ~name:"every delivered trace equals its schedule's replay"
     ~count:400
     (QCheck.pair annotated_progs_arb no_fault_or_one)
-    (fun (progs, plan) -> replay_mismatches ~plan progs = 0)
+    (fun (progs, plan) ->
+      List.for_all
+        (fun (_, explore) -> replay_mismatches ~plan explore progs = 0)
+        explorers)
 
 let mk kind obj = { kind; obj; a = 1; b = 0 }
 
@@ -280,8 +287,11 @@ let mk kind obj = { kind; obj; a = 1; b = 0 }
 let fixed_progs = [| [ mk 1 0; mk 0 1 ]; [ mk nop 0; mk 1 0 ]; [ mk 0 0 ] |]
 
 let test_replay_oracle_fixed () =
-  Alcotest.(check int) "traces differing from their replay" 0
-    (replay_mismatches fixed_progs)
+  List.iter
+    (fun (name, explore) ->
+      Alcotest.(check int) (name ^ ": traces differing from their replay") 0
+        (replay_mismatches explore fixed_progs))
+    explorers
 
 (* Every way out of an exploration ends its run: a second exploration on
    the same session starts and delivers every class. *)

@@ -25,12 +25,11 @@ let check_dpor_classes ~session ~n ~make_body ~check ~classes =
   Alcotest.(check int) "pinned trace-class count" classes !explored;
   Alcotest.(check int) "no violations" 0 !failures
 
-let check_fixed_interleavings ~session ~n ~make_body ~check ~expect_min =
-  let counts = Explore.solo_counts session ~n ~make_body in
+let check_all_interleavings ~session ~n ~make_body ~check ~expect_min =
   let explored = ref 0 in
   let failures = ref 0 in
   let stats =
-    Explore.run_interleavings session ~make_body ~counts
+    Explore.run session ~n ~make_body
       ~on_complete:(fun trace ->
         incr explored;
         if not (check trace) then incr failures;
@@ -97,7 +96,7 @@ let test_naive_counter_exhaustive () =
   let make_body pid () =
     if pid < 2 then c.increment ~pid else ignore (c.read ())
   in
-  check_fixed_interleavings ~session ~n:3 ~make_body
+  check_all_interleavings ~session ~n:3 ~make_body
     ~check:(Linearize.Checker.check_trace (module Linearize.Spec.Counter) ~n:3)
     ~expect_min:80
 
@@ -144,7 +143,7 @@ let test_algorithm_a_writer_reader_exhaustive () =
   let make_body pid () =
     if pid = 0 then reg.write_max ~pid 5 else ignore (reg.read_max ())
   in
-  check_fixed_interleavings ~session ~n:2 ~make_body
+  check_all_interleavings ~session ~n:2 ~make_body
     ~check:
       (Linearize.Checker.check_trace (module Linearize.Spec.Max_register) ~n:2)
     ~expect_min:10
@@ -198,21 +197,25 @@ let lost_updates ~refreshes =
     let c = Simval.int_or ~default:0 (F.read_leaf t pid) in
     F.update t ~leaf:pid (Simval.Int (c + 1))
   in
-  let counts = Explore.solo_counts session ~n:2 ~make_body in
+  let interleavings = ref 0 in
   let lost = ref 0 in
-  ignore
-    (Explore.run_interleavings session ~make_body ~counts
-       ~on_complete:(fun _ ->
-         if Simval.int_or ~default:0 (F.read t) <> 2 then incr lost;
-         true)
-       ());
-  !lost
+  let stats =
+    Explore.run session ~n:2 ~make_body
+      ~on_complete:(fun _ ->
+        incr interleavings;
+        if Simval.int_or ~default:0 (F.read t) <> 2 then incr lost;
+        true)
+      ()
+  in
+  Alcotest.(check bool) "not truncated" false stats.Explore.truncated;
+  (!interleavings, !lost)
 
+(* The two rows of the A2 table. *)
 let test_single_refresh_loses_updates () =
-  Alcotest.(check bool) "single refresh drops increments" true
-    (lost_updates ~refreshes:1 > 0)
-
-(* {1 The interleaving enumerator agrees with the generic explorer} *)
+  Alcotest.(check (pair int int)) "single refresh: interleavings, lost"
+    (924, 81) (lost_updates ~refreshes:1);
+  Alcotest.(check (pair int int)) "double refresh: interleavings, lost"
+    (184_756, 0) (lost_updates ~refreshes:2)
 
 (* {1 F-array snapshot: 2 concurrent updaters, all interleavings} *)
 
@@ -223,11 +226,10 @@ let test_farray_snapshot_exhaustive () =
       Harness.Instances.Farray_snapshot
   in
   let make_body pid () = s.update ~pid (pid + 5) in
-  let counts = Explore.solo_counts session ~n:2 ~make_body in
   let failures = ref 0 in
   let explored = ref 0 in
   let stats =
-    Explore.run_interleavings session ~make_body ~counts
+    Explore.run session ~n:2 ~make_body
       ~on_complete:(fun _ ->
         incr explored;
         if s.scan () <> [| 5; 6 |] then incr failures;
@@ -260,56 +262,43 @@ let test_b1_maxreg_exhaustive () =
       (Linearize.Checker.check_trace (module Linearize.Spec.Max_register) ~n:3)
     ~classes:13
 
-(* The interleaving enumerator visits exactly the multinomial number of
-   schedules. *)
-let prop_interleaving_count =
-  QCheck.Test.make ~name:"run_interleavings visits multinomial(counts)"
-    ~count:30
-    QCheck.(pair (int_range 1 5) (int_range 1 5))
-    (fun (c0, c1) ->
+(* The explorer delivers every interleaving of two straight-line
+   processes exactly once: C(c0 + c1, c0) distinct schedules, for every
+   pair of counts up to 5.  Each process alternates reads and writes on
+   its own object, so all the orders are equivalent: DPOR would deliver
+   one, the naive explorer must deliver each. *)
+let test_interleaving_count () =
+  let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
+  for c0 = 1 to 5 do
+    for c1 = 1 to 5 do
       let session = Session.create () in
       let a = Session.alloc session ~name:"a" (Simval.Int 0) in
+      let b = Session.alloc session ~name:"b" (Simval.Int 0) in
       let make_body pid () =
-        let steps = if pid = 0 then c0 else c1 in
-        for _ = 1 to steps do
-          ignore (Session.read session a)
+        let obj = if pid = 0 then a else b in
+        for i = 1 to if pid = 0 then c0 else c1 do
+          if i mod 2 = 1 then ignore (Session.read session obj)
+          else Session.write session obj (Simval.Int i)
         done
       in
-      let seen = ref 0 in
-      ignore
-        (Explore.run_interleavings session ~make_body ~counts:[| c0; c1 |]
-           ~on_complete:(fun _ -> incr seen; true)
-           ());
-      (* C(c0 + c1, c0) *)
-      let rec fact n = if n <= 1 then 1 else n * fact (n - 1) in
-      !seen = fact (c0 + c1) / (fact c0 * fact c1))
-
-let test_enumerators_agree () =
-  let session = Session.create () in
-  let a = Session.alloc session ~name:"a" (Simval.Int 0) in
-  let b = Session.alloc session ~name:"b" (Simval.Int 0) in
-  let make_body pid () =
-    let obj = if pid = 0 then a else b in
-    ignore (Session.read session obj);
-    Session.write session obj (Simval.Int pid)
-  in
-  let generic = ref 0 in
-  let s1 =
-    Explore.run session ~n:2 ~make_body
-      ~on_complete:(fun _ -> incr generic; true)
-      ()
-  in
-  let fixed = ref 0 in
-  let s2 =
-    Explore.run_interleavings session ~make_body ~counts:[| 2; 2 |]
-      ~on_complete:(fun _ -> incr fixed; true)
-      ()
-  in
-  Alcotest.(check bool) "neither truncated" false
-    (s1.Explore.truncated || s2.Explore.truncated);
-  (* interleavings of (2,2) = C(4,2) = 6 *)
-  Alcotest.(check int) "generic count" 6 !generic;
-  Alcotest.(check int) "fixed count" 6 !fixed
+      let schedules = Hashtbl.create 64 in
+      let stats =
+        Explore.run session ~n:2 ~make_body
+          ~on_complete:(fun trace ->
+            Hashtbl.replace schedules (Trace.schedule trace) ();
+            true)
+          ()
+      in
+      let what = Printf.sprintf "(%d, %d)" c0 c1 in
+      let want = fact (c0 + c1) / (fact c0 * fact c1) in
+      Alcotest.(check bool) (what ^ " not truncated") false
+        stats.Explore.truncated;
+      Alcotest.(check int) (what ^ " interleavings") want
+        stats.Explore.explored;
+      Alcotest.(check int) (what ^ " distinct schedules") want
+        (Hashtbl.length schedules)
+    done
+  done
 
 let () =
   Alcotest.run "exhaustive"
@@ -328,5 +317,5 @@ let () =
             test_farray_snapshot_exhaustive;
           Alcotest.test_case "b1 max register (w+w+r)" `Quick
             test_b1_maxreg_exhaustive;
-          Alcotest.test_case "enumerators agree" `Quick test_enumerators_agree;
-          QCheck_alcotest.to_alcotest prop_interleaving_count ] ) ]
+          Alcotest.test_case "Explore.run visits multinomial(counts)" `Quick
+            test_interleaving_count ] ) ]

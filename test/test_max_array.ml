@@ -146,11 +146,10 @@ let test_exhaustive_farray_updates () =
   let make_body pid () =
     if pid = 0 then m.update0 ~pid 5 else m.update1 ~pid 7
   in
-  let counts = Explore.solo_counts session ~n:2 ~make_body in
   let explored = ref 0 in
   let failures = ref 0 in
   let stats =
-    Explore.run_interleavings session ~make_body ~counts
+    Explore.run session ~n:2 ~make_body
       ~on_complete:(fun _ ->
         incr explored;
         if m.scan () <> (5, 7) then incr failures;

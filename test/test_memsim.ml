@@ -673,18 +673,74 @@ let test_refused_run_keeps_store () =
       (Simval.equal (Store.get (Session.store session) a) (Simval.Int 7))
   in
   reads_7 "before";
-  (match Replay.replay session ~n:1 ~make_body ~schedule:[ 0 ] () with
-   | _ -> Alcotest.fail "Replay.replay: second run accepted"
-   | exception Invalid_argument _ -> ());
-  reads_7 "Replay.replay refused";
-  (match
-     Faults.explore session ~n:1 ~make_body ~plan:[]
-       ~on_complete:(fun _ -> true) ()
-   with
-   | _ -> Alcotest.fail "Faults.explore: second run accepted"
-   | exception Invalid_argument _ -> ());
-  reads_7 "Faults.explore refused";
+  List.iter
+    (fun (what, start) ->
+      (match start () with
+       | () -> Alcotest.fail (what ^ ": second run accepted")
+       | exception Invalid_argument _ -> ());
+      reads_7 (what ^ " refused"))
+    [ ("Replay.replay", fun () ->
+          ignore (Replay.replay session ~n:1 ~make_body ~schedule:[ 0 ] ()));
+      ("Faults.explore", fun () ->
+          ignore
+            (Faults.explore session ~n:1 ~make_body ~plan:[]
+               ~on_complete:(fun _ -> true) ()));
+      ("Liveness.solo_completion_bound", fun () ->
+          ignore
+            (Harness.Liveness.solo_completion_bound session ~n:1 ~make_body
+               ()));
+      ("Liveness.interference_bound", fun () ->
+          ignore
+            (Harness.Liveness.interference_bound session
+               ~victim_body:(make_body 0) ~interferer_body:(make_body 1) ()));
+      ("Liveness.completion_under_plan", fun () ->
+          ignore
+            (Harness.Liveness.completion_under_plan session ~n:1 ~make_body
+               ~plan:[] ())) ];
   ignore (Scheduler.finish sched : Trace.t)
+
+(* Every entry point that opens a run finishes it before a body's
+   exception goes on: the session takes a new run afterwards. *)
+let test_raising_body_ends_the_run () =
+  let session = Session.create () in
+  let a = reg session "a" (Simval.Int 0) in
+  let make_body pid () =
+    Session.write session a (Simval.Int pid);
+    if pid = 1 then failwith "p1 fails"
+  in
+  List.iter
+    (fun (what, start) ->
+      (match start () with
+       | () -> Alcotest.failf "%s: the failing body went unnoticed" what
+       | exception Scheduler.Process_failure (1, Failure _) -> ());
+      match Scheduler.create session with
+      | sched -> ignore (Scheduler.finish sched : Trace.t)
+      | exception Invalid_argument _ ->
+        Alcotest.failf "%s left its run open" what)
+    [ ("Explore.run", fun () ->
+          ignore
+            (Explore.run session ~n:2 ~make_body ~on_complete:(fun _ -> true)
+               ()));
+      ("Replay.replay", fun () ->
+          ignore (Replay.replay session ~n:2 ~make_body ~schedule:[ 0; 1 ] ()));
+      ("Explore.solo_counts", fun () ->
+          ignore (Explore.solo_counts session ~n:2 ~make_body));
+      ("Shrink.counterexample", fun () ->
+          ignore
+            (Shrink.counterexample session ~n:2 ~make_body
+               ~check:(fun _ -> false) [ 0; 1 ]));
+      ("Liveness.solo_completion_bound", fun () ->
+          ignore
+            (Harness.Liveness.solo_completion_bound session ~n:2 ~make_body
+               ()));
+      ("Liveness.interference_bound", fun () ->
+          ignore
+            (Harness.Liveness.interference_bound session
+               ~victim_body:(make_body 0) ~interferer_body:(make_body 1) ()));
+      ("Liveness.completion_under_plan", fun () ->
+          ignore
+            (Harness.Liveness.completion_under_plan session ~n:2 ~make_body
+               ~plan:[] ())) ]
 
 let test_nested_run_rejected () =
   let session = Session.create () in
@@ -838,6 +894,8 @@ let () =
         [ Alcotest.test_case "nested run" `Quick test_nested_run_rejected;
           Alcotest.test_case "refused run keeps the store" `Quick
             test_refused_run_keeps_store;
+          Alcotest.test_case "a raising body ends the run" `Quick
+            test_raising_body_ends_the_run;
           Alcotest.test_case "step finished" `Quick test_step_finished_process_rejected;
           Alcotest.test_case "bad pid" `Quick test_bad_pid_rejected;
           Alcotest.test_case "bad object" `Quick test_bad_object_rejected;
