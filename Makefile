@@ -54,6 +54,8 @@ adaptive:
 chaos:
 	dune exec bin/stress.exe -- --impl algorithm-a --procs 3 --readers 2 --fault-sweep
 	dune exec bin/stress.exe -- --impl cas-loop --procs 3 --readers 1 --fault-sweep
+	dune exec bin/stress.exe -- --object counter --impl naive --procs 3 --readers 1 --fault-sweep
+	dune exec bin/stress.exe -- --object snapshot --impl double-collect --procs 3 --readers 1 --fault-sweep
 	dune exec bin/stress.exe -- --chaos 42
 
 # tradeoff-dial family: differential/parallel tests, per-dial cost

@@ -89,8 +89,7 @@ let run_once { session; make_body; check } ~plan ~procs ~seed =
     Replay.replay session ~n:procs ~make_body:(Faults.instrument plan make_body)
       ~schedule:[] ()
   in
-  (if plan = [] then Scheduler.run_random ~seed ~max_events:1_000_000 sched
-   else Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate plan));
+  Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate plan);
   let trace = Scheduler.finish sched in
   (check trace, trace)
 

@@ -1,13 +1,16 @@
 (* Dynamic partial-order reduction (Flanagan–Godefroid 2005) with
-   persistent/backtrack sets and sleep sets.
+   persistent/backtrack sets and sleep sets, as a node policy over
+   [Explore.walk]: the walk owns the runs (restarts, hand-downs,
+   truncation, finishing), and this module only decides which children
+   a node explores and the sleep set each starts with.
 
    The naive explorer ([Explore.run]) enumerates every interleaving, which
    is hopeless beyond 2 processes with a handful of steps.  Most of those
    interleavings differ only by swapping adjacent independent events —
    events on different objects, or two reads of the same object — and so
-   lead to indistinguishable executions.  DPOR explores at least one
+   lead to indistinguishable executions.  DPOR aims to explore one
    representative of every Mazurkiewicz trace (equivalence class modulo
-   commuting independent events) and prunes the rest:
+   commuting independent events) and to prune the rest:
 
    - Two events are dependent iff they touch the same object and at least
      one of them writes or CASes ([dependent]).  This is the coarsest
@@ -29,6 +32,11 @@
      dependent with q's transition wakes it, so no trace is delivered
      twice.
 
+   This engine misses classes of some programs over several objects:
+   [revive] can add a pid to the backtrack set of a frame whose entry
+   sleep set holds it, a sleeping pid is never explored there, and the
+   reversed race is dropped.
+
    The state is flat.  Each depth of the current path owns one [level],
    reused by every node at that depth: the node's clock matrix (copied
    into the child's level when a transition is taken), its enabled
@@ -36,24 +44,7 @@
    child.  The object clocks are arrays indexed by object id, changed in
    place by a transition and restored when its subtree is done.  The
    executed events on each object form a chain through the levels, so
-   race detection scans only the events on the transition's object.
-
-   Continuations are one-shot (see [Explore]), so a run cannot be forked
-   at a node.  Instead a node hands its open run to the first child it
-   explores, which applies its one transition to it; a later sibling
-   restarts at the node ([Scheduler.restart]) from the trace the node
-   recorded, fast-forwarding the processes through their recorded events
-   instead of scheduling them again, and then applies its transition.
-
-   One case must not hand its run down.  Inspecting the enabled set starts
-   every process not yet started, and a process whose first operation
-   issues no event records that operation's Invoke/Return annotations as
-   it starts: in the open run they land before the child's transition,
-   while a replay of the child's prefix records them after it.  A node
-   whose inspection recorded any trace entry therefore finishes its run
-   and restarts every child from the trace as it was before the
-   inspection, so each delivered trace equals the replay of its own
-   schedule followed by one inspection. *)
+   race detection scans only the events on the transition's object. *)
 
 type stats = {
   explored : int;
@@ -83,8 +74,6 @@ type level = {
   mutable writers : int;     (* enabled pids whose transition writes *)
   mutable backtrack : int;   (* pid bitmask, grown by race detection *)
   mutable done_ : int;       (* pid bitmask *)
-  mutable prefix : Scheduler.prefix;
-      (* the node's trace before its inspection: where children restart *)
   mutable pid : int;         (* the transition taken to the child *)
   mutable prev : int;        (* level of the previous event on its object *)
   saved : int array;         (* its object's two clocks before it *)
@@ -105,8 +94,8 @@ let level st d =
     let n = st.n in
     let fresh () =
       { clocks = Array.make (n * n) 0; objs = Array.make n 0; enabled = 0;
-        writers = 0; backtrack = 0; done_ = 0; prefix = Scheduler.initial;
-        pid = 0; prev = -1; saved = Array.make (2 * n) 0 }
+        writers = 0; backtrack = 0; done_ = 0; pid = 0; prev = -1;
+        saved = Array.make (2 * n) 0 }
     in
     let grown =
       Array.init (max 16 (2 * d)) (fun i ->
@@ -260,103 +249,51 @@ let sleep_after st lv sleep q =
 let run ?(max_schedules = 1_000_000) ?(max_events = 200) session ~n ~make_body
     ~on_complete () =
   if n > 62 then invalid_arg "Dpor.run: at most 62 processes";
-  let explored = ref 0 in
   let sleep_blocked = ref 0 in
-  let truncated = ref false in
-  let continue = ref true in
   let st =
     { n; levels = [||]; wclock = [||]; rclock = [||]; last = [||] }
   in
-  (* The run open on [session], if any: a body that raises leaves it to
-     be finished before the exception goes on. *)
-  let held = ref None in
-  let restart p =
-    let sched = Scheduler.restart session ~n ~make_body p in
-    held := Some sched;
-    sched
-  in
-  let finish_trace sched =
-    held := None;
-    Scheduler.finish sched
-  in
-  let finish sched = ignore (finish_trace sched : Trace.t) in
-  (* Depth-first exploration, called only while [!continue].  [live] is
-     the parent's open run, at the parent's node: this node applies the
-     parent's chosen transition to it, or to a restart at the parent's
-     prefix when [live] is [None].  Every path out of a node finishes the
-     run it holds or hands it to a child.  [sleep] is the pid bitmask of
-     sleeping transitions. *)
-  let rec explore live depth sleep =
-    if !explored >= max_schedules || depth > max_events then begin
-      Option.iter finish live;
-      truncated := true
-    end
+  (* The node at [depth], whose sleeping transitions are the pid bitmask
+     [sleep]. *)
+  let visit sched ~depth sleep ~descend =
+    let lv = level st depth in
+    inspect st sched lv;
+    if lv.enabled = 0 then true
     else begin
-      let sched =
-        if depth = 0 then restart Scheduler.initial
-        else begin
-          let parent = st.levels.(depth - 1) in
-          let sched =
-            match live with
-            | Some sched -> sched
-            | None -> restart parent.prefix
-          in
-          ignore (Scheduler.step sched parent.pid : Event.t);
-          sched
-        end
-      in
-      let lv = level st depth in
-      let entries = Scheduler.entry_count sched in
-      lv.prefix <- Scheduler.prefix sched;
-      inspect st sched lv;
-      if lv.enabled = 0 then begin
-        let trace = finish_trace sched in
-        incr explored;
-        if not (on_complete trace) then continue := false
-      end
+      reserve st (Store.size (Session.store session));
+      for p = 0 to n - 1 do
+        if mem p lv.enabled then detect_race st depth p
+      done;
+      let awake = lv.enabled land lnot sleep in
+      if awake = 0 then
+        (* Everything enabled sleeps: every continuation from here is a
+           reordering of a trace delivered elsewhere. *)
+        incr sleep_blocked
       else begin
-        let quiet = Scheduler.entry_count sched = entries in
-        reserve st (Store.size (Session.store session));
-        for p = 0 to n - 1 do
-          if mem p lv.enabled then detect_race st depth p
-        done;
-        let awake = lv.enabled land lnot sleep in
-        if awake = 0 then begin
-          (* Everything enabled sleeps: every continuation from here is a
-             reordering of a trace delivered elsewhere. *)
-          finish sched;
-          incr sleep_blocked
-        end
-        else begin
-          (* The first child is the lowest awake pid, so the run goes to
-             it unless the inspection recorded an entry. *)
-          lv.backtrack <- bit (lowest awake);
-          lv.done_ <- 0;
-          let live = ref (if quiet then Some sched else (finish sched; None)) in
-          let zs = ref sleep in
-          let todo = ref lv.backtrack in
-          while !continue && !todo <> 0 do
-            let q = lowest !todo in
-            lv.done_ <- lv.done_ lor bit q;
-            if not (mem q !zs) then begin
-              let sleep' = sleep_after st lv !zs q in
-              take st depth q;
-              let run = !live in
-              live := None;
-              explore run (depth + 1) sleep';
-              untake st depth;
-              zs := !zs lor bit q
-            end;
-            todo := lv.backtrack land lnot lv.done_
-          done
-        end
-      end
+        (* The lowest awake pid first; races below it grow the backtrack
+           set. *)
+        lv.backtrack <- bit (lowest awake);
+        lv.done_ <- 0;
+        let zs = ref sleep in
+        let todo = ref lv.backtrack in
+        while !todo <> 0 do
+          let q = lowest !todo in
+          lv.done_ <- lv.done_ lor bit q;
+          if not (mem q !zs) then begin
+            let sleep' = sleep_after st lv !zs q in
+            take st depth q;
+            descend q sleep';
+            untake st depth;
+            zs := !zs lor bit q
+          end;
+          todo := lv.backtrack land lnot lv.done_
+        done
+      end;
+      false
     end
   in
-  (match explore None 0 0 with
-   | () -> ()
-   | exception e ->
-     Option.iter finish !held;
-     raise e);
-  { explored = !explored; sleep_blocked = !sleep_blocked;
-    truncated = !truncated }
+  let { Explore.explored; truncated } =
+    Explore.walk ~max_schedules ~max_events session ~n ~make_body ~root:0
+      ~visit ~on_complete ()
+  in
+  { explored; sleep_blocked = !sleep_blocked; truncated }

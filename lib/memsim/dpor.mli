@@ -1,20 +1,22 @@
 (** Dynamic partial-order reduction: exhaustive exploration up to
     commutation of independent events.
 
-    Explores at least one representative interleaving of every Mazurkiewicz
-    trace (equivalence class of executions modulo swapping adjacent
-    independent events), instead of every interleaving like {!Explore.run}.
-    Since independent events commute — they lead to the same store and the
-    same per-process responses — any property of complete executions that
-    is invariant under such swaps (final store state, linearizability of
-    the extracted history, per-process step counts) is exhaustively
-    verified, at a fraction of the schedules.
+    Aims to explore one representative interleaving of every
+    Mazurkiewicz trace (equivalence class of executions modulo swapping
+    adjacent independent events), instead of every interleaving like
+    {!Explore.run}.  Since independent events commute — they lead to the
+    same store and the same per-process responses — any property of
+    complete executions that is invariant under such swaps (final store
+    state, linearizability of the extracted history, per-process step
+    counts) holds of a whole class once it holds of its representative.
+    The engine misses some classes of programs over several objects (a
+    race reversal can be assigned to a pid that sleeps where it must be
+    explored), so a verdict covers the classes it reaches.
 
     The engine is Flanagan–Godefroid DPOR with persistent/backtrack sets
-    (driven by vector-clock race detection) plus sleep sets.  It plugs
-    into the same [Session]/[Scheduler]/[Trace] machinery and exposes the
-    same [on_complete] callback as {!Explore.run}, so checkers consume it
-    unchanged. *)
+    (driven by vector-clock race detection) plus sleep sets.  It is a
+    node policy over {!Explore.walk} and exposes the same [on_complete]
+    callback as {!Explore.run}, so checkers consume it unchanged. *)
 
 type stats = {
   explored : int;       (** complete executions delivered to [on_complete] *)
@@ -38,20 +40,11 @@ val run :
   on_complete:(Trace.t -> bool) ->
   unit ->
   stats
-(** [run session ~n ~make_body ~on_complete ()] explores all maximal
-    schedules of processes [0..n-1] up to trace equivalence.  A run
-    cannot be forked, so it is extended one transition per node: a node
-    hands its open run to the first child it explores, and a later
-    sibling restarts at the node ({!Scheduler.restart} from the node's
-    recorded trace: fresh bodies fast-forwarded through their recorded
-    events, nothing scheduled again, and no body re-entered that had
-    returned there) before applying its transition.  A body must
-    therefore not rely on being re-executed for OCaml-side effects.
-    [max_events] bounds the depth of a schedule; [max_int] means no
-    bound.  Every trace passed to [on_complete] equals
-    {!Replay.replay} of its own {!Trace.schedule} followed by
-    {!Scheduler.active_pids} and {!Scheduler.finish}.  No run is open on
-    [session] while [on_complete] runs, nor after [run] returns, whether
-    it completed, hit a limit or was aborted.  [on_complete] returns
-    [false] to abort early.  Handles processes whose step counts are
-    schedule-dependent (retry loops).  At most 62 processes. *)
+(** [run session ~n ~make_body ~on_complete ()] explores the maximal
+    schedules of processes [0..n-1] up to trace equivalence.  The restarts, the
+    re-entry rule, the replay equality, the early abort and the run
+    lifecycle are {!Explore.walk}'s.  [max_events] (default 200) bounds
+    the depth of a schedule, and [max_int] means no bound;
+    [max_schedules] (default 1_000_000) bounds the traces delivered.
+    Handles processes whose step counts are schedule-dependent (retry
+    loops).  At most 62 processes. *)

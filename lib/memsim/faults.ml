@@ -112,8 +112,6 @@ let is_program_fault = function
   | Stall _ | Halt_all_but _ -> false
 
 let has_program_faults plan = List.exists is_program_fault plan
-let has_scheduler_faults plan =
-  List.exists (fun f -> not (is_program_fault f)) plan
 
 (* Earliest crash point for [pid], if any. *)
 let crash_after plan pid =
@@ -188,7 +186,6 @@ let instrument plan make_body =
 type gate = { plan : plan; mutable point : int }
 
 let gate plan = { plan; point = 0 }
-let point g = g.point
 
 let permits g pid =
   List.for_all
@@ -217,9 +214,6 @@ let step sched g pid =
   let ev = Scheduler.step sched pid in
   tick g;
   ev
-
-let permitted_pids sched g =
-  List.filter (permits g) (Scheduler.active_pids sched)
 
 (* Tick through stalls until some active pid is schedulable.  [`Frozen]
    when the remaining active pids can never run again (a halt-all-but in
@@ -275,18 +269,25 @@ let run_random ?(max_events = max_int) ~seed sched g =
 
 (* {1 Gated exhaustive exploration}
 
-   [Explore.walk] over the instrumented bodies, with [settle] ticking the
-   plan's gate at each node from the point the walk saved beside it. *)
+   [Explore.walk] over the instrumented bodies, whose node state is the
+   gate's scheduling point.  [settle] ticks it at a node, and a child
+   starts at the settled point plus its step.  A child's pid was chosen
+   from the pids permitted at the settled point, and [settle] stops
+   ticking at the first point where some pid is permitted, so the pid
+   was permitted at no earlier point: the point is a function of the
+   schedule alone, and a restarted child resumes it. *)
 
 let explore ?max_schedules ?max_events session ~n ~make_body ~plan
     ~on_complete () =
   Explore.walk ?max_schedules ?max_events session ~n
-    ~make_body:(instrument plan make_body) ~on_complete
-    ~settle:(fun sched point ->
+    ~make_body:(instrument plan make_body) ~on_complete ~root:0
+    ~visit:(fun sched ~depth:_ point ~descend ->
       let g = { plan; point } in
       match settle sched g with
-      | `Done | `Frozen -> (g.point, [])
-      | `Ready pids -> (g.point, pids))
+      | `Done | `Frozen -> true
+      | `Ready pids ->
+        List.iter (fun pid -> descend pid (g.point + 1)) pids;
+        false)
     ()
 
 (* {1 Plan enumeration and minimization} *)

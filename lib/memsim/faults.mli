@@ -59,7 +59,6 @@ type fault =
 
 type plan = fault list
 
-val pp_fault : fault Fmt.t
 val pp : plan Fmt.t
 
 val to_string : plan -> string
@@ -82,9 +81,6 @@ val instrument : plan -> (int -> unit -> unit) -> int -> unit -> unit
     are ignored (gate them at the scheduler, {!gate}).  The result is an
     ordinary [make_body], usable with any scheduler or explorer. *)
 
-val has_program_faults : plan -> bool
-val has_scheduler_faults : plan -> bool
-
 (** {1 Scheduler-level composition} *)
 
 type gate
@@ -93,8 +89,6 @@ type gate
     now.  Create a fresh gate per run (or per replayed prefix). *)
 
 val gate : plan -> gate
-val point : gate -> int
-(** Scheduling points elapsed (steps plus idle ticks). *)
 
 val permits : gate -> int -> bool
 (** May [pid] be scheduled at the current point? *)
@@ -108,38 +102,30 @@ val tick : gate -> unit
     runnable process is gated).  The gated runners tick through stalls
     so finite stalls always expire. *)
 
-val step : Scheduler.t -> gate -> int -> Event.t
-(** [step sched gate pid] applies one step of [pid] and advances the
-    gate.  Raises [Invalid_argument] if the gate does not permit [pid]
-    now. *)
-
-val permitted_pids : Scheduler.t -> gate -> int list
-(** Active pids the gate permits now, ascending. *)
-
 (** {1 Gated runners}
 
     Both runners advance until no active process remains, stepping only
     permitted pids; when every active process is stalled they {!tick}
     until one is released, and they stop early if every active process
     is frozen forever (a {!Halt_all_but} whose chosen process has
-    finished). *)
+    finished).  [max_events] bounds the steps of the call itself.  Under
+    [gate []] they are the plain round-robin and random runners. *)
 
 val run_round_robin : ?max_events:int -> Scheduler.t -> gate -> unit
 val run_random : ?max_events:int -> seed:int -> Scheduler.t -> gate -> unit
 
 (** {1 Exhaustive exploration under a plan}
 
-    {!Explore.run} over [instrument plan make_body], gated: at each node
+    {!Explore.walk} over [instrument plan make_body], gated: at each node
     the gate ticks through stalls until some active process is
-    permitted, and only permitted processes step there; a node where
-    every active process is frozen forever ends a maximal execution.
-    The gate state is a function of the schedule alone, so a restarted
-    sibling resumes it.  Everything else — the restarts, the re-entry
-    rule, the traces delivered, the limits, and what is refused or
-    finished when a body raises — is {!Explore.run}'s.  Use
-    {!Dpor.run} over [instrument plan make_body] instead when the plan
-    has no scheduler-level faults — same coverage, far fewer
-    schedules. *)
+    permitted, and only permitted processes step there, in ascending
+    pid order; a node where every active process is frozen forever ends
+    a maximal execution.  The gate's point is the walk's node state, a
+    function of the schedule alone, so a restarted sibling resumes it.
+    The restarts, the re-entry rule, the replay equality, the limits
+    and the run lifecycle are {!Explore.walk}'s.  When the plan has no
+    scheduler-level faults, {!Dpor.run} over [instrument plan make_body]
+    explores the same program at far fewer schedules. *)
 
 val explore :
   ?max_schedules:int ->

@@ -151,11 +151,6 @@ let active_pids t =
   in
   go (t.n - 1) []
 
-let enabled_would_change t pid =
-  match enabled t pid with
-  | None -> false
-  | Some (obj, prim) -> Store.would_change (Session.store t.session) obj prim
-
 let step t pid =
   let entry = get t pid in
   ensure_started t entry;
@@ -202,8 +197,6 @@ let is_finished t pid =
   match (get t pid).state with
   | Finished -> true
   | Not_started _ | Pending _ | Erased -> false
-
-let n_processes t = t.n
 
 let event_count t = Trace.event_count t.trace
 
@@ -319,18 +312,6 @@ let restart session ~n ~make_body p =
 
 (* {2 Canned policies} *)
 
-let run_round_robin ?(max_events = max_int) t =
-  let continue = ref true in
-  while !continue && Trace.event_count t.trace < max_events do
-    continue := false;
-    for pid = 0 to t.n - 1 do
-      if Trace.event_count t.trace < max_events && is_active t pid then begin
-        ignore (step t pid);
-        continue := true
-      end
-    done
-  done
-
 let run_solo ?(max_events = max_int) t pid =
   let budget = ref max_events in
   while is_active t pid && !budget > 0 do
@@ -355,16 +336,3 @@ let run_random ?(max_events = max_int) ~seed t =
 
 let run_schedule t schedule =
   List.iter (fun pid -> ignore (step t pid)) schedule
-
-let run_policy ?(max_events = max_int) t policy =
-  let budget = ref max_events in
-  let rec loop () =
-    if !budget > 0 then
-      match policy t with
-      | None -> ()
-      | Some pid ->
-        ignore (step t pid);
-        decr budget;
-        loop ()
-  in
-  loop ()

@@ -30,14 +30,10 @@ val enabled : t -> int -> (int * Event.prim) option
     finished (or was erased).  Runs the body up to its first event if
     needed — this is local computation, not a step. *)
 
-val enabled_would_change : t -> int -> bool
-(** Would the enabled event change its object's value if applied now? *)
-
 val is_active : t -> int -> bool
 val is_finished : t -> int -> bool
 val active_pids : t -> int list
 val steps_of : t -> int -> int
-val n_processes : t -> int
 val event_count : t -> int
 
 val entry_count : t -> int
@@ -145,13 +141,9 @@ val finish : t -> Trace.t
 
 (** {1 Canned policies} *)
 
-val run_round_robin : ?max_events:int -> t -> unit
 val run_solo : ?max_events:int -> t -> int -> unit
 (** Run one process alone until it completes (obstruction-freedom). *)
 
 val run_random : ?max_events:int -> seed:int -> t -> unit
 val run_schedule : t -> int list -> unit
 (** Apply steps in exactly the given pid order. *)
-
-val run_policy : ?max_events:int -> t -> (t -> int option) -> unit
-(** Repeatedly step the pid chosen by the policy until it returns [None]. *)

@@ -79,7 +79,7 @@ let test_round_robin_interleaves () =
   in
   let p0 = Scheduler.spawn sched bump in
   let p1 = Scheduler.spawn sched bump in
-  Scheduler.run_round_robin sched;
+  Faults.run_round_robin sched (Faults.gate []);
   let trace = Scheduler.finish sched in
   (* Round robin: p0 read, p1 read, p0 write, p1 write => lost update. *)
   Alcotest.(check int) "four events" 4 (Array.length (Trace.events trace));
