@@ -143,68 +143,6 @@ let read_pattern ~read_pct =
   Array.init pattern_slots (fun i ->
       ((i + 1) * reads / pattern_slots) - (i * reads / pattern_slots) = 1)
 
-(* A batch covers exactly half the pattern ([i0] advances by [batch],
-   [i0 land batch] picks slots 0..63 or 64..127), so its read count is
-   one of two constants — from which the adaptive closures derive a
-   whole flush window's read/update split as one constant, settling
-   dispatch accounting in one {!Harness.Adaptive} [tick_many] call per
-   window instead of paying bookkeeping per op. *)
-let half_reads pattern =
-  let count lo =
-    let acc = ref 0 in
-    for j = lo to lo + batch - 1 do
-      if Array.unsafe_get pattern j then incr acc
-    done;
-    !acc
-  in
-  (count 0, count batch)
-
-(* The adaptive closures pay neither [tick_many] (two seq_cst stores)
-   nor the [combining_now] cross-module call per batch — both still
-   show at sub-3ns/op — only one call of the cell's epilogue closure,
-   which counts the batch.  Consecutive batches strictly alternate pattern
-   halves (the drivers advance [i0] by [batch] from 0), so a
-   [flush_batches] window's read/update split is a per-cell constant;
-   each domain only counts batches in a plain accumulator slot and,
-   every [flush_batches] batches, settles accounting with one
-   [tick_many] and refreshes its cached mode.  Slots are one 64-byte
-   line per domain (single-writer, so plain stores are race-free):
-   [d * acc_stride] = batches since flush, [+1] = cached mode (1 =
-   combining), [+2] = stale tally (max registers).  The cached mode can
-   lag a flip by up to [flush_batches * batch] ops — one epoch's worth,
-   the dispatcher's own granularity — and either update path is
-   linearizable in either mode (both mutate the same structure).  A
-   cell pinned to combining starts every cached mode at 1 and never
-   flushes. *)
-let acc_stride = 8
-let flush_batches = 16
-
-(* An adaptive cell's slots and its per-batch epilogue, built once per
-   cell: count the batch and, once per window, settle the accounting. *)
-let dispatch_slots ~pattern ~domains ~pinned ~tick_many ~combining_now =
-  let acc = Array.make (domains * acc_stride) 0 in
-  if pinned then
-    for d = 0 to domains - 1 do
-      acc.((d * acc_stride) + 1) <- 1
-    done;
-  let r0, r1 = half_reads pattern in
-  let reads = flush_batches / 2 * (r0 + r1) in
-  let updates = (flush_batches * batch) - reads in
-  ( acc,
-    fun d ->
-      if not pinned then begin
-        let a = d * acc_stride in
-        let b = Array.unsafe_get acc a + 1 in
-        if b = flush_batches then begin
-          tick_many ~pid:d ~reads ~updates
-            ~stale:(Array.unsafe_get acc (a + 2));
-          Array.unsafe_set acc a 0;
-          Array.unsafe_set acc (a + 2) 0;
-          Array.unsafe_set acc (a + 1) (if combining_now () then 1 else 0)
-        end
-        else Array.unsafe_set acc a b
-      end )
-
 type kind =
   | Maxreg of Harness.Instances.maxreg_impl
   | Counter of Harness.Instances.counter_impl
@@ -219,14 +157,12 @@ type backend = [ `Boxed | `Unboxed | `Combining | `Adaptive ]
    [update] is [write_max] for a max register and [add] for a counter,
    which the loops call with 1 (the body of [increment]).  [adaptive] is
    the {!Harness.Adaptive} instance over the structure, [None] where the
-   registry has no dispatch backend; [tally_stale] marks the one whose
-   policy watches stale writes. *)
+   registry has no dispatch backend. *)
 type 's ops = {
   create : n:int -> 's;
   read : 's -> int;
   update : 's -> pid:int -> int -> unit;
   adaptive : (module Harness.Adaptive.S with type structure = 's) option;
-  tally_stale : bool;
 }
 
 type target = Target : kind * 's ops -> target
@@ -237,9 +173,8 @@ module CU = Unboxed.Cas_maxreg
 module FU = Unboxed.Farray_counter
 module NU = Unboxed.Naive_counter
 
-(* cas-loop has no stale tally: default_cas disables that trigger, a
-   stale plain cas write being already one cheap load.  The naive
-   counter's dispatch is the measured control: protocol cost, no win. *)
+(* The naive counter's dispatch is the measured control: protocol
+   cost, no win. *)
 let targets =
   let open Harness.Instances in
   [ Target
@@ -247,39 +182,34 @@ let targets =
         { create = (fun ~n -> AU.create ~n ());
           read = AU.read_max;
           update = AU.write_max;
-          adaptive = Some (module Harness.Adaptive.Alg_a);
-          tally_stale = true } );
+          adaptive = Some (module Harness.Adaptive.Alg_a) } );
     Target
       ( Maxreg B1_maxreg,
         { create = (fun ~n:_ -> BU.create ());
           read = BU.read_max;
           update = BU.write_max;
-          adaptive = None;
-          tally_stale = false } );
+          adaptive = None } );
     Target
       ( Maxreg Cas_maxreg,
         { create = (fun ~n:_ -> CU.create ());
           read = CU.read_max;
           update = CU.write_max;
-          adaptive = Some (module Harness.Adaptive.Cas);
-          tally_stale = false } );
+          adaptive = Some (module Harness.Adaptive.Cas) } );
     Target
       ( Counter Farray_counter,
         { create = (fun ~n -> FU.create ~n ());
           read = FU.read;
           update = FU.add;
-          adaptive = Some (module Harness.Adaptive.Farray_c);
-          tally_stale = false } );
+          adaptive = Some (module Harness.Adaptive.Farray_c) } );
     Target
       ( Counter Naive_counter,
         { create = (fun ~n -> NU.create ~n ());
           read = NU.read;
           update = NU.add;
-          adaptive = Some (module Harness.Adaptive.Naive_c);
-          tally_stale = false } ) ]
+          adaptive = Some (module Harness.Adaptive.Naive_c) } ) ]
 
 (* The batch loop of each structure kind: [read] on [r], the update on
-   [w] — the structure itself, or on the combining path the adaptive
+   [w] — the structure itself, or on a dispatch column the adaptive
    instance over it.  Max registers write strictly increasing,
    domain-disjoint values [i * domains + d]: every write really updates
    (monotone streams), and the CAS-based propagation paths stay
@@ -302,61 +232,33 @@ let[@inline] batch_loop kind ~pattern ~domains read r update w d i0 =
       else update w ~pid:d 1
     done
 
-(* A dispatch cell: batch-granular dispatch — the cached mode per batch,
-   the raw path in the inner loop, accounting settled per flush window.
-   A policy that watches stale writes gets the plain loop that tallies
-   them (value already <= max: one root load) — the signal that flips
-   the structure to combining where elimination wins. *)
-let adaptive_cell (type s)
-    (module A : Harness.Adaptive.S with type structure = s) kind
-    { create; read; update; tally_stale; _ } ~n ~domains ~pattern ~pinned =
-  let a = A.make ~domains (create ~n) in
-  let raw = A.unboxed a in
-  let acc, flush =
-    dispatch_slots ~pattern ~domains ~pinned ~tick_many:(A.tick_many a)
-      ~combining_now:(fun () -> A.combining_now a)
-  in
-  ( (fun d i0 ->
-      if Array.unsafe_get acc ((d * acc_stride) + 1) = 1 then
-        batch_loop kind ~pattern ~domains read raw A.update_combining a d i0
-      else if tally_stale then begin
-        let stale = ref 0 in
-        for k = 0 to batch - 1 do
-          let i = i0 + k in
-          if Array.unsafe_get pattern (i land mask) then
-            ignore (read raw : int)
-          else begin
-            let v = (i * domains) + d in
-            if v <= read raw then incr stale;
-            update raw ~pid:d v
-          end
-        done;
-        let s = (d * acc_stride) + 2 in
-        Array.unsafe_set acc s (Array.unsafe_get acc s + !stale)
-      end
-      else batch_loop kind ~pattern ~domains read raw update raw d i0;
-      flush d),
-    if pinned then None else Some (fun () -> A.report a) )
-
-(* A target's closure on an unboxed-compile column plus, for a live
-   adaptive instance, the report thunk ({!Harness.Adaptive.report}:
-   current mode, epoch count, flips, combining-ops share).  The unboxed
-   loop also serves the d=1 combining/adaptive cells (create-time solo
-   dispatch: one participating domain can never contend, so those
-   backends at domains = 1 *are* the plain unboxed structure, the
-   dispatcher compiled away), which report [None].  So every unboxed
-   row and every d=1 dispatch row runs the SAME compiled closure and
-   differs only in data — a separate copy of an identical loop can land
-   on different code alignment and skew sub-3ns cells by ~10%.  The
-   boxed column is {!boxed_cell}, shared by every target. *)
-let cell (Target (kind, ops)) ~backend ~n ~domains ~pattern =
-  match (backend, ops.adaptive) with
-  | (`Combining | `Adaptive), Some m when domains > 1 ->
-    adaptive_cell m kind ops ~n ~domains ~pattern
-      ~pinned:(backend = `Combining)
+(* A target's closure on an unboxed-compile column plus, for an
+   adaptive cell, the report thunk ({!Harness.Adaptive.report}: current
+   mode, epoch count, flips, combining-ops share).  A dispatch cell
+   wraps the structure with [A.make] and runs the same loop, reading the
+   structure directly and updating through the per-op kernel every
+   caller runs: [A.update] (mode check, stale tally, tick) on the
+   adaptive column, [A.update_combining] (the combining path pinned, as
+   the registry's combining backend is) on the combining one.  The
+   unboxed loop also serves the d=1 combining/adaptive cells
+   (create-time solo dispatch: one participating domain can never
+   contend, so those backends at domains = 1 *are* the plain unboxed
+   structure, the dispatcher compiled away), which report [None].  So
+   every unboxed row and every d=1 dispatch row runs the SAME compiled
+   closure and differs only in data — a separate copy of an identical
+   loop can land on different code alignment and skew sub-3ns cells by
+   ~10%.  The boxed column is {!boxed_cell}, shared by every target. *)
+let cell (Target (kind, { create; read; update; adaptive })) ~backend ~n
+    ~domains ~pattern =
+  let s = create ~n in
+  match (backend, adaptive) with
+  | (`Combining | `Adaptive), Some (module A) when domains > 1 ->
+    let a = A.make ~domains s in
+    let pinned = backend = `Combining in
+    let update = if pinned then A.update_combining else A.update in
+    ( (fun d i0 -> batch_loop kind ~pattern ~domains read s update a d i0),
+      if pinned then None else Some (fun () -> A.report a) )
   | _ ->
-    let { create; read; update; _ } = ops in
-    let s = create ~n in
     ((fun d i0 -> batch_loop kind ~pattern ~domains read s update s d i0), None)
 
 (* The boxed column: the boxed compile of the same structure over native

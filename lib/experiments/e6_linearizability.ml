@@ -51,7 +51,7 @@ let maxreg_row ?(schedules = 400) ~dup_values impl =
                if pid = n - 1 then ignore (reg.read_max ())
                else reg.write_max ~pid v))
       done;
-      Scheduler.run_random ~seed ~max_events:100_000 sched
+      Faults.run_random ~seed ~max_events:100_000 sched (Faults.gate [])
     end;
     let trace = Scheduler.finish sched in
     if
@@ -83,7 +83,7 @@ let counter_row ?(schedules = 200) impl =
         (Scheduler.spawn sched (fun () ->
              if pid >= n - 2 then ignore (c.read ()) else c.increment ~pid))
     done;
-    Scheduler.run_random ~seed ~max_events:200_000 sched;
+    Faults.run_random ~seed ~max_events:200_000 sched (Faults.gate []);
     let trace = Scheduler.finish sched in
     if not (Linearize.Checker.check_trace (module Linearize.Spec.Counter) ~n trace)
     then incr violations
@@ -110,7 +110,7 @@ let snapshot_row ?(schedules = 200) impl =
         (Scheduler.spawn sched (fun () ->
              if pid >= n - 2 then ignore (s.scan ()) else s.update ~pid v))
     done;
-    Scheduler.run_random ~seed ~max_events:500_000 sched;
+    Faults.run_random ~seed ~max_events:500_000 sched (Faults.gate []);
     let trace = Scheduler.finish sched in
     if not (Linearize.Checker.check_trace (module Linearize.Spec.Snapshot) ~n trace)
     then incr violations

@@ -20,10 +20,10 @@
    pay nothing for the adaptivity.
 
    The dispatcher samples per-epoch signals (an epoch is [epoch_ops]
-   update operations on the triggering domain): read share and
-   stale-write rate from its own per-domain cells, CAS failure rate
-   from {!Obs.Metrics} deltas when a live handle is attached,
-   elimination/batching benefit and combiner-lock pressure from
+   update operations on the triggering domain): update counts and the
+   stale-write rate from its own per-domain cells, read share and CAS
+   failure rate from {!Obs.Metrics} deltas when a live handle is
+   attached, elimination/batching benefit and combiner-lock pressure from
    {!Smem.Combine.stats} deltas.  The decision itself is the pure
    {!Policy} module — per-structure threshold parameters folded with
    hysteresis ([hysteresis] consecutive epochs wanting the other mode
@@ -32,14 +32,10 @@
 
    Cost discipline: unmetered instances ([create]) carry the shared
    {!Obs.Metrics.disabled} handle, so the settled plain path is the raw
-   structure op plus one immediate-bool branch; and drivers that know
-   their batch shape hoist the mode check out of the inner loop
-   ([combining_now] + the raw [update_plain]/[update_combining] pair) and
-   settle accounting in bulk with [tick_many] — at any granularity, the
-   bench uses 16-batch flush windows with a cached mode — so the
-   dispatch tax is amortized to ~nothing per op.  The per-op
-   [write_max]/[increment] entry points remain for oblivious callers
-   (qcheck drivers, chaos soaks, the metered registry instances).
+   structure op plus one immediate-bool branch, and the dispatch tax
+   per update is the mode check and the tick.  Every caller — the
+   registry, chaos soaks, the bench columns — runs that one per-op
+   [update] (or [update_combining], the pinned combining path).
 
    Concurrency discipline: every raw atomic lives in {!Ctl} (lint R1
    allowlists [Adaptive.Ctl] only).  The mode cell and the epoch lock
@@ -233,10 +229,7 @@ module Ctl = struct
     epoch_lock : int Atomic.t;  (* padded; 0 free, 1 held *)
     ticks : int Atomic.t array;  (* padded single-writer update counts *)
     stales : int Atomic.t array;  (* padded single-writer stale-write counts *)
-    reads_c : int Atomic.t array;  (* padded single-writer read counts
-                                      (accrued only via [tick_many]) *)
     epoch_mask : int;  (* epoch_ops - 1; epoch_ops is a power of two *)
-    epoch_shift : int;  (* log2 epoch_ops, for bulk boundary crossing *)
     (* epoch bookkeeping, mutated only with [epoch_lock] held *)
     mutable h : Policy.hstate;
     mutable epochs : int;
@@ -253,10 +246,6 @@ module Ctl = struct
     mutable last_locks : int;
   }
 
-  let log2 n =
-    let rec go acc k = if k <= 1 then acc else go (acc + 1) (k lsr 1) in
-    go 0 n
-
   let create ~params ~domains ~metrics ~arena =
     Policy.validate params;
     { params;
@@ -269,10 +258,7 @@ module Ctl = struct
         Array.init domains (fun _ -> Smem.Unboxed_memory.Padded.make 0);
       stales =
         Array.init domains (fun _ -> Smem.Unboxed_memory.Padded.make 0);
-      reads_c =
-        Array.init domains (fun _ -> Smem.Unboxed_memory.Padded.make 0);
       epoch_mask = params.Policy.epoch_ops - 1;
-      epoch_shift = log2 params.Policy.epoch_ops;
       h = Policy.initial Policy.Plain;
       epochs = 0;
       ops_total = 0;
@@ -311,12 +297,8 @@ module Ctl = struct
       let stale = sum_cells t.stales t.domains in
       let tot = Obs.Metrics.totals t.metrics in
       let st = Smem.Combine.stats t.arena in
-      (* reads come from two mutually-exclusive accounting paths: the
-         shared metrics handle (metered per-op drivers record [Op_read]
-         there) and the dispatcher's own cells ([tick_many] callers) *)
-      let reads = tot.Obs.Metrics.op_reads + sum_cells t.reads_c t.domains in
       let s =
-        { Policy.reads = reads - t.last_reads;
+        { Policy.reads = tot.Obs.Metrics.op_reads - t.last_reads;
           updates = updates - t.last_updates;
           stale = stale - t.last_stale;
           cas_attempts = tot.Obs.Metrics.cas_attempts - t.last_cas_attempts;
@@ -339,7 +321,7 @@ module Ctl = struct
           (match h'.Policy.mode with Policy.Combining -> 1 | Policy.Plain -> 0);
       t.last_updates <- updates;
       t.last_stale <- stale;
-      t.last_reads <- reads;
+      t.last_reads <- tot.Obs.Metrics.op_reads;
       t.last_cas_attempts <- tot.Obs.Metrics.cas_attempts;
       t.last_cas_failures <- tot.Obs.Metrics.cas_failures;
       t.last_eliminations <- st.Smem.Combine.eliminations;
@@ -364,30 +346,6 @@ module Ctl = struct
   let[@inline] note_stale t ~pid =
     let c = Array.get t.stales pid in
     Atomic.set c (Atomic.get c + 1)
-
-  (* Bulk accounting for batch-granular drivers (the bench's timed
-     loops): one call per batch folds the batch's read/update/stale
-     counts into this domain's cells, advancing the epoch if the bulk
-     update crossed an [epoch_ops] boundary.  Amortizes the dispatch
-     bookkeeping to nothing per op — the per-op [tick] path costs two
-     atomic accesses per update, which is real money next to a
-     single-CAS structure op. *)
-  let tick_many t ~pid ~reads ~updates ~stale =
-    if reads > 0 then begin
-      let c = Array.get t.reads_c pid in
-      Atomic.set c (Atomic.get c + reads)
-    end;
-    if stale > 0 then begin
-      let c = Array.get t.stales pid in
-      Atomic.set c (Atomic.get c + stale)
-    end;
-    if updates > 0 then begin
-      let c = Array.get t.ticks pid in
-      let n = Atomic.get c in
-      let n' = n + updates in
-      Atomic.set c n';
-      if n' lsr t.epoch_shift <> n lsr t.epoch_shift then advance t
-    end
 
   (* Exact at quiescence (writers joined); concurrent calls may observe
      a slightly stale picture, never a torn one worse than that. *)
@@ -466,8 +424,6 @@ module Kernel (S : STRUCTURE) = struct
 
   let arena t = t.arena
   let report t = Ctl.report t.ctl
-  let unboxed t = t.s
-  let[@inline] combining_now t = (not t.solo) && Ctl.combining t.ctl
 
   let[@inline] check v =
     if v < 0 then invalid_arg "Adaptive: negative update value"
@@ -483,9 +439,6 @@ module Kernel (S : STRUCTURE) = struct
   let update_combining t ~pid v =
     check v;
     if t.solo then update_plain t ~pid v else combining_path t ~pid v
-
-  let tick_many t ~pid ~reads ~updates ~stale =
-    if not t.solo then Ctl.tick_many t.ctl ~pid ~reads ~updates ~stale
 
   let update t ~pid v =
     check v;
@@ -514,14 +467,7 @@ module type S = sig
 
   val read : t -> int
   val update : t -> pid:int -> int -> unit
-  val unboxed : t -> structure
-  val combining_now : t -> bool
-  val update_plain : t -> pid:int -> int -> unit
   val update_combining : t -> pid:int -> int -> unit
-
-  val tick_many :
-    t -> pid:int -> reads:int -> updates:int -> stale:int -> unit
-
   val arena : t -> Smem.Combine.t
   val report : t -> report
 end

@@ -16,18 +16,18 @@
     executed on the combiner's domain.
 
     Dispatch runs on epoch boundaries — every [epoch_ops] updates of
-    the triggering domain — from per-epoch signal deltas: read share
-    and stale-write rate out of the dispatcher's own per-domain cells,
-    CAS failure rate out of the {!Obs.Metrics} handle when a live one
-    is attached, elimination/batching benefit and combiner-lock
-    pressure out of {!Smem.Combine.stats}.  The decision is the pure
-    {!Policy} kernel with hysteresis: [hysteresis] consecutive epochs
-    must want the other mode before a flip, so the dispatcher cannot
-    thrash at a crossover.  Read share only accrues when the driver
-    reports reads ([tick_many ~reads] or [Op_read] on a live metrics
-    handle); without it the share gate is inert and the
-    contention/benefit signals — which concern only the update path the
-    mode actually selects — carry the decision.
+    the triggering domain — from per-epoch signal deltas: update counts
+    and the stale-write rate out of the dispatcher's own per-domain
+    cells, read share and CAS failure rate out of the {!Obs.Metrics}
+    handle when a live one is attached, elimination/batching benefit
+    and combiner-lock pressure out of {!Smem.Combine.stats}.  The
+    decision is the pure {!Policy} kernel with hysteresis: [hysteresis]
+    consecutive epochs must want the other mode before a flip, so the
+    dispatcher cannot thrash at a crossover.  Read share only accrues
+    when the driver records [Op_read] on a live metrics handle; without
+    it the share gate is inert and the contention/benefit signals —
+    which concern only the update path the mode actually selects —
+    carry the decision.
 
     The unmetered constructors carry the shared {!Obs.Metrics.disabled}
     handle, so the settled plain path is the raw structure op plus one
@@ -37,16 +37,10 @@
     to direct plain calls.  A live handle adds CAS-rate dispatch and
     keeps full dispatch at [domains = 1] (see {!S.make}).
 
-    Batch-granular drivers (the bench's timed loops) run the raw
-    [update_plain]/[update_combining] path (or the structure's own op)
-    in their inner loop and settle accounting in bulk with [tick_many] — at
-    whatever granularity they like: the bench flushes one [tick_many]
-    per 16-batch window and re-reads [combining_now] into a cached
-    per-domain mode slot only at the flush (a cached mode lags a flip
-    by at most ~one epoch, and either path is linearizable in either
-    mode).  Per-op [update] stays for oblivious callers.
-    Raw atomics stay inside the implementation's controller module
-    [Ctl] (lint R1). *)
+    There is one update path per mode: every caller, the bench's timed
+    loops included, runs {!S.update} per op (or {!S.update_combining},
+    the combining path pinned).  Raw atomics stay inside the
+    implementation's controller module [Ctl] (lint R1). *)
 
 (** The pure decision kernel: thresholds, verdicts, hysteresis. *)
 module Policy : sig
@@ -57,8 +51,8 @@ module Policy : sig
   (** One epoch's signal deltas. *)
   type signals = {
     reads : int;
-        (** read delta: [tick_many ~reads] cells + [Op_read] metrics
-            (0 unless the driver reports reads one of those ways) *)
+        (** read delta: [Op_read] on the live metrics handle (0 unless
+            the driver records reads there) *)
     updates : int;  (** update ops, from the dispatcher's own tick cells *)
     stale : int;
         (** plain-path updates whose value was already <= the current
@@ -148,8 +142,10 @@ module type S = sig
     domains:int ->
     structure ->
     t
-  (** Wrap a fresh structure.  [domains] sizes the arena and the tick
-      cells: every [pid] must be in [0 .. domains-1].  Without a live
+  (** Wrap a fresh structure.  Both update paths mutate it in place, so
+      a caller that keeps it may read it directly.  [domains] sizes the
+      arena and the tick cells: every [pid] must be in
+      [0 .. domains-1].  Without a live
       [metrics] handle (absent or {!Obs.Metrics.disabled}) the plain
       path is the raw structure op plus one immediate-bool branch,
       dispatch runs on the stale-rate and arena signals, and
@@ -167,34 +163,12 @@ module type S = sig
       the combining path, then the epoch tick.  Raises
       [Invalid_argument] on a negative value. *)
 
-  val unboxed : t -> structure
-  (** The underlying structure.  Batch drivers run the raw op on it in
-      their plain-mode inner loop (and read it directly in either
-      mode): both update paths mutate this same structure, so direct
-      operation is linearizable even astride a flip — it only bypasses
-      the dispatcher's accounting, which the driver settles itself via
-      {!tick_many}. *)
-
-  val combining_now : t -> bool
-  (** Current mode (always false solo); batch drivers hoist this. *)
-
-  val update_plain : t -> pid:int -> int -> unit
-  (** The raw plain path: no mode check, no tick, no stale tally.
-      Batch drivers pair it with {!tick_many}. *)
-
   val update_combining : t -> pid:int -> int -> unit
   (** The raw combining path (fast-path attempt, elimination or arena
       submit), with no mode check and no tick; solo instances take the
       direct plain op.  Validates like {!update}: a negative value
       raises before any elimination is counted.  The static
       flat-combining backend is exactly this path. *)
-
-  val tick_many :
-    t -> pid:int -> reads:int -> updates:int -> stale:int -> unit
-  (** Fold one batch's counts into this domain's cells, advancing the
-      epoch if the bulk update crossed an [epoch_ops] boundary.  [stale]
-      is the batch's count of plain updates already subsumed at
-      dispatch time (always 0 for counters).  No-op solo. *)
 
   val arena : t -> Smem.Combine.t
 

@@ -40,9 +40,9 @@ let solo_completion_bound ?(scenarios = 50) ?(max_prefix = 40)
     let sched = Replay.replay session ~n ~make_body ~schedule:[] () in
     Fun.protect ~finally:(fun () -> finish sched) (fun () ->
         let rng = Random.State.make [| seed |] in
-        Scheduler.run_random ~seed:(Random.State.bits rng)
+        Faults.run_random ~seed:(Random.State.bits rng)
           ~max_events:(Random.State.int rng max_prefix)
-          sched;
+          sched (Faults.gate []);
         for pid = 0 to n - 1 do
           let before = Scheduler.steps_of sched pid in
           Scheduler.run_solo ~max_events:step_budget sched pid;

@@ -139,13 +139,10 @@ let default =
         { qual = [ "Adaptive"; "Ctl"; "combining" ]; mode = Body };
         { qual = [ "Adaptive"; "Ctl"; "tick" ]; mode = Body };
         { qual = [ "Adaptive"; "Ctl"; "note_stale" ]; mode = Body };
-        { qual = [ "Adaptive"; "Ctl"; "tick_many" ]; mode = Body };
-        { qual = [ "Adaptive"; "Kernel"; "combining_now" ]; mode = Body };
         { qual = [ "Adaptive"; "Kernel"; "check" ]; mode = Body };
         { qual = [ "Adaptive"; "Kernel"; "update_plain" ]; mode = Body };
         { qual = [ "Adaptive"; "Kernel"; "combining_path" ]; mode = Body };
         { qual = [ "Adaptive"; "Kernel"; "update_combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Kernel"; "tick_many" ]; mode = Body };
         { qual = [ "Adaptive"; "Kernel"; "update" ]; mode = Body };
         { qual = [ "Adaptive"; "Alg_a"; "read_max" ]; mode = Body };
         { qual = [ "Adaptive"; "Alg_a"; "subsumed" ]; mode = Body };

@@ -45,9 +45,9 @@ let run ?(config = Config.default) ?(budgets = Budgets.default)
   List.iter
     (fun u ->
       if want "R1" then diags := Rules.r1 ~config u @ !diags;
-      if want "R2" then diags := Rules.r2 ~config u @ !diags;
-      if want "R3" then diags := Rules.r3 ~config u @ !diags)
+      if want "R2" then diags := Rules.r2 ~config u @ !diags)
     units;
+  if want "R3" then diags := Rules.r3 ~config units @ !diags;
   if want "R4" then diags := Rules.r4 ~config ~root () @ !diags;
   let cost =
     if want "C1" then begin

@@ -332,9 +332,13 @@ let r3_check_target ~(target : Config.r3_target) ~push vb =
     in
     iter.expr iter vb.vb_expr
 
-let r3 ~(config : Config.t) (u : Cmt_unit.t) =
+(* A target that names no binding would drop its pin silently (a
+   rename or a deletion), so it is an error of its own, reported against
+   the config the way C1 reports a budget row it cannot find. *)
+let r3 ~(config : Config.t) units =
   let diags = ref [] in
   let push d = diags := d :: !diags in
+  let seen = Hashtbl.create 64 in
   let on_vb ~mods vb =
     match Compat.pat_var_ident vb.vb_pat with
     | Some id ->
@@ -344,11 +348,26 @@ let r3 ~(config : Config.t) (u : Cmt_unit.t) =
            (fun (t : Config.r3_target) -> t.qual = qual)
            config.r3_targets
        with
-       | Some target -> r3_check_target ~target ~push vb
+       | Some target ->
+         Hashtbl.replace seen qual ();
+         r3_check_target ~target ~push vb
        | None -> ())
     | None -> ()
   in
-  walk_structure ~modname:u.modname ~on_vb u.structure;
+  List.iter
+    (fun (u : Cmt_unit.t) ->
+      walk_structure ~modname:u.modname ~on_vb u.structure)
+    units;
+  List.iter
+    (fun (t : Config.r3_target) ->
+      if not (Hashtbl.mem seen t.qual) then
+        push
+          (Diagnostic.at ~rule:"R3" ~file:"lib/lint/config.ml" ~line:1 ~col:1
+             (Printf.sprintf
+                "zero-allocation target %s was not found in any scanned \
+                 unit: rename or drop it in Lint.Config.r3_targets"
+                (String.concat "." t.qual))))
+    config.r3_targets;
   !diags
 
 (* ------------------------------------------------------------------ *)

@@ -11,13 +11,16 @@
     - {b R3 hot-path allocation}: functions named in
       {!Config.t.r3_targets} must not contain syntactically allocating
       constructs ([Body] mode) or must keep their while/for bodies
-      clean ([Loops] mode).
+      clean ([Loops] mode), and every target must name a binding of
+      some scanned unit.
     - {b R4 interface hygiene}: every [.ml] under the configured dirs
       has a sibling [.mli]. *)
 
 val r1 : config:Config.t -> Cmt_unit.t -> Diagnostic.t list
 val r2 : config:Config.t -> Cmt_unit.t -> Diagnostic.t list
-val r3 : config:Config.t -> Cmt_unit.t -> Diagnostic.t list
+val r3 : config:Config.t -> Cmt_unit.t list -> Diagnostic.t list
+(** Over every scanned unit at once: a target that matches no binding
+    in any of them is an error against [lib/lint/config.ml]. *)
 
 val r4 : config:Config.t -> root:string -> unit -> Diagnostic.t list
 (** Filesystem-only; [root] is the repo root containing the configured

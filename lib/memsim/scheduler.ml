@@ -319,20 +319,5 @@ let run_solo ?(max_events = max_int) t pid =
     decr budget
   done
 
-let run_random ?(max_events = max_int) ~seed t =
-  let rng = Random.State.make [| seed |] in
-  let budget = ref max_events in
-  let rec loop () =
-    if !budget > 0 then
-      match active_pids t with
-      | [] -> ()
-      | pids ->
-        let pid = List.nth pids (Random.State.int rng (List.length pids)) in
-        ignore (step t pid);
-        decr budget;
-        loop ()
-  in
-  loop ()
-
 let run_schedule t schedule =
   List.iter (fun pid -> ignore (step t pid)) schedule

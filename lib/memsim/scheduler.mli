@@ -139,11 +139,14 @@ val finish : t -> Trace.t
     started yet, and return the execution.  Raises [Invalid_argument] if
     the run has finished already. *)
 
-(** {1 Canned policies} *)
+(** {1 Canned policies}
+
+    The round-robin and seeded random runners are
+    {!Faults.run_round_robin} and {!Faults.run_random}; under
+    [Faults.gate []] every active process may step. *)
 
 val run_solo : ?max_events:int -> t -> int -> unit
 (** Run one process alone until it completes (obstruction-freedom). *)
 
-val run_random : ?max_events:int -> seed:int -> t -> unit
 val run_schedule : t -> int list -> unit
 (** Apply steps in exactly the given pid order. *)

@@ -4,7 +4,8 @@
    differential equivalence of both dispatch backends against the plain
    unboxed natives on random sequences (the adaptive one under a policy
    that forces mode flips), registry coverage, multi-domain exactness,
-   report sanity, input validation on the raw paths, and
+   report sanity, the per-op epoch dispatch (stale trigger, read-share
+   gate, flips both ways), input validation on both update paths, and
    zero-allocation guards on the solo, plain-mode, arena-bypass,
    solo-drain and elimination update paths.  The Smem.Combine arena's
    own unit tests live in test_combining.ml; linearizability of
@@ -423,148 +424,126 @@ let test_tick_rejects_bad_pid () =
      | () -> false
      | exception Invalid_argument _ -> true)
 
-(* {1 Batch-granular dispatch: the bench's idiom}
+(* {1 Per-op dispatch}
 
-   The timed loops hoist [combining_now] per batch, run the raw
-   [update_plain]/[update_combining] path, and settle accounting once via
-   [tick_many].  Pin that this path (a) drives epochs and the
-   stale-rate trigger, (b) respects the read-share gate, and (c) stays
-   observationally identical to the plain unboxed structure across
-   flips in both directions. *)
+   Every caller, the bench's timed loops included, runs the per-op
+   [update].  Pin that it (a) drives epochs and the stale-rate trigger,
+   (b) respects the read-share gate when reads arrive as [Op_read] on a
+   live metrics handle, and (c) stays observationally identical to the
+   plain unboxed structure across flips in both directions.  The mode is
+   the one [report] shows. *)
 
-let test_batch_stale_flips () =
-  let policy =
-    { P.epoch_ops = 64;
-      hysteresis = 1;
-      min_updates = 1;
-      update_share_min = 0.;
-      cas_fail_min = 2.;
-      stale_min = 0.25;
-      benefit_min = 0. }
-  in
-  let ad = AD.create ~policy ~n:2 ~domains:2 () in
-  AD.update_plain ad ~pid:0 1000;
-  Alcotest.(check bool) "starts plain" false (AD.combining_now ad);
-  (* two batches of 64 stale writes: rate 1.0 >= 0.25 at the boundary *)
-  for _ = 1 to 2 do
-    for v = 1 to 64 do
-      AD.update_plain ad ~pid:0 v
-    done;
-    AD.tick_many ad ~pid:0 ~reads:0 ~updates:64 ~stale:64
+let mode_of report = report.Harness.Adaptive.mode
+
+let stale_policy =
+  { P.epoch_ops = 64;
+    hysteresis = 1;
+    min_updates = 1;
+    update_share_min = 0.;
+    cas_fail_min = 2.;
+    stale_min = 0.25;
+    benefit_min = 0. }
+
+let test_stale_writes_flip () =
+  let ad = AD.create ~policy:stale_policy ~n:2 ~domains:2 () in
+  AD.write_max ad ~pid:0 1000;
+  Alcotest.(check bool) "starts plain" true (mode_of (AD.report ad) = P.Plain);
+  (* two epochs of stale writes: rate ~1.0 >= 0.25 at the boundary *)
+  for v = 1 to 128 do
+    AD.write_max ad ~pid:0 v
   done;
-  Alcotest.(check bool) "stale batches flipped to combining" true
-    (AD.combining_now ad);
   let r = AD.report ad in
+  Alcotest.(check bool) "stale writes flipped to combining" true
+    (mode_of r = P.Combining);
   Alcotest.(check bool) "report saw the flip" true
     (r.Harness.Adaptive.epoch_flips >= 1)
 
-let test_batch_reads_gate_share () =
-  let policy =
-    { P.epoch_ops = 64;
-      hysteresis = 1;
-      min_updates = 1;
-      update_share_min = 0.5;
-      cas_fail_min = 2.;
-      stale_min = 0.25;
-      benefit_min = 0. }
+let test_reads_gate_share () =
+  let metrics = Obs.Metrics.create ~domains:2 () in
+  let ad =
+    AD.create_metered
+      ~policy:{ stale_policy with P.update_share_min = 0.5 }
+      ~metrics ~n:2 ~domains:2 ()
   in
-  let ad = AD.create ~policy ~n:2 ~domains:2 () in
-  AD.update_plain ad ~pid:0 1000;
-  (* every batch is fully stale but read-dominated: share 64/576 < 0.5,
+  AD.write_max ad ~pid:0 1000;
+  (* every epoch is fully stale but read-dominated: share 64/576 < 0.5,
      so the share gate wins and the mode never leaves plain *)
   for _ = 1 to 4 do
-    AD.tick_many ad ~pid:0 ~reads:512 ~updates:64 ~stale:64
-  done;
-  Alcotest.(check bool) "read-dominated batches stay plain" false
-    (AD.combining_now ad)
-
-let test_batch_dispatch_differential () =
-  (* benefit bar unreachable: stale batches pull the dispatcher into
-     combining, the next epoch throws it back out — the batch API must
-     track the plain structure across flips in both directions *)
-  let policy =
-    { P.epoch_ops = 16;
-      hysteresis = 1;
-      min_updates = 1;
-      update_share_min = 0.;
-      cas_fail_min = 2.;
-      stale_min = 0.25;
-      benefit_min = 10. }
-  in
-  let plain = AU.create ~n:2 () in
-  let ad = AD.create ~policy ~n:2 ~domains:2 () in
-  (* two fresh batches raise the max, then a long stale run: the stale
-     rate pulls the mode to combining, where every write eliminates —
-     benefit 1 < 10 throws it back to plain, and the cycle repeats *)
-  let next = ref 0 in
-  for b = 0 to 31 do
-    let stale_batch = b >= 2 in
-    let stale = ref 0 in
-    let comb = AD.combining_now ad in
-    for _ = 1 to 16 do
-      let v = if stale_batch then 0 else (incr next; !next) in
-      AU.write_max plain ~pid:0 v;
-      if comb then AD.update_combining ad ~pid:0 v
-      else begin
-        if v <= AD.read_max ad then incr stale;
-        AD.update_plain ad ~pid:0 v
-      end;
-      if AU.read_max plain <> AD.read_max ad then
-        Alcotest.failf "diverged at batch %d" b
+    for _ = 1 to 512 do
+      Obs.Metrics.incr metrics ~domain:0 Obs.Metrics.Op_read;
+      ignore (AD.read_max ad : int)
     done;
-    AD.tick_many ad ~pid:0 ~reads:0 ~updates:16 ~stale:!stale
+    for v = 1 to 64 do
+      AD.write_max ad ~pid:0 v
+    done
   done;
   let r = AD.report ad in
-  Alcotest.(check bool) "batch dispatcher flipped both ways" true
-    (r.Harness.Adaptive.epoch_flips >= 2)
+  Alcotest.(check bool) "epochs evaluated" true (r.Harness.Adaptive.epochs >= 4);
+  Alcotest.(check bool) "read-dominated epochs stay plain" true
+    (mode_of r = P.Plain && r.Harness.Adaptive.epoch_flips = 0)
+
+let test_dispatch_differential () =
+  (* benefit bar unreachable: stale epochs pull the dispatcher into
+     combining, the next epoch throws it back out.  Two fresh epochs
+     raise the max, then three writes in four are stale and every
+     fourth is fresh, so combining mode both eliminates and submits to
+     the arena *)
+  let policy = { stale_policy with P.epoch_ops = 16; benefit_min = 10. } in
+  let plain = AU.create ~n:2 () in
+  let ad = AD.create ~policy ~n:2 ~domains:2 () in
+  let next = ref 0 in
+  for i = 0 to 511 do
+    let v = if i >= 32 && i land 3 <> 0 then 0 else (incr next; !next) in
+    AU.write_max plain ~pid:0 v;
+    AD.write_max ad ~pid:0 v;
+    if AU.read_max plain <> AD.read_max ad then
+      Alcotest.failf "diverged at write %d" i
+  done;
+  let st = Smem.Combine.stats (AD.arena ad) in
+  Alcotest.(check bool) "combining mode eliminated and submitted" true
+    (st.Smem.Combine.eliminations > 0 && st.Smem.Combine.lock_acquisitions > 0);
+  Alcotest.(check bool) "dispatcher flipped both ways" true
+    ((AD.report ad).Harness.Adaptive.epoch_flips >= 2)
 
 (* Validation happens once, in the shared kernel, before either update
-   path: a negative value raises on the raw combining path
-   ([update_combining]) exactly as on the per-op and raw plain paths,
-   in either dispatcher mode, and never counts an elimination
-   (root >= 0 > v would otherwise pass the elimination check). *)
+   path: a negative value raises on the pinned combining path
+   ([update_combining]) exactly as on the per-op path, in either
+   dispatcher mode, and never counts an elimination (root >= 0 > v
+   would otherwise pass the elimination check). *)
 let negative_value_both_modes (type a)
     (module A : Harness.Adaptive.S with type t = a) name (t : a) =
-  let raises what f =
+  let eliminations () =
+    (Smem.Combine.stats (A.arena t)).Smem.Combine.eliminations
+  in
+  let raises mode path f =
+    let what = Printf.sprintf "%s %s (-1), %s mode" name path mode in
+    let before = eliminations () in
     Alcotest.(check bool) (what ^ " raises") true
-      (match f () with () -> false | exception Invalid_argument _ -> true)
+      (match f () with () -> false | exception Invalid_argument _ -> true);
+    Alcotest.(check int) (what ^ ": no elimination counted") before
+      (eliminations ())
   in
   let in_mode mode =
-    let what path = Printf.sprintf "%s %s (-1), %s mode" name path mode in
-    raises (what "update_combining") (fun () ->
-        A.update_combining t ~pid:0 (-1));
-    raises (what "update") (fun () -> A.update t ~pid:0 (-1));
-    raises (what "update_plain") (fun () -> A.update_plain t ~pid:0 (-1));
-    Alcotest.(check int)
-      (Printf.sprintf "%s: no elimination counted, %s mode" name mode)
-      0
-      (Smem.Combine.stats (A.arena t)).Smem.Combine.eliminations
+    raises mode "update_combining" (fun () -> A.update_combining t ~pid:0 (-1));
+    raises mode "update" (fun () -> A.update t ~pid:0 (-1))
   in
+  let mode () = mode_of (A.report t) in
   A.update t ~pid:0 1000;
-  Alcotest.(check bool) (name ^ " starts plain") false (A.combining_now t);
+  Alcotest.(check bool) (name ^ " starts plain") true (mode () = P.Plain);
   in_mode "plain";
-  (* two fully stale epochs flip it (the first sets the pending mode) *)
-  for _ = 1 to 2 do
-    A.tick_many t ~pid:0 ~reads:0 ~updates:64 ~stale:64
+  (* two fully stale epochs flip it *)
+  for v = 1 to 128 do
+    A.update t ~pid:0 v
   done;
   Alcotest.(check bool) (name ^ " flipped to combining") true
-    (A.combining_now t);
+    (mode () = P.Combining);
   in_mode "combining"
 
 let test_negative_value_both_modes () =
-  let policy =
-    { P.epoch_ops = 64;
-      hysteresis = 1;
-      min_updates = 1;
-      update_share_min = 0.;
-      cas_fail_min = 2.;
-      stale_min = 0.25;
-      benefit_min = 0. }
-  in
   negative_value_both_modes (module AD) "algorithm-a"
-    (AD.create ~policy ~n:2 ~domains:2 ());
+    (AD.create ~policy:stale_policy ~n:2 ~domains:2 ());
   negative_value_both_modes (module CD) "cas-loop"
-    (CD.create ~policy ~domains:2 ())
+    (CD.create ~policy:stale_policy ~domains:2 ())
 
 (* {1 Multi-domain exactness}
 
@@ -762,13 +741,13 @@ let () =
           Alcotest.test_case "create validates policy" `Quick
             test_create_validates_policy;
           Alcotest.test_case "bad pid raises" `Quick test_tick_rejects_bad_pid ] );
-      ( "batch",
-        [ Alcotest.test_case "stale batches flip to combining" `Quick
-            test_batch_stale_flips;
-          Alcotest.test_case "read-dominated batches stay plain" `Quick
-            test_batch_reads_gate_share;
-          Alcotest.test_case "batch dispatch differential" `Quick
-            test_batch_dispatch_differential;
+      ( "per-op",
+        [ Alcotest.test_case "stale writes flip to combining" `Quick
+            test_stale_writes_flip;
+          Alcotest.test_case "read-dominated epochs stay plain" `Quick
+            test_reads_gate_share;
+          Alcotest.test_case "differential across flips both ways" `Quick
+            test_dispatch_differential;
           Alcotest.test_case "negative value raises in both modes" `Quick
             test_negative_value_both_modes ] );
       ( "parallel",

@@ -257,7 +257,10 @@ let test_burst_rejects_oversize () =
    A max register whose write is read-then-write with a widened race
    window: two domains racing lose updates, and a subsequent read
    observes a value below an already-returned write — not linearizable.
-   The burst checker must catch it within a few seeds. *)
+   The burst checker must catch it within a few seeds.  The window is a
+   1 ms sleep, not a spin: a sleeping domain yields its CPU, so other
+   domains' writes land inside the window however loaded the host is
+   (a spin of a few microseconds could run whole without a preemption). *)
 
 let broken_maxreg () : Maxreg.Max_register.instance =
   let cell = Atomic.make 0 in
@@ -266,10 +269,7 @@ let broken_maxreg () : Maxreg.Max_register.instance =
       (fun ~pid:_ v ->
         let cur = Atomic.get cell in
         if v > cur then begin
-          (* widen the lost-update window *)
-          for _ = 1 to 2_000 do
-            Domain.cpu_relax ()
-          done;
+          Unix.sleepf 0.001;
           Atomic.set cell v
         end) }
 

@@ -122,7 +122,7 @@ let check_linearizable impl ~seed ~n ~incs =
       (Scheduler.spawn sched (fun () ->
            if pid < incs then c.increment ~pid else ignore (c.read ())))
   done;
-  Scheduler.run_random ~seed ~max_events:200_000 sched;
+  Faults.run_random ~seed ~max_events:200_000 sched (Faults.gate []);
   let trace = Scheduler.finish sched in
   Linearize.Checker.check_trace (module Linearize.Spec.Counter) ~n trace
 
@@ -149,7 +149,7 @@ let prop_no_lost_increments impl =
       for pid = 0 to n - 1 do
         ignore (Scheduler.spawn sched (fun () -> c.increment ~pid))
       done;
-      Scheduler.run_random ~seed ~max_events:1_000_000 sched;
+      Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate []);
       ignore (Scheduler.finish sched);
       c.read () = n)
 

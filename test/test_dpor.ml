@@ -738,7 +738,7 @@ let test_shrink_from_random_run () =
       for pid = 0 to 2 do
         ignore (Scheduler.spawn sched (make_body pid))
       done;
-      Scheduler.run_random ~seed ~max_events:10_000 sched;
+      Faults.run_random ~seed ~max_events:10_000 sched (Faults.gate []);
       let trace = Scheduler.finish sched in
       if check trace then find_violating (seed + 1) else trace
     end

@@ -79,7 +79,7 @@ let prop_concurrent_sum_correct =
       List.iteri
         (fun pid v -> ignore (Scheduler.spawn sched (fun () -> update pid v)))
         values;
-      Scheduler.run_random ~seed ~max_events:1_000_000 sched;
+      Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate []);
       ignore (Scheduler.finish sched);
       read () = List.fold_left ( + ) 0 values)
 

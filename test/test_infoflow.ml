@@ -339,7 +339,7 @@ let prop_claim1_hidden_erasure =
       for pid = 0 to nprocs - 1 do
         ignore (Scheduler.spawn sched (make_body pid))
       done;
-      Scheduler.run_random ~seed ~max_events:1_000 sched;
+      Faults.run_random ~seed ~max_events:1_000 sched (Faults.gate []);
       let trace = Scheduler.finish sched in
       let a = analysis trace in
       let pids = List.init nprocs Fun.id in

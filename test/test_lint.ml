@@ -137,6 +137,37 @@ let test_r3_hot_path_allocations () =
      (line 22) stay silent *)
   Alcotest.(check (list int)) "r3_bad violation lines" [ 10; 20 ] lines
 
+(* A target naming no binding (a renamed or deleted function) is an
+   error of its own, against the config; the real targets' findings are
+   unchanged. *)
+let test_r3_unmatched_target () =
+  let config =
+    { fixture_config with
+      r3_targets =
+        fixture_config.r3_targets
+        @ [ { qual = [ "R3_bad"; "no_such_fn" ]; mode = Lint.Config.Body } ] }
+  in
+  let ds =
+    by_rule "R3"
+      (Lint.Driver.run ~config ~budgets:fixture_budgets ~rules:[ "R3" ]
+         ~build_dir:fixture_build_dir ~root:repo_root ())
+  in
+  Alcotest.(check (list string))
+    "one error for the bogus target, at the config"
+    [ "lib/lint/config.ml:1:1: [R3] zero-allocation target \
+       R3_bad.no_such_fn was not found in any scanned unit: rename or drop \
+       it in Lint.Config.r3_targets" ]
+    (List.filter_map
+       (fun (d : Lint.Diagnostic.t) ->
+         if d.file = fixture_dir ^ "/r3_bad.ml" then None
+         else Some (Lint.Diagnostic.to_human d))
+       ds);
+  Alcotest.(check (list int)) "r3_bad findings unchanged" [ 10; 20 ]
+    (List.sort_uniq Int.compare
+       (List.map
+          (fun (d : Lint.Diagnostic.t) -> d.line)
+          (in_file (fixture_dir ^ "/r3_bad.ml") ds)))
+
 let test_r4_missing_interfaces () =
   let ds = by_rule "R4" (run_fixtures ~rules:[ "R4" ] ()) in
   let files = List.map (fun d -> d.Lint.Diagnostic.file) ds in
@@ -332,6 +363,8 @@ let () =
            test_r2_spin_and_stale_retry;
          Alcotest.test_case "R3 hot-path allocation" `Quick
            test_r3_hot_path_allocations;
+         Alcotest.test_case "R3 unmatched target" `Quick
+           test_r3_unmatched_target;
          Alcotest.test_case "R4 missing interfaces" `Quick
            test_r4_missing_interfaces;
          Alcotest.test_case "C1 budget violations" `Quick

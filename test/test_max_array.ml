@@ -119,7 +119,7 @@ let check_linearizable (name, make) ~seed ~n =
            | 1 -> wrapped_update 1 ~pid v
            | _ -> ignore (wrapped_scan ())))
   done;
-  Scheduler.run_random ~seed ~max_events:1_000_000 sched;
+  Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate []);
   let trace = Scheduler.finish sched in
   ignore name;
   Linearize.Checker.check_trace (module Linearize.Spec.Max_array) ~n trace

@@ -98,7 +98,7 @@ let test_linearizable_random () =
              if pid = n - 1 then ignore (vscan ())
              else vupdate ~pid ~component v))
     done;
-    Scheduler.run_random ~seed ~max_events:1_000_000 sched;
+    Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate []);
     let trace = Scheduler.finish sched in
     if
       not

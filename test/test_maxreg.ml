@@ -137,7 +137,7 @@ let test_wait_free_completion impl () =
     ignore (Scheduler.spawn sched (fun () -> reg.write_max ~pid ((pid * 13) mod 256)))
   done;
   (* Random partial execution, then each process runs solo: must finish. *)
-  Scheduler.run_random ~seed:42 ~max_events:30 sched;
+  Faults.run_random ~seed:42 ~max_events:30 sched (Faults.gate []);
   for pid = 0 to 4 do
     Scheduler.run_solo ~max_events:10_000 sched pid;
     Alcotest.(check bool)
@@ -164,7 +164,7 @@ let check_linearizable impl ~seed ~n ~writes =
            if pid < writes then reg.write_max ~pid v
            else ignore (reg.read_max ())))
   done;
-  Scheduler.run_random ~seed ~max_events:100_000 sched;
+  Faults.run_random ~seed ~max_events:100_000 sched (Faults.gate []);
   let trace = Scheduler.finish sched in
   Linearize.Checker.check_trace (module Linearize.Spec.Max_register) ~n trace
 
@@ -201,7 +201,7 @@ let prop_concurrent_max_survives impl =
       List.iteri
         (fun pid v -> ignore (Scheduler.spawn sched (fun () -> reg.write_max ~pid v)))
         values;
-      Scheduler.run_random ~seed ~max_events:1_000_000 sched;
+      Faults.run_random ~seed ~max_events:1_000_000 sched (Faults.gate []);
       ignore (Scheduler.finish sched);
       reg.read_max () = List.fold_left max 0 values)
 

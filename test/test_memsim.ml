@@ -385,7 +385,7 @@ let prop_restart_equals_replay =
     (fun (progs, seed) ->
       let session, objs, make_body = restart_scenario progs in
       let run = Replay.replay session ~n:3 ~make_body ~schedule:[] () in
-      Scheduler.run_random ~seed run;
+      Faults.run_random ~seed run (Faults.gate []);
       let schedule = Array.of_list (Trace.schedule (Scheduler.finish run)) in
       let len = Array.length schedule in
       let next i = if i < len then Some schedule.(i) else None in

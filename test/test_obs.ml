@@ -538,7 +538,7 @@ let make_trace () =
       (Scheduler.spawn sched (fun () ->
            if pid < 2 then c.increment ~pid else ignore (c.read ())))
   done;
-  Scheduler.run_random ~seed:42 ~max_events:10_000 sched;
+  Faults.run_random ~seed:42 ~max_events:10_000 sched (Faults.gate []);
   Scheduler.finish sched
 
 let test_trace_export_valid_json () =

@@ -106,7 +106,7 @@ let prop_no_duplicates_agree =
           (fun pid v ->
             ignore (Scheduler.spawn sched (fun () -> reg.write_max ~pid v)))
           distinct;
-        Scheduler.run_random ~seed ~max_events:100_000 sched;
+        Faults.run_random ~seed ~max_events:100_000 sched (Faults.gate []);
         let trace = Scheduler.finish sched in
         (reg.read_max (), Array.length (Trace.events trace))
       in

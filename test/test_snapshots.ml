@@ -110,7 +110,7 @@ let check_linearizable impl ~seed ~n ~updaters =
       (Scheduler.spawn sched (fun () ->
            if pid < updaters then s.update ~pid v else ignore (s.scan ())))
   done;
-  Scheduler.run_random ~seed ~max_events:500_000 sched;
+  Faults.run_random ~seed ~max_events:500_000 sched (Faults.gate []);
   let trace = Scheduler.finish sched in
   Linearize.Checker.check_trace (module Linearize.Spec.Snapshot) ~n trace
 
