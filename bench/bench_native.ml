@@ -292,10 +292,9 @@ let registry : backend -> Harness.Instances.backend option = function
 (* The metered closure: the same workload through the instrumented
    registry instance, recording [Op_read] per read here (the instance
    wrappers record [Op_update]; reads carry no pid so the domain-correct
-   shard is only known at this call site — on the adaptive backend the
-   count also feeds the dispatcher's read-share signal).  Returns the
-   dispatch handle, if any, for the combine-stats flush.  [None] where
-   the registry has no such instance, which is also how each target's
+   shard is only known at this call site).  Returns the dispatch
+   handle, if any, for the combine-stats flush.  [None] where the
+   registry has no such instance, which is also how each target's
    backend list is derived. *)
 let metered_op ~metrics ~kind ~backend ~n ~domains ~pattern =
   match kind with

@@ -298,20 +298,6 @@ let stress kind impl_name procs readers seeds value_range trace_file faults_str 
    monotone snapshot scans) where complete histories would be far beyond
    the checker's reach. *)
 
-(* Flip-forcing adaptive policy for chaos runs: the combining bar is 0
-   (every epoch wants in) and the benefit bar 10 (no epoch earns its
-   keep), so the dispatcher oscillates — maximal stress on mixed-mode
-   windows.  Bursts use it as-is (epoch every 2 updates); the scale
-   runs stretch the epoch to 64 updates. *)
-let thrash_policy =
-  { Harness.Adaptive.Policy.epoch_ops = 2;
-    hysteresis = 1;
-    min_updates = 1;
-    update_share_min = 0.;
-    cas_fail_min = 0.;
-    stale_min = 2.;
-    benefit_min = 10. }
-
 let chaos ~seed ~ops =
   let domains = 4 in
   let failures = ref [] in
@@ -332,15 +318,16 @@ let chaos ~seed ~ops =
      can park a domain right after it published to its arena slot,
      released the combiner lock or crossed an epoch boundary.  Adaptive
      runs twice: default policies (dispatch live, flips rare at burst
-     scale), then the thrashing policy, so the mode flips INSIDE the
-     burst and storms land astride the epoch lock. *)
+     scale), then the flip-forcing {!Harness.Adaptive.Policy.thrash}, so
+     the mode flips INSIDE the burst and storms land astride the epoch
+     lock. *)
   let dispatch_bursts =
     let open Harness.Instances in
     [ ("combining", Combining, [ Algorithm_a; Cas_maxreg ], [ Farray_counter ]);
       ("adaptive", Adaptive None, [ Algorithm_a; Cas_maxreg ],
        [ Farray_counter ]);
-      ("adaptive thrashing", Adaptive (Some thrash_policy), [ Algorithm_a ],
-       []) ]
+      ("adaptive thrashing", Adaptive (Some Harness.Adaptive.Policy.thrash),
+       [ Algorithm_a ], []) ]
   in
   let burst_seeds = List.init 8 (fun i -> seed + i) in
   let bursts = ref 0 in
@@ -478,9 +465,7 @@ let chaos ~seed ~ops =
           done)
   in
   if not !scans_monotone then fail "snapshot scans went backwards";
-  let flip_policy =
-    { thrash_policy with Harness.Adaptive.Policy.epoch_ops = 64 }
-  in
+  let flip_policy = { Harness.Adaptive.Policy.thrash with epoch_ops = 64 } in
   let dispatch_scale label backend =
     let cnt, cd =
       Option.get

@@ -4,8 +4,8 @@
    whichever side of the paper's tradeoff the recent workload favors:
 
    - the *plain* path is the structure's own lock-free operation, which
-     takes the instance's metrics handle (so CAS attempt/failure signals
-     accrue when it is live);
+     takes the instance's metrics handle (so CAS attempt/failure counts
+     are recorded when it is live);
    - the *combining* path is the structure's fast-path attempt
      (elimination against the monotone root, cas-loop's [write_once])
      and otherwise an arena submit.  It is also the whole of the static
@@ -20,15 +20,16 @@
    pay nothing for the adaptivity.
 
    The dispatcher samples per-epoch signals (an epoch is [epoch_ops]
-   update operations on the triggering domain): update counts and the
-   stale-write rate from its own per-domain cells, read share and CAS
-   failure rate from {!Obs.Metrics} deltas when a live handle is
-   attached, elimination/batching benefit and combiner-lock pressure from
-   {!Smem.Combine.stats} deltas.  The decision itself is the pure
-   {!Policy} module — per-structure threshold parameters folded with
-   hysteresis ([hysteresis] consecutive epochs wanting the other mode
-   before a flip), so the dispatcher cannot thrash at a crossover where
-   the signals sit on the fence.
+   update operations on the triggering domain) that every instance
+   observes itself: update counts and the stale-write rate from its own
+   per-domain cells, elimination/batching benefit from
+   {!Smem.Combine.stats} deltas.  A metrics handle records and never
+   steers, so a metered instance decides exactly as an unmetered one fed
+   the same updates.  The decision itself is the pure {!Policy} module —
+   per-structure threshold parameters folded with hysteresis
+   ([hysteresis] consecutive epochs wanting the other mode before a
+   flip), so the dispatcher cannot thrash at a crossover where the
+   signals sit on the fence.
 
    Cost discipline: unmetered instances ([create]) carry the shared
    {!Obs.Metrics.disabled} handle, so the settled plain path is the raw
@@ -42,10 +43,10 @@
    are padded atomics; per-domain update ticks are single-writer padded
    cells bumped with plain load + store (the Obs.Metrics shard
    discipline — readable mid-run by the epoch advancer without a data
-   race, unlike a plain int array).  Epoch bookkeeping (last-snapshot
-   fields, hysteresis state, ops tallies) is plain mutable state guarded
-   by the epoch lock's CAS; {!Ctl.report} reads it and is exact at
-   quiescence, like {!Smem.Combine.stats} eliminations. *)
+   race, unlike a plain int array).  Epoch bookkeeping (the last
+   boundary's totals, hysteresis state, ops tallies) is plain mutable
+   state guarded by the epoch lock's CAS; {!Ctl.report} reads it and is
+   exact at quiescence, like {!Smem.Combine.stats} eliminations. *)
 
 module AU = Unboxed.Algorithm_a
 module CU = Unboxed.Cas_maxreg
@@ -62,34 +63,19 @@ module Policy = struct
   let mode_name = function Plain -> "plain" | Combining -> "combining"
 
   type signals = {
-    reads : int;
     updates : int;
     stale : int;
-    cas_attempts : int;
-    cas_failures : int;
     eliminations : int;
     combined_ops : int;
-    batches : int;
-    locks : int;
   }
 
   let zero_signals =
-    { reads = 0;
-      updates = 0;
-      stale = 0;
-      cas_attempts = 0;
-      cas_failures = 0;
-      eliminations = 0;
-      combined_ops = 0;
-      batches = 0;
-      locks = 0 }
+    { updates = 0; stale = 0; eliminations = 0; combined_ops = 0 }
 
   type params = {
     epoch_ops : int;
     hysteresis : int;
     min_updates : int;
-    update_share_min : float;
-    cas_fail_min : float;
     stale_min : float;
     benefit_min : float;
   }
@@ -99,113 +85,80 @@ module Policy = struct
       invalid_arg "Adaptive: epoch_ops must be a positive power of two";
     if p.hysteresis < 1 then invalid_arg "Adaptive: hysteresis must be >= 1";
     if p.min_updates < 0 then invalid_arg "Adaptive: negative min_updates";
-    if not (p.update_share_min >= 0. && p.update_share_min <= 1.) then
-      invalid_arg "Adaptive: update_share_min out of [0, 1]";
-    if not (p.cas_fail_min >= 0.) then
-      invalid_arg "Adaptive: negative cas_fail_min";
     if not (p.stale_min >= 0.) then invalid_arg "Adaptive: negative stale_min";
     if not (p.benefit_min >= 0.) then
       invalid_arg "Adaptive: negative benefit_min"
 
-  (* Thresholds tuned against the PR 7 measurements (EXPERIMENTS.md):
-     combining wins for algorithm-a exactly where elimination + batching
-     engage (write-heavy multi-domain mixes), and measurably loses for
-     cas-loop (whose plain path is one CAS) and for the counters on this
-     host — so the maxreg policy is eager and the others demand strong
-     evidence before leaving the plain path, with a benefit bar that
-     sends them back when the arena stops earning its keep.
+  (* Thresholds tuned against the flat-combining measurements
+     (EXPERIMENTS.md): combining wins for algorithm-a exactly where
+     elimination + batching engage (write-heavy multi-domain mixes), and
+     measurably loses for cas-loop (whose plain path is one CAS) and for
+     the counters on this host — so the maxreg policy is eager, with a
+     benefit bar that sends it back when the arena stops earning its
+     keep, and the others stay plain.
 
-     Plain -> Combining needs a trigger OBSERVABLE from the plain path.
-     CAS failure rate is the real-multicore one, but on a time-shared
-     host CASes essentially never fail even where combining wins 2x, so
-     the maxreg policy also watches the stale-write rate: the fraction
-     of updates whose value was already at or below the structure's
-     current max (one O(1) read to check).  Those are exactly the
-     writes elimination would complete with zero shared writes, so the
-     stale rate is the plain path's estimator of the arena's
-     elimination benefit.  A >1 bar disables the trigger: for cas-loop
-     a stale write is already a single cheap load on the plain path
-     (nothing for the arena to save), and counter increments are never
-     stale. *)
+     Plain -> Combining needs a trigger every instance observes on its
+     own plain path: the stale-write rate, the fraction of updates whose
+     value was already at or below the structure's current max (one
+     O(1) read to check).  Those are exactly the writes elimination
+     would complete with zero shared writes, so the stale rate is the
+     plain path's estimator of the arena's elimination benefit.  (The
+     CAS failure rate reaches only a metered instance, and on a
+     time-shared host CASes essentially never fail even where combining
+     wins 2x.)  A >1 bar disables the trigger: for cas-loop a stale
+     write is already a single cheap load on the plain path (nothing for
+     the arena to save), and counter increments are never stale. *)
 
   let default_maxreg =
     { epoch_ops = 1024;
       hysteresis = 2;
       min_updates = 256;
-      update_share_min = 0.05;
-      cas_fail_min = 0.05;
       stale_min = 0.30;
       benefit_min = 0.10 }
 
-  let default_cas =
-    { default_maxreg with
-      update_share_min = 0.10;
-      cas_fail_min = 0.40;
-      stale_min = 2.0;
-      benefit_min = 0.60 }
+  let default_plain = { default_maxreg with stale_min = 2.0 }
 
-  let default_counter =
-    { default_maxreg with
-      cas_fail_min = 0.35;
-      stale_min = 2.0;
-      benefit_min = 0.50 }
-
-  (* The naive counter has no CAS at all, so a >1 failure-rate bar is
-     unreachable: the control never flips unless a test hands it a
-     custom policy. *)
-  let default_control =
-    { default_maxreg with cas_fail_min = 2.0; stale_min = 2.0;
-      benefit_min = 1.0 }
+  let thrash =
+    { epoch_ops = 2;
+      hysteresis = 1;
+      min_updates = 1;
+      stale_min = 0.;
+      benefit_min = 10. }
 
   let ratio num den = if den <= 0 then 0. else float_of_int num /. float_of_int den
 
   (* One epoch's verdict, ignoring hysteresis.  An epoch with too few
-     updates is no evidence either way (keep the current mode); a
-     read-dominated epoch always wants the plain path (reads never
-     benefit from the arena, and updates are too rare to contend);
-     otherwise Plain -> Combining requires real CAS contention or a
-     stale-write rate past the structure's bar (the plain-path
-     estimator of elimination benefit), and Combining -> Plain triggers
-     when the arena's earned benefit (eliminations + ops absorbed into
-     batches, per update) drops below the structure's bar. *)
+     updates is no evidence either way (keep the current mode);
+     otherwise Plain -> Combining requires a stale-write rate past the
+     structure's bar (the plain-path estimator of elimination benefit),
+     and Combining -> Plain triggers when the arena's earned benefit
+     (eliminations + ops absorbed into batches, per update) drops below
+     the structure's bar. *)
   let want p ~current s =
     if s.updates < p.min_updates then current
-    else if
-      ratio s.updates (s.reads + s.updates) < p.update_share_min
-    then Plain
     else
       match current with
       | Plain ->
-        if
-          ratio s.cas_failures s.cas_attempts >= p.cas_fail_min
-          || ratio s.stale s.updates >= p.stale_min
-        then Combining
-        else Plain
+        if ratio s.stale s.updates >= p.stale_min then Combining else Plain
       | Combining ->
         if ratio (s.eliminations + s.combined_ops) s.updates < p.benefit_min
         then Plain
         else Combining
 
-  (* Hysteresis as a pure fold: [pending]/[streak] track how many
-     consecutive epochs wanted a mode different from the current one;
-     the flip lands only when the streak reaches [p.hysteresis].  Any
-     epoch agreeing with the current mode resets the streak. *)
-  type hstate = {
-    mode : mode;
-    pending : mode;
-    streak : int;
-    flips : int;
-  }
+  (* Hysteresis as a pure fold: [streak] counts consecutive epochs that
+     wanted the other mode (with two modes, a dissent can only want the
+     other one); the flip lands on the [p.hysteresis]-th.  Any epoch
+     agreeing with the current mode resets the streak. *)
+  type hstate = { mode : mode; streak : int; flips : int }
 
-  let initial mode = { mode; pending = mode; streak = 0; flips = 0 }
+  let initial mode = { mode; streak = 0; flips = 0 }
 
   let step p h s =
     let w = want p ~current:h.mode s in
-    if w = h.mode then { h with pending = h.mode; streak = 0 }
-    else if h.pending = w && h.streak + 1 >= p.hysteresis then
-      { mode = w; pending = w; streak = 0; flips = h.flips + 1 }
-    else if h.pending = w then { h with streak = h.streak + 1 }
-    else { h with pending = w; streak = 1 }
+    if w = h.mode then { h with streak = 0 }
+    else if h.streak + 1 >= p.hysteresis then
+      { mode = w; streak = 0; flips = h.flips + 1 }
+    else { h with streak = h.streak + 1 }
 end
 
 (* {1 Quiescent-read report} *)
@@ -223,7 +176,6 @@ module Ctl = struct
   type t = {
     params : Policy.params;
     domains : int;
-    metrics : Obs.Metrics.t;
     arena : Smem.Combine.t;
     mode : int Atomic.t;  (* padded; 0 plain, 1 combining *)
     epoch_lock : int Atomic.t;  (* padded; 0 free, 1 held *)
@@ -235,22 +187,13 @@ module Ctl = struct
     mutable epochs : int;
     mutable ops_total : int;  (* updates attributed to a finished epoch *)
     mutable ops_combining : int;  (* ... that ran in combining mode *)
-    mutable last_updates : int;
-    mutable last_stale : int;
-    mutable last_reads : int;
-    mutable last_cas_attempts : int;
-    mutable last_cas_failures : int;
-    mutable last_eliminations : int;
-    mutable last_combined_ops : int;
-    mutable last_batches : int;
-    mutable last_locks : int;
+    mutable last : Policy.signals;  (* cumulative, at the last boundary *)
   }
 
-  let create ~params ~domains ~metrics ~arena =
+  let create ~params ~domains ~arena =
     Policy.validate params;
     { params;
       domains;
-      metrics;
       arena;
       mode = Smem.Unboxed_memory.Padded.make 0;
       epoch_lock = Smem.Unboxed_memory.Padded.make 0;
@@ -263,15 +206,7 @@ module Ctl = struct
       epochs = 0;
       ops_total = 0;
       ops_combining = 0;
-      last_updates = 0;
-      last_stale = 0;
-      last_reads = 0;
-      last_cas_attempts = 0;
-      last_cas_failures = 0;
-      last_eliminations = 0;
-      last_combined_ops = 0;
-      last_batches = 0;
-      last_locks = 0 }
+      last = Policy.zero_signals }
 
   let[@inline] combining t = Atomic.get t.mode = 1
 
@@ -284,30 +219,31 @@ module Ctl = struct
 
   let sum_ticks t = sum_cells t.ticks t.domains
 
+  (* The signals accumulated since creation: update counts and stale
+     writes from our own cells, arena activity from the combine stats. *)
+  let totals t =
+    let updates = sum_ticks t in
+    let stale = sum_cells t.stales t.domains in
+    let st = Smem.Combine.stats t.arena in
+    { Policy.updates;
+      stale;
+      eliminations = st.Smem.Combine.eliminations;
+      combined_ops = st.Smem.Combine.combined_ops }
+
   (* Epoch boundary (rare path, may allocate).  The CAS-guarded lock
      serializes advancers; a losing domain just skips — the winner is
-     already folding this epoch's deltas.  Signals are deltas since the
-     previous boundary: update counts from our own tick cells, CAS and
-     read counts from the metrics handle, arena activity from the
-     combine stats.  The epoch's updates are attributed to the mode
-     they ran under (the mode BEFORE any flip this call applies). *)
+     already folding this epoch's deltas.  The epoch's signals are the
+     totals' deltas since the previous boundary, and its updates are
+     attributed to the mode they ran under (the mode BEFORE any flip
+     this call applies). *)
   let advance t =
     if Atomic.compare_and_set t.epoch_lock 0 1 then begin
-      let updates = sum_ticks t in
-      let stale = sum_cells t.stales t.domains in
-      let tot = Obs.Metrics.totals t.metrics in
-      let st = Smem.Combine.stats t.arena in
+      let now = totals t and last = t.last in
       let s =
-        { Policy.reads = tot.Obs.Metrics.op_reads - t.last_reads;
-          updates = updates - t.last_updates;
-          stale = stale - t.last_stale;
-          cas_attempts = tot.Obs.Metrics.cas_attempts - t.last_cas_attempts;
-          cas_failures = tot.Obs.Metrics.cas_failures - t.last_cas_failures;
-          eliminations =
-            st.Smem.Combine.eliminations - t.last_eliminations;
-          combined_ops = st.Smem.Combine.combined_ops - t.last_combined_ops;
-          batches = st.Smem.Combine.batches - t.last_batches;
-          locks = st.Smem.Combine.lock_acquisitions - t.last_locks }
+        { Policy.updates = now.updates - last.updates;
+          stale = now.stale - last.stale;
+          eliminations = now.eliminations - last.eliminations;
+          combined_ops = now.combined_ops - last.combined_ops }
       in
       let before = t.h.Policy.mode in
       let h' = Policy.step t.params t.h s in
@@ -319,15 +255,7 @@ module Ctl = struct
       if h'.Policy.mode <> before then
         Atomic.set t.mode
           (match h'.Policy.mode with Policy.Combining -> 1 | Policy.Plain -> 0);
-      t.last_updates <- updates;
-      t.last_stale <- stale;
-      t.last_reads <- tot.Obs.Metrics.op_reads;
-      t.last_cas_attempts <- tot.Obs.Metrics.cas_attempts;
-      t.last_cas_failures <- tot.Obs.Metrics.cas_failures;
-      t.last_eliminations <- st.Smem.Combine.eliminations;
-      t.last_combined_ops <- st.Smem.Combine.combined_ops;
-      t.last_batches <- st.Smem.Combine.batches;
-      t.last_locks <- st.Smem.Combine.lock_acquisitions;
+      t.last <- now;
       Atomic.set t.epoch_lock 0
     end
 
@@ -350,7 +278,7 @@ module Ctl = struct
   (* Exact at quiescence (writers joined); concurrent calls may observe
      a slightly stale picture, never a torn one worse than that. *)
   let report t =
-    let residual = sum_ticks t - t.last_updates in
+    let residual = sum_ticks t - t.last.updates in
     let total = t.ops_total + residual in
     let combining_ops =
       t.ops_combining
@@ -405,21 +333,20 @@ module Kernel (S : STRUCTURE) = struct
     track_stale : bool;  (* policy.stale_min is a reachable bar *)
   }
 
-  (* Without a live handle (absent or {!Obs.Metrics.disabled}) the
-     instance dispatches on the stale-rate and arena signals alone, the
-     plain path is the raw structure op plus one immediate-bool branch,
-     and [domains = 1] short-circuits every update to a direct call.  A
-     live handle adds CAS-rate dispatch and keeps full dispatch at
-     [domains = 1]: the metrics pass measures counters, not time. *)
+  (* The handle only records: both paths pass it to the structure's op,
+     and nothing in dispatch reads it.  Without a live one (absent or
+     {!Obs.Metrics.disabled}) the plain path is the raw structure op
+     plus one immediate-bool branch.  [domains = 1] short-circuits every
+     update to a direct plain call. *)
   let make ?(policy = S.default_policy) ?(metrics = Obs.Metrics.disabled)
       ~domains s =
     let arena = Smem.Combine.create ~domains ~combine:S.combine () in
     { s;
       arena;
       apply = (fun d v -> S.update s ~metrics ~pid:d v);
-      ctl = Ctl.create ~params:policy ~domains ~metrics ~arena;
+      ctl = Ctl.create ~params:policy ~domains ~arena;
       metrics;
-      solo = domains = 1 && not (Obs.Metrics.enabled metrics);
+      solo = domains = 1;
       track_stale = policy.Policy.stale_min <= 1.0 }
 
   let arena t = t.arena
@@ -502,7 +429,7 @@ module Cas = struct
   include Kernel (struct
     type t = CU.t
 
-    let default_policy = Policy.default_cas
+    let default_policy = Policy.default_plain
     let combine = imax
     let update = CU.write_max_metered
     let subsumed reg v = v <= CU.read_max reg
@@ -527,7 +454,7 @@ module Farray_c = struct
   include Kernel (struct
     type t = FU.t
 
-    let default_policy = Policy.default_counter
+    let default_policy = Policy.default_plain
     let combine = ( + )
     let update = FU.add_metered
     let subsumed _ _ = false
@@ -540,16 +467,16 @@ module Farray_c = struct
   let increment t ~pid = update t ~pid 1
 end
 
-(* The naive counter is the protocol-cost control: it has no CAS, so
-   under {!Policy.default_control} it never leaves the plain path (an
-   increment is one write to an owned line); tests hand it permissive
-   policies to exercise the flip machinery. *)
+(* The naive counter is the protocol-cost control: under
+   {!Policy.default_plain} it never leaves the plain path (an increment
+   is one write to an owned line); tests hand it permissive policies to
+   exercise the flip machinery. *)
 
 module Naive_c = struct
   include Kernel (struct
     type t = NU.t
 
-    let default_policy = Policy.default_control
+    let default_policy = Policy.default_plain
     let combine = ( + )
     let update c ~metrics:_ ~pid k = NU.add c ~pid k
     let subsumed _ _ = false

@@ -16,26 +16,22 @@
     executed on the combiner's domain.
 
     Dispatch runs on epoch boundaries — every [epoch_ops] updates of
-    the triggering domain — from per-epoch signal deltas: update counts
-    and the stale-write rate out of the dispatcher's own per-domain
-    cells, read share and CAS failure rate out of the {!Obs.Metrics}
-    handle when a live one is attached, elimination/batching benefit
-    and combiner-lock pressure out of {!Smem.Combine.stats}.  The
-    decision is the pure {!Policy} kernel with hysteresis: [hysteresis]
-    consecutive epochs must want the other mode before a flip, so the
-    dispatcher cannot thrash at a crossover.  Read share only accrues
-    when the driver records [Op_read] on a live metrics handle; without
-    it the share gate is inert and the contention/benefit signals —
-    which concern only the update path the mode actually selects —
-    carry the decision.
+    the triggering domain — from per-epoch signal deltas that every
+    instance observes itself: update counts and the stale-write rate
+    out of the dispatcher's own per-domain cells, elimination/batching
+    benefit out of {!Smem.Combine.stats}.  The decision is the pure
+    {!Policy} kernel with hysteresis: [hysteresis] consecutive epochs
+    must want the other mode before a flip, so the dispatcher cannot
+    thrash at a crossover.
 
-    The unmetered constructors carry the shared {!Obs.Metrics.disabled}
-    handle, so the settled plain path is the raw structure op plus one
-    immediate-bool branch — they dispatch on the stale-rate and arena
-    signals, which is all this host can surface anyway (CAS failure
-    needs true hardware parallelism), and short-circuit [domains = 1]
-    to direct plain calls.  A live handle adds CAS-rate dispatch and
-    keeps full dispatch at [domains = 1] (see {!S.make}).
+    A metrics handle only records: the structure's update op counts
+    its CAS attempts/failures and refresh rounds there, and nothing in
+    dispatch reads it, so a metered instance makes the same decisions
+    as an unmetered one fed the same updates.  The unmetered
+    constructors carry the shared {!Obs.Metrics.disabled} handle, so
+    the settled plain path is the raw structure op plus one
+    immediate-bool branch; every instance short-circuits
+    [domains = 1] to direct plain calls.
 
     There is one update path per mode: every caller, the bench's timed
     loops included, runs {!S.update} per op (or {!S.update_combining},
@@ -50,19 +46,12 @@ module Policy : sig
 
   (** One epoch's signal deltas. *)
   type signals = {
-    reads : int;
-        (** read delta: [Op_read] on the live metrics handle (0 unless
-            the driver records reads there) *)
     updates : int;  (** update ops, from the dispatcher's own tick cells *)
     stale : int;
         (** plain-path updates whose value was already <= the current
             max — the plain path's estimator of elimination benefit *)
-    cas_attempts : int;
-    cas_failures : int;
     eliminations : int;
     combined_ops : int;
-    batches : int;
-    locks : int;  (** combiner-lock acquisitions *)
   }
 
   val zero_signals : signals
@@ -71,8 +60,6 @@ module Policy : sig
     epoch_ops : int;  (** epoch length in per-domain updates; power of two *)
     hysteresis : int;  (** consecutive dissenting epochs required to flip *)
     min_updates : int;  (** fewer updates = no evidence, keep current mode *)
-    update_share_min : float;  (** below this update share, stay plain *)
-    cas_fail_min : float;  (** CAS failure rate to enter combining *)
     stale_min : float;
         (** stale-write rate to enter combining; a bar > 1 disables the
             trigger (used where a stale plain write is already cheap) *)
@@ -81,23 +68,24 @@ module Policy : sig
 
   val validate : params -> unit
   (** Raises [Invalid_argument] on non-power-of-two [epoch_ops],
-      [hysteresis < 1], negative thresholds, or an out-of-range share. *)
+      [hysteresis < 1] or negative thresholds. *)
 
   val default_maxreg : params
-  (** Algorithm A: eager — elimination + batching win exactly where CAS
-      contention or a high stale-write rate shows (PR 7
-      measurements). *)
+  (** Algorithm A: eager — elimination + batching win exactly where a
+      high stale-write rate shows (DESIGN.md §12). *)
 
-  val default_cas : params
-  (** cas-loop: conservative — its plain path is one CAS and combining
-      measurably loses, so only pathological failure rates flip it. *)
+  val default_plain : params
+  (** cas-loop and both counters: the stale trigger is disabled (a
+      stale cas-loop write is already one load; an increment is never
+      stale), so the instance never leaves the plain path, where the
+      combining measurements put these structures (DESIGN.md §12). *)
 
-  val default_counter : params
-  (** f-array counter: conservative, like {!default_cas}. *)
-
-  val default_control : params
-  (** naive counter: the CAS bar is unreachable (it has no CAS) — the
-      control never leaves the plain path under this policy. *)
+  val thrash : params
+  (** Flip-forcing, for tests and chaos runs that stress mixed-mode
+      windows: an epoch every 2 updates, hysteresis 1, a stale bar of 0
+      (every epoch with an update wants combining) and a benefit bar of
+      10 (no epoch earns it, so the next one sends it straight back) —
+      the mode flips at every epoch boundary. *)
 
   val want : params -> current:mode -> signals -> mode
   (** One epoch's verdict, ignoring hysteresis. *)
@@ -105,8 +93,7 @@ module Policy : sig
   (** Hysteresis as a pure fold over epoch verdicts. *)
   type hstate = {
     mode : mode;  (** the active mode *)
-    pending : mode;  (** the mode recent dissenting epochs wanted *)
-    streak : int;  (** how many consecutive epochs wanted [pending] *)
+    streak : int;  (** consecutive epochs that wanted the other mode *)
     flips : int;  (** flips applied so far *)
   }
 
@@ -114,8 +101,8 @@ module Policy : sig
 
   val step : params -> hstate -> signals -> hstate
   (** Fold one epoch: {!want}'s verdict either resets the streak (it
-      agrees with [mode]) or extends it, flipping [mode] once the
-      streak reaches [params.hysteresis]. *)
+      agrees with [mode]) or extends it, flipping [mode] on the
+      [params.hysteresis]-th consecutive dissent. *)
 end
 
 type report = {
@@ -145,14 +132,12 @@ module type S = sig
   (** Wrap a fresh structure.  Both update paths mutate it in place, so
       a caller that keeps it may read it directly.  [domains] sizes the
       arena and the tick cells: every [pid] must be in
-      [0 .. domains-1].  Without a live
-      [metrics] handle (absent or {!Obs.Metrics.disabled}) the plain
-      path is the raw structure op plus one immediate-bool branch,
-      dispatch runs on the stale-rate and arena signals, and
-      [domains = 1] short-circuits every update to a direct call of the
-      plain op.  A live handle must be private to the instance (its
-      deltas are the CAS-rate signal); it adds CAS-rate dispatch and
-      keeps full dispatch at [domains = 1]. *)
+      [0 .. domains-1], and [domains = 1] short-circuits every update
+      to a direct call of the plain op.  [metrics] (default
+      {!Obs.Metrics.disabled}, whose plain path is the raw structure op
+      plus one immediate-bool branch) receives the structure's counts
+      and never steers dispatch; it may be shared with other
+      instances. *)
 
   val read : t -> int
   (** A direct call of the structure's read, in either mode. *)
@@ -198,7 +183,7 @@ module Alg_a : sig
   (** [read] and [update]. *)
 end
 
-(** Adaptive CAS-loop max register ({!Policy.default_cas}). *)
+(** Adaptive CAS-loop max register ({!Policy.default_plain}). *)
 module Cas : sig
   include S with type structure = Unboxed.Cas_maxreg.t
 
@@ -209,7 +194,7 @@ module Cas : sig
   val write_max : t -> pid:int -> int -> unit
 end
 
-(** Adaptive f-array counter ({!Policy.default_counter}). *)
+(** Adaptive f-array counter ({!Policy.default_plain}). *)
 module Farray_c : sig
   include S with type structure = Unboxed.Farray_counter.t
 
@@ -220,7 +205,7 @@ module Farray_c : sig
 end
 
 (** Adaptive naive counter — the protocol-cost control
-    ({!Policy.default_control}: never leaves the plain path). *)
+    ({!Policy.default_plain}: never leaves the plain path). *)
 module Naive_c : sig
   include S with type structure = Unboxed.Naive_counter.t
 

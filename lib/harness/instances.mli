@@ -121,18 +121,18 @@ val maxreg_dial_sim :
     With a live [metrics] handle every instance records [Op_update] per
     update, plus CAS attempts/failures, propagate refresh rounds and
     helping events where the implementation has them (on the dispatch
-    backends under the combiner's shard); the dispatch backends also
-    use the handle for CAS-rate dispatch, so it must be private to the
-    instance, and they keep full dispatch at [domains = 1].  [Op_read]
+    backends under the combiner's shard).  The handle only records: the
+    dispatch backends decide from signals they observe themselves, with
+    or without one, so it may be shared between instances.  [Op_read]
     is never recorded here: the [read] closures carry no pid — record
     it at the call site.  Without a live handle (absent or
     {!Obs.Metrics.disabled}) every backend runs on that shared disabled
     handle — not a private enabled one: one immediate-bool branch per
-    update for the metering, stale-rate and arena signals only on the
-    dispatch backends, and a direct plain call per update at
-    [domains = 1] (the zero-allocation guard in test_obs.ml pins the
-    disabled path).  Combining statistics live in the arena: flush them
-    with {!Obs.Metrics.record_combine_stats}. *)
+    update for the metering (the zero-allocation guard in test_obs.ml
+    pins the disabled path).  At [domains = 1] the dispatch backends
+    make a direct plain call per update, metered or not.  Combining
+    statistics live in the arena: flush them with
+    {!Obs.Metrics.record_combine_stats}. *)
 
 type 'impl spec =
   | Impl of 'impl

@@ -31,13 +31,12 @@
 
    - {!From_farray}: from a Jayanti f-array with componentwise-max
      aggregation (read/write/CAS): MaxScan is a single read of the root,
-     MaxUpdate is O(log N).
+     MaxUpdate is O(log N).  It is {!Max_vector.Make} at two
+     components.
 
    All are validated against {!Linearize.Spec.Max_array} by exhaustive
    interleaving enumeration and random-schedule sweeps
    (test_max_array.ml). *)
-
-open Memsim
 
 module type S = sig
   type t
@@ -131,45 +130,15 @@ module From_snapshot (M : Smem.Memory_intf.MEMORY) = struct
 end
 
 module From_farray (M : Smem.Memory_intf.MEMORY) = struct
-  module F = Boxed.Farray
+  module V = Max_vector.Make (M)
 
-  type t = { farray : F.t; n : int }
+  type t = V.t
 
-  let pair_max x y =
-    match x, y with
-    | Simval.Bot, v | v, Simval.Bot -> v
-    | Simval.Vec [| Simval.Int a; Simval.Int b |],
-      Simval.Vec [| Simval.Int a'; Simval.Int b' |] ->
-      Simval.Vec [| Simval.Int (max a a'); Simval.Int (max b b') |]
-    | (Simval.Int _ | Simval.Vec _), _ -> invalid_arg "Max_array: bad node"
+  let create ~n = V.create ~n ~m:2
+  let max_update0 t ~pid v = V.max_update t ~pid ~component:0 v
+  let max_update1 t ~pid w = V.max_update t ~pid ~component:1 w
 
-  let create ~n =
-    if n <= 0 then invalid_arg "Max_array.create: n must be > 0";
-    { farray =
-        Boxed.Raw.with_memory (module M) (fun () ->
-            F.create ~n ~combine:pair_max ());
-      n }
-
-  let decode = function
-    | Simval.Bot -> (0, 0)
-    | Simval.Vec [| Simval.Int a; Simval.Int b |] -> (a, b)
-    | Simval.Int _ | Simval.Vec _ -> invalid_arg "Max_array: bad leaf"
-
-  let update t ~pid f =
-    if pid < 0 || pid >= t.n then invalid_arg "Max_array: bad pid";
-    let own = decode (F.read_leaf t.farray pid) in
-    let a, b = f own in
-    (* skip no-ops so leaf values never repeat (keeps CAS ABA-free) *)
-    if (a, b) <> own then
-      F.update t.farray ~leaf:pid (Simval.Vec [| Simval.Int a; Simval.Int b |])
-
-  let max_update0 t ~pid v =
-    if v < 0 then invalid_arg "Max_array.max_update0: negative value";
-    update t ~pid (fun (a, b) -> (max a v, b))
-
-  let max_update1 t ~pid w =
-    if w < 0 then invalid_arg "Max_array.max_update1: negative value";
-    update t ~pid (fun (a, b) -> (a, max b w))
-
-  let max_scan t = decode (F.read t.farray)
+  let max_scan t =
+    let v = V.max_scan t in
+    (v.(0), v.(1))
 end

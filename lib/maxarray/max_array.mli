@@ -53,4 +53,4 @@ module From_snapshot (M : Smem.Memory_intf.MEMORY) : S
 
 module From_farray (M : Smem.Memory_intf.MEMORY) : S
 (** From an f-array with componentwise max: read/write/CAS, MaxScan O(1),
-    MaxUpdate O(log N). *)
+    MaxUpdate O(log N) — the two-component view of {!Max_vector.Make}. *)

@@ -4,12 +4,13 @@
    differential equivalence of both dispatch backends against the plain
    unboxed natives on random sequences (the adaptive one under a policy
    that forces mode flips), registry coverage, multi-domain exactness,
-   report sanity, the per-op epoch dispatch (stale trigger, read-share
-   gate, flips both ways), input validation on both update paths, and
-   zero-allocation guards on the solo, plain-mode, arena-bypass,
-   solo-drain and elimination update paths.  The Smem.Combine arena's
-   own unit tests live in test_combining.ml; linearizability of
-   dispatch-backend histories under chaos in test_chaos.ml. *)
+   report sanity, the per-op epoch dispatch (stale trigger, metering
+   that never steers, flips both ways), input validation on both update
+   paths, and zero-allocation guards on the solo, plain-mode,
+   arena-bypass, solo-drain and elimination update paths.  The
+   Smem.Combine arena's own unit tests live in test_combining.ml;
+   linearizability of dispatch-backend histories under chaos in
+   test_chaos.ml. *)
 
 module P = Harness.Adaptive.Policy
 module I = Harness.Instances
@@ -23,9 +24,7 @@ let base_params =
   { P.epoch_ops = 1024;
     hysteresis = 2;
     min_updates = 100;
-    update_share_min = 0.2;
-    cas_fail_min = 0.5;
-    stale_min = 2.;
+    stale_min = 0.3;
     benefit_min = 0.5 }
 
 let test_validate () =
@@ -40,17 +39,12 @@ let test_validate () =
     { base_params with P.hysteresis = 0 };
   check "Adaptive: negative min_updates"
     { base_params with P.min_updates = -1 };
-  check "Adaptive: update_share_min out of [0, 1]"
-    { base_params with P.update_share_min = 1.5 };
-  check "Adaptive: negative cas_fail_min"
-    { base_params with P.cas_fail_min = -0.1 };
   check "Adaptive: negative stale_min"
     { base_params with P.stale_min = -0.5 };
   check "Adaptive: negative benefit_min"
     { base_params with P.benefit_min = -1. };
   P.validate base_params;
-  List.iter P.validate
-    [ P.default_maxreg; P.default_cas; P.default_counter; P.default_control ]
+  List.iter P.validate [ P.default_maxreg; P.default_plain; P.thrash ]
 
 let test_want_thresholds () =
   let mode = Alcotest.testable (Fmt.of_to_string P.mode_name) ( = ) in
@@ -59,24 +53,10 @@ let test_want_thresholds () =
   in
   (* too few updates: no evidence, keep whatever mode is active *)
   check "sparse epoch keeps plain" P.Plain ~current:P.Plain
-    { P.zero_signals with P.updates = 50; cas_failures = 50; cas_attempts = 50 };
+    { P.zero_signals with P.updates = 50; stale = 50 };
   check "sparse epoch keeps combining" P.Combining ~current:P.Combining
     { P.zero_signals with P.updates = 50 };
-  (* read-dominated epochs always want the plain path *)
-  check "read-heavy wants plain" P.Plain ~current:P.Combining
-    { P.zero_signals with P.updates = 1000; reads = 9000; eliminations = 1000 };
-  (* plain -> combining needs real CAS contention *)
-  check "contended CAS enters combining" P.Combining ~current:P.Plain
-    { P.zero_signals with
-      P.updates = 1000;
-      cas_attempts = 1000;
-      cas_failures = 600 };
-  check "calm CAS stays plain" P.Plain ~current:P.Plain
-    { P.zero_signals with
-      P.updates = 1000;
-      cas_attempts = 1000;
-      cas_failures = 400 };
-  check "no CAS at all stays plain" P.Plain ~current:P.Plain
+  check "no trigger stays plain" P.Plain ~current:P.Plain
     { P.zero_signals with P.updates = 1000 };
   (* combining -> plain when the arena stops earning its keep *)
   check "earning arena stays combining" P.Combining ~current:P.Combining
@@ -89,58 +69,58 @@ let test_want_thresholds () =
 
 let test_want_stale_trigger () =
   let mode = Alcotest.testable (Fmt.of_to_string P.mode_name) ( = ) in
-  (* CAS bar out of reach: the stale-write rate carries the verdict, as
-     it does for unmetered instances (disabled metrics = no CAS signal) *)
-  let p = { base_params with P.cas_fail_min = 2.; stale_min = 0.3 } in
   let check msg expect ~current s =
-    Alcotest.check mode msg expect (P.want p ~current s)
+    Alcotest.check mode msg expect (P.want base_params ~current s)
   in
   check "stale writes enter combining" P.Combining ~current:P.Plain
     { P.zero_signals with P.updates = 1000; stale = 400 };
   check "fresh writes stay plain" P.Plain ~current:P.Plain
     { P.zero_signals with P.updates = 1000; stale = 200 };
   Alcotest.check mode "a > 1 bar disables the trigger" P.Plain
-    (P.want { p with P.stale_min = 2. } ~current:P.Plain
+    (P.want P.default_plain ~current:P.Plain
        { P.zero_signals with P.updates = 1000; stale = 1000 })
 
 (* Signal fixtures whose verdict is unambiguous under [hys_params]:
-   [s_comb] wants combining from either mode (contended CAS, earning
+   [s_comb] wants combining from either mode (all-stale writes, earning
    arena), [s_plain] wants plain from either mode. *)
 let hys_params h =
   { P.epoch_ops = 2;
     hysteresis = h;
     min_updates = 0;
-    update_share_min = 0.;
-    cas_fail_min = 0.5;
-    stale_min = 2.;
+    stale_min = 0.5;
     benefit_min = 0.5 }
 
 let s_comb =
-  { P.zero_signals with
-    P.updates = 10;
-    cas_attempts = 10;
-    cas_failures = 10;
-    eliminations = 10 }
+  { P.zero_signals with P.updates = 10; stale = 10; eliminations = 10 }
 
 let s_plain = { P.zero_signals with P.updates = 10 }
 
+(* For each N, the N-th consecutive dissent flips and none before it
+   does; an agreeing epoch resets the count. *)
 let test_hysteresis_flips_after_exactly_n () =
-  let p = hys_params 3 in
-  let h0 = P.initial P.Plain in
-  let h1 = P.step p h0 s_comb in
-  let h2 = P.step p h1 s_comb in
-  Alcotest.(check bool) "two dissents: no flip yet" true
-    (h2.P.mode = P.Plain && h2.P.streak = 2 && h2.P.flips = 0);
-  let h3 = P.step p h2 s_comb in
-  Alcotest.(check bool) "third dissent flips" true
-    (h3.P.mode = P.Combining && h3.P.streak = 0 && h3.P.flips = 1);
-  (* an agreeing epoch resets the streak *)
-  let g2 = P.step p (P.step p h0 s_comb) s_plain in
-  Alcotest.(check bool) "agreeing epoch resets streak" true
-    (g2.P.mode = P.Plain && g2.P.streak = 0 && g2.P.flips = 0);
-  let g5 = P.step p (P.step p (P.step p g2 s_comb) s_comb) s_comb in
-  Alcotest.(check bool) "streak restarts from zero after the reset" true
-    (g5.P.mode = P.Combining && g5.P.flips = 1)
+  List.iter
+    (fun n ->
+      let p = hys_params n in
+      let rec dissent h k =
+        if k = 0 then h else dissent (P.step p h s_comb) (k - 1)
+      in
+      let check what ok =
+        Alcotest.(check bool) (Printf.sprintf "N = %d: %s" n what) true ok
+      in
+      let before = dissent (P.initial P.Plain) (n - 1) in
+      check "N - 1 dissents: no flip yet"
+        (before.P.mode = P.Plain && before.P.streak = n - 1
+        && before.P.flips = 0);
+      let h = P.step p before s_comb in
+      check "the N-th dissent flips"
+        (h.P.mode = P.Combining && h.P.streak = 0 && h.P.flips = 1);
+      let reset = P.step p before s_plain in
+      check "agreeing epoch resets streak"
+        (reset.P.mode = P.Plain && reset.P.streak = 0 && reset.P.flips = 0);
+      check "streak restarts from zero after the reset"
+        ((dissent reset (n - 1)).P.mode = P.Plain
+        && (dissent reset n).P.mode = P.Combining))
+    [ 1; 2; 3; 4 ]
 
 (* Each flip consumes [h] consecutive dissenting epochs, so however
    adversarial the verdict sequence, flips <= epochs / h. *)
@@ -162,25 +142,15 @@ let qcheck_hysteresis_bounds_flips =
    Both dispatch backends claim "same structure, different update
    path"; on sequential random mixes they must be observationally
    identical to the plain unboxed structure.  The adaptive backend runs
-   the thrashing policy (epoch every 2 updates of a pid, hysteresis 1,
-   combining bar 0, unreachable benefit bar), so the dispatcher flips
-   constantly and the sequences cross many plain->combining and
+   the flip-forcing {!P.thrash}, so the dispatcher flips at every epoch
+   boundary and the sequences cross many plain->combining and
    combining->plain boundaries.  The combining backend's arena is sized
    for 3 domains and driven from one thread with rotating pids, so the
    solo-combiner drain path (lock, publish-free apply) is exercised for
    every pid, not just the bypass.  Every instance comes from the
    registry's one constructor per family. *)
 
-let thrash_policy =
-  { P.epoch_ops = 2;
-    hysteresis = 1;
-    min_updates = 1;
-    update_share_min = 0.;
-    cas_fail_min = 0.;
-    stale_min = 2.;
-    benefit_min = 10. }
-
-let thrash = I.Adaptive (Some thrash_policy)
+let thrash = I.Adaptive (Some P.thrash)
 
 let backend_name = function
   | I.Unboxed -> "unboxed"
@@ -256,17 +226,17 @@ let differentials backend =
     differential_counter backend I.Naive_counter ]
 
 (* The differential property holds trivially if the dispatcher never
-   leaves plain mode; pin that the thrashing policy really does flip on
-   a deterministic all-update sequence. *)
+   leaves plain mode; pin that the thrashing policy flips at every
+   epoch boundary on a deterministic all-update sequence. *)
 let test_thrash_actually_flips () =
-  let ad = AD.create ~policy:thrash_policy ~n:2 ~domains:2 () in
+  let ad = AD.create ~policy:P.thrash ~n:2 ~domains:2 () in
   for i = 1 to 64 do
     AD.write_max ad ~pid:(i land 1) i
   done;
   let r = AD.report ad in
   Alcotest.(check bool) "epochs evaluated" true (r.Harness.Adaptive.epochs > 0);
-  Alcotest.(check bool) "flips happened" true
-    (r.Harness.Adaptive.epoch_flips > 0);
+  Alcotest.(check int) "every epoch flips" r.Harness.Adaptive.epochs
+    r.Harness.Adaptive.epoch_flips;
   Alcotest.(check bool) "some ops ran in combining mode" true
     (r.Harness.Adaptive.combining_ops_pct > 0.)
 
@@ -428,10 +398,10 @@ let test_tick_rejects_bad_pid () =
 
    Every caller, the bench's timed loops included, runs the per-op
    [update].  Pin that it (a) drives epochs and the stale-rate trigger,
-   (b) respects the read-share gate when reads arrive as [Op_read] on a
-   live metrics handle, and (c) stays observationally identical to the
-   plain unboxed structure across flips in both directions.  The mode is
-   the one [report] shows. *)
+   (b) decides the same with or without a live metrics handle, and (c)
+   stays observationally identical to the plain unboxed structure
+   across flips in both directions.  The mode is the one [report]
+   shows. *)
 
 let mode_of report = report.Harness.Adaptive.mode
 
@@ -439,8 +409,6 @@ let stale_policy =
   { P.epoch_ops = 64;
     hysteresis = 1;
     min_updates = 1;
-    update_share_min = 0.;
-    cas_fail_min = 2.;
     stale_min = 0.25;
     benefit_min = 0. }
 
@@ -458,29 +426,46 @@ let test_stale_writes_flip () =
   Alcotest.(check bool) "report saw the flip" true
     (r.Harness.Adaptive.epoch_flips >= 1)
 
-let test_reads_gate_share () =
-  let metrics = Obs.Metrics.create ~domains:2 () in
-  let ad =
-    AD.create_metered
-      ~policy:{ stale_policy with P.update_share_min = 0.5 }
-      ~metrics ~n:2 ~domains:2 ()
+(* A metrics handle records and never steers: under the default
+   policy, an unmetered instance and a metered one whose handle also
+   counts 32 [Op_read] per write, fed the same one fresh write and
+   8,192 stale ones, report the same — at domains = 2, where the stale
+   writes flip both to combining, and at domains = 1, where both take
+   the solo path and run no epoch. *)
+let test_metering_never_steers () =
+  let report =
+    Alcotest.testable
+      (fun ppf (r : Harness.Adaptive.report) ->
+        Fmt.pf ppf "%s, %d epochs, %d flips, %.1f%% combining"
+          (P.mode_name r.mode) r.epochs r.epoch_flips r.combining_ops_pct)
+      ( = )
   in
-  AD.write_max ad ~pid:0 1000;
-  (* every epoch is fully stale but read-dominated: share 64/576 < 0.5,
-     so the share gate wins and the mode never leaves plain *)
-  for _ = 1 to 4 do
-    for _ = 1 to 512 do
-      Obs.Metrics.incr metrics ~domain:0 Obs.Metrics.Op_read;
-      ignore (AD.read_max ad : int)
-    done;
-    for v = 1 to 64 do
-      AD.write_max ad ~pid:0 v
-    done
-  done;
-  let r = AD.report ad in
-  Alcotest.(check bool) "epochs evaluated" true (r.Harness.Adaptive.epochs >= 4);
-  Alcotest.(check bool) "read-dominated epochs stay plain" true
-    (mode_of r = P.Plain && r.Harness.Adaptive.epoch_flips = 0)
+  List.iter
+    (fun domains ->
+      let metrics = Obs.Metrics.create ~domains () in
+      let plain = AD.create ~n:2 ~domains () in
+      let metered = AD.create_metered ~metrics ~n:2 ~domains () in
+      let feed v =
+        AD.write_max plain ~pid:0 v;
+        for _ = 1 to 32 do
+          Obs.Metrics.incr metrics ~domain:0 Obs.Metrics.Op_read;
+          ignore (AD.read_max metered : int)
+        done;
+        AD.write_max metered ~pid:0 v
+      in
+      feed 1_000_000;
+      for v = 1 to 8192 do
+        feed v
+      done;
+      let what = Printf.sprintf "domains = %d" domains in
+      Alcotest.check report (what ^ ": equal reports") (AD.report plain)
+        (AD.report metered);
+      Alcotest.(check bool) (what ^ ": the handle recorded the CASes") true
+        ((Obs.Metrics.totals metrics).Obs.Metrics.cas_attempts > 0);
+      if domains > 1 then
+        Alcotest.(check bool) (what ^ ": the stale writes flipped it") true
+          (mode_of (AD.report plain) = P.Combining))
+    [ 2; 1 ]
 
 let test_dispatch_differential () =
   (* benefit bar unreachable: stale epochs pull the dispatcher into
@@ -555,7 +540,7 @@ let test_negative_value_both_modes () =
 let domains_used = 4
 let per_domain = 20_000
 
-let flip_policy = { thrash_policy with P.epoch_ops = 64 }
+let flip_policy = { P.thrash with P.epoch_ops = 64 }
 
 let parallel_counter backend impl =
   let cnt, _ =
@@ -685,7 +670,7 @@ let test_alloc_free_plain_mode () =
           (I.Impl I.Algorithm_a)));
   alloc_free_counter "adaptive farray (plain dispatch)" 2
     (fst
-       (counter ~n:2 ~domains:2 (no_epoch P.default_counter)
+       (counter ~n:2 ~domains:2 (no_epoch P.default_plain)
           (I.Impl I.Farray_counter)))
 
 let test_alloc_free_bypass () =
@@ -744,8 +729,8 @@ let () =
       ( "per-op",
         [ Alcotest.test_case "stale writes flip to combining" `Quick
             test_stale_writes_flip;
-          Alcotest.test_case "read-dominated epochs stay plain" `Quick
-            test_reads_gate_share;
+          Alcotest.test_case "metering never steers dispatch" `Quick
+            test_metering_never_steers;
           Alcotest.test_case "differential across flips both ways" `Quick
             test_dispatch_differential;
           Alcotest.test_case "negative value raises in both modes" `Quick

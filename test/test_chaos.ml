@@ -15,19 +15,6 @@ let cfg ?metrics seed =
 
 let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
-(* A deliberately thrashing adaptive policy: with the combining bar at 0
-   (any epoch wants in) and the benefit bar at 10 (no epoch can earn its
-   keep), the dispatcher oscillates every epoch — maximal stress on the
-   flip machinery. *)
-let thrash_policy =
-  { Harness.Adaptive.Policy.epoch_ops = 2;
-    hysteresis = 1;
-    min_updates = 1;
-    update_share_min = 0.;
-    cas_fail_min = 0.;
-    stale_min = 2.;
-    benefit_min = 10. }
-
 (* {1 Bursts under chaos linearize} *)
 
 let test_burst_maxreg () =
@@ -164,9 +151,7 @@ let test_combining_invariants_under_chaos () =
     (s.Smem.Combine.lock_acquisitions + s.Smem.Combine.eliminations > 0)
 
 let test_adaptive_invariants_under_chaos () =
-  let flip_policy =
-    { thrash_policy with Harness.Adaptive.Policy.epoch_ops = 64 }
-  in
+  let flip_policy = { Harness.Adaptive.Policy.thrash with epoch_ops = 64 } in
   let cd, rd =
     soak_backend (cfg 131)
       (Harness.Instances.Adaptive (Some flip_policy))
@@ -190,15 +175,16 @@ let test_adaptive_invariants_under_chaos () =
 
 (* Adaptive backends under chaos.  Two flavors per seed: the default
    policies (dispatch machinery live, flips rare at burst scale), and
-   the deliberately thrashing policy above — epoch every 2 updates,
-   hysteresis 1, a combining bar of 0 and a benefit bar of 10 — so the
-   mode flips back and forth INSIDE the burst while storms land astride
-   the epoch lock.  Histories must linearize either way. *)
+   the flip-forcing {!Harness.Adaptive.Policy.thrash}, so the mode flips
+   back and forth INSIDE the burst while storms land astride the epoch
+   lock.  Histories must linearize either way. *)
 let test_burst_adaptive () =
   burst_backend (Harness.Instances.Adaptive None) "adaptive"
 
 let test_burst_adaptive_thrashing () =
-  let thrash = Harness.Instances.Adaptive (Some thrash_policy) in
+  let thrash =
+    Harness.Instances.Adaptive (Some Harness.Adaptive.Policy.thrash)
+  in
   List.iter
     (fun seed ->
       let c = cfg seed in
