@@ -66,7 +66,9 @@ let default =
     r2_reads =
       [ "read"; "get"; "read_max"; "read_leaf"; "child_value"; "scan";
         "collect"; "fetch_and_add" ];
-    r2_cas = [ "cas"; "compare_and_set"; "compare_exchange"; "fetch_and_add" ];
+    r2_cas =
+      [ "cas"; "cas_same"; "compare_and_set"; "compare_exchange";
+        "fetch_and_add" ];
     (* R3: the zero-allocation claims pinned statically.  [Body] checks a
        whole function body; [Loops] checks only while/for bodies inside
        the function (measurement epilogues may allocate, timed loops may

@@ -70,7 +70,7 @@ let read_fns = [ "read"; "get" ]
 let write_fns = [ "write"; "set" ]
 
 let cas_fns =
-  [ "cas"; "compare_and_set"; "compare_exchange"; "exchange";
+  [ "cas"; "cas_same"; "compare_and_set"; "compare_exchange"; "exchange";
     "fetch_and_add"; "incr"; "decr" ]
 
 (* Higher-order stdlib iteration: cost of the closure, O(n) times.      *)

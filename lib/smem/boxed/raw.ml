@@ -32,6 +32,7 @@ let make v = maker () v
 let get (Cell ((module M), o)) = M.read o
 let set (Cell ((module M), o)) v = M.write o v
 let cas (Cell ((module M), o)) expected desired = M.cas o ~expected ~desired
+let cas_same c v = cas c v v
 let of_int i = if i = min_int then Simval.Bot else Simval.Int i
 
 let to_int = function

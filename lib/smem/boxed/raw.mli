@@ -35,6 +35,11 @@ val cas : t -> value -> value -> bool
 (** [cas r expected desired]; pass as [expected] the value a {!get}
     returned: {!Smem.Atomic_memory}'s CAS is physical. *)
 
+val cas_same : t -> value -> bool
+(** [cas_same r v] is [cas r v v], one CAS of the cell's memory: the
+    simulator, the counting memory and every trace see the same event as
+    for any other CAS.  (The unboxed compile answers it with a load.) *)
+
 val of_int : int -> value
 (** [Int i], and [Bot] for [min_int], the unboxed compile's [bot]. *)
 

@@ -11,5 +11,6 @@ let maker () v = Smem.Unboxed_memory.make v
 external get : t -> value = "%atomic_load"
 external set : t -> value -> unit = "%atomic_exchange"
 external cas : t -> value -> value -> bool = "%atomic_cas"
+external cas_same : t -> value -> bool = "rut_raw_cas_same" [@@noalloc]
 external of_int : int -> value = "%identity"
 external to_int : value -> int = "%identity"

@@ -9,6 +9,17 @@
    max of monotone values, sums of monotone counters, and concatenations of
    sequence-stamped segments.
 
+   When the first CAS installs, as a lone updater's always does, the
+   second refresh computes the value the node already holds and its CAS
+   is CAS(v, v).  [refresh] issues that one as [Raw.cas_same]: the same
+   CAS event in the boxed compile, one load in the unboxed one, where
+   [%atomic_cas] would be a locked cmpxchg in the runtime's
+   [caml_atomic_cas] once a second domain runs, taking the node's cache
+   line (the root's, at the last level) from every reader polling it.
+   The argument above uses only each CAS's outcome and the state it
+   leaves, and CAS(v, v) succeeds iff the node holds [v] and leaves it
+   unchanged either way, so it holds for the load too.
+
    Written once against [Raw] and compiled twice (lib/smem/unboxed,
    lib/smem/boxed).  A missing child reads as [Raw.bot]; the walk is a
    top-level self-recursive function (no closure capture) and
@@ -27,7 +38,9 @@ let refresh ~combine (node : Raw.t Treeprim.Tree_shape.node) =
   let old_value = Raw.get node.Treeprim.Tree_shape.data in
   let l = child_value node.Treeprim.Tree_shape.left in
   let r = child_value node.Treeprim.Tree_shape.right in
-  Raw.cas node.Treeprim.Tree_shape.data old_value (combine l r)
+  let v = combine l r in
+  if v == old_value then Raw.cas_same node.Treeprim.Tree_shape.data old_value
+  else Raw.cas node.Treeprim.Tree_shape.data old_value v
 
 (* Walk from [node] to the root, refreshing every proper ancestor
    [refreshes] times: O(depth) events, a loop counting the failed refresh
@@ -47,9 +60,10 @@ let rec walk ~refreshes ~combine failed
 let propagate ~refreshes ~combine leaf = walk ~refreshes ~combine 0 leaf
 
 (* The metering of one walk from [leaf]: [refreshes × depth leaf]
-   refreshes of one CAS each.  Callers test [metrics.enabled] first, an
-   inlined field load ([Obs.Metrics.t] is private) where this call would
-   not be: a disabled handle costs one branch per operation. *)
+   refreshes of one CAS each, a [Raw.cas_same] included.  Callers test
+   [metrics.enabled] first, an inlined field load ([Obs.Metrics.t] is
+   private) where this call would not be: a disabled handle costs one
+   branch per operation. *)
 let record ~metrics ~domain ~refreshes ~helped leaf failures =
   let rounds = refreshes * Treeprim.Tree_shape.depth leaf in
   Obs.Metrics.add metrics ~domain Obs.Metrics.Refresh_round rounds;

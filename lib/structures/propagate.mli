@@ -14,7 +14,12 @@ val refresh :
   Raw.t Treeprim.Tree_shape.node ->
   bool
 (** One refresh of one node: 4 shared-memory events (read node, read both
-    children, CAS).  [true] iff the CAS installed. *)
+    children, CAS).  [true] iff the CAS installed.  When the combination
+    is the value read ([==]), the CAS is CAS(v, v) and goes through
+    [Raw.cas_same]: the same CAS in the boxed compile, one load in the
+    unboxed one, where [%atomic_cas] would take a locked cmpxchg once a
+    second domain runs.  A lone updater's second refresh of each node is
+    such a CAS. *)
 
 val propagate :
   refreshes:int ->
@@ -38,6 +43,8 @@ val record :
     {!propagate} from [leaf] that returned [failures] under shard
     [domain] (the calling pid): [refreshes × depth leaf] refresh rounds
     and CAS attempts, [failures] CAS failures, and one [Help] if
-    [helped].  No step, no allocation.  Call it under
-    [if metrics.Obs.Metrics.enabled], so that a disabled handle costs
-    one branch per operation and no call. *)
+    [helped].  Attempts count the model's CAS steps, so a refresh the
+    unboxed compile answers with a load ({!refresh}) counts as one.  No
+    step, no allocation.  Call it under [if metrics.Obs.Metrics.enabled],
+    so that a disabled handle costs one branch per operation and no
+    call. *)

@@ -308,11 +308,13 @@ let test_repo_is_lint_clean () =
   Alcotest.(check (list string)) "repo lints clean" []
     (List.map Lint.Diagnostic.to_human r.diagnostics)
 
-(* The inline guard.  Every shared-memory step of the unboxed compile
-   goes through lib/smem/unboxed/raw.mli; under dune's dev profile
-   (-opaque) a [val] there would turn each step into an out-of-line call
-   that neither the zero-alloc guards nor R3 can see, while an
-   [external] primitive expands inline exactly as [Stdlib.Atomic] does.
+(* The primitive guard.  Every shared-memory step of the unboxed
+   compile goes through lib/smem/unboxed/raw.mli; under dune's dev
+   profile (-opaque) a [val] there would turn each step into a call
+   through a closure that neither the zero-alloc guards nor R3 can see,
+   while an [external] compiles at the call site as [Stdlib.Atomic]'s
+   does: an inline load, or a direct noalloc call into the runtime
+   ([caml_atomic_cas]) or into a [[@@noalloc]] C stub ([cas_same]).
    Read the compiled interface and require every function in it to be a
    primitive, except the allocators (allocation is not a step). *)
 let raw_cmi =
@@ -347,7 +349,7 @@ let test_raw_steps_are_primitives () =
     (fun step ->
       Alcotest.(check (option bool)) (step ^ " is a primitive") (Some true)
         (List.assoc_opt step functions))
-    [ "get"; "set"; "cas"; "of_int"; "to_int" ]
+    [ "get"; "set"; "cas"; "cas_same"; "of_int"; "to_int" ]
 
 let () =
   Alcotest.run "lint"

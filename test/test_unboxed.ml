@@ -1,5 +1,6 @@
 (* Tests of the unboxed native backend and the unboxed compile of
-   lib/structures: the padded heap-block layout, differential equivalence
+   lib/structures: the padded heap-block layout, [Raw.cas_same] in both
+   compiles, differential equivalence
    against the boxed compile of the same source on random operation
    sequences (over Atomic_memory, whose physical CAS catches a source that
    CASes with a re-encoded value), zero-allocation assertions via
@@ -39,6 +40,72 @@ let test_padded_layout () =
   Alcotest.(check int)
     "padded block intact after full major" Smem.Unboxed_memory.padded_words
     (Obj.size (Obj.repr padded))
+
+(* {1 cas_same is CAS(v, v)}
+
+   [Raw.cas_same c v] must answer as [Raw.cas c v v] and leave the cell as
+   it found it: the unboxed compile answers with a load, the boxed one
+   issues the CAS itself, one CAS step of the cell's memory.  A stale
+   [v] must fail; the double refresh relies on that failure. *)
+
+(* (name, value held, value asked) *)
+let cas_same_cases =
+  [ ("holds v", 5, 5);
+    ("holds another value", 7, 5);
+    ("holds bot", min_int, 5);
+    ("bot asked bot", min_int, min_int) ]
+
+let test_cas_same () =
+  let module R = Unboxed.Raw in
+  List.iter
+    (fun (what, held, asked) ->
+      let c = R.make (R.of_int held) in
+      let same = R.cas_same c (R.of_int asked) in
+      Alcotest.(check bool) (what ^ ": unboxed outcome") (held = asked) same;
+      Alcotest.(check int) (what ^ ": unboxed cell unchanged") held
+        (R.to_int (R.get c));
+      Alcotest.(check bool) (what ^ ": unboxed = cas v v") same
+        (R.cas c (R.of_int asked) (R.of_int asked));
+      Alcotest.(check int) (what ^ ": unboxed cell after cas") held
+        (R.to_int (R.get c)))
+    cas_same_cases;
+  let c = R.make (R.of_int 5) in
+  let stale = R.get c in
+  R.set c (R.of_int 9);
+  Alcotest.(check bool) "unboxed stale value fails" false (R.cas_same c stale);
+  Alcotest.(check int) "unboxed cell keeps the newer value" 9 (R.get c);
+  let module B = Boxed.Raw in
+  let mem, counts =
+    Smem.Counting_memory.wrap (Smem.Sim_memory.bind (Memsim.Session.create ()))
+  in
+  B.with_memory mem (fun () ->
+      let steps what (r, w, c) =
+        Alcotest.(check (list int)) (what ^ ": reads, writes, cas") [ r; w; c ]
+          Smem.Counting_memory.[ counts.reads; counts.writes; counts.cas ]
+      in
+      List.iter
+        (fun (what, held, asked) ->
+          let c = B.make (B.of_int held) in
+          (* the value the cell holds, as a read returns it *)
+          let asked = if held = asked then B.get c else B.of_int asked in
+          Smem.Counting_memory.reset counts;
+          let same = B.cas_same c asked in
+          steps (what ^ ": boxed cas_same") (0, 0, 1);
+          Alcotest.(check bool) (what ^ ": boxed outcome")
+            (held = B.to_int asked) same;
+          Alcotest.(check bool) (what ^ ": boxed = cas v v") same
+            (B.cas c asked asked);
+          Alcotest.(check int) (what ^ ": boxed cell unchanged") held
+            (B.to_int (B.get c)))
+        cas_same_cases;
+      let c = B.make (B.of_int 5) in
+      let stale = B.get c in
+      B.set c (B.of_int 9);
+      Smem.Counting_memory.reset counts;
+      Alcotest.(check bool) "boxed stale value fails" false (B.cas_same c stale);
+      steps "boxed stale cas_same" (0, 0, 1);
+      Alcotest.(check int) "boxed cell keeps the newer value" 9
+        (B.to_int (B.get c)))
 
 (* {1 Differential: boxed vs unboxed on random operation sequences}
 
@@ -305,6 +372,7 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 let () =
   Alcotest.run "unboxed"
     [ ("layout", [ Alcotest.test_case "padded blocks" `Quick test_padded_layout ]);
+      ("raw", [ Alcotest.test_case "cas_same is CAS(v, v)" `Quick test_cas_same ]);
       ( "differential",
         qsuite
           [ differential_maxreg Harness.Instances.Algorithm_a;
