@@ -38,13 +38,12 @@ let all_snapshots = [ Double_collect; Afek; Farray_snapshot ]
 
 (* {1 Construction over an arbitrary MEMORY}
 
-   The structures of lib/structures run here as their boxed compile, the
-   same source the unboxed backend runs natively, built inside
-   [Boxed.Raw.with_memory] so their cells live in [m].  AAC and the
-   snapshots are functors over MEMORY; a snapshot counter is Corollary
-   1's reduction over the snapshot's closed instance. *)
+   Every structure is built once, inside [Boxed.Raw.with_memory m], so
+   its cells live in [m]: the int-valued ones of lib/structures as their
+   boxed compile (the same source the unboxed backend runs natively),
+   the snapshots as plain modules over [Boxed.Raw].  A snapshot counter
+   is Corollary 1's reduction over the snapshot's closed instance. *)
 
-(* A closed instance of a boxed-compile structure built in [m]. *)
 let boxed_maxreg (type r) m (module R : Maxreg.Max_register.S with type t = r)
     create =
   Maxreg.Max_register.instantiate (module R) (Boxed.Raw.with_memory m create)
@@ -52,6 +51,10 @@ let boxed_maxreg (type r) m (module R : Maxreg.Max_register.S with type t = r)
 let boxed_counter (type c) m (module C : Counters.Counter.S with type t = c)
     create =
   Counters.Counter.instantiate (module C) (Boxed.Raw.with_memory m create)
+
+let boxed_snapshot (type s) m (module S : Snapshots.Snapshot.S with type t = s)
+    create =
+  Snapshots.Snapshot.instantiate (module S) (Boxed.Raw.with_memory m create)
 
 let maxreg_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
     Maxreg.Max_register.instance =
@@ -62,30 +65,31 @@ let maxreg_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
       (module Boxed.Algorithm_a)
       (Boxed.Algorithm_a.create ~literal_early_return ~n)
   | Aac_maxreg ->
-    let module A = Maxreg.Aac_maxreg.Make ((val m)) in
-    Maxreg.Max_register.instantiate (module A) (A.create ~bound)
+    boxed_maxreg m (module Boxed.Aac_maxreg) (Boxed.Aac_maxreg.create ~bound)
   | B1_maxreg -> boxed_maxreg m (module Boxed.B1_maxreg) Boxed.B1_maxreg.create
   | Cas_maxreg -> boxed_maxreg m (module Boxed.Cas_maxreg) Boxed.Cas_maxreg.create
 
-let snapshot_over (module M : Smem.Memory_intf.MEMORY) ~n impl :
+let snapshot_over (m : (module Smem.Memory_intf.MEMORY)) ~n impl :
     Snapshots.Snapshot.instance =
   match impl with
   | Double_collect ->
-    let module S = Snapshots.Double_collect.Make (M) in
-    Snapshots.Snapshot.instantiate (module S) (S.create ~n ())
+    boxed_snapshot m
+      (module Snapshots.Double_collect)
+      (Snapshots.Double_collect.create ~n)
   | Afek ->
-    let module S = Snapshots.Afek_snapshot.Make (M) in
-    Snapshots.Snapshot.instantiate (module S) (S.create ~n)
+    boxed_snapshot m
+      (module Snapshots.Afek_snapshot)
+      (Snapshots.Afek_snapshot.create ~n)
   | Farray_snapshot ->
-    let module S = Snapshots.Farray_snapshot.Make (M) in
-    Snapshots.Snapshot.instantiate (module S) (S.create ~n)
+    boxed_snapshot m
+      (module Snapshots.Farray_snapshot)
+      (Snapshots.Farray_snapshot.create ~n)
 
 let counter_over (m : (module Smem.Memory_intf.MEMORY)) ~n ~bound impl :
     Counters.Counter.instance =
   match impl with
   | Aac_counter ->
-    let module C = Counters.Aac_counter.Make ((val m)) in
-    Counters.Counter.instantiate (module C) (C.create ~n ~bound)
+    boxed_counter m (module Boxed.Aac_counter) (Boxed.Aac_counter.create ~n ~bound)
   | Farray_counter ->
     boxed_counter m (module Boxed.Farray_counter) (Boxed.Farray_counter.create ~n)
   | Naive_counter ->
@@ -145,10 +149,12 @@ let maxreg_dial_sim session ~n dial =
    the same unboxed structure: adaptive dispatches per epoch, combining
    pins every update to the instance's combining path, so there is one
    combining implementation, not two.  [None] exactly where no such
-   instance exists: AAC and the snapshot counters everywhere (no
-   unboxed specialization; the native f-array snapshot is the boxed
-   [snapshot_native]), and on the dispatch backends also B1 (idempotent
-   switch writes — no per-op propagation to batch), the
+   instance exists: AAC everywhere (its constructions take a value
+   bound, which these constructors do not; its unboxed compile is
+   Unboxed.Aac_maxreg / Unboxed.Aac_counter), the snapshot counters
+   everywhere (vector-valued, so boxed only: the native f-array
+   snapshot is [snapshot_native]), and on the dispatch backends also
+   B1 (idempotent switch writes — no per-op propagation to batch), the
    literal-line-16 ablation (kept pure as the paper-faithful bug
    exhibit) and the dial points. *)
 

@@ -111,11 +111,13 @@ val maxreg_dial_sim :
 
     Returns the closed instance and, for the two dispatch backends, its
     {!dispatch} handle.  [None] exactly where no such instance exists:
-    the AAC constructions and the snapshot counters on every backend
-    (no unboxed specialization; the native f-array snapshot is
-    {!snapshot_native}'s functor over boxed atomics); and on [Combining]
-    and [Adaptive] also B1, the literal-line-16 ablation and the dial
-    points.  [domains] is the number of participating domains: every
+    the AAC constructions on every backend (they take a value bound,
+    which these constructors do not; their unboxed compile is
+    {!Unboxed.Aac_maxreg} / {!Unboxed.Aac_counter}, built directly);
+    the snapshot counters on every backend (snapshots are vector-valued,
+    so boxed only: the native f-array snapshot is {!snapshot_native},
+    over boxed atomics); and on [Combining] and [Adaptive] also B1, the
+    literal-line-16 ablation and the dial points.  [domains] is the number of participating domains: every
     [pid] passed to an operation must be in [0 .. domains-1].
 
     With a live [metrics] handle every instance records [Op_update] per

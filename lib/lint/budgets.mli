@@ -19,10 +19,11 @@ type t = {
   (** identifiers usable as [for]-loop limits with a known constant
       magnitude (e.g. [refreshes] = 2) *)
   memory_params : string list;
-  (** memory modules: the functor-parameter name instantiated with
-      MEMORY, and [Raw] (the cells of lib/structures) *)
+  (** memory modules: [Raw] (the cells of lib/structures, and
+      [Boxed.Raw] under the snapshots and max arrays) *)
   instrumentation_roots : string list;
-  (** call roots excluded from the model's accounting *)
+  (** call roots excluded from the model's accounting (observability,
+      and [Lazy_cell]'s memoized construction) *)
 }
 
 val default : t

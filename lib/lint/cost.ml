@@ -2,11 +2,11 @@
 
    An abstract interpretation of the dune-produced typed trees in the
    paper's cost model: a *step* is one access to shared memory — a
-   [read]/[write]/[cas] (or [get]/[set]/[compare_and_set]/...) through a
-   MEMORY functor parameter or the [Raw] cell module of the structures
-   in lib/structures, or a raw [Atomic] access in the memory layer.
-   Everything else (local arithmetic, private arrays, allocation —
-   [M.make]/[Raw.make]/[Atomic.make] are not steps) costs nothing,
+   [get]/[set]/[cas] (or [read]/[write]/[compare_and_set]/...) through
+   the [Raw] cell module every structure is written against, or a raw
+   [Atomic] access in the memory layer.  Everything else (local
+   arithmetic, private arrays, allocation — [Raw.make]/[Atomic.make]
+   are not steps) costs nothing,
    exactly as in the paper's complexity accounting.  A source compiled
    twice (one compile per [Raw]) registers the same display-qualified
    operations from both compiles; they read the same code, so each
@@ -29,7 +29,8 @@
    - calls through a non-memory functor parameter are Unbounded (the
      cost belongs to the instantiation — e.g. Adaptive.Kernel over S);
    - calls into [Budgets.instrumentation_roots] cost nothing (the
-     observability shards are outside the model);
+     observability shards are outside the model, and forcing a
+     [Lazy_cell] builds the initial configuration);
    - unknown external calls cost nothing — sound *in this repo* because
      R1 confines raw atomics to the memory layer and its allowlisted
      submodules, so code outside the analyzed units cannot touch shared
@@ -102,8 +103,7 @@ type ctx = {
   fparams : string list;         (* functor parameters in scope *)
   aliases : (string * string list) list;
       (* local module name -> qualified target, e.g.
-         A -> ["Aac_maxreg"; "Make"] for
-         [module A = Maxreg.Aac_maxreg.Make (M)] *)
+         F -> ["Boxed"; "Farray"] for [module F = Boxed.Farray] *)
 }
 
 let bound_is_zero = function Summary.Const 0 -> true | _ -> false
@@ -126,19 +126,18 @@ let lookup_global ctx comps =
   match Hashtbl.find_opt ctx.globals comps with
   | Some s -> Some s
   | None -> (
-    (* a path reached through a wrapping alias module carries one extra
-       leading component (Maxreg.Algorithm_a.Make.f vs the registration
-       key Algorithm_a.Make.f) *)
+    (* a path reached through a library's wrapper module carries one
+       extra leading component (Boxed.Farray.update vs the registration
+       key Farray.update) *)
     match comps with
     | _ :: (_ :: _ :: _ as tl) -> Hashtbl.find_opt ctx.globals tl
     | _ -> None)
 
-(* One shared access through a memory module (a MEMORY functor
-   parameter, or the [Raw] cell module the structures of lib/structures
-   are compiled against — reached as [Unboxed.Raw.get] through its
-   library's wrapper) or raw Atomic; [Some Summary.zero] for their
-   non-step operations (make, of_int, ...).  [None] when the root is not
-   a memory module at all. *)
+(* One shared access through a memory module (the [Raw] cells, reached
+   as [Unboxed.Raw.get] or [Boxed.Raw.get] through their library's
+   wrapper) or raw Atomic; [Some Summary.zero] for their non-step
+   operations (make, of_int, ...).  [None] when the root is not a
+   memory module at all. *)
 let classify_memory ctx comps =
   let is_memory root = List.mem root ctx.budgets.Budgets.memory_params in
   let comps =
@@ -156,10 +155,12 @@ let classify_memory ctx comps =
     else Some Summary.zero
   | _ -> None
 
+(* A call outside the model's accounting, also behind its library's
+   wrapper ([Smem.Lazy_cell.force]). *)
 let is_instrumentation ctx comps =
-  match comps with
-  | root :: _ -> List.mem root ctx.budgets.Budgets.instrumentation_roots
-  | [] -> false
+  List.exists
+    (fun m -> List.mem m ctx.budgets.Budgets.instrumentation_roots)
+    comps
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
@@ -529,8 +530,8 @@ and walk_binding ctx env mb =
     | Tmod_constraint (me, _, _, _) -> shape me
     | Tmod_ident (p, _) -> `Alias (components p)
     | Tmod_apply (f, _, _) -> (
-      (* [module A = Aac_maxreg.Make (M)]: calls through A resolve to the
-         functor body's summaries, which are abstract in M *)
+      (* [module G = F (X)]: calls through G resolve to the functor
+         body's summaries, which are abstract in its parameter *)
       match shape f with `Alias c -> `Alias c | _ -> `Opaque)
     | Tmod_structure _ | Tmod_functor _ -> `Descend
     | _ -> `Opaque
@@ -752,10 +753,11 @@ let to_costs_md r =
     "# COSTS — certified per-operation shared-access bounds\n\n\
      Generated by `dune exec bin/lint.exe -- --cost --costs-md COSTS.md` \
      (rule C1).\n\
-     A step is one shared-memory access (MEMORY read/write/CAS or an \
-     allowlisted raw atomic); allocation and private state are free, as \
-     in the paper's model.  CI diffs this file: a class regression \
-     fails the build.\n\n\
+     A step is one shared-memory access (a get/set/CAS of a `Raw` cell, \
+     which is one operation of its memory, or an allowlisted raw \
+     atomic); allocation, private state and forcing a memoized tree \
+     node are free, as in the paper's model.  CI diffs this file: a \
+     class regression fails the build.\n\n\
      | operation | reads | writes | cas | total | budget | status |\n\
      |---|---|---|---|---|---|---|\n";
   List.iter

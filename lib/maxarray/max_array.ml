@@ -31,17 +31,18 @@
 
    - {!From_farray}: from a Jayanti f-array with componentwise-max
      aggregation (read/write/CAS): MaxScan is a single read of the root,
-     MaxUpdate is O(log N).  It is {!Max_vector.Make} at two
+     MaxUpdate is O(log N).  It is {!Max_vector} at two
      components.
 
-   All are validated against {!Linearize.Spec.Max_array} by exhaustive
+   All three keep their state in {!Boxed.Raw} cells: build one inside
+   {!Boxed.Raw.with_memory}.  All are validated against {!Linearize.Spec.Max_array} by exhaustive
    interleaving enumeration and random-schedule sweeps
    (test_max_array.ml). *)
 
 module type S = sig
   type t
 
-  val create : n:int -> t
+  val create : n:int -> unit -> t
   val max_update0 : t -> pid:int -> int -> unit
   val max_update1 : t -> pid:int -> int -> unit
   val max_scan : t -> int * int
@@ -59,18 +60,20 @@ let instantiate (type a) (module I : S with type t = a) (m : a) =
     update1 = (fun ~pid v -> I.max_update1 m ~pid v);
     scan = (fun () -> I.max_scan m) }
 
-module From_registers (M : Smem.Memory_intf.MEMORY) = struct
-  module R = Maxreg.Aac_maxreg.Make (M)
+module From_registers = struct
+  module R = Boxed.Aac_maxreg
 
   type t = { a : R.t; b : R.t; max_collects : int }
 
   let create_bounded ?(max_collects = 1_000_000) ~bound0 ~bound1 () =
-    { a = R.create ~bound:bound0; b = R.create ~bound:bound1; max_collects }
+    { a = R.create ~bound:bound0 ();
+      b = R.create ~bound:bound1 ();
+      max_collects }
 
   (* [create ~n] exists for interface uniformity; restricted use means any
      polynomial bound works — pick one comfortably above the values the
      harnesses use. *)
-  let create ~n =
+  let create ~n () =
     let bound = max 128 (4 * n * n) in
     create_bounded ~bound0:bound ~bound1:bound ()
 
@@ -92,17 +95,17 @@ module From_registers (M : Smem.Memory_intf.MEMORY) = struct
     loop (R.read_max t.b) 1
 end
 
-module From_snapshot (M : Smem.Memory_intf.MEMORY) = struct
-  module S = Snapshots.Afek_snapshot.Make (M)
+module From_snapshot = struct
+  module S = Snapshots.Afek_snapshot
 
   (* snapshot over 2n segments: segment 2p announces p's a-maximum,
      segment 2p+1 its b-maximum; local.(i) caches the single-writer
      segment values (process-local state). *)
   type t = { snap : S.t; local : int array; n : int }
 
-  let create ~n =
+  let create ~n () =
     if n <= 0 then invalid_arg "Max_array.create: n must be > 0";
-    { snap = S.create ~n:(2 * n); local = Array.make (2 * n) 0; n }
+    { snap = S.create ~n:(2 * n) (); local = Array.make (2 * n) 0; n }
 
   let announce t ~segment v =
     if v > t.local.(segment) then begin
@@ -129,16 +132,14 @@ module From_snapshot (M : Smem.Memory_intf.MEMORY) = struct
     (!a, !b)
 end
 
-module From_farray (M : Smem.Memory_intf.MEMORY) = struct
-  module V = Max_vector.Make (M)
+module From_farray = struct
+  type t = Max_vector.t
 
-  type t = V.t
-
-  let create ~n = V.create ~n ~m:2
-  let max_update0 t ~pid v = V.max_update t ~pid ~component:0 v
-  let max_update1 t ~pid w = V.max_update t ~pid ~component:1 w
+  let create ~n () = Max_vector.create ~n ~m:2 ()
+  let max_update0 t ~pid v = Max_vector.max_update t ~pid ~component:0 v
+  let max_update1 t ~pid w = Max_vector.max_update t ~pid ~component:1 w
 
   let max_scan t =
-    let v = V.max_scan t in
+    let v = Max_vector.max_scan t in
     (v.(0), v.(1))
 end

@@ -3,12 +3,13 @@
     et al. [3].  See the implementation header for why two plain max
     registers are not enough and why the polylog read/write-only
     construction of [2] is substituted by two correct-by-construction
-    variants bracketing its complexity. *)
+    variants bracketing its complexity.  Each keeps its state in
+    {!Boxed.Raw} cells: build one inside {!Boxed.Raw.with_memory}. *)
 
 module type S = sig
   type t
 
-  val create : n:int -> t
+  val create : n:int -> unit -> t
   (** Shared by [n] processes. *)
 
   val max_update0 : t -> pid:int -> int -> unit
@@ -30,7 +31,7 @@ type instance = {
 
 val instantiate : (module S with type t = 'a) -> 'a -> instance
 
-module From_registers (M : Smem.Memory_intf.MEMORY) : sig
+module From_registers : sig
   include S
 
   val create_bounded :
@@ -47,10 +48,10 @@ end
     operation; scans retry once per concurrent b-change (bounded by the
     restricted-use budget). *)
 
-module From_snapshot (M : Smem.Memory_intf.MEMORY) : S
+module From_snapshot : S
 (** From the Afek et al. snapshot: reads and writes only, O(N²) steps per
     operation, worst-case wait-free. *)
 
-module From_farray (M : Smem.Memory_intf.MEMORY) : S
+module From_farray : S
 (** From an f-array with componentwise max: read/write/CAS, MaxScan O(1),
-    MaxUpdate O(log N) — the two-component view of {!Max_vector.Make}. *)
+    MaxUpdate O(log N) — the two-component view of {!Max_vector}. *)

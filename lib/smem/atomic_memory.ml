@@ -3,9 +3,7 @@
 
 type t = Memsim.Simval.t Atomic.t
 
-let make ?name init =
-  ignore name;
-  Atomic.make init
+let make = Atomic.make
 
 let read = Atomic.get
 let write = Atomic.set

@@ -13,5 +13,3 @@
     entirely. *)
 
 include Memory_intf.MEMORY
-(** [make] ignores [?name], which only the simulator backend uses (to key
-    its store). *)

@@ -1,6 +1,5 @@
-(* Step-counting wrapper around any MEMORY.  Each functor instantiation (or
-   [wrap] call) carries its own counters, so concurrent measurements do not
-   interfere. *)
+(* Step-counting wrapper around any MEMORY.  Each [wrap] call carries its
+   own counters, so concurrent measurements do not interfere. *)
 
 type counts = { mutable reads : int; mutable writes : int; mutable cas : int }
 

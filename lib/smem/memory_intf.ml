@@ -1,13 +1,12 @@
-(* The base-object interface all algorithms are written against.
+(* The base-object interface of the paper's model: base objects support
+   read, write and CAS, applied atomically.
 
-   The paper's model: base objects support read, write and CAS, applied
-   atomically.  Algorithms run on the deterministic simulator (step
-   counting, adversarial scheduling, linearizability testing) and on OCaml
-   5 atomics (Domain-parallel benchmarks) either as functors over MEMORY
-   (AAC, the snapshots) or, for the int-valued structures of
-   lib/structures, as one source compiled against a [Raw] cell module per
-   backend (lib/smem/boxed: Simval cells in any MEMORY; lib/smem/unboxed:
-   int Atomic.t). *)
+   Structures are written against a [Raw] cell module, not against
+   MEMORY: MEMORY is the substrate of the boxed [Raw] (lib/smem/boxed,
+   bound per domain by [Boxed.Raw.with_memory] while a structure is
+   built) — the simulator, the counting memory, OCaml 5 atomics and the
+   chaos wrappers.  The int-valued structures of lib/structures also
+   compile against lib/smem/unboxed's [Raw] (bare int Atomic.t). *)
 
 module type MEMORY = sig
   (** Base objects holding a {!Memsim.Simval.t}. *)
@@ -15,7 +14,7 @@ module type MEMORY = sig
   type t
   (** A base object. *)
 
-  val make : ?name:string -> Memsim.Simval.t -> t
+  val make : Memsim.Simval.t -> t
   (** Allocate a base object with an initial value.  Allocation happens when
       an implementation builds its data structure (the initial
       configuration); it is not a step. *)

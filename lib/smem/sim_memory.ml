@@ -10,15 +10,9 @@ let bind (session : Session.t) : (module Memory_intf.MEMORY) =
 
     let counter = ref 0
 
-    let make ?name init =
-      let name =
-        match name with
-        | Some n -> n
-        | None ->
-          incr counter;
-          Printf.sprintf "o%d" !counter
-      in
-      Session.alloc session ~name init
+    let make init =
+      incr counter;
+      Session.alloc session ~name:(Printf.sprintf "o%d" !counter) init
 
     let read obj = Session.read session obj
     let write obj v = Session.write session obj v

@@ -8,45 +8,42 @@
    scan is O(N). *)
 
 open Memsim
+module Raw = Boxed.Raw
 
-module Make (M : Smem.Memory_intf.MEMORY) = struct
-  type t = { segs : M.t array; n : int; max_collects : int }
+type t = { segs : Raw.t array; n : int; max_collects : int }
 
-  exception Starved
+exception Starved
 
-  let seg_value v =
-    match v with
-    | Simval.Bot -> (0, 0)
-    | Simval.Vec [| Simval.Int seq; Simval.Int x |] -> (seq, x)
-    | Simval.Int _ | Simval.Vec _ -> invalid_arg "Double_collect: bad segment"
+let seg_value v =
+  match v with
+  | Simval.Bot -> (0, 0)
+  | Simval.Vec [| Simval.Int seq; Simval.Int x |] -> (seq, x)
+  | Simval.Int _ | Simval.Vec _ -> invalid_arg "Double_collect: bad segment"
 
-  let create ?(max_collects = 1_000_000) ~n () =
-    if n <= 0 then invalid_arg "Double_collect.create: n must be > 0";
-    { segs = Array.init n (fun i -> M.make ~name:(Printf.sprintf "seg%d" i) Simval.Bot);
-      n;
-      max_collects }
+let create ?(max_collects = 1_000_000) ~n () =
+  if n <= 0 then invalid_arg "Double_collect.create: n must be > 0";
+  { segs = Array.init n (fun _ -> Raw.make Raw.bot); n; max_collects }
 
-  (* Set the caller's segment to [v], or to its value plus [v] if [add]:
-     one read of the segment (its sequence number and, for the single
-     writer, its own last value) and one write. *)
-  let write_own t ~pid ~add v =
-    if pid < 0 || pid >= t.n then invalid_arg "Double_collect.update: bad pid";
-    let seq, x = seg_value (M.read t.segs.(pid)) in
-    let v = if add then x + v else v in
-    M.write t.segs.(pid) (Simval.Vec [| Simval.Int (seq + 1); Simval.Int v |])
+(* Set the caller's segment to [v], or to its value plus [v] if [add]:
+   one read of the segment (its sequence number and, for the single
+   writer, its own last value) and one write. *)
+let write_own t ~pid ~add v =
+  if pid < 0 || pid >= t.n then invalid_arg "Double_collect.update: bad pid";
+  let seq, x = seg_value (Raw.get t.segs.(pid)) in
+  let v = if add then x + v else v in
+  Raw.set t.segs.(pid) (Simval.Vec [| Simval.Int (seq + 1); Simval.Int v |])
 
-  let update t ~pid v = write_own t ~pid ~add:false v
-  let add t ~pid d = write_own t ~pid ~add:true d
+let update t ~pid v = write_own t ~pid ~add:false v
+let add t ~pid d = write_own t ~pid ~add:true d
 
-  let collect t = Array.map (fun seg -> seg_value (M.read seg)) t.segs
+let collect t = Array.map (fun seg -> seg_value (Raw.get seg)) t.segs
 
-  let scan t =
-    let rec loop previous tries =
-      if tries > t.max_collects then raise Starved;
-      let current = collect t in
-      if current = previous then Array.map snd current
-      else loop current (tries + 1)
-    in
-    let first = collect t in
-    loop first 1
-end
+let scan t =
+  let rec loop previous tries =
+    if tries > t.max_collects then raise Starved;
+    let current = collect t in
+    if current = previous then Array.map snd current
+    else loop current (tries + 1)
+  in
+  let first = collect t in
+  loop first 1

@@ -4,18 +4,18 @@
     tradeoff, standing in for the restricted-use snapshot of Aspnes et
     al. (PODC 2012); see DESIGN.md for the substitution argument.
     Sequence stamps keep node values unique, making the CAS propagation
-    ABA-free. *)
+    ABA-free.  It is one {!Boxed.Farray}: build it inside
+    {!Boxed.Raw.with_memory}. *)
 
-module Make (M : Smem.Memory_intf.MEMORY) : sig
-  type t
+type t
 
-  val create : n:int -> t
-  val update : t -> pid:int -> int -> unit
-  (** One read of the caller's own leaf (its last sequence number), then
-      an f-array update. *)
+val create : n:int -> unit -> t
 
-  val add : t -> pid:int -> int -> unit
+val update : t -> pid:int -> int -> unit
+(** One read of the caller's own leaf (its last sequence number), then
+    an f-array update. *)
 
-  val scan : t -> int array
-  (** One shared-memory event. *)
-end
+val add : t -> pid:int -> int -> unit
+
+val scan : t -> int array
+(** One shared-memory event. *)

@@ -219,8 +219,8 @@ let all_measurements () =
   List.concat
     [ maxreg_measurements Harness.Instances.Algorithm_a [ "Algorithm_a" ]
         ~with_write:true;
-      maxreg_measurements Harness.Instances.Aac_maxreg
-        [ "Aac_maxreg"; "Make" ] ~with_write:true;
+      maxreg_measurements Harness.Instances.Aac_maxreg [ "Aac_maxreg" ]
+        ~with_write:true;
       maxreg_measurements Harness.Instances.B1_maxreg [ "B1_maxreg" ]
         ~with_write:true;
       (* the CAS write retry loop is the Unbounded allowlist entry *)
@@ -228,17 +228,16 @@ let all_measurements () =
         ~with_write:false;
       counter_measurements Harness.Instances.Naive_counter
         [ "Naive_counter" ];
-      counter_measurements Harness.Instances.Aac_counter
-        [ "Aac_counter"; "Make" ];
+      counter_measurements Harness.Instances.Aac_counter [ "Aac_counter" ];
       counter_measurements Harness.Instances.Farray_counter
         [ "Farray_counter" ];
       (* the double-collect scan is the Unbounded allowlist entry *)
       snapshot_measurements Harness.Instances.Double_collect
-        [ "Double_collect"; "Make" ] ~with_scan:false;
-      snapshot_measurements Harness.Instances.Afek
-        [ "Afek_snapshot"; "Make" ] ~with_scan:true;
+        [ "Double_collect" ] ~with_scan:false;
+      snapshot_measurements Harness.Instances.Afek [ "Afek_snapshot" ]
+        ~with_scan:true;
       snapshot_measurements Harness.Instances.Farray_snapshot
-        [ "Farray_snapshot"; "Make" ] ~with_scan:true;
+        [ "Farray_snapshot" ] ~with_scan:true;
       farray_measurements ();
       propagate_measurements ();
       fast_path_measurements ();
@@ -409,8 +408,8 @@ let skip_reason op (row : Lint.Budgets.row) =
   | Lint.Summary.Unbounded _ -> Some "reviewed Unbounded allowlist entry"
   | _ ->
     if
-      op = [ "Double_collect"; "Make"; "collect" ]
-      || op = [ "Afek_snapshot"; "Make"; "collect" ]
+      op = [ "Double_collect"; "collect" ]
+      || op = [ "Afek_snapshot"; "collect" ]
     then Some "internal helper, exercised inside the measured scan"
     else None
 

@@ -34,6 +34,26 @@ let prop_sequential impl =
       List.iteri (fun _ pid -> c.increment ~pid) pids;
       c.read () = List.length pids)
 
+(* The AAC counter holds at most [bound] increments: the one past it
+   raises, in both compiles, rather than leaving a wrong count. *)
+let test_aac_refuses_past_bound () =
+  let refused =
+    Invalid_argument "Aac_maxreg.write_max: value outside [0, bound)"
+  in
+  let _, c = make ~n:2 ~bound:2 Harness.Instances.Aac_counter in
+  c.increment ~pid:0;
+  c.increment ~pid:1;
+  Alcotest.(check int) "two increments fit" 2 (c.read ());
+  Alcotest.check_raises "third increment" refused (fun () ->
+      c.increment ~pid:0);
+  let module U = Unboxed.Aac_counter in
+  let u = U.create ~n:2 ~bound:2 () in
+  U.increment u ~pid:0;
+  U.increment u ~pid:1;
+  Alcotest.(check int) "unboxed: two increments fit" 2 (U.read u);
+  Alcotest.check_raises "unboxed: third increment" refused (fun () ->
+      U.increment u ~pid:1)
+
 (* {1 Step complexity} *)
 
 let ceil_log2 n =
@@ -165,7 +185,9 @@ let () =
   Alcotest.run "counters"
     [ ( "sequential",
         per_impl "basic" test_sequential
-        @ List.map (fun i -> QCheck_alcotest.to_alcotest (prop_sequential i)) impls );
+        @ List.map (fun i -> QCheck_alcotest.to_alcotest (prop_sequential i)) impls
+        @ [ Alcotest.test_case "aac: increment past bound refused" `Quick
+              test_aac_refuses_past_bound ] );
       ( "steps",
         [ Alcotest.test_case "farray: read O(1), inc O(log N)" `Quick test_farray_counter_steps;
           Alcotest.test_case "naive: inc O(1), read O(N)" `Quick test_naive_counter_steps;

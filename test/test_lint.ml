@@ -308,6 +308,33 @@ let test_repo_is_lint_clean () =
   Alcotest.(check (list string)) "repo lints clean" []
     (List.map Lint.Diagnostic.to_human r.diagnostics)
 
+(* Forcing a lazily built node builds the initial configuration, not a
+   step: C1 must not price Lazy_cell's own atomics as the B1 register's
+   reads and CASes.  B1 is built from reads and writes only, and a
+   simulated run issues no CAS, so its certificate holds none. *)
+let test_b1_certificate_has_no_cas () =
+  let r =
+    Lint.Driver.run ~rules:[ "C1" ]
+      ~build_dir:(Filename.concat repo_root "_build/default")
+      ~root:repo_root ()
+  in
+  let ops =
+    match r.cost with
+    | Some c -> c.ops
+    | None -> Alcotest.fail "C1 run produced no cost report"
+  in
+  List.iter
+    (fun op ->
+      let name = String.concat "." op in
+      match List.find_opt (fun (o : Lint.Cost.op_report) -> o.op = op) ops with
+      | Some { status = Lint.Cost.Certified; summary = Some s; _ } ->
+        Alcotest.(check string) (name ^ " cas") "<= 0"
+          (Lint.Summary.bound_to_string s.Lint.Summary.cas);
+        Alcotest.(check string) (name ^ " total") "O(log n)"
+          (Lint.Summary.bound_to_string (Lint.Summary.total s))
+      | _ -> Alcotest.failf "%s not certified" name)
+    [ [ "B1_maxreg"; "read_max" ]; [ "B1_maxreg"; "write_max" ] ]
+
 (* The primitive guard.  Every shared-memory step of the unboxed
    compile goes through lib/smem/unboxed/raw.mli; under dune's dev
    profile (-opaque) a [val] there would turn each step into a call
@@ -383,4 +410,6 @@ let () =
       ("meta", [ Alcotest.test_case "repo lint-clean" `Quick
                    test_repo_is_lint_clean;
                  Alcotest.test_case "unboxed Raw steps are primitives" `Quick
-                   test_raw_steps_are_primitives ]) ]
+                   test_raw_steps_are_primitives;
+                 Alcotest.test_case "B1 certificate has no CAS" `Quick
+                   test_b1_certificate_has_no_cas ]) ]

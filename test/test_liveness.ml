@@ -72,9 +72,11 @@ let test_cas_loop_not_wait_free () =
 
 let test_double_collect_scan_not_wait_free () =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module S = Snapshots.Double_collect.Make (M) in
-  let snap = S.create ~max_collects:1_000_000 ~n:2 () in
+  let module S = Snapshots.Double_collect in
+  let snap =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session)
+      (S.create ~max_collects:1_000_000 ~n:2)
+  in
   let interfered =
     Harness.Liveness.interference_bound ~victim_budget:1_000 session
       ~victim_body:(fun () -> ignore (S.scan snap))

@@ -7,21 +7,14 @@ open Memsim
 
 let impls :
     (string * (Session.t -> n:int -> Maxarray.Max_array.instance)) list =
-  [ ( "from-registers",
-      fun session ~n ->
-        let module M = (val Smem.Sim_memory.bind session) in
-        let module A = Maxarray.Max_array.From_registers (M) in
-        Maxarray.Max_array.instantiate (module A) (A.create ~n) );
-    ( "from-snapshot",
-      fun session ~n ->
-        let module M = (val Smem.Sim_memory.bind session) in
-        let module A = Maxarray.Max_array.From_snapshot (M) in
-        Maxarray.Max_array.instantiate (module A) (A.create ~n) );
-    ( "from-farray",
-      fun session ~n ->
-        let module M = (val Smem.Sim_memory.bind session) in
-        let module A = Maxarray.Max_array.From_farray (M) in
-        Maxarray.Max_array.instantiate (module A) (A.create ~n) ) ]
+  let built (type a) (module A : Maxarray.Max_array.S with type t = a)
+      session ~n =
+    Maxarray.Max_array.instantiate (module A)
+      (Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (A.create ~n))
+  in
+  [ ("from-registers", built (module Maxarray.Max_array.From_registers));
+    ("from-snapshot", built (module Maxarray.Max_array.From_snapshot));
+    ("from-farray", built (module Maxarray.Max_array.From_farray)) ]
 
 (* {1 Sequential semantics} *)
 
@@ -212,9 +205,11 @@ let test_exhaustive_from_registers () =
   let session = Session.create () in
   (* small bounds keep each operation a few events so the whole schedule
      space is enumerable *)
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module A = Maxarray.Max_array.From_registers (M) in
-  let t = A.create_bounded ~bound0:8 ~bound1:8 () in
+  let module A = Maxarray.Max_array.From_registers in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session)
+      (A.create_bounded ~bound0:8 ~bound1:8)
+  in
   let make_body pid () =
     if pid = 0 then begin
       Session.annotate_invoke session ~op:"update0" ~arg:(Simval.Int 5);
@@ -252,9 +247,11 @@ let test_exhaustive_from_registers () =
    thousand interleavings is enumerated. *)
 let test_exhaustive_from_registers_cross () =
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module A = Maxarray.Max_array.From_registers (M) in
-  let t = A.create_bounded ~bound0:2 ~bound1:2 () in
+  let module A = Maxarray.Max_array.From_registers in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session)
+      (A.create_bounded ~bound0:2 ~bound1:2)
+  in
   let make_body pid () =
     match pid with
     | 0 ->

@@ -5,9 +5,10 @@
 open Memsim
 
 let make session ~n ~m =
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module V = Maxarray.Max_vector.Make (M) in
-  let t = V.create ~n ~m in
+  let module V = Maxarray.Max_vector in
+  let t =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session) (V.create ~n ~m)
+  in
   ( (fun ~pid ~component v -> V.max_update t ~pid ~component v),
     fun () -> V.max_scan t )
 
@@ -137,10 +138,10 @@ let test_exhaustive () =
 (* {1 Native domains: scans never regress in any component} *)
 
 let test_native_monotone_scans () =
-  let module V = Maxarray.Max_vector.Make (Smem.Atomic_memory) in
+  let module V = Maxarray.Max_vector in
   let k = max 2 (min 4 (Domain.recommended_domain_count ())) in
   let m = 3 in
-  let t = V.create ~n:k ~m in
+  let t = Boxed.Raw.with_memory (module Smem.Atomic_memory) (V.create ~n:k ~m) in
   let ok = Atomic.make true in
   let domains =
     List.init k (fun d ->

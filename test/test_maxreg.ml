@@ -43,6 +43,28 @@ let prop_sequential_matches_spec impl =
           reg.read_max () = !model)
         values)
 
+(* A bounded register holds values below its bound only: a larger
+   value is refused before the first step, in both compiles, rather
+   than dropped. *)
+let test_aac_refuses_out_of_range () =
+  let refused =
+    Invalid_argument "Aac_maxreg.write_max: value outside [0, bound)"
+  in
+  let session, reg = make ~n:4 ~bound:8 Harness.Instances.Aac_maxreg in
+  reg.write_max ~pid:0 5;
+  Session.reset_steps session;
+  Alcotest.check_raises "write 100 at bound 8" refused (fun () ->
+      reg.write_max ~pid:0 100);
+  Alcotest.(check int) "no step taken" 0 (Session.direct_steps session);
+  Alcotest.(check int) "maximum unchanged" 5 (reg.read_max ());
+  reg.write_max ~pid:0 7;
+  Alcotest.(check int) "bound - 1 fits" 7 (reg.read_max ());
+  let module U = Unboxed.Aac_maxreg in
+  let u = U.create ~bound:8 () in
+  Alcotest.check_raises "unboxed: write 8 at bound 8" refused (fun () ->
+      U.write_max u ~pid:0 8);
+  Alcotest.(check int) "unboxed maximum unchanged" 0 (U.read_max u)
+
 (* {1 Step complexity (the paper's Theorem 6 and the AAC bound)} *)
 
 let steps_of_write session (reg : Maxreg.Max_register.instance) ~pid v =
@@ -215,7 +237,9 @@ let () =
   Alcotest.run "maxreg"
     [ ("sequential",
        per_impl "basic" test_sequential_basic
-       @ List.map (fun i -> QCheck_alcotest.to_alcotest (prop_sequential_matches_spec i)) impls);
+       @ List.map (fun i -> QCheck_alcotest.to_alcotest (prop_sequential_matches_spec i)) impls
+       @ [ Alcotest.test_case "aac: value >= bound refused" `Quick
+             test_aac_refuses_out_of_range ]);
       ( "steps",
         [ Alcotest.test_case "algorithm A: read O(1)" `Quick test_algorithm_a_read_constant;
           Alcotest.test_case "algorithm A: write O(log v)" `Quick test_algorithm_a_write_log_v;

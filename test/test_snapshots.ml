@@ -169,9 +169,11 @@ let test_afek_borrowed_scan () =
 let test_double_collect_starves () =
   let n = 2 in
   let session = Session.create () in
-  let module M = (val Smem.Sim_memory.bind session) in
-  let module S = Snapshots.Double_collect.Make (M) in
-  let snap = S.create ~max_collects:50 ~n () in
+  let module S = Snapshots.Double_collect in
+  let snap =
+    Boxed.Raw.with_memory (Smem.Sim_memory.bind session)
+      (S.create ~max_collects:50 ~n)
+  in
   let sched = Scheduler.create session in
   let starved = ref false in
   let scanner =

@@ -140,12 +140,33 @@ let ops_gen ~n =
        (QCheck.Gen.pair (QCheck.Gen.int_range 0 (n - 1))
           (QCheck.Gen.int_range (-1) 40)))
 
-let differential_maxreg impl =
-  QCheck.Test.make ~count:200
-    ~name:(Harness.Instances.maxreg_name impl ^ ": boxed = unboxed")
+(* The AAC constructions are not in the registry's unboxed backend,
+   which has no value bound to give them: pair the two compiles here,
+   at a small bound (a tree the size of the bound is built per QCheck
+   case) above every value (<= 40) and count (<= 120) [ops_gen] reaches. *)
+let small_bound = 256
+
+let aac_maxreg_pair ~n =
+  ( Harness.Instances.maxreg_native ~n ~bound:small_bound
+      Harness.Instances.Aac_maxreg,
+    Maxreg.Max_register.instantiate
+      (module Unboxed.Aac_maxreg)
+      (Unboxed.Aac_maxreg.create ~bound:small_bound ()) )
+
+let aac_counter_pair ~n =
+  ( Harness.Instances.counter_native ~n ~bound:small_bound
+      Harness.Instances.Aac_counter,
+    Counters.Counter.instantiate
+      (module Unboxed.Aac_counter)
+      (Unboxed.Aac_counter.create ~n ~bound:small_bound ()) )
+
+let differential_maxreg name
+    (pair : n:int -> Maxreg.Max_register.instance * Maxreg.Max_register.instance)
+    =
+  QCheck.Test.make ~count:200 ~name:(name ^ ": boxed = unboxed")
     (ops_gen ~n:3)
     (fun ops ->
-      let boxed, unboxed = maxreg_pair impl ~n:3 in
+      let boxed, unboxed = pair ~n:3 in
       List.for_all
         (fun (pid, v) ->
           if v < 0 then boxed.read_max () = unboxed.read_max ()
@@ -156,12 +177,12 @@ let differential_maxreg impl =
           end)
         ops)
 
-let differential_counter impl =
-  QCheck.Test.make ~count:200
-    ~name:(Harness.Instances.counter_name impl ^ ": boxed = unboxed")
+let differential_counter name
+    (pair : n:int -> Counters.Counter.instance * Counters.Counter.instance) =
+  QCheck.Test.make ~count:200 ~name:(name ^ ": boxed = unboxed")
     (ops_gen ~n:3)
     (fun ops ->
-      let boxed, unboxed = counter_pair impl ~n:3 in
+      let boxed, unboxed = pair ~n:3 in
       List.for_all
         (fun (pid, v) ->
           if v < 0 then boxed.read () = unboxed.read ()
@@ -202,9 +223,6 @@ let differential_snapshot_impls =
         ops)
 
 let differential_counter_impls =
-  (* counts stay under 120 (the ops_gen list cap), so a small bound keeps
-     the AAC register tree cheap to build per QCheck case *)
-  let small_bound = 256 in
   QCheck.Test.make ~count:200 ~name:"aac counter = naive counter"
     (ops_gen ~n:3)
     (fun ops ->
@@ -288,6 +306,21 @@ let test_alloc_free_maxregs () =
           B.write_max breg ~pid:0 v
         done;
         ignore (B.read_max breg : int)
+      done);
+  (* AAC: a bound above the 2 * ops values the warm-up and the measured
+     pass write *)
+  let module R = Unboxed.Aac_maxreg in
+  let rreg = R.create ~bound:((2 * ops) + 1) () in
+  let r0 = ref 0 in
+  check_alloc_free "aac write_max" (fun () ->
+      let base = !r0 in
+      for i = 1 to ops do
+        R.write_max rreg ~pid:0 (base + i)
+      done;
+      r0 := base + ops);
+  check_alloc_free "aac read_max" (fun () ->
+      for _ = 1 to ops do
+        ignore (R.read_max rreg : int)
       done)
 
 let test_alloc_free_counters () =
@@ -310,6 +343,16 @@ let test_alloc_free_counters () =
   check_alloc_free "naive read" (fun () ->
       for _ = 1 to ops do
         ignore (N.read nc : int)
+      done);
+  let module A = Unboxed.Aac_counter in
+  let ac = A.create ~n:4 ~bound:(2 * ops) () in
+  check_alloc_free "aac increment" (fun () ->
+      for _ = 1 to ops do
+        A.increment ac ~pid:0
+      done);
+  check_alloc_free "aac read" (fun () ->
+      for _ = 1 to ops do
+        ignore (A.read ac : int)
       done)
 
 (* {1 Multi-domain smoke}
@@ -375,12 +418,21 @@ let () =
       ("raw", [ Alcotest.test_case "cas_same is CAS(v, v)" `Quick test_cas_same ]);
       ( "differential",
         qsuite
-          [ differential_maxreg Harness.Instances.Algorithm_a;
-            differential_maxreg Harness.Instances.Algorithm_a_literal;
-            differential_maxreg Harness.Instances.B1_maxreg;
-            differential_maxreg Harness.Instances.Cas_maxreg;
-            differential_counter Harness.Instances.Farray_counter;
-            differential_counter Harness.Instances.Naive_counter ] );
+          (List.map
+             (fun impl ->
+               differential_maxreg
+                 (Harness.Instances.maxreg_name impl)
+                 (maxreg_pair impl))
+             Harness.Instances.
+               [ Algorithm_a; Algorithm_a_literal; B1_maxreg; Cas_maxreg ]
+          @ List.map
+              (fun impl ->
+                differential_counter
+                  (Harness.Instances.counter_name impl)
+                  (counter_pair impl))
+              Harness.Instances.[ Farray_counter; Naive_counter ]
+          @ [ differential_maxreg "aac max register" aac_maxreg_pair;
+              differential_counter "aac counter" aac_counter_pair ]) );
       ( "cross-implementation",
         qsuite [ differential_snapshot_impls; differential_counter_impls ] );
       ( "allocation",
