@@ -43,9 +43,9 @@ tsan:
 	dune exec test/test_dial.exe
 	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/tsan-bench.json
 
-# dispatch-layer smoke: the policy/differential/parallel suite of both
-# dispatch backends (combining and adaptive) plus a quick bench pass
-# over all four backends
+# dispatch-layer smoke: the policy/differential/parallel suite of
+# Algorithm A's two dispatch backends (combining and adaptive) plus a
+# quick bench pass, whose algorithm-a rows cover all four backends
 adaptive:
 	dune exec test/test_adaptive.exe
 	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/adaptive-bench.json

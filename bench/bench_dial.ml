@@ -112,10 +112,9 @@ type row = {
 }
 
 let cell ~cfg ~dial ~domains ~read_pct =
-  let c, _ =
+  let c =
     Option.get
-      (Harness.Instances.counter_backend Harness.Instances.Unboxed ~n
-         ~domains (Harness.Instances.Dial dial))
+      (Harness.Instances.counter_unboxed ~n (Harness.Instances.Dial dial))
   in
   let read = c.Counters.Counter.read and increment = c.Counters.Counter.increment in
   let pat = Bench_native.read_pattern ~read_pct in

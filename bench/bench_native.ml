@@ -1,11 +1,12 @@
 (* The domain-scaling benchmark behind bin/bench.exe: every int-specialized
-   implementation, boxed (Simval Atomic) vs unboxed (padded int Atomic) vs
-   flat-combining vs contention-adaptive backend, swept over domain counts
-   and read shares, with shared warmup and interleaved trials.  This is
-   where the constant-factor story of the paper's O(1)-read structures is
-   measured honestly: same algorithms, same step counts, only the
-   base-object representation (and, for the combining/adaptive backends,
-   the update submission protocol) changes.
+   implementation, boxed (Simval Atomic) vs unboxed (padded int Atomic),
+   plus Algorithm A's flat-combining and contention-adaptive backends,
+   swept over domain counts and read shares, with shared warmup and
+   interleaved trials.  This is where the constant-factor story of the
+   paper's O(1)-read structures is measured honestly: same algorithms,
+   same step counts, only the base-object representation (and, for the
+   combining/adaptive backends, the update submission protocol)
+   changes.
 
    Each cell runs three kinds of pass:
 
@@ -109,7 +110,7 @@ type row = {
    - each structure op is one call.  Every bench entry point builds in
      dune's dev profile, whose [-opaque] hides other modules'
      implementations, so an op of an unboxed structure or of a
-     {!Harness.Adaptive} instance compiles to one indirect call
+     {!Harness.Adaptive.Alg_a} instance compiles to one indirect call
      ([call *%reg], or [caml_applyN] for several arguments) whether the
      loop names its module or takes it from the {!targets} table — which
      is why one loop per structure kind serves every target.  A release
@@ -122,7 +123,7 @@ type row = {
      ({!Harness.Throughput.run_batched}).
 
    The structures measured are exactly the ones the registry
-   ({!Harness.Instances.maxreg_backend} / [counter_backend]) hands out;
+   ({!Harness.Instances.maxreg_backend} / [counter_unboxed]) hands out;
    only the call path is flattened here.  The combining column is the
    adaptive cell pinned to the combining path — the registry's
    combining backend is that same pinning.  The metered pass, by
@@ -155,26 +156,25 @@ type backend = [ `Boxed | `Unboxed | `Combining | `Adaptive ]
 
 (* A target's unboxed-compile structure as the timed loops call it.
    [update] is [write_max] for a max register and [add] for a counter,
-   which the loops call with 1 (the body of [increment]).  [adaptive] is
-   the {!Harness.Adaptive} instance over the structure, [None] where the
-   registry has no dispatch backend. *)
+   which the loops call with 1 (the body of [increment]).  [adaptive]
+   wraps the structure in its {!Harness.Adaptive.Alg_a} instance, [None]
+   where the registry has no dispatch backend. *)
 type 's ops = {
   create : n:int -> 's;
   read : 's -> int;
   update : 's -> pid:int -> int -> unit;
-  adaptive : (module Harness.Adaptive.S with type structure = 's) option;
+  adaptive : (domains:int -> 's -> Harness.Adaptive.Alg_a.t) option;
 }
 
 type target = Target : kind * 's ops -> target
 
+module AD = Harness.Adaptive.Alg_a
 module AU = Unboxed.Algorithm_a
 module BU = Unboxed.B1_maxreg
 module CU = Unboxed.Cas_maxreg
 module FU = Unboxed.Farray_counter
 module NU = Unboxed.Naive_counter
 
-(* The naive counter's dispatch is the measured control: protocol
-   cost, no win. *)
 let targets =
   let open Harness.Instances in
   [ Target
@@ -182,7 +182,7 @@ let targets =
         { create = (fun ~n -> AU.create ~n ());
           read = AU.read_max;
           update = AU.write_max;
-          adaptive = Some (module Harness.Adaptive.Alg_a) } );
+          adaptive = Some (fun ~domains reg -> AD.make ~domains reg) } );
     Target
       ( Maxreg B1_maxreg,
         { create = (fun ~n:_ -> BU.create ());
@@ -194,19 +194,19 @@ let targets =
         { create = (fun ~n:_ -> CU.create ());
           read = CU.read_max;
           update = CU.write_max;
-          adaptive = Some (module Harness.Adaptive.Cas) } );
+          adaptive = None } );
     Target
       ( Counter Farray_counter,
         { create = (fun ~n -> FU.create ~n ());
           read = FU.read;
           update = FU.add;
-          adaptive = Some (module Harness.Adaptive.Farray_c) } );
+          adaptive = None } );
     Target
       ( Counter Naive_counter,
         { create = (fun ~n -> NU.create ~n ());
           read = NU.read;
           update = NU.add;
-          adaptive = Some (module Harness.Adaptive.Naive_c) } ) ]
+          adaptive = None } ) ]
 
 (* The batch loop of each structure kind: [read] on [r], the update on
    [w] — the structure itself, or on a dispatch column the adaptive
@@ -233,12 +233,12 @@ let[@inline] batch_loop kind ~pattern ~domains read r update w d i0 =
     done
 
 (* A target's closure on an unboxed-compile column plus, for an
-   adaptive cell, the report thunk ({!Harness.Adaptive.report}: current
-   mode, epoch count, flips, combining-ops share).  A dispatch cell
-   wraps the structure with [A.make] and runs the same loop, reading the
-   structure directly and updating through the per-op kernel every
-   caller runs: [A.update] (mode check, stale tally, tick) on the
-   adaptive column, [A.update_combining] (the combining path pinned, as
+   adaptive cell, the report thunk ({!Harness.Adaptive.Alg_a.report}:
+   current mode, epoch count, flips, combining-ops share).  A dispatch
+   cell wraps the structure with [adaptive] and runs the same loop,
+   reading the structure directly and updating through the per-op path
+   every caller runs: [AD.update] (mode check, stale tally, tick) on the
+   adaptive column, [AD.update_combining] (the combining path pinned, as
    the registry's combining backend is) on the combining one.  The
    unboxed loop also serves the d=1 combining/adaptive cells
    (create-time solo dispatch: one participating domain can never
@@ -252,12 +252,12 @@ let cell (Target (kind, { create; read; update; adaptive })) ~backend ~n
     ~domains ~pattern =
   let s = create ~n in
   match (backend, adaptive) with
-  | (`Combining | `Adaptive), Some (module A) when domains > 1 ->
-    let a = A.make ~domains s in
+  | (`Combining | `Adaptive), Some make when domains > 1 ->
+    let a = make ~domains s in
     let pinned = backend = `Combining in
-    let update = if pinned then A.update_combining else A.update in
+    let update = if pinned then AD.update_combining else AD.update in
     ( (fun d i0 -> batch_loop kind ~pattern ~domains read s update a d i0),
-      if pinned then None else Some (fun () -> A.report a) )
+      if pinned then None else Some (fun () -> AD.report a) )
   | _ ->
     ((fun d i0 -> batch_loop kind ~pattern ~domains read s update s d i0), None)
 
@@ -315,7 +315,7 @@ let metered_op ~metrics ~kind ~backend ~n ~domains ~pattern =
          (Harness.Instances.Impl impl))
   | Counter impl ->
     Option.map
-      (fun ((inst : Counters.Counter.instance), dispatch) ->
+      (fun (inst : Counters.Counter.instance) ->
         ( (fun d i0 ->
             for k = 0 to batch - 1 do
               if Array.unsafe_get pattern ((i0 + k) land mask) then begin
@@ -324,9 +324,12 @@ let metered_op ~metrics ~kind ~backend ~n ~domains ~pattern =
               end
               else inst.increment ~pid:d
             done),
-          dispatch ))
-      (Harness.Instances.counter_backend ~metrics backend ~n ~domains
-         (Harness.Instances.Impl impl))
+          None ))
+      (match backend with
+       | Harness.Instances.Unboxed ->
+         Harness.Instances.counter_unboxed ~metrics ~n
+           (Harness.Instances.Impl impl)
+       | Harness.Instances.Combining | Harness.Instances.Adaptive _ -> None)
 
 (* Each target with its columns: boxed, plus every registry backend that
    builds it.  Probed once, at program start, not between the sweep's

@@ -1,8 +1,8 @@
 (** The domain-scaling benchmark behind [bin/bench.exe]: max registers
-    and counters over four backends — boxed (Simval Atomic), unboxed
-    (padded int Atomic), contention-adaptive ({!Harness.Adaptive},
+    and counters, boxed (Simval Atomic) and unboxed (padded int Atomic),
+    plus Algorithm A contention-adaptive ({!Harness.Adaptive.Alg_a},
     which flips between the plain and the {!Smem.Combine} flat-combining
-    update path at epoch boundaries), and flat-combining (the adaptive
+    update path at epoch boundaries) and flat-combining (the adaptive
     instance pinned to its combining path) — swept over domain counts
     and read shares.  The combining and adaptive columns exist exactly
     where {!Harness.Instances} builds those backends.

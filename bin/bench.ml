@@ -7,8 +7,9 @@
    Prints the throughput table and writes the machine-readable trajectory
    (schema "bench-native/v4": median throughput with rsd noise figure,
    latency percentiles from the metered pass, contention metrics for the
-   unboxed backend, combiner metrics for the flat-combining backend and
-   epoch-flip/combining-share fields for the adaptive backend)
+   unboxed backend, combiner metrics for Algorithm A's flat-combining
+   backend and epoch-flip/combining-share fields for its adaptive
+   backend)
    used by EXPERIMENTS.md and the CI smoke job.  With [--baseline] the
    fresh rows are diffed against a previously written trajectory —
    warn-only: regressions are reported, never fatal. *)
@@ -142,8 +143,9 @@ let cmd =
   Cmd.v
     (Cmd.info "bench" ~version:"1.0"
        ~doc:
-         "Domain-scaling throughput of the boxed, unboxed, flat-combining \
-          and contention-adaptive native backends (PODC'14 reproduction).")
+         "Domain-scaling throughput of the boxed and unboxed native \
+          backends, plus Algorithm A's flat-combining and \
+          contention-adaptive ones (PODC'14 reproduction).")
     Term.(
       ret
         (const run $ dial $ quick $ out $ baseline $ max_domains $ seconds

@@ -314,20 +314,18 @@ let chaos ~seed ~ops =
     Harness.Chaos.config ~yield_ppm:200_000 ~storm:32 ~gc_ppm:50_000
       ~gc_bytes:2048 ~metrics ~seed:s ()
   in
-  (* the fast-path dispatch backends, injection at op boundaries: storms
+  (* Algorithm A's dispatch backends, injection at op boundaries: storms
      can park a domain right after it published to its arena slot,
      released the combiner lock or crossed an epoch boundary.  Adaptive
-     runs twice: default policies (dispatch live, flips rare at burst
+     runs twice: the default policy (dispatch live, flips rare at burst
      scale), then the flip-forcing {!Harness.Adaptive.Policy.thrash}, so
      the mode flips INSIDE the burst and storms land astride the epoch
      lock. *)
   let dispatch_bursts =
     let open Harness.Instances in
-    [ ("combining", Combining, [ Algorithm_a; Cas_maxreg ], [ Farray_counter ]);
-      ("adaptive", Adaptive None, [ Algorithm_a; Cas_maxreg ],
-       [ Farray_counter ]);
-      ("adaptive thrashing", Adaptive (Some Harness.Adaptive.Policy.thrash),
-       [ Algorithm_a ], []) ]
+    [ ("combining", Combining);
+      ("adaptive", Adaptive None);
+      ("adaptive thrashing", Adaptive (Some Harness.Adaptive.Policy.thrash)) ]
   in
   let burst_seeds = List.init 8 (fun i -> seed + i) in
   let bursts = ref 0 in
@@ -360,45 +358,23 @@ let chaos ~seed ~ops =
         (Linearize.Checker.check (module Linearize.Spec.Snapshot) ~n:3 h)
         "snapshot burst (seed %d) not linearizable" s;
       List.iter
-        (fun (label, backend, maxregs, counters) ->
-          List.iter
-            (fun impl ->
-              let reg, _ =
-                Option.get
-                  (Harness.Instances.maxreg_backend backend ~n:3 ~domains:3
-                     (Harness.Instances.Impl impl))
-              in
-              let reg = Harness.Chaos.instrument_maxreg c reg in
-              checked
-                (lin_maxreg
-                   (Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8
-                      reg))
-                "%s %s burst (seed %d) not linearizable" label
-                (Harness.Instances.maxreg_name impl)
-                s)
-            maxregs;
-          List.iter
-            (fun impl ->
-              let cnt, _ =
-                Option.get
-                  (Harness.Instances.counter_backend backend ~n:3 ~domains:3
-                     (Harness.Instances.Impl impl))
-              in
-              let cnt = Harness.Chaos.instrument_counter c cnt in
-              checked
-                (lin_counter
-                   (Harness.Chaos.burst_counter c ~domains:3 ~ops_per_domain:8
-                      cnt))
-                "%s %s counter burst (seed %d) not linearizable" label
-                (Harness.Instances.counter_name impl)
-                s)
-            counters)
+        (fun (label, backend) ->
+          let reg, _ =
+            Option.get
+              (Harness.Instances.maxreg_backend backend ~n:3 ~domains:3
+                 (Harness.Instances.Impl Harness.Instances.Algorithm_a))
+          in
+          let reg = Harness.Chaos.instrument_maxreg c reg in
+          checked
+            (lin_maxreg
+               (Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg))
+            "%s algorithm-a burst (seed %d) not linearizable" label s)
         dispatch_bursts)
     burst_seeds;
   (* invariant runs at scale, production injection rates: exact totals
-     and monotone maxima on the boxed structures, through the arena
-     protocol, and through hundreds of mixed-mode windows under a
-     flip-forcing adaptive policy *)
+     and monotone maxima on the boxed structures, and Algorithm A's
+     maxima through the arena protocol and through hundreds of
+     mixed-mode windows under a flip-forcing adaptive policy *)
   let c = Harness.Chaos.config ~metrics ~seed () in
   let per_domain = max 1 (ops / domains) in
   let expect = (per_domain * domains) + (domains - 1) in
@@ -467,48 +443,37 @@ let chaos ~seed ~ops =
   if not !scans_monotone then fail "snapshot scans went backwards";
   let flip_policy = { Harness.Adaptive.Policy.thrash with epoch_ops = 64 } in
   let dispatch_scale label backend =
-    let cnt, cd =
-      Option.get
-        (Harness.Instances.counter_backend backend ~n:domains ~domains
-           (Harness.Instances.Impl Harness.Instances.Farray_counter))
-    in
-    scale_counter label (Harness.Chaos.instrument_counter c cnt);
     let reg, rd =
       Option.get
         (Harness.Instances.maxreg_backend backend ~n:domains ~domains
            (Harness.Instances.Impl Harness.Instances.Algorithm_a))
     in
     scale_maxreg label (Harness.Chaos.instrument_maxreg c reg);
-    (Option.get cd, Option.get rd)
+    Option.get rd
   in
-  let ccnt, creg = dispatch_scale "combining " Harness.Instances.Combining in
-  let acnt, areg =
+  let creg = dispatch_scale "combining " Harness.Instances.Combining in
+  let areg =
     dispatch_scale "adaptive " (Harness.Instances.Adaptive (Some flip_policy))
   in
-  let areport = areg.report () and acreport = acnt.report () in
+  let areport = areg.report () in
   if areport.Harness.Adaptive.epoch_flips = 0 then
     fail "adaptive maxreg never flipped under the flip-forcing policy";
-  List.iter
-    (fun (d : Harness.Instances.dispatch) ->
-      Obs.Metrics.record_combine_stats metrics ~domain:0
-        (Smem.Combine.stats d.arena))
-    [ ccnt; creg ];
+  Obs.Metrics.record_combine_stats metrics ~domain:0
+    (Smem.Combine.stats creg.Harness.Instances.arena);
   let t = Obs.Metrics.totals metrics in
   Printf.printf
     "chaos seed %d: %d bursts checked, %d ops/structure over %d domains\n\
      injected: %d yield storms, %d gc pressure events, %d stalls\n\
      combining (scale runs): %d ops in %d batches (max %d), %d eliminations, \
      %d lock acquisitions\n\
-     adaptive (scale runs): maxreg %d flips over %d epochs (%.1f%% combining), \
-     counter %d flips over %d epochs (%.1f%% combining)\n"
+     adaptive (scale runs): maxreg %d flips over %d epochs (%.1f%% \
+     combining)\n"
     seed !bursts (domains * per_domain) domains t.Obs.Metrics.fault_yields
     t.Obs.Metrics.fault_gcs t.Obs.Metrics.fault_stalls
     t.Obs.Metrics.combined_ops t.Obs.Metrics.batches t.Obs.Metrics.batch_max
     t.Obs.Metrics.eliminations t.Obs.Metrics.combiner_locks
     areport.Harness.Adaptive.epoch_flips areport.Harness.Adaptive.epochs
-    areport.Harness.Adaptive.combining_ops_pct
-    acreport.Harness.Adaptive.epoch_flips acreport.Harness.Adaptive.epochs
-    acreport.Harness.Adaptive.combining_ops_pct;
+    areport.Harness.Adaptive.combining_ops_pct;
   match List.rev !failures with
   | [] ->
     print_endline "no violations";

@@ -17,18 +17,25 @@ type row = {
   write_large : int;   (* WriteMax(bound-1) *)
 }
 
+(* Each write is timed on a fresh register.  The read is timed on the
+   register WriteMax(bound-1) left behind: a read's step count depends
+   on the stored maximum, not on which process wrote it, and at N = 4096
+   a fresh AAC register is an eager tree of 2^24 switches. *)
 let measure impl ~n ~bound =
-  let fresh () =
+  let write v =
     let session = Session.create () in
-    (session, Harness.Instances.maxreg_sim session ~n ~bound impl)
+    let reg = Harness.Instances.maxreg_sim session ~n ~bound impl in
+    let steps =
+      Harness.Measure.steps session (fun () -> reg.write_max ~pid:(n - 1) v)
+    in
+    (session, reg, steps)
   in
   let write_steps v =
-    let session, reg = fresh () in
-    Harness.Measure.steps session (fun () -> reg.write_max ~pid:(n - 1) v)
+    let _, _, steps = write v in
+    steps
   in
+  let session, reg, write_large = write (bound - 1) in
   let read_steps =
-    let session, reg = fresh () in
-    reg.write_max ~pid:0 (bound - 1);
     Harness.Measure.steps session (fun () -> ignore (reg.read_max ()))
   in
   { impl = Harness.Instances.maxreg_name impl;
@@ -37,7 +44,7 @@ let measure impl ~n ~bound =
     read_steps;
     write_small = write_steps 3;
     write_mid = write_steps (max 4 (int_of_float (sqrt (float_of_int bound))));
-    write_large = write_steps (bound - 1) }
+    write_large }
 
 let sweep ?(ns = [ 16; 64; 256; 1024 ]) () =
   List.concat_map

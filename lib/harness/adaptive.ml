@@ -1,23 +1,28 @@
-(* Contention-adaptive backend dispatch: one structure, two update
-   paths.  Each instance here owns a SINGLE underlying unboxed structure
-   plus a {!Smem.Combine} arena over it, and routes every update through
-   whichever side of the paper's tradeoff the recent workload favors:
+(* Contention-adaptive backend dispatch for Algorithm A: one register,
+   two update paths.  Each instance owns a SINGLE unboxed Algorithm A
+   register plus a {!Smem.Combine} arena over it, and routes every
+   WriteMax through whichever side of the paper's tradeoff the recent
+   workload favors:
 
-   - the *plain* path is the structure's own lock-free operation, which
+   - the *plain* path is the register's own wait-free WriteMax, which
      takes the instance's metrics handle (so CAS attempt/failure counts
      are recorded when it is live);
-   - the *combining* path is the structure's fast-path attempt
-     (elimination against the monotone root, cas-loop's [write_once])
-     and otherwise an arena submit.  It is also the whole of the static
+   - the *combining* path is elimination against the monotone root, and
+     otherwise an arena submit.  It is also the whole of the static
      flat-combining backend: {!Instances} builds that backend as an
      instance here whose updates always take this path.
 
-   Both paths mutate the same structure, so a flip never copies state
+   Both paths mutate the same register, so a flip never copies state
    and mixed-mode windows are linearizable: an arena apply IS the plain
    operation executed by the combiner's domain, racing other plain
    operations exactly as two plain operations race.  Reads are always
    direct — the mode only selects an update path — so read-heavy mixes
    pay nothing for the adaptivity.
+
+   No other structure is dispatched.  The cas-loop register and the two
+   counters never left the plain path under their default policy, and
+   pinned to the arena they lost to the plain unboxed op on both hosts
+   measured (EXPERIMENTS.md, "Why only Algorithm A is dispatched").
 
    The dispatcher samples per-epoch signals (an epoch is [epoch_ops]
    update operations on the triggering domain) that every instance
@@ -26,17 +31,18 @@
    {!Smem.Combine.stats} deltas.  A metrics handle records and never
    steers, so a metered instance decides exactly as an unmetered one fed
    the same updates.  The decision itself is the pure {!Policy} module —
-   per-structure threshold parameters folded with hysteresis
+   threshold parameters folded with hysteresis
    ([hysteresis] consecutive epochs wanting the other mode before a
    flip), so the dispatcher cannot thrash at a crossover where the
    signals sit on the fence.
 
    Cost discipline: unmetered instances ([create]) carry the shared
    {!Obs.Metrics.disabled} handle, so the settled plain path is the raw
-   structure op plus one immediate-bool branch, and the dispatch tax
+   register op plus one immediate-bool branch, and the dispatch tax
    per update is the mode check and the tick.  Every caller — the
-   registry, chaos soaks, the bench columns — runs that one per-op
-   [update] (or [update_combining], the pinned combining path).
+   registry, chaos soaks, the bench columns, the benchmark suite — runs
+   that one per-op [update] (or [update_combining], the pinned combining
+   path).
 
    Concurrency discipline: every raw atomic lives in {!Ctl} (lint R1
    allowlists [Adaptive.Ctl] only).  The mode cell and the epoch lock
@@ -49,9 +55,6 @@
    exact at quiescence, like {!Smem.Combine.stats} eliminations. *)
 
 module AU = Unboxed.Algorithm_a
-module CU = Unboxed.Cas_maxreg
-module FU = Unboxed.Farray_counter
-module NU = Unboxed.Naive_counter
 
 let imax a b = if a >= b then a else b
 
@@ -91,23 +94,18 @@ module Policy = struct
 
   (* Thresholds tuned against the flat-combining measurements
      (EXPERIMENTS.md): combining wins for algorithm-a exactly where
-     elimination + batching engage (write-heavy multi-domain mixes), and
-     measurably loses for cas-loop (whose plain path is one CAS) and for
-     the counters on this host — so the maxreg policy is eager, with a
-     benefit bar that sends it back when the arena stops earning its
-     keep, and the others stay plain.
+     elimination + batching engage (write-heavy multi-domain mixes), so
+     the policy is eager, with a benefit bar that sends it back when the
+     arena stops earning its keep.
 
      Plain -> Combining needs a trigger every instance observes on its
      own plain path: the stale-write rate, the fraction of updates whose
-     value was already at or below the structure's current max (one
-     O(1) read to check).  Those are exactly the writes elimination
-     would complete with zero shared writes, so the stale rate is the
-     plain path's estimator of the arena's elimination benefit.  (The
-     CAS failure rate reaches only a metered instance, and on a
-     time-shared host CASes essentially never fail even where combining
-     wins 2x.)  A >1 bar disables the trigger: for cas-loop a stale
-     write is already a single cheap load on the plain path (nothing for
-     the arena to save), and counter increments are never stale. *)
+     value was already at or below the register's current max (one O(1)
+     read to check).  Those are exactly the writes elimination would
+     complete with zero shared writes, so the stale rate is the plain
+     path's estimator of the arena's elimination benefit.  (The CAS
+     failure rate reaches only a metered instance, and on a time-shared
+     host CASes essentially never fail even where combining wins 2x.) *)
 
   let default_maxreg =
     { epoch_ops = 1024;
@@ -115,8 +113,6 @@ module Policy = struct
       min_updates = 256;
       stale_min = 0.30;
       benefit_min = 0.10 }
-
-  let default_plain = { default_maxreg with stale_min = 2.0 }
 
   let thrash =
     { epoch_ops = 2;
@@ -130,10 +126,10 @@ module Policy = struct
   (* One epoch's verdict, ignoring hysteresis.  An epoch with too few
      updates is no evidence either way (keep the current mode);
      otherwise Plain -> Combining requires a stale-write rate past the
-     structure's bar (the plain-path estimator of elimination benefit),
-     and Combining -> Plain triggers when the arena's earned benefit
+     bar (the plain-path estimator of elimination benefit), and
+     Combining -> Plain triggers when the arena's earned benefit
      (eliminations + ops absorbed into batches, per update) drops below
-     the structure's bar. *)
+     its bar. *)
   let want p ~current s =
     if s.updates < p.min_updates then current
     else
@@ -292,76 +288,63 @@ module Ctl = struct
          else 100. *. float_of_int combining_ops /. float_of_int total) }
 end
 
-(* {1 The shared update kernel}
+(* {1 The dispatched structure}
 
-   Every structure runs the same dispatch around its own unboxed ops:
-   validate, take the solo shortcut, check the mode, then either the
-   plain path (tallying stale writes when the policy watches them) or
-   the combining path (the structure's fast-path attempt, then
-   elimination or an arena submit), and tick.  A structure supplies
-   only the ops below.  The kernel is a functor, so without flambda its
-   calls into them are indirect: one to two extra calls on the update
-   path, none on the read path — each instance defines its read
-   directly over the record field. *)
+   Algorithm A's register under the dispatch: validate, take the solo
+   shortcut, check the mode, then either the plain path (tallying stale
+   writes) or the combining path (elimination, else an arena submit),
+   and tick.  Every call into the register is a direct call of
+   [Unboxed.Algorithm_a]. *)
 
-module type STRUCTURE = sig
-  type t
-
-  val default_policy : Policy.params
-  val combine : int -> int -> int
-  val update : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-
-  val subsumed : t -> int -> bool
-  (* the update is already absorbed by the current state: a stale write *)
-
-  val try_update : t -> int -> int
-  (* the combining path's attempt: 0 eliminated (linearized at the read
-     that found it subsumed), 1 applied, 2 route to the arena *)
-end
-
-module Kernel (S : STRUCTURE) = struct
-  type structure = S.t
-
+module Alg_a = struct
   type t = {
-    s : S.t;
+    reg : AU.t;
     arena : Smem.Combine.t;
     apply : int -> int -> unit;  (* built once: a literal [fun] at the
                                     submit site would allocate per op *)
     ctl : Ctl.t;
     metrics : Obs.Metrics.t;
     solo : bool;
-    track_stale : bool;  (* policy.stale_min is a reachable bar *)
   }
 
-  (* The handle only records: both paths pass it to the structure's op,
+  (* The handle only records: both paths pass it to [write_max_metered],
      and nothing in dispatch reads it.  Without a live one (absent or
-     {!Obs.Metrics.disabled}) the plain path is the raw structure op
+     {!Obs.Metrics.disabled}) the plain path is the raw register op
      plus one immediate-bool branch.  [domains = 1] short-circuits every
      update to a direct plain call. *)
-  let make ?(policy = S.default_policy) ?(metrics = Obs.Metrics.disabled)
-      ~domains s =
-    let arena = Smem.Combine.create ~domains ~combine:S.combine () in
-    { s;
+  let make ?(policy = Policy.default_maxreg) ?(metrics = Obs.Metrics.disabled)
+      ~domains reg =
+    let arena = Smem.Combine.create ~domains ~combine:imax () in
+    { reg;
       arena;
-      apply = (fun d v -> S.update s ~metrics ~pid:d v);
+      apply = (fun d v -> AU.write_max_metered reg ~metrics ~pid:d v);
       ctl = Ctl.create ~params:policy ~domains ~arena;
       metrics;
-      solo = domains = 1;
-      track_stale = policy.Policy.stale_min <= 1.0 }
+      solo = domains = 1 }
+
+  let create ?policy ~n ~domains () = make ?policy ~domains (AU.create ~n ())
+
+  let create_metered ?policy ~metrics ~n ~domains () =
+    make ?policy ~metrics ~domains (AU.create ~n ())
 
   let arena t = t.arena
   let report t = Ctl.report t.ctl
+  let[@inline] read_max t = AU.read_max t.reg
+
+  (* a write at or below the root is already absorbed: a stale write *)
+  let[@inline] subsumed t v = v <= read_max t
 
   let[@inline] check v =
     if v < 0 then invalid_arg "Adaptive: negative update value"
 
-  let[@inline] update_plain t ~pid v = S.update t.s ~metrics:t.metrics ~pid v
+  let[@inline] update_plain t ~pid v =
+    AU.write_max_metered t.reg ~metrics:t.metrics ~pid v
 
+  (* The root is monotone: a subsumed write eliminates, linearized at
+     the read that found it; never CAS the root outside propagate. *)
   let[@inline] combining_path t ~pid v =
-    let r = S.try_update t.s v in
-    if r = 0 then Smem.Combine.record_elimination t.arena ~domain:pid
-    else if r = 2 then
-      Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply v
+    if subsumed t v then Smem.Combine.record_elimination t.arena ~domain:pid
+    else Smem.Combine.submit t.arena ~domain:pid ~apply:t.apply v
 
   let update_combining t ~pid v =
     check v;
@@ -373,118 +356,11 @@ module Kernel (S : STRUCTURE) = struct
     else begin
       if Ctl.combining t.ctl then combining_path t ~pid v
       else begin
-        if t.track_stale && S.subsumed t.s v then Ctl.note_stale t.ctl ~pid;
+        if subsumed t v then Ctl.note_stale t.ctl ~pid;
         update_plain t ~pid v
       end;
       Ctl.tick t.ctl ~pid
     end
-end
 
-(* What every instance offers: the kernel plus a direct [read]. *)
-module type S = sig
-  type t
-  type structure
-
-  val make :
-    ?policy:Policy.params ->
-    ?metrics:Obs.Metrics.t ->
-    domains:int ->
-    structure ->
-    t
-
-  val read : t -> int
-  val update : t -> pid:int -> int -> unit
-  val update_combining : t -> pid:int -> int -> unit
-  val arena : t -> Smem.Combine.t
-  val report : t -> report
-end
-
-(* {1 The structures} *)
-
-module Alg_a = struct
-  include Kernel (struct
-    type t = AU.t
-
-    let default_policy = Policy.default_maxreg
-    let combine = imax
-    let update = AU.write_max_metered
-    let subsumed reg v = v <= AU.read_max reg
-
-    (* the root is monotone: a write at or below it is already subsumed
-       and eliminates; never CAS the root outside propagate *)
-    let try_update reg v = if subsumed reg v then 0 else 2
-  end)
-
-  let create ?policy ~n ~domains () = make ?policy ~domains (AU.create ~n ())
-
-  let create_metered ?policy ~metrics ~n ~domains () =
-    make ?policy ~metrics ~domains (AU.create ~n ())
-
-  let[@inline] read_max t = AU.read_max t.s
-  let read = read_max
   let write_max = update
-end
-
-module Cas = struct
-  include Kernel (struct
-    type t = CU.t
-
-    let default_policy = Policy.default_plain
-    let combine = imax
-    let update = CU.write_max_metered
-    let subsumed reg v = v <= CU.read_max reg
-
-    (* one uncontended read + CAS; only a lost race pays the arena,
-       whose combiner replays the full retry loop once per batch *)
-    let try_update = CU.write_once
-  end)
-
-  let create ?policy ~domains () = make ?policy ~domains (CU.create ())
-
-  let[@inline] read_max t = CU.read_max t.s
-  let read = read_max
-  let write_max = update
-end
-
-(* Counters: an increment is an update by 1, never subsumed; the arena
-   folds k pending increments into one [add k] at the combiner's own
-   leaf or cell — one propagation per batch. *)
-
-module Farray_c = struct
-  include Kernel (struct
-    type t = FU.t
-
-    let default_policy = Policy.default_plain
-    let combine = ( + )
-    let update = FU.add_metered
-    let subsumed _ _ = false
-    let try_update _ _ = 2
-  end)
-
-  let create ?policy ~n ~domains () = make ?policy ~domains (FU.create ~n ())
-
-  let[@inline] read t = FU.read t.s
-  let increment t ~pid = update t ~pid 1
-end
-
-(* The naive counter is the protocol-cost control: under
-   {!Policy.default_plain} it never leaves the plain path (an increment
-   is one write to an owned line); tests hand it permissive policies to
-   exercise the flip machinery. *)
-
-module Naive_c = struct
-  include Kernel (struct
-    type t = NU.t
-
-    let default_policy = Policy.default_plain
-    let combine = ( + )
-    let update c ~metrics:_ ~pid k = NU.add c ~pid k
-    let subsumed _ _ = false
-    let try_update _ _ = 2
-  end)
-
-  let create ?policy ~n ~domains () = make ?policy ~domains (NU.create ~n ())
-
-  let[@inline] read t = NU.read t.s
-  let increment t ~pid = update t ~pid 1
 end

@@ -133,20 +133,6 @@ let instrument_maxreg cfg (i : Maxreg.Max_register.instance) :
         i.write_max ~pid v;
         Inject.boundary cfg) }
 
-let instrument_counter cfg (i : Counters.Counter.instance) :
-    Counters.Counter.instance =
-  { increment =
-      (fun ~pid ->
-        Inject.boundary cfg;
-        i.increment ~pid;
-        Inject.boundary cfg);
-    read =
-      (fun () ->
-        Inject.boundary cfg;
-        let v = i.read () in
-        Inject.boundary cfg;
-        v) }
-
 (* {1 Linearizability bursts} *)
 
 let check_burst_size ~domains ~ops_per_domain =

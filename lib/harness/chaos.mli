@@ -98,13 +98,10 @@ val snapshot :
     placement that stresses the combining protocol: a storm can park a
     domain right after it published to a slot, right after it released
     the combiner lock, or astride an adaptive epoch boundary.  Wrap any
-    instance {!Instances.maxreg_backend} / [counter_backend] returns. *)
+    instance {!Instances.maxreg_backend} returns. *)
 
 val instrument_maxreg :
   config -> Maxreg.Max_register.instance -> Maxreg.Max_register.instance
-
-val instrument_counter :
-  config -> Counters.Counter.instance -> Counters.Counter.instance
 
 (** {1 Linearizability bursts}
 

@@ -142,21 +142,19 @@ let maxreg_dial_sim session ~n dial =
 (* {1 Native constructors: one per structure family}
 
    Every native fast-path instance comes from [maxreg_backend] /
-   [counter_backend], keyed by a backend and a spec (an impl enum case
-   or a dial point); the interface documents the metering contract.
-   The unboxed backend is the unboxed compile itself.  The
-   combining and adaptive backends are one {!Adaptive} instance over
-   the same unboxed structure: adaptive dispatches per epoch, combining
-   pins every update to the instance's combining path, so there is one
-   combining implementation, not two.  [None] exactly where no such
-   instance exists: AAC everywhere (its constructions take a value
-   bound, which these constructors do not; its unboxed compile is
-   Unboxed.Aac_maxreg / Unboxed.Aac_counter), the snapshot counters
-   everywhere (vector-valued, so boxed only: the native f-array
-   snapshot is [snapshot_native]), and on the dispatch backends also
-   B1 (idempotent switch writes — no per-op propagation to batch), the
-   literal-line-16 ablation (kept pure as the paper-faithful bug
-   exhibit) and the dial points. *)
+   [counter_unboxed], keyed by a spec (an impl enum case or a dial
+   point); the interface documents the metering contract.  The unboxed
+   backend is the unboxed compile itself.  The combining and adaptive
+   backends exist for Algorithm A only and are one {!Adaptive.Alg_a}
+   instance over the same unboxed register: adaptive dispatches per
+   epoch, combining pins every update to the instance's combining path,
+   so there is one combining implementation, not two.  [None] exactly
+   where no such instance exists: AAC everywhere (its constructions take
+   a value bound, which these constructors do not; its unboxed compile
+   is Unboxed.Aac_maxreg / Unboxed.Aac_counter), the snapshot counters
+   (vector-valued, so boxed only: the native f-array snapshot is
+   [snapshot_native]), and on the dispatch backends every max register
+   but Algorithm A. *)
 
 type 'impl spec = Impl of 'impl | Dial of Treeprim.Dial.t
 type maxreg_spec = maxreg_impl spec
@@ -225,83 +223,58 @@ let unboxed_maxreg ~metrics ~n spec =
         fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
   | Impl Aac_maxreg -> None
 
-let unboxed_counter ~metrics ~n spec =
-  match spec with
-  | Impl Farray_counter ->
-    let module C = Unboxed.Farray_counter in
-    let c = C.create ~n () in
-    Some
-      ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
-  | Impl Naive_counter ->
-    (* single-writer cells, no CAS to meter *)
-    let module C = Unboxed.Naive_counter in
-    let c = C.create ~n () in
-    Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
-  | Dial dial ->
-    let module C = Unboxed.Dial_counter in
-    let c = C.create ~n ~dial () in
-    Some
-      ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
-  | Impl (Aac_counter | Snapshot_counter _) -> None
-
-(* The dispatch backends: one adaptive instance over a fresh structure. *)
-let dispatched (type s) (module A : Adaptive.S with type structure = s)
-    ~metrics ~domains backend (s : s) =
-  let policy =
-    match backend with Adaptive p -> p | Unboxed | Combining -> None
+let counter_unboxed ?(metrics = Obs.Metrics.disabled) ~n spec =
+  let parts =
+    match spec with
+    | Impl Farray_counter ->
+      let module C = Unboxed.Farray_counter in
+      let c = C.create ~n () in
+      Some
+        ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
+    | Impl Naive_counter ->
+      (* single-writer cells, no CAS to meter *)
+      let module C = Unboxed.Naive_counter in
+      let c = C.create ~n () in
+      Some ((fun () -> C.read c), fun ~pid -> C.increment c ~pid)
+    | Dial dial ->
+      let module C = Unboxed.Dial_counter in
+      let c = C.create ~n ~dial () in
+      Some
+        ((fun () -> C.read c), fun ~pid -> C.increment_metered c ~metrics ~pid)
+    | Impl (Aac_counter | Snapshot_counter _) -> None
   in
-  let t = A.make ?policy ~metrics ~domains s in
-  ( (fun () -> A.read t),
-    (match backend with
-     | Combining -> A.update_combining t
-     | Unboxed | Adaptive _ -> A.update t),
-    Some { arena = A.arena t; report = (fun () -> A.report t) } )
+  Option.map
+    (fun (read, increment) ->
+      meter_counter ~metrics { Counters.Counter.increment; read })
+    parts
 
+(* The dispatch backends: one adaptive Algorithm A instance over a fresh
+   register, its updates pinned to the combining path on [Combining]. *)
 let maxreg_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains spec
     =
+  let module A = Adaptive.Alg_a in
   let parts =
     match (backend, spec) with
     | Unboxed, _ ->
       Option.map (fun (r, w) -> (r, w, None)) (unboxed_maxreg ~metrics ~n spec)
-    | (Combining | Adaptive _), Impl Algorithm_a ->
+    | ((Combining | Adaptive _) as backend), Impl Algorithm_a ->
+      let pinned, policy =
+        match backend with
+        | Adaptive p -> (false, p)
+        | Combining | Unboxed -> (true, None)
+      in
+      let t = A.create_metered ?policy ~metrics ~n ~domains () in
       Some
-        (dispatched (module Adaptive.Alg_a) ~metrics ~domains backend
-           (Unboxed.Algorithm_a.create ~n ()))
-    | (Combining | Adaptive _), Impl Cas_maxreg ->
-      Some
-        (dispatched (module Adaptive.Cas) ~metrics ~domains backend
-           (Unboxed.Cas_maxreg.create ()))
+        ( (fun () -> A.read_max t),
+          (if pinned then A.update_combining t else A.update t),
+          Some { arena = A.arena t; report = (fun () -> A.report t) } )
     | ( (Combining | Adaptive _),
-        (Impl (Algorithm_a_literal | Aac_maxreg | B1_maxreg) | Dial _) ) ->
+        ( Impl (Algorithm_a_literal | Aac_maxreg | B1_maxreg | Cas_maxreg)
+        | Dial _ ) ) ->
       None
   in
   Option.map
     (fun (read_max, write_max, dispatch) ->
       (meter_maxreg ~metrics { Maxreg.Max_register.read_max; write_max },
        dispatch))
-    parts
-
-let counter_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains
-    spec =
-  let on (type s) (module A : Adaptive.S with type structure = s) (s : s) =
-    let read, update, dispatch =
-      dispatched (module A) ~metrics ~domains backend s
-    in
-    Some (read, (fun ~pid -> update ~pid 1), dispatch)
-  in
-  let parts =
-    match (backend, spec) with
-    | Unboxed, _ ->
-      Option.map (fun (r, i) -> (r, i, None)) (unboxed_counter ~metrics ~n spec)
-    | (Combining | Adaptive _), Impl Farray_counter ->
-      on (module Adaptive.Farray_c) (Unboxed.Farray_counter.create ~n ())
-    | (Combining | Adaptive _), Impl Naive_counter ->
-      on (module Adaptive.Naive_c) (Unboxed.Naive_counter.create ~n ())
-    | (Combining | Adaptive _), (Impl (Aac_counter | Snapshot_counter _) | Dial _)
-      ->
-      None
-  in
-  Option.map
-    (fun (read, increment, dispatch) ->
-      (meter_counter ~metrics { Counters.Counter.increment; read }, dispatch))
     parts

@@ -76,7 +76,7 @@ val snapshot_native : n:int -> snapshot_impl -> Snapshots.Snapshot.instance
     is a parameter of one construction, not a new algorithm).  The
     [_over]/[_sim] constructors run every dial point's boxed compile
     under Memsim, DPOR and the fault layer; its unboxed compile is the
-    [Dial] spec of {!maxreg_backend} / {!counter_backend}. *)
+    [Dial] spec of {!maxreg_backend} / {!counter_unboxed}. *)
 
 val counter_dial_over :
   (module Smem.Memory_intf.MEMORY) ->
@@ -94,31 +94,31 @@ val maxreg_dial_sim :
 
 (** {1 Native constructors: one per structure family}
 
-    Every native fast-path max register and counter, keyed by a
-    {!backend} and a {!spec}:
+    Every native fast-path max register, keyed by a {!backend} and a
+    {!spec}:
 
     - [Unboxed]: the unboxed compile (padded cells, inline Atomic
       primitives) — the same source as the boxed [_native]
       constructors, with allocation-free int-valued hot paths;
-    - [Adaptive policy]: one {!Adaptive} instance over the same unboxed
-      structure, flipping each update between the plain and the
+    - [Adaptive policy]: one {!Adaptive.Alg_a} instance over the same
+      unboxed register, flipping each update between the plain and the
       flat-combining path on per-epoch signals, with hysteresis
-      (DESIGN.md §13); [policy] defaults to the structure's own;
+      (DESIGN.md §13); [policy] defaults to
+      {!Adaptive.Policy.default_maxreg};
     - [Combining]: the same adaptive instance with every update pinned
-      to its combining path — the structure's fast-path attempt,
-      elimination of stale max-register writes against the monotone
-      root, batched arena submits (DESIGN.md §12).
+      to its combining path — elimination of stale writes against the
+      monotone root, batched arena submits (DESIGN.md §12).
 
     Returns the closed instance and, for the two dispatch backends, its
     {!dispatch} handle.  [None] exactly where no such instance exists:
-    the AAC constructions on every backend (they take a value bound,
-    which these constructors do not; their unboxed compile is
-    {!Unboxed.Aac_maxreg} / {!Unboxed.Aac_counter}, built directly);
-    the snapshot counters on every backend (snapshots are vector-valued,
-    so boxed only: the native f-array snapshot is {!snapshot_native},
-    over boxed atomics); and on [Combining] and [Adaptive] also B1, the
-    literal-line-16 ablation and the dial points.  [domains] is the number of participating domains: every
-    [pid] passed to an operation must be in [0 .. domains-1].
+    AAC on every backend (it takes a value bound, which these
+    constructors do not; its unboxed compile is {!Unboxed.Aac_maxreg},
+    built directly), and on [Combining] and [Adaptive] every max
+    register but Algorithm A: the cas-loop register, B1, the
+    literal-line-16 ablation and the dial points.  [domains] is the
+    number of participating domains: every [pid] passed to an operation
+    must be in [0 .. domains-1].  Every native counter is
+    {!counter_unboxed}'s.
 
     With a live [metrics] handle every instance records [Op_update] per
     update, plus CAS attempts/failures, propagate refresh rounds and
@@ -165,10 +165,12 @@ val maxreg_backend :
   maxreg_spec ->
   (Maxreg.Max_register.instance * dispatch option) option
 
-val counter_backend :
-  ?metrics:Obs.Metrics.t ->
-  backend ->
-  n:int ->
-  domains:int ->
-  counter_spec ->
-  (Counters.Counter.instance * dispatch option) option
+val counter_unboxed :
+  ?metrics:Obs.Metrics.t -> n:int -> counter_spec ->
+  Counters.Counter.instance option
+(** The counter's unboxed compile, metered as {!maxreg_backend}'s
+    instances are.  [None] for AAC (its unboxed compile is
+    {!Unboxed.Aac_counter}, built directly) and for the snapshot
+    counters (vector-valued, so boxed only: the native f-array snapshot
+    is {!snapshot_native}, over boxed atomics).  Every [pid] passed to
+    [increment] must be in [0 .. n-1]. *)

@@ -37,9 +37,3 @@ let summarize samples =
     { count; mean; stddev; min; max }
 
 let summarize_ints samples = summarize (List.map float_of_int samples)
-
-(* %.3g for the spread: a stddev of 0.04 on a mean of ~1 is real
-   information and "%.2f"-style fixed precision rounded it to noise. *)
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.2f sd=%.3g min=%.0f max=%.0f" s.count s.mean s.stddev
-    s.min s.max

@@ -14,4 +14,3 @@ type summary = {
 
 val summarize : float list -> summary
 val summarize_ints : int list -> summary
-val pp_summary : summary Fmt.t

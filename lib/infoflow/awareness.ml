@@ -32,7 +32,6 @@ let fam_of t obj =
   match Hashtbl.find_opt t.fam obj with Some s -> s | None -> Int_set.empty
 
 let m_after t k = t.m_prefix.(k)
-let m_final t = t.m_prefix.(Array.length t.m_prefix - 1)
 
 let compute ?(literal = false) ?visible (events : Event.t array) : t =
   let visible =
@@ -92,6 +91,3 @@ let each_object_familiar_with_at_most_one t ~objs ~set =
   List.for_all
     (fun o -> Int_set.cardinal (Int_set.inter (fam_of t o) set') <= 1)
     objs
-
-let pp_set ppf s =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (Int_set.elements s)

@@ -24,8 +24,6 @@ val m_after : t -> int -> int
 (** M(E_k): the maximum cardinality over all awareness and familiarity sets
     after the first [k] events. *)
 
-val m_final : t -> int
-
 val is_hidden : t -> pids:int list -> pid:int -> bool
 (** Is [pid] hidden (Definition 5): no process in [pids] other than [pid]
     is aware of it? *)
@@ -34,5 +32,3 @@ val each_object_familiar_with_at_most_one :
   t -> objs:int list -> set:int list -> bool
 (** Second condition of Definition 5 for a hidden *set*: every listed object
     is familiar with at most one process of [set]. *)
-
-val pp_set : Int_set.t Fmt.t

@@ -76,8 +76,7 @@ let default =
            successful writers (the Theorem 3 adversary drives this to \
            Theta(K)) — the baseline Algorithm A exists to beat";
         row [ "Cas_maxreg"; "write_once" ] (Const 2)
-          "single CAS attempt for the combining fast path: one read, one \
-           CAS";
+          "single attempt of the retry loop: one read, one CAS";
         (* counters (E2 / Theorem 1 & Corollary 2) *)
         row [ "Naive_counter"; "increment" ] (Const 2)
           "single-writer cell bump: read own cell + write";

@@ -27,7 +27,7 @@
      no step of another process can bound the retries, so a depth
      annotation would certify a lie);
    - calls through a non-memory functor parameter are Unbounded (the
-     cost belongs to the instantiation — e.g. Adaptive.Kernel over S);
+     cost belongs to the instantiation, not to the functor body);
    - calls into [Budgets.instrumentation_roots] cost nothing (the
      observability shards are outside the model, and forcing a
      [Lazy_cell] builds the initial configuration);

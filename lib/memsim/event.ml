@@ -33,9 +33,7 @@ let changed_value e = not (Simval.equal e.before e.after)
    only known after it is applied, so CAS is conservatively write-like. *)
 let prim_writes = function Read -> false | Write _ | Cas _ -> true
 
-let is_read e = match e.prim with Read -> true | Write _ | Cas _ -> false
 let is_write e = match e.prim with Write _ -> true | Read | Cas _ -> false
-let is_cas e = match e.prim with Cas _ -> true | Read | Write _ -> false
 
 let pp_prim ppf = function
   | Read -> Fmt.string ppf "read"

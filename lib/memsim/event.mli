@@ -34,9 +34,7 @@ val prim_writes : prim -> bool
 (** [true] iff the primitive may change the object's value (write or CAS);
     the static write-like test used by {!Dpor}'s dependence relation. *)
 
-val is_read : t -> bool
 val is_write : t -> bool
-val is_cas : t -> bool
 
 val pp_prim : prim Fmt.t
 val pp_response : response Fmt.t

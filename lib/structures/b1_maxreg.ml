@@ -27,6 +27,12 @@ type node =
 
 and tree = node Smem.Lazy_cell.t
 
+(* The two switch values, built once: in the boxed compile every switch
+   shares these boxes instead of allocating one when it is built and
+   one on every write. *)
+let off = Raw.of_int 0
+let on = Raw.of_int 1
+
 (* Domain-safe memoization: concurrent forcing may build a duplicate
    node, but exactly one wins the cell's CAS and the loser's registers
    are never touched again. *)
@@ -40,7 +46,7 @@ let rec complete ~mk lo hi =
       else
         let mid = (lo + hi + 1) / 2 in
         Split
-          { switch = mk (Raw.of_int 0);
+          { switch = mk off;
             lo = complete ~mk lo mid;
             hi = complete ~mk mid hi;
             pivot = mid })
@@ -52,7 +58,7 @@ let rec spine ~mk g =
       let start = (1 lsl g) - 1 in
       let stop = (1 lsl (g + 1)) - 1 in
       Split
-        { switch = mk (Raw.of_int 0);
+        { switch = mk off;
           lo = complete ~mk start stop;
           hi = spine ~mk (g + 1);
           pivot = stop })
@@ -70,7 +76,7 @@ let rec write tree ~base v =
   | Split { switch; lo; hi; pivot } ->
     if v >= pivot then begin
       write hi ~base:pivot v;
-      Raw.set switch (Raw.of_int 1)
+      Raw.set switch on
     end
     else if not (switch_set switch) then write lo ~base v
 

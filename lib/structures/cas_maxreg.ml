@@ -16,14 +16,11 @@ let create () = Raw.make (Raw.of_int 0)
 
 let read_max t = Raw.to_int (Raw.get t)
 
-(* A single attempt of the retry loop, also the combining path of
-   Harness.Adaptive.Cas (which the static flat-combining backend pins
-   every update to): the uncontended case must stay exactly
-   one read + one CAS, with the failure routed to the arena instead of
-   a local retry.  Encoded as an int so the caller's dispatch stays
+(* A single attempt of the retry loop: the uncontended case is exactly
+   one read + one CAS.  Encoded as an int so the loop stays
    allocation-free: 0 = value at or below the current maximum (the
-   elimination case — the write linearizes at the read), 1 = CAS
-   installed the value, 2 = CAS lost a race (contention: combine). *)
+   write linearizes at the read), 1 = CAS installed the value, 2 = CAS
+   lost a race (retry). *)
 let[@inline] write_once t value =
   let cur = Raw.get t in
   if value <= Raw.to_int cur then 0

@@ -12,10 +12,9 @@ val read_max : t -> int
 val write_max : t -> pid:int -> int -> unit
 
 val write_once : t -> int -> int
-(** One attempt of the retry loop, for the flat-combining fast path:
-    [0] — value at or below the current maximum (eliminated; the
-    write linearizes at the read), [1] — CAS installed the value,
-    [2] — CAS lost a race (route to the combining arena).  Does not
+(** One attempt of the retry loop: [0] — value at or below the
+    current maximum (the write linearizes at the read), [1] — CAS
+    installed the value, [2] — CAS lost a race (retry).  Does not
     validate the value: callers on the hot path check once. *)
 
 val write_max_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit

@@ -18,8 +18,8 @@ val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
 (** [add_metered t ~metrics ~pid 1]. *)
 
 val add : t -> pid:int -> int -> unit
-(** [add t ~pid k]: absorb a batch of [k] at the caller's own leaf
-    with one in-block propagation (the combining layer's apply). *)
+(** [add t ~pid k]: add [k] at the caller's own leaf with one
+    in-block propagation. *)
 
 val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
 (** The body of [add], with refresh rounds and CAS outcomes recorded

@@ -21,12 +21,9 @@ let create ~n () = Farray.create ~n ~combine:sum ()
 
 let read t = count (Farray.read t)
 
-(* Batched increment, for the flat-combining layer: add [k] to the
-   caller's own leaf with ONE update (one propagation for the whole
-   batch).  The counter's value is the sum over all leaves, so which
-   leaf absorbs a combined batch is immaterial — the combiner uses its
-   own, preserving the per-leaf single-writer discipline.  Metered
-   under shard [pid]. *)
+(* Add [k] to the caller's own leaf with ONE update (one propagation
+   for all [k]), preserving the per-leaf single-writer discipline;
+   [increment] is [k = 1].  Metered under shard [pid]. *)
 let add_metered t ~metrics ~pid k =
   if k < 0 then invalid_arg "Farray_counter.add: negative k";
   let c = count (Farray.read_leaf t pid) in

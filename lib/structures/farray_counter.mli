@@ -16,10 +16,8 @@ val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
 
 val add : t -> pid:int -> int -> unit
 (** [add t ~pid k] adds [k] to the caller's own leaf with one update
-    (one propagation for the whole batch) — the combining layer's
-    apply: the counter value is the sum over leaves, so the combiner
-    absorbs a batch at its own leaf without breaking the single-writer
-    discipline. *)
+    (one propagation for all [k]); the counter value is the sum over
+    leaves. *)
 
 val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
 (** The body of [add], with propagation refresh rounds and CAS outcomes

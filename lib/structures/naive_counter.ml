@@ -14,12 +14,8 @@ let create ~n () =
   if n <= 0 then invalid_arg "Naive_counter.create: n must be > 0";
   { cells = Array.init n (fun _ -> Raw.make (Raw.of_int 0)); n }
 
-(* Batched increment for the combining layer's control backend: the
-   counter value is the sum over cells, so a combiner may absorb a
-   whole batch into its own (still single-writer) cell.  For this
-   structure combining is expected to LOSE — an increment is already
-   one write to an owned line — which is exactly why the control
-   exists (see EXPERIMENTS.md). *)
+(* Add [k] to the caller's own (single-writer) cell: one read and one
+   write; [increment] is [k = 1]. *)
 let[@inline] add t ~pid k =
   if pid < 0 || pid >= t.n then invalid_arg "Naive_counter.add: bad pid";
   if k < 0 then invalid_arg "Naive_counter.add: negative k";

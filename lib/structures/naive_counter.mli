@@ -9,7 +9,7 @@ val create : n:int -> unit -> t
 val increment : t -> pid:int -> unit
 
 val add : t -> pid:int -> int -> unit
-(** [add t ~pid k] adds [k] to the caller's own cell — the combining
-    layer's apply (the counter value is the sum over cells). *)
+(** [add t ~pid k] adds [k] to the caller's own cell (the counter
+    value is the sum over cells). *)
 
 val read : t -> int

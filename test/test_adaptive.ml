@@ -1,21 +1,20 @@
-(* Tests of the dispatch layer (Harness.Adaptive and the combining and
-   adaptive backends the registry builds on it): the pure Policy kernel
-   (threshold verdicts, hysteresis fold, parameter validation),
-   differential equivalence of both dispatch backends against the plain
-   unboxed natives on random sequences (the adaptive one under a policy
-   that forces mode flips), registry coverage, multi-domain exactness,
-   report sanity, the per-op epoch dispatch (stale trigger, metering
-   that never steers, flips both ways), input validation on both update
-   paths, and zero-allocation guards on the solo, plain-mode,
-   arena-bypass, solo-drain and elimination update paths.  The
-   Smem.Combine arena's own unit tests live in test_combining.ml;
-   linearizability of dispatch-backend histories under chaos in
-   test_chaos.ml. *)
+(* Tests of the dispatch layer (Harness.Adaptive.Alg_a and the combining
+   and adaptive backends the registry builds on it for Algorithm A): the
+   pure Policy kernel (threshold verdicts, hysteresis fold, parameter
+   validation), differential equivalence of both dispatch backends
+   against the plain unboxed register on random sequences (the adaptive
+   one under a policy that forces mode flips), registry coverage,
+   multi-domain exactness, report sanity, the per-op epoch dispatch
+   (stale trigger, metering that never steers, flips both ways), input
+   validation on both update paths, and zero-allocation guards on the
+   solo, plain-mode, arena-bypass, solo-drain and elimination update
+   paths.  The Smem.Combine arena's own unit tests live in
+   test_combining.ml; linearizability of dispatch-backend histories
+   under chaos in test_chaos.ml. *)
 
 module P = Harness.Adaptive.Policy
 module I = Harness.Instances
 module AD = Harness.Adaptive.Alg_a
-module CD = Harness.Adaptive.Cas
 module AU = Unboxed.Algorithm_a
 
 (* {1 The pure policy kernel} *)
@@ -44,7 +43,7 @@ let test_validate () =
   check "Adaptive: negative benefit_min"
     { base_params with P.benefit_min = -1. };
   P.validate base_params;
-  List.iter P.validate [ P.default_maxreg; P.default_plain; P.thrash ]
+  List.iter P.validate [ P.default_maxreg; P.thrash ]
 
 let test_want_thresholds () =
   let mode = Alcotest.testable (Fmt.of_to_string P.mode_name) ( = ) in
@@ -75,10 +74,7 @@ let test_want_stale_trigger () =
   check "stale writes enter combining" P.Combining ~current:P.Plain
     { P.zero_signals with P.updates = 1000; stale = 400 };
   check "fresh writes stay plain" P.Plain ~current:P.Plain
-    { P.zero_signals with P.updates = 1000; stale = 200 };
-  Alcotest.check mode "a > 1 bar disables the trigger" P.Plain
-    (P.want P.default_plain ~current:P.Plain
-       { P.zero_signals with P.updates = 1000; stale = 1000 })
+    { P.zero_signals with P.updates = 1000; stale = 200 }
 
 (* Signal fixtures whose verdict is unambiguous under [hys_params]:
    [s_comb] wants combining from either mode (all-stale writes, earning
@@ -139,9 +135,9 @@ let qcheck_hysteresis_bounds_flips =
 
 (* {1 Differential: dispatch backends vs plain unboxed}
 
-   Both dispatch backends claim "same structure, different update
+   Both dispatch backends claim "same register, different update
    path"; on sequential random mixes they must be observationally
-   identical to the plain unboxed structure.  The adaptive backend runs
+   identical to the plain unboxed register.  The adaptive backend runs
    the flip-forcing {!P.thrash}, so the dispatcher flips at every epoch
    boundary and the sequences cross many plain->combining and
    combining->plain boundaries.  The combining backend's arena is sized
@@ -159,9 +155,6 @@ let backend_name = function
 
 let maxreg ?metrics ?(n = 3) ?(domains = 3) backend spec =
   Option.get (I.maxreg_backend ?metrics backend ~n ~domains spec)
-
-let counter ?metrics ?(n = 3) ?(domains = 3) backend spec =
-  Option.get (I.counter_backend ?metrics backend ~n ~domains spec)
 
 (* op = (pid, value): value >= 0 is an update, -1 a read *)
 let ops_gen ~n =
@@ -207,23 +200,6 @@ let differential_maxreg backend impl =
         (fst (maxreg backend (I.Impl impl)))
         ops)
 
-let differential_counter backend impl =
-  QCheck.Test.make ~count:200
-    ~name:
-      (Printf.sprintf "%s: %s = plain" (I.counter_name impl)
-         (backend_name backend))
-    (ops_gen ~n:3)
-    (fun ops ->
-      agrees_counter
-        (fst (counter I.Unboxed (I.Impl impl)))
-        (fst (counter backend (I.Impl impl)))
-        ops)
-
-let differentials backend =
-  [ differential_maxreg backend I.Algorithm_a;
-    differential_maxreg backend I.Cas_maxreg;
-    differential_counter backend I.Farray_counter;
-    differential_counter backend I.Naive_counter ]
 
 (* The differential property holds trivially if the dispatcher never
    leaves plain mode; pin that the thrashing policy flips at every
@@ -246,8 +222,8 @@ let test_thrash_actually_flips () =
    and without a live metrics handle — must replay a random sequence
    exactly like the plain unboxed structure of the same spec; the specs
    with no unboxed specialization (AAC, the snapshot counters) must stay
-   [None] on every backend, and those with no dispatch layer on the
-   dispatch backends. *)
+   [None], and every max register but Algorithm A on the dispatch
+   backends. *)
 
 let dispatch_backends = [ I.Combining; I.Adaptive None; thrash ]
 
@@ -279,12 +255,12 @@ let test_registry_differential () =
         (backend_name backend) metered
   in
   List.iter
-    (fun backend ->
+    (fun metered ->
+      let metrics () =
+        if metered then Some (Obs.Metrics.create ~domains:3 ()) else None
+      in
       List.iter
-        (fun metered ->
-          let metrics () =
-            if metered then Some (Obs.Metrics.create ~domains:3 ()) else None
-          in
+        (fun backend ->
           List.iter
             (fun spec ->
               match
@@ -296,26 +272,24 @@ let test_registry_differential () =
                 check (spec_name I.maxreg_name spec) backend metered
                   (agrees_maxreg (fst (maxreg I.Unboxed spec)) inst
                      registry_ops))
-            maxreg_specs;
-          List.iter
-            (fun spec ->
-              match
-                I.counter_backend ?metrics:(metrics ()) backend ~n:3
-                  ~domains:3 spec
-              with
-              | None -> ()
-              | Some (inst, _) ->
-                check (spec_name I.counter_name spec) backend metered
-                  (agrees_counter (fst (counter I.Unboxed spec)) inst
-                     registry_ops))
-            counter_specs)
-        [ false; true ])
-    (I.Unboxed :: dispatch_backends);
+            maxreg_specs)
+        (I.Unboxed :: dispatch_backends);
+      List.iter
+        (fun spec ->
+          match I.counter_unboxed ?metrics:(metrics ()) ~n:3 spec with
+          | None -> ()
+          | Some inst ->
+            check (spec_name I.counter_name spec) I.Unboxed metered
+              (agrees_counter
+                 (Option.get (I.counter_unboxed ~n:3 spec))
+                 inst registry_ops))
+        counter_specs)
+    [ false; true ];
   (* unboxed: every maxreg spec but AAC (8) and every counter spec with
-     an int specialization (6); each dispatch backend: the four
-     structures with a combining layer (2 + 2); all twice *)
+     an int specialization (6); each dispatch backend: Algorithm A; all
+     twice *)
   Alcotest.(check int) "accepted (spec, backend) pairs"
-    (2 * (8 + 6 + (3 * 4)))
+    (2 * (8 + 6 + 3))
     !accepted
 
 let test_registry_no_dispatch_layer () =
@@ -324,14 +298,12 @@ let test_registry_no_dispatch_layer () =
   in
   none "aac max register, unboxed"
     (I.maxreg_backend I.Unboxed ~n:3 ~domains:3 (I.Impl I.Aac_maxreg));
-  none "aac counter, unboxed"
-    (I.counter_backend I.Unboxed ~n:3 ~domains:3 (I.Impl I.Aac_counter));
+  none "aac counter, unboxed" (I.counter_unboxed ~n:3 (I.Impl I.Aac_counter));
   List.iter
     (fun s ->
       none
         (I.counter_name (I.Snapshot_counter s) ^ ", unboxed")
-        (I.counter_backend I.Unboxed ~n:3 ~domains:3
-           (I.Impl (I.Snapshot_counter s))))
+        (I.counter_unboxed ~n:3 (I.Impl (I.Snapshot_counter s))))
     I.all_snapshots;
   List.iter
     (fun backend ->
@@ -340,19 +312,9 @@ let test_registry_no_dispatch_layer () =
           none
             (spec_name I.maxreg_name spec ^ ", " ^ backend_name backend)
             (I.maxreg_backend backend ~n:3 ~domains:3 spec))
-        (I.Impl I.Aac_maxreg :: I.Impl I.B1_maxreg
+        (I.Impl I.Aac_maxreg :: I.Impl I.B1_maxreg :: I.Impl I.Cas_maxreg
          :: I.Impl I.Algorithm_a_literal
-         :: List.map (fun d -> I.Dial d) Treeprim.Dial.all);
-      List.iter
-        (fun spec ->
-          none
-            (spec_name I.counter_name spec ^ ", " ^ backend_name backend)
-            (I.counter_backend backend ~n:3 ~domains:3 spec))
-        (I.Impl I.Aac_counter
-         :: List.map
-              (fun s -> I.Impl (I.Snapshot_counter s))
-              I.all_snapshots
-        @ List.map (fun d -> I.Dial d) Treeprim.Dial.all))
+         :: List.map (fun d -> I.Dial d) Treeprim.Dial.all))
     dispatch_backends
 
 (* {1 Reports} *)
@@ -387,10 +349,12 @@ let test_create_validates_policy () =
            ~domains:2 ()
           : AD.t))
 
+(* The register has a leaf for pid 7, the 2-domain dispatcher has no
+   tick cell for it: the dispatcher refuses the update. *)
 let test_tick_rejects_bad_pid () =
-  let c, _ = counter thrash ~n:2 ~domains:2 (I.Impl I.Farray_counter) in
+  let reg, _ = maxreg thrash ~n:8 ~domains:2 (I.Impl I.Algorithm_a) in
   Alcotest.(check bool) "out-of-range pid raises, never corrupts" true
-    (match c.increment ~pid:7 with
+    (match reg.write_max ~pid:7 1 with
      | () -> false
      | exception Invalid_argument _ -> true)
 
@@ -490,18 +454,18 @@ let test_dispatch_differential () =
   Alcotest.(check bool) "dispatcher flipped both ways" true
     ((AD.report ad).Harness.Adaptive.epoch_flips >= 2)
 
-(* Validation happens once, in the shared kernel, before either update
-   path: a negative value raises on the pinned combining path
-   ([update_combining]) exactly as on the per-op path, in either
-   dispatcher mode, and never counts an elimination (root >= 0 > v
-   would otherwise pass the elimination check). *)
-let negative_value_both_modes (type a)
-    (module A : Harness.Adaptive.S with type t = a) name (t : a) =
+(* Validation happens once, before either update path: a negative value
+   raises on the pinned combining path ([update_combining]) exactly as
+   on the per-op path, in either dispatcher mode, and never counts an
+   elimination (root >= 0 > v would otherwise pass the elimination
+   check). *)
+let test_negative_value_both_modes () =
+  let t = AD.create ~policy:stale_policy ~n:2 ~domains:2 () in
   let eliminations () =
-    (Smem.Combine.stats (A.arena t)).Smem.Combine.eliminations
+    (Smem.Combine.stats (AD.arena t)).Smem.Combine.eliminations
   in
   let raises mode path f =
-    let what = Printf.sprintf "%s %s (-1), %s mode" name path mode in
+    let what = Printf.sprintf "algorithm-a %s (-1), %s mode" path mode in
     let before = eliminations () in
     Alcotest.(check bool) (what ^ " raises") true
       (match f () with () -> false | exception Invalid_argument _ -> true);
@@ -509,58 +473,37 @@ let negative_value_both_modes (type a)
       (eliminations ())
   in
   let in_mode mode =
-    raises mode "update_combining" (fun () -> A.update_combining t ~pid:0 (-1));
-    raises mode "update" (fun () -> A.update t ~pid:0 (-1))
+    raises mode "update_combining" (fun () -> AD.update_combining t ~pid:0 (-1));
+    raises mode "update" (fun () -> AD.update t ~pid:0 (-1))
   in
-  let mode () = mode_of (A.report t) in
-  A.update t ~pid:0 1000;
-  Alcotest.(check bool) (name ^ " starts plain") true (mode () = P.Plain);
+  let mode () = mode_of (AD.report t) in
+  AD.update t ~pid:0 1000;
+  Alcotest.(check bool) "algorithm-a starts plain" true (mode () = P.Plain);
   in_mode "plain";
   (* two fully stale epochs flip it *)
   for v = 1 to 128 do
-    A.update t ~pid:0 v
+    AD.update t ~pid:0 v
   done;
-  Alcotest.(check bool) (name ^ " flipped to combining") true
+  Alcotest.(check bool) "algorithm-a flipped to combining" true
     (mode () = P.Combining);
   in_mode "combining"
 
-let test_negative_value_both_modes () =
-  negative_value_both_modes (module AD) "algorithm-a"
-    (AD.create ~policy:stale_policy ~n:2 ~domains:2 ());
-  negative_value_both_modes (module CD) "cas-loop"
-    (CD.create ~policy:stale_policy ~domains:2 ())
-
 (* {1 Multi-domain exactness}
 
-   Real parallelism through both dispatch backends: counter totals must
-   be exact and max registers must end at the true maximum with
-   monotone reads — through the arena protocol, and across flips under
-   a flip-prone adaptive policy. *)
+   Real parallelism through both dispatch backends: the register must
+   end at the true maximum with monotone reads — through the arena
+   protocol, and across flips under a flip-prone adaptive policy. *)
 
 let domains_used = 4
 let per_domain = 20_000
 
 let flip_policy = { P.thrash with P.epoch_ops = 64 }
 
-let parallel_counter backend impl =
-  let cnt, _ =
-    counter ~n:domains_used ~domains:domains_used backend (I.Impl impl)
-  in
-  let (_ : unit array) =
-    Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
-        for _ = 1 to per_domain do
-          cnt.increment ~pid
-        done)
-  in
-  Alcotest.(check int)
-    (Printf.sprintf "%s %s total exact" (backend_name backend)
-       (I.counter_name impl))
-    (domains_used * per_domain) (cnt.read ())
-
 (* domain 0 reads, the others write disjoint increasing streams *)
-let parallel_maxreg backend impl =
+let parallel_maxreg backend =
   let reg, dispatch =
-    maxreg ~n:domains_used ~domains:domains_used backend (I.Impl impl)
+    maxreg ~n:domains_used ~domains:domains_used backend
+      (I.Impl I.Algorithm_a)
   in
   let monotone = Atomic.make true in
   let (_ : unit array) =
@@ -578,29 +521,20 @@ let parallel_maxreg backend impl =
             reg.write_max ~pid ((v * domains_used) + pid)
           done)
   in
-  let name = backend_name backend ^ " " ^ I.maxreg_name impl in
+  let name = backend_name backend ^ " algorithm-a" in
   Alcotest.(check bool) (name ^ " reads monotone") true (Atomic.get monotone);
   Alcotest.(check int) (name ^ " final maximum")
     ((per_domain * domains_used) + (domains_used - 1))
     (reg.read_max ());
   Option.get dispatch
 
-let test_parallel_counter_exact () =
-  parallel_counter I.Combining I.Farray_counter;
-  parallel_counter I.Combining I.Naive_counter
-
 let test_parallel_maxreg_exact () =
-  ignore (parallel_maxreg I.Combining I.Algorithm_a : I.dispatch);
-  ignore (parallel_maxreg I.Combining I.Cas_maxreg : I.dispatch)
+  ignore (parallel_maxreg I.Combining : I.dispatch)
 
 let test_parallel_maxreg_across_flips () =
-  let d = parallel_maxreg (I.Adaptive (Some flip_policy)) I.Algorithm_a in
+  let d = parallel_maxreg (I.Adaptive (Some flip_policy)) in
   Alcotest.(check bool) "dispatcher flipped during the run" true
     ((d.report ()).Harness.Adaptive.epoch_flips > 0)
-
-let test_parallel_counter_across_flips () =
-  parallel_counter (I.Adaptive (Some flip_policy)) I.Farray_counter;
-  parallel_counter (I.Adaptive (Some flip_policy)) I.Naive_counter
 
 (* {1 Zero allocation on the dispatch fast paths}
 
@@ -643,47 +577,26 @@ let alloc_free_maxreg name pids (reg : Maxreg.Max_register.instance) =
         ignore (reg.read_max () : int)
       done)
 
-let alloc_free_counter name pids (cnt : Counters.Counter.instance) =
-  check_alloc_free (name ^ " increment") (fun () ->
-      for i = 1 to ops do
-        cnt.increment ~pid:(i mod pids)
-      done);
-  check_alloc_free (name ^ " read") (fun () ->
-      for _ = 1 to ops do
-        ignore (cnt.read () : int)
-      done)
-
 let test_alloc_free_solo () =
-  let solo = I.Adaptive None in
   alloc_free_maxreg "adaptive alg-a (solo)" 1
-    (fst (maxreg ~n:1 ~domains:1 solo (I.Impl I.Algorithm_a)));
-  alloc_free_counter "adaptive farray (solo)" 1
-    (fst (counter ~n:1 ~domains:1 solo (I.Impl I.Farray_counter)))
+    (fst (maxreg ~n:1 ~domains:1 (I.Adaptive None) (I.Impl I.Algorithm_a)))
 
 let test_alloc_free_plain_mode () =
-  (* domains = 2: full dispatch (mode check + tick) on the plain path,
-     with the epoch boundary pushed beyond the op budget *)
-  let no_epoch p = I.Adaptive (Some { p with P.epoch_ops = 1 lsl 20 }) in
+  (* domains = 2: full dispatch (mode check + stale tally + tick) on the
+     plain path, with the epoch boundary pushed beyond the op budget *)
+  let no_epoch = { P.default_maxreg with P.epoch_ops = 1 lsl 20 } in
   alloc_free_maxreg "adaptive alg-a (plain dispatch)" 2
-    (fst
-       (maxreg ~n:2 ~domains:2 (no_epoch P.default_maxreg)
-          (I.Impl I.Algorithm_a)));
-  alloc_free_counter "adaptive farray (plain dispatch)" 2
-    (fst
-       (counter ~n:2 ~domains:2 (no_epoch P.default_plain)
-          (I.Impl I.Farray_counter)))
+    (fst (maxreg ~n:2 ~domains:2 (I.Adaptive (Some no_epoch))
+            (I.Impl I.Algorithm_a)))
 
 let test_alloc_free_bypass () =
-  alloc_free_maxreg "cas combining (bypass)" 1
-    (fst (maxreg ~n:1 ~domains:1 I.Combining (I.Impl I.Cas_maxreg)));
-  alloc_free_counter "farray combining (bypass)" 1
-    (fst (counter ~n:1 ~domains:1 I.Combining (I.Impl I.Farray_counter)))
+  alloc_free_maxreg "algorithm-a combining (bypass)" 1
+    (fst (maxreg ~n:1 ~domains:1 I.Combining (I.Impl I.Algorithm_a)))
 
 let test_alloc_free_solo_combiner () =
-  (* domains = 2, driven single-threaded: every submit takes the lock and
-     drains alone — the whole arena protocol minus waiting *)
-  alloc_free_counter "farray combining (solo drain)" 2
-    (fst (counter ~n:2 ~domains:2 I.Combining (I.Impl I.Farray_counter)));
+  (* domains = 2, driven single-threaded with fresh writes: every submit
+     takes the lock and drains alone — the whole arena protocol minus
+     waiting *)
   alloc_free_maxreg "algorithm-a combining (solo drain)" 2
     (fst (maxreg ~n:2 ~domains:2 I.Combining (I.Impl I.Algorithm_a)))
 
@@ -711,7 +624,9 @@ let () =
              test_hysteresis_flips_after_exactly_n
         :: qsuite [ qcheck_hysteresis_bounds_flips ] );
       ( "differential",
-        qsuite (differentials thrash @ differentials I.Combining)
+        qsuite
+          [ differential_maxreg thrash I.Algorithm_a;
+            differential_maxreg I.Combining I.Algorithm_a ]
         @ [ Alcotest.test_case "thrash policy actually flips" `Quick
               test_thrash_actually_flips ] );
       ( "registry",
@@ -736,14 +651,10 @@ let () =
           Alcotest.test_case "negative value raises in both modes" `Quick
             test_negative_value_both_modes ] );
       ( "parallel",
-        [ Alcotest.test_case "counters exact under 4 domains" `Quick
-            test_parallel_counter_exact;
-          Alcotest.test_case "max registers exact under 4 domains" `Quick
-            test_parallel_maxreg_exact;
-          Alcotest.test_case "max register exact across flips" `Quick
+        [ Alcotest.test_case "max register exact across flips" `Quick
             test_parallel_maxreg_across_flips;
-          Alcotest.test_case "counters exact across flips" `Quick
-            test_parallel_counter_across_flips ] );
+          Alcotest.test_case "max registers exact under 4 domains" `Quick
+            test_parallel_maxreg_exact ] );
       ( "allocation",
         [ Alcotest.test_case "solo path allocates nothing" `Quick
             test_alloc_free_solo;

@@ -99,10 +99,10 @@ let differential_boxed_vs_unboxed dial =
           (module Smem.Atomic_memory)
           ~n:n_procs dial
       in
-      let unboxed, _ =
+      let unboxed =
         Option.get
-          (Harness.Instances.counter_backend Harness.Instances.Unboxed
-             ~n:n_procs ~domains:n_procs (Harness.Instances.Dial dial))
+          (Harness.Instances.counter_unboxed ~n:n_procs
+             (Harness.Instances.Dial dial))
       in
       List.for_all
         (fun (pid, v) ->

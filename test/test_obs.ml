@@ -387,10 +387,9 @@ let test_disabled_record_allocates_nothing () =
 let test_disabled_metered_instance_allocates_nothing () =
   (* the full instrumented call path of the benchmark's metered pass,
      with recording disabled: still allocation-free *)
-  let inst, _ =
+  let inst =
     Option.get
-      (Harness.Instances.counter_backend ~metrics:M.disabled
-         Harness.Instances.Unboxed ~n:4 ~domains:4
+      (Harness.Instances.counter_unboxed ~metrics:M.disabled ~n:4
          (Harness.Instances.Impl Harness.Instances.Farray_counter))
   in
   let run () =

@@ -126,10 +126,8 @@ let maxreg_pair impl ~n =
 
 let counter_pair impl ~n =
   ( Harness.Instances.counter_native ~n ~bound impl,
-    fst
-      (Option.get
-         (Harness.Instances.counter_backend Harness.Instances.Unboxed ~n
-            ~domains:n (Harness.Instances.Impl impl))) )
+    Option.get
+      (Harness.Instances.counter_unboxed ~n (Harness.Instances.Impl impl)) )
 
 (* op = (pid, value): value >= 0 is a write, -1 a read *)
 let ops_gen ~n =
@@ -306,6 +304,20 @@ let test_alloc_free_maxregs () =
           B.write_max breg ~pid:0 v
         done;
         ignore (B.read_max breg : int)
+      done);
+  (* the boxed compile over native atomics: its switch writes store the
+     shared [on] box, so the steady state allocates nothing either *)
+  let module BB = Boxed.B1_maxreg in
+  let bbreg = Boxed.Raw.with_memory (module Smem.Atomic_memory) BB.create in
+  for v = 0 to 200 do
+    BB.write_max bbreg ~pid:0 v
+  done;
+  check_alloc_free "boxed aac-unbounded-b1 steady-state" (fun () ->
+      for _ = 1 to ops / 10 do
+        for v = 190 to 200 do
+          BB.write_max bbreg ~pid:0 v
+        done;
+        ignore (BB.read_max bbreg : int)
       done);
   (* AAC: a bound above the 2 * ops values the warm-up and the measured
      pass write *)
