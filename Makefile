@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test test-all check lint cost tsan chaos adaptive dial bench-native experiments examples clean doc
+.PHONY: all build test test-all check lint cost tsan chaos adaptive dial experiments examples clean doc
 
 all: build
 
@@ -41,14 +41,14 @@ tsan:
 	dune exec test/test_combining.exe
 	dune exec test/test_adaptive.exe
 	dune exec test/test_dial.exe
-	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/tsan-bench.json
+	dune exec bin/repro.exe -- e7 --quick
 
 # dispatch-layer smoke: the policy/differential/parallel suite of
 # Algorithm A's two dispatch backends (combining and adaptive) plus a
-# quick bench pass, whose algorithm-a rows cover all four backends
+# quick E7 pass, whose algorithm-a rows cover all four backends
 adaptive:
 	dune exec test/test_adaptive.exe
-	dune exec bin/bench.exe -- --quick --max-domains 2 -o /tmp/adaptive-bench.json
+	dune exec bin/repro.exe -- e7 --quick
 
 # fault sweeps (exhaustive, simulator) + native chaos soak (~1 min)
 chaos:
@@ -63,11 +63,7 @@ chaos:
 dial:
 	dune exec test/test_dial.exe
 	dune exec test/test_cost.exe
-	dune exec bin/bench.exe -- --dial --quick --max-domains 2 -o /tmp/dial-bench.json
-
-# add `-- --baseline OLD.json` to diff against a previous run (warn-only)
-bench-native:
-	dune exec bin/bench.exe -- -o BENCH_NATIVE.json
+	dune exec bin/repro.exe -- frontier --quick
 
 # regenerate every experiment table (~4 minutes; EXPERIMENTS.md material)
 experiments:

@@ -1,6 +1,6 @@
 (* The experiment driver: regenerates every table of EXPERIMENTS.md.
 
-     repro e1 | e2 | e3 | e4 | e5 | e6 | e7 | e8 | f4 | all
+     repro e1 | ... | e10 | f4 | a1 | a2 | frontier | all
 
    Sizes are chosen so `repro all` completes in a couple of minutes; pass
    --quick for a fast smoke pass.  `--trace out.json` additionally dumps a
@@ -18,6 +18,17 @@ let no_trace trace_out =
          ignoring\n\
          %!")
     trace_out
+
+(* The certified (read, increment) step ceilings of a dial point: the
+   budget functions the C1 certifier enforces, evaluated at [n], so the
+   frontier's steps table reads measured beside certified line by line. *)
+let dial_envelope ~n dial =
+  let f = Treeprim.Dial.width ~n dial in
+  let env b =
+    match Lint.Summary.envelope ~n b with Some e -> e | None -> max_int
+  in
+  ( env (Lint.Budgets.dial_read_budget ~f ~n),
+    env (Lint.Budgets.dial_update_budget ~f ~n) )
 
 let experiments :
     (string * string * (quick:bool -> trace_out:string option -> string)) list =
@@ -63,11 +74,11 @@ let experiments :
         no_trace trace_out;
         let schedules = if quick then 50 else 400 in
         Experiments.E6_linearizability.run ~schedules () );
-    ( "e7", "native multi-domain throughput (the O(1)-read payoff)",
+    ( "e7", "native throughput of every registry backend (the O(1)-read payoff)",
       fun ~quick ~trace_out ->
         no_trace trace_out;
-        let seconds = if quick then 0.1 else 0.5 in
-        Experiments.E7_native.run ~seconds () );
+        if quick then Experiments.E7_native.run ~seconds:0.05 ~trials:1 ()
+        else Experiments.E7_native.run ~seconds:0.2 ~trials:3 () );
     ( "e8", "Lemma 1 growth profile + the Definition 1 visibility finding",
       fun ~quick ~trace_out ->
         no_trace trace_out;
@@ -97,7 +108,13 @@ let experiments :
       fun ~quick ~trace_out ->
         ignore quick;
         no_trace trace_out;
-        Experiments.A2_refresh_ablation.run () ) ]
+        Experiments.A2_refresh_ablation.run () );
+    ( "frontier", "the tradeoff dial: solo steps under the certified envelope, \
+                   throughput per dial point",
+      fun ~quick ~trace_out ->
+        no_trace trace_out;
+        let seconds, trials = if quick then (0.05, 1) else (0.2, 3) in
+        Experiments.Frontier.run ~envelope:dial_envelope ~seconds ~trials () ) ]
 
 open Cmdliner
 

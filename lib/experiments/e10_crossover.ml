@@ -14,10 +14,14 @@
        break-even read share for several N.
 
    (b) Wall-clock crossover, max registers: native throughput of
-       Algorithm A vs the AAC register as the read share sweeps 0..99% —
-       Algorithm A's O(1) reads win read-heavy mixes, AAC's cheaper
-       logarithmic writes win write-heavy ones; the table shows the
-       measured winner flipping. *)
+       Algorithm A vs the AAC register as the read share sweeps 0..99%.
+       The writes cycle through the M = 256 values, so every write after
+       the first 256 repeats a value already written.  Algorithm A still
+       propagates a repeat (its TL leaf already holds the value, and the
+       repaired line 16 helps the writer that may not have propagated
+       it), while an AAC repeat below a set switch stops after one read.
+       So the write-heavy end times Algorithm A's helping walk against
+       AAC's early exit, not fresh writes against fresh writes. *)
 
 open Memsim
 
@@ -87,24 +91,20 @@ let maxreg_crossover ~seconds =
   let domains = Harness.Throughput.recommended_domains ~floor:2 ~cap:4 () in
   (* A register sized for a large system (N = 4096 process slots) with a
      small value bound (M = 256): Algorithm A's writes pay O(log v) B1
-     levels while AAC's pay only O(log M) switch levels — the regime where
-     AAC's cheap writes can win write-heavy mixes. *)
+     levels and AAC's at most O(log M) switch levels. *)
   let n = 4096 and bound = 256 in
-  (* Measured through {!Harness.Throughput} rather than a hand-rolled
-     domain loop: the shared harness counts in domain-local refs with
-     padded publish slots and divides by the measured barrier-to-ack
-     window, where the previous ad-hoc loop paid an [Atomic.incr] per
-     measured operation and divided by the requested seconds (both biases
-     PR 2/3 removed from E7 and bin/bench.exe). *)
+  (* One operation per harness call; [i] is the call's base. *)
   let run impl ~read_pct =
     let reg = Harness.Instances.maxreg_native ~n ~bound impl in
     let rngs =
       Array.init domains (fun d -> Random.State.make [| d; read_pct |])
     in
-    Harness.Throughput.run_mix ~domains ~seconds ~op:(fun d i ->
+    Harness.Throughput.run_batched ~domains ~seconds ~batch:1
+      ~op:(fun d i ->
         if Random.State.int rngs.(d) 100 < read_pct then
           ignore (reg.read_max ())
         else reg.write_max ~pid:d (((i * domains) + d) mod bound))
+      ()
   in
   List.map
     (fun read_pct ->
@@ -120,8 +120,10 @@ let maxreg_table rows =
   Harness.Tables.render
     ~title:
       "E10b: max-register crossover — native throughput (Mops/s), N=4096 \
-       slots, M=256, as the read share sweeps; AAC's cheap O(log M) writes \
-       vs Algorithm A's O(1) reads"
+       slots, M=256, as the read share sweeps; writes cycle through the 256 \
+       values, so all but the first 256 repeat one already written; \
+       Algorithm A still propagates a repeat, an AAC repeat below a set \
+       switch stops after one read"
     ~header:[ "read %"; "algorithm-a"; "aac"; "winner" ]
     (List.map
        (fun r ->

@@ -47,9 +47,12 @@
    Concurrency discipline: every raw atomic lives in {!Ctl} (lint R1
    allowlists [Adaptive.Ctl] only).  The mode cell and the epoch lock
    are padded atomics; per-domain update ticks are single-writer padded
-   cells bumped with plain load + store (the Obs.Metrics shard
+   cells bumped with a load and an [Atomic.set] (the Obs.Metrics shard
    discipline — readable mid-run by the epoch advancer without a data
-   race, unlike a plain int array).  Epoch bookkeeping (the last
+   race, unlike a plain int array).  No other domain writes the cell,
+   but the bump is still an RMW: OCaml 5.1's [Atomic.set] is
+   [ignore (exchange r x)], a call to [caml_atomic_exchange] and a
+   locked exchange once a second domain runs.  Epoch bookkeeping (the last
    boundary's totals, hysteresis state, ops tallies) is plain mutable
    state guarded by the epoch lock's CAS; {!Ctl.report} reads it and is
    exact at quiescence, like {!Smem.Combine.stats} eliminations. *)
@@ -255,9 +258,9 @@ module Ctl = struct
       Atomic.set t.epoch_lock 0
     end
 
-  (* Per-update tick: one plain load + store on the domain's own padded
-     cell, a mask test, and (once per [epoch_ops] of this domain's
-     updates) the epoch advance.  Safe indexing: [pid] outside
+  (* Per-update tick: a load and an [Atomic.set] (one exchange, see the
+     header) on the domain's own padded cell, a mask test, and (once per
+     [epoch_ops] of this domain's updates) the epoch advance.  Safe indexing: [pid] outside
      [0 .. domains-1] raises rather than corrupting a neighbor cell. *)
   let[@inline] tick t ~pid =
     let c = Array.get t.ticks pid in
@@ -266,7 +269,7 @@ module Ctl = struct
     if n land t.epoch_mask = 0 then advance t
 
   (* Plain-path stale-write tally (see [Policy.stale_min]): single-writer
-     cell, same discipline as [tick]. *)
+     cell, same discipline and the same exchange as [tick]. *)
   let[@inline] note_stale t ~pid =
     let c = Array.get t.stales pid in
     Atomic.set c (Atomic.get c + 1)

@@ -13,7 +13,7 @@
     index), so a violating run is replayable from its seed.  Every
     injected fault is counted in the config's {!Obs.Metrics.t} handle
     ([Fault_yield]/[Fault_gc]/[Fault_stall]), making chaos visible in
-    bench-native/v4 output.
+    the soak's report.
 
     The unboxed instances of {!Instances.maxreg_backend} inline their
     Atomic primitives precisely to admit no wrapper, so chaos instruments

@@ -1,5 +1,5 @@
-(* Domain-parallel throughput measurement, shared by experiment E7 and
-   bin/bench.exe.
+(* Domain-parallel throughput measurement, shared by the native
+   experiments (E7, E10b, the dial frontier) and bench/suite.
 
    Two distortions the obvious loop suffers from, both fixed here:
 
@@ -28,6 +28,17 @@
    [?now]/[?sleep] exist so the window arithmetic is testable against a
    scripted clock (test_harness.ml pins the elapsed-time denominator). *)
 
+(* Bad inputs fail before any timing, rather than as a nan, a 0 or a
+   rate over an empty window. *)
+let check ~domains ~seconds ~batch =
+  if domains < 1 then
+    invalid_arg (Printf.sprintf "Throughput: domains must be >= 1 (got %d)" domains);
+  if batch < 1 then
+    invalid_arg (Printf.sprintf "Throughput: batch must be >= 1 (got %d)" batch);
+  if not (Float.is_finite seconds && seconds > 0.) then
+    invalid_arg
+      (Printf.sprintf "Throughput: seconds must be finite and > 0 (got %g)" seconds)
+
 (* Single-domain measurement runs on the *calling* domain, with a deadline
    check instead of a watcher domain flipping a stop flag.  This is not an
    optimization but a correctness point: the OCaml 5 runtime takes a
@@ -37,6 +48,7 @@
    measure runtime mode, not the structure.  The deadline read is amortized
    over ~1024 operations. *)
 let run_alone ?(now = Unix.gettimeofday) ~seconds ~batch ~(op : int -> int -> unit) () =
+  check ~domains:1 ~seconds ~batch;
   let chunk = max 1 (1024 / batch) in
   let deadline = now () +. seconds in
   let done_ops = ref 0 in
@@ -52,6 +64,7 @@ let run_alone ?(now = Unix.gettimeofday) ~seconds ~batch ~(op : int -> int -> un
 
 let run_batched ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~domains
     ~seconds ~batch ~(op : int -> int -> unit) () =
+  check ~domains ~seconds ~batch;
   if domains = 1 then run_alone ~now ~seconds ~batch ~op ()
   else begin
     let ready = Atomic.make 0 in
@@ -103,55 +116,8 @@ let run_batched ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~domains
     float_of_int total /. (t1 -. t0)
   end
 
-let run_mix ~domains ~seconds ~op =
-  run_batched ~domains ~seconds ~batch:1 ~op ()
-
-(* Centralized so callers (experiments, bench drivers) need no direct
+(* Centralized so callers (experiments, the suite) need no direct
    [Domain] reference — rule R1 of bin/lint.exe confines the Domain API
    to this module. *)
 let recommended_domains ?(floor = 1) ?(cap = max_int) () =
   max floor (min cap (Domain.recommended_domain_count ()))
-
-(* {1 Latency-recording runner}
-
-   Same protocol as [run_batched], but each batched [op] call is timed
-   with the monotonic clock and the per-operation latency (call
-   duration / batch) recorded into the calling domain's own
-   {!Obs.Histogram.t} — single-writer, merged by the caller after this
-   function returns.  The clock read pair costs ~40ns per batch call
-   (amortized to sub-ns per op at batch 64) plus one boxed int64 per
-   call, which is why this runner is separate: throughput rows come from
-   the unclocked loop above, percentiles from a dedicated metered pass.
-   Several domains run [run_batched] itself over the clocked op; one
-   domain keeps its own loop, with a deadline check per call. *)
-
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-let run_batched_latency ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf)
-    ~domains ~seconds ~batch ~(hist : Obs.Histogram.t array)
-    ~(op : int -> int -> unit) () =
-  if Array.length hist < domains then
-    invalid_arg "Throughput.run_batched_latency: need one histogram per domain";
-  if domains = 1 then begin
-    let h = hist.(0) in
-    let deadline = now () +. seconds in
-    let done_ops = ref 0 in
-    let t0 = now () in
-    while now () < deadline do
-      let c0 = now_ns () in
-      op 0 !done_ops;
-      let c1 = now_ns () in
-      Obs.Histogram.record h ((c1 - c0) / batch);
-      done_ops := !done_ops + batch
-    done;
-    let t1 = now () in
-    float_of_int !done_ops /. (t1 -. t0)
-  end
-  else
-    run_batched ~now ~sleep ~domains ~seconds ~batch
-      ~op:(fun d i ->
-        let c0 = now_ns () in
-        op d i;
-        let c1 = now_ns () in
-        Obs.Histogram.record hist.(d) ((c1 - c0) / batch))
-      ()

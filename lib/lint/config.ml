@@ -72,8 +72,7 @@ let default =
     (* R3: the zero-allocation claims pinned statically.  [Body] checks a
        whole function body; [Loops] checks only while/for bodies inside
        the function (measurement epilogues may allocate, timed loops may
-       not).  The latency runner is deliberately absent: its timed loop
-       boxes one int64 per batch by design (see throughput.mli). *)
+       not). *)
     r3_targets =
       [ { qual = [ "Metrics"; "add" ]; mode = Body };
         { qual = [ "Metrics"; "incr" ]; mode = Body };

@@ -1,6 +1,6 @@
-(* A minimal JSON value, printer and parser — enough for BENCH_NATIVE.json
-   and Chrome trace export without pulling a JSON dependency into the
-   sealed container.  Strings are escaped per RFC 8259; non-finite floats
+(* A minimal JSON value, printer and parser — enough for the linter's JSON
+   reports and Chrome trace export without pulling in a JSON
+   dependency.  Strings are escaped per RFC 8259; non-finite floats
    become [null] (JSON has no representation for them).
 
    Floats print in shortest round-trip form: try successively wider %g

@@ -9,9 +9,12 @@
    Layout: one padded [int Atomic.t] cell per (domain, counter) pair, so a
    recording domain touches only lines it owns — instrumentation must not
    itself create the cache-line traffic it is trying to observe.  Each cell
-   is single-writer (its domain), so recording is a plain read + write of
-   the atomic, not an RMW; [merged] sums the shards with atomic reads
-   (merge-on-read, no coordination with writers).
+   is single-writer (its domain), so recording needs no CAS: a load and an
+   [Atomic.set].  That store is still an RMW: OCaml 5.1 defines
+   [Atomic.set r x] as [ignore (exchange r x)], a call to
+   [caml_atomic_exchange] and a locked exchange once a second domain
+   runs; it stays on a line the domain owns.  [merged] sums the shards
+   with atomic reads (merge-on-read, no coordination with writers).
 
    The no-op mode is a handle with [enabled = false] and no shards: every
    record call is one immediate-bool test and branch, no allocation, no
@@ -97,8 +100,8 @@ let disabled = { enabled = false; mask = 0; shards = [||] }
 
 let enabled t = t.enabled
 
-(* Single-writer per shard: a plain load + store on the atomic, not an
-   RMW.  [domain land mask] tolerates pids beyond the shard count (they
+(* Single-writer per shard: a load and an [Atomic.set] (one exchange,
+   see the header), no CAS loop.  [domain land mask] tolerates pids beyond the shard count (they
    fold onto existing shards; totals stay exact). *)
 let add t ~domain c n =
   if t.enabled then begin
@@ -111,7 +114,7 @@ let incr t ~domain c = add t ~domain c 1
 (* Max-merge recording, for high-watermark counters ([Batch_max]): the
    shard keeps the largest value recorded by its domain, and [totals]
    takes the max (not the sum) across shards.  Same single-writer
-   plain-load-plus-store discipline as [add]. *)
+   load-and-[Atomic.set] discipline as [add]. *)
 let set_max t ~domain c v =
   if t.enabled then begin
     let cell = t.shards.(domain land t.mask).(counter_index c) in
@@ -188,14 +191,11 @@ let total_of totals = function
 let reset t =
   Array.iter (fun row -> Array.iter (fun c -> Atomic.set c 0) row) t.shards
 
-let cas_failure_rate totals =
-  if totals.cas_attempts = 0 then 0.
-  else float_of_int totals.cas_failures /. float_of_int totals.cas_attempts
-
 let pp_totals ppf t =
   Fmt.pf ppf "cas=%d/%d (%.1f%% failed) refreshes=%d helps=%d ops=%dr/%du"
     t.cas_failures t.cas_attempts
-    (100. *. cas_failure_rate t)
+    (if t.cas_attempts = 0 then 0.
+     else 100. *. float_of_int t.cas_failures /. float_of_int t.cas_attempts)
     t.refresh_rounds t.helps t.op_reads t.op_updates;
   if t.fault_yields + t.fault_gcs + t.fault_stalls > 0 then
     Fmt.pf ppf " faults=%dy/%dg/%ds" t.fault_yields t.fault_gcs t.fault_stalls;
@@ -206,7 +206,7 @@ let pp_totals ppf t =
 (* Flush a combining arena's merged stats ({!Smem.Combine.stats}) into
    this handle under one shard.  The arena keeps its own per-domain
    cells because smem sits below obs in the dependency order; callers
-   (bench metrics pass, chaos soak) bridge the two here, once per run —
+   (the chaos soak) bridge the two here, once per run —
    never per op. *)
 let record_combine_stats t ~domain (s : Smem.Combine.stats) =
   add t ~domain Combined_op s.combined_ops;

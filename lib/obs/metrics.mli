@@ -2,9 +2,11 @@
     merge-on-read API and a free no-op mode.
 
     Recording writes only a padded cell owned by the recording domain (a
-    plain load + store of a single-writer atomic, never an RMW), so the
+    load and an [Atomic.set] of a single-writer atomic, no CAS), so the
     instrumentation does not create the cache-line contention it
-    measures.  With the {!disabled} handle, every record call is one
+    measures.  The [Atomic.set] is itself an RMW: OCaml 5.1 defines it as
+    [ignore (exchange r x)], a locked exchange once a second domain
+    runs.  With the {!disabled} handle, every record call is one
     immediate-bool test: zero allocation, zero shared-memory traffic —
     pinned by a [Gc.minor_words] test and a CI overhead guard. *)
 
@@ -57,8 +59,8 @@ val add : t -> domain:int -> counter -> int -> unit
 val set_max : t -> domain:int -> counter -> int -> unit
 (** Max-merge recording for high-watermark counters ([Batch_max]): the
     domain's shard keeps the largest recorded value, and {!totals}
-    merges those with max rather than sum.  Same single-writer plain
-    load + store as {!add}. *)
+    merges those with max rather than sum.  Same single-writer load and
+    [Atomic.set] as {!add}. *)
 
 val record_combine_stats : t -> domain:int -> Smem.Combine.stats -> unit
 (** Flush a flat-combining arena's merged stats into this handle under
@@ -92,8 +94,6 @@ val totals : t -> totals
     recording (a snapshot at least as fresh as every completed record). *)
 
 val total_of : totals -> counter -> int
-val cas_failure_rate : totals -> float
-(** [cas_failures / cas_attempts], 0 when no attempts. *)
 
 val reset : t -> unit
 

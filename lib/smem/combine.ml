@@ -17,8 +17,8 @@
      combiner needs to run;
    - [domains = 1] bypasses the arena entirely: a single participating
      domain cannot contend, so [submit] degenerates to one branch plus
-     the [apply] call (the single-domain rows of bin/bench.exe must not
-     pay for machinery they cannot use).
+     the [apply] call (a single-domain run must not pay for machinery
+     it cannot use).
 
    The linearizability argument (DESIGN.md §12) hinges on one ordering:
    a slot is cleared only AFTER the combined op has been applied, and a
@@ -28,17 +28,19 @@
    effect.
 
    Stats are per-domain single-writer padded cells (same discipline as
-   Obs.Metrics shards: plain load + store, never an RMW), merged on
-   read.  The lock-held counters (locks, batches, combined, batch_max)
+   Obs.Metrics shards: a load and an [Atomic.set], no CAS), merged on
+   read.  The [Atomic.set] is still an RMW: OCaml 5.1 defines it as
+   [ignore (exchange r x)], a locked exchange once a second domain
+   runs.  The lock-held counters (locks, batches, combined, batch_max)
    are Atomic cells — their cost hides behind the lock CAS they follow.
    Elimination tallies are the one stat recorded on the LOCK-FREE fast
-   path: an [Atomic.set] there is a seq_cst store whose fence would tax
+   path: an [Atomic.set] there is a locked exchange that would tax
    the very operations elimination exists to make free, so they live in
    a plain int array at cache-line stride (one single-writer cell per
    domain, no RMW, no fence).  Plain cells are exact at quiescence —
    [Domain.join] orders the writers' stores before the reader's loads —
-   which is the only time this repo reads them (bench after workers
-   join, tests and chaos soaks after runs complete); a concurrent
+   which is the only time this repo reads them (after workers join:
+   tests and chaos soaks after runs complete); a concurrent
    [stats] call may observe a slightly stale elimination count, nothing
    worse. *)
 
@@ -101,7 +103,8 @@ let create ?(spin = 256) ?(yield_s = 0.00005) ?(sleep = Unix.sleepf) ~domains
 
 let domains t = t.domains
 
-(* Single-writer bumps: plain load + store on an owned padded cell. *)
+(* Single-writer bumps on an owned padded cell: a load and an
+   [Atomic.set], which is one exchange (see the header). *)
 let bump cell n = Atomic.set cell (Atomic.get cell + n)
 let bump_max cell v = if v > Atomic.get cell then Atomic.set cell v
 

@@ -27,8 +27,9 @@
     contend, and the single-domain benchmark rows must not pay for
     machinery they cannot use.  No stats are recorded on that path.
 
-    Stats are per-domain single-writer padded cells (plain load + store,
-    never an RMW), merged on read — the same discipline as
+    Stats are per-domain single-writer padded cells (a load and an
+    [Atomic.set], no CAS; the [Atomic.set] is an exchange, a locked RMW
+    once a second domain runs), merged on read — the same discipline as
     [Obs.Metrics] shards, kept separate because smem sits below obs in
     the dependency order.  Elimination tallies — the one stat recorded
     on the lock-free fast path — are plain (unfenced) cells: they are

@@ -1,8 +1,9 @@
 (* The tradeoff-dial family (Dial_counter / Dial_maxreg): block geometry
    unit pins, differential equivalence against the naive baseline at
    every dial point (boxed, over Memsim), boxed-vs-unboxed parity,
-   4-domain exactness of the unboxed compile, zero-allocation checks, and
-   a fault-plan run with linearizability of the surviving history.
+   4-domain exactness of the unboxed compile, zero-allocation checks, a
+   fault-plan run with linearizability of the surviving history, and the
+   frontier's exact solo steps.
 
    The family's point is that f1 and fn are the two structures the repo
    already had (f-array counter, naive counter) and flog/fsqrt are the
@@ -259,11 +260,37 @@ let fault_plan_linearizable dial =
       Faults.run_random ~max_events:400 ~seed sched g;
       lin_counter ~n:3 (Scheduler.finish sched))
 
+(* {1 The frontier's exact solo steps}
+
+   The steps table `repro frontier` prints, pinned: at N = 64 a counter
+   read takes exactly f steps at every dial point, and the slowest
+   increment over all 64 pids falls strictly as f grows. *)
+
+let test_frontier_steps () =
+  let module F = Experiments.Frontier in
+  let rows = F.steps_rows () in
+  Alcotest.(check int) "N" 64 F.n;
+  Alcotest.(check (list string)) "one row per dial point, f ascending"
+    (List.map D.name D.all)
+    (List.map (fun (r : F.step_row) -> D.name r.dial) rows);
+  List.iter
+    (fun (r : F.step_row) ->
+      Alcotest.(check int) (D.name r.dial ^ ": read steps = f") r.f r.read_steps)
+    rows;
+  Alcotest.(check (list int)) "f" [ 1; 6; 8; 64 ]
+    (List.map (fun (r : F.step_row) -> r.f) rows);
+  Alcotest.(check (list int)) "slowest increment: f1, flog, fsqrt, fn"
+    [ 50; 34; 26; 2 ]
+    (List.map (fun (r : F.step_row) -> r.inc_steps) rows)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
   Alcotest.run "dial"
     [ ("geometry", [ Alcotest.test_case "widths and blocks" `Quick test_dial_geometry ]);
+      ( "frontier",
+        [ Alcotest.test_case "exact solo steps at N = 64" `Quick
+            test_frontier_steps ] );
       ( "differential vs naive",
         qsuite (List.map differential_counter_vs_naive D.all) );
       ( "boxed vs unboxed",

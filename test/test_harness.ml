@@ -1,5 +1,6 @@
 (* Tests for the harness utilities: the counting-memory wrapper, step
-   measurement, statistics, and table rendering. *)
+   measurement, the throughput harness, table rendering, and the native
+   sweep E7 runs over it. *)
 
 open Memsim
 
@@ -78,44 +79,6 @@ let test_measure_powers () =
   Alcotest.(check (list int)) "stop not power" [ 3; 6; 12 ]
     (Harness.Measure.powers ~start:3 ~stop:13)
 
-(* {1 Statistics} *)
-
-let test_stats () =
-  let s = Harness.Stats.summarize [ 1.; 2.; 3.; 4. ] in
-  Alcotest.(check int) "count" 4 s.Harness.Stats.count;
-  Alcotest.(check (float 1e-9)) "mean" 2.5 s.Harness.Stats.mean;
-  Alcotest.(check (float 1e-9)) "min" 1. s.Harness.Stats.min;
-  Alcotest.(check (float 1e-9)) "max" 4. s.Harness.Stats.max;
-  (* sample stddev (Bessel-corrected): sqrt(5/3), not the population
-     sqrt(5/4) — benchmark trials are a sample, not the population *)
-  Alcotest.(check (float 1e-6)) "stddev" 1.290994449 s.Harness.Stats.stddev
-
-let test_stats_single () =
-  let s = Harness.Stats.summarize [ 7. ] in
-  Alcotest.(check int) "count" 1 s.Harness.Stats.count;
-  Alcotest.(check (float 1e-9)) "stddev defined (0) for n=1" 0.
-    s.Harness.Stats.stddev
-
-let test_stats_empty () =
-  let s = Harness.Stats.summarize [] in
-  Alcotest.(check int) "count" 0 s.Harness.Stats.count;
-  (* no infinite extremes leaking out of the fold's seed values *)
-  Alcotest.(check (float 0.)) "min" 0. s.Harness.Stats.min;
-  Alcotest.(check (float 0.)) "max" 0. s.Harness.Stats.max
-
-let test_stats_nonfinite_dropped () =
-  let s = Harness.Stats.summarize [ 1.; nan; 3.; infinity ] in
-  Alcotest.(check int) "count" 2 s.Harness.Stats.count;
-  Alcotest.(check (float 1e-9)) "mean" 2. s.Harness.Stats.mean;
-  Alcotest.(check (float 1e-9)) "max" 3. s.Harness.Stats.max;
-  let s = Harness.Stats.summarize [ nan ] in
-  Alcotest.(check int) "all dropped" 0 s.Harness.Stats.count;
-  Alcotest.(check (float 0.)) "empty min" 0. s.Harness.Stats.min
-
-let test_stats_ints () =
-  let s = Harness.Stats.summarize_ints [ 10; 20 ] in
-  Alcotest.(check (float 1e-9)) "mean" 15. s.Harness.Stats.mean
-
 (* {1 Throughput window arithmetic}
 
    Pin the elapsed-time denominator against a scripted clock: the rate
@@ -171,52 +134,45 @@ let test_run_batched_measured_window () =
   (* rate * elapsed recovers exactly the operations the workers counted *)
   Alcotest.(check (float 1e-6)) "ops / measured elapsed" counted (rate *. 2.5)
 
-let test_run_batched_latency_alone_window () =
-  (* domains = 1 latency path: same call sites as run_alone but one op
-     per loop iteration.  deadline base 0.0 (-> 1.0), t0 = 0.0, one
-     check at 0.5 (runs the op), exit check at 2.0, t1 = 2.0: exactly
-     one batched call, denominator 2.0 measured seconds. *)
-  let now = scripted_clock [| 0.0; 0.0; 0.5; 2.0; 2.0 |] in
-  let hist = [| Obs.Histogram.create () |] in
-  let calls = ref 0 in
-  let rate =
-    Harness.Throughput.run_batched_latency ~now ~domains:1 ~seconds:1.0
-      ~batch:4 ~hist
-      ~op:(fun _ _ -> incr calls)
-      ()
-  in
-  Alcotest.(check int) "one batched call" 1 !calls;
-  Alcotest.(check int) "one latency sample" 1 (Obs.Histogram.count hist.(0));
-  Alcotest.(check (float 1e-9)) "ops / measured elapsed" 2.0 rate
+(* {1 Bad harness input fails loudly}
 
-let test_run_batched_latency_measured_window () =
-  (* multi-domain latency path: the window clock is scripted (t0, t1 are
-     the only now() calls), the per-op latencies still come from the
-     monotonic clock.  The rate times the scripted elapsed must recover
-     exactly the published operation count, and every batched call must
-     have recorded one histogram sample. *)
-  let now = scripted_clock [| 10.0; 12.5 |] in
-  let batch = 4 in
-  let calls = Atomic.make 0 in
-  let sleep _ =
-    while Atomic.get calls < 8 do
-      Domain.cpu_relax ()
-    done
-  in
-  let hist = Array.init 2 (fun _ -> Obs.Histogram.create ()) in
-  let rate =
-    Harness.Throughput.run_batched_latency ~now ~sleep ~domains:2
-      ~seconds:99.0 ~batch ~hist
-      ~op:(fun _ _ -> Atomic.incr calls)
-      ()
-  in
-  let calls = Atomic.get calls in
-  Alcotest.(check bool) "workers made progress" true (calls > 0);
-  Alcotest.(check (float 1e-6)) "ops / measured elapsed"
-    (float_of_int (batch * calls))
-    (rate *. 2.5);
-  Alcotest.(check int) "one latency sample per batched call" calls
-    (Obs.Histogram.count hist.(0) + Obs.Histogram.count hist.(1))
+   regression: [~domains:0] returned 0, [~seconds:0.], [nan] or [-1.]
+   returned nan on one domain, [~seconds:0.] on two domains returned a
+   rate over whatever the workers managed, and [~batch:0] raised
+   [Division_by_zero] on one domain and returned 0 on two.  The clock,
+   the sleep and the op all raise [Exit]: a refusal must come before
+   any of them runs. *)
+
+let refused what f =
+  match f () with
+  | (_ : float) -> Alcotest.failf "%s: not refused" what
+  | exception Invalid_argument _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+let never () = raise Exit
+
+let batched ~domains ~seconds ~batch () =
+  Harness.Throughput.run_batched ~now:never ~sleep:(fun _ -> never ())
+    ~domains ~seconds ~batch ~op:(fun _ _ -> never ()) ()
+
+let alone ~seconds ~batch () =
+  Harness.Throughput.run_alone ~now:never ~seconds ~batch
+    ~op:(fun _ _ -> never ()) ()
+
+let test_refuses_domains () =
+  refused "domains 0" (batched ~domains:0 ~seconds:0.1 ~batch:1);
+  refused "domains -1" (batched ~domains:(-1) ~seconds:0.1 ~batch:1)
+
+let test_refuses_batch () =
+  refused "batch 0, 1 domain" (batched ~domains:1 ~seconds:0.1 ~batch:0);
+  refused "batch 0, 2 domains" (batched ~domains:2 ~seconds:0.1 ~batch:0);
+  refused "run_alone batch 0" (alone ~seconds:0.1 ~batch:0)
+
+let refuses_seconds seconds () =
+  let what d = Printf.sprintf "seconds %g, %s" seconds d in
+  refused (what "1 domain") (batched ~domains:1 ~seconds ~batch:1);
+  refused (what "2 domains") (batched ~domains:2 ~seconds ~batch:1);
+  refused (what "run_alone") (alone ~seconds ~batch:1)
 
 (* {1 Tables} *)
 
@@ -245,181 +201,66 @@ let test_table_ragged_rows () =
   in
   Alcotest.(check bool) "renders" true (String.length out > 0)
 
-(* {1 Baseline diffing: asymmetric rows must be visible, not skipped} *)
+(* {1 E7, the native sweep} *)
 
-module B = Benchkit.Baseline
-module J = Obs.Json_out
+module I = Harness.Instances
+module E7 = Experiments.E7_native
 
-let entry ~structure ~impl ?(backend = "native") ?(domains = 1)
-    ?(read_pct = 50) ~mops () =
-  { B.structure; impl; backend; domains; read_pct; mops }
-
-let doc_of_entries es =
-  J.Obj
-    [ ("schema", J.Str "bench-native/v4");
-      ( "rows",
-        J.List
-          (List.map
-             (fun (e : B.entry) ->
-               J.Obj
-                 [ ("structure", J.Str e.structure);
-                   ("impl", J.Str e.impl);
-                   ("backend", J.Str e.backend);
-                   ("domains", J.Int e.domains);
-                   ("read_pct", J.Int e.read_pct);
-                   ("mops", J.Float e.mops) ])
-             es) ) ]
-
-(* regression: rows present on only one side used to vanish without a
-   trace from [diff] — with fully disjoint row sets the report claimed
-   "0/1 rows matched" and nothing else.  Both sides must now be
-   reported, warn-only. *)
-let test_baseline_disjoint_rows_warn () =
-  let base = [ entry ~structure:"counter" ~impl:"farray" ~mops:10. () ] in
-  let cur = [ entry ~structure:"maxreg" ~impl:"cas" ~mops:20. () ] in
-  let d = B.diff ~baseline:base ~current:cur in
-  Alcotest.(check int) "no matches" 0 (List.length d.B.matched);
-  Alcotest.(check int) "baseline-only counted" 1
-    (List.length d.B.baseline_only);
-  Alcotest.(check int) "current-only counted" 1 (List.length d.B.current_only);
-  let a =
-    B.analyze ~baseline:(doc_of_entries base) ~current:(doc_of_entries cur) ()
-  in
-  let mentions sub =
-    List.exists
-      (fun w ->
-        let n = String.length w and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub w i m = sub || go (i + 1)) in
-        go 0)
-      a.B.warnings
-  in
-  Alcotest.(check bool) "baseline-only row warned about" true
-    (mentions "only in the baseline");
-  Alcotest.(check bool) "current-only row warned about" true
-    (mentions "only in the current run");
-  Alcotest.(check bool) "named in the warning" true
-    (mentions "counter/farray" && mentions "maxreg/cas");
-  Alcotest.(check int) "still warn-only: no regressions" 0
-    (B.regression_count a)
-
-let test_baseline_bad_mops_warn () =
-  (* a matched key whose baseline mops is 0 or non-finite is unusable
-     for a ratio, but must be flagged rather than skipped *)
-  let base = [ entry ~structure:"counter" ~impl:"farray" ~mops:0. () ] in
-  let cur = [ entry ~structure:"counter" ~impl:"farray" ~mops:20. () ] in
-  let d = B.diff ~baseline:base ~current:cur in
-  Alcotest.(check int) "no matches" 0 (List.length d.B.matched);
-  Alcotest.(check int) "bad baseline counted" 1 (List.length d.B.bad_baseline);
-  Alcotest.(check int) "not misreported as baseline-only" 0
-    (List.length d.B.baseline_only)
-
-let test_baseline_symmetric_rows_quiet () =
-  (* identical key sets must not trip the asymmetry warnings *)
-  let base = [ entry ~structure:"counter" ~impl:"farray" ~mops:10. () ] in
-  let cur = [ entry ~structure:"counter" ~impl:"farray" ~mops:11. () ] in
-  let d = B.diff ~baseline:base ~current:cur in
-  Alcotest.(check int) "matched" 1 (List.length d.B.matched);
-  Alcotest.(check int) "no baseline-only" 0 (List.length d.B.baseline_only);
-  Alcotest.(check int) "no current-only" 0 (List.length d.B.current_only);
-  Alcotest.(check int) "no bad baseline" 0 (List.length d.B.bad_baseline)
-
-(* {1 Bench sweep configs refuse bad inputs}
-
-   regression: [--seconds 0] and [--trials 0] used to write every row
-   with a nan mops and exit 0, [--read-shares 150,-10] was measured as
-   50% and 0% (read_pattern misquantizes out-of-range shares),
-   [--max-domains 0] silently ran d=1, [--read-shares ""] wrote zero
-   rows and exited 0, and [--read-shares 50,50] wrote rows with
-   duplicate keys. *)
-
-let refused what f =
-  Alcotest.(check bool) (what ^ " refused") true
-    (match f () with _ -> false | exception Invalid_argument _ -> true)
-
-let test_bench_config_rejects () =
-  let both what ?max_domains ?seconds ?trials ?read_shares () =
-    refused ("native: " ^ what) (fun () ->
-        Benchkit.Bench_native.config ?max_domains ?seconds ?trials
-          ?read_shares ());
-    refused ("dial: " ^ what) (fun () ->
-        Benchkit.Bench_dial.config ?max_domains ?seconds ?trials ?read_shares
-          ())
-  in
-  both "seconds 0" ~seconds:0. ();
-  both "negative seconds" ~seconds:(-1.) ();
-  both "nan seconds" ~seconds:nan ();
-  both "infinite seconds" ~seconds:infinity ();
-  both "trials 0" ~trials:0 ();
-  both "share 150" ~read_shares:[ 0; 150 ] ();
-  both "share -10" ~read_shares:[ -10 ] ();
-  both "no shares" ~read_shares:[] ();
-  both "repeated share" ~read_shares:[ 50; 90; 50 ] ();
-  both "max-domains 0" ~max_domains:0 ();
-  (* the boundaries themselves are accepted *)
-  ignore
-    (Benchkit.Bench_native.config ~max_domains:1 ~seconds:1e-3 ~trials:1
-       ~read_shares:[ 0; 100 ] ()
-      : Benchkit.Bench_native.config);
-  ignore
-    (Benchkit.Bench_dial.config ~max_domains:1 ~seconds:1e-3 ~trials:1
-       ~read_shares:[ 0; 100 ] ()
-      : Benchkit.Bench_dial.config)
-
-(* The dial sweep's rows use bench-native's statistics: regression, its
-   private median took the upper-middle trial (biased high on even
-   trial counts) and its rsd the population variance. *)
-let test_dial_rows_use_shared_stats () =
-  let cfg =
-    Benchkit.Bench_dial.config ~max_domains:1 ~seconds:1e-3 ~trials:2
-      ~read_shares:[ 50 ] ()
-  in
-  List.iter
-    (fun (r : Benchkit.Bench_dial.row) ->
-      let at what =
-        Printf.sprintf "%s %s" (Treeprim.Dial.name r.t_dial) what
-      in
-      Alcotest.(check int) (at "trials") 2 (List.length r.trial_mops);
-      Alcotest.(check (float 0.)) (at "mops")
-        (Benchkit.Bench_native.median r.trial_mops) r.mops;
-      Alcotest.(check (float 0.)) (at "rsd")
-        (Benchkit.Bench_native.rsd r.trial_mops) r.rsd)
-    (Benchkit.Bench_dial.sweep cfg)
-
-(* The sweep's columns are the registry's: each target on every backend
-   the registry builds it for — algorithm-a on all four, cas-loop, B1,
-   farray and naive on boxed and unboxed — once per cell, each with a
-   positive rate. *)
-let test_bench_columns () =
-  let cfg =
-    Benchkit.Bench_native.config ~quick:true ~max_domains:1 ~trials:1
-      ~seconds:1e-3 ~read_shares:[ 50 ] ()
-  in
-  let rows =
-    B.entries_of_doc
-      (Benchkit.Bench_native.to_json ~cfg (Benchkit.Bench_native.sweep cfg))
-  in
+(* The columns are the registry's: every max register on boxed and on
+   each native backend the registry builds (algorithm-a on all four,
+   B1 and cas-loop unboxed too, AAC boxed only), and the two counters
+   with a native compile on boxed and unboxed. *)
+let test_e7_columns () =
   let plain = [ "boxed"; "unboxed" ] in
   let expected =
     List.concat_map
       (fun (s, i, backends) -> List.map (fun b -> (s, i, b)) backends)
       [ ("max-register", "algorithm-a", plain @ [ "combining"; "adaptive" ]);
+        ("max-register", "aac", [ "boxed" ]);
         ("max-register", "aac-unbounded-b1", plain);
         ("max-register", "cas-loop", plain);
         ("counter", "farray", plain);
         ("counter", "naive", plain) ]
   in
-  Alcotest.(check int) "12 columns" 12 (List.length expected);
+  Alcotest.(check int) "the legacy sweep's 12 plus AAC boxed" 13
+    (List.length expected);
   Alcotest.(check (list (triple string string string)))
-    "one row per column"
-    (List.sort compare expected)
-    (List.sort compare
-       (List.map (fun (e : B.entry) -> (e.structure, e.impl, e.backend)) rows));
-  List.iter
-    (fun (e : B.entry) ->
-      if not (e.mops > 0.) then
-        Alcotest.failf "%s/%s (%s): mops %g" e.structure e.impl e.backend
-          e.mops)
-    rows
+    "one column per registry instance" (List.sort compare expected)
+    (List.sort compare (E7.columns ()))
+
+(* regression: the retired sweep wrote [i * domains + d] from the
+   harness's base [i], which restarts at 0 on every pass, so a cell's
+   second pass repeated the first pass's values and every repeat
+   stopped early.  Two passes of one chunk each (the scripted clock
+   lets exactly 1024 / batch calls run): every write of the second
+   pass must raise the register. *)
+let test_e7_writes_stay_fresh () =
+  let reg, _ =
+    Option.get (I.maxreg_backend I.Unboxed ~n:1 ~domains:1 (I.Impl I.Algorithm_a))
+  in
+  let writes = ref 0 and stale = ref 0 in
+  let spy =
+    { reg with
+      write_max =
+        (fun ~pid v ->
+          incr writes;
+          if v <= reg.read_max () then incr stale;
+          reg.write_max ~pid v) }
+  in
+  let op = E7.maxreg_op spy ~domains:1 ~read_pct:50 in
+  let pass () =
+    ignore
+      (Harness.Throughput.run_alone
+         ~now:(scripted_clock [| 0.0; 0.0; 0.5; 2.0; 2.0 |])
+         ~seconds:1.0 ~batch:E7.batch ~op ()
+        : float)
+  in
+  pass ();
+  writes := 0;
+  stale := 0;
+  pass ();
+  Alcotest.(check int) "second pass: half of 1024 ops write" 512 !writes;
+  Alcotest.(check int) "second pass: no write repeats or falls below" 0 !stale
 
 let () =
   Alcotest.run "harness"
@@ -431,36 +272,28 @@ let () =
         [ Alcotest.test_case "steps" `Quick test_measure_steps;
           Alcotest.test_case "max_steps" `Quick test_measure_max_steps;
           Alcotest.test_case "powers" `Quick test_measure_powers ] );
-      ( "stats",
-        [ Alcotest.test_case "summary" `Quick test_stats;
-          Alcotest.test_case "single sample" `Quick test_stats_single;
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "non-finite dropped" `Quick
-            test_stats_nonfinite_dropped;
-          Alcotest.test_case "ints" `Quick test_stats_ints ] );
       ( "throughput window",
         [ Alcotest.test_case "run_alone measured elapsed" `Quick
             test_run_alone_measured_window;
           Alcotest.test_case "run_batched measured elapsed" `Quick
-            test_run_batched_measured_window;
-          Alcotest.test_case "latency runner (1 domain) measured elapsed"
-            `Quick test_run_batched_latency_alone_window;
-          Alcotest.test_case "latency runner measured elapsed" `Quick
-            test_run_batched_latency_measured_window ] );
+            test_run_batched_measured_window ] );
+      ( "throughput input",
+        [ Alcotest.test_case "domains below 1 refused" `Quick
+            test_refuses_domains;
+          Alcotest.test_case "batch below 1 refused" `Quick test_refuses_batch;
+          Alcotest.test_case "zero seconds refused" `Quick
+            (refuses_seconds 0.);
+          Alcotest.test_case "nan seconds refused" `Quick
+            (refuses_seconds nan);
+          Alcotest.test_case "negative seconds refused" `Quick
+            (refuses_seconds (-1.));
+          Alcotest.test_case "infinite seconds refused" `Quick
+            (refuses_seconds infinity) ] );
       ( "tables",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows ] );
-      ( "baseline",
-        [ Alcotest.test_case "disjoint rows warn both ways" `Quick
-            test_baseline_disjoint_rows_warn;
-          Alcotest.test_case "unusable baseline mops warns" `Quick
-            test_baseline_bad_mops_warn;
-          Alcotest.test_case "symmetric rows stay quiet" `Quick
-            test_baseline_symmetric_rows_quiet ] );
-      ( "bench config",
-        [ Alcotest.test_case "bad sweep inputs refused" `Quick
-            test_bench_config_rejects;
-          Alcotest.test_case "dial rows use the shared statistics" `Quick
-            test_dial_rows_use_shared_stats;
-          Alcotest.test_case "sweep rows are the registry's 12 columns"
-            `Quick test_bench_columns ] ) ]
+      ( "e7",
+        [ Alcotest.test_case "columns are the registry's native columns"
+            `Quick test_e7_columns;
+          Alcotest.test_case "max-register writes stay fresh across passes"
+            `Quick test_e7_writes_stay_fresh ] ) ]

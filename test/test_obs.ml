@@ -1,190 +1,10 @@
 (* Tests for the observability layer (lib/obs): sharded metric counters,
-   log-bucketed latency histograms, JSON round-tripping and the Chrome
-   trace exporter — plus the exact totals the metered updates record and
-   the zero-allocation guard for disabled instrumentation. *)
+   JSON round-tripping and the Chrome trace exporter — plus the exact
+   totals the metered updates record and the zero-allocation guard for
+   disabled instrumentation. *)
 
-module H = Obs.Histogram
 module M = Obs.Metrics
 module J = Obs.Json_out
-
-(* {1 Histogram: bucket geometry} *)
-
-let test_bucket_bounds_small () =
-  (* values below 32 are exact: bucket = value, width 1 *)
-  for v = 0 to 31 do
-    Alcotest.(check int) (Printf.sprintf "bucket of %d" v) v (H.bucket_of_value v);
-    Alcotest.(check int) (Printf.sprintf "lower of %d" v) v
-      (H.value_of_bucket (H.bucket_of_value v));
-    Alcotest.(check int) (Printf.sprintf "width of %d" v) 1
-      (H.bucket_width (H.bucket_of_value v))
-  done
-
-let qcheck_bucket_contains =
-  QCheck.Test.make ~count:2000 ~name:"bucket_of_value lands v inside its bucket"
-    QCheck.(map abs int)
-    (fun v ->
-      let b = H.bucket_of_value v in
-      let lo = H.value_of_bucket b in
-      let w = H.bucket_width b in
-      b >= 0 && b < H.n_buckets && lo <= v
-      && (v < lo + w || b = H.n_buckets - 1))
-
-let qcheck_bucket_error =
-  QCheck.Test.make ~count:2000
-    ~name:"quantization error bounded by one sub-bucket (~3%)"
-    QCheck.(map (fun i -> abs i) int)
-    (fun v ->
-      let b = H.bucket_of_value v in
-      b = H.n_buckets - 1
-      || float_of_int (H.bucket_width b) <= Float.max 1. (0.04 *. float_of_int v))
-
-(* The round-trip bound the .mli documents: the bucket's lower bound
-   never overshoots and never lags the value by more than one part in
-   sub_count (= 32), over the FULL non-negative int range — exact in the
-   linear region below 32, lower-bound-only in the clamping top
-   bucket.  [i land max_int] covers the whole range without the
-   [abs min_int] sign trap. *)
-let qcheck_bucket_roundtrip =
-  QCheck.Test.make ~count:4000
-    ~name:"value_of_bucket (bucket_of_value v) within 1/32 of v"
-    QCheck.(map (fun i -> i land max_int) int)
-    (fun v ->
-      let b = H.bucket_of_value v in
-      let lo = H.value_of_bucket b in
-      if v < 32 then lo = v
-      else if b = H.n_buckets - 1 then lo <= v
-      else
-        lo <= v
-        && float_of_int (v - lo) /. float_of_int v <= 1. /. 32.)
-
-(* {1 Histogram: record / stats / percentiles} *)
-
-let test_hist_exact_stats () =
-  let h = H.create () in
-  List.iter (H.record h) [ 5; 1; 9; 9; 3 ];
-  Alcotest.(check int) "count" 5 (H.count h);
-  Alcotest.(check int) "min" 1 (H.min_value h);
-  Alcotest.(check int) "max" 9 (H.max_value h);
-  Alcotest.(check (float 1e-9)) "mean" 5.4 (H.mean h);
-  (* all values < 32 are exact, so percentiles are too (modulo clamping) *)
-  Alcotest.(check (float 1e-9)) "p0 = min" 1. (H.percentile h 0.);
-  Alcotest.(check (float 1e-9)) "p100 = max" 9. (H.percentile h 100.);
-  Alcotest.(check (float 1e-9)) "p50 = median" 5. (H.percentile h 50.)
-
-let test_hist_empty () =
-  let h = H.create () in
-  Alcotest.(check int) "count" 0 (H.count h);
-  Alcotest.(check int) "min" 0 (H.min_value h);
-  Alcotest.(check int) "max" 0 (H.max_value h);
-  Alcotest.(check bool) "mean nan" true (Float.is_nan (H.mean h));
-  (* regression: percentile on an empty histogram used to return nan,
-     which poisons JSON rendering and every downstream comparison; it
-     now reports 0 like min_value/max_value do *)
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%.0f empty = 0" p)
-        0. (H.percentile h p))
-    [ 0.; 50.; 95.; 99.; 100. ]
-
-(* regression: a single sample in a wide log bucket must be reported
-   exactly at every p — the bucket midpoint may lie below the sample and
-   the bucket lower bound certainly does; the clamp to [min, max] is
-   what guarantees exactness here. *)
-let test_hist_single_sample () =
-  let v = 1_000_003 in
-  let h = H.create () in
-  H.record h v;
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%.0f single = sample" p)
-        (float_of_int v) (H.percentile h p))
-    [ 0.; 1.; 50.; 95.; 99.; 100. ];
-  Alcotest.(check bool)
-    "bucket lower bound is below the sample (clamp is load-bearing)" true
-    (H.value_of_bucket (H.bucket_of_value v) < v)
-
-let test_hist_weird_p_clamps () =
-  let h = H.create () in
-  List.iter (H.record h) [ 2; 4; 6 ];
-  Alcotest.(check (float 1e-9)) "p(-5) = p0" (H.percentile h 0.)
-    (H.percentile h (-5.));
-  Alcotest.(check (float 1e-9)) "p(250) = p100" (H.percentile h 100.)
-    (H.percentile h 250.);
-  Alcotest.(check (float 1e-9)) "p(nan) = p0" (H.percentile h 0.)
-    (H.percentile h Float.nan)
-
-let test_hist_negative_clamps () =
-  let h = H.create () in
-  H.record h (-17);
-  Alcotest.(check int) "count" 1 (H.count h);
-  Alcotest.(check int) "min" 0 (H.min_value h);
-  Alcotest.(check int) "max" 0 (H.max_value h)
-
-let hist_of_list vs =
-  let h = H.create () in
-  List.iter (H.record h) vs;
-  h
-
-let nonneg_list = QCheck.(list_of_size Gen.(1 -- 200) (map abs small_int))
-
-let qcheck_percentile_monotone =
-  QCheck.Test.make ~count:500 ~name:"percentiles monotone in p"
-    QCheck.(pair nonneg_list (pair (float_bound_inclusive 100.) (float_bound_inclusive 100.)))
-    (fun (vs, (p, q)) ->
-      let h = hist_of_list vs in
-      let p, q = (Float.min p q, Float.max p q) in
-      H.percentile h p <= H.percentile h q)
-
-let qcheck_percentile_in_range =
-  QCheck.Test.make ~count:500 ~name:"percentiles within [min, max]"
-    QCheck.(pair nonneg_list (float_bound_inclusive 100.))
-    (fun (vs, p) ->
-      let h = hist_of_list vs in
-      let x = H.percentile h p in
-      float_of_int (H.min_value h) <= x && x <= float_of_int (H.max_value h))
-
-(* same invariant over wide log buckets, where midpoints sit far from
-   the sample and only the clamp keeps the value inside [min, max] —
-   singleton lists included so the single-sample case is fuzzed too *)
-let qcheck_percentile_in_range_large =
-  QCheck.Test.make ~count:300 ~name:"percentiles within [min, max] (large values)"
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 40) (int_range 0 1_000_000_000))
-        (float_bound_inclusive 100.))
-    (fun (vs, p) ->
-      let h = hist_of_list vs in
-      let x = H.percentile h p in
-      float_of_int (H.min_value h) <= x && x <= float_of_int (H.max_value h))
-
-let qcheck_merge_commutes =
-  QCheck.Test.make ~count:500 ~name:"merge commutes"
-    QCheck.(pair nonneg_list nonneg_list)
-    (fun (xs, ys) ->
-      let a = H.merge (hist_of_list xs) (hist_of_list ys) in
-      let b = H.merge (hist_of_list ys) (hist_of_list xs) in
-      H.count a = H.count b
-      && H.min_value a = H.min_value b
-      && H.max_value a = H.max_value b
-      && List.for_all
-           (fun p -> H.percentile a p = H.percentile b p)
-           [ 0.; 50.; 95.; 99.; 100. ])
-
-let qcheck_merge_is_concat =
-  QCheck.Test.make ~count:500 ~name:"merge == recording the concatenation"
-    QCheck.(pair nonneg_list nonneg_list)
-    (fun (xs, ys) ->
-      let m = H.merge (hist_of_list xs) (hist_of_list ys) in
-      let c = hist_of_list (xs @ ys) in
-      H.count m = H.count c
-      && H.min_value m = H.min_value c
-      && H.max_value m = H.max_value c
-      && Float.equal (H.mean m) (H.mean c)
-      && List.for_all
-           (fun p -> H.percentile m p = H.percentile c p)
-           [ 0.; 25.; 50.; 95.; 100. ])
 
 (* {1 Metrics: sharding, merge-on-read, reset} *)
 
@@ -205,8 +25,6 @@ let test_metrics_totals () =
   Alcotest.(check int) "helps" 1 t.M.helps;
   Alcotest.(check int) "op reads" 1 t.M.op_reads;
   Alcotest.(check int) "op updates" 1 t.M.op_updates;
-  Alcotest.(check (float 1e-9)) "failure rate" (1. /. 3.)
-    (M.cas_failure_rate t);
   M.reset m;
   Alcotest.(check int) "reset" 0 (M.totals m).M.cas_attempts
 
@@ -359,10 +177,10 @@ let test_metered_failed_cas () =
 
    With the [disabled] handle every record site must be one
    immediate-bool branch: no allocation at all.  The enabled path is a
-   padded-cell load + store, also allocation-free.  This is the
+   padded-cell load and [Atomic.set], also allocation-free.  This is the
    deterministic core of the "instrumentation-overhead" acceptance
-   criterion; dune runs tests without flambda, exactly like the bench
-   builds, so what passes here holds for bin/bench.exe too. *)
+   criterion; dune runs tests without flambda, exactly like the
+   executables build, so what passes here holds for them too. *)
 
 let minor_words_during f =
   let before = Gc.minor_words () in
@@ -416,17 +234,6 @@ let test_disabled_metered_instance_allocates_nothing () =
   run ();
   Alcotest.(check (float 0.)) "metered algorithm-a, disabled: zero minor words"
     0.
-    (minor_words_during run)
-
-let test_histogram_record_allocates_nothing () =
-  let h = H.create () in
-  let run () =
-    for i = 0 to 9_999 do
-      H.record h (i * 7)
-    done
-  in
-  run ();
-  Alcotest.(check (float 0.)) "record: zero minor words" 0.
     (minor_words_during run)
 
 (* {1 Metrics under domain parallelism} *)
@@ -586,41 +393,10 @@ let test_trace_export_file () =
       Alcotest.(check bool) "file parses" true
         (match J.parse s with J.Obj _ -> true | _ -> false))
 
-(* {1 The even-length median regression (bench satellite)} *)
-
-let test_median () =
-  let median = Benchkit.Bench_native.median in
-  Alcotest.(check (float 1e-9)) "odd" 2. (median [ 3.; 1.; 2. ]);
-  (* even length: average of the two middle elements, not the upper one *)
-  Alcotest.(check (float 1e-9)) "even" 2.5 (median [ 4.; 1.; 3.; 2. ]);
-  Alcotest.(check (float 1e-9)) "two" 1.5 (median [ 2.; 1. ]);
-  (* NaN samples are dropped before sorting, not allowed to poison it *)
-  Alcotest.(check (float 1e-9)) "nan dropped" 1.5 (median [ nan; 2.; 1.; nan ]);
-  Alcotest.(check bool) "all-nan -> nan" true (Float.is_nan (median [ nan ]));
-  Alcotest.(check bool) "empty -> nan" true (Float.is_nan (median []))
-
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
-    [ ( "histogram buckets",
-        [ Alcotest.test_case "exact below 32" `Quick test_bucket_bounds_small;
-          q qcheck_bucket_contains;
-          q qcheck_bucket_error;
-          q qcheck_bucket_roundtrip ] );
-      ( "histogram",
-        [ Alcotest.test_case "exact stats" `Quick test_hist_exact_stats;
-          Alcotest.test_case "empty" `Quick test_hist_empty;
-          Alcotest.test_case "single sample, wide bucket" `Quick
-            test_hist_single_sample;
-          Alcotest.test_case "out-of-range/nan p clamps" `Quick
-            test_hist_weird_p_clamps;
-          Alcotest.test_case "negative clamps" `Quick test_hist_negative_clamps;
-          q qcheck_percentile_monotone;
-          q qcheck_percentile_in_range;
-          q qcheck_percentile_in_range_large;
-          q qcheck_merge_commutes;
-          q qcheck_merge_is_concat ] );
-      ( "metrics",
+    [ ( "metrics",
         [ Alcotest.test_case "totals" `Quick test_metrics_totals;
           Alcotest.test_case "domain folding" `Quick test_metrics_domain_folding;
           Alcotest.test_case "disabled is inert" `Quick test_metrics_disabled;
@@ -636,9 +412,7 @@ let () =
         [ Alcotest.test_case "record sites" `Quick
             test_disabled_record_allocates_nothing;
           Alcotest.test_case "metered instances" `Quick
-            test_disabled_metered_instance_allocates_nothing;
-          Alcotest.test_case "histogram record" `Quick
-            test_histogram_record_allocates_nothing ] );
+            test_disabled_metered_instance_allocates_nothing ] );
       ( "json",
         [ Alcotest.test_case "parse basics" `Quick test_json_parse_basic;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
@@ -649,6 +423,4 @@ let () =
       ( "trace export",
         [ Alcotest.test_case "valid, monotone, balanced" `Quick
             test_trace_export_valid_json;
-          Alcotest.test_case "to_file" `Quick test_trace_export_file ] );
-      ( "bench median",
-        [ Alcotest.test_case "even/odd/nan" `Quick test_median ] ) ]
+          Alcotest.test_case "to_file" `Quick test_trace_export_file ] ) ]
