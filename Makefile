@@ -44,8 +44,9 @@ tsan:
 	dune exec bin/repro.exe -- e7 --quick
 
 # dispatch-layer smoke: the policy/differential/parallel suite of
-# Algorithm A's two dispatch backends (combining and adaptive) plus a
-# quick E7 pass, whose algorithm-a rows cover all four backends
+# Harness.Adaptive.Alg_a (pinned combining and adaptive) plus a quick
+# E7 pass, whose algorithm-a rows cover boxed, unboxed, combining and
+# adaptive
 adaptive:
 	dune exec test/test_adaptive.exe
 	dune exec bin/repro.exe -- e7 --quick

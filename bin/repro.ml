@@ -74,7 +74,7 @@ let experiments :
         no_trace trace_out;
         let schedules = if quick then 50 else 400 in
         Experiments.E6_linearizability.run ~schedules () );
-    ( "e7", "native throughput of every registry backend (the O(1)-read payoff)",
+    ( "e7", "native throughput, boxed, unboxed and dispatched (the O(1)-read payoff)",
       fun ~quick ~trace_out ->
         no_trace trace_out;
         if quick then Experiments.E7_native.run ~seconds:0.05 ~trials:1 ()

@@ -314,18 +314,21 @@ let chaos ~seed ~ops =
     Harness.Chaos.config ~yield_ppm:200_000 ~storm:32 ~gc_ppm:50_000
       ~gc_bytes:2048 ~metrics ~seed:s ()
   in
-  (* Algorithm A's dispatch backends, injection at op boundaries: storms
-     can park a domain right after it published to its arena slot,
-     released the combiner lock or crossed an epoch boundary.  Adaptive
-     runs twice: the default policy (dispatch live, flips rare at burst
-     scale), then the flip-forcing {!Harness.Adaptive.Policy.thrash}, so
-     the mode flips INSIDE the burst and storms land astride the epoch
-     lock. *)
+  (* Algorithm A under dispatch, injection at op boundaries: storms can
+     park a domain right after it published to its arena slot, released
+     the combiner lock or crossed an epoch boundary.  Pinned combining
+     runs [update_combining]; adaptive runs [write_max] twice: the
+     default policy (dispatch live, flips rare at burst scale), then the
+     flip-forcing {!Harness.Adaptive.Policy.thrash}, so the mode flips
+     INSIDE the burst and storms land astride the epoch lock. *)
+  let module A = Harness.Adaptive.Alg_a in
+  let dispatched t update : Maxreg.Max_register.instance =
+    { read_max = (fun () -> A.read_max t); write_max = update t }
+  in
   let dispatch_bursts =
-    let open Harness.Instances in
-    [ ("combining", Combining);
-      ("adaptive", Adaptive None);
-      ("adaptive thrashing", Adaptive (Some Harness.Adaptive.Policy.thrash)) ]
+    [ ("combining", None, A.update_combining);
+      ("adaptive", None, A.write_max);
+      ("adaptive thrashing", Some Harness.Adaptive.Policy.thrash, A.write_max) ]
   in
   let burst_seeds = List.init 8 (fun i -> seed + i) in
   let bursts = ref 0 in
@@ -358,13 +361,9 @@ let chaos ~seed ~ops =
         (Linearize.Checker.check (module Linearize.Spec.Snapshot) ~n:3 h)
         "snapshot burst (seed %d) not linearizable" s;
       List.iter
-        (fun (label, backend) ->
-          let reg, _ =
-            Option.get
-              (Harness.Instances.maxreg_backend backend ~n:3 ~domains:3
-                 (Harness.Instances.Impl Harness.Instances.Algorithm_a))
-          in
-          let reg = Harness.Chaos.instrument_maxreg c reg in
+        (fun (label, policy, update) ->
+          let t = A.create ?policy ~n:3 ~domains:3 () in
+          let reg = Harness.Chaos.instrument_maxreg c (dispatched t update) in
           checked
             (lin_maxreg
                (Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8 reg))
@@ -442,24 +441,17 @@ let chaos ~seed ~ops =
   in
   if not !scans_monotone then fail "snapshot scans went backwards";
   let flip_policy = { Harness.Adaptive.Policy.thrash with epoch_ops = 64 } in
-  let dispatch_scale label backend =
-    let reg, rd =
-      Option.get
-        (Harness.Instances.maxreg_backend backend ~n:domains ~domains
-           (Harness.Instances.Impl Harness.Instances.Algorithm_a))
-    in
-    scale_maxreg label (Harness.Chaos.instrument_maxreg c reg);
-    Option.get rd
+  let dispatch_scale label ?policy update =
+    let t = A.create ?policy ~n:domains ~domains () in
+    scale_maxreg label (Harness.Chaos.instrument_maxreg c (dispatched t update));
+    t
   in
-  let creg = dispatch_scale "combining " Harness.Instances.Combining in
-  let areg =
-    dispatch_scale "adaptive " (Harness.Instances.Adaptive (Some flip_policy))
-  in
-  let areport = areg.report () in
+  let creg = dispatch_scale "combining " A.update_combining in
+  let areg = dispatch_scale "adaptive " ~policy:flip_policy A.write_max in
+  let areport = A.report areg in
   if areport.Harness.Adaptive.epoch_flips = 0 then
     fail "adaptive maxreg never flipped under the flip-forcing policy";
-  Obs.Metrics.record_combine_stats metrics ~domain:0
-    (Smem.Combine.stats creg.Harness.Instances.arena);
+  let cs = Smem.Combine.stats (A.arena creg) in
   let t = Obs.Metrics.totals metrics in
   Printf.printf
     "chaos seed %d: %d bursts checked, %d ops/structure over %d domains\n\
@@ -470,8 +462,8 @@ let chaos ~seed ~ops =
      combining)\n"
     seed !bursts (domains * per_domain) domains t.Obs.Metrics.fault_yields
     t.Obs.Metrics.fault_gcs t.Obs.Metrics.fault_stalls
-    t.Obs.Metrics.combined_ops t.Obs.Metrics.batches t.Obs.Metrics.batch_max
-    t.Obs.Metrics.eliminations t.Obs.Metrics.combiner_locks
+    cs.Smem.Combine.combined_ops cs.batches cs.batch_max cs.eliminations
+    cs.lock_acquisitions
     areport.Harness.Adaptive.epoch_flips areport.Harness.Adaptive.epochs
     areport.Harness.Adaptive.combining_ops_pct;
   match List.rev !failures with

@@ -3,11 +3,13 @@
 
    The paper's model counts steps; this experiment checks that the
    step-count ordering survives contact with real cache coherence.  It
-   is the repository's one native sweep: every (structure, backend)
-   pair the registry builds natively, at a write-only, a half-read and
-   a read-mostly share, on one domain and on several.
+   is the repository's one native sweep: every structure the registry
+   builds natively, boxed and unboxed, plus Algorithm A under dispatch
+   ({!Harness.Adaptive.Alg_a}, pinned to combining and adaptive), at a
+   write-only, a half-read and a read-mostly share, on one domain and
+   on several.
 
-   One loop serves every cell.  A cell is a registry instance, driven
+   One loop serves every cell.  A cell is an instance record, driven
    in batches of [batch] operations by {!Harness.Throughput.run_batched}
    through the instance record, so each operation is one indirect call;
    bench/suite, not E7, measures the bare per-op cost.  The harness
@@ -69,10 +71,10 @@ let time ~domains ~seconds ~trials op =
   let ms = List.sort Float.compare (List.init trials (fun _ -> pass ())) in
   List.nth ms (trials / 2)
 
-(* {1 Columns, from the registry} *)
+(* {1 Columns} *)
 
 type subject = Maxreg of I.maxreg_impl | Counter of I.counter_impl
-type backend = Boxed | Native of I.backend
+type backend = Boxed | Unboxed | Combining | Adaptive
 
 type instance =
   | Register of Maxreg.Max_register.instance
@@ -85,19 +87,30 @@ type instance =
    [Invalid_argument]. *)
 let aac_bound = 10_000_000
 
-(* The registry's instance for one column, or [None] where the registry
-   builds none (counters have no dispatch backend). *)
+(* Algorithm A under dispatch, through the same instance record as the
+   registry's columns: [Combining] pins every update to the arena path,
+   [Adaptive] runs the per-op dispatch under the default policy. *)
+let dispatched ~n ~domains backend =
+  let module A = Harness.Adaptive.Alg_a in
+  let t = A.create ~n ~domains () in
+  { Maxreg.Max_register.read_max = (fun () -> A.read_max t);
+    write_max =
+      (if backend = Combining then A.update_combining t else A.write_max t) }
+
+(* The instance for one column, or [None] where none exists: the
+   registry builds none unboxed for AAC, and only Algorithm A is
+   dispatched. *)
 let instance ~n ~domains subject backend =
   match (subject, backend) with
   | Maxreg impl, Boxed -> Some (Register (I.maxreg_native ~n ~bound:aac_bound impl))
-  | Maxreg impl, Native b ->
-    Option.map
-      (fun (r, _) -> Register r)
-      (I.maxreg_backend b ~n ~domains (I.Impl impl))
+  | Maxreg impl, Unboxed ->
+    Option.map (fun r -> Register r) (I.maxreg_unboxed ~n (I.Impl impl))
+  | Maxreg I.Algorithm_a, ((Combining | Adaptive) as b) ->
+    Some (Register (dispatched ~n ~domains b))
   | Counter impl, Boxed -> Some (Count (I.counter_native ~n ~bound:aac_bound impl))
-  | Counter impl, Native I.Unboxed ->
+  | Counter impl, Unboxed ->
     Option.map (fun c -> Count c) (I.counter_unboxed ~n (I.Impl impl))
-  | Counter _, Native (I.Combining | I.Adaptive _) -> None
+  | (Maxreg _ | Counter _), (Combining | Adaptive) -> None
 
 let builds subject backend =
   backend = Boxed || Option.is_some (instance ~n:1 ~domains:1 subject backend)
@@ -107,18 +120,15 @@ let builds subject backend =
 let subjects () =
   List.map (fun m -> Maxreg m) I.all_maxregs
   @ List.filter_map
-      (fun c ->
-        if builds (Counter c) (Native I.Unboxed) then Some (Counter c) else None)
+      (fun c -> if builds (Counter c) Unboxed then Some (Counter c) else None)
       I.all_counters
-
-let native_backends = [ I.Unboxed; I.Combining; I.Adaptive None ]
 
 let cells () =
   List.concat_map
     (fun s ->
       List.filter_map
         (fun b -> if builds s b then Some (s, b) else None)
-        (Boxed :: List.map (fun b -> Native b) native_backends))
+        [ Boxed; Unboxed; Combining; Adaptive ])
     (subjects ())
 
 let names (subject, backend) =
@@ -131,9 +141,9 @@ let names (subject, backend) =
     impl,
     match backend with
     | Boxed -> "boxed"
-    | Native I.Unboxed -> "unboxed"
-    | Native I.Combining -> "combining"
-    | Native (I.Adaptive _) -> "adaptive" )
+    | Unboxed -> "unboxed"
+    | Combining -> "combining"
+    | Adaptive -> "adaptive" )
 
 let columns () = List.map names (cells ())
 
@@ -159,7 +169,7 @@ let op ~n ~domains ~read_pct (subject, backend) =
   match instance ~n ~domains subject backend with
   | Some (Register r) -> maxreg_op r ~domains ~read_pct
   | Some (Count c) -> counter_op c ~read_pct
-  | None -> invalid_arg "E7: the registry builds no such column"
+  | None -> invalid_arg "E7: no such column"
 
 let run ~seconds ~trials () =
   let recommended = Harness.Throughput.recommended_domains () in
@@ -185,7 +195,7 @@ let run ~seconds ~trials () =
       (Printf.sprintf
          "E7: native throughput (Mops/s, median of %d trial%s of %gs after \
           a warmup pass) on %s, recommended domains %d, OCaml %s; each op \
-          is one call through the registry's instance record (bench/suite \
+          is one call through an instance record (bench/suite \
           measures bare per-op cost); * = more domains than the host \
           recommends"
          trials

@@ -1,7 +1,8 @@
 (** E7 — the practical payoff of O(1) reads on real parallel hardware,
-    and the repository's one native sweep: every (structure, backend)
-    pair {!Harness.Instances} builds natively, timed through the
-    registry's instance record by {!Harness.Throughput.run_batched} at a
+    and the repository's one native sweep: every structure
+    {!Harness.Instances} builds natively, boxed and unboxed, plus
+    Algorithm A under {!Harness.Adaptive.Alg_a}, each timed through an
+    instance record by {!Harness.Throughput.run_batched} at a
     write-only, a half-read and a read-mostly share, on one domain and
     on [recommended_domains ~floor:2 ~cap:4]. *)
 
@@ -30,8 +31,10 @@ val time :
 val columns : unit -> (string * string * string) list
 (** (structure, impl, backend) of every column, in table order: each
     max register of {!Harness.Instances.all_maxregs} and each counter
-    the registry compiles unboxed, on the boxed backend and on every
-    native backend the registry builds it for. *)
+    the registry compiles unboxed, boxed and unboxed where the registry
+    builds it, and Algorithm A also pinned to combining
+    ({!Harness.Adaptive.Alg_a.update_combining}) and adaptive
+    ({!Harness.Adaptive.Alg_a.write_max}). *)
 
 val run : seconds:float -> trials:int -> unit -> string
 (** The rendered table, naming the host it ran on. *)

@@ -8,9 +8,8 @@
      takes the instance's metrics handle (so CAS attempt/failure counts
      are recorded when it is live);
    - the *combining* path is elimination against the monotone root, and
-     otherwise an arena submit.  It is also the whole of the static
-     flat-combining backend: {!Instances} builds that backend as an
-     instance here whose updates always take this path.
+     otherwise an arena submit.  It is also the whole of pinned flat
+     combining: [update_combining] takes this path on every update.
 
    Both paths mutate the same register, so a flip never copies state
    and mixed-mode windows are linearizable: an arena apply IS the plain
@@ -39,10 +38,9 @@
    Cost discipline: unmetered instances ([create]) carry the shared
    {!Obs.Metrics.disabled} handle, so the settled plain path is the raw
    register op plus one immediate-bool branch, and the dispatch tax
-   per update is the mode check and the tick.  Every caller — the
-   registry, chaos soaks, the bench columns, the benchmark suite — runs
-   that one per-op [update] (or [update_combining], the pinned combining
-   path).
+   per update is the mode check and the tick.  Every caller — E7's
+   columns, chaos soaks, the benchmark suite — runs that one per-op
+   [write_max] (or [update_combining], the pinned combining path).
 
    Concurrency discipline: every raw atomic lives in {!Ctl} (lint R1
    allowlists [Adaptive.Ctl] only).  The mode cell and the epoch lock
@@ -58,8 +56,6 @@
    exact at quiescence, like {!Smem.Combine.stats} eliminations. *)
 
 module AU = Unboxed.Algorithm_a
-
-let imax a b = if a >= b then a else b
 
 (* {1 The pure decision kernel} *)
 
@@ -311,13 +307,13 @@ module Alg_a = struct
   }
 
   (* The handle only records: both paths pass it to [write_max_metered],
-     and nothing in dispatch reads it.  Without a live one (absent or
-     {!Obs.Metrics.disabled}) the plain path is the raw register op
-     plus one immediate-bool branch.  [domains = 1] short-circuits every
+     and nothing in dispatch reads it.  With {!Obs.Metrics.disabled}
+     (what [create] passes) the plain path is the raw register op plus
+     one immediate-bool branch.  [domains = 1] short-circuits every
      update to a direct plain call. *)
-  let make ?(policy = Policy.default_maxreg) ?(metrics = Obs.Metrics.disabled)
-      ~domains reg =
-    let arena = Smem.Combine.create ~domains ~combine:imax () in
+  let create_metered ?(policy = Policy.default_maxreg) ~metrics ~n ~domains () =
+    let reg = AU.create ~n () in
+    let arena = Smem.Combine.create ~domains () in
     { reg;
       arena;
       apply = (fun d v -> AU.write_max_metered reg ~metrics ~pid:d v);
@@ -325,10 +321,8 @@ module Alg_a = struct
       metrics;
       solo = domains = 1 }
 
-  let create ?policy ~n ~domains () = make ?policy ~domains (AU.create ~n ())
-
-  let create_metered ?policy ~metrics ~n ~domains () =
-    make ?policy ~metrics ~domains (AU.create ~n ())
+  let create ?policy ~n ~domains () =
+    create_metered ?policy ~metrics:Obs.Metrics.disabled ~n ~domains ()
 
   let arena t = t.arena
   let report t = Ctl.report t.ctl
@@ -353,7 +347,7 @@ module Alg_a = struct
     check v;
     if t.solo then update_plain t ~pid v else combining_path t ~pid v
 
-  let update t ~pid v =
+  let write_max t ~pid v =
     check v;
     if t.solo then update_plain t ~pid v
     else begin
@@ -364,6 +358,4 @@ module Alg_a = struct
       end;
       Ctl.tick t.ctl ~pid
     end
-
-  let write_max = update
 end

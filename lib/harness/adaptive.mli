@@ -3,10 +3,10 @@
     over it, and routes every WriteMax through whichever side of the
     paper's read/update tradeoff the recent workload favors — the plain
     wait-free path, or the flat-combining path (elimination against the
-    monotone root, then a batched arena submit).  The static
-    flat-combining backend is an instance here whose updates always take
-    the combining path ({!Alg_a.update_combining}); there is no separate
-    combining module, and no other structure is dispatched.
+    monotone root, then a batched arena submit).  Pinned flat combining
+    is an instance here whose updates all take the combining path
+    ({!Alg_a.update_combining}); there is no separate combining module,
+    and no other structure is dispatched.
 
     Reads are always direct: the mode selects an update path only, so
     read-heavy mixes pay nothing for the adaptivity.  Flips never copy
@@ -33,7 +33,7 @@
     to direct plain calls.
 
     There is one update path per mode: every caller, the bench's timed
-    loops included, runs {!Alg_a.update} per op (or
+    loops included, runs {!Alg_a.write_max} per op (or
     {!Alg_a.update_combining}, the combining path pinned).  Raw atomics
     stay inside the implementation's controller module [Ctl] (lint
     R1). *)
@@ -110,25 +110,6 @@ type report = {
 module Alg_a : sig
   type t
 
-  val make :
-    ?policy:Policy.params ->
-    ?metrics:Obs.Metrics.t ->
-    domains:int ->
-    Unboxed.Algorithm_a.t ->
-    t
-  (** Wrap a fresh register.  Both update paths mutate it in place, so a
-      caller that keeps it may read it directly.  [domains] sizes the
-      arena and the tick cells: every [pid] must be in
-      [0 .. domains-1], and [domains = 1] short-circuits every update
-      to a direct call of the plain op.  [metrics] (default
-      {!Obs.Metrics.disabled}, whose plain path is the raw register op
-      plus one immediate-bool branch) receives the register's counts
-      and never steers dispatch; it may be shared with other
-      instances. *)
-
-  val create : ?policy:Policy.params -> n:int -> domains:int -> unit -> t
-  (** [make] over a fresh register. *)
-
   val create_metered :
     ?policy:Policy.params ->
     metrics:Obs.Metrics.t ->
@@ -136,25 +117,31 @@ module Alg_a : sig
     domains:int ->
     unit ->
     t
-  (** [make ~metrics] over a fresh register. *)
+  (** A fresh [n]-process register under dispatch.  [domains] sizes the
+      arena and the tick cells: every [pid] must be in
+      [0 .. domains-1], and [domains = 1] short-circuits every update
+      to a direct call of the plain op.  [metrics] receives the
+      register's counts and never steers dispatch; it may be shared
+      with other instances. *)
+
+  val create : ?policy:Policy.params -> n:int -> domains:int -> unit -> t
+  (** [create_metered ~metrics:Obs.Metrics.disabled]: the plain path is
+      the raw register op plus one immediate-bool branch. *)
 
   val read_max : t -> int
   (** A direct call of the register's ReadMax, in either mode. *)
 
-  val update : t -> pid:int -> int -> unit
+  val write_max : t -> pid:int -> int -> unit
   (** The per-op entry: validate, solo shortcut, mode check, the plain
       path (with the stale-write tally) or the combining path, then the
       epoch tick.  Raises [Invalid_argument] on a negative value. *)
 
-  val write_max : t -> pid:int -> int -> unit
-  (** [update]. *)
-
   val update_combining : t -> pid:int -> int -> unit
   (** The raw combining path (elimination or arena submit), with no mode
       check and no tick; solo instances take the direct plain op.
-      Validates like {!update}: a negative value raises before any
-      elimination is counted.  The static flat-combining backend is
-      exactly this path. *)
+      Validates like {!write_max}: a negative value raises before any
+      elimination is counted.  Pinned flat combining is exactly this
+      path. *)
 
   val arena : t -> Smem.Combine.t
 

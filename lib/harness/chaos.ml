@@ -110,8 +110,8 @@ let snapshot cfg ~n impl =
 
 (* {1 Op-boundary injection}
 
-   The combining backends inline their Atomic primitives (arena slots,
-   lock, the unboxed structures underneath), so the MEMORY wrapper above
+   Algorithm A under dispatch inlines its Atomic primitives (arena slots,
+   lock, the unboxed structure underneath), so the MEMORY wrapper above
    cannot reach them.  The available seam is the operation boundary:
    roll the injection dice before and after each high-level op.  Coarser
    than per-memory-op injection, but it is exactly the placement that

@@ -15,7 +15,7 @@
     ([Fault_yield]/[Fault_gc]/[Fault_stall]), making chaos visible in
     the soak's report.
 
-    The unboxed instances of {!Instances.maxreg_backend} inline their
+    The unboxed instances of {!Instances.maxreg_unboxed} inline their
     Atomic primitives precisely to admit no wrapper, so chaos instruments
     the boxed
     {!Instances.native} backend; the step counts are identical, which is
@@ -88,17 +88,18 @@ val counter :
 val snapshot :
   config -> n:int -> Instances.snapshot_impl -> Snapshots.Snapshot.instance
 
-(** {1 Op-boundary injection (native fast-path backends)}
+(** {1 Op-boundary injection (native fast paths)}
 
-    The unboxed, combining and adaptive backends inline their Atomic
-    primitives (arena slots, combiner lock, unboxed trees), so the
-    MEMORY wrapper cannot reach them; instead the injection dice are
+    The unboxed structures and Algorithm A under dispatch inline their
+    Atomic primitives (arena slots, combiner lock, unboxed trees), so
+    the MEMORY wrapper cannot reach them; instead the injection dice are
     rolled at every operation boundary (before and after each
     high-level op).  Coarser than per-memory-op injection, but it is the
     placement that stresses the combining protocol: a storm can park a
     domain right after it published to a slot, right after it released
-    the combiner lock, or astride an adaptive epoch boundary.  Wrap any
-    instance {!Instances.maxreg_backend} returns. *)
+    the combiner lock, or astride an adaptive epoch boundary.  Wrap an
+    instance record over {!Adaptive.Alg_a} or one
+    {!Instances.maxreg_unboxed} returns. *)
 
 val instrument_maxreg :
   config -> Maxreg.Max_register.instance -> Maxreg.Max_register.instance

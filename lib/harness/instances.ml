@@ -1,7 +1,8 @@
 (* The implementation registry: build any implementation, bound to a
-   simulator session or to native atomics, as a closed instance.  All
-   experiment drivers (CLI, benches, adversaries, tests) go through this
-   module so every surface exercises the same code. *)
+   simulator session or to native atomics, as a closed instance, so the
+   CLI, the experiments, the adversaries and the tests exercise the
+   same code.  Algorithm A under dispatch is the one native structure
+   built elsewhere: {!Adaptive.Alg_a}. *)
 
 type maxreg_impl =
   | Algorithm_a
@@ -141,34 +142,19 @@ let maxreg_dial_sim session ~n dial =
 
 (* {1 Native constructors: one per structure family}
 
-   Every native fast-path instance comes from [maxreg_backend] /
+   Every native fast-path instance comes from [maxreg_unboxed] /
    [counter_unboxed], keyed by a spec (an impl enum case or a dial
-   point); the interface documents the metering contract.  The unboxed
-   backend is the unboxed compile itself.  The combining and adaptive
-   backends exist for Algorithm A only and are one {!Adaptive.Alg_a}
-   instance over the same unboxed register: adaptive dispatches per
-   epoch, combining pins every update to the instance's combining path,
-   so there is one combining implementation, not two.  [None] exactly
-   where no such instance exists: AAC everywhere (its constructions take
-   a value bound, which these constructors do not; its unboxed compile
-   is Unboxed.Aac_maxreg / Unboxed.Aac_counter), the snapshot counters
-   (vector-valued, so boxed only: the native f-array snapshot is
-   [snapshot_native]), and on the dispatch backends every max register
-   but Algorithm A. *)
+   point); the interface documents the metering contract.  Each is the
+   unboxed compile itself.  [None] exactly where no such instance
+   exists: AAC (its constructions take a value bound, which these
+   constructors do not; its unboxed compile is Unboxed.Aac_maxreg /
+   Unboxed.Aac_counter) and the snapshot counters (vector-valued, so
+   boxed only: the native f-array snapshot is [snapshot_native]).
+   Algorithm A under dispatch is {!Adaptive.Alg_a}, built directly. *)
 
 type 'impl spec = Impl of 'impl | Dial of Treeprim.Dial.t
 type maxreg_spec = maxreg_impl spec
 type counter_spec = counter_impl spec
-
-type backend =
-  | Unboxed
-  | Combining
-  | Adaptive of Adaptive.Policy.params option
-
-type dispatch = {
-  arena : Smem.Combine.t;
-  report : unit -> Adaptive.report;
-}
 
 let meter_maxreg ~metrics (i : Maxreg.Max_register.instance) :
     Maxreg.Max_register.instance =
@@ -190,38 +176,44 @@ let meter_counter ~metrics (i : Counters.Counter.instance) :
           Obs.Metrics.incr metrics ~domain:pid Obs.Metrics.Op_update;
           i.increment ~pid) }
 
-(* The plain unboxed structures, as a read and an update closure; the
-   update meters into [metrics], which costs an unmetered instance (the
-   disabled handle) one branch per operation. *)
+(* Each structure as a read and an update closure; the update meters
+   into [metrics], which costs an unmetered instance (the disabled
+   handle) one branch per operation. *)
 
-let unboxed_maxreg ~metrics ~n spec =
-  match spec with
-  | Impl ((Algorithm_a | Algorithm_a_literal) as impl) ->
-    let module A = Unboxed.Algorithm_a in
-    let reg =
-      A.create ~literal_early_return:(impl = Algorithm_a_literal) ~n ()
-    in
-    Some
-      ( (fun () -> A.read_max reg),
-        fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
-  | Impl Cas_maxreg ->
-    let module A = Unboxed.Cas_maxreg in
-    let reg = A.create () in
-    Some
-      ( (fun () -> A.read_max reg),
-        fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
-  | Impl B1_maxreg ->
-    (* switch writes are idempotent 0->1 stores, no CAS to meter *)
-    let module A = Unboxed.B1_maxreg in
-    let reg = A.create () in
-    Some ((fun () -> A.read_max reg), fun ~pid v -> A.write_max reg ~pid v)
-  | Dial dial ->
-    let module A = Unboxed.Dial_maxreg in
-    let reg = A.create ~n ~dial () in
-    Some
-      ( (fun () -> A.read_max reg),
-        fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
-  | Impl Aac_maxreg -> None
+let maxreg_unboxed ?(metrics = Obs.Metrics.disabled) ~n spec =
+  let parts =
+    match spec with
+    | Impl ((Algorithm_a | Algorithm_a_literal) as impl) ->
+      let module A = Unboxed.Algorithm_a in
+      let reg =
+        A.create ~literal_early_return:(impl = Algorithm_a_literal) ~n ()
+      in
+      Some
+        ( (fun () -> A.read_max reg),
+          fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
+    | Impl Cas_maxreg ->
+      let module A = Unboxed.Cas_maxreg in
+      let reg = A.create () in
+      Some
+        ( (fun () -> A.read_max reg),
+          fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
+    | Impl B1_maxreg ->
+      (* switch writes are idempotent 0->1 stores, no CAS to meter *)
+      let module A = Unboxed.B1_maxreg in
+      let reg = A.create () in
+      Some ((fun () -> A.read_max reg), fun ~pid v -> A.write_max reg ~pid v)
+    | Dial dial ->
+      let module A = Unboxed.Dial_maxreg in
+      let reg = A.create ~n ~dial () in
+      Some
+        ( (fun () -> A.read_max reg),
+          fun ~pid v -> A.write_max_metered reg ~metrics ~pid v )
+    | Impl Aac_maxreg -> None
+  in
+  Option.map
+    (fun (read_max, write_max) ->
+      meter_maxreg ~metrics { Maxreg.Max_register.read_max; write_max })
+    parts
 
 let counter_unboxed ?(metrics = Obs.Metrics.disabled) ~n spec =
   let parts =
@@ -246,35 +238,4 @@ let counter_unboxed ?(metrics = Obs.Metrics.disabled) ~n spec =
   Option.map
     (fun (read, increment) ->
       meter_counter ~metrics { Counters.Counter.increment; read })
-    parts
-
-(* The dispatch backends: one adaptive Algorithm A instance over a fresh
-   register, its updates pinned to the combining path on [Combining]. *)
-let maxreg_backend ?(metrics = Obs.Metrics.disabled) backend ~n ~domains spec
-    =
-  let module A = Adaptive.Alg_a in
-  let parts =
-    match (backend, spec) with
-    | Unboxed, _ ->
-      Option.map (fun (r, w) -> (r, w, None)) (unboxed_maxreg ~metrics ~n spec)
-    | ((Combining | Adaptive _) as backend), Impl Algorithm_a ->
-      let pinned, policy =
-        match backend with
-        | Adaptive p -> (false, p)
-        | Combining | Unboxed -> (true, None)
-      in
-      let t = A.create_metered ?policy ~metrics ~n ~domains () in
-      Some
-        ( (fun () -> A.read_max t),
-          (if pinned then A.update_combining t else A.update t),
-          Some { arena = A.arena t; report = (fun () -> A.report t) } )
-    | ( (Combining | Adaptive _),
-        ( Impl (Algorithm_a_literal | Aac_maxreg | B1_maxreg | Cas_maxreg)
-        | Dial _ ) ) ->
-      None
-  in
-  Option.map
-    (fun (read_max, write_max, dispatch) ->
-      (meter_maxreg ~metrics { Maxreg.Max_register.read_max; write_max },
-       dispatch))
     parts

@@ -75,6 +75,9 @@ let run_batched ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~domains
       Array.init domains (fun d ->
           Smem.Unboxed_memory.Padded.make ~name:(string_of_int d) 0)
     in
+    (* A worker whose [op] raises acknowledges all the same, so the
+       stop-acknowledged wait below cannot hang on it; its exception
+       comes back out of [Domain.join]. *)
     let workers =
       List.init domains (fun d ->
           Domain.spawn (fun () ->
@@ -82,13 +85,15 @@ let run_batched ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~domains
               while not (Atomic.get go) do
                 Domain.cpu_relax ()
               done;
-              let done_ops = ref 0 in
-              while not (Atomic.get stop) do
-                op d !done_ops;
-                done_ops := !done_ops + batch
-              done;
-              Smem.Unboxed_memory.Padded.write counts.(d) !done_ops;
-              Atomic.incr acked))
+              Fun.protect
+                ~finally:(fun () -> Atomic.incr acked)
+                (fun () ->
+                  let done_ops = ref 0 in
+                  while not (Atomic.get stop) do
+                    op d !done_ops;
+                    done_ops := !done_ops + batch
+                  done;
+                  Smem.Unboxed_memory.Padded.write counts.(d) !done_ops)))
     in
     (* Start barrier: every worker is spawned and spinning before the
        clock starts, so spawn cost and startup skew are outside the
@@ -107,7 +112,13 @@ let run_batched ?(now = Unix.gettimeofday) ?(sleep = Unix.sleepf) ~domains
       Domain.cpu_relax ()
     done;
     let t1 = now () in
-    List.iter Domain.join workers;
+    (* join every worker before re-raising the first one's exception *)
+    let failures =
+      List.filter_map
+        (fun w -> match Domain.join w with () -> None | exception e -> Some e)
+        workers
+    in
+    (match failures with e :: _ -> raise e | [] -> ());
     let total =
       Array.fold_left
         (fun acc c -> acc + Smem.Unboxed_memory.Padded.read c)

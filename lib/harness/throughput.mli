@@ -51,6 +51,9 @@ val run_batched :
 
     Raises [Invalid_argument] before timing anything unless
     [domains >= 1], [batch >= 1] and [seconds] is finite and positive.
+    An exception from [op] ends the call: on several domains the others
+    run to the end of the window, every domain is joined, and the first
+    worker's exception is re-raised.
 
     [now]/[sleep] (defaults [Unix.gettimeofday]/[Unix.sleepf]) exist so
     tests can pin the window arithmetic against a scripted clock. *)

@@ -80,8 +80,6 @@ let default =
         (* counters (E2 / Theorem 1 & Corollary 2) *)
         row [ "Naive_counter"; "increment" ] (Const 2)
           "single-writer cell bump: read own cell + write";
-        row [ "Naive_counter"; "add" ] (Const 2)
-          "batched bump: still one read + one write of the own cell";
         row [ "Naive_counter"; "read" ] Linear "collect of all N cells";
         row [ "Aac_counter"; "increment" ] Polylog
           "AAC counter increment: O(log N) ancestors, each a O(log B) \
@@ -90,8 +88,6 @@ let default =
           "AAC counter read: one ReadMax of the root, O(log B)";
         row [ "Farray_counter"; "increment" ] Log
           "f-array counter increment: leaf bump + propagation, O(log N)";
-        row [ "Farray_counter"; "add" ] Log
-          "batched increment: one leaf update + one propagation";
         row [ "Farray_counter"; "read" ] (Const 2)
           "f-array counter read: one read of the root";
         (* the tradeoff-dial family (Theorem 1's frontier).  The static
@@ -105,9 +101,6 @@ let default =
         row [ "Dial_counter"; "increment" ] Log
           "dial counter increment: in-block propagation, O(log(N/f)) \
            <= O(log N)";
-        row [ "Dial_counter"; "add" ] Log
-          "batched dial increment: one leaf update + one in-block \
-           propagation";
         row [ "Dial_maxreg"; "read_max" ] Linear
           "dial max register ReadMax: collect of the f <= N block roots";
         row [ "Dial_maxreg"; "write_max" ] Log

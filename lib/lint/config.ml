@@ -96,14 +96,8 @@ let default =
         { qual = [ "Farray_counter"; "increment" ]; mode = Body };
         { qual = [ "Farray_counter"; "increment_metered" ]; mode = Body };
         { qual = [ "Farray_counter"; "read" ]; mode = Body };
-        (* the counters' add: the body [increment] runs *)
-        { qual = [ "Farray_counter"; "add" ]; mode = Body };
-        { qual = [ "Farray_counter"; "add_metered" ]; mode = Body };
-        { qual = [ "Naive_counter"; "add" ]; mode = Body };
         { qual = [ "Dial_counter"; "increment" ]; mode = Body };
         { qual = [ "Dial_counter"; "increment_metered" ]; mode = Body };
-        { qual = [ "Dial_counter"; "add" ]; mode = Body };
-        { qual = [ "Dial_counter"; "add_metered" ]; mode = Body };
         { qual = [ "Dial_counter"; "read" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "read_max" ]; mode = Body };
         { qual = [ "Dial_maxreg"; "write_max" ]; mode = Body };
@@ -131,8 +125,8 @@ let default =
         { qual = [ "Combine"; "submit" ]; mode = Body };
         (* Algorithm A's dispatched per-update path: the mode check,
            the tick, the stale tally, validation, the plain and
-           combining paths (the latter is the whole of the static
-           combining backend), the per-op update and the read — the
+           combining paths (the latter is the whole of pinned
+           combining), the per-op write_max and the read — the
            epoch advance itself is the deliberately untargeted rare
            path (it folds stats records and may allocate) *)
         { qual = [ "Adaptive"; "Ctl"; "combining" ]; mode = Body };
@@ -143,7 +137,7 @@ let default =
         { qual = [ "Adaptive"; "Alg_a"; "update_plain" ]; mode = Body };
         { qual = [ "Adaptive"; "Alg_a"; "combining_path" ]; mode = Body };
         { qual = [ "Adaptive"; "Alg_a"; "update_combining" ]; mode = Body };
-        { qual = [ "Adaptive"; "Alg_a"; "update" ]; mode = Body };
+        { qual = [ "Adaptive"; "Alg_a"; "write_max" ]; mode = Body };
         { qual = [ "Adaptive"; "Alg_a"; "read_max" ]; mode = Body } ];
     (* R4: every library module pins its public surface.  Allowlist:
        signature-only modules (nothing to hide). *)

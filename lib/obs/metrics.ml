@@ -31,13 +31,8 @@ type counter =
   | Fault_yield
   | Fault_gc
   | Fault_stall
-  | Combined_op
-  | Batch
-  | Batch_max
-  | Elimination
-  | Combiner_lock
 
-let n_counters = 14
+let n_counters = 9
 
 let counter_index = function
   | Cas_attempt -> 0
@@ -49,11 +44,6 @@ let counter_index = function
   | Fault_yield -> 6
   | Fault_gc -> 7
   | Fault_stall -> 8
-  | Combined_op -> 9
-  | Batch -> 10
-  | Batch_max -> 11
-  | Elimination -> 12
-  | Combiner_lock -> 13
 
 let counter_name = function
   | Cas_attempt -> "cas_attempts"
@@ -65,16 +55,10 @@ let counter_name = function
   | Fault_yield -> "fault_yields"
   | Fault_gc -> "fault_gcs"
   | Fault_stall -> "fault_stalls"
-  | Combined_op -> "combined_ops"
-  | Batch -> "batches"
-  | Batch_max -> "batch_max"
-  | Elimination -> "eliminations"
-  | Combiner_lock -> "combiner_locks"
 
 let all_counters =
   [ Cas_attempt; Cas_failure; Refresh_round; Help; Op_read; Op_update;
-    Fault_yield; Fault_gc; Fault_stall; Combined_op; Batch; Batch_max;
-    Elimination; Combiner_lock ]
+    Fault_yield; Fault_gc; Fault_stall ]
 
 type t = {
   enabled : bool;
@@ -111,16 +95,6 @@ let add t ~domain c n =
 
 let incr t ~domain c = add t ~domain c 1
 
-(* Max-merge recording, for high-watermark counters ([Batch_max]): the
-   shard keeps the largest value recorded by its domain, and [totals]
-   takes the max (not the sum) across shards.  Same single-writer
-   load-and-[Atomic.set] discipline as [add]. *)
-let set_max t ~domain c v =
-  if t.enabled then begin
-    let cell = t.shards.(domain land t.mask).(counter_index c) in
-    if v > Atomic.get cell then Atomic.set cell v
-  end
-
 type totals = {
   cas_attempts : int;
   cas_failures : int;
@@ -131,28 +105,16 @@ type totals = {
   fault_yields : int;
   fault_gcs : int;
   fault_stalls : int;
-  combined_ops : int;
-  batches : int;
-  batch_max : int;
-  eliminations : int;
-  combiner_locks : int;
 }
 
 let zero_totals =
   { cas_attempts = 0; cas_failures = 0; refresh_rounds = 0; helps = 0;
     op_reads = 0; op_updates = 0; fault_yields = 0; fault_gcs = 0;
-    fault_stalls = 0; combined_ops = 0; batches = 0; batch_max = 0;
-    eliminations = 0; combiner_locks = 0 }
+    fault_stalls = 0 }
 
 let sum t c =
   let i = counter_index c in
   Array.fold_left (fun acc row -> acc + Atomic.get row.(i)) 0 t.shards
-
-(* [Batch_max] shards hold per-domain high watermarks ({!set_max}):
-   merging is a max, not a sum. *)
-let max_shard t c =
-  let i = counter_index c in
-  Array.fold_left (fun acc row -> max acc (Atomic.get row.(i))) 0 t.shards
 
 let totals t =
   if not t.enabled then zero_totals
@@ -165,12 +127,7 @@ let totals t =
       op_updates = sum t Op_update;
       fault_yields = sum t Fault_yield;
       fault_gcs = sum t Fault_gc;
-      fault_stalls = sum t Fault_stall;
-      combined_ops = sum t Combined_op;
-      batches = sum t Batch;
-      batch_max = max_shard t Batch_max;
-      eliminations = sum t Elimination;
-      combiner_locks = sum t Combiner_lock }
+      fault_stalls = sum t Fault_stall }
 
 let total_of totals = function
   | Cas_attempt -> totals.cas_attempts
@@ -182,11 +139,6 @@ let total_of totals = function
   | Fault_yield -> totals.fault_yields
   | Fault_gc -> totals.fault_gcs
   | Fault_stall -> totals.fault_stalls
-  | Combined_op -> totals.combined_ops
-  | Batch -> totals.batches
-  | Batch_max -> totals.batch_max
-  | Elimination -> totals.eliminations
-  | Combiner_lock -> totals.combiner_locks
 
 let reset t =
   Array.iter (fun row -> Array.iter (fun c -> Atomic.set c 0) row) t.shards
@@ -198,19 +150,4 @@ let pp_totals ppf t =
      else 100. *. float_of_int t.cas_failures /. float_of_int t.cas_attempts)
     t.refresh_rounds t.helps t.op_reads t.op_updates;
   if t.fault_yields + t.fault_gcs + t.fault_stalls > 0 then
-    Fmt.pf ppf " faults=%dy/%dg/%ds" t.fault_yields t.fault_gcs t.fault_stalls;
-  if t.combiner_locks + t.eliminations > 0 then
-    Fmt.pf ppf " combining=%d ops/%d batches (max %d) elims=%d locks=%d"
-      t.combined_ops t.batches t.batch_max t.eliminations t.combiner_locks
-
-(* Flush a combining arena's merged stats ({!Smem.Combine.stats}) into
-   this handle under one shard.  The arena keeps its own per-domain
-   cells because smem sits below obs in the dependency order; callers
-   (the chaos soak) bridge the two here, once per run —
-   never per op. *)
-let record_combine_stats t ~domain (s : Smem.Combine.stats) =
-  add t ~domain Combined_op s.combined_ops;
-  add t ~domain Batch s.batches;
-  set_max t ~domain Batch_max s.batch_max;
-  add t ~domain Elimination s.eliminations;
-  add t ~domain Combiner_lock s.lock_acquisitions
+    Fmt.pf ppf " faults=%dy/%dg/%ds" t.fault_yields t.fault_gcs t.fault_stalls

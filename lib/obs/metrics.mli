@@ -20,11 +20,6 @@ type counter =
   | Fault_yield     (** injected preemption (yield/cpu_relax storm) *)
   | Fault_gc        (** injected GC pressure event *)
   | Fault_stall     (** injected domain stall *)
-  | Combined_op     (** op applied as part of a combined batch (size >= 2) *)
-  | Batch           (** combiner drain that applied >= 2 ops at once *)
-  | Batch_max       (** largest single batch — max-merged, see {!set_max} *)
-  | Elimination     (** op completed locally with zero shared writes *)
-  | Combiner_lock   (** combiner-lock acquisition *)
 
 val all_counters : counter list
 val counter_name : counter -> string
@@ -56,18 +51,6 @@ val enabled : t -> bool
 val incr : t -> domain:int -> counter -> unit
 val add : t -> domain:int -> counter -> int -> unit
 
-val set_max : t -> domain:int -> counter -> int -> unit
-(** Max-merge recording for high-watermark counters ([Batch_max]): the
-    domain's shard keeps the largest recorded value, and {!totals}
-    merges those with max rather than sum.  Same single-writer load and
-    [Atomic.set] as {!add}. *)
-
-val record_combine_stats : t -> domain:int -> Smem.Combine.stats -> unit
-(** Flush a flat-combining arena's merged stats into this handle under
-    shard [domain] ([combined_ops]/[batches]/[batch_max]/[eliminations]/
-    [combiner_locks]).  Call once per measurement run, not per op: the
-    arena keeps its own padded per-domain cells (smem sits below obs). *)
-
 (** {1 Merge-on-read} *)
 
 type totals = {
@@ -80,11 +63,6 @@ type totals = {
   fault_yields : int;
   fault_gcs : int;
   fault_stalls : int;
-  combined_ops : int;
-  batches : int;
-  batch_max : int;   (** max across shards, not a sum *)
-  eliminations : int;
-  combiner_locks : int;
 }
 
 val zero_totals : totals

@@ -1,16 +1,16 @@
-(* Flat combining over semantically combinable operations.
+(* Flat combining for the max register's WriteMax.
 
    The paper's tradeoff makes updates the expensive side (Ω-log-ish cost
-   so reads stay O(1)); but both WriteMax and Increment are *combinable*:
-   n concurrent WriteMax(v_i) are equivalent to one WriteMax(max v_i),
-   and n Increments to one Add n.  This module is the generic engine:
+   so reads stay O(1)); but WriteMax is *combinable*: n concurrent
+   WriteMax(v_i) are equivalent to one WriteMax(max v_i).  This module
+   is the engine:
 
    - one cache-padded publication slot per domain (an op is an immediate
      int; [empty] = min_int is "no pending op");
-   - a CAS-acquired combiner lock.  The acquirer applies its own op
-     combined with every pending slot in ONE call of [apply] (for the
-     tree structures: one leaf write + one propagation for the whole
-     batch), then clears the drained slots and releases;
+   - a CAS-acquired combiner lock.  The acquirer applies the max of its
+     own op and every pending slot in ONE call of [apply] (one leaf
+     write + one propagation for the whole batch), then clears the
+     drained slots and releases;
    - waiters spin on their own slot (an owned padded line) with a
      bounded cpu_relax budget, then fall back to [Unix.sleepf] — on an
      oversubscribed host a pure spin would burn the very timeslice the
@@ -24,8 +24,7 @@
    a slot is cleared only AFTER the combined op has been applied, and a
    waiter returns only once its slot reads [empty].  The waiter's op
    therefore linearizes at the combiner's apply point, where an op that
-   subsumes it (max ≥ its value / sum including its increment) took
-   effect.
+   subsumes it (a max >= its value) took effect.
 
    Stats are per-domain single-writer padded cells (same discipline as
    Obs.Metrics shards: a load and an [Atomic.set], no CAS), merged on
@@ -46,7 +45,6 @@
 
 type t = {
   domains : int;
-  combine : int -> int -> int;
   spin : int;  (* cpu_relax rounds between lock attempts before sleeping *)
   sleep : float -> unit;  (* Unix.sleepf, or a scripted clock in tests *)
   backoff : float array;  (* park sleep schedule: yield_s doubling to the cap *)
@@ -79,7 +77,7 @@ let elim_stride = 16
 let backoff_doublings = 6
 
 let create ?(spin = 256) ?(yield_s = 0.00005) ?(sleep = Unix.sleepf) ~domains
-    ~combine () =
+    () =
   if domains <= 0 || domains > max_domains then
     invalid_arg "Combine.create: domains out of [1, 62]";
   if spin < 0 then invalid_arg "Combine.create: negative spin";
@@ -87,7 +85,6 @@ let create ?(spin = 256) ?(yield_s = 0.00005) ?(sleep = Unix.sleepf) ~domains
     invalid_arg "Combine.create: non-positive yield_s";
   let cells n = Array.init n (fun _ -> Unboxed_memory.Padded.make 0) in
   { domains;
-    combine;
     spin;
     sleep;
     backoff =
@@ -102,6 +99,8 @@ let create ?(spin = 256) ?(yield_s = 0.00005) ?(sleep = Unix.sleepf) ~domains
     s_elims = Array.make (domains * elim_stride) 0 }
 
 let domains t = t.domains
+
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 (* Single-writer bumps on an owned padded cell: a load and an
    [Atomic.set], which is one exchange (see the header). *)
@@ -130,18 +129,17 @@ let rec scan_mask t i acc =
        else acc)
 
 (* Slots selected by [mask] are stable: their owners are parked until the
-   combiner clears them, so reading them again here is race-free. *)
+   combiner clears them, so reading them again here is race-free.  The
+   fold starts from the combiner's own op, or from [empty] = min_int
+   when that op sits in the slots too; max with min_int is the
+   identity. *)
 let rec gather t i mask acc =
   if i >= t.domains then acc
   else
-    let acc =
-      if mask land (1 lsl i) <> 0 then begin
-        let v = Atomic.get (Array.unsafe_get t.slots i) in
-        if acc = empty then v else t.combine acc v
-      end
-      else acc
-    in
-    gather t (i + 1) mask acc
+    gather t (i + 1) mask
+      (if mask land (1 lsl i) <> 0 then
+         imax acc (Atomic.get (Array.unsafe_get t.slots i))
+       else acc)
 
 let rec clear_slots t i mask =
   if i < t.domains then begin

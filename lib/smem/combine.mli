@@ -1,15 +1,12 @@
-(** A cache-padded flat-combining arena for semantically combinable
-    operations.
+(** A cache-padded flat-combining arena for a max register's WriteMax.
 
-    An op is an immediate [int] (a WriteMax value, an increment count);
-    [combine] must be associative and idempotence-compatible with the
-    structure's semantics: applying [combine a b] once must be
-    observationally equivalent to applying [a] and [b] in either order
-    (max for max registers, [(+)] for counters).
+    An op is an immediate [int], a WriteMax value.  Ops combine by max:
+    applying [max a b] once is observationally equivalent to applying
+    [a] and [b] in either order.
 
     Protocol ({!submit}): one publication slot per domain.  The caller
     first tries to acquire the combiner lock with a single CAS; on
-    success it applies its own op combined with every pending slot in
+    success it applies the max of its own op and every pending slot in
     {e one} [apply] call, clears the drained slots, and releases.
     Otherwise it publishes its op to its slot and parks (bounded
     cpu_relax spin, then [Unix.sleepf] so an oversubscribed host can
@@ -47,7 +44,6 @@ val create :
   ?yield_s:float ->
   ?sleep:(float -> unit) ->
   domains:int ->
-  combine:(int -> int -> int) ->
   unit ->
   t
 (** An arena for domain ids [0 .. domains-1] ([1 <= domains <=
@@ -67,22 +63,19 @@ val domains : t -> int
 val submit : t -> domain:int -> apply:(int -> int -> unit) -> int -> unit
 (** [submit t ~domain ~apply op] completes [op], either by becoming the
     combiner (applying [apply d combined] where [d = domain] and
-    [combined] folds every pending op with {!create}'s [combine]) or by
-    having a concurrent combiner subsume it.  On return the op's effect
-    is applied.  [apply] receives the {e combiner's} domain id — for
-    structures with per-process slots (f-array leaves) the whole batch
-    lands on the combiner's own leaf, preserving the single-writer
-    discipline.  Pass a closure built once at structure creation: a
-    literal [fun] here would allocate per call.  [op] must differ from
-    the [min_int] sentinel. *)
+    [combined] is the max of every pending op) or by having a
+    concurrent combiner subsume it.  On return the op's effect is
+    applied.  [apply] receives the {e combiner's} domain id, so the
+    whole batch is written as the combiner's own WriteMax.  Pass a
+    closure built once at structure creation: a literal [fun] here
+    would allocate per call.  [op] must differ from the [min_int]
+    sentinel. *)
 
 val record_elimination : t -> domain:int -> unit
 (** Count one locally-eliminated op (e.g. a WriteMax at or below the
     current root value, completed with zero shared writes).  The
-    elimination itself is the caller's structure-specific check (the
-    combining path of [Harness.Adaptive]'s shared update kernel, which
-    also serves the static combining backend); the arena only keeps the
-    tally. *)
+    elimination itself is the caller's check (the combining path of
+    [Harness.Adaptive.Alg_a]); the arena only keeps the tally. *)
 
 (** {1 Merge-on-read stats} *)
 

@@ -36,16 +36,12 @@ let read t =
   done;
   !total
 
-(* Batched increment, mirroring {!Farray_counter.add_metered}: absorb
-   [k] at the caller's own leaf with one in-block propagation, metered
-   under shard [pid]. *)
-let add_metered t ~metrics ~pid k =
-  if k < 0 then invalid_arg "Dial_counter.add: negative k";
+(* Mirroring {!Farray_counter.increment_metered}: bump the caller's own
+   leaf with one in-block propagation, metered under shard [pid]. *)
+let increment_metered t ~metrics ~pid =
   let fa = t.blocks.(pid / t.bsize) in
   let leaf = pid mod t.bsize in
   let c = count (Farray.read_leaf fa leaf) in
-  Farray.update_metered fa ~metrics ~domain:pid ~leaf (Raw.of_int (c + k))
+  Farray.update_metered fa ~metrics ~domain:pid ~leaf (Raw.of_int (c + 1))
 
-let add t ~pid k = add_metered t ~metrics:Obs.Metrics.disabled ~pid k
-let increment t ~pid = add_metered t ~metrics:Obs.Metrics.disabled ~pid 1
-let increment_metered t ~metrics ~pid = add_metered t ~metrics ~pid 1
+let increment t ~pid = increment_metered t ~metrics:Obs.Metrics.disabled ~pid

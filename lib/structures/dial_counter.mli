@@ -12,19 +12,12 @@ type t
 val create : n:int -> dial:Treeprim.Dial.t -> unit -> t
 
 val increment : t -> pid:int -> unit
-(** [add t ~pid 1]: leaf bump + in-block propagation, O(log(N/f)). *)
+(** Leaf bump + in-block propagation, O(log(N/f)). *)
 
 val increment_metered : t -> metrics:Obs.Metrics.t -> pid:int -> unit
-(** [add_metered t ~metrics ~pid 1]. *)
-
-val add : t -> pid:int -> int -> unit
-(** [add t ~pid k]: add [k] at the caller's own leaf with one
-    in-block propagation. *)
-
-val add_metered : t -> metrics:Obs.Metrics.t -> pid:int -> int -> unit
-(** The body of [add], with refresh rounds and CAS outcomes recorded
-    under shard [pid] once per update; same steps, one branch with
-    {!Obs.Metrics.disabled} (which [add] passes). *)
+(** The body of [increment], with refresh rounds and CAS outcomes
+    recorded under shard [pid] once per update; same steps, one branch
+    with {!Obs.Metrics.disabled} (which [increment] passes). *)
 
 val read : t -> int
 (** Collect of the f block roots: Theta(f) events. *)

@@ -21,14 +21,10 @@ let create ~n () = Farray.create ~n ~combine:sum ()
 
 let read t = count (Farray.read t)
 
-(* Add [k] to the caller's own leaf with ONE update (one propagation
-   for all [k]), preserving the per-leaf single-writer discipline;
-   [increment] is [k = 1].  Metered under shard [pid]. *)
-let add_metered t ~metrics ~pid k =
-  if k < 0 then invalid_arg "Farray_counter.add: negative k";
+(* Bump the caller's own leaf and propagate, preserving the per-leaf
+   single-writer discipline.  Metered under shard [pid]. *)
+let increment_metered t ~metrics ~pid =
   let c = count (Farray.read_leaf t pid) in
-  Farray.update_metered t ~metrics ~domain:pid ~leaf:pid (Raw.of_int (c + k))
+  Farray.update_metered t ~metrics ~domain:pid ~leaf:pid (Raw.of_int (c + 1))
 
-let add t ~pid k = add_metered t ~metrics:Obs.Metrics.disabled ~pid k
-let increment t ~pid = add_metered t ~metrics:Obs.Metrics.disabled ~pid 1
-let increment_metered t ~metrics ~pid = add_metered t ~metrics ~pid 1
+let increment t ~pid = increment_metered t ~metrics:Obs.Metrics.disabled ~pid

@@ -14,15 +14,12 @@ let create ~n () =
   if n <= 0 then invalid_arg "Naive_counter.create: n must be > 0";
   { cells = Array.init n (fun _ -> Raw.make (Raw.of_int 0)); n }
 
-(* Add [k] to the caller's own (single-writer) cell: one read and one
-   write; [increment] is [k = 1]. *)
-let[@inline] add t ~pid k =
-  if pid < 0 || pid >= t.n then invalid_arg "Naive_counter.add: bad pid";
-  if k < 0 then invalid_arg "Naive_counter.add: negative k";
+(* Bump the caller's own (single-writer) cell: one read and one
+   write. *)
+let increment t ~pid =
+  if pid < 0 || pid >= t.n then invalid_arg "Naive_counter.increment: bad pid";
   let cell = t.cells.(pid) in
-  Raw.set cell (Raw.of_int (Raw.to_int (Raw.get cell) + k))
-
-let increment t ~pid = add t ~pid 1
+  Raw.set cell (Raw.of_int (Raw.to_int (Raw.get cell) + 1))
 
 let read t =
   let total = ref 0 in

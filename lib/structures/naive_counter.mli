@@ -7,9 +7,7 @@ type t
 
 val create : n:int -> unit -> t
 val increment : t -> pid:int -> unit
-
-val add : t -> pid:int -> int -> unit
-(** [add t ~pid k] adds [k] to the caller's own cell (the counter
-    value is the sum over cells). *)
+(** Bump the caller's own cell (the counter value is the sum over
+    cells). *)
 
 val read : t -> int

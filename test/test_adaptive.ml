@@ -1,9 +1,9 @@
-(* Tests of the dispatch layer (Harness.Adaptive.Alg_a and the combining
-   and adaptive backends the registry builds on it for Algorithm A): the
-   pure Policy kernel (threshold verdicts, hysteresis fold, parameter
-   validation), differential equivalence of both dispatch backends
-   against the plain unboxed register on random sequences (the adaptive
-   one under a policy that forces mode flips), registry coverage,
+(* Tests of the dispatch layer (Harness.Adaptive.Alg_a, Algorithm A
+   pinned to combining or under adaptive dispatch): the pure Policy
+   kernel (threshold verdicts, hysteresis fold, parameter validation),
+   differential equivalence of both update paths against the plain
+   unboxed register on random sequences (the adaptive one under a
+   policy that forces mode flips), the registry's unboxed coverage,
    multi-domain exactness, report sanity, the per-op epoch dispatch
    (stale trigger, metering that never steers, flips both ways), input
    validation on both update paths, and zero-allocation guards on the
@@ -133,28 +133,45 @@ let qcheck_hysteresis_bounds_flips =
       in
       final.P.flips * h <= List.length verdicts)
 
-(* {1 Differential: dispatch backends vs plain unboxed}
+(* {1 Differential: both update paths vs plain unboxed}
 
-   Both dispatch backends claim "same register, different update
-   path"; on sequential random mixes they must be observationally
-   identical to the plain unboxed register.  The adaptive backend runs
-   the flip-forcing {!P.thrash}, so the dispatcher flips at every epoch
+   Pinned combining and adaptive dispatch claim "same register,
+   different update path"; on sequential random mixes they must be
+   observationally identical to the plain unboxed register, with and
+   without a live metrics handle.  The adaptive path runs the
+   flip-forcing {!P.thrash}, so the dispatcher flips at every epoch
    boundary and the sequences cross many plain->combining and
-   combining->plain boundaries.  The combining backend's arena is sized
-   for 3 domains and driven from one thread with rotating pids, so the
+   combining->plain boundaries.  The pinned arena is sized for 3
+   domains and driven from one thread with rotating pids, so the
    solo-combiner drain path (lock, publish-free apply) is exercised for
-   every pid, not just the bypass.  Every instance comes from the
-   registry's one constructor per family. *)
+   every pid, not just the bypass. *)
 
-let thrash = I.Adaptive (Some P.thrash)
+(* Which update path an instance runs: [update_combining] on every
+   update, or the per-op [write_max] under a policy (default if
+   [None]). *)
+type path = Combining | Adaptive of P.params option
 
-let backend_name = function
-  | I.Unboxed -> "unboxed"
-  | I.Combining -> "combining"
-  | I.Adaptive _ -> "adaptive"
+let thrash = Adaptive (Some P.thrash)
 
-let maxreg ?metrics ?(n = 3) ?(domains = 3) backend spec =
-  Option.get (I.maxreg_backend ?metrics backend ~n ~domains spec)
+let path_name = function Combining -> "combining" | Adaptive _ -> "adaptive"
+
+(* Algorithm A under dispatch, and the same register as an instance
+   record driven through [path]. *)
+let dispatched ?metrics ?(n = 3) ?(domains = 3) path =
+  let policy = match path with Adaptive p -> p | Combining -> None in
+  let t =
+    match metrics with
+    | Some metrics -> AD.create_metered ?policy ~metrics ~n ~domains ()
+    | None -> AD.create ?policy ~n ~domains ()
+  in
+  ( t,
+    { Maxreg.Max_register.read_max = (fun () -> AD.read_max t);
+      write_max =
+        (match path with
+         | Combining -> AD.update_combining t
+         | Adaptive _ -> AD.write_max t) } )
+
+let unboxed spec = Option.get (I.maxreg_unboxed ~n:3 spec)
 
 (* op = (pid, value): value >= 0 is an update, -1 a read *)
 let ops_gen ~n =
@@ -188,17 +205,18 @@ let agrees_counter (plain : Counters.Counter.instance)
       plain.read () = inst.read ())
     ops
 
-let differential_maxreg backend impl =
+let differential_maxreg path =
   QCheck.Test.make ~count:200
-    ~name:
-      (Printf.sprintf "%s: %s = plain" (I.maxreg_name impl)
-         (backend_name backend))
+    ~name:(Printf.sprintf "algorithm-a: %s = plain" (path_name path))
     (ops_gen ~n:3)
     (fun ops ->
-      agrees_maxreg
-        (fst (maxreg I.Unboxed (I.Impl impl)))
-        (fst (maxreg backend (I.Impl impl)))
-        ops)
+      List.for_all
+        (fun metrics ->
+          agrees_maxreg
+            (unboxed (I.Impl I.Algorithm_a))
+            (snd (dispatched ?metrics path))
+            ops)
+        [ None; Some (Obs.Metrics.create ~domains:3 ()) ])
 
 
 (* The differential property holds trivially if the dispatcher never
@@ -218,14 +236,11 @@ let test_thrash_actually_flips () =
 
 (* {1 Registry coverage}
 
-   Every (spec, backend) pair the registry's constructors accept — with
-   and without a live metrics handle — must replay a random sequence
-   exactly like the plain unboxed structure of the same spec; the specs
+   Every spec the registry's unboxed constructors accept — with and
+   without a live metrics handle — must replay a random sequence
+   exactly like a plain unboxed structure of the same spec; the specs
    with no unboxed specialization (AAC, the snapshot counters) must stay
-   [None], and every max register but Algorithm A on the dispatch
-   backends. *)
-
-let dispatch_backends = [ I.Combining; I.Adaptive None; thrash ]
+   [None]. *)
 
 let maxreg_specs =
   List.map (fun i -> I.Impl i) (I.Algorithm_a_literal :: I.all_maxregs)
@@ -248,11 +263,10 @@ let registry_ops =
 
 let test_registry_differential () =
   let accepted = ref 0 in
-  let check name backend metered ok =
+  let check name metered ok =
     incr accepted;
     if not ok then
-      Alcotest.failf "%s on %s (metered %b) diverged from plain unboxed" name
-        (backend_name backend) metered
+      Alcotest.failf "%s (metered %b) diverged from plain unboxed" name metered
   in
   List.iter
     (fun metered ->
@@ -260,62 +274,41 @@ let test_registry_differential () =
         if metered then Some (Obs.Metrics.create ~domains:3 ()) else None
       in
       List.iter
-        (fun backend ->
-          List.iter
-            (fun spec ->
-              match
-                I.maxreg_backend ?metrics:(metrics ()) backend ~n:3 ~domains:3
-                  spec
-              with
-              | None -> ()
-              | Some (inst, _) ->
-                check (spec_name I.maxreg_name spec) backend metered
-                  (agrees_maxreg (fst (maxreg I.Unboxed spec)) inst
-                     registry_ops))
-            maxreg_specs)
-        (I.Unboxed :: dispatch_backends);
+        (fun spec ->
+          match I.maxreg_unboxed ?metrics:(metrics ()) ~n:3 spec with
+          | None -> ()
+          | Some inst ->
+            check (spec_name I.maxreg_name spec) metered
+              (agrees_maxreg (unboxed spec) inst registry_ops))
+        maxreg_specs;
       List.iter
         (fun spec ->
           match I.counter_unboxed ?metrics:(metrics ()) ~n:3 spec with
           | None -> ()
           | Some inst ->
-            check (spec_name I.counter_name spec) I.Unboxed metered
+            check (spec_name I.counter_name spec) metered
               (agrees_counter
                  (Option.get (I.counter_unboxed ~n:3 spec))
                  inst registry_ops))
         counter_specs)
     [ false; true ];
-  (* unboxed: every maxreg spec but AAC (8) and every counter spec with
-     an int specialization (6); each dispatch backend: Algorithm A; all
-     twice *)
-  Alcotest.(check int) "accepted (spec, backend) pairs"
-    (2 * (8 + 6 + 3))
-    !accepted
+  (* every maxreg spec but AAC (8) and every counter spec with an int
+     specialization (6), unmetered and metered *)
+  Alcotest.(check int) "accepted (spec, metered) pairs" (2 * (8 + 6)) !accepted
 
 let test_registry_no_dispatch_layer () =
   let none what opt =
     Alcotest.(check bool) (what ^ " has no instance") true (Option.is_none opt)
   in
   none "aac max register, unboxed"
-    (I.maxreg_backend I.Unboxed ~n:3 ~domains:3 (I.Impl I.Aac_maxreg));
+    (I.maxreg_unboxed ~n:3 (I.Impl I.Aac_maxreg));
   none "aac counter, unboxed" (I.counter_unboxed ~n:3 (I.Impl I.Aac_counter));
   List.iter
     (fun s ->
       none
         (I.counter_name (I.Snapshot_counter s) ^ ", unboxed")
         (I.counter_unboxed ~n:3 (I.Impl (I.Snapshot_counter s))))
-    I.all_snapshots;
-  List.iter
-    (fun backend ->
-      List.iter
-        (fun spec ->
-          none
-            (spec_name I.maxreg_name spec ^ ", " ^ backend_name backend)
-            (I.maxreg_backend backend ~n:3 ~domains:3 spec))
-        (I.Impl I.Aac_maxreg :: I.Impl I.B1_maxreg :: I.Impl I.Cas_maxreg
-         :: I.Impl I.Algorithm_a_literal
-         :: List.map (fun d -> I.Dial d) Treeprim.Dial.all))
-    dispatch_backends
+    I.all_snapshots
 
 (* {1 Reports} *)
 
@@ -352,16 +345,16 @@ let test_create_validates_policy () =
 (* The register has a leaf for pid 7, the 2-domain dispatcher has no
    tick cell for it: the dispatcher refuses the update. *)
 let test_tick_rejects_bad_pid () =
-  let reg, _ = maxreg thrash ~n:8 ~domains:2 (I.Impl I.Algorithm_a) in
+  let ad = AD.create ~policy:P.thrash ~n:8 ~domains:2 () in
   Alcotest.(check bool) "out-of-range pid raises, never corrupts" true
-    (match reg.write_max ~pid:7 1 with
+    (match AD.write_max ad ~pid:7 1 with
      | () -> false
      | exception Invalid_argument _ -> true)
 
 (* {1 Per-op dispatch}
 
    Every caller, the bench's timed loops included, runs the per-op
-   [update].  Pin that it (a) drives epochs and the stale-rate trigger,
+   [write_max].  Pin that it (a) drives epochs and the stale-rate trigger,
    (b) decides the same with or without a live metrics handle, and (c)
    stays observationally identical to the plain unboxed structure
    across flips in both directions.  The mode is the one [report]
@@ -456,9 +449,9 @@ let test_dispatch_differential () =
 
 (* Validation happens once, before either update path: a negative value
    raises on the pinned combining path ([update_combining]) exactly as
-   on the per-op path, in either dispatcher mode, and never counts an
-   elimination (root >= 0 > v would otherwise pass the elimination
-   check). *)
+   on the per-op [write_max], in either dispatcher mode, and never
+   counts an elimination (root >= 0 > v would otherwise pass the
+   elimination check). *)
 let test_negative_value_both_modes () =
   let t = AD.create ~policy:stale_policy ~n:2 ~domains:2 () in
   let eliminations () =
@@ -474,15 +467,15 @@ let test_negative_value_both_modes () =
   in
   let in_mode mode =
     raises mode "update_combining" (fun () -> AD.update_combining t ~pid:0 (-1));
-    raises mode "update" (fun () -> AD.update t ~pid:0 (-1))
+    raises mode "write_max" (fun () -> AD.write_max t ~pid:0 (-1))
   in
   let mode () = mode_of (AD.report t) in
-  AD.update t ~pid:0 1000;
+  AD.write_max t ~pid:0 1000;
   Alcotest.(check bool) "algorithm-a starts plain" true (mode () = P.Plain);
   in_mode "plain";
   (* two fully stale epochs flip it *)
   for v = 1 to 128 do
-    AD.update t ~pid:0 v
+    AD.write_max t ~pid:0 v
   done;
   Alcotest.(check bool) "algorithm-a flipped to combining" true
     (mode () = P.Combining);
@@ -490,8 +483,8 @@ let test_negative_value_both_modes () =
 
 (* {1 Multi-domain exactness}
 
-   Real parallelism through both dispatch backends: the register must
-   end at the true maximum with monotone reads — through the arena
+   Real parallelism through both update paths: the register must end
+   at the true maximum with monotone reads — through the arena
    protocol, and across flips under a flip-prone adaptive policy. *)
 
 let domains_used = 4
@@ -500,11 +493,8 @@ let per_domain = 20_000
 let flip_policy = { P.thrash with P.epoch_ops = 64 }
 
 (* domain 0 reads, the others write disjoint increasing streams *)
-let parallel_maxreg backend =
-  let reg, dispatch =
-    maxreg ~n:domains_used ~domains:domains_used backend
-      (I.Impl I.Algorithm_a)
-  in
+let parallel_maxreg path =
+  let t, reg = dispatched ~n:domains_used ~domains:domains_used path in
   let monotone = Atomic.make true in
   let (_ : unit array) =
     Harness.Chaos.Inject.spawn_indexed domains_used (fun pid ->
@@ -521,28 +511,27 @@ let parallel_maxreg backend =
             reg.write_max ~pid ((v * domains_used) + pid)
           done)
   in
-  let name = backend_name backend ^ " algorithm-a" in
+  let name = path_name path ^ " algorithm-a" in
   Alcotest.(check bool) (name ^ " reads monotone") true (Atomic.get monotone);
   Alcotest.(check int) (name ^ " final maximum")
     ((per_domain * domains_used) + (domains_used - 1))
     (reg.read_max ());
-  Option.get dispatch
+  t
 
-let test_parallel_maxreg_exact () =
-  ignore (parallel_maxreg I.Combining : I.dispatch)
+let test_parallel_maxreg_exact () = ignore (parallel_maxreg Combining : AD.t)
 
 let test_parallel_maxreg_across_flips () =
-  let d = parallel_maxreg (I.Adaptive (Some flip_policy)) in
+  let t = parallel_maxreg (Adaptive (Some flip_policy)) in
   Alcotest.(check bool) "dispatcher flipped during the run" true
-    ((d.report ()).Harness.Adaptive.epoch_flips > 0)
+    ((AD.report t).Harness.Adaptive.epoch_flips > 0)
 
 (* {1 Zero allocation on the dispatch fast paths}
 
    The per-op cost of adaptivity is a mode check and a tick; the
    uncontended combining paths are the domains = 1 arena bypass, the
    solo-combiner drain (lock held, no waiters) and algorithm A's
-   elimination shortcut.  None may allocate, through the registry's
-   instance closures included.  The epoch advance is the
+   elimination shortcut.  None may allocate, through an instance
+   record's closures included.  The epoch advance is the
    deliberately-allocating rare path (it folds stats records), so the
    plain-mode guard uses an epoch far beyond the op budget.  Same
    minor-heap-delta idiom as test_unboxed.ml. *)
@@ -579,36 +568,35 @@ let alloc_free_maxreg name pids (reg : Maxreg.Max_register.instance) =
 
 let test_alloc_free_solo () =
   alloc_free_maxreg "adaptive alg-a (solo)" 1
-    (fst (maxreg ~n:1 ~domains:1 (I.Adaptive None) (I.Impl I.Algorithm_a)))
+    (snd (dispatched ~n:1 ~domains:1 (Adaptive None)))
 
 let test_alloc_free_plain_mode () =
   (* domains = 2: full dispatch (mode check + stale tally + tick) on the
      plain path, with the epoch boundary pushed beyond the op budget *)
   let no_epoch = { P.default_maxreg with P.epoch_ops = 1 lsl 20 } in
   alloc_free_maxreg "adaptive alg-a (plain dispatch)" 2
-    (fst (maxreg ~n:2 ~domains:2 (I.Adaptive (Some no_epoch))
-            (I.Impl I.Algorithm_a)))
+    (snd (dispatched ~n:2 ~domains:2 (Adaptive (Some no_epoch))))
 
 let test_alloc_free_bypass () =
   alloc_free_maxreg "algorithm-a combining (bypass)" 1
-    (fst (maxreg ~n:1 ~domains:1 I.Combining (I.Impl I.Algorithm_a)))
+    (snd (dispatched ~n:1 ~domains:1 Combining))
 
 let test_alloc_free_solo_combiner () =
   (* domains = 2, driven single-threaded with fresh writes: every submit
      takes the lock and drains alone — the whole arena protocol minus
      waiting *)
   alloc_free_maxreg "algorithm-a combining (solo drain)" 2
-    (fst (maxreg ~n:2 ~domains:2 I.Combining (I.Impl I.Algorithm_a)))
+    (snd (dispatched ~n:2 ~domains:2 Combining))
 
 let test_alloc_free_elimination () =
-  let reg, d = maxreg ~n:2 ~domains:2 I.Combining (I.Impl I.Algorithm_a) in
+  let t, reg = dispatched ~n:2 ~domains:2 Combining in
   reg.write_max ~pid:0 1_000_000;
   check_alloc_free "algorithm-a combining elimination" (fun () ->
       for i = 1 to ops do
         reg.write_max ~pid:(i land 1) i
       done);
   Alcotest.(check bool) "eliminations actually counted" true
-    ((Smem.Combine.stats (Option.get d).arena).Smem.Combine.eliminations
+    ((Smem.Combine.stats (AD.arena t)).Smem.Combine.eliminations
     >= ops)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
@@ -625,8 +613,7 @@ let () =
         :: qsuite [ qcheck_hysteresis_bounds_flips ] );
       ( "differential",
         qsuite
-          [ differential_maxreg thrash I.Algorithm_a;
-            differential_maxreg I.Combining I.Algorithm_a ]
+          [ differential_maxreg thrash; differential_maxreg Combining ]
         @ [ Alcotest.test_case "thrash policy actually flips" `Quick
               test_thrash_actually_flips ] );
       ( "registry",

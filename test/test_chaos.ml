@@ -54,32 +54,35 @@ let test_burst_snapshot () =
         (lin_snapshot ~n:3 ops))
     seeds
 
-(* Algorithm A's dispatch backends under the same aggressive chaos:
+(* Algorithm A under dispatch, with the same aggressive chaos:
    injection happens at op boundaries (the arena's Atomics are inlined),
    so storms park domains right after publishing to a slot, releasing
    the combiner lock or crossing an epoch boundary — the histories must
-   still linearize. *)
-let burst_backend backend label =
-  List.iter
+   still linearize.  [update] is [AD.update_combining] (pinned
+   combining) or [AD.write_max] (the per-op dispatch). *)
+module AD = Harness.Adaptive.Alg_a
+
+let dispatched t update : Maxreg.Max_register.instance =
+  { read_max = (fun () -> AD.read_max t); write_max = update t }
+
+let burst_dispatched ?policy update label =
+  List.map
     (fun seed ->
       let c = cfg seed in
-      let reg, _ =
-        Option.get
-          (Harness.Instances.maxreg_backend backend ~n:3 ~domains:3
-             (Harness.Instances.Impl Harness.Instances.Algorithm_a))
-      in
+      let t = AD.create ?policy ~n:3 ~domains:3 () in
       let ops =
         Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8
-          (Harness.Chaos.instrument_maxreg c reg)
+          (Harness.Chaos.instrument_maxreg c (dispatched t update))
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s algorithm-a burst linearizes (seed %d)" label seed)
         true
-        (lin_maxreg ~n:3 ops))
+        (lin_maxreg ~n:3 ops);
+      t)
     seeds
 
 let test_burst_combining () =
-  burst_backend Harness.Instances.Combining "combining"
+  ignore (burst_dispatched AD.update_combining "combining" : AD.t list)
 
 (* And soaks: exact maxima through the arena protocol under sustained
    chaos, too many ops for full history checking.  The adaptive soak
@@ -87,15 +90,11 @@ let test_burst_combining () =
    benefit bar 10) that keeps the dispatcher oscillating, so plain CAS
    updates race arena applies across hundreds of mixed-mode windows —
    the invariant must hold anyway. *)
-let soak_backend c backend label =
+let soak_dispatched c ?policy update label =
   let domains = 4 in
   let per_domain = 5_000 in
-  let reg, rd =
-    Option.get
-      (Harness.Instances.maxreg_backend backend ~n:domains ~domains
-         (Harness.Instances.Impl Harness.Instances.Algorithm_a))
-  in
-  let reg = Harness.Chaos.instrument_maxreg c reg in
+  let t = AD.create ?policy ~n:domains ~domains () in
+  let reg = Harness.Chaos.instrument_maxreg c (dispatched t update) in
   let (_ : unit array) =
     Harness.Chaos.Inject.spawn_indexed domains (fun pid ->
         for v = 1 to per_domain do
@@ -106,24 +105,22 @@ let soak_backend c backend label =
     (label ^ " maximum exact under chaos")
     ((per_domain * domains) + (domains - 1))
     (reg.read_max ());
-  Option.get rd
+  t
 
 let test_combining_invariants_under_chaos () =
-  let rd = soak_backend (cfg 97) Harness.Instances.Combining "combining" in
+  let t = soak_dispatched (cfg 97) AD.update_combining "combining" in
   (* every update is accounted for somewhere: lock-held drains,
      combined batches, or eliminations *)
-  let s = Smem.Combine.stats rd.Harness.Instances.arena in
+  let s = Smem.Combine.stats (AD.arena t) in
   Alcotest.(check bool) "arena saw activity" true
     (s.Smem.Combine.lock_acquisitions + s.Smem.Combine.eliminations > 0)
 
 let test_adaptive_invariants_under_chaos () =
   let flip_policy = { Harness.Adaptive.Policy.thrash with epoch_ops = 64 } in
-  let rd =
-    soak_backend (cfg 131)
-      (Harness.Instances.Adaptive (Some flip_policy))
-      "adaptive"
+  let t =
+    soak_dispatched (cfg 131) ~policy:flip_policy AD.write_max "adaptive"
   in
-  let r = rd.Harness.Instances.report () in
+  let r = AD.report t in
   Alcotest.(check bool) "maxreg flips bounded and present" true
     (r.Harness.Adaptive.epoch_flips > 0
     && r.Harness.Adaptive.epoch_flips <= r.Harness.Adaptive.epochs);
@@ -133,41 +130,24 @@ let test_adaptive_invariants_under_chaos () =
     (r.Harness.Adaptive.combining_ops_pct > 0.
     && r.Harness.Adaptive.combining_ops_pct < 100.)
 
-(* The adaptive backend under chaos.  Two flavors per seed: the default
+(* The per-op dispatch under chaos.  Two flavors per seed: the default
    policy (dispatch machinery live, flips rare at burst scale), and
    the flip-forcing {!Harness.Adaptive.Policy.thrash}, so the mode flips
    back and forth INSIDE the burst while storms land astride the epoch
    lock.  Histories must linearize either way. *)
 let test_burst_adaptive () =
-  burst_backend (Harness.Instances.Adaptive None) "adaptive"
+  ignore (burst_dispatched AD.write_max "adaptive" : AD.t list)
 
 let test_burst_adaptive_thrashing () =
-  let thrash =
-    Harness.Instances.Adaptive (Some Harness.Adaptive.Policy.thrash)
-  in
-  List.iter
-    (fun seed ->
-      let c = cfg seed in
-      let reg, d =
-        Option.get
-          (Harness.Instances.maxreg_backend thrash ~n:3 ~domains:3
-             (Harness.Instances.Impl Harness.Instances.Algorithm_a))
-      in
-      let ops =
-        Harness.Chaos.burst_maxreg c ~domains:3 ~ops_per_domain:8
-          (Harness.Chaos.instrument_maxreg c reg)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf
-           "adaptive algorithm A burst linearizes across flips (seed %d)" seed)
-        true
-        (lin_maxreg ~n:3 ops);
-      let r = (Option.get d).Harness.Instances.report () in
+  List.iter2
+    (fun seed t ->
       Alcotest.(check bool)
         (Printf.sprintf "thrash policy actually flipped (seed %d)" seed)
         true
-        (r.Harness.Adaptive.epoch_flips > 0))
+        ((AD.report t).Harness.Adaptive.epoch_flips > 0))
     seeds
+    (burst_dispatched ~policy:Harness.Adaptive.Policy.thrash AD.write_max
+       "adaptive thrashing")
 
 let test_burst_rejects_oversize () =
   let c = cfg 1 in

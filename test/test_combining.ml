@@ -1,10 +1,10 @@
 (* Tests of the flat-combining arena itself (Smem.Combine): validation,
    the single-domain bypass, stats, elimination tally, and the parking
-   backoff.  The combining backend built on it — the adaptive instances
-   pinned to their combining path — is one more backend input to the
-   differential, allocation and parallel suites of test_adaptive.ml;
-   linearizability of combining histories under chaos lives in
-   test_chaos.ml. *)
+   backoff.  Pinned combining built on it — Algorithm A's adaptive
+   instance with every update on its combining path — is one more input
+   to the differential, allocation and parallel suites of
+   test_adaptive.ml; linearizability of combining histories under chaos
+   lives in test_chaos.ml. *)
 
 module C = Smem.Combine
 
@@ -13,15 +13,15 @@ module C = Smem.Combine
 let test_create_validates () =
   Alcotest.check_raises "domains = 0 refused"
     (Invalid_argument "Combine.create: domains out of [1, 62]") (fun () ->
-      ignore (C.create ~domains:0 ~combine:( + ) () : C.t));
+      ignore (C.create ~domains:0 () : C.t));
   Alcotest.check_raises "domains = 63 refused"
     (Invalid_argument "Combine.create: domains out of [1, 62]") (fun () ->
-      ignore (C.create ~domains:(C.max_domains + 1) ~combine:( + ) () : C.t));
-  let t = C.create ~domains:C.max_domains ~combine:( + ) () in
+      ignore (C.create ~domains:(C.max_domains + 1) () : C.t));
+  let t = C.create ~domains:C.max_domains () in
   Alcotest.(check int) "domains accessor" C.max_domains (C.domains t)
 
 let test_submit_validates () =
-  let t = C.create ~domains:2 ~combine:( + ) () in
+  let t = C.create ~domains:2 () in
   let apply _ _ = () in
   Alcotest.check_raises "sentinel op refused"
     (Invalid_argument "Combine.submit: op is the empty sentinel") (fun () ->
@@ -31,7 +31,7 @@ let test_submit_validates () =
       C.submit t ~domain:2 ~apply 1)
 
 let test_single_domain_bypass () =
-  let t = C.create ~domains:1 ~combine:max () in
+  let t = C.create ~domains:1 () in
   let applied = ref [] in
   let apply d op = applied := (d, op) :: !applied in
   C.submit t ~domain:0 ~apply 7;
@@ -44,7 +44,7 @@ let test_single_domain_bypass () =
   Alcotest.(check int) "no batches" 0 (C.stats t).C.batches
 
 let test_solo_submit_stats () =
-  let t = C.create ~domains:2 ~combine:max () in
+  let t = C.create ~domains:2 () in
   let total = ref 0 in
   let apply _ op = total := !total + op in
   C.submit t ~domain:0 ~apply 5;
@@ -60,7 +60,7 @@ let test_solo_submit_stats () =
   Alcotest.(check int) "batch_max stays 0" 0 s.C.batch_max
 
 let test_elimination_and_reset () =
-  let t = C.create ~domains:2 ~combine:max () in
+  let t = C.create ~domains:2 () in
   C.record_elimination t ~domain:0;
   C.record_elimination t ~domain:1;
   Alcotest.(check int) "eliminations tallied" 2 (C.stats t).C.eliminations;
@@ -80,10 +80,10 @@ let test_elimination_and_reset () =
 let test_create_validates_yield () =
   Alcotest.check_raises "yield_s = 0 refused"
     (Invalid_argument "Combine.create: non-positive yield_s") (fun () ->
-      ignore (C.create ~yield_s:0. ~domains:2 ~combine:( + ) () : C.t));
+      ignore (C.create ~yield_s:0. ~domains:2 () : C.t));
   Alcotest.check_raises "negative yield_s refused"
     (Invalid_argument "Combine.create: non-positive yield_s") (fun () ->
-      ignore (C.create ~yield_s:(-1e-6) ~domains:2 ~combine:( + ) () : C.t))
+      ignore (C.create ~yield_s:(-1e-6) ~domains:2 () : C.t))
 
 let test_backoff_doubles_and_caps () =
   let y = 0.001 in
@@ -95,7 +95,7 @@ let test_backoff_doubles_and_caps () =
     sleeps := s :: !sleeps;
     if List.length !sleeps >= 10 then Atomic.set release true
   in
-  let t = C.create ~spin:16 ~yield_s:y ~sleep ~domains:2 ~combine:max () in
+  let t = C.create ~spin:16 ~yield_s:y ~sleep ~domains:2 () in
   let total = Atomic.make 0 in
   (* the apply runs while holding the combiner lock; gating it keeps the
      lock held until the parked domain has recorded enough sleeps *)

@@ -5,9 +5,8 @@
    the Memsim simulator and check that the observed shared-memory step
    count never exceeds [Lint.Summary.envelope] of the operation's
    budgeted class — the concrete ceiling the certificate promises.  The structures of lib/structures run as their boxed
-   compile: the same source the unboxed backend compiles natively, so
-   the counters' batched add and the combining fast path are measured
-   too (each metered entry is the body its plain op wraps).  A final coverage check pins that every
+   compile: the same source the unboxed backend compiles natively (each
+   metered entry is the body its plain op wraps).  A final coverage check pins that every
    budget row is either measured here or on an explicit skip list
    (Unbounded allowlist entries, internal helpers exercised inside a
    measured op), so a new budget row cannot silently dodge the
@@ -134,11 +133,9 @@ let propagate_measurements () =
   [ ([ "Propagate"; "refresh" ], n, refr);
     ([ "Propagate"; "propagate" ], n, prop) ]
 
-(* The operations that only the native fast path used to carry — the
-   counters' batched add (the combining apply) and the CAS register's
-   single attempt — on the boxed compile of the same source. *)
+(* The CAS register's single attempt, which only the native fast path
+   used to carry, on the boxed compile of the same source. *)
 let fast_path_measurements () =
-  let incrs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
   let c_s, c = in_session Boxed.Cas_maxreg.create in
   let c_once =
     max_steps c_s
@@ -146,19 +143,7 @@ let fast_path_measurements () =
          (fun v () -> ignore (Boxed.Cas_maxreg.write_once c v : int))
          (values @ values))
   in
-  let nv_s, nv = in_session (Boxed.Naive_counter.create ~n) in
-  let nv_add =
-    max_steps nv_s
-      (List.map (fun k () -> Boxed.Naive_counter.add nv ~pid:(k mod n) k) incrs)
-  in
-  let module F = Boxed.Farray_counter in
-  let f_s, f = in_session (F.create ~n) in
-  let f_add =
-    max_steps f_s (List.map (fun k () -> F.add f ~pid:(k mod n) k) incrs)
-  in
-  [ ([ "Cas_maxreg"; "write_once" ], bound, c_once);
-    ([ "Naive_counter"; "add" ], bound, nv_add);
-    ([ "Farray_counter"; "add" ], bound, f_add) ]
+  [ ([ "Cas_maxreg"; "write_once" ], bound, c_once) ]
 
 (* The dial family instantiates one construction at four dial points;
    the static rows certify the worst case over the dial (read Linear,
@@ -198,20 +183,8 @@ let dial_measurements () =
   let max_of proj =
     List.fold_left (fun acc (_, m) -> max acc (proj m)) 0 worst
   in
-  let add =
-    List.fold_left
-      (fun acc dial ->
-        let incrs = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
-        let module C = Boxed.Dial_counter in
-        let c_s, c = in_session (C.create ~n ~dial) in
-        max acc
-          (max_steps c_s
-             (List.map (fun k () -> C.add c ~pid:(k mod n) k) incrs)))
-      0 Treeprim.Dial.all
-  in
   [ ([ "Dial_counter"; "read" ], n, max_of (fun (r, _, _, _) -> r));
     ([ "Dial_counter"; "increment" ], n, max_of (fun (_, i, _, _) -> i));
-    ([ "Dial_counter"; "add" ], n, add);
     ([ "Dial_maxreg"; "read_max" ], n, max_of (fun (_, _, r, _) -> r));
     ([ "Dial_maxreg"; "write_max" ], n, max_of (fun (_, _, _, w) -> w)) ]
 
@@ -360,10 +333,6 @@ let test_metering_is_not_a_step () =
   same "Farray_counter.increment_metered" (F.create ~n)
     (per pids (fun pid f -> F.increment f ~pid))
     (fun metrics -> per pids (fun pid f -> F.increment_metered f ~metrics ~pid));
-  same "Farray_counter.add_metered" (F.create ~n)
-    (per pids (fun pid f -> F.add f ~pid (pid + 1)))
-    (fun metrics ->
-      per pids (fun pid f -> F.add_metered f ~metrics ~pid (pid + 1)));
   List.iter
     (fun dial ->
       let at op = op ^ " " ^ Treeprim.Dial.name dial in
@@ -372,10 +341,6 @@ let test_metering_is_not_a_step () =
         (per pids (fun pid d -> D.increment d ~pid))
         (fun metrics ->
           per pids (fun pid d -> D.increment_metered d ~metrics ~pid));
-      same (at "Dial_counter.add_metered") (D.create ~n ~dial)
-        (per pids (fun pid d -> D.add d ~pid (pid + 1)))
-        (fun metrics ->
-          per pids (fun pid d -> D.add_metered d ~metrics ~pid (pid + 1)));
       let module R = Boxed.Dial_maxreg in
       same (at "Dial_maxreg.write_max_metered") (R.create ~n ~dial)
         (per writes (fun v r -> R.write_max r ~pid:(v mod n) v))

@@ -125,10 +125,10 @@ let differential_maxreg dial =
     (fun ops ->
       let session = Session.create () in
       let r = Harness.Instances.maxreg_dial_sim session ~n:n_procs dial in
-      let unboxed, _ =
+      let unboxed =
         Option.get
-          (Harness.Instances.maxreg_backend Harness.Instances.Unboxed
-             ~n:n_procs ~domains:n_procs (Harness.Instances.Dial dial))
+          (Harness.Instances.maxreg_unboxed ~n:n_procs
+             (Harness.Instances.Dial dial))
       in
       let model = ref 0 in
       List.for_all

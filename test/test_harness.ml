@@ -174,6 +174,31 @@ let refuses_seconds seconds () =
   refused (what "2 domains") (batched ~domains:2 ~seconds ~batch:1);
   refused (what "run_alone") (alone ~seconds ~batch:1)
 
+(* regression: a worker whose op raised never acknowledged [stop], so
+   a multi-domain run spun forever waiting for it.  The run must end
+   and re-raise the op's exception.  The "sleep" waits until domain 1
+   has raised, so the failure lies inside the window. *)
+let test_raising_op_raises () =
+  let raised = Atomic.make false in
+  let op d _ =
+    if d = 1 then begin
+      Atomic.set raised true;
+      invalid_arg "op raised on domain 1"
+    end
+  in
+  let sleep _ =
+    while not (Atomic.get raised) do
+      Domain.cpu_relax ()
+    done
+  in
+  match
+    Harness.Throughput.run_batched ~sleep ~domains:2 ~seconds:1.0 ~batch:1 ~op
+      ()
+  with
+  | (_ : float) -> Alcotest.fail "a raising op returned a rate"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "the op's exception" "op raised on domain 1" msg
+
 (* {1 Tables} *)
 
 let test_table_render () =
@@ -206,10 +231,10 @@ let test_table_ragged_rows () =
 module I = Harness.Instances
 module E7 = Experiments.E7_native
 
-(* The columns are the registry's: every max register on boxed and on
-   each native backend the registry builds (algorithm-a on all four,
-   B1 and cas-loop unboxed too, AAC boxed only), and the two counters
-   with a native compile on boxed and unboxed. *)
+(* Every max register on boxed, and unboxed where the registry builds
+   it (all but AAC), algorithm-a also pinned to combining and adaptive
+   under Harness.Adaptive.Alg_a, and the two counters with a native
+   compile on boxed and unboxed. *)
 let test_e7_columns () =
   let plain = [ "boxed"; "unboxed" ] in
   let expected =
@@ -225,7 +250,7 @@ let test_e7_columns () =
   Alcotest.(check int) "the legacy sweep's 12 plus AAC boxed" 13
     (List.length expected);
   Alcotest.(check (list (triple string string string)))
-    "one column per registry instance" (List.sort compare expected)
+    "one column per instance" (List.sort compare expected)
     (List.sort compare (E7.columns ()))
 
 (* regression: the retired sweep wrote [i * domains + d] from the
@@ -235,9 +260,7 @@ let test_e7_columns () =
    lets exactly 1024 / batch calls run): every write of the second
    pass must raise the register. *)
 let test_e7_writes_stay_fresh () =
-  let reg, _ =
-    Option.get (I.maxreg_backend I.Unboxed ~n:1 ~domains:1 (I.Impl I.Algorithm_a))
-  in
+  let reg = Option.get (I.maxreg_unboxed ~n:1 (I.Impl I.Algorithm_a)) in
   let writes = ref 0 and stale = ref 0 in
   let spy =
     { reg with
@@ -288,12 +311,15 @@ let () =
           Alcotest.test_case "negative seconds refused" `Quick
             (refuses_seconds (-1.));
           Alcotest.test_case "infinite seconds refused" `Quick
-            (refuses_seconds infinity) ] );
+            (refuses_seconds infinity);
+          Alcotest.test_case "an op raising on one of two domains raises"
+            `Quick test_raising_op_raises ] );
       ( "tables",
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "ragged rows" `Quick test_table_ragged_rows ] );
       ( "e7",
-        [ Alcotest.test_case "columns are the registry's native columns"
+        [ Alcotest.test_case
+            "columns are the registry's native ones and Alg_a's"
             `Quick test_e7_columns;
           Alcotest.test_case "max-register writes stay fresh across passes"
             `Quick test_e7_writes_stay_fresh ] ) ]

@@ -1,7 +1,8 @@
-(* Tests of the native (OCaml 5 Atomic + Domain) backend: the same
-   functorized algorithms running truly in parallel.  These are stress
-   tests of safety properties that survive real parallelism: no lost
-   increments, the maximum always wins, snapshots converge. *)
+(* Tests of the native (OCaml 5 Atomic + Domain) backend: the boxed
+   compile of the same sources, over native atomics, running truly in
+   parallel.  These are stress tests of safety properties that survive
+   real parallelism: no lost increments, the maximum always wins,
+   snapshots converge. *)
 
 let domains_available = max 2 (min 4 (Domain.recommended_domain_count ()))
 

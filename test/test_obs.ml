@@ -52,12 +52,9 @@ let test_metrics_totals_roundtrip () =
       M.add m ~domain:1 c 3)
     M.all_counters;
   let t = M.totals m in
+  Alcotest.(check int) "nine counters" 9 (List.length M.all_counters);
   List.iter
-    (fun c ->
-      (* every counter sums across shards except Batch_max, which
-         max-merges (a "largest batch" is not additive) *)
-      let expect = if c = M.Batch_max then 3 else 5 in
-      Alcotest.(check int) (M.counter_name c) expect (M.total_of t c))
+    (fun c -> Alcotest.(check int) (M.counter_name c) 5 (M.total_of t c))
     M.all_counters
 
 (* {1 What the metered updates record}
@@ -101,8 +98,8 @@ let metered_script ~metrics check =
   let c = F.create ~n () in
   check "farray counter: increment" (walk 6) (fun () ->
       F.increment_metered c ~metrics ~pid:3);
-  check "farray counter: add" (walk 6) (fun () ->
-      F.add_metered c ~metrics ~pid:3 5);
+  check "farray counter: second increment" (walk 6) (fun () ->
+      F.increment_metered c ~metrics ~pid:3);
   let module C = Unboxed.Cas_maxreg in
   let r = C.create () in
   check "cas-loop: fresh write" { nothing with cas_attempts = 1 } (fun () ->
@@ -123,8 +120,8 @@ let metered_script ~metrics check =
           let depth = dial_leaf_depth ~n dial pid in
           check (at "dial counter: increment" pid) (walk depth) (fun () ->
               D.increment_metered d ~metrics ~pid);
-          check (at "dial counter: add" pid) (walk depth) (fun () ->
-              D.add_metered d ~metrics ~pid 3);
+          check (at "dial counter: second increment" pid) (walk depth)
+            (fun () -> D.increment_metered d ~metrics ~pid);
           check (at "dial maxreg: fresh write" pid) (walk depth) (fun () ->
               R.write_max_metered r ~metrics ~pid (100 + pid));
           check (at "dial maxreg: stale write" pid) nothing (fun () ->
@@ -219,10 +216,9 @@ let test_disabled_metered_instance_allocates_nothing () =
   run ();  (* warm up *)
   Alcotest.(check (float 0.)) "metered farray, disabled: zero minor words" 0.
     (minor_words_during run);
-  let reg, _ =
+  let reg =
     Option.get
-      (Harness.Instances.maxreg_backend ~metrics:M.disabled
-         Harness.Instances.Unboxed ~n:4 ~domains:4
+      (Harness.Instances.maxreg_unboxed ~metrics:M.disabled ~n:4
          (Harness.Instances.Impl Harness.Instances.Algorithm_a))
   in
   let run () =

@@ -119,10 +119,8 @@ let bound = 1 lsl 20
 
 let maxreg_pair impl ~n =
   ( Harness.Instances.maxreg_native ~n ~bound impl,
-    fst
-      (Option.get
-         (Harness.Instances.maxreg_backend Harness.Instances.Unboxed ~n
-            ~domains:n (Harness.Instances.Impl impl))) )
+    Option.get
+      (Harness.Instances.maxreg_unboxed ~n (Harness.Instances.Impl impl)) )
 
 let counter_pair impl ~n =
   ( Harness.Instances.counter_native ~n ~bound impl,
